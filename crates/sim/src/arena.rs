@@ -1,30 +1,25 @@
-//! Dense slab arenas with generation-tagged ids for the engines' hot
+//! Dense slab arenas with generation-tagged ids for the kernel's hot
 //! state.
 //!
-//! The engines allocate and free messages and multicast operations at
-//! every injection and absorption. The original layout — a
-//! `Vec<Option<T>>` plus an explicit free list — costs an `Option`
-//! discriminant branch on every slot access in the inner loops, and a
-//! stale id (an engine bug) silently resolves to whatever message reused
-//! the slot. An [`Arena`] keeps the same dense storage and LIFO slot
-//! reuse (so allocation order, and with it every downstream ordering, is
-//! unchanged) but:
+//! The kernel allocates and frees messages and multicast operations at
+//! every injection and absorption. An [`Arena`] keeps them in dense
+//! storage with LIFO slot reuse (allocation order feeds every downstream
+//! ordering, so it is part of the bit-identical contract):
 //!
-//! * values live in a plain `Vec<T>` with *exactly* the element stride
-//!   of the reference engine's storage, while each slot's one-byte meta
-//!   tag (odd = live, even = free; bumped on every transition) sits in a
+//! * values live in a plain `Vec<T>` — no `Option` discriminant to
+//!   branch on in the inner loops — while each slot's one-byte meta tag
+//!   (odd = live, even = free; bumped on every transition) sits in a
 //!   dense sidecar — a few KB that stays cache-hot — so validation is a
 //!   single byte compare that costs no value-array bandwidth, and
-//! * ids carry the slot's tag, so an access through a stale id panics
-//!   with the violated invariant by name instead of returning a recycled
-//!   stranger's state.
+//! * ids carry the slot's tag, so an access through a stale id (a kernel
+//!   bug) panics with the violated invariant by name instead of
+//!   returning a recycled stranger's state.
 //!
-//! Ids stay plain `u32` ([`Arena::INDEX_BITS`] low bits of slot index,
+//! Ids are plain `u32` ([`Arena::INDEX_BITS`] low bits of slot index,
 //! 8 wrapping tag bits above), so `MsgId`/`OpId` and every structure
-//! holding them (`CvState` owners and waiters, the
-//! engines' move lists) are untouched by the migration. The tag wraps
-//! after 128 reuse cycles of one slot; within that window every stale
-//! access is caught.
+//! holding them (`CvState` owners and waiters, the move list) stay
+//! word-sized. The tag wraps after 128 reuse cycles of one slot; within
+//! that window every stale access is caught.
 
 /// A slab arena of `T` addressed by generation-tagged `u32` ids.
 #[derive(Clone, Debug, Default)]
@@ -37,8 +32,7 @@ pub struct Arena<T> {
     /// so a live id's tag matches iff the slot still holds the value it
     /// was issued for.
     metas: Vec<u8>,
-    /// Freed slot indices, reused LIFO — the same reuse order as the
-    /// engines' original explicit free lists.
+    /// Freed slot indices, reused LIFO.
     free: Vec<u32>,
 }
 

@@ -7,8 +7,8 @@
 //! actions (injections, timers) plus run accounting (issued/retired
 //! requests, completion latencies, outstanding-window occupancy).
 //!
-//! Both engines drive the same driver through the same three touch
-//! points, in the same intra-cycle order:
+//! The kernel (`fabric.rs`) drives it through three touch points, in a
+//! fixed intra-cycle order under either engine:
 //!
 //! 1. **generate** — timers due this cycle fire ([`AppEvent::Timeout`]),
 //!    in node order; resulting injections enter the waiter queues before
@@ -50,8 +50,9 @@ pub(crate) enum ClosedDelivery {
     OpDone(OpId),
 }
 
-/// An engine action requested by a protocol emission, performed by the
-/// engine that owns the resources (allocation, queues, event heap).
+/// An action requested by a protocol emission, performed by the kernel
+/// that owns the resources (allocation, queues) and the engine's
+/// schedule.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Action {
     /// Inject a unicast `src → dst` carrying `payload`.
@@ -64,7 +65,7 @@ pub(crate) enum Action {
     Multicast { src: NodeId, payload: Payload },
     /// Wake `node` at cycle `at` (the cycle engine polls
     /// [`ClosedLoopDriver::timer_at`]; the event engine schedules on its
-    /// heap).
+    /// calendar queue).
     Timer { node: NodeId, at: u64 },
 }
 

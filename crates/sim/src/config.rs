@@ -17,8 +17,8 @@ pub enum EngineKind {
     Cycle,
     /// The event-driven engine: skips provably inert cycles (idle gaps
     /// between injections, blocked fixpoints) and jumps straight to the
-    /// next arrival, grant boundary or watchdog tick. 5–50× faster at
-    /// low load; the default.
+    /// next arrival, grant boundary or watchdog tick. About 7–16× faster
+    /// at low load; the default.
     #[default]
     EventDriven,
 }

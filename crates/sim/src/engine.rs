@@ -1,1019 +1,102 @@
 //! The cycle-stepped wormhole engine — the reference oracle.
 //!
-//! See the crate-level documentation for the node model and timing
-//! conventions. The engine state is a flat set of *channel virtual-channel*
-//! (cv) resources; each cv is either free or owned by one message at one
-//! hop of its path, with a FIFO list of waiting headers — the
-//! non-preemptive FIFO arbitration of the paper's simulator (§4).
-//!
-//! Every cycle:
-//!
-//! 1. **Generation** — each node's arrival stream ([`ArrivalStream`],
-//!    built from the workload's traffic spec — Poisson by default) may
-//!    emit a unicast (path from the precomputed table) or a multicast
-//!    operation (one stream per active injection port); new messages join
-//!    the injection channel's waiter queue (the "passive queue" in
-//!    creation-time order).
-//! 2. **Selection** — each active physical channel picks at most one of its
-//!    cvs (round-robin) whose owner can move a flit, judged against the
-//!    *previous* cycle's counters (one-cycle credit loop).
-//! 3. **Application** — chosen flits traverse; headers entering a buffer
-//!    request the next channel; tails leaving a buffer release channels and
-//!    trigger absorptions (clone-to-sink at multicast targets, completion
-//!    at ejection).
-//! 4. **Grants** — released or newly requested free cvs are granted to the
-//!    FIFO head of their waiter queues.
-//!
-//! This engine advances *every* cycle, active or idle. That makes it slow
-//! at low load and trivially correct — exactly what a differential oracle
-//! should be. The production engine is [`crate::EventSimulator`], which
-//! reproduces this engine's runs bit-for-bit while skipping inert cycles.
+//! [`Simulator`] is the shared kernel (`fabric.rs`, which documents the
+//! four phases of a cycle) under the simplest possible time-advance
+//! policy: simulate *every* cycle, active or idle, and find the nodes
+//! that fire by polling all of them. That makes it slow at low load and
+//! trivially correct — exactly what a differential oracle should be. It
+//! deliberately stays off the calendar [`EventQueue`](crate::schedule::EventQueue),
+//! so the queue's ordering is checked against this plain node-order scan
+//! rather than against itself. The production engine is
+//! [`crate::EventSimulator`], which reproduces this engine's runs
+//! bit-for-bit while skipping inert cycles.
 
-use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
-use crate::config::SimConfig;
-use crate::engine_api::{audit_state, AuditInput, EngineAudit, SimEngine};
-use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
-use crate::metrics::Metrics;
-use crate::plan::SimPlan;
+use crate::engine_api::Engine;
+use crate::fabric::{Fabric, TimeAdvance};
 use crate::results::{EngineCounters, SimResults};
-use crate::schedule::{Arrival, ArrivalStream};
-use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
-use noc_topology::{ChannelKind, NodeId, Topology};
-use noc_workloads::Workload;
-use std::collections::HashSet;
-use std::sync::Arc;
 
-/// Invariant-checked access to a live message slot. Free functions over
-/// the slot table (not `&self` methods) so hot-loop call sites keep
-/// their disjoint field borrows; the panic names the violated engine
-/// invariant instead of the bare `unwrap` it replaces.
-#[inline]
-fn live_msg<'m>(msgs: &'m [Option<ActiveMsg>], id: MsgId, what: &str) -> &'m ActiveMsg {
-    match msgs.get(id as usize) {
-        Some(Some(msg)) => msg,
-        _ => bad_slot(id, what),
-    }
+/// The cycle-stepped simulator: [`Engine`] advancing [`EveryCycle`].
+pub type Simulator<'a> = Engine<'a, EveryCycle>;
+
+/// The oracle's time-advance policy: every cycle is simulated, and the
+/// nodes due on it are found by polling each node's next firing time in
+/// node order — the deterministic spawn order both engines share.
+pub struct EveryCycle {
+    /// Next node to poll within the current cycle's scan.
+    cursor: usize,
 }
 
-/// Mutable counterpart of [`live_msg`].
-#[inline]
-fn live_msg_mut<'m>(msgs: &'m mut [Option<ActiveMsg>], id: MsgId, what: &str) -> &'m mut ActiveMsg {
-    match msgs.get_mut(id as usize) {
-        Some(Some(msg)) => msg,
-        _ => bad_slot(id, what),
-    }
-}
-
-#[cold]
-#[inline(never)]
-fn bad_slot(id: MsgId, what: &str) -> ! {
-    panic!("engine invariant violated: {what} references freed message slot {id}")
-}
-
-/// The cycle-stepped simulator. Borrowing the topology and workload keeps
-/// runs cheap to set up inside parameter sweeps; the precomputed
-/// [`SimPlan`] can additionally be shared across runs.
-pub struct Simulator<'a> {
-    topo: &'a dyn Topology,
-    wl: &'a Workload,
-    cfg: SimConfig,
-    plan: Arc<SimPlan>,
-
-    // --- dynamic state ---
-    cycle: u64,
-    cvs: Vec<CvState>,
-    /// Round-robin pointer per physical channel.
-    rr: Vec<u8>,
-    /// Physical channels with at least one owned cv.
-    active: Vec<u32>,
-    active_flag: Vec<bool>,
-    msgs: Vec<Option<ActiveMsg>>,
-    free_msgs: Vec<MsgId>,
-    ops: Vec<MulticastOp>,
-    free_ops: Vec<OpId>,
-    ops_allocated: u64,
-    ops_completed: u64,
-    /// Per-node arrival streams (traffic-spec driven; Poisson default).
-    arrivals: Vec<ArrivalStream>,
-    /// Messages waiting at injection channels (backlog).
-    inj_backlog: usize,
-    peak_backlog: usize,
-    /// Tagged traffic still in flight.
-    tagged_outstanding: u64,
-    /// Last cycle on which any flit moved (deadlock watchdog).
-    last_move_cycle: u64,
-
-    // --- scratch (reused across cycles) ---
-    moves: Vec<(MsgId, u16)>,
-    regrant: Vec<u32>,
-
-    // --- closed-loop protocol drive (None on open-loop runs) ---
-    closed: Option<ClosedLoopDriver>,
-    /// Absorptions recorded by `apply_moves` for post-phase dispatch.
-    arrived: Vec<ClosedDelivery>,
-    /// Pending protocol actions (injections, timers).
-    actions: Vec<Action>,
-
-    // --- statistics ---
-    metrics: Metrics,
-}
-
-impl<'a> Simulator<'a> {
-    /// Build a simulator for `topo` under `wl`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or if the workload does not
-    /// fit the topology (see [`crate::plan::PlanError`]); use
-    /// [`SimPlan::build`] + [`Simulator::with_plan`] for typed errors.
-    pub fn new(topo: &'a dyn Topology, wl: &'a Workload, cfg: SimConfig) -> Self {
-        let plan = SimPlan::build(topo, wl).unwrap_or_else(|e| panic!("{e}"));
-        Simulator::with_plan(topo, wl, cfg, plan)
+impl TimeAdvance for EveryCycle {
+    fn new(_: &Fabric<'_>) -> Self {
+        EveryCycle { cursor: 0 }
     }
 
-    /// Build a simulator on a prebuilt [`SimPlan`] (shared across the runs
-    /// of a sweep, or with the event engine of a differential pair).
-    pub fn with_plan(
-        topo: &'a dyn Topology,
-        wl: &'a Workload,
-        cfg: SimConfig,
-        plan: Arc<SimPlan>,
-    ) -> Self {
-        cfg.validate().expect("invalid simulator configuration");
-        plan.assert_matches(topo, wl);
-        let arrivals = ArrivalStream::build_all(wl, plan.n, cfg.seed);
-        let channels = plan.num_channels;
-        let metrics = Metrics::new(&cfg, plan.n, channels, !plan.is_lazy());
-        Simulator {
-            topo,
-            wl,
-            cfg,
-            cycle: 0,
-            cvs: vec![CvState::default(); plan.num_cvs],
-            rr: vec![0; channels],
-            active: Vec::with_capacity(channels),
-            active_flag: vec![false; channels],
-            msgs: Vec::new(),
-            free_msgs: Vec::new(),
-            ops: Vec::new(),
-            free_ops: Vec::new(),
-            ops_allocated: 0,
-            ops_completed: 0,
-            arrivals,
-            inj_backlog: 0,
-            peak_backlog: 0,
-            tagged_outstanding: 0,
-            last_move_cycle: 0,
-            moves: Vec::new(),
-            regrant: Vec::new(),
-            closed: None,
-            arrived: Vec::new(),
-            actions: Vec::new(),
-            metrics,
-            plan,
+    fn next_due(&mut self, fabric: &Fabric<'_>) -> Option<u32> {
+        while self.cursor < fabric.plan.n {
+            let node = self.cursor;
+            self.cursor += 1;
+            if fabric.fires_at(node) == fabric.cycle {
+                return Some(node as u32);
+            }
         }
+        self.cursor = 0;
+        None
     }
 
-    /// Install a closed-loop protocol: the run is then driven by the
-    /// per-node machines instead of the open-loop arrival streams.
-    ///
-    /// Must be called before any cycle is simulated, on a zero-rate
-    /// workload (the protocol is the only traffic source).
-    pub fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
-        assert_eq!(self.cycle, 0, "closed-loop install after the run started");
-        assert!(
-            self.arrivals.iter().all(|s| s.next_arrival() == u64::MAX),
-            "closed-loop runs require a zero-rate workload"
-        );
-        let env = NetEnv {
-            n: self.plan.n,
-            fanout: self.plan.fanout_table(),
+    /// Nothing to remember: firing times are polled, not scheduled.
+    fn schedule(&mut self, _at: u64, _node: u32) {}
+
+    fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults {
+        let end = match fabric.start(self) {
+            Some(end) => end,
+            None => loop {
+                let next = fabric.cycle + 1;
+                let window = fabric.in_window(next);
+                fabric.step(next, window, window, self);
+                if let Some(end) = fabric.run_end() {
+                    break end;
+                }
+            },
         };
-        // Closed-loop runs measure every cycle from cycle 1.
-        self.metrics.set_measure_origin(0);
-        self.closed = Some(ClosedLoopDriver::new(spec.build(&env, master_seed)));
+        let counters = EngineCounters {
+            simulated_cycles: fabric.cycle,
+            ..Default::default()
+        };
+        fabric.finish(end, counters)
     }
 
-    #[inline]
-    fn cv_index(&self, hop: noc_topology::Hop) -> u32 {
-        self.plan.cv_index(hop)
-    }
-
-    fn alloc_msg(&mut self, msg: ActiveMsg) -> MsgId {
-        if let Some(id) = self.free_msgs.pop() {
-            self.msgs[id as usize] = Some(msg);
-            id
-        } else {
-            self.msgs.push(Some(msg));
-            (self.msgs.len() - 1) as MsgId
-        }
-    }
-
-    fn alloc_op(&mut self, op: MulticastOp) -> OpId {
-        self.ops_allocated += 1;
-        if let Some(id) = self.free_ops.pop() {
-            self.ops[id as usize] = op;
-            id
-        } else {
-            self.ops.push(op);
-            (self.ops.len() - 1) as OpId
-        }
-    }
-
-    fn activate(&mut self, channel: usize) {
-        if !self.active_flag[channel] {
-            self.active_flag[channel] = true;
-            self.active.push(channel as u32);
-        }
-    }
-
-    /// Enqueue a freshly generated message at the head channel of its
-    /// path (`node` = the injecting source, for the trace).
-    fn enqueue(&mut self, id: MsgId, node: u32) {
-        let hop0 = live_msg(&self.msgs, id, "freshly enqueued message")
-            .path
-            .hops[0];
-        let cv = self.cv_index(hop0) as usize;
-        self.cvs[cv].waiters.push_back((id, 0));
-        self.inj_backlog += 1;
-        self.peak_backlog = self.peak_backlog.max(self.inj_backlog);
-        self.regrant.push(cv as u32);
-        self.metrics.trace_inject(self.cycle, node);
-    }
-
-    /// Spawn the message(s) of one arrival at `node` this cycle.
-    fn spawn(&mut self, node: usize, arrival: Arrival, tagging: bool) {
-        let len = self.wl.msg_len;
-        let gen = self.cycle;
-        match arrival {
-            Arrival::Multicast => {
-                let op = self.alloc_op(MulticastOp {
-                    src: NodeId(node as u32),
-                    gen,
-                    remaining: self.plan.op_targets(node),
-                    last_absorb: gen,
-                    tagged: tagging,
-                });
-                if tagging {
-                    self.metrics.multicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                }
-                for si in 0..self.plan.streams(node).len() {
-                    let (path, absorbs) = {
-                        let pre = &self.plan.streams(node)[si];
-                        (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-                    };
-                    let id =
-                        self.alloc_msg(ActiveMsg::stream(path, len, gen, tagging, op, absorbs));
-                    self.metrics.total_generated += 1;
-                    self.enqueue(id, node as u32);
-                }
-            }
-            Arrival::Unicast(dst) => {
-                let path = self.plan.unicast_path(NodeId(node as u32), dst);
-                let id = self.alloc_msg(ActiveMsg::unicast(path, len, gen, tagging));
-                if tagging {
-                    self.metrics.unicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                }
-                self.metrics.total_generated += 1;
-                self.enqueue(id, node as u32);
-            }
-        }
-    }
-
-    /// Phase 1: message generation at every node (in node order — the
-    /// deterministic spawn order both engines share).
-    fn generate(&mut self, tagging: bool) {
-        for node in 0..self.plan.n {
-            if self.arrivals[node].next_arrival() != self.cycle {
-                continue;
-            }
-            let arrival = self.arrivals[node].pop(self.wl, self.plan.n, NodeId(node as u32));
-            self.spawn(node, arrival, tagging);
-        }
-    }
-
-    /// Phase 2: pick at most one flit move per active physical channel,
-    /// judged on the previous cycle's counters.
-    fn select_moves(&mut self) {
-        self.moves.clear();
-        let buffer_depth = self.cfg.buffer_depth;
-        let mut i = 0;
-        while i < self.active.len() {
-            let pc = self.active[i] as usize;
-            let base = self.plan.cv_base[pc];
-            let nv = self.plan.vcs[pc];
-            let mut any_owned = false;
-            let mut chosen: Option<u8> = None;
-            for j in 0..nv {
-                let vc = (self.rr[pc] + j) % nv;
-                let cv = &self.cvs[(base + vc as u32) as usize];
-                let Some((m, h)) = cv.owner else { continue };
-                any_owned = true;
-                if chosen.is_some() {
-                    continue;
-                }
-                let msg = live_msg(&self.msgs, m, "cv owner");
-                let h = h as usize;
-                // Supply: the next flit must be available upstream.
-                let supply = if h == 0 {
-                    msg.traversed[0] < msg.len
-                } else {
-                    msg.traversed[h] < msg.traversed[h - 1]
-                };
-                if !supply {
-                    continue;
-                }
-                // Capacity: downstream buffer space as of last cycle.
-                if h + 1 < msg.path.len() && msg.occupancy(h) >= buffer_depth {
-                    continue;
-                }
-                chosen = Some(vc);
-            }
-            if let Some(vc) = chosen {
-                let cv = &self.cvs[(base + vc as u32) as usize];
-                let (m, h) = cv
-                    .owner
-                    .expect("selection invariant violated: chosen vc lost its owner mid-cycle");
-                self.moves.push((m, h));
-                self.rr[pc] = (vc + 1) % nv;
-            }
-            if any_owned {
-                i += 1;
-            } else {
-                // Lazy deactivation: no cv of this channel is owned.
-                self.active_flag[pc] = false;
-                self.active.swap_remove(i);
-            }
-        }
-    }
-
-    /// Phase 3: apply the selected moves; handle requests, releases,
-    /// absorptions and completions.
-    fn apply_moves(&mut self, measuring: bool) {
-        let now = self.cycle;
-        // Take the moves buffer to appease the borrow checker; restored at
-        // the end so the allocation is reused.
-        let moves = std::mem::take(&mut self.moves);
-        for &(mid, h16) in &moves {
-            let h = h16 as usize;
-            // --- advance the flit ---
-            let (channel_of_h, header_arrived, tail_passed, prev_hop, next_hop) = {
-                let msg = live_msg_mut(&mut self.msgs, mid, "moving flit's message");
-                msg.traversed[h] += 1;
-                let t = msg.traversed[h];
-                (
-                    msg.path.hops[h].channel.idx(),
-                    t == 1,
-                    t == msg.len,
-                    (h > 0).then(|| msg.path.hops[h - 1]),
-                    (h + 1 < msg.path.len()).then(|| msg.path.hops[h + 1]),
-                )
-            };
-            self.metrics.record_flit_move(now, channel_of_h, measuring);
-
-            // --- header entered buffer(h): request the next channel ---
-            if header_arrived {
-                if h == 0 {
-                    // The message left the injection queue head.
-                    self.inj_backlog -= 1;
-                }
-                if let Some(next) = next_hop {
-                    let cv = self.cv_index(next) as usize;
-                    self.cvs[cv].waiters.push_back((mid, (h + 1) as u16));
-                    self.regrant.push(cv as u32);
-                }
-            }
-
-            // --- tail traversed hop h ---
-            if tail_passed {
-                // The tail left buffer(h-1): release that channel.
-                if let Some(prev) = prev_hop {
-                    let cv = self.cv_index(prev) as usize;
-                    debug_assert_eq!(self.cvs[cv].owner, Some((mid, (h - 1) as u16)));
-                    self.cvs[cv].owner = None;
-                    self.regrant.push(cv as u32);
-                    self.metrics.trace_release(now, prev.channel.idx());
-                }
-                // Absorptions scheduled at this hop (multicast targets; the
-                // final target's completion hop is the ejection hop).
-                let mut absorbed_here = 0u32;
-                let mut op_done: Option<OpId> = None;
-                let mut stream_tagged = false;
-                let mut stream_gen = 0u64;
-                {
-                    let closed = self.closed.is_some();
-                    let msg = live_msg_mut(&mut self.msgs, mid, "absorbing stream's message");
-                    if let Some(stream) = msg.multicast.as_mut() {
-                        while (stream.next_absorb as usize) < stream.absorbs.len()
-                            && stream.absorbs[stream.next_absorb as usize].0 == h16
-                        {
-                            let target = stream.absorbs[stream.next_absorb as usize].1;
-                            if closed {
-                                self.arrived.push(ClosedDelivery::Absorb {
-                                    op: stream.op,
-                                    target,
-                                });
-                            }
-                            self.metrics.trace_absorb(now, target.0);
-                            stream.next_absorb += 1;
-                            absorbed_here += 1;
-                        }
-                        if absorbed_here > 0 {
-                            let op = &mut self.ops[stream.op as usize];
-                            op.remaining -= absorbed_here;
-                            op.last_absorb = now;
-                            if op.remaining == 0 {
-                                op_done = Some(stream.op);
-                            }
-                        }
-                        stream_tagged = msg.tagged;
-                        stream_gen = msg.gen;
-                    }
-                }
-                if let Some(opid) = op_done {
-                    self.ops_completed += 1;
-                    let op = &self.ops[opid as usize];
-                    self.metrics.trace_op_done(now, op.src.0);
-                    if op.tagged {
-                        self.metrics.record_op_delivery(op);
-                        self.tagged_outstanding -= 1;
-                    }
-                    self.free_ops.push(opid);
-                    if self.closed.is_some() {
-                        self.arrived.push(ClosedDelivery::OpDone(opid));
-                    }
-                }
-
-                // Message fully absorbed at the ejection hop?
-                let is_last = {
-                    let msg = live_msg(&self.msgs, mid, "tail-moving message");
-                    h == msg.last_hop()
-                };
-                if is_last {
-                    // Release the ejection channel itself.
-                    let msg = live_msg(&self.msgs, mid, "tail-moving message");
-                    let eject = msg.path.hops[h].channel.idx();
-                    let cv = self.cv_index(msg.path.hops[h]) as usize;
-                    debug_assert_eq!(self.cvs[cv].owner, Some((mid, h16)));
-                    self.cvs[cv].owner = None;
-                    self.regrant.push(cv as u32);
-                    self.metrics.total_absorbed += 1;
-                    self.metrics.trace_release(now, eject);
-
-                    let (tagged, gen, is_unicast, dst) = {
-                        let msg = live_msg(&self.msgs, mid, "absorbed message");
-                        (msg.tagged, msg.gen, msg.multicast.is_none(), msg.path.dst)
-                    };
-                    if is_unicast {
-                        // Multicast targets trace their absorbs in the
-                        // stream's absorb list above; unicasts here.
-                        self.metrics.trace_absorb(now, dst.0);
-                        if tagged {
-                            self.metrics.record_unicast_delivery(now, gen);
-                            self.tagged_outstanding -= 1;
-                        }
-                        if self.closed.is_some() {
-                            self.arrived.push(ClosedDelivery::Unicast(mid));
-                        }
-                    } else if stream_tagged {
-                        self.metrics.record_stream_delivery(now, stream_gen);
-                    }
-                    // Free the slot.
-                    self.msgs[mid as usize] = None;
-                    self.free_msgs.push(mid);
-                }
-            }
-        }
-        self.moves = moves;
-        self.moves.clear();
-    }
-
-    /// Phase 4: grant free channels to FIFO-first waiters.
-    fn grant(&mut self) {
-        let regrant = std::mem::take(&mut self.regrant);
-        for &cv_u in &regrant {
-            let cv = cv_u as usize;
-            if self.cvs[cv].owner.is_none() {
-                if let Some((m, h)) = self.cvs[cv].waiters.pop_front() {
-                    self.cvs[cv].owner = Some((m, h));
-                    // Find the physical channel of this cv to activate it.
-                    let msg = live_msg(&self.msgs, m, "granted waiter");
-                    let channel = msg.path.hops[h as usize].channel.idx();
-                    self.activate(channel);
-                    self.metrics.trace_grant(self.cycle, channel);
-                }
-            }
-        }
-        self.regrant = regrant;
-        self.regrant.clear();
-    }
-
-    /// Advance one cycle. `tagging` controls whether newly generated
-    /// messages join the measured population.
-    fn step(&mut self, tagging: bool, measuring: bool) {
-        self.cycle += 1;
-        self.generate(tagging);
-        self.select_moves();
-        if !self.moves.is_empty() {
-            self.last_move_cycle = self.cycle;
-        } else if !self.active.is_empty() {
-            // Traffic holds channels but nothing can move this cycle.
-            self.metrics.trace_stall(self.cycle);
-        }
-        self.apply_moves(measuring);
-        self.grant();
-    }
-
-    /// Deadlock audit: flits exist in the network (owned channels) but
-    /// nothing has moved for `window` cycles. With the dateline virtual
-    /// channels this must never trigger; it exists to catch regressions in
-    /// the deadlock-avoidance scheme.
-    fn deadlocked(&self, window: u64) -> bool {
-        self.cycle.saturating_sub(self.last_move_cycle) > window && !self.active.is_empty()
-    }
-
-    // ------------------------------------------------------------------
-    // Closed-loop drive: the protocol machines are the traffic source.
-    // ------------------------------------------------------------------
-
-    /// Dispatch [`AppEvent::Start`] to every machine in node order and
-    /// perform the resulting injections (eligible to move next cycle,
-    /// like any cycle-0 arrival).
-    fn closed_start(&mut self) {
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        for node in 0..self.plan.n {
-            driver.dispatch(
-                self.cycle,
-                NodeId(node as u32),
-                AppEvent::Start,
-                &mut actions,
-            );
-        }
-        self.closed = Some(driver);
-        self.actions = actions;
-        self.closed_perform();
-        self.grant();
-    }
-
-    /// Closed-loop generation phase: fire every timer due this cycle, in
-    /// node order, and perform the resulting actions.
-    fn closed_generate(&mut self) {
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        for node in 0..self.plan.n {
-            let node = NodeId(node as u32);
-            if driver.timer_at(node) == Some(self.cycle) {
-                driver.dispatch(self.cycle, node, AppEvent::Timeout, &mut actions);
-            }
-        }
-        self.closed = Some(driver);
-        self.actions = actions;
-        self.closed_perform();
-    }
-
-    /// Dispatch every absorption `apply_moves` recorded this cycle (in
-    /// absorption order) and perform the resulting actions; new
-    /// injections enqueue before the grant phase.
-    fn closed_deliver(&mut self) {
-        if self.arrived.is_empty() {
-            return;
-        }
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        let arrived = std::mem::take(&mut self.arrived);
-        for &d in &arrived {
-            match d {
-                ClosedDelivery::Unicast(mid) => {
-                    let (dst, payload) = driver.unicast_delivered(mid);
-                    driver.dispatch(self.cycle, dst, AppEvent::Delivery(payload), &mut actions);
-                }
-                ClosedDelivery::Absorb { op, target } => {
-                    let payload = driver.absorb_payload(op);
-                    driver.dispatch(
-                        self.cycle,
-                        target,
-                        AppEvent::Delivery(payload),
-                        &mut actions,
-                    );
-                }
-                ClosedDelivery::OpDone(op) => driver.op_done(op),
-            }
-        }
-        self.arrived = arrived;
-        self.arrived.clear();
-        self.closed = Some(driver);
-        self.actions = actions;
-        self.closed_perform();
-    }
-
-    /// Perform the pending protocol actions: allocate and enqueue the
-    /// requested messages (all tagged — closed-loop statistics cover the
-    /// whole run). Timers need no engine state here: the cycle engine
-    /// polls the driver's timer table each cycle.
-    fn closed_perform(&mut self) {
-        let actions = std::mem::take(&mut self.actions);
-        let len = self.wl.msg_len;
-        let gen = self.cycle;
-        for &action in &actions {
-            match action {
-                Action::Unicast { src, dst, payload } => {
-                    let path = self.plan.unicast_path(src, dst);
-                    let id = self.alloc_msg(ActiveMsg::unicast(path, len, gen, true));
-                    self.metrics.unicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                    self.metrics.total_generated += 1;
-                    self.enqueue(id, src.0);
-                    self.closed
-                        .as_mut()
-                        .expect("closed-loop driver present")
-                        .note_unicast(id, dst, payload);
-                }
-                Action::Multicast { src, payload } => {
-                    let node = src.idx();
-                    assert!(
-                        !self.plan.streams(node).is_empty(),
-                        "protocol multicast from a source with no streams"
-                    );
-                    let op = self.alloc_op(MulticastOp {
-                        src,
-                        gen,
-                        remaining: self.plan.op_targets(node),
-                        last_absorb: gen,
-                        tagged: true,
-                    });
-                    self.metrics.multicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                    for si in 0..self.plan.streams(node).len() {
-                        let (path, absorbs) = {
-                            let pre = &self.plan.streams(node)[si];
-                            (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-                        };
-                        let id =
-                            self.alloc_msg(ActiveMsg::stream(path, len, gen, true, op, absorbs));
-                        self.metrics.total_generated += 1;
-                        self.enqueue(id, node as u32);
-                    }
-                    self.closed
-                        .as_mut()
-                        .expect("closed-loop driver present")
-                        .note_multicast(op, payload);
-                }
-                Action::Timer { .. } => {}
-            }
-        }
-        self.actions = actions;
-        self.actions.clear();
-    }
-
-    /// One closed-loop cycle: timers → selection → application →
-    /// delivery dispatch → grants. Deliveries dispatch *inside* the
-    /// cycle (between application and grant) so the machines' injections
-    /// join the waiter queues in the same cycle the absorptions landed —
-    /// on both engines, since both order the phases identically.
-    fn step_closed(&mut self) {
-        self.cycle += 1;
-        self.closed_generate();
-        self.select_moves();
-        if !self.moves.is_empty() {
-            self.last_move_cycle = self.cycle;
-        } else if !self.active.is_empty() {
-            self.metrics.trace_stall(self.cycle);
-        }
-        self.apply_moves(true);
-        self.closed_deliver();
-        self.grant();
-    }
-
-    /// The protocol has fully quiesced: every machine done, nothing in
-    /// flight anywhere.
-    fn closed_quiescent(&self) -> bool {
-        self.tagged_outstanding == 0
-            && self
-                .closed
-                .as_ref()
-                .expect("closed-loop driver present")
-                .quiescent()
-    }
-
-    /// Closed-loop run loop: no warmup or measurement window — the run
-    /// ends at protocol quiescence, with the deadline, backlog and
-    /// watchdog breaks as safety nets (all checked at the top, so both
-    /// engines evaluate them on exactly the cycles they simulate).
-    fn run_closed(&mut self) -> SimResults {
-        let deadline = self.cfg.deadline();
-        let mut saturated = false;
-        let mut deadlocked = false;
-        self.closed_start();
-        loop {
-            if self.closed_quiescent() {
-                break;
-            }
-            if self.cycle >= deadline {
-                saturated = true;
-                break;
-            }
-            if self.inj_backlog > self.cfg.backlog_limit {
-                saturated = true;
-                break;
-            }
-            if self.cycle.is_multiple_of(1024) && self.deadlocked(10_000) {
-                deadlocked = true;
-                saturated = true;
-                break;
-            }
-            self.step_closed();
-        }
-        let cycles = self.cycle;
-        let quiesced = self.closed_quiescent();
-        let mut res = self.metrics.finish(
-            saturated,
-            deadlocked,
-            cycles,
-            self.peak_backlog,
-            cycles,
-            EngineCounters {
-                simulated_cycles: cycles,
-                ..Default::default()
-            },
-        );
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        res.closed_loop = Some(driver.finish(cycles, quiesced));
-        self.closed = Some(driver);
-        res
-    }
-
-    /// Run to completion and produce results.
-    pub fn run(&mut self) -> SimResults {
-        if self.closed.is_some() {
-            return self.run_closed();
-        }
-        let warmup = self.cfg.warmup_cycles;
-        let measure_end = self.cfg.measure_end();
-        let deadline = self.cfg.deadline();
-        let mut saturated = false;
-        let mut deadlocked = false;
-
-        loop {
-            let next = self.cycle + 1;
-            let tagging = next > warmup && next <= measure_end;
-            let measuring = tagging;
-            self.step(tagging, measuring);
-
-            if self.cycle >= measure_end && self.tagged_outstanding == 0 {
-                break;
-            }
-            if self.cycle >= deadline {
-                saturated = self.tagged_outstanding > 0;
-                break;
-            }
-            if self.inj_backlog > self.cfg.backlog_limit {
-                saturated = true;
-                break;
-            }
-            if self.cycle.is_multiple_of(1024) && self.deadlocked(10_000) {
-                deadlocked = true;
-                saturated = true;
-                break;
-            }
-        }
-
-        // Normalise utilisation by the cycles actually spent measuring: a
-        // run that breaks out early (saturation, backlog overflow) covers
-        // less than the configured window.
-        let measured_cycles = self.cycle.min(measure_end).saturating_sub(warmup);
-        self.metrics.finish(
-            saturated,
-            deadlocked,
-            self.cycle,
-            self.peak_backlog,
-            measured_cycles,
-            EngineCounters {
-                simulated_cycles: self.cycle,
-                ..Default::default()
-            },
-        )
-    }
-
-    /// Scripted-injection hook: enqueue a unicast `src → dst` *now* and
-    /// make it eligible for injection next cycle, exactly as if the
-    /// Poisson source had generated it this cycle. Returns the message id
-    /// for use with [`Simulator::message_in_flight`].
-    ///
-    /// Intended for deterministic micro-benchmarks and timing tests; it
-    /// composes with background Poisson traffic.
-    pub fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        let path = self.plan.unicast_path(src, dst);
-        let id = self.alloc_msg(ActiveMsg::unicast(path, self.wl.msg_len, self.cycle, false));
-        self.metrics.total_generated += 1;
-        self.enqueue(id, src.0);
-        self.grant();
-        id
-    }
-
-    /// Scripted-injection hook: start `src`'s configured multicast
-    /// operation *now*; returns the ids of its port-stream messages.
-    pub fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        let gen = self.cycle;
-        let node = src.idx();
-        assert!(
-            !self.plan.streams(node).is_empty(),
-            "source has no multicast streams configured"
-        );
-        let op = self.alloc_op(MulticastOp {
-            src,
-            gen,
-            remaining: self.plan.op_targets(node),
-            last_absorb: gen,
-            tagged: false,
-        });
-        let mut ids = Vec::new();
-        for si in 0..self.plan.streams(node).len() {
-            let (path, absorbs) = {
-                let pre = &self.plan.streams(node)[si];
-                (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-            };
-            let id = self.alloc_msg(ActiveMsg::stream(
-                path,
-                self.wl.msg_len,
-                gen,
-                false,
-                op,
-                absorbs,
-            ));
-            self.metrics.total_generated += 1;
-            self.enqueue(id, src.0);
-            ids.push(id);
-        }
-        self.grant();
-        ids
-    }
-
-    /// Advance exactly one cycle without tagging or measuring (testing
-    /// hook for cycle-precise assertions).
-    pub fn step_one(&mut self) {
-        self.step(false, false);
-    }
-
-    /// Is the message still in the network (queued or in flight)?
-    pub fn message_in_flight(&self, id: MsgId) -> bool {
-        self.msgs[id as usize].is_some()
-    }
-
-    /// Step until `id` completes, returning the completion cycle (the
-    /// shared [`SimEngine::run_until_complete`] loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message does not complete within 1M cycles (deadlock
-    /// or a forgotten zero-length path — both are bugs).
-    pub fn run_until_complete(&mut self, id: MsgId) -> u64 {
-        SimEngine::run_until_complete(self, id)
-    }
-
-    /// Inject a single message immediately (testing hook): returns the
-    /// cycle count until it completes, simulating an otherwise idle
-    /// network. Must be called on a simulator with a zero-rate workload.
-    pub fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        assert_eq!(self.wl.gen_rate, 0.0, "requires a zero-rate workload");
-        let gen = self.cycle;
-        let id = self.inject_unicast_now(src, dst);
-        self.run_until_complete(id) - gen
-    }
-
-    /// Inject a single multicast operation on an idle network (testing
-    /// hook): returns the operation latency (generation until the last
-    /// target absorbs the tail flit).
-    pub fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
-        assert_eq!(self.wl.gen_rate, 0.0, "requires a zero-rate workload");
-        let gen = self.cycle;
-        let ids = self.inject_multicast_now(src);
-        let op = live_msg(&self.msgs, ids[0], "injected stream message")
-            .multicast
-            .as_ref()
-            .expect("stream messages carry multicast state")
-            .op;
-        for id in ids {
-            self.run_until_complete(id);
-        }
-        self.ops[op as usize].last_absorb - gen
-    }
-
-    /// Structural self-check (see [`SimEngine::audit`]).
-    pub fn audit(&self) -> Result<EngineAudit, String> {
-        let lookup = |m: MsgId| self.msgs.get(m as usize).and_then(Option::as_ref);
-        let freed: HashSet<OpId> = self.free_ops.iter().copied().collect();
-        let live_ops = self
-            .ops
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| !freed.contains(&(i as OpId)))
-            .map(|(i, op)| (i as OpId, op))
-            .collect();
-        audit_state(AuditInput {
-            cycle: self.cycle,
-            cvs: &self.cvs,
-            msg_lookup: &lookup,
-            live_messages: self.msgs.iter().flatten().count() as u64,
-            live_ops,
-            plan: &self.plan,
-            inj_backlog: self.inj_backlog,
-            tagged_outstanding: self.tagged_outstanding,
-            ops_allocated: self.ops_allocated,
-            ops_completed: self.ops_completed,
-            total_generated: self.metrics.total_generated,
-            total_absorbed: self.metrics.total_absorbed,
-        })
-    }
-
-    /// Current simulated cycle (testing/diagnostics).
-    pub fn now(&self) -> u64 {
-        self.cycle
-    }
-
-    /// The topology under simulation.
-    pub fn topology(&self) -> &dyn Topology {
-        self.topo
-    }
-
-    /// Count of channels whose kind matches (diagnostics). Works on both
-    /// dense and implicit storage.
-    pub fn channel_count(&self, kind: ChannelKind) -> usize {
-        let net = self.topo.network();
-        (0..net.num_channels() as u32)
-            .filter(|&id| net.channel_at(noc_topology::ChannelId(id)).kind == kind)
-            .count()
-    }
-}
-
-impl SimEngine for Simulator<'_> {
-    fn run(&mut self) -> SimResults {
-        Simulator::run(self)
-    }
-
-    fn step_one(&mut self) {
-        Simulator::step_one(self)
-    }
-
-    fn now(&self) -> u64 {
-        Simulator::now(self)
-    }
-
-    fn message_in_flight(&self, id: MsgId) -> bool {
-        Simulator::message_in_flight(self, id)
-    }
-
-    fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        Simulator::inject_unicast_now(self, src, dst)
-    }
-
-    fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        Simulator::inject_multicast_now(self, src)
-    }
-
-    fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        Simulator::measure_isolated_unicast(self, src, dst)
-    }
-
-    fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
-        Simulator::measure_isolated_multicast(self, src)
-    }
-
-    fn audit(&self) -> Result<EngineAudit, String> {
-        Simulator::audit(self)
-    }
-
-    fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
-        Simulator::install_closed_loop(self, spec, master_seed)
+    fn step_one(&mut self, fabric: &mut Fabric<'_>) {
+        fabric.step(fabric.cycle + 1, false, false, self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_topology::Quarc;
-    use noc_workloads::DestinationSets;
-
-    fn zero_workload(topo: &dyn Topology, msg_len: u32) -> Workload {
-        Workload::new(msg_len, 0.0, 0.0, DestinationSets::random(topo, 4, 1)).unwrap()
-    }
+    use crate::fabric::behaviour;
+    use crate::{EngineKind, SimConfig, SimEngine, SimPlan};
+    use noc_topology::{NodeId, Quarc};
+    use noc_workloads::{DestinationSets, Workload};
+    use std::sync::Arc;
 
     #[test]
     fn zero_load_unicast_latency_is_exact() {
-        let topo = Quarc::new(16).unwrap();
-        for (src, dst, msg_len) in [(0u32, 3u32, 16u32), (0, 8, 32), (5, 1, 64), (2, 12, 16)] {
-            let wl = zero_workload(&topo, msg_len);
-            let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
-            let lat = sim.measure_isolated_unicast(NodeId(src), NodeId(dst));
-            let path = topo.unicast_path(NodeId(src), NodeId(dst));
-            let expected = msg_len as u64 + path.hop_count() as u64;
-            assert_eq!(
-                lat, expected,
-                "zero-load latency {src}->{dst} len {msg_len}: got {lat}, want {expected}"
-            );
-        }
+        behaviour::zero_load_latency_is_exact(EngineKind::Cycle);
+    }
+
+    #[test]
+    fn conservation_all_generated_messages_absorb() {
+        behaviour::low_load_run_completes_and_audits_clean(EngineKind::Cycle);
+    }
+
+    #[test]
+    fn deterministic_under_same_seed() {
+        behaviour::deterministic_under_same_seed(EngineKind::Cycle);
+    }
+
+    #[test]
+    fn saturation_is_detected_at_absurd_load() {
+        behaviour::saturation_is_detected_at_absurd_load(EngineKind::Cycle);
     }
 
     #[test]
@@ -1025,27 +108,6 @@ mod tests {
         // All four broadcast streams traverse k = 4 links; the slowest
         // completes at msg + (k + 1) cycles.
         assert_eq!(lat, 32 + 4 + 1);
-    }
-
-    #[test]
-    fn conservation_all_generated_messages_absorb() {
-        let topo = Quarc::new(16).unwrap();
-        let sets = DestinationSets::random(&topo, 4, 3);
-        let wl = Workload::new(16, 0.004, 0.05, sets).unwrap();
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(7));
-        let res = sim.run();
-        assert!(!res.saturated, "low load must not saturate");
-        assert!(res.complete(), "all tagged traffic must be delivered");
-        assert!(res.total_generated > 0);
-        // Anything generated but unabsorbed must still be in flight (the
-        // run stops once tagged traffic drains, untagged may remain).
-        assert!(res.total_absorbed <= res.total_generated);
-        let in_flight = res.total_generated - res.total_absorbed;
-        assert!(
-            in_flight < 3000,
-            "untagged in-flight backlog should be small at low load, got {in_flight}"
-        );
-        sim.audit().expect("post-run audit");
     }
 
     #[test]
@@ -1063,21 +125,6 @@ mod tests {
         assert!(
             means[1] > means[0],
             "unicast latency must rise with load: {means:?}"
-        );
-    }
-
-    #[test]
-    fn saturation_is_detected_at_absurd_load() {
-        let topo = Quarc::new(8).unwrap();
-        let sets = DestinationSets::random(&topo, 2, 3);
-        let wl = Workload::new(64, 0.9, 0.5, sets).unwrap();
-        let mut cfg = SimConfig::quick(13);
-        cfg.backlog_limit = 2_000;
-        let mut sim = Simulator::new(&topo, &wl, cfg);
-        let res = sim.run();
-        assert!(
-            res.saturated,
-            "rate 0.9 with 64-flit messages must saturate"
         );
     }
 
@@ -1115,24 +162,6 @@ mod tests {
         assert!(
             res.max_utilization() <= 1.0 + 1e-12,
             "utilisation cannot exceed one flit per cycle"
-        );
-    }
-
-    #[test]
-    fn deterministic_under_same_seed() {
-        let topo = Quarc::new(16).unwrap();
-        let sets = DestinationSets::random(&topo, 4, 5);
-        let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
-        let r1 = Simulator::new(&topo, &wl, SimConfig::quick(99)).run();
-        let r2 = Simulator::new(&topo, &wl, SimConfig::quick(99)).run();
-        assert_eq!(r1.unicast.count, r2.unicast.count);
-        assert_eq!(r1.unicast.mean, r2.unicast.mean);
-        assert_eq!(r1.multicast.mean, r2.multicast.mean);
-        assert_eq!(r1.flit_moves, r2.flit_moves);
-        let r3 = Simulator::new(&topo, &wl, SimConfig::quick(100)).run();
-        assert_ne!(
-            r1.flit_moves, r3.flit_moves,
-            "different seed, different run"
         );
     }
 

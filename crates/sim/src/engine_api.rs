@@ -1,34 +1,38 @@
-//! The engine abstraction: one simulation contract, two implementations.
+//! The engine abstraction: one simulation contract, one kernel, two
+//! time-advance policies.
 //!
 //! [`SimEngine`] is the interface the rest of the workspace programs
 //! against — the harness, the figure binaries and the timing tests all
-//! accept `dyn SimEngine`, so the cycle-stepped reference engine
-//! ([`crate::Simulator`]) and the event-driven engine
-//! ([`crate::EventSimulator`]) are interchangeable. [`build_engine`]
-//! dispatches on [`crate::config::EngineKind`].
+//! accept `dyn SimEngine`. Behind it sits one generic [`Engine`]: the
+//! shared wormhole kernel (`fabric.rs`) plus a policy deciding which
+//! cycles the kernel simulates. [`crate::Simulator`] is the engine that
+//! steps every cycle (the reference oracle), [`crate::EventSimulator`]
+//! the one that skips provably inert cycles; [`build_engine`] dispatches
+//! on [`crate::config::EngineKind`].
 //!
-//! The two engines promise *bit-identical* runs under the same seed:
-//! identical delivered counts, identical latency samples in identical
-//! order, identical cycle counts. `tests/engine_equivalence.rs` enforces
-//! the promise differentially; [`SimEngine::audit`] exposes the structural
-//! invariants (ownership consistency, conservation counters) that the
-//! property tests check on both.
+//! The two promise *bit-identical* runs under the same seed: identical
+//! delivered counts, identical latency samples in identical order,
+//! identical cycle counts. `tests/engine_equivalence.rs` enforces the
+//! promise differentially — with the kernel shared, what it checks is
+//! everything the event policy adds (idle jumps, stall fixpoints, spans,
+//! calendar order, watchdog alignment); `tests/trace_invariants.rs`
+//! checks the kernel itself against an oracle that shares no code with
+//! it, and [`SimEngine::audit`] exposes the structural invariants
+//! (ownership consistency, conservation counters) to the property tests.
 
 use crate::config::{EngineKind, SimConfig};
-use crate::event_engine::EventSimulator;
-use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
+use crate::fabric::{Fabric, TimeAdvance};
+use crate::message::MsgId;
 use crate::plan::SimPlan;
 use crate::results::SimResults;
 use noc_app::ClosedLoopSpec;
 use noc_topology::{NodeId, Topology};
 use noc_workloads::Workload;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A flit-level wormhole simulation engine.
 ///
-/// Implementations must agree cycle-for-cycle: every method here has the
-/// exact semantics documented on the reference [`crate::Simulator`].
+/// Both engines agree cycle-for-cycle on every method here.
 pub trait SimEngine {
     /// Run to completion and produce results.
     fn run(&mut self) -> SimResults;
@@ -43,8 +47,11 @@ pub trait SimEngine {
     /// Is the message still in the network (queued or in flight)?
     fn message_in_flight(&self, id: MsgId) -> bool;
 
-    /// Scripted-injection hook: enqueue a unicast `src → dst` *now*,
-    /// eligible for injection next cycle.
+    /// Scripted-injection hook: enqueue a unicast `src → dst` *now* and
+    /// make it eligible for injection next cycle, exactly as if the
+    /// Poisson source had generated it this cycle. Intended for
+    /// deterministic micro-benchmarks and timing tests; it composes with
+    /// background Poisson traffic.
     fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId;
 
     /// Scripted-injection hook: start `src`'s configured multicast
@@ -145,100 +152,113 @@ pub fn build_engine_with_plan<'a>(
 ) -> Box<dyn SimEngine + 'a> {
     match cfg.engine {
         EngineKind::Cycle => Box::new(crate::Simulator::with_plan(topo, wl, cfg, plan)),
-        EngineKind::EventDriven => Box::new(EventSimulator::with_plan(topo, wl, cfg, plan)),
+        EngineKind::EventDriven => Box::new(crate::EventSimulator::with_plan(topo, wl, cfg, plan)),
     }
 }
 
-/// Borrowed view of an engine's dynamic state for [`audit_state`].
-///
-/// Message and op storage is abstracted (a lookup closure plus a
-/// materialised live-op list) because the two engines keep different
-/// layouts — the reference engine a `Vec<Option<_>>` with free lists,
-/// the event engine generation-tagged [`crate::arena::Arena`]s. Audits
-/// are cold paths; the materialisation cost is irrelevant.
-pub(crate) struct AuditInput<'s> {
-    pub cycle: u64,
-    pub cvs: &'s [CvState],
-    /// Live-message lookup: `None` for freed (or stale) ids.
-    pub msg_lookup: &'s dyn Fn(MsgId) -> Option<&'s ActiveMsg>,
-    /// Messages allocated and not yet absorbed.
-    pub live_messages: u64,
-    /// Live multicast operations with their ids.
-    pub live_ops: Vec<(OpId, &'s MulticastOp)>,
-    pub plan: &'s SimPlan,
-    pub inj_backlog: usize,
-    pub tagged_outstanding: u64,
-    pub ops_allocated: u64,
-    pub ops_completed: u64,
-    pub total_generated: u64,
-    pub total_absorbed: u64,
+/// The one engine: the shared wormhole kernel plus the time-advance
+/// policy `P` that drives it. Name it through its two instantiations,
+/// [`crate::Simulator`] and [`crate::EventSimulator`]; everything but
+/// construction and [`Engine::run`] is reached through [`SimEngine`].
+/// Borrowing the workload keeps runs cheap to set up inside parameter
+/// sweeps; the precomputed [`SimPlan`] can additionally be shared across
+/// runs.
+pub struct Engine<'a, P> {
+    pub(crate) fabric: Fabric<'a>,
+    pub(crate) policy: P,
 }
 
-/// Shared audit over both engines' identically-shaped state: checks that
-/// every owned cv points at a live message whose path actually crosses
-/// that cv, that no (message, hop) owns two cvs, that waiters reference
-/// live messages, and that every live multicast operation still has
-/// targets outstanding.
-pub(crate) fn audit_state(inp: AuditInput<'_>) -> Result<EngineAudit, String> {
-    let mut owned_cvs = 0u64;
-    let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
-    for (cv, state) in inp.cvs.iter().enumerate() {
-        if let Some((m, h)) = state.owner {
-            owned_cvs += 1;
-            let msg =
-                (inp.msg_lookup)(m).ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
-            let hop = *msg
-                .path
-                .hops
-                .get(h as usize)
-                .ok_or_else(|| format!("cv {cv} owner hop {h} beyond message {m}'s path"))?;
-            if inp.plan.cv_index(hop) as usize != cv {
-                return Err(format!(
-                    "cv {cv} owned by message {m} at hop {h}, but that hop maps to cv {}",
-                    inp.plan.cv_index(hop)
-                ));
-            }
-            if !holders.insert((m, h)) {
-                return Err(format!("message {m} hop {h} owns two cvs"));
-            }
-        }
-        for &(m, _) in &state.waiters {
-            if (inp.msg_lookup)(m).is_none() {
-                return Err(format!("cv {cv} queues dead message {m}"));
-            }
-        }
+impl<'a, P: TimeAdvance> Engine<'a, P> {
+    /// Build an engine for `topo` under `wl`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration is invalid or if the workload does not
+    /// fit the topology (see [`crate::plan::PlanError`]); use
+    /// [`SimPlan::build`] + [`Engine::with_plan`] for typed errors.
+    pub fn new(topo: &dyn Topology, wl: &'a Workload, cfg: SimConfig) -> Self {
+        let plan = SimPlan::build(topo, wl).unwrap_or_else(|e| panic!("{e}"));
+        Engine::with_plan(topo, wl, cfg, plan)
     }
 
-    let live_ops = inp.live_ops.len() as u64;
-    for &(i, op) in &inp.live_ops {
-        if op.remaining == 0 {
-            return Err(format!("live multicast op {i} has zero targets remaining"));
+    /// Build on a prebuilt [`SimPlan`] (shared across the runs of a
+    /// sweep, or with the other engine of a differential pair).
+    pub fn with_plan(
+        topo: &dyn Topology,
+        wl: &'a Workload,
+        cfg: SimConfig,
+        plan: Arc<SimPlan>,
+    ) -> Self {
+        let fabric = Fabric::new(topo, wl, cfg, plan);
+        let policy = P::new(&fabric);
+        Engine { fabric, policy }
+    }
+
+    /// Run to completion and produce results ([`SimEngine::run`],
+    /// callable without the trait in scope).
+    pub fn run(&mut self) -> SimResults {
+        self.policy.run(&mut self.fabric)
+    }
+
+    fn assert_zero_rate(&self) {
+        let rate = self.fabric.wl.gen_rate;
+        assert_eq!(rate, 0.0, "requires a zero-rate workload");
+    }
+}
+
+impl<P: TimeAdvance> SimEngine for Engine<'_, P> {
+    fn run(&mut self) -> SimResults {
+        Engine::run(self)
+    }
+
+    fn step_one(&mut self) {
+        self.policy.step_one(&mut self.fabric);
+    }
+
+    fn now(&self) -> u64 {
+        self.fabric.cycle
+    }
+
+    fn message_in_flight(&self, id: MsgId) -> bool {
+        self.fabric.msgs.contains(id)
+    }
+
+    fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
+        self.policy.work_injected();
+        self.fabric.inject_unicast_now(src, dst)
+    }
+
+    fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
+        self.policy.work_injected();
+        self.fabric.inject_multicast_now(src)
+    }
+
+    fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
+        self.assert_zero_rate();
+        let gen = self.now();
+        let id = self.inject_unicast_now(src, dst);
+        self.run_until_complete(id) - gen
+    }
+
+    fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
+        self.assert_zero_rate();
+        let gen = self.now();
+        // The op's slot is freed the moment it completes, so the latency
+        // is read off the run instead: each stream's final target absorbs
+        // at its ejection hop, so the op's last absorb is exactly the
+        // completion cycle of the slowest stream.
+        let mut done = gen;
+        for id in self.inject_multicast_now(src) {
+            done = done.max(self.run_until_complete(id));
         }
-    }
-    if inp.ops_allocated != inp.ops_completed + live_ops {
-        return Err(format!(
-            "op accounting broken: {} allocated != {} completed + {} live",
-            inp.ops_allocated, inp.ops_completed, live_ops
-        ));
+        done - gen
     }
 
-    if inp.total_generated != inp.total_absorbed + inp.live_messages {
-        return Err(format!(
-            "flit conservation broken: {} generated != {} absorbed + {} live",
-            inp.total_generated, inp.total_absorbed, inp.live_messages
-        ));
+    fn audit(&self) -> Result<EngineAudit, String> {
+        self.fabric.audit()
     }
 
-    Ok(EngineAudit {
-        cycle: inp.cycle,
-        live_messages: inp.live_messages,
-        queued_messages: inp.inj_backlog as u64,
-        owned_cvs,
-        live_ops,
-        ops_allocated: inp.ops_allocated,
-        ops_completed: inp.ops_completed,
-        total_generated: inp.total_generated,
-        total_absorbed: inp.total_absorbed,
-        tagged_outstanding: inp.tagged_outstanding,
-    })
+    fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
+        self.fabric.install_closed_loop(spec, master_seed);
+    }
 }

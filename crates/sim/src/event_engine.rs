@@ -1,13 +1,13 @@
 //! The event-driven wormhole engine.
 //!
-//! Same semantics as the cycle-stepped reference engine
-//! ([`crate::Simulator`]), different relationship with time: instead of
-//! advancing every cycle, this engine only *simulates* cycles on which the
-//! network state can change, and jumps over the rest. Runs are
-//! bit-identical to the reference under the same seed — same arrivals
-//! (both engines draw from the shared per-node [`ArrivalStream`]s), same
-//! arbitration outcomes, same statistics in the same order — which the
-//! differential suite (`tests/engine_equivalence.rs`) enforces.
+//! [`EventSimulator`] is the shared kernel (`fabric.rs`) under a
+//! time-advance policy that only *simulates* cycles on which the network
+//! state can change, and jumps over the rest. Runs are bit-identical to
+//! the cycle-stepped reference ([`crate::Simulator`]) under the same
+//! seed — same arrivals, same arbitration outcomes, same statistics in
+//! the same order — which the differential suite
+//! (`tests/engine_equivalence.rs`) enforces. The kernel being common
+//! code, what that suite checks is everything in this file.
 //!
 //! ## Which cycles can be skipped?
 //!
@@ -25,12 +25,13 @@
 //!   The state is a fixpoint until the next arrival.
 //!
 //! In either situation the engine advances straight to the earliest of:
-//! the next scheduled arrival (from the binary-heap [`EventQueue`]), the
-//! end of the measurement window (where the run may terminate), the drain
-//! deadline, and — when channels are still held — the next deadlock
-//! watchdog tick. Each of those is exactly a cycle where the reference
-//! engine's run loop could newly break or its state could change, so the
-//! observable trajectory (break cycle, flags, every counter) is preserved.
+//! the next scheduled arrival or protocol timer (from the calendar
+//! [`EventQueue`]), the end of the measurement window (where the run may
+//! terminate), the drain deadline, and — when channels are still held —
+//! the next deadlock watchdog tick. Each of those is exactly a cycle
+//! where the kernel's end-of-run check could newly fire or the state could change,
+//! so the observable trajectory (break cycle, flags, every counter) is
+//! preserved.
 //!
 //! ## Streaming fast-forward
 //!
@@ -42,33 +43,20 @@
 //! stably blocked, nothing was granted, no tail/header/absorb threshold,
 //! arrival, run boundary or watchdog tick is due — and if so it applies
 //! `K` repetitions in one bulk update of the flit counters
-//! (`EventSimulator::apply_streaming_span`). Grant-to-grant, the
-//! per-cycle machinery only runs on cycles where arbitration can change.
+//! (`SkipAhead::apply_streaming_span`). Grant-to-grant, the per-cycle
+//! machinery only runs on cycles where arbitration can change.
 //!
 //! Together the two mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
-//! releases. That is the 10–50× lever the Fig. 6/7 sweeps need at low
-//! load, with the cycle engine retained as the oracle.
+//! releases. That is the ~7–16× lever the Fig. 6/7 sweeps need at low
+//! load (`sim.cycle.event_over_cycle.low` on the benchmark ledger,
+//! `BENCH_sim.json`), with the cycle engine retained as the oracle.
 
-use crate::arena::Arena;
-use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
-use crate::config::SimConfig;
-use crate::engine_api::{audit_state, AuditInput, EngineAudit, SimEngine};
-use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
-use crate::metrics::Metrics;
-use crate::plan::SimPlan;
+use crate::engine_api::Engine;
+use crate::fabric::{CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW};
+use crate::message::{ActiveMsg, MsgId};
 use crate::results::{EngineCounters, SimResults};
-use crate::schedule::{Arrival, ArrivalStream, EventQueue};
-use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
-use noc_topology::{NodeId, Topology};
-use noc_workloads::Workload;
-use std::sync::Arc;
-
-/// Deadlock-watchdog parameters, shared verbatim with the reference
-/// engine: checked on multiples of `WATCHDOG_STRIDE`, firing after
-/// `WATCHDOG_WINDOW` move-free cycles with channels still held.
-const WATCHDOG_STRIDE: u64 = 1024;
-const WATCHDOG_WINDOW: u64 = 10_000;
+use crate::schedule::EventQueue;
 
 /// Cap of the streaming-scan backoff exponent: after repeated
 /// unprofitable eligibility scans the engine re-attempts at most every
@@ -89,37 +77,17 @@ const SPAN_BACKOFF_CAP: u32 = 8;
 /// scanning and the scan overhead eats the streamed cycles it saves.
 const SPAN_PROFIT_MIN: u64 = 8;
 
-/// The event-driven simulator — the default engine.
-pub struct EventSimulator<'a> {
-    topo: &'a dyn Topology,
-    wl: &'a Workload,
-    cfg: SimConfig,
-    plan: Arc<SimPlan>,
+/// The event-driven simulator — the default engine: [`Engine`]
+/// advancing by [`SkipAhead`].
+pub type EventSimulator<'a> = Engine<'a, SkipAhead>;
 
-    // --- dynamic state (same resource model as the reference engine) ---
-    cycle: u64,
-    cvs: Vec<CvState>,
-    rr: Vec<u8>,
-    active: Vec<u32>,
-    active_flag: Vec<bool>,
-    /// Live messages in a dense generation-tagged slab (ids stay `u32`,
-    /// so cv owners/waiters are untouched; stale ids panic with the
-    /// violated invariant by name).
-    msgs: Arena<ActiveMsg>,
-    /// Live multicast operations, same layout.
-    ops: Arena<MulticastOp>,
-    ops_allocated: u64,
-    ops_completed: u64,
-    inj_backlog: usize,
-    peak_backlog: usize,
-    tagged_outstanding: u64,
-    last_move_cycle: u64,
-
-    // --- event scheduling ---
-    /// Per-node arrival streams (shared sampling code with the reference).
-    arrivals: Vec<ArrivalStream>,
-    /// Min-heap of `(next arrival cycle, node)`; same-cycle entries pop in
-    /// node order, matching the reference engine's generation loop.
+/// The event engine's time-advance policy: a calendar queue of firing
+/// times, the stall-fixpoint flag and the streaming-span scan.
+pub struct SkipAhead {
+    /// Calendar queue of `(next firing cycle, node)` — arrivals on
+    /// open-loop runs, protocol timers on closed-loop ones (whose
+    /// workloads are zero-rate, so the two never mix). Same-cycle entries
+    /// pop in node order, matching the oracle's polling scan.
     queue: EventQueue,
     /// The last simulated cycle moved no flit and granted no owner: the
     /// state is a fixpoint until the next arrival (see module docs).
@@ -133,451 +101,134 @@ pub struct EventSimulator<'a> {
     /// fixpoints, failed scans), surfaced through
     /// [`SimResults::engine`](crate::results::SimResults::engine).
     counters: EngineCounters,
-
-    // --- scratch ---
-    moves: Vec<(MsgId, u16)>,
     /// Did this cv move a flit in the current cycle? Populated *lazily*
     /// by the streaming eligibility scan from the cycle's move list (and
     /// cleared before the scan returns), so ordinary cycles pay nothing
     /// for the O(1) move-set lookup the fast-forward needs.
     cv_moved: Vec<bool>,
-    /// Owned-cv count per physical channel, maintained incrementally on
-    /// grant/release (the fast-forward's single-ownership test).
-    owned_count: Vec<u8>,
     /// Channels that moved this cycle (scratch of the fast-forward scan,
     /// cleared before it returns).
     channel_moved: Vec<bool>,
-    regrant: Vec<u32>,
-
-    // --- closed-loop protocol drive (None on open-loop runs) ---
-    closed: Option<ClosedLoopDriver>,
-    /// Absorptions recorded by `apply_moves` for post-phase dispatch.
-    arrived: Vec<ClosedDelivery>,
-    /// Pending protocol actions (injections, timers).
-    actions: Vec<Action>,
-
-    // --- statistics ---
-    metrics: Metrics,
 }
 
-impl<'a> EventSimulator<'a> {
-    /// Build an event-driven simulator for `topo` under `wl`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid or if the workload does not
-    /// fit the topology (see [`crate::plan::PlanError`]); use
-    /// [`SimPlan::build`] + [`EventSimulator::with_plan`] for typed
-    /// errors.
-    pub fn new(topo: &'a dyn Topology, wl: &'a Workload, cfg: SimConfig) -> Self {
-        let plan = SimPlan::build(topo, wl).unwrap_or_else(|e| panic!("{e}"));
-        EventSimulator::with_plan(topo, wl, cfg, plan)
-    }
-
-    /// Build on a prebuilt [`SimPlan`] (shared across sweep points and
-    /// with the reference engine of a differential pair).
-    pub fn with_plan(
-        topo: &'a dyn Topology,
-        wl: &'a Workload,
-        cfg: SimConfig,
-        plan: Arc<SimPlan>,
-    ) -> Self {
-        cfg.validate().expect("invalid simulator configuration");
-        plan.assert_matches(topo, wl);
-        let arrivals = ArrivalStream::build_all(wl, plan.n, cfg.seed);
+impl TimeAdvance for SkipAhead {
+    fn new(fabric: &Fabric<'_>) -> Self {
+        let plan = &fabric.plan;
         let mut queue = EventQueue::with_capacity(plan.n);
-        for (node, stream) in arrivals.iter().enumerate() {
-            if stream.next_arrival() != u64::MAX {
-                queue.push(stream.next_arrival(), node as u32);
+        for node in 0..plan.n {
+            let at = fabric.fires_at(node);
+            if at != u64::MAX {
+                queue.push(at, node as u32);
             }
         }
-        let channels = plan.num_channels;
-        let metrics = Metrics::new(&cfg, plan.n, channels, !plan.is_lazy());
-        EventSimulator {
-            topo,
-            wl,
-            cfg,
-            cycle: 0,
-            cvs: vec![CvState::default(); plan.num_cvs],
-            rr: vec![0; channels],
-            active: Vec::with_capacity(channels),
-            active_flag: vec![false; channels],
-            msgs: Arena::with_capacity(plan.spawn_wave_hint()),
-            ops: Arena::with_capacity(plan.num_nodes()),
-            ops_allocated: 0,
-            ops_completed: 0,
-            inj_backlog: 0,
-            peak_backlog: 0,
-            tagged_outstanding: 0,
-            last_move_cycle: 0,
-            arrivals,
+        SkipAhead {
             queue,
             stalled: false,
             span_fail_streak: 0,
             span_cooldown: 0,
             counters: EngineCounters::default(),
-            moves: Vec::new(),
             cv_moved: vec![false; plan.num_cvs],
-            owned_count: vec![0; channels],
-            channel_moved: vec![false; channels],
-            regrant: Vec::new(),
-            closed: None,
-            arrived: Vec::new(),
-            actions: Vec::new(),
-            metrics,
-            plan,
+            channel_moved: vec![false; plan.num_channels],
         }
     }
 
-    /// Install a closed-loop protocol: the run is then driven by the
-    /// per-node machines instead of the open-loop arrival streams, and
-    /// the event heap carries the protocol's timers.
-    ///
-    /// Must be called before any cycle is simulated, on a zero-rate
-    /// workload (the protocol is the only traffic source).
-    pub fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
-        assert_eq!(self.cycle, 0, "closed-loop install after the run started");
-        assert!(
-            self.queue.is_empty(),
-            "closed-loop runs require a zero-rate workload"
-        );
-        let env = NetEnv {
-            n: self.plan.n,
-            fanout: self.plan.fanout_table(),
+    fn next_due(&mut self, fabric: &Fabric<'_>) -> Option<u32> {
+        let node = self.queue.pop_due(fabric.cycle)?;
+        self.counters.events_popped += 1;
+        debug_assert_eq!(fabric.fires_at(node as usize), fabric.cycle);
+        Some(node)
+    }
+
+    fn schedule(&mut self, at: u64, node: u32) {
+        self.queue.push(at, node);
+    }
+
+    /// The oracle's trajectory, evaluated only on cycles of interest.
+    fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults {
+        let end = match fabric.start(self) {
+            Some(end) => end,
+            None => loop {
+                let target = self.next_cycle_of_interest(fabric);
+                let window = fabric.in_window(target);
+                let out = self.simulate_cycle(fabric, target, window);
+                if let Some(end) = fabric.run_end() {
+                    break end;
+                }
+                // Streaming fast-forward: while nothing structural can
+                // happen, replay this cycle's move set in bulk. Not on
+                // closed-loop runs: protocol messages are short, and the
+                // span caps don't model delivery-triggered injections.
+                if out.granted == 0 && out.moved && !fabric.is_closed() && self.try_span(fabric) {
+                    if let Some(end) = fabric.run_end() {
+                        break end;
+                    }
+                }
+            },
         };
-        // Closed-loop runs measure every cycle from cycle 1.
-        self.metrics.set_measure_origin(0);
-        self.closed = Some(ClosedLoopDriver::new(spec.build(&env, master_seed)));
+        fabric.finish(end, self.counters)
     }
 
-    #[inline]
-    fn cv_index(&self, hop: noc_topology::Hop) -> u32 {
-        self.plan.cv_index(hop)
+    fn step_one(&mut self, fabric: &mut Fabric<'_>) {
+        self.simulate_cycle(fabric, fabric.cycle + 1, false);
     }
 
-    fn alloc_msg(&mut self, msg: ActiveMsg) -> MsgId {
-        self.msgs.insert(msg)
+    /// New work exists; whatever stall was proven before no longer holds.
+    fn work_injected(&mut self) {
+        self.stalled = false;
     }
+}
 
-    fn alloc_op(&mut self, op: MulticastOp) -> OpId {
-        self.ops_allocated += 1;
-        self.ops.insert(op)
-    }
-
-    fn activate(&mut self, channel: usize) {
-        if !self.active_flag[channel] {
-            self.active_flag[channel] = true;
-            self.active.push(channel as u32);
-        }
-    }
-
-    /// Enqueue a freshly generated message (`node` = the injecting
-    /// source, for the trace).
-    fn enqueue(&mut self, id: MsgId, node: u32) {
-        let hop0 = self.msgs.get(id, "freshly enqueued message").path.hops[0];
-        let cv = self.cv_index(hop0) as usize;
-        self.cvs[cv].waiters.push_back((id, 0));
-        self.inj_backlog += 1;
-        self.peak_backlog = self.peak_backlog.max(self.inj_backlog);
-        self.regrant.push(cv as u32);
-        self.metrics.trace_inject(self.cycle, node);
-    }
-
-    /// Spawn the message(s) of one arrival at `node` this cycle —
-    /// identical bookkeeping to the reference engine's spawn.
-    fn spawn(&mut self, node: usize, arrival: Arrival, tagging: bool) {
-        let len = self.wl.msg_len;
-        let gen = self.cycle;
-        match arrival {
-            Arrival::Multicast => {
-                let op = self.alloc_op(MulticastOp {
-                    src: NodeId(node as u32),
-                    gen,
-                    remaining: self.plan.op_targets(node),
-                    last_absorb: gen,
-                    tagged: tagging,
-                });
-                if tagging {
-                    self.metrics.multicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                }
-                for si in 0..self.plan.streams(node).len() {
-                    let (path, absorbs) = {
-                        let pre = &self.plan.streams(node)[si];
-                        (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-                    };
-                    let id =
-                        self.alloc_msg(ActiveMsg::stream(path, len, gen, tagging, op, absorbs));
-                    self.metrics.total_generated += 1;
-                    self.enqueue(id, node as u32);
-                }
-            }
-            Arrival::Unicast(dst) => {
-                let path = self.plan.unicast_path(NodeId(node as u32), dst);
-                let id = self.alloc_msg(ActiveMsg::unicast(path, len, gen, tagging));
-                if tagging {
-                    self.metrics.unicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                }
-                self.metrics.total_generated += 1;
-                self.enqueue(id, node as u32);
-            }
-        }
-    }
-
-    /// Pop every arrival due this cycle off the heap (node-ascending for
-    /// ties) and spawn it; reschedule each source at its next firing.
-    fn generate(&mut self, tagging: bool) {
-        while let Some(node) = self.queue.pop_due(self.cycle) {
-            self.counters.events_popped += 1;
-            let n = node as usize;
-            debug_assert_eq!(self.arrivals[n].next_arrival(), self.cycle);
-            let arrival = self.arrivals[n].pop(self.wl, self.plan.n, NodeId(node));
-            self.spawn(n, arrival, tagging);
-            let next = self.arrivals[n].next_arrival();
-            if next != u64::MAX {
-                self.queue.push(next, node);
-            }
-        }
-    }
-
-    /// Selection, judged on the previous cycle's counters — byte-for-byte
-    /// the reference engine's arbitration (round-robin start, FIFO
-    /// tie-breaks, lazy deactivation order all included, because the
-    /// active-list permutation feeds the order statistics are recorded in).
-    fn select_moves(&mut self) {
-        self.moves.clear();
-        let buffer_depth = self.cfg.buffer_depth;
-        let mut i = 0;
-        while i < self.active.len() {
-            let pc = self.active[i] as usize;
-            let base = self.plan.cv_base[pc];
-            let nv = self.plan.vcs[pc];
-            let mut any_owned = false;
-            let mut chosen: Option<u8> = None;
-            for j in 0..nv {
-                let vc = (self.rr[pc] + j) % nv;
-                let cv = &self.cvs[(base + vc as u32) as usize];
-                let Some((m, h)) = cv.owner else { continue };
-                any_owned = true;
-                if chosen.is_some() {
-                    continue;
-                }
-                let msg = self.msgs.get(m, "cv owner");
-                let h = h as usize;
-                let supply = if h == 0 {
-                    msg.traversed[0] < msg.len
-                } else {
-                    msg.traversed[h] < msg.traversed[h - 1]
-                };
-                if !supply {
-                    continue;
-                }
-                if h + 1 < msg.path.len() && msg.occupancy(h) >= buffer_depth {
-                    continue;
-                }
-                chosen = Some(vc);
-            }
-            if let Some(vc) = chosen {
-                let cv_idx = base + vc as u32;
-                let (m, h) = self.cvs[cv_idx as usize]
-                    .owner
-                    .expect("selection invariant violated: chosen vc lost its owner mid-cycle");
-                self.moves.push((m, h));
-                self.rr[pc] = (vc + 1) % nv;
-            }
-            if any_owned {
-                i += 1;
-            } else {
-                self.active_flag[pc] = false;
-                self.active.swap_remove(i);
-            }
-        }
-    }
-
-    /// Apply the selected moves (requests, releases, absorptions,
-    /// completions) in selection order — the order statistics accumulate
-    /// in, which bit-identicality depends on.
-    fn apply_moves(&mut self, measuring: bool) {
-        let now = self.cycle;
-        let moves = std::mem::take(&mut self.moves);
-        for &(mid, h16) in &moves {
-            let h = h16 as usize;
-            let (channel_of_h, header_arrived, tail_passed, prev_hop, next_hop) = {
-                let msg = self.msgs.get_mut(mid, "moving flit's message");
-                msg.traversed[h] += 1;
-                let t = msg.traversed[h];
-                (
-                    msg.path.hops[h].channel.idx(),
-                    t == 1,
-                    t == msg.len,
-                    (h > 0).then(|| msg.path.hops[h - 1]),
-                    (h + 1 < msg.path.len()).then(|| msg.path.hops[h + 1]),
-                )
-            };
-            self.metrics.record_flit_move(now, channel_of_h, measuring);
-
-            if header_arrived {
-                if h == 0 {
-                    self.inj_backlog -= 1;
-                }
-                if let Some(next) = next_hop {
-                    let cv = self.cv_index(next) as usize;
-                    self.cvs[cv].waiters.push_back((mid, (h + 1) as u16));
-                    self.regrant.push(cv as u32);
-                }
-            }
-
-            if tail_passed {
-                if let Some(prev) = prev_hop {
-                    let cv = self.cv_index(prev) as usize;
-                    debug_assert_eq!(self.cvs[cv].owner, Some((mid, (h - 1) as u16)));
-                    self.cvs[cv].owner = None;
-                    self.owned_count[prev.channel.idx()] -= 1;
-                    self.regrant.push(cv as u32);
-                    self.metrics.trace_release(now, prev.channel.idx());
-                }
-                let mut absorbed_here = 0u32;
-                let mut op_done: Option<OpId> = None;
-                let mut stream_tagged = false;
-                let mut stream_gen = 0u64;
-                {
-                    let closed = self.closed.is_some();
-                    let msg = self.msgs.get_mut(mid, "absorbing stream's message");
-                    if let Some(stream) = msg.multicast.as_mut() {
-                        while (stream.next_absorb as usize) < stream.absorbs.len()
-                            && stream.absorbs[stream.next_absorb as usize].0 == h16
-                        {
-                            let target = stream.absorbs[stream.next_absorb as usize].1;
-                            if closed {
-                                self.arrived.push(ClosedDelivery::Absorb {
-                                    op: stream.op,
-                                    target,
-                                });
-                            }
-                            self.metrics.trace_absorb(now, target.0);
-                            stream.next_absorb += 1;
-                            absorbed_here += 1;
-                        }
-                        if absorbed_here > 0 {
-                            let op = self.ops.get_mut(stream.op, "stream's multicast op");
-                            op.remaining -= absorbed_here;
-                            op.last_absorb = now;
-                            if op.remaining == 0 {
-                                op_done = Some(stream.op);
-                            }
-                        }
-                        stream_tagged = msg.tagged;
-                        stream_gen = msg.gen;
-                    }
-                }
-                if let Some(opid) = op_done {
-                    self.ops_completed += 1;
-                    let op = self.ops.get(opid, "completed multicast op");
-                    self.metrics.trace_op_done(now, op.src.0);
-                    if op.tagged {
-                        self.metrics.record_op_delivery(op);
-                        self.tagged_outstanding -= 1;
-                    }
-                    self.ops.free(opid, "completed multicast op");
-                    if self.closed.is_some() {
-                        self.arrived.push(ClosedDelivery::OpDone(opid));
-                    }
-                }
-
-                let is_last = {
-                    let msg = self.msgs.get(mid, "tail-moving message");
-                    h == msg.last_hop()
-                };
-                if is_last {
-                    let msg = self.msgs.get(mid, "absorbed message");
-                    let eject = msg.path.hops[h];
-                    let cv = self.cv_index(eject) as usize;
-                    debug_assert_eq!(self.cvs[cv].owner, Some((mid, h16)));
-                    self.cvs[cv].owner = None;
-                    self.owned_count[eject.channel.idx()] -= 1;
-                    self.regrant.push(cv as u32);
-                    self.metrics.total_absorbed += 1;
-                    self.metrics.trace_release(now, eject.channel.idx());
-
-                    let (tagged, gen, is_unicast, dst) = {
-                        let msg = self.msgs.get(mid, "absorbed message");
-                        (msg.tagged, msg.gen, msg.multicast.is_none(), msg.path.dst)
-                    };
-                    if is_unicast {
-                        // Multicast targets trace their absorbs in the
-                        // stream's absorb list above; unicasts here.
-                        self.metrics.trace_absorb(now, dst.0);
-                        if tagged {
-                            self.metrics.record_unicast_delivery(now, gen);
-                            self.tagged_outstanding -= 1;
-                        }
-                        if self.closed.is_some() {
-                            self.arrived.push(ClosedDelivery::Unicast(mid));
-                        }
-                    } else if stream_tagged {
-                        self.metrics.record_stream_delivery(now, stream_gen);
-                    }
-                    self.msgs.free(mid, "absorbed message");
-                }
-            }
-        }
-        // Unlike the reference engine, keep the move set: the streaming
-        // fast-forward inspects it after the cycle (select clears it).
-        self.moves = moves;
-    }
-
-    /// Grant free channels to FIFO-first waiters; returns how many new
-    /// owners were installed (zero feeds the stall detector).
-    fn grant(&mut self) -> usize {
-        let mut granted = 0usize;
-        let regrant = std::mem::take(&mut self.regrant);
-        for &cv_u in &regrant {
-            let cv = cv_u as usize;
-            if self.cvs[cv].owner.is_none() {
-                if let Some((m, h)) = self.cvs[cv].waiters.pop_front() {
-                    self.cvs[cv].owner = Some((m, h));
-                    granted += 1;
-                    let msg = self.msgs.get(m, "granted waiter");
-                    let channel = msg.path.hops[h as usize].channel.idx();
-                    self.owned_count[channel] += 1;
-                    self.activate(channel);
-                    self.metrics.trace_grant(self.cycle, channel);
-                }
-            }
-        }
-        self.regrant = regrant;
-        self.regrant.clear();
-        granted
-    }
-
+impl SkipAhead {
     /// Simulate exactly cycle `target` (every cycle strictly between the
     /// current one and `target` is inert by construction — see the module
-    /// docs) and update the stall detector. Returns the number of new
-    /// grants (the streaming fast-forward needs grant-free cycles).
-    ///
-    /// `self.moves` still holds the cycle's move set afterwards, for the
-    /// fast-forward eligibility scan.
-    fn simulate_cycle(&mut self, target: u64, tagging: bool, measuring: bool) -> usize {
-        debug_assert!(target > self.cycle);
-        self.cycle = target;
+    /// docs), tagged and measured iff `window`, and update the stall
+    /// detector. `fabric.moves` still holds the cycle's move set
+    /// afterwards, for the fast-forward eligibility scan.
+    fn simulate_cycle(
+        &mut self,
+        fabric: &mut Fabric<'_>,
+        target: u64,
+        window: bool,
+    ) -> CycleOutcome {
         self.counters.simulated_cycles += 1;
-        self.generate(tagging);
-        self.select_moves();
-        let moved = !self.moves.is_empty();
-        if moved {
-            self.last_move_cycle = self.cycle;
-        }
-        self.apply_moves(measuring);
-        let granted = self.grant();
-        self.stalled = !moved && granted == 0;
+        let out = fabric.step(target, window, window, self);
+        self.stalled = !out.moved && out.granted == 0;
         if self.stalled {
             self.counters.stall_fixpoints += 1;
-            if !self.active.is_empty() {
-                self.metrics.trace_stall(self.cycle);
-            }
         }
-        granted
+        out
+    }
+
+    /// Attempt the streaming fast-forward after a cycle that moved flits
+    /// and granted nothing; `true` when a span was applied (time moved).
+    ///
+    /// The eligibility scan is the engine's high-load overhead: in a
+    /// congested network it fails almost every cycle (blocked channels
+    /// hit its conservative bails), so repeated failures back off
+    /// exponentially. The cooldown only gates *when* the scan re-runs —
+    /// skipped opportunities fall back to normal per-cycle simulation, so
+    /// results are bit-identical either way.
+    fn try_span(&mut self, fabric: &mut Fabric<'_>) -> bool {
+        if self.span_cooldown > 0 {
+            self.span_cooldown -= 1;
+            return false;
+        }
+        let k = self.streaming_span_len(fabric);
+        if k >= SPAN_PROFIT_MIN {
+            self.span_fail_streak = 0;
+        } else {
+            // A failed scan, or a find too short to pay for the scan:
+            // back off either way.
+            if k == 0 {
+                self.counters.span_scans_failed += 1;
+            }
+            self.span_fail_streak = (self.span_fail_streak + 1).min(SPAN_BACKOFF_CAP);
+            self.span_cooldown = 1 << self.span_fail_streak;
+        }
+        if k > 0 {
+            self.apply_streaming_span(fabric, k);
+        }
+        k > 0
     }
 
     /// Did hop `h` of message `m` (with body `msg`) move this cycle?
@@ -586,9 +237,9 @@ impl<'a> EventSimulator<'a> {
     /// the streaming eligibility scan, where no release or grant has
     /// disturbed the cycle's ownership (both are disqualifying events).
     #[inline]
-    fn in_move_set(&self, msg: &ActiveMsg, m: MsgId, h: usize) -> bool {
-        let cv = self.plan.cv_index(msg.path.hops[h]) as usize;
-        self.cv_moved[cv] && self.cvs[cv].owner == Some((m, h as u16))
+    fn in_move_set(&self, fabric: &Fabric<'_>, msg: &ActiveMsg, m: MsgId, h: usize) -> bool {
+        let cv = fabric.plan.cv_index(msg.path.hops[h]) as usize;
+        self.cv_moved[cv] && fabric.cvs[cv].owner == Some((m, h as u16))
     }
 
     /// How many cycles after the just-simulated one are guaranteed exact
@@ -599,13 +250,14 @@ impl<'a> EventSimulator<'a> {
     ///
     /// Must only be called when the simulated cycle moved flits and
     /// granted nothing.
-    fn streaming_span_len(&mut self, warmup: u64, measure_end: u64, deadline: u64) -> u64 {
-        let c = self.cycle;
+    fn streaming_span_len(&mut self, fabric: &Fabric<'_>) -> u64 {
+        let c = fabric.cycle;
+        let (warmup, measure_end) = (fabric.cfg.warmup_cycles, fabric.cfg.measure_end());
 
         // External caps: the span may not contain an arrival, cross the
         // warmup or measurement boundary (the measuring flag must stay
-        // constant and the run loop may break at `measure_end`), or pass
-        // the drain deadline.
+        // constant and the run may end at `measure_end`), or pass the
+        // drain deadline.
         let next_arrival = self.queue.peek_time().unwrap_or(u64::MAX);
         let mut k = next_arrival.saturating_sub(c + 1);
         if c < warmup {
@@ -613,7 +265,7 @@ impl<'a> EventSimulator<'a> {
         } else if c < measure_end {
             k = k.min(measure_end - c);
         }
-        k = k.min(deadline.saturating_sub(c));
+        k = k.min(fabric.cfg.deadline().saturating_sub(c));
         if k == 0 {
             return 0;
         }
@@ -623,8 +275,8 @@ impl<'a> EventSimulator<'a> {
         // few loads per mover and leaving no mark bookkeeping to undo.
         // The full pass below re-derives these facts; this pass only
         // filters.
-        for &(m, h16) in &self.moves {
-            let Some(msg) = self.msgs.try_get(m) else {
+        for &(m, h16) in &fabric.moves {
+            let Some(msg) = fabric.msgs.try_get(m) else {
                 return 0;
             };
             if msg.traversed[h16 as usize] >= msg.len {
@@ -637,22 +289,21 @@ impl<'a> EventSimulator<'a> {
         // during apply is left unmarked: its cvs are ownerless, so
         // `in_move_set` is false for them either way, and the mover loop
         // below bails on the dead id before any verdict is returned.
-        let moves = std::mem::take(&mut self.moves);
-        for &(m, h16) in &moves {
-            if let Some(msg) = self.msgs.try_get(m) {
-                self.cv_moved[self.plan.cv_index(msg.path.hops[h16 as usize]) as usize] = true;
+        for &(m, h16) in &fabric.moves {
+            if let Some(msg) = fabric.msgs.try_get(m) {
+                self.cv_moved[fabric.plan.cv_index(msg.path.hops[h16 as usize]) as usize] = true;
             }
         }
 
         // Movers: numeric caps, single-ownership, and channel marking.
         // On the streaming fast path this loop is the whole scan.
-        let buffer_depth = self.cfg.buffer_depth;
+        let buffer_depth = fabric.cfg.buffer_depth;
         let mut ok = true;
-        for &(m, h16) in &moves {
+        for &(m, h16) in &fabric.moves {
             // A released/absorbed message or a crossed tail threshold
             // means this cycle had structural aftermath (releases, lazy
             // deactivation): let the per-cycle machinery settle it.
-            let Some(msg) = self.msgs.try_get(m) else {
+            let Some(msg) = fabric.msgs.try_get(m) else {
                 ok = false;
                 break;
             };
@@ -675,12 +326,12 @@ impl<'a> EventSimulator<'a> {
             k = k.min((msg.len - 1 - t) as u64);
             // Supply: upstream counter is frozen unless hop h−1 is also
             // streaming in this span.
-            if h > 0 && !self.in_move_set(msg, m, h - 1) {
+            if h > 0 && !self.in_move_set(fabric, msg, m, h - 1) {
                 k = k.min((msg.traversed[h - 1] - t) as u64);
             }
             // Credit: downstream occupancy grows unless hop h+1 is also
             // streaming.
-            if h + 1 < msg.path.len() && !self.in_move_set(msg, m, h + 1) {
+            if h + 1 < msg.path.len() && !self.in_move_set(fabric, msg, m, h + 1) {
                 k = k.min((buffer_depth - msg.occupancy(h)) as u64);
             }
             if k == 0 {
@@ -695,21 +346,21 @@ impl<'a> EventSimulator<'a> {
         // round-robin would otherwise rotate in. Only single-vc streaming
         // channels skip the walk (the pure-streaming fast path).
         if ok {
-            'channels: for &pc_u in &self.active {
+            'channels: for &pc_u in &fabric.active {
                 let pc = pc_u as usize;
-                if self.channel_moved[pc] && self.owned_count[pc] == 1 {
+                if self.channel_moved[pc] && fabric.owned_count[pc] == 1 {
                     continue;
                 }
-                if self.owned_count[pc] == 0 {
+                if fabric.owned_count[pc] == 0 {
                     // Fully released channel: the next select pass must
                     // lazily deactivate it to keep the active-list
                     // permutation (and with it every downstream ordering)
-                    // identical to the reference engine's.
+                    // identical to the oracle's.
                     ok = false;
                     break;
                 }
-                let base = self.plan.cv_base[pc];
-                let nv = self.plan.vcs[pc];
+                let base = fabric.plan.cv_base[pc];
+                let nv = fabric.plan.vcs[pc];
                 for vc in 0..nv {
                     let cv_idx = (base + vc as u32) as usize;
                     if self.cv_moved[cv_idx] {
@@ -717,10 +368,10 @@ impl<'a> EventSimulator<'a> {
                         // the mover loop's job, not a freeze condition.
                         continue;
                     }
-                    let Some((m, h)) = self.cvs[cv_idx].owner else {
+                    let Some((m, h)) = fabric.cvs[cv_idx].owner else {
                         continue;
                     };
-                    let msg = self.msgs.get(m, "cv owner");
+                    let msg = fabric.msgs.get(m, "cv owner");
                     let h = h as usize;
                     let supply = if h == 0 {
                         msg.traversed[0] < msg.len
@@ -731,14 +382,14 @@ impl<'a> EventSimulator<'a> {
                         // Starved: stays starved iff the upstream hop is
                         // not streaming (h == 0 starvation means the whole
                         // message already crossed this hop — permanent).
-                        if h > 0 && self.in_move_set(msg, m, h - 1) {
+                        if h > 0 && self.in_move_set(fabric, msg, m, h - 1) {
                             ok = false;
                             break 'channels;
                         }
                     } else if h + 1 < msg.path.len() && msg.occupancy(h) >= buffer_depth {
                         // Credit-blocked: stays blocked iff the downstream
                         // hop is not draining.
-                        if self.in_move_set(msg, m, h + 1) {
+                        if self.in_move_set(fabric, msg, m, h + 1) {
                             ok = false;
                             break 'channels;
                         }
@@ -755,14 +406,13 @@ impl<'a> EventSimulator<'a> {
 
         // Clear the cv and channel marks (messages are untouched by the
         // scan, so every marked mover is still resolvable).
-        for &(m, h16) in &moves {
-            if let Some(msg) = self.msgs.try_get(m) {
+        for &(m, h16) in &fabric.moves {
+            if let Some(msg) = fabric.msgs.try_get(m) {
                 let hop = msg.path.hops[h16 as usize];
-                self.cv_moved[self.plan.cv_index(hop) as usize] = false;
+                self.cv_moved[fabric.plan.cv_index(hop) as usize] = false;
                 self.channel_moved[hop.channel.idx()] = false;
             }
         }
-        self.moves = moves;
         if ok {
             k
         } else {
@@ -774,601 +424,93 @@ impl<'a> EventSimulator<'a> {
     /// moving hop advances `k` flits, time and the watchdog anchor jump to
     /// the span's end. No grants, releases, deliveries or backlog changes
     /// occur inside a span by construction.
-    fn apply_streaming_span(&mut self, k: u64, measuring: bool) {
-        let start = self.cycle;
-        let moves = std::mem::take(&mut self.moves);
-        for &(m, h) in &moves {
-            let msg = self.msgs.get_mut(m, "streaming mover");
+    fn apply_streaming_span(&mut self, fabric: &mut Fabric<'_>, k: u64) {
+        let start = fabric.cycle;
+        let measuring = fabric.in_window(start + 1);
+        for &(m, h) in &fabric.moves {
+            let msg = fabric.msgs.get_mut(m, "streaming mover");
             msg.traversed[h as usize] += k as u32;
             let channel = msg.path.hops[h as usize].channel.idx();
-            self.metrics
+            fabric
+                .metrics
                 .record_flit_moves_bulk(start, channel, k, measuring);
         }
-        self.moves = moves;
-        self.cycle += k;
-        self.last_move_cycle = self.cycle;
+        fabric.cycle += k;
+        fabric.last_move_cycle = fabric.cycle;
         self.counters.spans_batched += 1;
         self.counters.span_cycles += k;
     }
 
-    /// The next cycle on which anything can happen or the run loop could
-    /// newly terminate. When the network can make progress that is simply
-    /// the next cycle; when it is idle or stalled, jump to the earliest
-    /// external event.
-    fn next_cycle_of_interest(&self, measure_end: u64, deadline: u64) -> u64 {
-        let next = self.cycle + 1;
-        if !self.active.is_empty() && !self.stalled {
+    /// The next cycle on which anything can happen or the run could newly
+    /// end. When the network can make progress that is simply the next
+    /// cycle; when it is idle or stalled, jump to the earliest external
+    /// event.
+    fn next_cycle_of_interest(&self, fabric: &Fabric<'_>) -> u64 {
+        let next = fabric.cycle + 1;
+        let held = !fabric.active.is_empty();
+        if held && !self.stalled {
             return next;
         }
         let mut t = self.queue.peek_time().unwrap_or(u64::MAX);
-        if self.tagged_outstanding == 0 {
+        if fabric.tagged_outstanding == 0 && !fabric.is_closed() {
             // The run may end at the measurement boundary.
-            t = t.min(measure_end);
+            t = t.min(fabric.cfg.measure_end());
         }
-        t = t.min(deadline);
-        if !self.active.is_empty() {
+        t = t.min(fabric.cfg.deadline());
+        if held {
             // Channels are held but nothing moves: the deadlock watchdog
-            // must fire on the same cycle the reference engine fires on.
-            t = t.min(self.next_watchdog_cycle());
+            // must fire on the same cycle the oracle fires on.
+            t = t.min(Self::next_watchdog_cycle(fabric));
         }
         t.max(next)
     }
 
     /// First stride-aligned cycle at which the watchdog condition
     /// `cycle − last_move > window` holds.
-    fn next_watchdog_cycle(&self) -> u64 {
-        self.last_move_cycle
+    fn next_watchdog_cycle(fabric: &Fabric<'_>) -> u64 {
+        fabric
+            .last_move_cycle
             .saturating_add(WATCHDOG_WINDOW + 1)
-            .max(self.cycle + 1)
+            .max(fabric.cycle + 1)
             .next_multiple_of(WATCHDOG_STRIDE)
     }
+}
 
-    fn watchdog_fires(&self) -> bool {
-        self.cycle.saturating_sub(self.last_move_cycle) > WATCHDOG_WINDOW && !self.active.is_empty()
-    }
-
-    // ------------------------------------------------------------------
-    // Closed-loop drive: the protocol machines are the traffic source.
-    // The event heap (unused by arrivals: closed-loop workloads are
-    // zero-rate) carries the protocol timers, so idle/stalled stretches
-    // jump straight to the next timeout — protocol emissions are
-    // schedulable arrivals, not rate-driven lookahead.
-    // ------------------------------------------------------------------
-
-    /// Dispatch [`AppEvent::Start`] to every machine in node order and
-    /// perform the resulting injections — identical to the reference
-    /// engine's closed start.
-    fn closed_start(&mut self) {
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        for node in 0..self.plan.n {
-            driver.dispatch(
-                self.cycle,
-                NodeId(node as u32),
-                AppEvent::Start,
-                &mut actions,
-            );
-        }
-        self.closed = Some(driver);
-        self.actions = actions;
-        self.closed_perform();
-        self.grant();
-    }
-
-    /// Closed-loop generation phase: pop every timer due this cycle off
-    /// the heap (node-ascending for ties — the reference engine's poll
-    /// order) and perform the resulting actions.
-    fn closed_generate(&mut self) {
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        while let Some(node) = self.queue.pop_due(self.cycle) {
-            self.counters.events_popped += 1;
-            let node = NodeId(node);
-            debug_assert_eq!(driver.timer_at(node), Some(self.cycle));
-            driver.dispatch(self.cycle, node, AppEvent::Timeout, &mut actions);
-        }
-        self.closed = Some(driver);
-        self.actions = actions;
-        self.closed_perform();
-    }
-
-    /// Dispatch every absorption `apply_moves` recorded this cycle (in
-    /// absorption order) and perform the resulting actions.
-    fn closed_deliver(&mut self) {
-        if self.arrived.is_empty() {
-            return;
-        }
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        let mut actions = std::mem::take(&mut self.actions);
-        let arrived = std::mem::take(&mut self.arrived);
-        for &d in &arrived {
-            match d {
-                ClosedDelivery::Unicast(mid) => {
-                    let (dst, payload) = driver.unicast_delivered(mid);
-                    driver.dispatch(self.cycle, dst, AppEvent::Delivery(payload), &mut actions);
-                }
-                ClosedDelivery::Absorb { op, target } => {
-                    let payload = driver.absorb_payload(op);
-                    driver.dispatch(
-                        self.cycle,
-                        target,
-                        AppEvent::Delivery(payload),
-                        &mut actions,
-                    );
-                }
-                ClosedDelivery::OpDone(op) => driver.op_done(op),
-            }
-        }
-        self.arrived = arrived;
-        self.arrived.clear();
-        self.closed = Some(driver);
-        self.actions = actions;
-        self.closed_perform();
-    }
-
-    /// Perform the pending protocol actions — the reference engine's
-    /// bookkeeping plus heap scheduling for timers.
-    fn closed_perform(&mut self) {
-        let actions = std::mem::take(&mut self.actions);
-        let len = self.wl.msg_len;
-        let gen = self.cycle;
-        for &action in &actions {
-            match action {
-                Action::Unicast { src, dst, payload } => {
-                    let path = self.plan.unicast_path(src, dst);
-                    let id = self.alloc_msg(ActiveMsg::unicast(path, len, gen, true));
-                    self.metrics.unicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                    self.metrics.total_generated += 1;
-                    self.enqueue(id, src.0);
-                    self.closed
-                        .as_mut()
-                        .expect("closed-loop driver present")
-                        .note_unicast(id, dst, payload);
-                }
-                Action::Multicast { src, payload } => {
-                    let node = src.idx();
-                    assert!(
-                        !self.plan.streams(node).is_empty(),
-                        "protocol multicast from a source with no streams"
-                    );
-                    let op = self.alloc_op(MulticastOp {
-                        src,
-                        gen,
-                        remaining: self.plan.op_targets(node),
-                        last_absorb: gen,
-                        tagged: true,
-                    });
-                    self.metrics.multicast_injected += 1;
-                    self.tagged_outstanding += 1;
-                    for si in 0..self.plan.streams(node).len() {
-                        let (path, absorbs) = {
-                            let pre = &self.plan.streams(node)[si];
-                            (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-                        };
-                        let id =
-                            self.alloc_msg(ActiveMsg::stream(path, len, gen, true, op, absorbs));
-                        self.metrics.total_generated += 1;
-                        self.enqueue(id, node as u32);
-                    }
-                    self.closed
-                        .as_mut()
-                        .expect("closed-loop driver present")
-                        .note_multicast(op, payload);
-                }
-                Action::Timer { node, at } => self.queue.push(at, node.0),
-            }
-        }
-        self.actions = actions;
-        self.actions.clear();
-    }
-
-    /// Simulate exactly cycle `target` in closed-loop mode; mirrors
-    /// [`EventSimulator::simulate_cycle`] with the protocol phases of the
-    /// reference engine's `step_closed` spliced in at the same points.
-    fn simulate_cycle_closed(&mut self, target: u64) {
-        debug_assert!(target > self.cycle);
-        self.cycle = target;
-        self.counters.simulated_cycles += 1;
-        self.closed_generate();
-        self.select_moves();
-        let moved = !self.moves.is_empty();
-        if moved {
-            self.last_move_cycle = self.cycle;
-        }
-        self.apply_moves(true);
-        self.closed_deliver();
-        let granted = self.grant();
-        self.stalled = !moved && granted == 0;
-        if self.stalled {
-            self.counters.stall_fixpoints += 1;
-            if !self.active.is_empty() {
-                self.metrics.trace_stall(self.cycle);
-            }
-        }
-    }
-
-    /// The next cycle on which anything can happen in closed-loop mode:
-    /// the heap holds timers instead of arrivals, there is no
-    /// measurement boundary, and streaming spans are not attempted
-    /// (protocol messages are short; the span machinery's caps don't
-    /// model delivery-triggered injections).
-    fn closed_next_cycle(&self, deadline: u64) -> u64 {
-        let next = self.cycle + 1;
-        if !self.active.is_empty() && !self.stalled {
-            return next;
-        }
-        let mut t = self.queue.peek_time().unwrap_or(u64::MAX);
-        t = t.min(deadline);
-        if !self.active.is_empty() {
-            t = t.min(self.next_watchdog_cycle());
-        }
-        t.max(next)
-    }
-
-    /// The protocol has fully quiesced: every machine done, nothing in
-    /// flight anywhere.
-    fn closed_quiescent(&self) -> bool {
-        self.tagged_outstanding == 0
-            && self
-                .closed
-                .as_ref()
-                .expect("closed-loop driver present")
-                .quiescent()
-    }
-
-    /// Closed-loop run loop — the reference engine's trajectory
-    /// (quiescence, deadline, backlog, watchdog, all checked at the
-    /// top), evaluated only on cycles a simulated cycle could have
-    /// changed: quiescence and backlog only move on simulated cycles,
-    /// and the jump targets cap at the deadline and watchdog boundaries.
-    fn run_closed(&mut self) -> SimResults {
-        let deadline = self.cfg.deadline();
-        let mut saturated = false;
-        let mut deadlocked = false;
-        self.closed_start();
-        loop {
-            if self.closed_quiescent() {
-                break;
-            }
-            if self.cycle >= deadline {
-                saturated = true;
-                break;
-            }
-            if self.inj_backlog > self.cfg.backlog_limit {
-                saturated = true;
-                break;
-            }
-            if self.cycle.is_multiple_of(WATCHDOG_STRIDE) && self.watchdog_fires() {
-                deadlocked = true;
-                saturated = true;
-                break;
-            }
-            let target = self.closed_next_cycle(deadline);
-            self.simulate_cycle_closed(target);
-        }
-        let cycles = self.cycle;
-        let quiesced = self.closed_quiescent();
-        let mut res = self.metrics.finish(
-            saturated,
-            deadlocked,
-            cycles,
-            self.peak_backlog,
-            cycles,
-            self.counters,
-        );
-        let mut driver = self.closed.take().expect("closed-loop driver present");
-        res.closed_loop = Some(driver.finish(cycles, quiesced));
-        self.closed = Some(driver);
-        res
-    }
-
-    /// Run to completion and produce results — the same observable
-    /// trajectory as the reference engine's run loop, evaluated only on
-    /// cycles of interest.
-    pub fn run(&mut self) -> SimResults {
-        if self.closed.is_some() {
-            return self.run_closed();
-        }
-        let warmup = self.cfg.warmup_cycles;
-        let measure_end = self.cfg.measure_end();
-        let deadline = self.cfg.deadline();
-        let mut saturated = false;
-        let mut deadlocked = false;
-
-        loop {
-            let target = self.next_cycle_of_interest(measure_end, deadline);
-            let tagging = target > warmup && target <= measure_end;
-            let granted = self.simulate_cycle(target, tagging, tagging);
-
-            if self.cycle >= measure_end && self.tagged_outstanding == 0 {
-                break;
-            }
-            if self.cycle >= deadline {
-                saturated = self.tagged_outstanding > 0;
-                break;
-            }
-            if self.inj_backlog > self.cfg.backlog_limit {
-                saturated = true;
-                break;
-            }
-            if self.cycle.is_multiple_of(WATCHDOG_STRIDE) && self.watchdog_fires() {
-                deadlocked = true;
-                saturated = true;
-                break;
-            }
-
-            // Streaming fast-forward: while nothing structural can happen,
-            // replay this cycle's move set in bulk. Only the two break
-            // conditions the span caps can land on need re-evaluation.
-            //
-            // The eligibility scan is the engine's high-load overhead: in
-            // a congested network it fails almost every cycle (blocked
-            // channels hit its conservative bails), so repeated failures
-            // back off exponentially. The cooldown only gates *when* the
-            // scan re-runs — skipped opportunities fall back to normal
-            // per-cycle simulation, so results are bit-identical either
-            // way.
-            if granted == 0 && !self.moves.is_empty() {
-                if self.span_cooldown > 0 {
-                    self.span_cooldown -= 1;
-                } else {
-                    let k = self.streaming_span_len(warmup, measure_end, deadline);
-                    if k >= SPAN_PROFIT_MIN {
-                        self.span_fail_streak = 0;
-                    } else {
-                        // A failed scan, or a find too short to pay for
-                        // the scan: back off either way.
-                        if k == 0 {
-                            self.counters.span_scans_failed += 1;
-                        }
-                        self.span_fail_streak = (self.span_fail_streak + 1).min(SPAN_BACKOFF_CAP);
-                        self.span_cooldown = 1 << self.span_fail_streak;
-                    }
-                    if k > 0 {
-                        let measuring = self.cycle >= warmup && self.cycle < measure_end;
-                        self.apply_streaming_span(k, measuring);
-                        if self.cycle >= measure_end && self.tagged_outstanding == 0 {
-                            break;
-                        }
-                        if self.cycle >= deadline {
-                            saturated = self.tagged_outstanding > 0;
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-
-        let measured_cycles = self.cycle.min(measure_end).saturating_sub(warmup);
-        self.metrics.finish(
-            saturated,
-            deadlocked,
-            self.cycle,
-            self.peak_backlog,
-            measured_cycles,
-            self.counters,
-        )
-    }
-
-    /// Scripted-injection hook — see
-    /// [`Simulator::inject_unicast_now`](crate::Simulator::inject_unicast_now).
-    pub fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        let path = self.plan.unicast_path(src, dst);
-        let id = self.alloc_msg(ActiveMsg::unicast(path, self.wl.msg_len, self.cycle, false));
-        self.metrics.total_generated += 1;
-        self.enqueue(id, src.0);
-        self.grant();
-        // New work exists; whatever stall was proven before no longer holds.
-        self.stalled = false;
-        id
-    }
-
-    /// Scripted-injection hook — see
-    /// [`Simulator::inject_multicast_now`](crate::Simulator::inject_multicast_now).
-    pub fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        let gen = self.cycle;
-        let node = src.idx();
-        assert!(
-            !self.plan.streams(node).is_empty(),
-            "source has no multicast streams configured"
-        );
-        let op = self.alloc_op(MulticastOp {
-            src,
-            gen,
-            remaining: self.plan.op_targets(node),
-            last_absorb: gen,
-            tagged: false,
-        });
-        let mut ids = Vec::new();
-        for si in 0..self.plan.streams(node).len() {
-            let (path, absorbs) = {
-                let pre = &self.plan.streams(node)[si];
-                (Arc::clone(&pre.path), Arc::clone(&pre.absorbs))
-            };
-            let id = self.alloc_msg(ActiveMsg::stream(
-                path,
-                self.wl.msg_len,
-                gen,
-                false,
-                op,
-                absorbs,
-            ));
-            self.metrics.total_generated += 1;
-            self.enqueue(id, src.0);
-            ids.push(id);
-        }
-        self.grant();
-        self.stalled = false;
-        ids
-    }
-
-    /// Advance exactly one cycle without tagging or measuring (testing
-    /// hook for cycle-precise assertions; no skipping).
-    pub fn step_one(&mut self) {
-        self.simulate_cycle(self.cycle + 1, false, false);
-    }
-
-    /// Is the message still in the network (queued or in flight)?
-    pub fn message_in_flight(&self, id: MsgId) -> bool {
-        self.msgs.contains(id)
-    }
-
-    /// Step until `id` completes, returning the completion cycle (the
-    /// shared [`SimEngine::run_until_complete`] loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message does not complete within 1M cycles.
-    pub fn run_until_complete(&mut self, id: MsgId) -> u64 {
-        SimEngine::run_until_complete(self, id)
-    }
-
-    /// Isolated unicast latency on an idle network (testing hook).
-    pub fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        assert_eq!(self.wl.gen_rate, 0.0, "requires a zero-rate workload");
-        let gen = self.cycle;
-        let id = self.inject_unicast_now(src, dst);
-        self.run_until_complete(id) - gen
-    }
-
-    /// Isolated multicast operation latency on an idle network (testing
-    /// hook).
-    pub fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
-        assert_eq!(self.wl.gen_rate, 0.0, "requires a zero-rate workload");
-        let gen = self.cycle;
-        let ids = self.inject_multicast_now(src);
-        // The op's arena slot is freed the moment it completes, so the
-        // latency is read off the run instead: each stream's final target
-        // absorbs at its ejection hop, so the op's last absorb is exactly
-        // the completion cycle of the slowest stream.
-        let mut done = gen;
-        for id in ids {
-            done = done.max(self.run_until_complete(id));
-        }
-        done - gen
-    }
-
-    /// Structural self-check (see [`SimEngine::audit`]): the shared state
-    /// audit plus the event engine's incremental ownership counters.
-    pub fn audit(&self) -> Result<EngineAudit, String> {
-        for (pc, &count) in self.owned_count.iter().enumerate() {
-            let base = self.plan.cv_base[pc];
-            let nv = self.plan.vcs[pc];
-            let actual = (0..nv)
-                .filter(|&vc| self.cvs[(base + vc as u32) as usize].owner.is_some())
-                .count();
-            if actual != count as usize {
-                return Err(format!(
-                    "channel {pc}: owned-cv count drifted (cached {count}, actual {actual})"
-                ));
-            }
-        }
-        let lookup = |m| self.msgs.try_get(m);
-        audit_state(AuditInput {
-            cycle: self.cycle,
-            cvs: &self.cvs,
-            msg_lookup: &lookup,
-            live_messages: self.msgs.len() as u64,
-            live_ops: self.ops.iter().collect(),
-            plan: &self.plan,
-            inj_backlog: self.inj_backlog,
-            tagged_outstanding: self.tagged_outstanding,
-            ops_allocated: self.ops_allocated,
-            ops_completed: self.ops_completed,
-            total_generated: self.metrics.total_generated,
-            total_absorbed: self.metrics.total_absorbed,
-        })
-    }
-
-    /// Current simulated cycle (testing/diagnostics).
-    pub fn now(&self) -> u64 {
-        self.cycle
-    }
-
+impl Engine<'_, SkipAhead> {
     /// How many cycles were actually simulated (the rest were skipped or
     /// fast-forwarded). Diagnostics: `now() / simulated_cycles()` is the
     /// engine's effective compression ratio.
     pub fn simulated_cycles(&self) -> u64 {
-        self.counters.simulated_cycles
-    }
-
-    /// The topology under simulation.
-    pub fn topology(&self) -> &dyn Topology {
-        self.topo
-    }
-}
-
-impl SimEngine for EventSimulator<'_> {
-    fn run(&mut self) -> SimResults {
-        EventSimulator::run(self)
-    }
-
-    fn step_one(&mut self) {
-        EventSimulator::step_one(self)
-    }
-
-    fn now(&self) -> u64 {
-        EventSimulator::now(self)
-    }
-
-    fn message_in_flight(&self, id: MsgId) -> bool {
-        EventSimulator::message_in_flight(self, id)
-    }
-
-    fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        EventSimulator::inject_unicast_now(self, src, dst)
-    }
-
-    fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        EventSimulator::inject_multicast_now(self, src)
-    }
-
-    fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        EventSimulator::measure_isolated_unicast(self, src, dst)
-    }
-
-    fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
-        EventSimulator::measure_isolated_multicast(self, src)
-    }
-
-    fn audit(&self) -> Result<EngineAudit, String> {
-        EventSimulator::audit(self)
-    }
-
-    fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
-        EventSimulator::install_closed_loop(self, spec, master_seed)
+        self.policy.counters.simulated_cycles
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::behaviour;
+    use crate::{EngineKind, SimConfig};
     use noc_topology::Quarc;
-    use noc_workloads::DestinationSets;
+    use noc_workloads::{DestinationSets, Workload};
 
     #[test]
     fn zero_load_latency_is_exact() {
-        let topo = Quarc::new(16).unwrap();
-        let sets = DestinationSets::random(&topo, 4, 1);
-        let wl = Workload::new(32, 0.0, 0.0, sets).unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(1));
-        let lat = sim.measure_isolated_unicast(NodeId(0), NodeId(8));
-        let path = topo.unicast_path(NodeId(0), NodeId(8));
-        assert_eq!(lat, 32 + path.hop_count() as u64);
+        behaviour::zero_load_latency_is_exact(EngineKind::EventDriven);
     }
 
     #[test]
     fn low_load_run_completes_and_audits_clean() {
-        let topo = Quarc::new(16).unwrap();
-        let sets = DestinationSets::random(&topo, 4, 3);
-        let wl = Workload::new(16, 0.004, 0.05, sets).unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(7));
-        let res = sim.run();
-        assert!(!res.saturated);
-        assert!(res.complete());
-        assert!(res.total_generated > 0);
-        sim.audit().expect("post-run audit");
+        behaviour::low_load_run_completes_and_audits_clean(EngineKind::EventDriven);
+    }
+
+    #[test]
+    fn deterministic_under_same_seed() {
+        behaviour::deterministic_under_same_seed(EngineKind::EventDriven);
+    }
+
+    #[test]
+    fn saturation_detected_like_the_reference() {
+        behaviour::saturation_is_detected_at_absurd_load(EngineKind::EventDriven);
     }
 
     #[test]
@@ -1393,36 +535,13 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_under_same_seed() {
-        let topo = Quarc::new(16).unwrap();
-        let sets = DestinationSets::random(&topo, 4, 5);
-        let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
-        let a = EventSimulator::new(&topo, &wl, SimConfig::quick(99)).run();
-        let b = EventSimulator::new(&topo, &wl, SimConfig::quick(99)).run();
-        assert_eq!(a.flit_moves, b.flit_moves);
-        assert_eq!(a.unicast.mean, b.unicast.mean);
-        assert_eq!(a.cycles, b.cycles);
-    }
-
-    #[test]
-    fn saturation_detected_like_the_reference() {
-        let topo = Quarc::new(8).unwrap();
-        let sets = DestinationSets::random(&topo, 2, 3);
-        let wl = Workload::new(64, 0.9, 0.5, sets).unwrap();
-        let mut cfg = SimConfig::quick(13);
-        cfg.backlog_limit = 2_000;
-        let res = EventSimulator::new(&topo, &wl, cfg).run();
-        assert!(res.saturated);
-    }
-
-    #[test]
     fn watchdog_schedule_is_stride_aligned_and_past_the_window() {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 1);
         let wl = Workload::new(16, 0.0, 0.0, sets).unwrap();
         let sim = EventSimulator::new(&topo, &wl, SimConfig::quick(1));
-        let c = sim.next_watchdog_cycle();
+        let c = SkipAhead::next_watchdog_cycle(&sim.fabric);
         assert_eq!(c % WATCHDOG_STRIDE, 0);
-        assert!(c > sim.last_move_cycle + WATCHDOG_WINDOW);
+        assert!(c > sim.fabric.last_move_cycle + WATCHDOG_WINDOW);
     }
 }

@@ -1,0 +1,890 @@
+//! The wormhole fabric kernel: the one definition of what a simulated
+//! cycle does, shared by both engines.
+//!
+//! See the crate-level documentation for the node model and timing
+//! conventions. The state is a flat set of *channel virtual-channel* (cv)
+//! resources; each cv is either free or owned by one message at one hop
+//! of its path, with a FIFO list of waiting headers — the non-preemptive
+//! FIFO arbitration of the paper's simulator (§4). [`Fabric::step`]
+//! simulates one cycle in four phases:
+//!
+//! 1. **Generation** — every node due this cycle (asked of the driver's
+//!    [`TimeAdvance::next_due`], in node order) fires: its
+//!    [`ArrivalStream`] emits a unicast (path from the plan) or a
+//!    multicast operation (one stream per active injection port), or, on
+//!    closed-loop runs, its protocol timer times out. New messages join
+//!    the injection channel's waiter queue in creation-time order.
+//! 2. **Selection** — each active physical channel picks at most one of
+//!    its cvs (round-robin) whose owner can move a flit, judged against
+//!    the *previous* cycle's counters (one-cycle credit loop).
+//! 3. **Application** — chosen flits traverse, in selection order (the
+//!    order statistics accumulate in); headers entering a buffer request
+//!    the next channel; tails leaving a buffer release channels and
+//!    trigger absorptions (clone-to-sink at multicast targets, completion
+//!    at ejection). Closed-loop deliveries dispatch here, so the
+//!    machines' replies enqueue in the cycle the absorption landed.
+//! 4. **Grants** — released or newly requested free cvs are granted to
+//!    the FIFO head of their waiter queues.
+//!
+//! The kernel never decides *when* a cycle is simulated. That is the
+//! [`TimeAdvance`] policy of the engine around it: the oracle
+//! ([`crate::engine::EveryCycle`]) steps every cycle and polls the nodes,
+//! the event engine ([`crate::event_engine::SkipAhead`]) keeps a calendar
+//! queue and jumps over cycles it proves inert. Run termination
+//! ([`Fabric::run_end`]) is kernel state too, so both drivers break on
+//! the same cycle by construction.
+
+use crate::arena::Arena;
+use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
+use crate::config::SimConfig;
+use crate::engine_api::EngineAudit;
+use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
+use crate::metrics::Metrics;
+use crate::plan::SimPlan;
+use crate::results::{EngineCounters, SimResults};
+use crate::schedule::{Arrival, ArrivalStream};
+use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
+use noc_topology::{NodeId, Topology};
+use noc_workloads::Workload;
+use std::collections::HashSet;
+use std::sync::Arc;
+
+/// Deadlock-watchdog parameters: checked on multiples of
+/// `WATCHDOG_STRIDE`, firing after `WATCHDOG_WINDOW` move-free cycles
+/// with channels still held. With the dateline virtual channels this must
+/// never trigger; it exists to catch regressions in deadlock avoidance.
+pub(crate) const WATCHDOG_STRIDE: u64 = 1024;
+pub(crate) const WATCHDOG_WINDOW: u64 = 10_000;
+
+/// What one simulated cycle did — all a time-advance policy may know
+/// about it.
+#[derive(Clone, Copy, Debug)]
+pub struct CycleOutcome {
+    /// At least one flit moved.
+    pub moved: bool,
+    /// New cv owners installed by the grant phase.
+    pub granted: usize,
+}
+
+/// Why a run stopped (both flags clear: it completed).
+#[derive(Clone, Copy, Debug)]
+pub struct RunEnd {
+    saturated: bool,
+    deadlocked: bool,
+}
+
+/// A time-advance policy: the half of an engine that decides which
+/// cycles the [`Fabric`] simulates and knows which nodes fire on them.
+/// Two exist, [`crate::engine::EveryCycle`] and
+/// [`crate::event_engine::SkipAhead`]; the module is private, so the set
+/// is closed.
+pub trait TimeAdvance {
+    /// A policy for a freshly built fabric (cycle 0, arrivals primed).
+    fn new(fabric: &Fabric<'_>) -> Self;
+
+    /// The next node whose arrival or protocol timer is due at
+    /// `fabric.cycle` (see [`Fabric::fires_at`]), node-ascending; `None`
+    /// once the cycle's due nodes are exhausted.
+    fn next_due(&mut self, fabric: &Fabric<'_>) -> Option<u32>;
+
+    /// `node` next fires at cycle `at` (a rescheduled arrival stream or a
+    /// freshly set protocol timer).
+    fn schedule(&mut self, at: u64, node: u32);
+
+    /// Run to completion: call [`Fabric::start`], then [`Fabric::step`]
+    /// on the cycles of the policy's choosing until [`Fabric::run_end`],
+    /// and hand over [`Fabric::finish`]'s results.
+    fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults;
+
+    /// Simulate exactly the next cycle, untagged and unmeasured.
+    fn step_one(&mut self, fabric: &mut Fabric<'_>);
+
+    /// A scripted injection added work behind the policy's back.
+    fn work_injected(&mut self) {}
+}
+
+/// All in-flight state of one simulation run, and every phase that
+/// mutates it.
+pub struct Fabric<'a> {
+    pub(crate) wl: &'a Workload,
+    pub(crate) cfg: SimConfig,
+    pub(crate) plan: Arc<SimPlan>,
+
+    // --- dynamic state ---
+    pub(crate) cycle: u64,
+    pub(crate) cvs: Vec<CvState>,
+    /// Round-robin pointer per physical channel.
+    rr: Vec<u8>,
+    /// Physical channels with at least one owned cv (lazily deactivated
+    /// by selection; its permutation feeds the order statistics are
+    /// recorded in).
+    pub(crate) active: Vec<u32>,
+    active_flag: Vec<bool>,
+    /// Live messages in a dense generation-tagged slab: ids stay `u32`,
+    /// stale ids panic with the violated invariant by name.
+    pub(crate) msgs: Arena<ActiveMsg>,
+    /// Live multicast operations, same layout.
+    ops: Arena<MulticastOp>,
+    ops_allocated: u64,
+    ops_completed: u64,
+    /// Owned-cv count per physical channel, maintained on grant/release.
+    pub(crate) owned_count: Vec<u8>,
+    /// Per-node arrival streams (traffic-spec driven; Poisson default).
+    arrivals: Vec<ArrivalStream>,
+    /// Messages waiting at injection channels (backlog).
+    inj_backlog: usize,
+    peak_backlog: usize,
+    /// Tagged traffic still in flight.
+    pub(crate) tagged_outstanding: u64,
+    /// Last cycle on which any flit moved (deadlock watchdog).
+    pub(crate) last_move_cycle: u64,
+
+    // --- scratch (reused across cycles) ---
+    /// The last simulated cycle's move set, in selection order; kept
+    /// until the next selection for the event engine's span scan.
+    pub(crate) moves: Vec<(MsgId, u16)>,
+    regrant: Vec<u32>,
+
+    // --- closed-loop protocol drive (None on open-loop runs) ---
+    closed: Option<ClosedLoopDriver>,
+    /// Absorptions recorded by `apply_moves` for post-phase dispatch.
+    arrived: Vec<ClosedDelivery>,
+    /// Pending protocol actions (injections, timers).
+    actions: Vec<Action>,
+
+    pub(crate) metrics: Metrics,
+}
+
+impl<'a> Fabric<'a> {
+    pub(crate) fn new(
+        topo: &dyn Topology,
+        wl: &'a Workload,
+        cfg: SimConfig,
+        plan: Arc<SimPlan>,
+    ) -> Self {
+        cfg.validate().expect("invalid simulator configuration");
+        plan.assert_matches(topo, wl);
+        let channels = plan.num_channels;
+        Fabric {
+            wl,
+            cfg,
+            cycle: 0,
+            cvs: vec![CvState::default(); plan.num_cvs],
+            rr: vec![0; channels],
+            active: Vec::with_capacity(channels),
+            active_flag: vec![false; channels],
+            msgs: Arena::with_capacity(plan.spawn_wave_hint()),
+            ops: Arena::with_capacity(plan.num_nodes()),
+            ops_allocated: 0,
+            ops_completed: 0,
+            owned_count: vec![0; channels],
+            arrivals: ArrivalStream::build_all(wl, plan.n, cfg.seed),
+            inj_backlog: 0,
+            peak_backlog: 0,
+            tagged_outstanding: 0,
+            last_move_cycle: 0,
+            moves: Vec::new(),
+            regrant: Vec::new(),
+            closed: None,
+            arrived: Vec::new(),
+            actions: Vec::new(),
+            metrics: Metrics::new(&cfg, plan.n, channels, !plan.is_lazy()),
+            plan,
+        }
+    }
+
+    /// See [`crate::SimEngine::install_closed_loop`].
+    pub(crate) fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
+        assert_eq!(self.cycle, 0, "closed-loop install after the run started");
+        assert!(
+            self.arrivals.iter().all(|s| s.next_arrival() == u64::MAX),
+            "closed-loop runs require a zero-rate workload"
+        );
+        let env = NetEnv {
+            n: self.plan.n,
+            fanout: self.plan.fanout_table(),
+        };
+        // Closed-loop runs measure every cycle from cycle 1.
+        self.metrics.set_measure_origin(0);
+        self.closed = Some(ClosedLoopDriver::new(spec.build(&env, master_seed)));
+    }
+
+    /// The cycle `node` next fires on: its pending protocol timer on a
+    /// closed-loop run (the protocol is then the only traffic source),
+    /// else its stream's next arrival. `u64::MAX` when never.
+    #[inline]
+    pub(crate) fn fires_at(&self, node: usize) -> u64 {
+        match &self.closed {
+            Some(driver) => driver.timer_at(NodeId(node as u32)).unwrap_or(u64::MAX),
+            None => self.arrivals[node].next_arrival(),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Phase 1: generation.
+    // ------------------------------------------------------------------
+
+    /// Enqueue a freshly generated message at the head channel of its
+    /// path (`node` = the injecting source, for the trace).
+    fn enqueue(&mut self, id: MsgId, node: u32) {
+        let hop0 = self.msgs.get(id, "freshly enqueued message").path.hops[0];
+        let cv = self.plan.cv_index(hop0);
+        self.cvs[cv as usize].waiters.push_back((id, 0));
+        self.inj_backlog += 1;
+        self.peak_backlog = self.peak_backlog.max(self.inj_backlog);
+        self.regrant.push(cv);
+        self.metrics.trace_inject(self.cycle, node);
+    }
+
+    /// Generate one unicast `src → dst` this cycle.
+    fn start_unicast(&mut self, src: NodeId, dst: NodeId, tagged: bool) -> MsgId {
+        let path = self.plan.unicast_path(src, dst);
+        let msg = ActiveMsg::unicast(path, self.wl.msg_len, self.cycle, tagged);
+        let id = self.msgs.insert(msg);
+        if tagged {
+            self.metrics.unicast_injected += 1;
+            self.tagged_outstanding += 1;
+        }
+        self.metrics.total_generated += 1;
+        self.enqueue(id, src.0);
+        id
+    }
+
+    /// Generate `src`'s configured multicast operation this cycle: one
+    /// message per port stream, each reported to `each`.
+    fn start_multicast(&mut self, src: NodeId, tagged: bool, mut each: impl FnMut(MsgId)) -> OpId {
+        let (node, gen, len) = (src.idx(), self.cycle, self.wl.msg_len);
+        assert!(
+            !self.plan.streams(node).is_empty(),
+            "multicast from source {node}, which has no streams configured"
+        );
+        self.ops_allocated += 1;
+        let op = self.ops.insert(MulticastOp {
+            src,
+            gen,
+            remaining: self.plan.op_targets(node),
+            last_absorb: gen,
+            tagged,
+        });
+        if tagged {
+            self.metrics.multicast_injected += 1;
+            self.tagged_outstanding += 1;
+        }
+        for si in 0..self.plan.streams(node).len() {
+            let pre = &self.plan.streams(node)[si];
+            let (path, absorbs) = (Arc::clone(&pre.path), Arc::clone(&pre.absorbs));
+            let id = self
+                .msgs
+                .insert(ActiveMsg::stream(path, len, gen, tagged, op, absorbs));
+            self.metrics.total_generated += 1;
+            self.enqueue(id, src.0);
+            each(id);
+        }
+        op
+    }
+
+    /// Spawn the message(s) of one arrival at `node` this cycle.
+    fn spawn(&mut self, node: NodeId, arrival: Arrival, tagging: bool) {
+        match arrival {
+            Arrival::Multicast => {
+                self.start_multicast(node, tagging, |_| {});
+            }
+            Arrival::Unicast(dst) => {
+                self.start_unicast(node, dst, tagging);
+            }
+        }
+    }
+
+    /// Fire every node due this cycle, in the driver's (node-ascending)
+    /// order: open-loop sources spawn their arrival and are rescheduled,
+    /// closed-loop nodes get their [`AppEvent::Timeout`].
+    fn generate(&mut self, tagging: bool, due: &mut impl TimeAdvance) {
+        while let Some(n) = due.next_due(self) {
+            let node = NodeId(n);
+            if let Some(driver) = self.closed.as_mut() {
+                driver.dispatch(self.cycle, node, AppEvent::Timeout, &mut self.actions);
+            } else {
+                let stream = &mut self.arrivals[n as usize];
+                let arrival = stream.pop(self.wl, self.plan.n, node);
+                let next = stream.next_arrival();
+                self.spawn(node, arrival, tagging);
+                if next != u64::MAX {
+                    due.schedule(next, n);
+                }
+            }
+        }
+        self.closed_perform(due);
+    }
+
+    // ------------------------------------------------------------------
+    // Phases 2-4: selection, application, grants.
+    // ------------------------------------------------------------------
+
+    /// Phase 2: pick at most one flit move per active physical channel,
+    /// judged on the previous cycle's counters.
+    fn select_moves(&mut self) {
+        self.moves.clear();
+        let buffer_depth = self.cfg.buffer_depth;
+        let mut i = 0;
+        while i < self.active.len() {
+            let pc = self.active[i] as usize;
+            let base = self.plan.cv_base[pc];
+            let nv = self.plan.vcs[pc];
+            let mut any_owned = false;
+            let mut chosen: Option<u8> = None;
+            for j in 0..nv {
+                let vc = (self.rr[pc] + j) % nv;
+                let cv = &self.cvs[(base + vc as u32) as usize];
+                let Some((m, h)) = cv.owner else { continue };
+                any_owned = true;
+                if chosen.is_some() {
+                    continue;
+                }
+                let msg = self.msgs.get(m, "cv owner");
+                let h = h as usize;
+                // Supply: the next flit must be available upstream.
+                let supply = if h == 0 {
+                    msg.traversed[0] < msg.len
+                } else {
+                    msg.traversed[h] < msg.traversed[h - 1]
+                };
+                if !supply {
+                    continue;
+                }
+                // Capacity: downstream buffer space as of last cycle.
+                if h + 1 < msg.path.len() && msg.occupancy(h) >= buffer_depth {
+                    continue;
+                }
+                chosen = Some(vc);
+            }
+            if let Some(vc) = chosen {
+                let (m, h) = self.cvs[(base + vc as u32) as usize]
+                    .owner
+                    .expect("selection invariant violated: chosen vc lost its owner mid-cycle");
+                self.moves.push((m, h));
+                self.rr[pc] = (vc + 1) % nv;
+            }
+            if any_owned {
+                i += 1;
+            } else {
+                // Lazy deactivation: no cv of this channel is owned.
+                self.active_flag[pc] = false;
+                self.active.swap_remove(i);
+            }
+        }
+    }
+
+    /// Release the cv `mid` holds at `hop` (index `h16` of its path).
+    fn release(&mut self, mid: MsgId, h16: u16, hop: noc_topology::Hop) {
+        let cv = self.plan.cv_index(hop);
+        debug_assert_eq!(self.cvs[cv as usize].owner, Some((mid, h16)));
+        self.cvs[cv as usize].owner = None;
+        self.owned_count[hop.channel.idx()] -= 1;
+        self.regrant.push(cv);
+        self.metrics.trace_release(self.cycle, hop.channel.idx());
+    }
+
+    /// Phase 3: apply the selected moves; handle requests, releases,
+    /// absorptions and completions.
+    fn apply_moves(&mut self, measuring: bool) {
+        let now = self.cycle;
+        let closed = self.closed.is_some();
+        // Taken so the loop body may borrow `self` whole; restored below
+        // (selection clears it).
+        let moves = std::mem::take(&mut self.moves);
+        for &(mid, h16) in &moves {
+            let h = h16 as usize;
+            // --- advance the flit ---
+            let msg = self.msgs.get_mut(mid, "moving flit's message");
+            msg.traversed[h] += 1;
+            let t = msg.traversed[h];
+            let (header_arrived, tail_passed) = (t == 1, t == msg.len);
+            let here = msg.path.hops[h];
+            let prev_hop = (h > 0).then(|| msg.path.hops[h - 1]);
+            let next_hop = (h + 1 < msg.path.len()).then(|| msg.path.hops[h + 1]);
+            self.metrics
+                .record_flit_move(now, here.channel.idx(), measuring);
+
+            // --- header entered buffer(h): request the next channel ---
+            if header_arrived {
+                if h == 0 {
+                    // The message left the injection queue head.
+                    self.inj_backlog -= 1;
+                }
+                if let Some(next) = next_hop {
+                    let cv = self.plan.cv_index(next);
+                    self.cvs[cv as usize]
+                        .waiters
+                        .push_back((mid, (h + 1) as u16));
+                    self.regrant.push(cv);
+                }
+            }
+            if !tail_passed {
+                continue;
+            }
+
+            // --- tail traversed hop h: it left buffer(h-1) ---
+            if let Some(prev) = prev_hop {
+                self.release(mid, h16 - 1, prev);
+            }
+            // Absorptions scheduled at this hop (multicast targets; the
+            // final target's completion hop is the ejection hop).
+            let msg = self.msgs.get_mut(mid, "absorbing stream's message");
+            let mut op_done: Option<OpId> = None;
+            if let Some(stream) = msg.multicast.as_mut() {
+                let mut absorbed_here = 0u32;
+                while let Some(&(at, target)) = stream.absorbs.get(stream.next_absorb as usize) {
+                    if at != h16 {
+                        break;
+                    }
+                    if closed {
+                        self.arrived.push(ClosedDelivery::Absorb {
+                            op: stream.op,
+                            target,
+                        });
+                    }
+                    self.metrics.trace_absorb(now, target.0);
+                    stream.next_absorb += 1;
+                    absorbed_here += 1;
+                }
+                if absorbed_here > 0 {
+                    let op = self.ops.get_mut(stream.op, "stream's multicast op");
+                    op.remaining -= absorbed_here;
+                    op.last_absorb = now;
+                    if op.remaining == 0 {
+                        op_done = Some(stream.op);
+                    }
+                }
+            }
+            if let Some(opid) = op_done {
+                self.ops_completed += 1;
+                let op = self.ops.get(opid, "completed multicast op");
+                self.metrics.trace_op_done(now, op.src.0);
+                if op.tagged {
+                    self.metrics.record_op_delivery(op);
+                    self.tagged_outstanding -= 1;
+                }
+                self.ops.free(opid, "completed multicast op");
+                if closed {
+                    self.arrived.push(ClosedDelivery::OpDone(opid));
+                }
+            }
+
+            // --- message fully absorbed at the ejection hop ---
+            if next_hop.is_some() {
+                continue;
+            }
+            self.release(mid, h16, here);
+            self.metrics.total_absorbed += 1;
+            let msg = self.msgs.get(mid, "absorbed message");
+            let (tagged, gen) = (msg.tagged, msg.gen);
+            if msg.multicast.is_none() {
+                // Multicast targets trace their absorbs in the stream's
+                // absorb list above; unicasts here.
+                self.metrics.trace_absorb(now, msg.path.dst.0);
+                if tagged {
+                    self.metrics.record_unicast_delivery(now, gen);
+                    self.tagged_outstanding -= 1;
+                }
+                if closed {
+                    self.arrived.push(ClosedDelivery::Unicast(mid));
+                }
+            } else if tagged {
+                self.metrics.record_stream_delivery(now, gen);
+            }
+            self.msgs.free(mid, "absorbed message");
+        }
+        self.moves = moves;
+    }
+
+    /// Phase 4: grant free channels to FIFO-first waiters; returns how
+    /// many new owners were installed.
+    fn grant(&mut self) -> usize {
+        let mut granted = 0;
+        let regrant = std::mem::take(&mut self.regrant);
+        for &cv_u in &regrant {
+            let cv = &mut self.cvs[cv_u as usize];
+            if cv.owner.is_some() {
+                continue;
+            }
+            let Some((m, h)) = cv.waiters.pop_front() else {
+                continue;
+            };
+            cv.owner = Some((m, h));
+            granted += 1;
+            let channel = self.msgs.get(m, "granted waiter").path.hops[h as usize]
+                .channel
+                .idx();
+            self.owned_count[channel] += 1;
+            if !self.active_flag[channel] {
+                self.active_flag[channel] = true;
+                self.active.push(channel as u32);
+            }
+            self.metrics.trace_grant(self.cycle, channel);
+        }
+        self.regrant = regrant;
+        self.regrant.clear();
+        granted
+    }
+
+    /// Simulate exactly cycle `cycle` (the driver vouches that every
+    /// cycle skipped since the last one was inert). `tagging` controls
+    /// whether newly generated messages join the measured population,
+    /// `measuring` whether flit moves count toward utilisation.
+    pub(crate) fn step(
+        &mut self,
+        cycle: u64,
+        tagging: bool,
+        measuring: bool,
+        due: &mut impl TimeAdvance,
+    ) -> CycleOutcome {
+        debug_assert!(cycle > self.cycle);
+        self.cycle = cycle;
+        self.generate(tagging, due);
+        self.select_moves();
+        let moved = !self.moves.is_empty();
+        if moved {
+            self.last_move_cycle = cycle;
+        } else if !self.active.is_empty() {
+            // Traffic holds channels but nothing can move this cycle.
+            self.metrics.trace_stall(cycle);
+        }
+        self.apply_moves(measuring);
+        self.closed_deliver(due);
+        let granted = self.grant();
+        CycleOutcome { moved, granted }
+    }
+
+    // ------------------------------------------------------------------
+    // Closed-loop drive: the protocol machines are the traffic source.
+    // ------------------------------------------------------------------
+
+    /// Dispatch every absorption `apply_moves` recorded this cycle (in
+    /// absorption order) and perform the resulting actions; new
+    /// injections enqueue before the grant phase.
+    fn closed_deliver(&mut self, due: &mut impl TimeAdvance) {
+        if self.arrived.is_empty() {
+            return;
+        }
+        let driver = self.closed.as_mut().expect("closed-loop driver present");
+        for &d in &self.arrived {
+            let (node, payload) = match d {
+                ClosedDelivery::Unicast(mid) => driver.unicast_delivered(mid),
+                ClosedDelivery::Absorb { op, target } => (target, driver.absorb_payload(op)),
+                ClosedDelivery::OpDone(op) => {
+                    driver.op_done(op);
+                    continue;
+                }
+            };
+            let event = AppEvent::Delivery(payload);
+            driver.dispatch(self.cycle, node, event, &mut self.actions);
+        }
+        self.arrived.clear();
+        self.closed_perform(due);
+    }
+
+    /// Perform the pending protocol actions: generate the requested
+    /// messages (all tagged — closed-loop statistics cover the whole
+    /// run) and hand timers to the driver's schedule.
+    fn closed_perform(&mut self, due: &mut impl TimeAdvance) {
+        if self.actions.is_empty() {
+            return;
+        }
+        let actions = std::mem::take(&mut self.actions);
+        for &action in &actions {
+            match action {
+                Action::Unicast { src, dst, payload } => {
+                    let id = self.start_unicast(src, dst, true);
+                    self.closed
+                        .as_mut()
+                        .expect("closed-loop driver present")
+                        .note_unicast(id, dst, payload);
+                }
+                Action::Multicast { src, payload } => {
+                    let op = self.start_multicast(src, true, |_| {});
+                    self.closed
+                        .as_mut()
+                        .expect("closed-loop driver present")
+                        .note_multicast(op, payload);
+                }
+                Action::Timer { node, at } => due.schedule(at, node.0),
+            }
+        }
+        self.actions = actions;
+        self.actions.clear();
+    }
+
+    // ------------------------------------------------------------------
+    // The run protocol every driver follows: start, step…, run_end, finish.
+    // ------------------------------------------------------------------
+
+    /// Begin a run. Open loop: nothing to do. Closed loop: dispatch
+    /// [`AppEvent::Start`] to every machine in node order, perform the
+    /// resulting injections (eligible to move next cycle, like any
+    /// cycle-0 arrival) and take the first end-of-run check — closed-loop
+    /// runs are checked *before* each cycle, open-loop runs after.
+    pub(crate) fn start(&mut self, due: &mut impl TimeAdvance) -> Option<RunEnd> {
+        let driver = self.closed.as_mut()?;
+        for node in 0..self.plan.n {
+            let node = NodeId(node as u32);
+            driver.dispatch(self.cycle, node, AppEvent::Start, &mut self.actions);
+        }
+        self.closed_perform(due);
+        self.grant();
+        self.run_end()
+    }
+
+    /// Is `cycle` inside the tagging/measurement window? Closed-loop
+    /// runs have no warmup: every cycle is measured.
+    #[inline]
+    pub(crate) fn in_window(&self, cycle: u64) -> bool {
+        self.closed.is_some() || (cycle > self.cfg.warmup_cycles && cycle <= self.cfg.measure_end())
+    }
+
+    /// Is a closed-loop protocol installed?
+    #[inline]
+    pub(crate) fn is_closed(&self) -> bool {
+        self.closed.is_some()
+    }
+
+    /// Flits exist in the network (owned channels) but nothing has moved
+    /// for the watchdog window.
+    #[inline]
+    fn watchdog_fires(&self) -> bool {
+        self.cycle.saturating_sub(self.last_move_cycle) > WATCHDOG_WINDOW && !self.active.is_empty()
+    }
+
+    /// Does the run end at the current cycle? Completion (tagged traffic
+    /// drained past the window; on closed-loop runs, protocol
+    /// quiescence), else the deadline, backlog and watchdog safety nets.
+    /// Every input only changes on simulated cycles or at a boundary the
+    /// event engine's jumps stop on, so both drivers see the same answer.
+    pub(crate) fn run_end(&self) -> Option<RunEnd> {
+        let drained = self.tagged_outstanding == 0;
+        let complete = match &self.closed {
+            Some(driver) => drained && driver.quiescent(),
+            None => drained && self.cycle >= self.cfg.measure_end(),
+        };
+        let (saturated, deadlocked) = if complete {
+            (false, false)
+        } else if self.cycle >= self.cfg.deadline() {
+            (self.closed.is_some() || !drained, false)
+        } else if self.inj_backlog > self.cfg.backlog_limit {
+            (true, false)
+        } else if self.cycle.is_multiple_of(WATCHDOG_STRIDE) && self.watchdog_fires() {
+            (true, true)
+        } else {
+            return None;
+        };
+        Some(RunEnd {
+            saturated,
+            deadlocked,
+        })
+    }
+
+    /// Assemble the results of a run that ended with `end`.
+    pub(crate) fn finish(&mut self, end: RunEnd, engine: EngineCounters) -> SimResults {
+        let cycles = self.cycle;
+        // Normalise utilisation by the cycles actually spent measuring: a
+        // run that breaks out early (saturation, backlog overflow) covers
+        // less than the configured window.
+        let measured_cycles = if self.closed.is_some() {
+            cycles
+        } else {
+            cycles
+                .min(self.cfg.measure_end())
+                .saturating_sub(self.cfg.warmup_cycles)
+        };
+        let mut res = self.metrics.finish(
+            end.saturated,
+            end.deadlocked,
+            cycles,
+            self.peak_backlog,
+            measured_cycles,
+            engine,
+        );
+        if let Some(driver) = self.closed.as_mut() {
+            let quiesced = self.tagged_outstanding == 0 && driver.quiescent();
+            res.closed_loop = Some(driver.finish(cycles, quiesced));
+        }
+        res
+    }
+
+    // ------------------------------------------------------------------
+    // Scripted injection and diagnostics (the `SimEngine` test hooks).
+    // ------------------------------------------------------------------
+
+    /// See [`crate::SimEngine::inject_unicast_now`].
+    pub(crate) fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
+        let id = self.start_unicast(src, dst, false);
+        self.grant();
+        id
+    }
+
+    /// See [`crate::SimEngine::inject_multicast_now`].
+    pub(crate) fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
+        let mut ids = Vec::new();
+        self.start_multicast(src, false, |id| ids.push(id));
+        self.grant();
+        ids
+    }
+
+    /// See [`crate::SimEngine::audit`].
+    pub(crate) fn audit(&self) -> Result<EngineAudit, String> {
+        for (pc, &count) in self.owned_count.iter().enumerate() {
+            let base = self.plan.cv_base[pc] as usize;
+            let cvs = &self.cvs[base..base + self.plan.vcs[pc] as usize];
+            let actual = cvs.iter().filter(|cv| cv.owner.is_some()).count();
+            if actual != count as usize {
+                return Err(format!(
+                    "channel {pc}: owned-cv count drifted (cached {count}, actual {actual})"
+                ));
+            }
+        }
+
+        let mut owned_cvs = 0u64;
+        let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
+        for (cv, state) in self.cvs.iter().enumerate() {
+            if let Some((m, h)) = state.owner {
+                owned_cvs += 1;
+                let msg = self
+                    .msgs
+                    .try_get(m)
+                    .ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
+                let hop =
+                    *msg.path.hops.get(h as usize).ok_or_else(|| {
+                        format!("cv {cv} owner hop {h} beyond message {m}'s path")
+                    })?;
+                if self.plan.cv_index(hop) as usize != cv {
+                    return Err(format!(
+                        "cv {cv} owned by message {m} at hop {h}, but that hop maps to cv {}",
+                        self.plan.cv_index(hop)
+                    ));
+                }
+                if !holders.insert((m, h)) {
+                    return Err(format!("message {m} hop {h} owns two cvs"));
+                }
+            }
+            if let Some(&(m, _)) = state.waiters.iter().find(|&&(m, _)| !self.msgs.contains(m)) {
+                return Err(format!("cv {cv} queues dead message {m}"));
+            }
+        }
+
+        if let Some((i, _)) = self.ops.iter().find(|(_, op)| op.remaining == 0) {
+            return Err(format!("live multicast op {i} has zero targets remaining"));
+        }
+        let live_ops = self.ops.len() as u64;
+        if self.ops_allocated != self.ops_completed + live_ops {
+            return Err(format!(
+                "op accounting broken: {} allocated != {} completed + {} live",
+                self.ops_allocated, self.ops_completed, live_ops
+            ));
+        }
+
+        let live_messages = self.msgs.len() as u64;
+        let (total_generated, total_absorbed) =
+            (self.metrics.total_generated, self.metrics.total_absorbed);
+        if total_generated != total_absorbed + live_messages {
+            return Err(format!(
+                "flit conservation broken: {total_generated} generated != \
+                 {total_absorbed} absorbed + {live_messages} live"
+            ));
+        }
+
+        Ok(EngineAudit {
+            cycle: self.cycle,
+            live_messages,
+            queued_messages: self.inj_backlog as u64,
+            owned_cvs,
+            live_ops,
+            ops_allocated: self.ops_allocated,
+            ops_completed: self.ops_completed,
+            total_generated,
+            total_absorbed,
+            tagged_outstanding: self.tagged_outstanding,
+        })
+    }
+}
+
+/// Kernel behaviour every engine must show, written once as a table over
+/// [`EngineKind`](crate::EngineKind). Each driver's `mod tests` runs the
+/// table for its own kind; only policy-specific tests live there.
+#[cfg(test)]
+pub(crate) mod behaviour {
+    use crate::{build_engine, EngineKind, SimConfig, SimResults};
+    use noc_topology::{NodeId, Quarc, Topology};
+    use noc_workloads::{DestinationSets, Workload};
+
+    fn run(kind: EngineKind, topo: &Quarc, wl: &Workload, cfg: SimConfig) -> SimResults {
+        let mut sim = build_engine(topo, wl, cfg.with_engine(kind)).expect("plan builds");
+        let res = sim.run();
+        sim.audit().expect("post-run audit");
+        res
+    }
+
+    pub(crate) fn zero_load_latency_is_exact(kind: EngineKind) {
+        let topo = Quarc::new(16).unwrap();
+        for (src, dst, msg_len) in [(0u32, 3u32, 16u32), (0, 8, 32), (5, 1, 64), (2, 12, 16)] {
+            let sets = DestinationSets::random(&topo, 4, 1);
+            let wl = Workload::new(msg_len, 0.0, 0.0, sets).unwrap();
+            let cfg = SimConfig::quick(1).with_engine(kind);
+            let mut sim = build_engine(&topo, &wl, cfg).expect("plan builds");
+            let lat = sim.measure_isolated_unicast(NodeId(src), NodeId(dst));
+            let path = topo.unicast_path(NodeId(src), NodeId(dst));
+            let expected = msg_len as u64 + path.hop_count() as u64;
+            assert_eq!(
+                lat, expected,
+                "{kind:?}: zero-load latency {src}->{dst} len {msg_len}: got {lat}, want {expected}"
+            );
+        }
+    }
+
+    pub(crate) fn low_load_run_completes_and_audits_clean(kind: EngineKind) {
+        let topo = Quarc::new(16).unwrap();
+        let sets = DestinationSets::random(&topo, 4, 3);
+        let wl = Workload::new(16, 0.004, 0.05, sets).unwrap();
+        let res = run(kind, &topo, &wl, SimConfig::quick(7));
+        assert!(!res.saturated, "low load must not saturate");
+        assert!(res.complete(), "all tagged traffic must be delivered");
+        assert!(res.total_generated > 0);
+        // Anything generated but unabsorbed must still be in flight (the
+        // run stops once tagged traffic drains, untagged may remain).
+        assert!(res.total_absorbed <= res.total_generated);
+        let in_flight = res.total_generated - res.total_absorbed;
+        assert!(
+            in_flight < 3000,
+            "untagged in-flight backlog should be small at low load, got {in_flight}"
+        );
+    }
+
+    pub(crate) fn deterministic_under_same_seed(kind: EngineKind) {
+        let topo = Quarc::new(16).unwrap();
+        let sets = DestinationSets::random(&topo, 4, 5);
+        let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
+        let r1 = run(kind, &topo, &wl, SimConfig::quick(99));
+        let r2 = run(kind, &topo, &wl, SimConfig::quick(99));
+        assert_eq!(r1.unicast.count, r2.unicast.count);
+        assert_eq!(r1.unicast.mean, r2.unicast.mean);
+        assert_eq!(r1.multicast.mean, r2.multicast.mean);
+        assert_eq!(r1.flit_moves, r2.flit_moves);
+        assert_eq!(r1.cycles, r2.cycles);
+        let r3 = run(kind, &topo, &wl, SimConfig::quick(100));
+        assert_ne!(
+            r1.flit_moves, r3.flit_moves,
+            "different seed, different run"
+        );
+    }
+
+    pub(crate) fn saturation_is_detected_at_absurd_load(kind: EngineKind) {
+        let topo = Quarc::new(8).unwrap();
+        let sets = DestinationSets::random(&topo, 2, 3);
+        let wl = Workload::new(64, 0.9, 0.5, sets).unwrap();
+        let mut cfg = SimConfig::quick(13);
+        cfg.backlog_limit = 2_000;
+        let res = run(kind, &topo, &wl, cfg);
+        assert!(
+            res.saturated,
+            "rate 0.9 with 64-flit messages must saturate"
+        );
+    }
+}

@@ -1,17 +1,20 @@
 //! # noc-sim
 //!
 //! A flit-level wormhole NoC simulator — the reproduction's substitute for
-//! the paper's OMNET++ discrete-event simulator (§4) — with **two
-//! engines** behind one [`SimEngine`] contract:
+//! the paper's OMNET++ discrete-event simulator (§4). One wormhole kernel
+//! (`fabric.rs`: cv state, arbitration, the four phases of a cycle) runs
+//! under **two time-advance policies** behind one [`SimEngine`] contract:
 //!
 //! * [`EventSimulator`] (default) — event-driven: skips provably inert
 //!   cycles and jumps between injections, grants and run boundaries.
-//!   5–50× faster at the low-load sweep points the Fig. 6/7 validation
-//!   protocol spends most of its time on.
-//! * [`Simulator`] — cycle-stepped reference oracle: advances every
-//!   cycle. Kept deliberately simple; the differential suite
-//!   (`tests/engine_equivalence.rs`) requires the event engine to
-//!   reproduce its runs bit-for-bit under a shared seed.
+//!   About 7–16× faster at the low-load sweep points the Fig. 6/7
+//!   validation protocol spends most of its time on (`BENCH_sim.json`,
+//!   `sim.cycle.event_over_cycle.low` on the benchmark ledger), at parity
+//!   past saturation.
+//! * [`Simulator`] — cycle-stepped reference oracle: simulates every
+//!   cycle and polls every node. Kept deliberately simple; the
+//!   differential suite (`tests/engine_equivalence.rs`) requires the
+//!   event engine to reproduce its runs bit-for-bit under a shared seed.
 //!
 //! Select the engine via the [`SimConfig`] `engine` field
 //! ([`EngineKind`]) and construct through [`build_engine`], or
@@ -83,6 +86,7 @@ pub mod config;
 pub mod engine;
 pub mod engine_api;
 pub mod event_engine;
+mod fabric;
 pub mod message;
 mod metrics;
 pub mod plan;
