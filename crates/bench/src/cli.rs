@@ -1,8 +1,10 @@
-//! Tiny argument parsing shared by the figure binaries (dependency-free).
+//! Tiny argument parsing for the `noc-bench` binary's exhibits
+//! (dependency-free).
 //!
 //! Supported flags:
 //!
 //! * `--quick` — short simulations (CI/test runs);
+//! * `--full` — the full evaluation cross product (Fig. 6/7);
 //! * `--points <n>` — sweep points per panel;
 //! * `--threads <n>` — parallel workers (0 = all cores);
 //! * `--seed <n>` — master seed;
@@ -14,8 +16,15 @@
 //! * `--no-cache` — disable the content-addressed result cache (by
 //!   default, already-simulated points under `<out>/cache/` are reused).
 
+use crate::runner::Runner;
+use crate::scenario::{Scenario, SweepSpec, WorkloadSpec};
 use noc_sim::{EngineKind, SimConfig};
+use noc_topology::TopologySpec;
 use std::path::PathBuf;
+
+/// The flag synopsis printed by `--help`.
+pub const USAGE: &str = "[--quick] [--full] [--points N] [--threads N] [--seed N] \
+                         [--engine event|cycle] [--json] [--out DIR] [--no-cache]";
 
 /// Parsed common options.
 #[derive(Clone, Debug)]
@@ -91,12 +100,6 @@ impl Options {
                             .ok_or_else(|| "--out needs a directory".to_string())?,
                     )
                 }
-                "--help" | "-h" => {
-                    return Err("usage: [--quick] [--full] [--points N] [--threads N] \
-                         [--seed N] [--engine event|cycle] [--json] [--out DIR] \
-                         [--no-cache]"
-                        .to_string())
-                }
                 other => return Err(format!("unknown flag: {other}")),
             }
         }
@@ -104,17 +107,6 @@ impl Options {
             return Err("--points must be >= 2".into());
         }
         Ok(o)
-    }
-
-    /// Parse from the process arguments, exiting on error.
-    pub fn from_env() -> Options {
-        match Options::parse(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
     }
 
     /// The simulator configuration implied by `--quick` and `--engine`.
@@ -133,8 +125,27 @@ impl Options {
         self.cache.then(|| self.out.join("cache"))
     }
 
-    /// Write a CSV file under the output directory, creating it if needed.
-    pub fn write_csv(&self, name: &str, contents: &str) -> std::io::Result<PathBuf> {
+    /// A scenario run under this invocation's simulator configuration
+    /// and master seed.
+    pub fn scenario(
+        &self,
+        name: impl Into<String>,
+        topology: TopologySpec,
+        workload: WorkloadSpec,
+        sweep: SweepSpec,
+    ) -> Scenario {
+        Scenario::new(name, topology, workload, sweep)
+            .with_sim(self.sim_config())
+            .with_seed(self.seed)
+    }
+
+    /// A runner on `--threads` workers (no result cache).
+    pub fn runner(&self) -> Runner {
+        Runner::new().threads(self.threads)
+    }
+
+    /// Write a file under the output directory, creating it if needed.
+    pub fn write_file(&self, name: &str, contents: &str) -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(&self.out)?;
         let path = self.out.join(name);
         std::fs::write(&path, contents)?;

@@ -38,6 +38,17 @@ pub enum Error {
     /// Scenario-level validation failed (inconsistent fields, bad
     /// simulator configuration, out-of-range resolved rates).
     InvalidScenario(String),
+    /// A replicate tripped the simulator's deadlock watchdog (flits in
+    /// the network, nothing moving). The routings are deadlock-free by
+    /// construction, so this is a broken run, not a data point.
+    Deadlock {
+        /// The scenario's name.
+        scenario: String,
+        /// Generation rate of the stalled job.
+        rate: f64,
+        /// Replicate index of the stalled job.
+        replicate: u32,
+    },
     /// Serialization or deserialization of a spec/result failed.
     Serde(serde::Error),
     /// A result sink could not be written.
@@ -58,6 +69,14 @@ impl fmt::Display for Error {
             Error::Sweep(e) => write!(f, "sweep: {e}"),
             Error::Model(e) => write!(f, "model: {e}"),
             Error::InvalidScenario(msg) => write!(f, "invalid scenario: {msg}"),
+            Error::Deadlock {
+                scenario,
+                rate,
+                replicate,
+            } => write!(
+                f,
+                "deadlock: scenario '{scenario}' stalled at rate {rate}, replicate {replicate}"
+            ),
             Error::Serde(e) => write!(f, "serialization: {e}"),
             Error::Io(e) => write!(f, "io: {e}"),
         }
@@ -76,7 +95,7 @@ impl std::error::Error for Error {
             Error::Model(e) => Some(e),
             Error::Serde(e) => Some(e),
             Error::Io(e) => Some(e),
-            Error::InvalidScenario(_) => None,
+            Error::InvalidScenario(_) | Error::Deadlock { .. } => None,
         }
     }
 }
@@ -191,6 +210,11 @@ mod tests {
             serde::Error::custom("bad json").into(),
             std::io::Error::new(std::io::ErrorKind::NotFound, "gone").into(),
             Error::InvalidScenario("replicates must be >= 1".into()),
+            Error::Deadlock {
+                scenario: "fig6".into(),
+                rate: 0.004,
+                replicate: 1,
+            },
         ];
         for e in errs {
             assert!(!e.to_string().is_empty());

@@ -4,7 +4,7 @@
 //! Open-loop sweeps (Fig. 6/7) drive the network with a rate knob the
 //! application never has; real memory-system traffic is *closed-loop* —
 //! each node keeps at most `w` requests outstanding and injects only
-//! when a delivery retires one. This binary sweeps the window `w` of the
+//! when a delivery retires one. This exhibit sweeps the window `w` of the
 //! invalidation-coherence protocol (powers of two from 1) on the 16-node
 //! Quarc and the 4×4 mesh, charting the classic closed-loop shape:
 //! per-request completion latency rises with `w` while ops retired per
@@ -18,41 +18,26 @@
 //! so every point is stamped `model_applicable = false` — the curve is a
 //! simulation-only exhibit by construction.
 //!
-//! ```text
-//! cargo run --release -p noc-bench --bin fig-closedloop -- [--quick] [--points N] [--json]
-//! ```
-//!
 //! `--points N` selects the number of window sizes (powers of two from
-//! 1), so `--points 2` is a CI-sized smoke sweep; the binary exits
+//! 1), so `--points 2` is a CI-sized smoke sweep; the exhibit exits
 //! non-zero if throughput is not monotone in the window up to the knee.
 
+use super::{emit, emit_json, PANELS};
 use noc_bench::cli::Options;
-use noc_bench::{MulticastPattern, Result, Runner, Scenario, SweepSpec, WorkloadSpec};
+use noc_bench::{MulticastPattern, Result, SweepSpec, WorkloadSpec};
 use noc_sim::ClosedLoopSpec;
-use noc_topology::TopologySpec;
 use noc_workloads::table::Table;
 
-fn main() -> Result<()> {
-    let opts = Options::from_env();
+/// The `fig-closedloop` exhibit (see the module docs).
+pub fn run(opts: &Options) -> Result<()> {
     println!("== Closed-loop coherence: latency/throughput knee over the window ==\n");
 
     // Enough requests per node that the steady window, not the start-up
     // ramp, dominates the measurement.
     let requests: u32 = if opts.quick { 32 } else { 128 };
     let windows: Vec<u32> = (0..opts.points as u32).map(|i| 1 << i).collect();
-    let panels = [
-        ("quarc-n16", TopologySpec::Quarc { n: 16 }),
-        (
-            "mesh-4x4",
-            TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-            },
-        ),
-    ];
-
-    let runner = Runner::new().threads(opts.threads).cache(opts.cache_dir());
-    for (label, topology) in panels {
+    let runner = opts.runner().cache(opts.cache_dir());
+    for (label, topology) in PANELS {
         let mut table = Table::new(vec![
             "window",
             "completion",
@@ -68,16 +53,15 @@ fn main() -> Result<()> {
                 requests,
                 write_fraction: 0.1,
             };
-            let sc = Scenario::new(
-                format!("closedloop-{label}-w{window}"),
-                topology,
-                WorkloadSpec::new(8, 0.0, MulticastPattern::Random { group: 4 })
-                    .with_closed_loop(spec),
-                SweepSpec::Explicit { rates: vec![0.0] },
-            )
-            .with_sim(opts.sim_config())
-            .with_model(None)
-            .with_seed(opts.seed);
+            let sc = opts
+                .scenario(
+                    format!("closedloop-{label}-w{window}"),
+                    topology,
+                    WorkloadSpec::new(8, 0.0, MulticastPattern::Random { group: 4 })
+                        .with_closed_loop(spec),
+                    SweepSpec::Explicit { rates: vec![0.0] },
+                )
+                .with_model(None);
             let res = runner.run(&sc)?;
             let point = &res.points[0];
             assert!(
@@ -101,17 +85,12 @@ fn main() -> Result<()> {
                 cl.quiesce_cycle.to_string(),
             ]);
             throughputs.push(cl.ops_per_cycle);
-            if opts.json {
-                res.write_json(&opts.out)?;
-            }
+            emit_json(opts, &res)?;
         }
 
         println!("panel {label} ({requests} requests/node, write fraction 0.1):");
-        println!("{}", table.to_aligned());
-        match opts.write_csv(&format!("fig-closedloop-{label}.csv"), &table.to_csv()) {
-            Ok(path) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}\n"),
-        }
+        emit(opts, &format!("fig-closedloop-{label}.csv"), &table)?;
+        println!();
 
         // The knee shape check: up to the best window, doubling the
         // window must not *lose* throughput (5% tolerance absorbs

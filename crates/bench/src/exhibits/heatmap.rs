@@ -16,19 +16,16 @@
 //! Every emitted trace is checked with
 //! [`noc_sim::validate_chrome_trace`] — well-formed JSON, every event
 //! phased and timestamped, timestamps monotone — so CI can smoke this
-//! binary and trust the artifacts.
-//!
-//! ```text
-//! cargo run --release -p noc-bench --bin fig-heatmap -- [--quick] [--points N] [--json]
-//! ```
+//! exhibit and trust the artifacts.
 
+use super::{emit_json, PANELS};
 use noc_bench::cli::Options;
-use noc_bench::{MulticastPattern, Result, Runner, Scenario, SweepSpec, WorkloadSpec};
+use noc_bench::{MulticastPattern, Result, SweepSpec, WorkloadSpec};
 use noc_sim::{chrome_trace, validate_chrome_trace, TelemetrySpec, TrackNames};
-use noc_topology::{render, TopologySpec};
+use noc_topology::render;
 
-fn main() -> Result<()> {
-    let opts = Options::from_env();
+/// The `fig-heatmap` exhibit (see the module docs).
+pub fn run(opts: &Options) -> Result<()> {
     println!("== Flight recorder: per-link congestion heatmaps and flit traces ==\n");
 
     // Full telemetry: a bounded ring trace (the tail of the run is the
@@ -41,32 +38,22 @@ fn main() -> Result<()> {
     };
     let telemetry = TelemetrySpec::flight_recorder(ring, window);
 
-    let panels = [
-        ("quarc-n16", TopologySpec::Quarc { n: 16 }),
-        (
-            "mesh-4x4",
-            TopologySpec::Mesh {
-                width: 4,
-                height: 4,
-            },
-        ),
-    ];
     let fractions: Vec<f64> = (0..opts.points)
         .map(|i| 0.2 + 0.6 * i as f64 / (opts.points - 1) as f64)
         .collect();
 
-    let runner = Runner::new().threads(opts.threads).cache(opts.cache_dir());
-    for (label, topology) in panels {
-        let sc = Scenario::new(
-            format!("fig-heatmap-{label}"),
-            topology,
-            WorkloadSpec::new(16, 0.05, MulticastPattern::Random { group: 4 }),
-            SweepSpec::SaturationFractions {
-                fractions: fractions.clone(),
-            },
-        )
-        .with_sim(opts.sim_config().with_telemetry(telemetry))
-        .with_seed(opts.seed);
+    let runner = opts.runner().cache(opts.cache_dir());
+    for (label, topology) in PANELS {
+        let sc = opts
+            .scenario(
+                format!("fig-heatmap-{label}"),
+                topology,
+                WorkloadSpec::new(16, 0.05, MulticastPattern::Random { group: 4 }),
+                SweepSpec::SaturationFractions {
+                    fractions: fractions.clone(),
+                },
+            )
+            .with_sim(opts.sim_config().with_telemetry(telemetry));
         let res = runner.run(&sc)?;
 
         println!("panel {label}:");
@@ -98,9 +85,10 @@ fn main() -> Result<()> {
             res.points[hot].rate
         );
         println!("{}", render::heatmap_ascii(topo.as_ref(), util, 12));
-        let svg_path = opts.out.join(format!("fig-heatmap-{label}.svg"));
-        std::fs::create_dir_all(&opts.out)?;
-        std::fs::write(&svg_path, render::heatmap_svg(topo.as_ref(), util))?;
+        let svg_path = opts.write_file(
+            &format!("fig-heatmap-{label}.svg"),
+            &render::heatmap_svg(topo.as_ref(), util),
+        )?;
         println!("wrote {}", svg_path.display());
 
         let trace = sim
@@ -115,26 +103,19 @@ fn main() -> Result<()> {
         let json = chrome_trace(trace, &tracks);
         let events = validate_chrome_trace(&json)
             .unwrap_or_else(|e| panic!("{label}: emitted trace is malformed: {e}"));
-        let trace_path = opts.out.join(format!("fig-heatmap-{label}-trace.json"));
-        std::fs::write(&trace_path, &json)?;
+        let trace_path = opts.write_file(&format!("fig-heatmap-{label}-trace.json"), &json)?;
         println!(
             "wrote {} ({events} events, {} dropped by the ring)\n",
             trace_path.display(),
             trace.dropped
         );
 
-        match res.write_quantiles_csv(&opts.out) {
-            Ok(path) => println!("wrote {}", path.display()),
-            Err(e) => eprintln!("quantiles csv write failed: {e}"),
-        }
-        match res.write_engine_csv(&opts.out) {
-            Ok(path) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("engine csv write failed: {e}\n"),
-        }
+        let quantiles = res.write_quantiles_csv(&opts.out)?;
+        println!("wrote {}", quantiles.display());
+        let engine = res.write_engine_csv(&opts.out)?;
+        println!("wrote {}\n", engine.display());
         println!("{}\n", res.summary());
-        if opts.json {
-            res.write_json(&opts.out)?;
-        }
+        emit_json(opts, &res)?;
     }
     Ok(())
 }

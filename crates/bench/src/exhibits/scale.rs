@@ -13,20 +13,17 @@
 //! to implicit storage (`ModelError::UnsupportedTopology`), which is why
 //! the ladder sweeps explicit rates rather than saturation fractions.
 //!
-//! Writes `BENCH_scale.json` at the workspace root with per-rung wall
-//! clock, flit traffic and the process peak RSS (`VmHWM`) after each
-//! rung. The 64k rung must finish inside [`RSS_BUDGET_MIB`] — the memory
-//! gate CI holds the implicit representation to; exceeding it (or any
-//! non-finite latency) exits nonzero.
-//!
-//! ```text
-//! cargo run --release -p noc-bench --bin fig-scale -- [--quick] [--seed n]
-//! ```
+//! Each rung reports its wall clock, flit traffic and the process peak
+//! RSS (`VmHWM`) so far. The 64k rung must finish inside
+//! [`RSS_BUDGET_MIB`] — the memory gate CI holds the implicit
+//! representation to; exceeding it (or any non-finite latency) exits
+//! nonzero. Because `VmHWM` is per process, the gate only means something
+//! when this exhibit runs alone in its process — which `noc-bench
+//! fig-scale` guarantees.
 
 use noc_bench::cli::Options;
-use noc_sim::{
-    EngineKind, EventSimulator, SimConfig, SimPlan, SimResults, Simulator, TelemetrySpec,
-};
+use noc_bench::Result;
+use noc_sim::{EventSimulator, SimConfig, SimPlan, SimResults, Simulator};
 use noc_topology::TopologySpec;
 use noc_workloads::{DestinationSets, Workload};
 use std::sync::Arc;
@@ -58,15 +55,12 @@ fn cfg(quick: bool, seed: u64) -> SimConfig {
         (500, 3_000, 12_000)
     };
     SimConfig {
-        seed,
         warmup_cycles: warmup,
         measure_cycles: measure,
         drain_cycles: drain,
-        buffer_depth: 2,
         backlog_limit: 500_000,
         batch_size: 16,
-        engine: EngineKind::default(),
-        telemetry: TelemetrySpec::off(),
+        ..SimConfig::quick(seed)
     }
 }
 
@@ -95,31 +89,17 @@ fn assert_finite(spec: &str, engine: &str, res: &SimResults) {
     }
 }
 
-struct Row {
-    spec: String,
-    nodes: usize,
-    channels: usize,
-    wall_ms: f64,
-    cycles: u64,
-    flit_moves: u64,
-    unicast_mean: f64,
-    multicast_mean: f64,
-    differential: bool,
-    peak_rss_mib: Option<u64>,
-}
-
-fn run_rung(spec_str: &str, rate: f64, differential: bool, opts: &Options) -> Row {
-    let spec = TopologySpec::parse(spec_str).expect("ladder specs parse");
-    let topo = spec.build().expect("ladder specs build");
-    let n = topo.num_nodes();
+/// Run one rung, print its row and return the process peak RSS after it.
+fn run_rung(spec_str: &str, rate: f64, differential: bool, opts: &Options) -> Result<Option<u64>> {
+    let topo = TopologySpec::parse(spec_str)?.build()?;
     assert!(
         topo.network().is_implicit(),
         "{spec_str}: the scale ladder exists to exercise implicit storage"
     );
 
     let sets = DestinationSets::sampled(topo.as_ref(), 4, opts.seed);
-    let wl = Workload::new(8, rate, 0.1, sets).expect("ladder workload");
-    let plan = SimPlan::build(topo.as_ref(), &wl).expect("plan builds");
+    let wl = Workload::new(8, rate, 0.1, sets)?;
+    let plan = SimPlan::build(topo.as_ref(), &wl)?;
     assert!(plan.is_lazy(), "{spec_str}: implicit nets get lazy plans");
 
     let cfg = cfg(opts.quick, opts.seed);
@@ -142,91 +122,44 @@ fn run_rung(spec_str: &str, rate: f64, differential: bool, opts: &Options) -> Ro
         );
     }
 
-    Row {
-        spec: spec_str.to_string(),
-        nodes: n,
-        channels: topo.network().num_channels(),
+    let rss = peak_rss_mib();
+    println!(
+        "{:<24} {:>6} nodes {:>8} channels  {:>9.1} ms  {:>9} flits  \
+         uni {:>7.2}  multi {:>7.2}  rss {:>5} MiB{}",
+        spec_str,
+        topo.num_nodes(),
+        topo.network().num_channels(),
         wall_ms,
-        cycles: event.cycles,
-        flit_moves: event.flit_moves,
-        unicast_mean: event.unicast.mean,
-        multicast_mean: event.multicast.mean,
-        differential,
-        peak_rss_mib: peak_rss_mib(),
-    }
+        event.flit_moves,
+        event.unicast.mean,
+        event.multicast.mean,
+        rss.map_or("n/a".to_string(), |m| m.to_string()),
+        if differential {
+            "  [both engines, bit-identical]"
+        } else {
+            "  [event engine]"
+        },
+    );
+    Ok(rss)
 }
 
-fn emit_json(rows: &[Row], quick: bool) {
-    let mut json = String::from("{\n  \"bench\": \"fig-scale\",\n");
-    json.push_str(&format!("  \"quick\": {quick},\n"));
-    json.push_str(&format!("  \"rss_budget_mib\": {RSS_BUDGET_MIB},\n"));
-    json.push_str("  \"points\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let rss = r.peak_rss_mib.map_or("null".to_string(), |m| m.to_string());
-        json.push_str(&format!(
-            "    {{\"spec\": \"{}\", \"nodes\": {}, \"channels\": {}, \
-             \"wall_ms\": {:.2}, \"cycles\": {}, \"flit_moves\": {}, \
-             \"unicast_mean\": {:.4}, \"multicast_mean\": {:.4}, \
-             \"differential\": {}, \"peak_rss_mib\": {}}}{}\n",
-            r.spec,
-            r.nodes,
-            r.channels,
-            r.wall_ms,
-            r.cycles,
-            r.flit_moves,
-            r.unicast_mean,
-            r.multicast_mean,
-            r.differential,
-            rss,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => eprintln!("wrote BENCH_scale.json ({} rungs)", rows.len()),
-        Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
-    }
-}
-
-fn main() {
-    let opts = Options::from_env();
+/// The `fig-scale` exhibit (see the module docs).
+pub fn run(opts: &Options) -> Result<()> {
     println!("== Scale ladder: implicit topologies, explicit-rate sweep ==\n");
-    let mut rows = Vec::with_capacity(LADDER.len());
+    let mut peak_rss = None;
     for &(spec, rate, differential) in LADDER {
-        let row = run_rung(spec, rate, differential, &opts);
-        println!(
-            "{:<24} {:>6} nodes {:>8} channels  {:>9.1} ms  {:>9} flits  \
-             uni {:>7.2}  multi {:>7.2}  rss {:>5} MiB{}",
-            row.spec,
-            row.nodes,
-            row.channels,
-            row.wall_ms,
-            row.flit_moves,
-            row.unicast_mean,
-            row.multicast_mean,
-            row.peak_rss_mib
-                .map_or("n/a".to_string(), |m| m.to_string()),
-            if row.differential {
-                "  [both engines, bit-identical]"
-            } else {
-                "  [event engine]"
-            },
-        );
-        rows.push(row);
+        peak_rss = run_rung(spec, rate, differential, opts)?;
     }
-    emit_json(&rows, opts.quick);
-
-    if let Some(rss) = rows.last().and_then(|r| r.peak_rss_mib) {
-        if rss > RSS_BUDGET_MIB {
-            eprintln!(
-                "FAIL: peak RSS {rss} MiB exceeds the {RSS_BUDGET_MIB} MiB budget \
+    match peak_rss {
+        Some(rss) => {
+            assert!(
+                rss <= RSS_BUDGET_MIB,
+                "peak RSS {rss} MiB exceeds the {RSS_BUDGET_MIB} MiB budget \
                  for the 64k implicit-topology rung"
             );
-            std::process::exit(1);
+            println!("\npeak RSS {rss} MiB (budget {RSS_BUDGET_MIB} MiB) — OK");
         }
-        println!("\npeak RSS {rss} MiB (budget {RSS_BUDGET_MIB} MiB) — OK");
-    } else {
-        println!("\npeak RSS unavailable on this host; memory gate skipped");
+        None => println!("\npeak RSS unavailable on this host; memory gate skipped"),
     }
+    Ok(())
 }

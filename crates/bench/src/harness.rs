@@ -8,9 +8,6 @@
 //! The panel → scenario mapping is regression-locked byte-for-byte
 //! against the pre-Scenario harness by `tests/migration_golden.rs`.
 
-use crate::cli::Options;
-use crate::error::Result;
-use crate::runner::Runner;
 use crate::scenario::{MulticastPattern, Scenario, SweepSpec, WorkloadSpec};
 use noc_sim::SimConfig;
 use noc_topology::TopologySpec;
@@ -117,7 +114,7 @@ fn alpha_code(alpha: f64) -> String {
 /// which is only physical when the message spans the remaining path.
 /// (The `16,16` panel of the smallest network uses `M = 16 = 4×diameter`.)
 /// Violating the assumption (e.g. `N = 128, M = 16`) makes the model
-/// overestimate latency by design — demonstrated in EXPERIMENTS.md.
+/// overestimate latency by design.
 pub fn default_panels(pattern: Pattern, seed: u64) -> Vec<FigureConfig> {
     let combos = [
         (16usize, 16u32, 0.05),
@@ -147,7 +144,7 @@ pub fn default_panels(pattern: Pattern, seed: u64) -> Vec<FigureConfig> {
 /// The complete evaluation cross product of the paper's §4: every
 /// `N ∈ {16, 32, 64, 128} × M ∈ {16, 32, 48, 64} × α ∈ {3%, 5%, 10%}`
 /// combination that respects the model's `M ≥ N/4` assumption
-/// (45 panels). Used by the figure binaries' `--full` mode.
+/// (45 panels). Used by the `fig6`/`fig7` exhibits' `--full` mode.
 pub fn full_panels(pattern: Pattern, seed: u64) -> Vec<FigureConfig> {
     let mut out = Vec::new();
     for n in [16usize, 32, 64, 128] {
@@ -171,59 +168,6 @@ pub fn full_panels(pattern: Pattern, seed: u64) -> Vec<FigureConfig> {
         }
     }
     out
-}
-
-/// The complete Fig. 6/Fig. 7 driver shared by the two binaries (the
-/// figures differ only in the destination pattern): compile every panel
-/// to a [`Scenario`], execute it through one [`Runner`], print the
-/// aligned table and write the CSV (and, with `--json`, the structured
-/// JSON) sinks.
-pub fn run_figure(figure: &str, pattern: Pattern, blurb: &str, opts: &Options) -> Result<()> {
-    println!("== Figure {figure}: model vs simulation, {blurb} ==\n");
-    let panels = if opts.full {
-        full_panels(pattern, opts.seed)
-    } else {
-        default_panels(pattern, opts.seed)
-    };
-    let runner = Runner::new()
-        .threads(opts.threads)
-        .cache(opts.cache_dir())
-        .on_progress(|p| {
-            eprint!("\r{}: {}/{} points", p.scenario, p.completed, p.total);
-            if p.completed == p.total {
-                eprintln!();
-            }
-        });
-    for cfg in panels {
-        let scenario = cfg.scenario(opts.points, opts.sim_config());
-        let result = runner.run(&scenario)?;
-        println!(
-            "panel {} (N={}, M={} flits, alpha={:.0}%, |group|={}{}):",
-            cfg.label(),
-            cfg.n,
-            cfg.msg_len,
-            cfg.alpha * 100.0,
-            cfg.group_size,
-            if pattern == Pattern::Localized {
-                ", same-rim"
-            } else {
-                ""
-            }
-        );
-        println!("{}", result.table().to_aligned());
-        match opts.write_csv(
-            &format!("fig{figure}-{}.csv", cfg.label()),
-            &result.to_csv(),
-        ) {
-            Ok(path) => println!("wrote {}\n", path.display()),
-            Err(e) => eprintln!("csv write failed: {e}\n"),
-        }
-        if opts.json {
-            let path = result.write_json(&opts.out)?;
-            println!("wrote {}\n", path.display());
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

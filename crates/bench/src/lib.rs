@@ -2,8 +2,8 @@
 //!
 //! The experiment layer of the IPDPS 2009 reproduction: the declarative
 //! [`Scenario`] specification, the [`Runner`] that executes any scenario
-//! end-to-end, the workspace-level [`Error`] type, and the
-//! figure-regeneration binaries.
+//! end-to-end, the workspace-level [`Error`] type, and the `noc-bench`
+//! figure-regeneration binary.
 //!
 //! ## The Scenario API
 //!
@@ -17,10 +17,13 @@
 //! JSON, progress callbacks). `(scenario) → results` is deterministic:
 //! thread counts and callbacks never change the numbers.
 //!
-//! Each binary regenerates one figure or ablation of the paper (see
-//! DESIGN.md's experiment index):
+//! ## The `noc-bench` binary
 //!
-//! | binary | regenerates |
+//! `noc-bench <exhibit> [flags]` (`src/main.rs`; flags in [`cli`])
+//! dispatches through one static table; each exhibit regenerates one
+//! figure or ablation of the paper, `noc-bench list` prints the names:
+//!
+//! | exhibit | regenerates |
 //! |---|---|
 //! | `fig2-topology`      | Fig. 2 — Quarc vs Spidergon topology (DOT/ASCII) |
 //! | `fig3-broadcast`     | Fig. 3 — broadcast streams in a 16-node Quarc |

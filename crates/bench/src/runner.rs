@@ -385,13 +385,13 @@ impl ScenarioResult {
 
     /// Write the CSV sink as `<dir>/<name>.csv`, creating `dir` if needed.
     pub fn write_csv(&self, dir: impl AsRef<Path>) -> Result<PathBuf> {
-        self.write_sink(dir, "csv", &self.to_csv())
+        self.write_named(dir, ".csv", &self.to_csv())
     }
 
     /// Write the JSON sink as `<dir>/<name>.json`, creating `dir` if
     /// needed.
     pub fn write_json(&self, dir: impl AsRef<Path>) -> Result<PathBuf> {
-        self.write_sink(dir, "json", &self.to_json())
+        self.write_named(dir, ".json", &self.to_json())
     }
 
     /// Write the tail-latency CSV as `<dir>/<name>-quantiles.csv`.
@@ -402,10 +402,6 @@ impl ScenarioResult {
     /// Write the engine-counter CSV as `<dir>/<name>-engine.csv`.
     pub fn write_engine_csv(&self, dir: impl AsRef<Path>) -> Result<PathBuf> {
         self.write_named(dir, "-engine.csv", &self.engine_table().to_csv())
-    }
-
-    fn write_sink(&self, dir: impl AsRef<Path>, ext: &str, contents: &str) -> Result<PathBuf> {
-        self.write_named(dir, &format!(".{ext}"), contents)
     }
 
     fn write_named(&self, dir: impl AsRef<Path>, suffix: &str, contents: &str) -> Result<PathBuf> {
@@ -429,11 +425,28 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
         .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// Content address of one `(scenario, rate, replicate)` simulation job.
-/// The scenario is keyed by its canonical JSON with the display name
-/// cleared, so renaming an experiment never invalidates its cache.
-fn point_key(spec_json: &str, rate: f64, rep: u32) -> u64 {
-    let h = fnv1a(FNV_OFFSET, spec_json.as_bytes());
+/// Version word of the cached [`SimResults`] entries, folded into every
+/// cache key. Bump on any change to engine semantics or `SimResults`
+/// shape, so entries written by an older build are never served.
+///
+/// 1: `SimResults::multicast_hist` removed.
+const CACHE_SCHEMA: u32 = 1;
+
+/// The scenario's share of a cache key: its canonical JSON with the
+/// display name cleared, so renaming an experiment never invalidates
+/// its cache.
+fn cache_spec(sc: &Scenario) -> String {
+    let mut keyed = sc.clone();
+    keyed.name = String::new();
+    keyed.to_json()
+}
+
+/// Content address of one `(scenario, rate, replicate)` simulation job
+/// under cache schema `schema` (the Runner passes [`CACHE_SCHEMA`]);
+/// `spec_json` is the scenario's [`cache_spec`].
+fn point_key(schema: u32, spec_json: &str, rate: f64, rep: u32) -> u64 {
+    let h = fnv1a(FNV_OFFSET, &schema.to_le_bytes());
+    let h = fnv1a(h, spec_json.as_bytes());
     let h = fnv1a(h, &rate.to_bits().to_le_bytes());
     fnv1a(h, &rep.to_le_bytes())
 }
@@ -460,10 +473,11 @@ impl Runner {
     }
 
     /// Content-addressed result cache: store every simulated point in
-    /// `dir` keyed by FNV-1a-64 over (scenario spec, rate, replicate) and
-    /// skip the simulation on re-runs that hit. `None` disables (the
-    /// figure binaries' `--no-cache`). The model overlay is never cached:
-    /// it is cheap, deterministic and re-evaluated every run.
+    /// `dir` keyed by FNV-1a-64 over (cache schema, scenario spec, rate,
+    /// replicate) and skip the simulation on re-runs that hit. `None`
+    /// disables (the `noc-bench` exhibits' `--no-cache`). The model
+    /// overlay is never cached: it is cheap, deterministic and
+    /// re-evaluated every run.
     pub fn cache(mut self, dir: Option<PathBuf>) -> Self {
         self.cache = dir;
         self
@@ -503,14 +517,10 @@ impl Runner {
         // and absorb schedules depend only on (topology, destination sets).
         let plan = SimPlan::build(topo.as_ref(), &proto)?;
 
-        // The cache key covers everything a simulated point depends on
-        // except the display name (cleared: renames must hit).
         let cache_base: Option<(&Path, String)> = match &self.cache {
             Some(dir) => {
                 std::fs::create_dir_all(dir)?;
-                let mut keyed = sc.clone();
-                keyed.name = String::new();
-                Some((dir.as_path(), keyed.to_json()))
+                Some((dir.as_path(), cache_spec(sc)))
             }
             None => None,
         };
@@ -550,9 +560,10 @@ impl Runner {
             };
             let mut cfg = sc.sim;
             cfg.seed = sc.seed.wrapping_add(rep as u64);
-            let cache_path = cache_base
-                .as_ref()
-                .map(|(dir, json)| dir.join(format!("{:016x}.json", point_key(json, rate, rep))));
+            let cache_path = cache_base.as_ref().map(|(dir, json)| {
+                let key = point_key(CACHE_SCHEMA, json, rate, rep);
+                dir.join(format!("{key:016x}.json"))
+            });
             // A hit must parse back into SimResults; a corrupt or
             // truncated file falls through to recomputation (and is then
             // overwritten with a fresh copy).
@@ -580,6 +591,15 @@ impl Runner {
                 }
             };
             let wall_ns = t0.elapsed().as_nanos() as u64;
+            // The routing is deadlock-free by construction; a watchdog
+            // trip is a broken run, never a sample to average.
+            if res.deadlocked {
+                return Err(Error::Deadlock {
+                    scenario: sc.name.clone(),
+                    rate,
+                    replicate: rep,
+                });
+            }
             if let Some(cb) = &self.progress {
                 cb(&Progress {
                     scenario: sc.name.clone(),
@@ -691,57 +711,39 @@ fn merged_hist(group: &[JobSample]) -> LogHistogram {
 /// latency histogram, and the cache/wall accounting sums over the group.
 fn aggregate(rate: f64, group: &[JobSample], model_applicable: bool) -> PointResult {
     let first = &group[0];
-    let (model_unicast, model_multicast) = first.model;
-    let (bound_unicast, bound_multicast) = first.bound;
     let hist = merged_hist(group);
     let cache_hits = group.iter().filter(|s| s.cache_hit).count() as u64;
-    let cache_misses = group.len() as u64 - cache_hits;
-    let wall_ms = group.iter().map(|s| s.wall_ns).sum::<u64>() as f64 / 1e6;
-    if group.len() == 1 {
-        return PointResult {
-            rate,
-            model_unicast,
-            model_multicast,
-            bound_unicast,
-            bound_multicast,
-            model_applicable,
-            sim_unicast: first.res.unicast.mean,
-            sim_multicast: first.res.multicast.mean,
-            sim_multicast_ci: first.res.multicast.ci95,
-            sim_p50: hist.p50(),
-            sim_p95: hist.p95(),
-            sim_p99: hist.p99(),
-            cache_hits,
-            cache_misses,
-            wall_ms,
-            sim_saturated: first.res.saturated,
-        };
-    }
     let n = group.len() as f64;
     let mean = |f: &dyn Fn(&SimResults) -> f64| group.iter().map(|s| f(&s.res)).sum::<f64>() / n;
-    let sim_unicast = mean(&|r| r.unicast.mean);
-    let sim_multicast = mean(&|r| r.multicast.mean);
-    let var = group
-        .iter()
-        .map(|s| (s.res.multicast.mean - sim_multicast).powi(2))
-        .sum::<f64>()
-        / (n - 1.0);
+    let (sim_unicast, sim_multicast, sim_multicast_ci) = if group.len() == 1 {
+        let res = &first.res;
+        (res.unicast.mean, res.multicast.mean, res.multicast.ci95)
+    } else {
+        let sim_multicast = mean(&|r| r.multicast.mean);
+        let var = group
+            .iter()
+            .map(|s| (s.res.multicast.mean - sim_multicast).powi(2))
+            .sum::<f64>()
+            / (n - 1.0);
+        let ci = 1.96 * (var / n).sqrt();
+        (mean(&|r| r.unicast.mean), sim_multicast, ci)
+    };
     PointResult {
         rate,
-        model_unicast,
-        model_multicast,
-        bound_unicast,
-        bound_multicast,
+        model_unicast: first.model.0,
+        model_multicast: first.model.1,
+        bound_unicast: first.bound.0,
+        bound_multicast: first.bound.1,
         model_applicable,
         sim_unicast,
         sim_multicast,
-        sim_multicast_ci: 1.96 * (var / n).sqrt(),
+        sim_multicast_ci,
         sim_p50: hist.p50(),
         sim_p95: hist.p95(),
         sim_p99: hist.p99(),
         cache_hits,
-        cache_misses,
-        wall_ms,
+        cache_misses: group.len() as u64 - cache_hits,
+        wall_ms: group.iter().map(|s| s.wall_ns).sum::<u64>() as f64 / 1e6,
         sim_saturated: group.iter().any(|s| s.res.saturated),
     }
 }
@@ -1097,11 +1099,7 @@ mod tests {
     #[test]
     fn cache_keys_separate_seeds_but_ignore_names() {
         let base = quick_scenario();
-        let key = |sc: &Scenario, rate: f64, rep: u32| {
-            let mut keyed = sc.clone();
-            keyed.name = String::new();
-            point_key(&keyed.to_json(), rate, rep)
-        };
+        let key = |sc: &Scenario, rate, rep| point_key(CACHE_SCHEMA, &cache_spec(sc), rate, rep);
         let renamed = {
             let mut sc = base.clone();
             sc.name = "other-name".into();
@@ -1118,6 +1116,41 @@ mod tests {
             key(&base, 0.002, 0),
             key(&base.clone().with_seed(99), 0.002, 0)
         );
+    }
+
+    #[test]
+    fn cache_keys_separate_schema_words() {
+        let json = quick_scenario().to_json();
+        assert_ne!(
+            point_key(CACHE_SCHEMA, &json, 0.002, 0),
+            point_key(CACHE_SCHEMA + 1, &json, 0.002, 0),
+            "a schema bump must orphan every older entry"
+        );
+    }
+
+    #[test]
+    fn deadlocked_replicates_are_typed_errors_not_samples() {
+        // The watchdog never fires on the deadlock-free routings, so
+        // plant the flag in one cached replicate.
+        let dir = scratch_cache_dir("cache-deadlock");
+        let sc = quick_scenario().with_replicates(2);
+        let runner = Runner::new().cache(Some(dir.clone()));
+        runner.run(&sc).expect("healthy run fills the cache");
+        let key = point_key(CACHE_SCHEMA, &cache_spec(&sc), 0.004, 1);
+        let victim = dir.join(format!("{key:016x}.json"));
+        let doctored = std::fs::read_to_string(&victim)
+            .unwrap()
+            .replace("\"deadlocked\": false", "\"deadlocked\": true");
+        std::fs::write(&victim, doctored).unwrap();
+        let err = runner
+            .run(&sc)
+            .expect_err("a deadlocked replicate fails the run");
+        assert!(
+            matches!(&err, Error::Deadlock { scenario, rate, replicate: 1 }
+                if scenario == "runner-test" && *rate == 0.004),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -45,12 +45,11 @@ use crate::model::{ModelError, Prediction};
 use crate::multicast::NodeMulticast;
 use crate::options::ModelOptions;
 use crate::rates::ChannelLoads;
-use crate::service::Saturated;
-use noc_queueing::fixed_point::{FixedPointError, FixedPointOutcome};
+use crate::service::{solve_holding, Saturated};
 use noc_queueing::network_calculus::{
     channel_backlog_bound, channel_delay_bound, onoff_burstiness, trace_burstiness,
 };
-use noc_topology::{ChannelId, ChannelKind, NodeId, Path, Topology};
+use noc_topology::{NodeId, Path, Topology};
 use noc_workloads::{TrafficSpec, Workload};
 
 /// Channel loads extended with the aggregate worst-case burst per channel.
@@ -168,32 +167,7 @@ fn solve_bounds(
     msg_len: f64,
     opts: &ModelOptions,
 ) -> Result<ChannelBounds, Saturated> {
-    let net = topo.network();
-    let nch = net.num_channels();
-
-    // Quick screen, identical to the M/G/1 solver: a channel whose raw
-    // rate exceeds the drain rate can never be stable.
-    if let Some((idx, &l)) = nc
-        .loads
-        .lambda
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-    {
-        if l * msg_len >= 1.0 {
-            return Err(Saturated {
-                bottleneck: ChannelId(idx as u32),
-                rho: l * msg_len,
-            });
-        }
-    }
-
-    let is_terminal: Vec<bool> = net
-        .channels()
-        .iter()
-        .map(|c| c.kind == ChannelKind::Ejection || nc.loads.successors[c.id.idx()].is_empty())
-        .collect();
-
+    let lambda = &nc.loads.lambda;
     // Stability and holding times follow the fluid (burst-free) wait
     // `ρ_j·h_j/(1−ρ_j)`: a static burst delays messages but does not
     // change long-run utilisation, so feeding the aggregate burst back
@@ -203,91 +177,28 @@ fn solve_bounds(
     // still dominates the Pollaczek–Khinchine mean (its `(1+cv²)/2`
     // prefactor is ≤ 1 under the paper's variance heuristic), which keeps
     // `bound ≥ M/G/1 mean`.
-    let wait_at = |j: usize, h: f64| -> f64 {
-        channel_delay_bound(0.0, nc.loads.lambda[j], h).unwrap_or(f64::INFINITY)
-    };
-    let delay_at = |j: usize, h: f64| -> f64 {
-        channel_delay_bound(nc.sigma[j], nc.loads.lambda[j], h).unwrap_or(f64::INFINITY)
-    };
-
-    let x0 = vec![msg_len; nch];
-    let result = opts.fixed_point.solve(x0, |x, out| {
-        for i in 0..nch {
-            if is_terminal[i] {
-                out[i] = msg_len;
-                continue;
-            }
-            let li = nc.loads.lambda[i];
-            if li <= 0.0 {
-                out[i] = msg_len;
-                continue;
-            }
-            let mut acc = 0.0;
-            for &(j, rate) in &nc.loads.successors[i] {
-                let j = j.idx();
-                acc += (rate / li) * (wait_at(j, x[j]) + x[j] + 1.0);
-            }
-            out[i] = acc;
-        }
-    });
-
-    match result {
-        Ok((holding, outcome)) => {
-            let iterations = match outcome {
-                FixedPointOutcome::Converged { iterations } => iterations,
-                FixedPointOutcome::MaxIterations { residual } => {
-                    if residual > 1e-3 {
-                        let (idx, rho) = max_rho(&nc.loads.lambda, &holding);
-                        return Err(Saturated {
-                            bottleneck: ChannelId(idx as u32),
-                            rho,
-                        });
-                    }
-                    opts.fixed_point.max_iterations
-                }
-            };
-            let delay: Vec<f64> = (0..nch).map(|j| delay_at(j, holding[j])).collect();
-            let (idx, rho) = max_rho(&nc.loads.lambda, &holding);
-            if rho >= 1.0 || delay.iter().any(|d| !d.is_finite()) {
-                return Err(Saturated {
-                    bottleneck: ChannelId(idx as u32),
-                    rho,
-                });
-            }
-            let backlog = (0..nch)
-                .map(|j| {
-                    channel_backlog_bound(nc.sigma[j], nc.loads.lambda[j], holding[j], msg_len)
-                        .unwrap_or(f64::NAN)
-                })
-                .collect();
-            let rho_v = (0..nch).map(|j| nc.loads.lambda[j] * holding[j]).collect();
-            Ok(ChannelBounds {
-                holding,
-                delay,
-                rho: rho_v,
-                backlog,
-                iterations,
-            })
-        }
-        Err(FixedPointError::Diverged { .. }) => {
-            let (idx, rho) = max_rho(&nc.loads.lambda, &vec![msg_len; nch]);
-            Err(Saturated {
-                bottleneck: ChannelId(idx as u32),
-                rho,
-            })
-        }
+    let held = solve_holding(topo, &nc.loads, msg_len, opts, |hj, _, _, lj| {
+        channel_delay_bound(0.0, lj, hj).unwrap_or(f64::INFINITY)
+    })?;
+    let holding = held.time;
+    let per_channel = || nc.sigma.iter().zip(lambda).zip(&holding);
+    let delay: Vec<f64> = per_channel()
+        .map(|((&s, &l), &h)| channel_delay_bound(s, l, h).unwrap_or(f64::INFINITY))
+        .collect();
+    if delay.iter().any(|d| !d.is_finite()) {
+        return Err(held.bottleneck);
     }
-}
-
-fn max_rho(lambda: &[f64], holding: &[f64]) -> (usize, f64) {
-    let mut best = (0usize, 0.0f64);
-    for i in 0..lambda.len() {
-        let r = lambda[i] * holding[i];
-        if r > best.1 {
-            best = (i, r);
-        }
-    }
-    best
+    let backlog = per_channel()
+        .map(|((&s, &l), &h)| channel_backlog_bound(s, l, h, msg_len).unwrap_or(f64::NAN))
+        .collect();
+    let rho = lambda.iter().zip(&holding).map(|(l, h)| l * h).collect();
+    Ok(ChannelBounds {
+        holding,
+        delay,
+        rho,
+        backlog,
+        iterations: held.iterations,
+    })
 }
 
 /// The network-calculus backend (see the module docs). A unit type: all

@@ -30,9 +30,9 @@
 //!
 //! ## Fidelity knobs
 //!
-//! The printed paper leaves two formulas ambiguous (see DESIGN.md);
-//! [`ModelOptions`] exposes both choices so the ablation benches can
-//! quantify them: the M/G/1 prefactor ([`WaitingFormula`]) and the
+//! The printed paper leaves two formulas ambiguous; [`ModelOptions`]
+//! exposes both choices so the `ablation-correction` exhibit can quantify
+//! them: the M/G/1 prefactor ([`WaitingFormula`]) and the
 //! self-traffic correction factor of Eq. 6 ([`ServiceCorrection`]).
 //!
 //! ## Backends

@@ -11,10 +11,8 @@
 //! W_j = PK(λ_j, x_j, σ_j = x_j − msg)                         (Eq. 3–5)
 //! ```
 //!
-//! On ring-based topologies the successor relation is cyclic, so the system
-//! is solved as a damped fixed point. Divergence of the iteration (some
-//! `ρ_j → 1`) is exactly the saturation horizon of the model and is
-//! reported as such.
+//! The recursion itself is `solve_holding`, shared with the
+//! network-calculus backend; this module supplies the M/G/1 wait term.
 
 use crate::options::ModelOptions;
 use crate::rates::ChannelLoads;
@@ -57,15 +55,46 @@ impl std::fmt::Display for Saturated {
 
 impl std::error::Error for Saturated {}
 
-/// Solve the service recursion for a routed workload.
-pub fn solve(
+/// A converged holding-time recursion (see `solve_holding`).
+pub(crate) struct Holding {
+    /// Per-channel time a message keeps the channel allocated.
+    pub(crate) time: Vec<f64>,
+    /// Fixed-point iterations used.
+    pub(crate) iterations: usize,
+    /// The most utilised channel at the fixed point (`ρ < 1`): what a
+    /// backend reports when its own post-convergence check — a
+    /// non-finite wait or delay — still finds the point unstable.
+    pub(crate) bottleneck: Saturated,
+}
+
+/// The holding-time recursion both analytical backends share:
+///
+/// ```text
+/// x_i = Σ_j P_{i→j} · (wait_term + x_j + 1),   x_terminal = msg
+/// ```
+///
+/// `wait_term(x_j, rate_{i→j}, λ_i, λ_j)` is the only thing that differs:
+/// the self-traffic-corrected M/G/1 wait for the paper's model, the fluid
+/// `ρh/(1−ρ)` wait for the network-calculus bounds. On ring-based
+/// topologies the successor relation is cyclic, so the system is solved
+/// as a damped fixed point; a stalled or diverging iteration, or a fixed
+/// point with some `ρ_j ≥ 1`, is the model's saturation horizon.
+pub(crate) fn solve_holding(
     topo: &dyn Topology,
     loads: &ChannelLoads,
     msg_len: f64,
     opts: &ModelOptions,
-) -> Result<ServiceSolution, Saturated> {
+    wait_term: impl Fn(f64, f64, f64, f64) -> f64,
+) -> Result<Holding, Saturated> {
     let net = topo.network();
     let nc = net.num_channels();
+    let saturated_at = |service: &[f64]| {
+        let (idx, rho) = max_rho(&loads.lambda, service);
+        Saturated {
+            bottleneck: ChannelId(idx as u32),
+            rho,
+        }
+    };
 
     // Quick screen: a channel whose raw rate already exceeds 1/msg can
     // never be stable (its service time is at least the drain time).
@@ -89,23 +118,12 @@ pub fn solve(
         .map(|c| c.kind == ChannelKind::Ejection || loads.successors[c.id.idx()].is_empty())
         .collect();
 
-    let waiting_of = |lambda: f64, x: f64| -> f64 {
-        if lambda <= 0.0 {
-            return 0.0;
-        }
-        MG1::with_paper_sigma(lambda, x, msg_len).waiting(opts.formula)
-    };
-
     let x0 = vec![msg_len; nc];
     let result = opts.fixed_point.solve(x0, |x, out| {
         for i in 0..nc {
-            if is_terminal[i] {
-                out[i] = msg_len;
-                continue;
-            }
             let li = loads.lambda[i];
-            if li <= 0.0 {
-                // Unloaded channel: service defaults to the drain time.
+            if is_terminal[i] || li <= 0.0 {
+                // Terminal or unloaded channel: service is the drain time.
                 out[i] = msg_len;
                 continue;
             }
@@ -113,63 +131,39 @@ pub fn solve(
             for &(j, rate) in &loads.successors[i] {
                 let j = j.idx();
                 let p = rate / li;
-                let lj = loads.lambda[j];
-                let wj = waiting_of(lj, x[j]);
-                let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
-                let corr = opts.correction.factor(frac, p);
-                acc += p * (corr * wj + x[j] + 1.0);
+                acc += p * (wait_term(x[j], rate, li, loads.lambda[j]) + x[j] + 1.0);
             }
             out[i] = acc;
         }
     });
 
     match result {
-        Ok((service, outcome)) => {
+        Ok((time, outcome)) => {
             let iterations = match outcome {
                 FixedPointOutcome::Converged { iterations } => iterations,
-                FixedPointOutcome::MaxIterations { residual } => {
-                    // Treat an unconverged residual as saturation: the
-                    // recursion only stalls when some queue is near its
-                    // stability limit.
-                    if residual > 1e-3 {
-                        let (idx, rho) = max_rho(&loads.lambda, &service);
-                        return Err(Saturated {
-                            bottleneck: ChannelId(idx as u32),
-                            rho,
-                        });
-                    }
-                    opts.fixed_point.max_iterations
+                // Treat an unconverged residual as saturation: the
+                // recursion only stalls when some queue is near its
+                // stability limit.
+                FixedPointOutcome::MaxIterations { residual } if residual > 1e-3 => {
+                    return Err(saturated_at(&time));
                 }
+                FixedPointOutcome::MaxIterations { .. } => opts.fixed_point.max_iterations,
             };
-            let waiting: Vec<f64> = (0..nc)
-                .map(|i| waiting_of(loads.lambda[i], service[i]))
-                .collect();
             // A finite fixed point with an unstable queue is still
-            // saturation (W would be infinite).
-            let (idx, rho) = max_rho(&loads.lambda, &service);
-            if rho >= 1.0 || waiting.iter().any(|w| !w.is_finite()) {
-                return Err(Saturated {
-                    bottleneck: ChannelId(idx as u32),
-                    rho,
-                });
+            // saturation (its wait would be infinite).
+            let bottleneck = saturated_at(&time);
+            if bottleneck.rho >= 1.0 {
+                return Err(bottleneck);
             }
-            let rho_v = (0..nc).map(|i| loads.lambda[i] * service[i]).collect();
-            Ok(ServiceSolution {
-                service,
-                waiting,
-                rho: rho_v,
+            Ok(Holding {
+                time,
                 iterations,
+                bottleneck,
             })
         }
-        Err(FixedPointError::Diverged { .. }) => {
-            // Identify the bottleneck from the raw loads (the diverging
-            // component's own rho may be distorted; report the largest).
-            let (idx, rho) = max_rho(&loads.lambda, &vec![msg_len; nc]);
-            Err(Saturated {
-                bottleneck: ChannelId(idx as u32),
-                rho,
-            })
-        }
+        // Identify the bottleneck from the raw loads (the diverging
+        // component's own rho may be distorted; report the largest).
+        Err(FixedPointError::Diverged { .. }) => Err(saturated_at(&vec![msg_len; nc])),
     }
 }
 
@@ -182,6 +176,47 @@ fn max_rho(lambda: &[f64], service: &[f64]) -> (usize, f64) {
         }
     }
     best
+}
+
+/// Solve the service recursion for a routed workload.
+pub fn solve(
+    topo: &dyn Topology,
+    loads: &ChannelLoads,
+    msg_len: f64,
+    opts: &ModelOptions,
+) -> Result<ServiceSolution, Saturated> {
+    let waiting_of = |lambda: f64, x: f64| -> f64 {
+        if lambda <= 0.0 {
+            return 0.0;
+        }
+        MG1::with_paper_sigma(lambda, x, msg_len).waiting(opts.formula)
+    };
+    let held = solve_holding(topo, loads, msg_len, opts, |xj, rate, li, lj| {
+        let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
+        opts.correction.factor(frac, rate / li) * waiting_of(lj, xj)
+    })?;
+    let service = held.time;
+    let waiting: Vec<f64> = loads
+        .lambda
+        .iter()
+        .zip(&service)
+        .map(|(&l, &x)| waiting_of(l, x))
+        .collect();
+    if waiting.iter().any(|w| !w.is_finite()) {
+        return Err(held.bottleneck);
+    }
+    let rho = loads
+        .lambda
+        .iter()
+        .zip(&service)
+        .map(|(l, x)| l * x)
+        .collect();
+    Ok(ServiceSolution {
+        service,
+        waiting,
+        rho,
+        iterations: held.iterations,
+    })
 }
 
 #[cfg(test)]

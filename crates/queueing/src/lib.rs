@@ -18,8 +18,8 @@
 //! * [`network_calculus`] — deterministic (σ, ρ) arrival envelopes and
 //!   worst-case FIFO delay/backlog bounds (the substrate of the
 //!   distribution-free analytical backend; Farhi & Gaujal lineage).
-//! * [`stats`] — Welford accumulators, batch-means confidence intervals and
-//!   fixed-bin histograms for the simulator.
+//! * [`stats`] — Welford accumulators and batch-means confidence intervals
+//!   for the simulator.
 //! * [`poisson`] — discrete-time Poisson arrival processes for the sources.
 
 #![forbid(unsafe_code)]
@@ -39,4 +39,4 @@ pub use fixed_point::{FixedPoint, FixedPointError, FixedPointOutcome};
 pub use mg1::{WaitingFormula, MG1};
 pub use network_calculus::ArrivalEnvelope;
 pub use poisson::PoissonProcess;
-pub use stats::{BatchMeans, Histogram, Welford};
+pub use stats::{BatchMeans, Welford};

@@ -1,10 +1,10 @@
-//! Simulation statistics: online moments, batch means and histograms.
+//! Simulation statistics: online moments and batch means.
 //!
-//! The simulator reports latency distributions through these accumulators.
+//! The simulator reports latency summaries through these accumulators.
 //! [`Welford`] gives numerically stable online mean/variance; [`BatchMeans`]
 //! wraps it with the classic batch-means method to produce confidence
-//! intervals from autocorrelated steady-state output; [`Histogram`] records
-//! fixed-width bins for latency distribution plots.
+//! intervals from autocorrelated steady-state output. Latency
+//! *distributions* are recorded by `noc-telemetry`'s `LogHistogram`.
 
 use serde::{Deserialize, Serialize};
 
@@ -176,72 +176,6 @@ impl BatchMeans {
     }
 }
 
-/// Fixed-width histogram with an overflow bucket.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct Histogram {
-    bin_width: f64,
-    bins: Vec<u64>,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Histogram covering `[0, bin_width * num_bins)` plus overflow.
-    pub fn new(bin_width: f64, num_bins: usize) -> Self {
-        assert!(bin_width > 0.0 && num_bins > 0);
-        Histogram {
-            bin_width,
-            bins: vec![0; num_bins],
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Record one non-negative observation.
-    pub fn push(&mut self, x: f64) {
-        debug_assert!(x >= 0.0);
-        self.count += 1;
-        let idx = (x / self.bin_width) as usize;
-        if idx < self.bins.len() {
-            self.bins[idx] += 1;
-        } else {
-            self.overflow += 1;
-        }
-    }
-
-    /// Raw bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations above the covered range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Approximate quantile (`q ∈ [0,1]`) from the binned data: returns the
-    /// upper edge of the bin containing the quantile. `NaN` when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64;
-        let mut acc = 0u64;
-        for (i, &c) in self.bins.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return (i + 1) as f64 * self.bin_width;
-            }
-        }
-        f64::INFINITY
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,28 +261,5 @@ mod tests {
             narrow.push(x);
         }
         assert!(narrow.ci95_half_width() < wide.ci95_half_width());
-    }
-
-    #[test]
-    fn histogram_bins_and_quantiles() {
-        let mut h = Histogram::new(10.0, 10);
-        for x in [5.0, 15.0, 15.5, 25.0, 250.0] {
-            h.push(x);
-        }
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[1], 2);
-        assert_eq!(h.bins()[2], 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.count(), 5);
-        // Median falls in the second bin.
-        assert_eq!(h.quantile(0.5), 20.0);
-        // Quantile beyond covered range reports infinity.
-        assert_eq!(h.quantile(1.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn empty_histogram_quantile_is_nan() {
-        let h = Histogram::new(1.0, 4);
-        assert!(h.quantile(0.5).is_nan());
     }
 }

@@ -2,7 +2,7 @@
 //! time-advance policies.
 //!
 //! [`SimEngine`] is the interface the rest of the workspace programs
-//! against — the harness, the figure binaries and the timing tests all
+//! against — the Runner, the `noc-bench` exhibits and the timing tests all
 //! accept `dyn SimEngine`. Behind it sits one generic [`Engine`]: the
 //! shared wormhole kernel (`fabric.rs`) plus a policy deciding which
 //! cycles the kernel simulates. [`crate::Simulator`] is the engine that

@@ -49,8 +49,8 @@
 //! Together the two mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
 //! releases. That is the ~7–16× lever the Fig. 6/7 sweeps need at low
-//! load (`sim.cycle.event_over_cycle.low` on the benchmark ledger,
-//! `BENCH_sim.json`), with the cycle engine retained as the oracle.
+//! load (`sim.cycle.event_over_cycle.low` on the benchmark ledger), with
+//! the cycle engine retained as the oracle.
 
 use crate::engine_api::Engine;
 use crate::fabric::{CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW};

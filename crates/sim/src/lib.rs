@@ -8,8 +8,8 @@
 //! * [`EventSimulator`] (default) — event-driven: skips provably inert
 //!   cycles and jumps between injections, grants and run boundaries.
 //!   About 7–16× faster at the low-load sweep points the Fig. 6/7
-//!   validation protocol spends most of its time on (`BENCH_sim.json`,
-//!   `sim.cycle.event_over_cycle.low` on the benchmark ledger), at parity
+//!   validation protocol spends most of its time on
+//!   (`sim.cycle.event_over_cycle.low` on the benchmark ledger), at parity
 //!   past saturation.
 //! * [`Simulator`] — cycle-stepped reference oracle: simulates every
 //!   cycle and polls every node. Kept deliberately simple; the

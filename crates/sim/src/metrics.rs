@@ -9,12 +9,13 @@
 //! utilization time series are built from the config's
 //! [`noc_telemetry::TelemetrySpec`] and fed through `#[inline]` taps.
 //! When telemetry is off every tap reduces to one branch on a `None` —
-//! the overhead policy the perf smoke gate holds the engines to.
+//! the overhead policy; a leak would show in the benchmark ledger's
+//! `sim.engine.ns_per_move.*` rows, which run with telemetry off.
 
 use crate::config::SimConfig;
 use crate::message::MulticastOp;
 use crate::results::{EngineCounters, LatencyHists, LatencyStats, SimResults};
-use noc_queueing::{BatchMeans, Histogram, Welford};
+use noc_queueing::{BatchMeans, Welford};
 use noc_telemetry::{
     RingSink, TraceEvent, TraceEventKind, TraceMode, TraceSink, UtilSeries, VecSink,
 };
@@ -24,7 +25,6 @@ use noc_telemetry::{
 pub(crate) struct Metrics {
     unicast_lat: BatchMeans,
     multicast_lat: BatchMeans,
-    multicast_hist: Histogram,
     multicast_by_source: Vec<Welford>,
     stream_lat: BatchMeans,
     hists: LatencyHists,
@@ -62,7 +62,6 @@ impl Metrics {
         Metrics {
             unicast_lat: BatchMeans::new(cfg.batch_size),
             multicast_lat: BatchMeans::new(cfg.batch_size),
-            multicast_hist: Histogram::new(4.0, 4096),
             multicast_by_source: vec![Welford::new(); if per_source { nodes } else { 0 }],
             stream_lat: BatchMeans::new(cfg.batch_size),
             hists: LatencyHists::default(),
@@ -133,7 +132,6 @@ impl Metrics {
     pub(crate) fn record_op_delivery(&mut self, op: &MulticastOp) {
         let lat = (op.last_absorb - op.gen) as f64;
         self.multicast_lat.push(lat);
-        self.multicast_hist.push(lat);
         if let Some(w) = self.multicast_by_source.get_mut(op.src.idx()) {
             w.push(lat);
         }
@@ -248,7 +246,6 @@ impl Metrics {
                 .iter()
                 .map(LatencyStats::from_welford)
                 .collect(),
-            multicast_hist: self.multicast_hist.clone(),
             stream: LatencyStats::from_batch_means(&self.stream_lat)
                 .with_quantiles(&self.hists.stream),
             latency_hists: self.hists.clone(),

@@ -1,6 +1,6 @@
 //! Simulation output.
 
-use noc_queueing::{BatchMeans, Histogram, Welford};
+use noc_queueing::{BatchMeans, Welford};
 use noc_telemetry::{LogHistogram, TraceLog, UtilSeries};
 use serde::{Deserialize, Serialize};
 
@@ -132,7 +132,7 @@ pub struct LatencyHists {
 
 /// Engine-internal work counters: how the run's wall-clock was actually
 /// spent, surfaced so engine performance fixes are measurable from the
-/// outside (benches and the CI perf smoke read these, not just timings).
+/// outside (the benchmark ledger reads these, not just timings).
 ///
 /// The counters describe *engine mechanics*, not simulation semantics:
 /// two bit-identical runs may legitimately differ here (the cycle engine
@@ -226,9 +226,6 @@ pub struct SimResults {
     /// Per-source multicast latency (indexed by node), validating the
     /// model's per-node predictions (Eq. 14), not just the average.
     pub multicast_by_source: Vec<LatencyStats>,
-    /// Multicast latency histogram (4-cycle bins) for tail-latency
-    /// comparisons against the model's max-of-exponentials distribution.
-    pub multicast_hist: Histogram,
     /// Per-stream latency (generation → last flit absorbed at the stream's
     /// own final target); diagnostic, not a paper metric.
     pub stream: LatencyStats,
@@ -355,5 +352,40 @@ mod tests {
         let r: ClosedLoopResults = serde::json::from_str(legacy).unwrap();
         assert_eq!(r.requests_retired, 4);
         assert_eq!(r.completion_hist, LogHistogram::new());
+    }
+
+    #[test]
+    fn results_persisted_with_the_fixed_width_histogram_still_parse() {
+        // The shape of a cache entry written while `SimResults` still
+        // carried the fixed-width `multicast_hist`: the extra key is
+        // ignored, every surviving field reads back.
+        let stats = r#"{"mean":20.5,"ci95":0.5,"count":2,"min":18.0,"max":23.0,
+            "p50":18.0,"p95":23.0,"p99":23.0}"#;
+        let hist = r#"{"counts":[0,1,1],"count":2,"sum":3,"min":1,"max":2}"#;
+        let legacy = format!(
+            r#"{{
+            "unicast": {stats}, "multicast": {stats},
+            "multicast_by_source": [{stats}],
+            "multicast_hist": {{"bin_width": 4.0, "bins": [0, 0, 0, 0, 1, 1],
+                                "overflow": 0, "count": 2}},
+            "stream": {stats},
+            "latency_hists": {{"unicast": {hist}, "multicast": {hist}, "stream": {hist}}},
+            "unicast_injected": 2, "unicast_delivered": 2,
+            "multicast_injected": 2, "multicast_delivered": 2,
+            "total_generated": 9, "total_absorbed": 9,
+            "saturated": false, "deadlocked": false,
+            "cycles": 1200, "flit_moves": 340, "peak_backlog": 1,
+            "channel_utilization": [0.25, 0.0],
+            "engine": {{"simulated_cycles": 90, "events_popped": 12, "spans_batched": 3,
+                        "span_cycles": 40, "stall_fixpoints": 5, "span_scans_failed": 1}},
+            "util": null, "trace": null, "closed_loop": null
+        }}"#
+        );
+        let r: SimResults = serde::json::from_str(&legacy).expect("pre-removal entry parses");
+        assert_eq!(r.multicast.mean, 20.5);
+        assert_eq!(r.latency_hists.multicast.count(), 2);
+        assert_eq!((r.cycles, r.flit_moves), (1200, 340));
+        assert_eq!(r.engine.events_popped, 12);
+        assert!(r.complete() && !r.deadlocked);
     }
 }

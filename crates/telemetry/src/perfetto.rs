@@ -15,7 +15,7 @@
 //! the topology), keeping this crate free of topology dependencies.
 //! Events are emitted sorted by timestamp, so a well-formed export is
 //! also monotonic — [`validate_chrome_trace`] checks both properties and
-//! is run by the figure binary and CI on every emitted trace.
+//! is run by the `fig-heatmap` exhibit and CI on every emitted trace.
 
 use crate::trace::{TraceEventKind, TraceLog};
 use serde::Value;

@@ -69,16 +69,16 @@ fn main() -> Result<(), Error> {
             }
             0.5 * (lo + hi)
         };
-        let hist = &sims[0].multicast_hist;
+        let hist = &sims[0].latency_hists.multicast;
         println!(
             "{:>11.0}% {:>11.1} {:>9.1} {:>11.1} {:>9.1} {:>11.1} {:>9.1}",
             frac * 100.0,
             p.model_multicast,
             p.sim_multicast,
             q(0.95),
-            hist.quantile(0.95),
+            hist.p95(),
             q(0.99),
-            hist.quantile(0.99),
+            hist.p99(),
         );
     }
     println!("\nfinding: the means agree within a few percent, but the");
