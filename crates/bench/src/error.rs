@@ -155,9 +155,8 @@ impl From<noc_sim::PlanError> for Error {
             noc_sim::PlanError::Routing(r) => Error::Routing(r),
             noc_sim::PlanError::Traffic(t) => Error::Workload(WorkloadError::Traffic(t)),
             e @ (noc_sim::PlanError::TooFewNodes(_)
-            | noc_sim::PlanError::EmptyMulticastSet { .. }) => {
-                Error::InvalidScenario(e.to_string())
-            }
+            | noc_sim::PlanError::EmptyMulticastSet { .. }
+            | noc_sim::PlanError::TooManyVcs { .. }) => Error::InvalidScenario(e.to_string()),
         }
     }
 }
@@ -202,6 +201,7 @@ mod tests {
             ModelError::NonConcurrentMulticast.into(),
             ModelError::UnsupportedTopology { name: "min".into() }.into(),
             noc_sim::PlanError::EmptyMulticastSet { node: 3 }.into(),
+            noc_sim::PlanError::TooManyVcs { channel: 4, vcs: 9 }.into(),
             noc_sim::PlanError::Routing(RoutingError::SingleInjectionPort {
                 scheme: "multipath",
                 ports: 1,

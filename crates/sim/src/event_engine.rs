@@ -53,7 +53,9 @@
 //! the cycle engine retained as the oracle.
 
 use crate::engine_api::Engine;
-use crate::fabric::{CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW};
+use crate::fabric::{
+    refresh_ready_around, CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW,
+};
 use crate::message::{ActiveMsg, MsgId};
 use crate::results::{EngineCounters, SimResults};
 use crate::schedule::EventQueue;
@@ -348,10 +350,11 @@ impl SkipAhead {
         if ok {
             'channels: for &pc_u in &fabric.active {
                 let pc = pc_u as usize;
-                if self.channel_moved[pc] && fabric.owned_count[pc] == 1 {
+                let owned = fabric.channels[pc].owned.count_ones();
+                if self.channel_moved[pc] && owned == 1 {
                     continue;
                 }
-                if fabric.owned_count[pc] == 0 {
+                if owned == 0 {
                     // Fully released channel: the next select pass must
                     // lazily deactivate it to keep the active-list
                     // permutation (and with it every downstream ordering)
@@ -373,12 +376,7 @@ impl SkipAhead {
                     };
                     let msg = fabric.msgs.get(m, "cv owner");
                     let h = h as usize;
-                    let supply = if h == 0 {
-                        msg.traversed[0] < msg.len
-                    } else {
-                        msg.traversed[h] < msg.traversed[h - 1]
-                    };
-                    if !supply {
+                    if !msg.has_supply(h) {
                         // Starved: stays starved iff the upstream hop is
                         // not streaming (h == 0 starvation means the whole
                         // message already crossed this hop — permanent).
@@ -386,7 +384,7 @@ impl SkipAhead {
                             ok = false;
                             break 'channels;
                         }
-                    } else if h + 1 < msg.path.len() && msg.occupancy(h) >= buffer_depth {
+                    } else if !msg.has_credit(h, buffer_depth) {
                         // Credit-blocked: stays blocked iff the downstream
                         // hop is not draining.
                         if self.in_move_set(fabric, msg, m, h + 1) {
@@ -423,10 +421,14 @@ impl SkipAhead {
     /// Apply `k` exact replays of the current move set in one step: every
     /// moving hop advances `k` flits, time and the watchdog anchor jump to
     /// the span's end. No grants, releases, deliveries or backlog changes
-    /// occur inside a span by construction.
+    /// occur inside a span by construction, but the counters the ready
+    /// masks summarise do move, so the movers and their neighbours are
+    /// refreshed as after a single move — in a pass of their own, since
+    /// mid-update a hop can read ahead of the hop upstream of it.
     fn apply_streaming_span(&mut self, fabric: &mut Fabric<'_>, k: u64) {
         let start = fabric.cycle;
         let measuring = fabric.in_window(start + 1);
+        let buffer_depth = fabric.cfg.buffer_depth;
         for &(m, h) in &fabric.moves {
             let msg = fabric.msgs.get_mut(m, "streaming mover");
             msg.traversed[h as usize] += k as u32;
@@ -434,6 +436,10 @@ impl SkipAhead {
             fabric
                 .metrics
                 .record_flit_moves_bulk(start, channel, k, measuring);
+        }
+        for &(m, h) in &fabric.moves {
+            let msg = fabric.msgs.get(m, "streaming mover");
+            refresh_ready_around(&mut fabric.channels, msg, h as usize, buffer_depth);
         }
         fabric.cycle += k;
         fabric.last_move_cycle = fabric.cycle;

@@ -5,7 +5,8 @@
 //! conventions. The state is a flat set of *channel virtual-channel* (cv)
 //! resources; each cv is either free or owned by one message at one hop
 //! of its path, with a FIFO list of waiting headers — the non-preemptive
-//! FIFO arbitration of the paper's simulator (§4). [`Fabric::step`]
+//! FIFO arbitration of the paper's simulator (§4) — summarised per
+//! physical channel in one four-byte [`ChannelState`]. [`Fabric::step`]
 //! simulates one cycle in four phases:
 //!
 //! 1. **Generation** — every node due this cycle (asked of the driver's
@@ -16,7 +17,19 @@
 //!    the injection channel's waiter queue in creation-time order.
 //! 2. **Selection** — each active physical channel picks at most one of
 //!    its cvs (round-robin) whose owner can move a flit, judged against
-//!    the *previous* cycle's counters (one-cycle credit loop).
+//!    the *previous* cycle's counters (one-cycle credit loop). Selection
+//!    asks no message: it reads the channel's `ready` mask, takes the
+//!    first set bit at or after the round-robin pointer, and touches a
+//!    cv only to copy the chosen owner into the move list. The mask is
+//!    kept current by the phases that change what it summarises. The bit
+//!    of a cv owned by message `m` at hop `h` is
+//!    [`ActiveMsg::can_move`], a function of `m`'s
+//!    `traversed[h − 1 ..= h + 1]` alone, so it is re-derived when a
+//!    move changes one of those counters (application, and the event
+//!    engine's bulk span update — both through
+//!    [`refresh_ready_around`]), set when the cv gets its owner (grants)
+//!    and cleared when it loses it (releases). Nothing else writes a
+//!    counter or an owner, so nothing else can change a verdict.
 //! 3. **Application** — chosen flits traverse, in selection order (the
 //!    order statistics accumulate in); headers entering a buffer request
 //!    the next channel; tails leaving a buffer release channels and
@@ -38,7 +51,7 @@ use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
 use crate::config::SimConfig;
 use crate::engine_api::EngineAudit;
-use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId};
+use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId, NO_MSG};
 use crate::metrics::Metrics;
 use crate::plan::SimPlan;
 use crate::results::{EngineCounters, SimResults};
@@ -55,6 +68,71 @@ use std::sync::Arc;
 /// never trigger; it exists to catch regressions in deadlock avoidance.
 pub(crate) const WATCHDOG_STRIDE: u64 = 1024;
 pub(crate) const WATCHDOG_WINDOW: u64 = 10_000;
+
+/// Everything selection needs to know about one physical channel, in one
+/// word. Bit `vc` of a mask stands for the cv `plan.cv_base[pc] + vc`;
+/// [`SimPlan::build`] rejects channels with more vcs than a mask has bits.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ChannelState {
+    /// Cvs that have an owner.
+    pub(crate) owned: u8,
+    /// Owned cvs whose owner can move a flit ([`ActiveMsg::can_move`] on
+    /// the counters as they stand).
+    ready: u8,
+    /// Round-robin pointer: the vc selection considers first.
+    rr: u8,
+    /// Is the channel on the fabric's `active` list?
+    active: bool,
+}
+
+impl ChannelState {
+    /// The first ready vc at or after the round-robin pointer, wrapping:
+    /// in the mask laid out twice, bit `rr + j` is vc `(rr + j) mod 8`,
+    /// and vcs the channel does not have are never ready, so they are
+    /// stepped over like any blocked one.
+    #[inline]
+    fn pick(self) -> Option<u8> {
+        if self.ready == 0 {
+            return None;
+        }
+        let twice = u32::from(self.ready) | u32::from(self.ready) << 8;
+        Some((self.rr + (twice >> self.rr).trailing_zeros() as u8) & 7)
+    }
+
+    /// Set the ready bit of `vc` to `ready`.
+    #[inline]
+    fn set_ready(&mut self, vc: u8, ready: bool) {
+        self.ready = self.ready & !(1 << vc) | u8::from(ready) << vc;
+    }
+}
+
+/// `msg.traversed[h]` just grew: re-derive the ready bits it feeds — hop
+/// `h` itself, hop `h − 1` (credit) unless the tail has now crossed `h`
+/// and `h − 1` is being released, and hop `h + 1` (supply) once granted.
+/// A granted `h + 1` is still owned: it is released when the tail crosses
+/// `h + 2`, which cannot precede the flit that just crossed `h`. All three
+/// verdicts are read before any is written, so the counters are loaded
+/// once, and the three writes are spelled out: behind a closure they were
+/// outlined, at a quarter of the application phase's time.
+#[inline]
+pub(crate) fn refresh_ready_around(
+    channels: &mut [ChannelState],
+    msg: &ActiveMsg,
+    h: usize,
+    buffer_depth: u32,
+) {
+    let hops = &msg.path.hops[..];
+    let here = msg.can_move(h, buffer_depth);
+    let prev = (h > 0 && msg.traversed[h] < msg.len).then(|| msg.can_move(h - 1, buffer_depth));
+    let next = (h + 1 < msg.head as usize).then(|| msg.can_move(h + 1, buffer_depth));
+    channels[hops[h].channel.idx()].set_ready(hops[h].vc.0, here);
+    if let Some(ready) = prev {
+        channels[hops[h - 1].channel.idx()].set_ready(hops[h - 1].vc.0, ready);
+    }
+    if let Some(ready) = next {
+        channels[hops[h + 1].channel.idx()].set_ready(hops[h + 1].vc.0, ready);
+    }
+}
 
 /// What one simulated cycle did — all a time-advance policy may know
 /// about it.
@@ -113,13 +191,13 @@ pub struct Fabric<'a> {
     // --- dynamic state ---
     pub(crate) cycle: u64,
     pub(crate) cvs: Vec<CvState>,
-    /// Round-robin pointer per physical channel.
-    rr: Vec<u8>,
+    /// Per physical channel: which cvs are owned, which can move, whose
+    /// turn it is.
+    pub(crate) channels: Vec<ChannelState>,
     /// Physical channels with at least one owned cv (lazily deactivated
     /// by selection; its permutation feeds the order statistics are
     /// recorded in).
     pub(crate) active: Vec<u32>,
-    active_flag: Vec<bool>,
     /// Live messages in a dense generation-tagged slab: ids stay `u32`,
     /// stale ids panic with the violated invariant by name.
     pub(crate) msgs: Arena<ActiveMsg>,
@@ -127,8 +205,6 @@ pub struct Fabric<'a> {
     ops: Arena<MulticastOp>,
     ops_allocated: u64,
     ops_completed: u64,
-    /// Owned-cv count per physical channel, maintained on grant/release.
-    pub(crate) owned_count: Vec<u8>,
     /// Per-node arrival streams (traffic-spec driven; Poisson default).
     arrivals: Vec<ArrivalStream>,
     /// Messages waiting at injection channels (backlog).
@@ -169,15 +245,13 @@ impl<'a> Fabric<'a> {
             wl,
             cfg,
             cycle: 0,
-            cvs: vec![CvState::default(); plan.num_cvs],
-            rr: vec![0; channels],
+            cvs: vec![CvState::FREE; plan.num_cvs],
+            channels: vec![ChannelState::default(); channels],
             active: Vec::with_capacity(channels),
-            active_flag: vec![false; channels],
             msgs: Arena::with_capacity(plan.spawn_wave_hint()),
             ops: Arena::with_capacity(plan.num_nodes()),
             ops_allocated: 0,
             ops_completed: 0,
-            owned_count: vec![0; channels],
             arrivals: ArrivalStream::build_all(wl, plan.n, cfg.seed),
             inj_backlog: 0,
             peak_backlog: 0,
@@ -224,15 +298,28 @@ impl<'a> Fabric<'a> {
     // Phase 1: generation.
     // ------------------------------------------------------------------
 
+    /// Append header `id` to the waiter list of `cv` (the cv of hop
+    /// `head` of its path) and have the grant phase look at it.
+    fn request(&mut self, cv: u32, id: MsgId) {
+        let state = &mut self.cvs[cv as usize];
+        if state.wait_tail == NO_MSG {
+            state.wait_head = id;
+        } else {
+            self.msgs
+                .get_mut(state.wait_tail, "last waiter")
+                .next_waiter = id;
+        }
+        state.wait_tail = id;
+        self.regrant.push(cv);
+    }
+
     /// Enqueue a freshly generated message at the head channel of its
     /// path (`node` = the injecting source, for the trace).
     fn enqueue(&mut self, id: MsgId, node: u32) {
         let hop0 = self.msgs.get(id, "freshly enqueued message").path.hops[0];
-        let cv = self.plan.cv_index(hop0);
-        self.cvs[cv as usize].waiters.push_back((id, 0));
+        self.request(self.plan.cv_index(hop0), id);
         self.inj_backlog += 1;
         self.peak_backlog = self.peak_backlog.max(self.inj_backlog);
-        self.regrant.push(cv);
         self.metrics.trace_inject(self.cycle, node);
     }
 
@@ -321,56 +408,37 @@ impl<'a> Fabric<'a> {
     // ------------------------------------------------------------------
 
     /// Phase 2: pick at most one flit move per active physical channel,
-    /// judged on the previous cycle's counters.
+    /// judged on the previous cycle's counters — which is what the
+    /// channel's `ready` mask holds when this runs.
     fn select_moves(&mut self) {
         self.moves.clear();
-        let buffer_depth = self.cfg.buffer_depth;
         let mut i = 0;
         while i < self.active.len() {
             let pc = self.active[i] as usize;
-            let base = self.plan.cv_base[pc];
-            let nv = self.plan.vcs[pc];
-            let mut any_owned = false;
-            let mut chosen: Option<u8> = None;
-            for j in 0..nv {
-                let vc = (self.rr[pc] + j) % nv;
-                let cv = &self.cvs[(base + vc as u32) as usize];
-                let Some((m, h)) = cv.owner else { continue };
-                any_owned = true;
-                if chosen.is_some() {
-                    continue;
-                }
-                let msg = self.msgs.get(m, "cv owner");
-                let h = h as usize;
-                // Supply: the next flit must be available upstream.
-                let supply = if h == 0 {
-                    msg.traversed[0] < msg.len
-                } else {
-                    msg.traversed[h] < msg.traversed[h - 1]
-                };
-                if !supply {
-                    continue;
-                }
-                // Capacity: downstream buffer space as of last cycle.
-                if h + 1 < msg.path.len() && msg.occupancy(h) >= buffer_depth {
-                    continue;
-                }
-                chosen = Some(vc);
-            }
-            if let Some(vc) = chosen {
-                let (m, h) = self.cvs[(base + vc as u32) as usize]
-                    .owner
-                    .expect("selection invariant violated: chosen vc lost its owner mid-cycle");
-                self.moves.push((m, h));
-                self.rr[pc] = (vc + 1) % nv;
-            }
-            if any_owned {
-                i += 1;
-            } else {
+            debug_assert_eq!(
+                (self.channels[pc].owned, self.channels[pc].ready),
+                self.reference_masks(pc)
+                    .expect("every cv owner is a live message"),
+                "channel {pc}: (owned, ready) masks drifted from the cv owners' counters"
+            );
+            let ch = &mut self.channels[pc];
+            if ch.owned == 0 {
                 // Lazy deactivation: no cv of this channel is owned.
-                self.active_flag[pc] = false;
+                ch.active = false;
                 self.active.swap_remove(i);
+                continue;
             }
+            if let Some(vc) = ch.pick() {
+                ch.rr = if vc + 1 == self.plan.vcs[pc] {
+                    0
+                } else {
+                    vc + 1
+                };
+                let owner = self.cvs[(self.plan.cv_base[pc] + vc as u32) as usize].owner;
+                self.moves
+                    .push(owner.expect("ready mask names a cv without an owner"));
+            }
+            i += 1;
         }
     }
 
@@ -379,7 +447,9 @@ impl<'a> Fabric<'a> {
         let cv = self.plan.cv_index(hop);
         debug_assert_eq!(self.cvs[cv as usize].owner, Some((mid, h16)));
         self.cvs[cv as usize].owner = None;
-        self.owned_count[hop.channel.idx()] -= 1;
+        let ch = &mut self.channels[hop.channel.idx()];
+        ch.owned &= !(1 << hop.vc.0);
+        ch.ready &= !(1 << hop.vc.0);
         self.regrant.push(cv);
         self.metrics.trace_release(self.cycle, hop.channel.idx());
     }
@@ -389,6 +459,7 @@ impl<'a> Fabric<'a> {
     fn apply_moves(&mut self, measuring: bool) {
         let now = self.cycle;
         let closed = self.closed.is_some();
+        let buffer_depth = self.cfg.buffer_depth;
         // Taken so the loop body may borrow `self` whole; restored below
         // (selection clears it).
         let moves = std::mem::take(&mut self.moves);
@@ -402,6 +473,7 @@ impl<'a> Fabric<'a> {
             let here = msg.path.hops[h];
             let prev_hop = (h > 0).then(|| msg.path.hops[h - 1]);
             let next_hop = (h + 1 < msg.path.len()).then(|| msg.path.hops[h + 1]);
+            refresh_ready_around(&mut self.channels, msg, h, buffer_depth);
             self.metrics
                 .record_flit_move(now, here.channel.idx(), measuring);
 
@@ -412,11 +484,7 @@ impl<'a> Fabric<'a> {
                     self.inj_backlog -= 1;
                 }
                 if let Some(next) = next_hop {
-                    let cv = self.plan.cv_index(next);
-                    self.cvs[cv as usize]
-                        .waiters
-                        .push_back((mid, (h + 1) as u16));
-                    self.regrant.push(cv);
+                    self.request(self.plan.cv_index(next), mid);
                 }
             }
             if !tail_passed {
@@ -501,23 +569,30 @@ impl<'a> Fabric<'a> {
     /// many new owners were installed.
     fn grant(&mut self) -> usize {
         let mut granted = 0;
+        let buffer_depth = self.cfg.buffer_depth;
         let regrant = std::mem::take(&mut self.regrant);
         for &cv_u in &regrant {
             let cv = &mut self.cvs[cv_u as usize];
-            if cv.owner.is_some() {
+            if cv.owner.is_some() || cv.wait_head == NO_MSG {
                 continue;
             }
-            let Some((m, h)) = cv.waiters.pop_front() else {
-                continue;
-            };
+            let m = cv.wait_head;
+            let msg = self.msgs.get_mut(m, "granted waiter");
+            cv.wait_head = std::mem::replace(&mut msg.next_waiter, NO_MSG);
+            if cv.wait_head == NO_MSG {
+                cv.wait_tail = NO_MSG;
+            }
+            let h = msg.head;
+            msg.head += 1;
             cv.owner = Some((m, h));
             granted += 1;
-            let channel = self.msgs.get(m, "granted waiter").path.hops[h as usize]
-                .channel
-                .idx();
-            self.owned_count[channel] += 1;
-            if !self.active_flag[channel] {
-                self.active_flag[channel] = true;
+            let hop = msg.path.hops[h as usize];
+            let channel = hop.channel.idx();
+            let ch = &mut self.channels[channel];
+            ch.owned |= 1 << hop.vc.0;
+            ch.set_ready(hop.vc.0, msg.can_move(h as usize, buffer_depth));
+            if !ch.active {
+                ch.active = true;
                 self.active.push(channel as u32);
             }
             self.metrics.trace_grant(self.cycle, channel);
@@ -729,44 +804,144 @@ impl<'a> Fabric<'a> {
         ids
     }
 
+    /// The `(owned, ready)` masks of channel `pc` derived from scratch:
+    /// every cv's owner asked whether it can move a flit. The reference
+    /// the incrementally maintained [`ChannelState`] is held to.
+    fn reference_masks(&self, pc: usize) -> Result<(u8, u8), String> {
+        let base = self.plan.cv_base[pc];
+        let (mut owned, mut ready) = (0u8, 0u8);
+        for vc in 0..self.plan.vcs[pc] {
+            let cv = (base + vc as u32) as usize;
+            let Some((m, h)) = self.cvs[cv].owner else {
+                continue;
+            };
+            let msg = self
+                .msgs
+                .try_get(m)
+                .ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
+            owned |= 1 << vc;
+            if msg.can_move(h as usize, self.cfg.buffer_depth) {
+                ready |= 1 << vc;
+            }
+        }
+        Ok((owned, ready))
+    }
+
     /// See [`crate::SimEngine::audit`].
     pub(crate) fn audit(&self) -> Result<EngineAudit, String> {
-        for (pc, &count) in self.owned_count.iter().enumerate() {
-            let base = self.plan.cv_base[pc] as usize;
-            let cvs = &self.cvs[base..base + self.plan.vcs[pc] as usize];
-            let actual = cvs.iter().filter(|cv| cv.owner.is_some()).count();
-            if actual != count as usize {
+        let mut owned_cvs = 0u64;
+        let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
+        for (cv, state) in self.cvs.iter().enumerate() {
+            let Some((m, h)) = state.owner else {
+                continue;
+            };
+            owned_cvs += 1;
+            let msg = self
+                .msgs
+                .try_get(m)
+                .ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
+            let hop = *msg
+                .path
+                .hops
+                .get(h as usize)
+                .ok_or_else(|| format!("cv {cv} owner hop {h} beyond message {m}'s path"))?;
+            if self.plan.cv_index(hop) as usize != cv {
                 return Err(format!(
-                    "channel {pc}: owned-cv count drifted (cached {count}, actual {actual})"
+                    "cv {cv} owned by message {m} at hop {h}, but that hop maps to cv {}",
+                    self.plan.cv_index(hop)
+                ));
+            }
+            if h >= msg.head {
+                return Err(format!(
+                    "cv {cv} owned by message {m} at hop {h}, at or past its head cursor {}",
+                    msg.head
+                ));
+            }
+            if !holders.insert((m, h)) {
+                return Err(format!("message {m} hop {h} owns two cvs"));
+            }
+            // A move selected on a stale verdict leaves its mark here: a
+            // hop ahead of its supply, or a buffer over capacity.
+            let t = &msg.traversed;
+            let supply = if h == 0 { msg.len } else { t[h as usize - 1] };
+            if t[h as usize] > supply || msg.occupancy(h as usize) > self.cfg.buffer_depth {
+                return Err(format!(
+                    "cv {cv}: message {m} moved a flit across hop {h} it could not have \
+                     (of {} flits, {t:?} crossed each hop; buffers hold {})",
+                    msg.len, self.cfg.buffer_depth
                 ));
             }
         }
 
-        let mut owned_cvs = 0u64;
-        let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
+        for (pc, ch) in self.channels.iter().enumerate() {
+            let (owned, ready) = self.reference_masks(pc)?;
+            if (ch.owned, ch.ready) != (owned, ready) {
+                return Err(format!(
+                    "channel {pc}: masks drifted (cached owned {:#010b} ready {:#010b}, \
+                     actual owned {owned:#010b} ready {ready:#010b})",
+                    ch.owned, ch.ready
+                ));
+            }
+            if ch.rr >= self.plan.vcs[pc] {
+                return Err(format!(
+                    "channel {pc}: round-robin pointer {} past its {} vcs",
+                    ch.rr, self.plan.vcs[pc]
+                ));
+            }
+            if owned != 0 && !ch.active {
+                return Err(format!("channel {pc}: owns cvs but is not active"));
+            }
+        }
+        // Every listed channel flagged and as many listed as flagged: the
+        // list is the flagged set, each channel once.
+        let flagged = self.channels.iter().filter(|ch| ch.active).count();
+        let listed = |&pc: &u32| self.channels[pc as usize].active;
+        if flagged != self.active.len() || !self.active.iter().all(listed) {
+            return Err(format!(
+                "the active list ({} channels) and the {flagged} active bits disagree",
+                self.active.len()
+            ));
+        }
+
+        // The leading granted hop is released last (with the message), so
+        // a live message with a non-zero head cursor still owns it.
+        for (m, msg) in self.msgs.iter() {
+            if msg.head > 0 && !holders.contains(&(m, msg.head - 1)) {
+                return Err(format!(
+                    "message {m}: head cursor {} but it does not own hop {}",
+                    msg.head,
+                    msg.head - 1
+                ));
+            }
+        }
+
+        let mut queued: HashSet<MsgId> = HashSet::new();
         for (cv, state) in self.cvs.iter().enumerate() {
-            if let Some((m, h)) = state.owner {
-                owned_cvs += 1;
+            let (mut at, mut last) = (state.wait_head, NO_MSG);
+            while at != NO_MSG {
                 let msg = self
                     .msgs
-                    .try_get(m)
-                    .ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
-                let hop =
-                    *msg.path.hops.get(h as usize).ok_or_else(|| {
-                        format!("cv {cv} owner hop {h} beyond message {m}'s path")
-                    })?;
-                if self.plan.cv_index(hop) as usize != cv {
+                    .try_get(at)
+                    .ok_or_else(|| format!("cv {cv} queues dead message {at}"))?;
+                if !queued.insert(at) {
                     return Err(format!(
-                        "cv {cv} owned by message {m} at hop {h}, but that hop maps to cv {}",
-                        self.plan.cv_index(hop)
+                        "cv {cv}: waiter {at} is queued twice (a cycle, or a second cv's list)"
                     ));
                 }
-                if !holders.insert((m, h)) {
-                    return Err(format!("message {m} hop {h} owns two cvs"));
+                let wanted = msg.path.hops.get(msg.head as usize);
+                if wanted.map(|&hop| self.plan.cv_index(hop) as usize) != Some(cv) {
+                    return Err(format!(
+                        "cv {cv} queues message {at}, whose next hop {} is another cv",
+                        msg.head
+                    ));
                 }
+                (last, at) = (at, msg.next_waiter);
             }
-            if let Some(&(m, _)) = state.waiters.iter().find(|&&(m, _)| !self.msgs.contains(m)) {
-                return Err(format!("cv {cv} queues dead message {m}"));
+            if state.wait_tail != last {
+                return Err(format!(
+                    "cv {cv}: wait_tail {} is not the last waiter {last}",
+                    state.wait_tail
+                ));
             }
         }
 
@@ -803,6 +978,122 @@ impl<'a> Fabric<'a> {
             total_absorbed,
             tagged_outstanding: self.tagged_outstanding,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{SimEngine, Simulator};
+    use noc_topology::Quarc;
+    use noc_workloads::{DestinationSets, Workload};
+
+    /// The reference for [`ChannelState::pick`]: rotate through the
+    /// channel's `nv` vcs from the pointer and take the first ready one.
+    fn rotate_and_scan(ready: u8, rr: u8, nv: u8) -> Option<u8> {
+        (0..nv)
+            .map(|j| (rr + j) % nv)
+            .find(|&vc| ready & (1 << vc) != 0)
+    }
+
+    #[test]
+    fn pick_matches_rotate_and_scan_for_every_mask_pointer_and_width() {
+        for nv in 1..=SimPlan::MAX_VCS {
+            for ready in 0..=(u8::MAX >> (8 - nv)) {
+                for rr in 0..nv {
+                    let ch = ChannelState {
+                        owned: ready,
+                        ready,
+                        rr,
+                        active: true,
+                    };
+                    assert_eq!(
+                        ch.pick(),
+                        rotate_and_scan(ready, rr, nv),
+                        "ready {ready:#010b} rr {rr} nv {nv}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn contending_headers_are_granted_in_arrival_order_across_slot_reuse() {
+        let topo = Quarc::new(16).unwrap();
+        let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
+        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let (src, dst) = (NodeId(0), NodeId(3));
+        let slot = |id: MsgId| id & ((1 << Arena::<ActiveMsg>::INDEX_BITS) - 1);
+
+        // A first message comes and goes, leaving a free arena slot.
+        let gone = sim.inject_unicast_now(src, dst);
+        sim.run_until_complete(gone);
+
+        // Four headers for one injection cv; the first recycles the slot.
+        let mut expected: Vec<MsgId> = (0..4).map(|_| sim.inject_unicast_now(src, dst)).collect();
+        assert_eq!(slot(expected[0]), slot(gone));
+        assert_ne!(expected[0], gone, "a recycled slot issues a fresh id");
+        let inj = sim.fabric.msgs.get(expected[0], "queued").path.hops[0];
+        let cv = sim.fabric.plan.cv_index(inj) as usize;
+
+        let mut granted = Vec::new();
+        let mut late = None;
+        while expected.iter().any(|&id| sim.message_in_flight(id)) {
+            if late.is_none() && !sim.message_in_flight(expected[0]) {
+                // A fifth joins a queue that still holds the third and
+                // fourth, in the slot the first just vacated.
+                assert_ne!(sim.fabric.cvs[cv].wait_head, NO_MSG);
+                let id = sim.inject_unicast_now(src, dst);
+                assert_eq!(slot(id), slot(expected[0]));
+                expected.push(id);
+                late = Some(id);
+            }
+            if let Some((m, 0)) = sim.fabric.cvs[cv].owner {
+                if granted.last() != Some(&m) {
+                    granted.push(m);
+                }
+            }
+            sim.audit().expect("waiter lists stay well formed");
+            sim.step_one();
+        }
+        assert!(late.is_some());
+        assert_eq!(granted, expected, "grants follow arrival order");
+    }
+
+    #[test]
+    fn audit_names_the_channel_cv_or_message_that_drifted() {
+        let topo = Quarc::new(16).unwrap();
+        let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
+        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        // One owner of the injection cv and two headers queued behind it.
+        let ids: Vec<MsgId> = (0..3)
+            .map(|_| sim.inject_unicast_now(NodeId(0), NodeId(3)))
+            .collect();
+        let inj = sim.fabric.msgs.get(ids[0], "owner").path.hops[0];
+        let (pc, cv) = (inj.channel.idx(), sim.fabric.plan.cv_index(inj) as usize);
+        sim.audit().expect("sound before tampering");
+        let fails_with = |sim: &Simulator<'_>, what: &str| {
+            let err = sim.audit().expect_err(what);
+            assert!(err.contains(what), "{err:?} does not mention {what:?}");
+        };
+
+        sim.fabric.channels[pc].ready ^= 1;
+        fails_with(&sim, &format!("channel {pc}: masks drifted"));
+        sim.fabric.channels[pc].ready ^= 1;
+
+        sim.fabric.msgs.get_mut(ids[0], "owner").head += 1;
+        fails_with(&sim, &format!("message {}: head cursor 2", ids[0]));
+        sim.fabric.msgs.get_mut(ids[0], "owner").head -= 1;
+
+        sim.fabric.cvs[cv].wait_tail = ids[1];
+        fails_with(&sim, &format!("cv {cv}: wait_tail {}", ids[1]));
+        sim.fabric.cvs[cv].wait_tail = ids[2];
+
+        sim.fabric.msgs.get_mut(ids[2], "last waiter").next_waiter = ids[1];
+        fails_with(&sim, &format!("cv {cv}: waiter {} is queued twice", ids[1]));
+        sim.fabric.msgs.get_mut(ids[2], "last waiter").next_waiter = NO_MSG;
+
+        sim.audit().expect("sound again once restored");
     }
 }
 

@@ -10,21 +10,45 @@
 //! * the tail has left hop `h−1`'s buffer iff `traversed[h] == len`.
 
 use noc_topology::{NodeId, Path};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Dense message identifier (index into the simulator's slab).
 pub type MsgId = u32;
 
-/// Per-(channel, vc) resource state, shared by both engines: a cv is
-/// either free or owned by one message at one hop of its path, with a
-/// FIFO list of waiting headers (the paper's non-preemptive arbitration).
-#[derive(Clone, Debug, Default)]
+/// "No message": the end of a waiter list. Never a live id — the arena
+/// refuses to grow to the slot index whose low
+/// [`Arena::INDEX_BITS`](crate::Arena::INDEX_BITS) are all ones.
+pub(crate) const NO_MSG: MsgId = u32::MAX;
+
+/// Per-(channel, vc) resource state: a cv is either free or owned by one
+/// message at one hop of its path, and headers that found it taken wait
+/// in arrival order (the paper's non-preemptive FIFO arbitration).
+///
+/// The record holds only the two ends of that queue. The queue itself is
+/// intrusive — each waiting message points at the one behind it through
+/// [`ActiveMsg::next_waiter`] — which works because a header requests one
+/// cv at a time (hop [`ActiveMsg::head`] of its path), so a message sits
+/// in at most one list. Whether the owner can move a flit is not kept
+/// here either: that is one bit of the channel's `ready` mask (see
+/// `fabric.rs`), so selection reads a cv only to copy out the owner it
+/// picked.
+#[derive(Clone, Copy, Debug)]
 pub(crate) struct CvState {
     /// Owning message and the hop index it holds this cv at.
     pub(crate) owner: Option<(MsgId, u16)>,
-    /// Headers waiting for this cv, FIFO.
-    pub(crate) waiters: VecDeque<(MsgId, u16)>,
+    /// First waiting header (next to be granted), or [`NO_MSG`].
+    pub(crate) wait_head: MsgId,
+    /// Last waiting header (where arrivals append), or [`NO_MSG`].
+    pub(crate) wait_tail: MsgId,
+}
+
+impl CvState {
+    /// A free cv nobody waits for.
+    pub(crate) const FREE: CvState = CvState {
+        owner: None,
+        wait_head: NO_MSG,
+        wait_tail: NO_MSG,
+    };
 }
 
 /// Dense multicast-operation identifier.
@@ -82,6 +106,13 @@ pub struct ActiveMsg {
     pub multicast: Option<StreamState>,
     /// Whether this message counts toward the statistics.
     pub tagged: bool,
+    /// Hops granted so far: hops `..head` are or were owned, and hop
+    /// `head` is the one the header requests next (it sits in that cv's
+    /// waiter list from the request until the grant).
+    pub(crate) head: u16,
+    /// The header queued behind this one on the same cv, or [`NO_MSG`]
+    /// (also when this message is not waiting at all).
+    pub(crate) next_waiter: MsgId,
 }
 
 /// Multicast-specific message state.
@@ -106,6 +137,8 @@ impl ActiveMsg {
             traversed: vec![0u32; hops].into_boxed_slice(),
             multicast: None,
             tagged,
+            head: 0,
+            next_waiter: NO_MSG,
         }
     }
 
@@ -118,18 +151,13 @@ impl ActiveMsg {
         op: OpId,
         absorbs: AbsorbSchedule,
     ) -> Self {
-        let hops = path.len();
         ActiveMsg {
-            path,
-            len,
-            gen,
-            traversed: vec![0u32; hops].into_boxed_slice(),
             multicast: Some(StreamState {
                 op,
                 absorbs,
                 next_absorb: 0,
             }),
-            tagged,
+            ..ActiveMsg::unicast(path, len, gen, tagged)
         }
     }
 
@@ -154,6 +182,32 @@ impl ActiveMsg {
         } else {
             0 // ejection buffer drains into the sink instantly
         }
+    }
+
+    /// Supply: is the next flit to cross hop `h` available upstream (at
+    /// the source for hop 0, in hop `h − 1`'s buffer otherwise)?
+    #[inline]
+    pub(crate) fn has_supply(&self, h: usize) -> bool {
+        if h == 0 {
+            self.traversed[0] < self.len
+        } else {
+            self.traversed[h] < self.traversed[h - 1]
+        }
+    }
+
+    /// Credit: does the buffer hop `h` feeds have room, at `buffer_depth`
+    /// flits per buffer?
+    #[inline]
+    pub(crate) fn has_credit(&self, h: usize, buffer_depth: u32) -> bool {
+        self.occupancy(h) < buffer_depth
+    }
+
+    /// Can the owner of hop `h` move a flit across it? A pure function of
+    /// `traversed[h − 1 ..= h + 1]`, so the verdict only changes when one
+    /// of those three counters does.
+    #[inline]
+    pub(crate) fn can_move(&self, h: usize, buffer_depth: u32) -> bool {
+        self.has_supply(h) && self.has_credit(h, buffer_depth)
     }
 }
 

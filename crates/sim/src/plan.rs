@@ -48,6 +48,14 @@ pub enum PlanError {
         /// The offending node index.
         node: usize,
     },
+    /// A physical channel multiplexes more virtual channels than the
+    /// kernel's per-channel masks have bits ([`SimPlan::MAX_VCS`]).
+    TooManyVcs {
+        /// The offending channel index.
+        channel: usize,
+        /// Its virtual-channel count.
+        vcs: u8,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -64,6 +72,11 @@ impl fmt::Display for PlanError {
             PlanError::EmptyMulticastSet { node } => {
                 write!(f, "node {node} has an empty multicast set but alpha > 0")
             }
+            PlanError::TooManyVcs { channel, vcs } => write!(
+                f,
+                "channel {channel} has {vcs} virtual channels, the simulator handles at most {}",
+                SimPlan::MAX_VCS
+            ),
         }
     }
 }
@@ -182,12 +195,18 @@ fn build_streams(topo: &dyn Topology, wl: &Workload, src: NodeId) -> Vec<PreStre
 }
 
 impl SimPlan {
+    /// Most virtual channels one physical channel may multiplex: the
+    /// kernel keeps a channel's owned and ready cvs as one bit each of a
+    /// `u8`.
+    pub const MAX_VCS: u8 = 8;
+
     /// Build the plan for `topo` under `wl`'s destination sets.
     ///
     /// Returns a typed [`PlanError`] if the topology has fewer than two
     /// nodes, if the workload's unicast pattern, traffic spec or routing
-    /// scheme does not fit it, or if `wl` has a positive multicast
-    /// fraction but an empty destination set on some node. (The
+    /// scheme does not fit it, if `wl` has a positive multicast
+    /// fraction but an empty destination set on some node, or if a
+    /// channel has more than [`SimPlan::MAX_VCS`] virtual channels. (The
     /// experiment layer surfaces the same conditions before any plan is
     /// built; the engine constructors panic on them for test ergonomics.)
     pub fn build(topo: &dyn Topology, wl: &Workload) -> Result<Arc<Self>, PlanError> {
@@ -217,6 +236,12 @@ impl SimPlan {
         let mut acc = 0u32;
         for id in 0..net.num_channels() as u32 {
             let v = net.vcs_of(ChannelId(id));
+            if v > Self::MAX_VCS {
+                return Err(PlanError::TooManyVcs {
+                    channel: id as usize,
+                    vcs: v,
+                });
+            }
             cv_base.push(acc);
             vcs.push(v);
             acc += v as u32;
@@ -396,7 +421,7 @@ impl SimPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_topology::{Min, Quarc};
+    use noc_topology::{Channel, Min, MulticastStream, Network, PortId, Quarc};
     use noc_workloads::DestinationSets;
 
     #[test]
@@ -461,6 +486,90 @@ mod tests {
         let err = SimPlan::build(&topo, &wl).unwrap_err();
         assert_eq!(err, PlanError::EmptyMulticastSet { node: 0 });
         assert!(err.to_string().contains("empty multicast set"));
+    }
+
+    /// Two nodes joined by one link each way, every link carrying `vcs`
+    /// virtual channels of which routes use the last.
+    struct Pair {
+        net: Network,
+        vcs: u8,
+    }
+
+    impl Pair {
+        fn new(vcs: u8) -> Self {
+            let (a, b, p) = (NodeId(0), NodeId(1), PortId(0));
+            let channels = vec![
+                Channel::injection(ChannelId(0), a, p, "inj 0"),
+                Channel::injection(ChannelId(1), b, p, "inj 1"),
+                Channel::ejection(ChannelId(2), a, p, "ej 0"),
+                Channel::ejection(ChannelId(3), b, p, "ej 1"),
+                Channel::link(ChannelId(4), a, b, p, vcs, false, "0->1"),
+                Channel::link(ChannelId(5), b, a, p, vcs, false, "1->0"),
+            ];
+            let inj = vec![ChannelId(0), ChannelId(1)];
+            let ej = vec![ChannelId(2), ChannelId(3)];
+            Pair {
+                net: Network::new(2, 1, channels, inj, ej),
+                vcs,
+            }
+        }
+    }
+
+    impl Topology for Pair {
+        fn name(&self) -> &str {
+            "pair"
+        }
+        fn network(&self) -> &Network {
+            &self.net
+        }
+        fn port_for(&self, _: NodeId, _: NodeId) -> PortId {
+            PortId(0)
+        }
+        fn unicast_path(&self, src: NodeId, dst: NodeId) -> Path {
+            let hops = vec![
+                Hop::new(ChannelId(src.0), 0),
+                Hop::new(ChannelId(4 + src.0), self.vcs - 1),
+                Hop::new(ChannelId(2 + dst.0), 0),
+            ];
+            Path {
+                src,
+                dst,
+                port: PortId(0),
+                hops,
+            }
+        }
+        fn quadrant(&self, src: NodeId, _: PortId) -> Vec<NodeId> {
+            vec![NodeId(1 - src.0)]
+        }
+        fn multicast_streams(&self, src: NodeId, targets: &[NodeId]) -> Vec<MulticastStream> {
+            vec![MulticastStream {
+                port: PortId(0),
+                path: self.unicast_path(src, targets[0]),
+                targets: targets.to_vec(),
+            }]
+        }
+        fn diameter(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn plan_rejects_a_channel_with_more_vcs_than_mask_bits() {
+        let sets = DestinationSets::explicit(vec![vec![NodeId(1)], vec![NodeId(0)]]);
+        let wl = Workload::new(4, 0.05, 0.2, sets).unwrap();
+        let err = SimPlan::build(&Pair::new(9), &wl).unwrap_err();
+        assert_eq!(err, PlanError::TooManyVcs { channel: 4, vcs: 9 });
+        assert!(err.to_string().contains("at most 8"), "{err}");
+
+        // One fewer is the widest channel the masks hold: it plans, and a
+        // run on its last vc (the masks' top bit) audits clean.
+        let widest = Pair::new(SimPlan::MAX_VCS);
+        let plan = SimPlan::build(&widest, &wl).expect("8 vcs fit");
+        let cfg = crate::SimConfig::quick(3);
+        let mut sim = crate::EventSimulator::with_plan(&widest, &wl, cfg, plan);
+        let res = sim.run();
+        assert!(res.complete() && res.flit_moves > 0);
+        crate::SimEngine::audit(&sim).expect("post-run audit");
     }
 
     #[test]

@@ -298,3 +298,163 @@ proptest! {
         prop_assert_eq!(mid, ref_mid, "mid-run audits of the two engines");
     }
 }
+
+// ---------------------------------------------------------------------------
+// The kernel's incremental state. Selection reads per-channel `owned` /
+// `ready` masks that application, grants, releases and the event engine's
+// span update keep current; waiting headers are threaded through the
+// messages themselves. `audit` recomputes every mask from the cv owners'
+// counters and walks every waiter list, so auditing a run every few cycles
+// differentially tests the maintenance against the from-scratch verdict
+// (and in debug builds selection asserts the same on every channel it
+// visits, every cycle).
+// ---------------------------------------------------------------------------
+
+const FAMILIES: [&str; 6] = [
+    "quarc-16",
+    "ring-8",
+    "spidergon-8",
+    "mesh-4x4",
+    "torus-4x4",
+    "hypercube-4",
+];
+
+/// `name`'s topology, a random-group workload on it at `load` times the
+/// M/G/1 horizon of its unicast traffic (the one-port Spidergon has no
+/// multicast model), and its plan — `None` when the topology cannot
+/// realize `routing`.
+fn planned(
+    name: &str,
+    routing: RoutingSpec,
+    load: f64,
+    msg_len: u32,
+    seed: u64,
+) -> Option<(Box<dyn Topology>, Workload, std::sync::Arc<SimPlan>)> {
+    use quarc_noc::model::{max_sustainable_rate, ModelOptions};
+    let topo = TopologySpec::parse(name).unwrap().build().unwrap();
+    let sets = DestinationSets::random(topo.as_ref(), 3, seed);
+    let unicast = Workload::new(msg_len, 1e-4, 0.0, sets.clone()).unwrap();
+    let horizon = max_sustainable_rate(topo.as_ref(), &unicast, ModelOptions::default(), 0.01);
+    assert!(horizon > 0.0, "{name}: empty stability horizon");
+    let wl = Workload::new(msg_len, (load * horizon).min(0.9), 0.1, sets)
+        .unwrap()
+        .with_routing(routing);
+    let plan = SimPlan::build(topo.as_ref(), &wl).ok()?;
+    Some((topo, wl, plan))
+}
+
+/// The oracle and the event engine on one plan, in that order.
+fn both_engines<'a>(
+    topo: &'a dyn Topology,
+    wl: &'a Workload,
+    cfg: SimConfig,
+    plan: &std::sync::Arc<SimPlan>,
+) -> [Box<dyn SimEngine + 'a>; 2] {
+    [EngineKind::Cycle, EngineKind::EventDriven].map(|kind| {
+        quarc_noc::sim::build_engine_with_plan(topo, wl, cfg.with_engine(kind), plan.clone())
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn kernel_state_audits_clean_every_few_cycles_on_both_engines(
+        family in 0usize..FAMILIES.len(),
+        routing in 0usize..ALL_ROUTINGS.len(),
+        load_pct in 20u32..=200,
+        buffer_depth in 1u32..=4,
+        every in 1u64..=9,
+        seed in 0u64..10_000,
+    ) {
+        let planned = planned(FAMILIES[family], ALL_ROUTINGS[routing], load_pct as f64 / 100.0, 12, seed);
+        prop_assume!(planned.is_some());
+        let (topo, wl, plan) = planned.unwrap();
+        let mut cfg = SimConfig::quick(seed);
+        cfg.buffer_depth = buffer_depth;
+        let mut engines = both_engines(topo.as_ref(), &wl, cfg, &plan);
+        for cycle in 1..=900u64 {
+            engines.iter_mut().for_each(|e| e.step_one());
+            if cycle % every == 0 {
+                let [oracle, event] = &engines;
+                let a = oracle.audit().map_err(TestCaseError::fail)?;
+                let b = event.audit().map_err(TestCaseError::fail)?;
+                prop_assert_eq!(a, b, "cycle {}", cycle);
+            }
+        }
+        let busy = engines[0].audit().map_err(TestCaseError::fail)?;
+        prop_assert!(busy.total_generated > 0, "the run must carry traffic");
+    }
+
+    #[test]
+    fn kernel_state_audits_clean_after_closed_loop_runs(
+        family in 0usize..FAMILIES.len(),
+        routing in 0usize..ALL_ROUTINGS.len(),
+        buffer_depth in 1u32..=4,
+        window in 1u32..=6,
+        seed in 0u64..10_000,
+    ) {
+        // A protocol only starts inside `run`, so closed-loop runs cannot
+        // be stepped from outside: they are audited at quiescence (and by
+        // selection's own assertion on the way there).
+        let planned = planned(FAMILIES[family], ALL_ROUTINGS[routing], 0.0, 8, seed);
+        prop_assume!(planned.is_some());
+        let (topo, wl, plan) = planned.unwrap();
+        let spec = ClosedLoopSpec::Coherence { window, requests: 12, write_fraction: 0.3 };
+        let mut cfg = SimConfig::quick(seed);
+        cfg.buffer_depth = buffer_depth;
+        let mut audits = Vec::new();
+        for mut sim in both_engines(topo.as_ref(), &wl, cfg, &plan) {
+            sim.install_closed_loop(&spec, seed);
+            let res = sim.run();
+            prop_assert!(res.closed_loop.as_ref().is_some_and(|cl| cl.quiesced));
+            audits.push(sim.audit().map_err(TestCaseError::fail)?);
+        }
+        prop_assert_eq!(audits[0], audits[1]);
+        prop_assert_eq!(audits[0].live_messages, 0);
+    }
+}
+
+#[test]
+fn span_fast_forward_leaves_the_ready_masks_current() {
+    // The event engine's bulk span update moves counters without a
+    // select/apply pass, so it refreshes the movers' ready bits itself.
+    // Low load is where spans are found.
+    for (name, routing) in [
+        ("quarc-16", RoutingSpec::PathBased),
+        ("mesh-4x4", RoutingSpec::DualPath),
+        ("hypercube-4", RoutingSpec::UnicastTree),
+    ] {
+        let (topo, wl, plan) = planned(name, routing, 0.2, 32, 11).expect("realizable");
+        let cfg = SimConfig::quick(11);
+        let mut sim = EventSimulator::with_plan(topo.as_ref(), &wl, cfg, plan);
+        let res = sim.run();
+        assert!(!res.saturated, "{name}: low load");
+        assert!(res.engine.spans_batched > 0, "{name}: no span was batched");
+        sim.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+
+    // And audited with nothing in between. A long message streams
+    // 0 → 3 with a second header queued behind it; a third from node 1
+    // finds the link 1 → 2 taken and fills its injection buffer in a
+    // span of its own, at whose end its verdict flips to blocked. The
+    // messages are untagged, so the run ends with the window — on the
+    // very cycle a span (capped there) stopped at.
+    let topo = Quarc::new(16).unwrap();
+    let wl = Workload::new(600, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
+    let mut cfg = SimConfig::quick(1);
+    (cfg.warmup_cycles, cfg.measure_cycles) = (40, 160);
+    let mut sim = EventSimulator::new(&topo, &wl, cfg);
+    let mut ids = vec![
+        sim.inject_unicast_now(NodeId(0), NodeId(3)),
+        sim.inject_unicast_now(NodeId(0), NodeId(3)),
+    ];
+    (0..6).for_each(|_| sim.step_one());
+    ids.push(sim.inject_unicast_now(NodeId(1), NodeId(3)));
+    let res = sim.run();
+    assert_eq!(res.cycles, 200, "the run ends with the window");
+    assert!(res.engine.spans_batched > 1);
+    assert!(ids.iter().all(|&id| sim.message_in_flight(id)));
+    let audit = sim.audit().expect("kernel state sound right after a span");
+    assert_eq!((audit.live_messages, audit.queued_messages), (3, 1));
+}
