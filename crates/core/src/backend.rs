@@ -26,9 +26,11 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::calculus;
 use crate::model::{AnalyticModel, ModelError, Prediction};
 use crate::options::ModelOptions;
-use crate::saturation::bisect_max_rate;
+use crate::saturation::{bisect_max_rate, bisect_scaled_loads};
+use crate::service;
 use noc_topology::Topology;
 use noc_workloads::Workload;
 
@@ -61,11 +63,17 @@ pub trait ModelBackend: Sync {
     ) -> Result<Prediction, ModelError>;
 
     /// The largest generation rate this backend considers sustainable on
-    /// `topo`, found by exponential search + bisection over
-    /// [`evaluate`](Self::evaluate) outcomes. `proto` supplies everything
-    /// but the rate (message length, multicast fraction, destination
-    /// sets, traffic shape, routing scheme); `tol` is the relative
-    /// precision of the bisection.
+    /// `topo`: the largest rate at which [`evaluate`](Self::evaluate)
+    /// succeeds, found by exponential search + bisection
+    /// ([`bisect_max_rate`]). `proto` supplies everything but the rate
+    /// (message length, multicast fraction, destination sets, traffic
+    /// shape, routing scheme); `tol` is the relative precision of the
+    /// bisection.
+    ///
+    /// The default probes with a full `evaluate` per rate. The built-in
+    /// backends override it with a probe that reaches the same verdict
+    /// from the holding recursion alone, over loads walked once per
+    /// search (see [`crate::saturation`]).
     fn max_sustainable_rate(
         &self,
         topo: &dyn Topology,
@@ -74,9 +82,6 @@ pub trait ModelBackend: Sync {
         tol: f64,
     ) -> f64 {
         bisect_max_rate(tol, |rate| {
-            if rate <= 0.0 {
-                return true;
-            }
             let Ok(wl) = proto.at_rate(rate) else {
                 return false;
             };
@@ -112,6 +117,19 @@ impl ModelBackend for MgOneBackend {
     ) -> Result<Prediction, ModelError> {
         AnalyticModel::new(topo, wl, *opts).evaluate()
     }
+
+    fn max_sustainable_rate(
+        &self,
+        topo: &dyn Topology,
+        proto: &Workload,
+        opts: &ModelOptions,
+        tol: f64,
+    ) -> f64 {
+        let msg = proto.msg_len as f64;
+        bisect_scaled_loads(topo, proto, opts, tol, |loads| {
+            service::solve(topo, loads, msg, opts).is_ok()
+        })
+    }
 }
 
 impl ModelBackend for NetworkCalculusBackend {
@@ -136,6 +154,19 @@ impl ModelBackend for NetworkCalculusBackend {
         opts: &ModelOptions,
     ) -> Result<Prediction, ModelError> {
         self.evaluate_bounds(topo, wl, opts)
+    }
+
+    fn max_sustainable_rate(
+        &self,
+        topo: &dyn Topology,
+        proto: &Workload,
+        opts: &ModelOptions,
+        tol: f64,
+    ) -> f64 {
+        let msg = proto.msg_len as f64;
+        bisect_scaled_loads(topo, proto, opts, tol, |loads| {
+            calculus::stable(topo, loads, msg, opts)
+        })
     }
 }
 

@@ -41,11 +41,11 @@
 //! property tests — and, where simulation exists, `bound ≥ simulated
 //! mean`.
 
-use crate::model::{ModelError, Prediction};
+use crate::model::{check_domain, ModelError, Prediction};
 use crate::multicast::NodeMulticast;
 use crate::options::ModelOptions;
 use crate::rates::ChannelLoads;
-use crate::service::{solve_holding, Saturated};
+use crate::service::{solve_holding, Holding, Saturated};
 use noc_queueing::network_calculus::{
     channel_backlog_bound, channel_delay_bound, onoff_burstiness, trace_burstiness,
 };
@@ -157,8 +157,51 @@ pub struct ChannelBounds {
     pub rho: Vec<f64>,
     /// Worst-case backlog per channel (flits).
     pub backlog: Vec<f64>,
-    /// Fixed-point iterations used by the holding recursion.
+    /// Gauss–Seidel sweeps the holding recursion spent on the slowest
+    /// strongly connected component of the channel-successor graph (1 when
+    /// that graph is acyclic).
     pub iterations: usize,
+}
+
+/// The holding recursion under the fluid (burst-free) wait
+/// `ρ_j·h_j/(1−ρ_j)`: a static burst delays messages but does not
+/// change long-run utilisation, so feeding the aggregate burst back
+/// into the holding recursion would compound it along every path and
+/// collapse the stability horizon to near zero. The burst enters the
+/// per-channel *delay* bound, after convergence. The fluid wait
+/// still dominates the Pollaczek–Khinchine mean (its `(1+cv²)/2`
+/// prefactor is ≤ 1 under the paper's variance heuristic), which keeps
+/// `bound ≥ M/G/1 mean`.
+fn fluid_holding(
+    topo: &dyn Topology,
+    loads: &ChannelLoads,
+    msg_len: f64,
+    opts: &ModelOptions,
+) -> Result<Holding, Saturated> {
+    solve_holding(topo, loads, msg_len, opts, fluid_wait)
+}
+
+/// The calculus wait term of the holding recursion: `ρ_j·h_j/(1−ρ_j)`,
+/// `∞` at the stability limit.
+pub(crate) fn fluid_wait(hj: f64, _rate: f64, _li: f64, lj: f64) -> f64 {
+    channel_delay_bound(0.0, lj, hj).unwrap_or(f64::INFINITY)
+}
+
+/// A saturation probe's verdict on `loads`: the holding recursion
+/// converges and every channel keeps a finite delay bound. That is
+/// `solve_bounds(..).is_ok()` without the bursts — the bound is finite
+/// exactly when `ρ_j` is below the stability limit; a (finite) burst only
+/// shifts it.
+pub(crate) fn stable(
+    topo: &dyn Topology,
+    loads: &ChannelLoads,
+    msg_len: f64,
+    opts: &ModelOptions,
+) -> bool {
+    fluid_holding(topo, loads, msg_len, opts).is_ok_and(|held| {
+        let mut per_channel = loads.lambda.iter().zip(&held.time);
+        per_channel.all(|(&l, &h)| channel_delay_bound(0.0, l, h).is_some())
+    })
 }
 
 fn solve_bounds(
@@ -168,18 +211,7 @@ fn solve_bounds(
     opts: &ModelOptions,
 ) -> Result<ChannelBounds, Saturated> {
     let lambda = &nc.loads.lambda;
-    // Stability and holding times follow the fluid (burst-free) wait
-    // `ρ_j·h_j/(1−ρ_j)`: a static burst delays messages but does not
-    // change long-run utilisation, so feeding the aggregate burst back
-    // into the holding recursion would compound it along every path and
-    // collapse the stability horizon to near zero. The burst enters the
-    // per-channel *delay* bound below, after convergence. The fluid wait
-    // still dominates the Pollaczek–Khinchine mean (its `(1+cv²)/2`
-    // prefactor is ≤ 1 under the paper's variance heuristic), which keeps
-    // `bound ≥ M/G/1 mean`.
-    let held = solve_holding(topo, &nc.loads, msg_len, opts, |hj, _, _, lj| {
-        channel_delay_bound(0.0, lj, hj).unwrap_or(f64::INFINITY)
-    })?;
+    let held = fluid_holding(topo, &nc.loads, msg_len, opts)?;
     let holding = held.time;
     let per_channel = || nc.sigma.iter().zip(lambda).zip(&holding);
     let delay: Vec<f64> = per_channel()
@@ -231,20 +263,7 @@ impl NetworkCalculusBackend {
         wl: &Workload,
         opts: &ModelOptions,
     ) -> Result<Prediction, ModelError> {
-        if topo.network().is_implicit() {
-            // The (σ,ρ) accumulation walks dense per-channel vectors —
-            // out of scope for implicit scale topologies, same boundary
-            // as the M/G/1 backend.
-            return Err(ModelError::UnsupportedTopology {
-                name: topo.name().to_string(),
-            });
-        }
-        if wl.multicast_fraction > 0.0 && !topo.concurrent_multicast() {
-            // One-port topologies serialise multicast through a single
-            // stream table the schemes do not describe — same domain
-            // boundary as the M/G/1 backend.
-            return Err(ModelError::NonConcurrentMulticast);
-        }
+        check_domain(topo, wl)?;
         let msg = wl.msg_len as f64;
         let nc = NcLoads::build(topo, wl, opts);
         let bounds = solve_bounds(topo, &nc, msg, opts)?;

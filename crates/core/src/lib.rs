@@ -17,8 +17,9 @@
 //!    (Eq. 3–5); mean service times satisfy the downstream recursion
 //!    (Eq. 6)
 //!    `x_i = Σ_j P_{i→j}·((1 − corr_{ij})·W_j + x_j + 1)`,
-//!    solved as a damped fixed point over the (cyclic) channel graph.
-//!    Ejection channels serve in `msg` cycles.
+//!    solved over the channel-successor graph: back-substitution where
+//!    it is acyclic, undamped Gauss–Seidel sweeps over its cyclic
+//!    components. Ejection channels serve in `msg` cycles.
 //! 3. **Unicast latency** ([`unicast`]) — Eq. 7:
 //!    `L(s,d) = Σ_l w_l + msg + D`, averaged over all pairs (§2.1).
 //! 4. **Multicast latency** ([`multicast`]) — per source and port, the
@@ -65,3 +66,6 @@ pub use options::{ModelOptions, ServiceCorrection};
 pub use rates::ChannelLoads;
 pub use saturation::{bisect_max_rate, max_sustainable_rate};
 pub use service::ServiceSolution;
+
+#[cfg(test)]
+mod differential;

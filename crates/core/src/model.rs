@@ -53,6 +53,25 @@ impl std::fmt::Display for ModelError {
 
 impl std::error::Error for ModelError {}
 
+/// The rate-independent part of every backend's domain: materialized
+/// channel storage, and concurrent port streams if anything is multicast.
+/// Failing it, no rate is sustainable.
+pub(crate) fn check_domain(topo: &dyn Topology, wl: &Workload) -> Result<(), ModelError> {
+    if topo.network().is_implicit() {
+        // Loads, holding times and bounds are dense per-channel vectors —
+        // out of scope for implicit scale topologies.
+        return Err(ModelError::UnsupportedTopology {
+            name: topo.name().to_string(),
+        });
+    }
+    if wl.multicast_fraction > 0.0 && !topo.concurrent_multicast() {
+        // One-port topologies serialise multicast through a single
+        // stream table the schemes do not describe.
+        return Err(ModelError::NonConcurrentMulticast);
+    }
+    Ok(())
+}
+
 impl From<Saturated> for ModelError {
     fn from(s: Saturated) -> Self {
         ModelError::Saturated {
@@ -74,7 +93,9 @@ pub struct Prediction {
     pub per_node: Vec<NodeMulticast>,
     /// Largest channel utilisation.
     pub max_rho: f64,
-    /// Fixed-point iterations used by the service recursion.
+    /// Gauss–Seidel sweeps the holding recursion spent on the slowest
+    /// strongly connected component of the channel-successor graph (1 when
+    /// that graph is acyclic).
     pub iterations: usize,
 }
 
@@ -113,14 +134,7 @@ impl<'a> AnalyticModel<'a> {
     /// [`ModelError::NonConcurrentMulticast`] for one-port topologies with
     /// a positive multicast fraction.
     pub fn evaluate(&self) -> Result<Prediction, ModelError> {
-        if self.topo.network().is_implicit() {
-            return Err(ModelError::UnsupportedTopology {
-                name: self.topo.name().to_string(),
-            });
-        }
-        if self.wl.multicast_fraction > 0.0 && !self.topo.concurrent_multicast() {
-            return Err(ModelError::NonConcurrentMulticast);
-        }
+        check_domain(self.topo, self.wl)?;
         let msg = self.wl.msg_len as f64;
         let loads = ChannelLoads::build(self.topo, self.wl, &self.opts);
         let sol = service::solve(self.topo, &loads, msg, &self.opts)?;

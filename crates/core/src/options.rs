@@ -52,7 +52,9 @@ pub struct ModelOptions {
     /// ejection channel in lock-step with its input link and never queues,
     /// so the default is `false`; `true` is an ablation.
     pub clone_ejection_load: bool,
-    /// Fixed-point solver settings for the service recursion.
+    /// Fixed-point solver settings for the service recursion: tolerance,
+    /// sweep budget and divergence bound. (Files written when the solver
+    /// still had a `damping` factor parse; the key is ignored.)
     pub fixed_point: FixedPoint,
     /// Which analytical backend evaluates the model and anchors
     /// saturation-relative sweeps ([`crate::backend`]). The default is
@@ -133,7 +135,8 @@ mod tests {
     #[test]
     fn pre_backend_option_files_stay_readable() {
         // Serialized before the backend selector existed: the missing key
-        // must mean the M/G/1 model, not a parse error.
+        // must mean the M/G/1 model, not a parse error. The solver's
+        // `damping` factor of that time is gone; its key is ignored.
         let legacy = r#"{
             "formula": "PollaczekKhinchine",
             "correction": "SelfExcluding",

@@ -62,15 +62,18 @@ impl ChannelLoads {
         }
 
         // Multicast: fixed per-node streams, each at the operation rate.
+        // At zero rate there is nothing to add, and the scheme need not
+        // even be realizable on the topology (the experiment layer
+        // validates it; the library API does not), so no stream is built.
         let mc_rate = wl.multicast_rate();
-        for s in 0..n {
-            let src = NodeId(s as u32);
-            let set = wl.multicast_set(src);
-            if set.is_empty() {
-                continue;
-            }
-            for stream in wl.routing.streams(topo, src, set) {
-                if mc_rate > 0.0 {
+        if mc_rate > 0.0 {
+            for s in 0..n {
+                let src = NodeId(s as u32);
+                let set = wl.multicast_set(src);
+                if set.is_empty() {
+                    continue;
+                }
+                for stream in wl.routing.streams(topo, src, set) {
                     loads.add_path(&stream.path, mc_rate);
                     if opts.clone_ejection_load {
                         // Clones at intermediate targets occupy that node's
@@ -101,6 +104,20 @@ impl ChannelLoads {
             match succ.iter_mut().find(|(c, _)| *c == b) {
                 Some((_, r)) => *r += rate,
                 None => succ.push((b, rate)),
+            }
+        }
+    }
+
+    /// Overwrite `self` — a clone of `base` — with `base` at `k` times its
+    /// generation rate: every load is linear in that rate, so a saturation
+    /// search walks the routes once and rescales per probe.
+    pub(crate) fn assign_scaled(&mut self, base: &ChannelLoads, k: f64) {
+        for (l, b) in self.lambda.iter_mut().zip(&base.lambda) {
+            *l = b * k;
+        }
+        for (succ, base_succ) in self.successors.iter_mut().zip(&base.successors) {
+            for (s, b) in succ.iter_mut().zip(base_succ) {
+                s.1 = b.1 * k;
             }
         }
     }
@@ -251,6 +268,42 @@ mod tests {
                 .map(|(j, _)| loads.p_next(ChannelId(i as u32), *j))
                 .sum();
             assert!((p - 1.0).abs() < 1e-9, "channel {i} P sums to {p}");
+        }
+    }
+
+    #[test]
+    fn zero_multicast_rate_builds_no_streams() {
+        // Dual-path needs two injection ports; the one-port spidergon has
+        // no such streams to build, and asking used to index out of
+        // bounds. With nothing multicast there is nothing to ask.
+        use crate::backend::ALL_BACKENDS;
+        use noc_topology::{RoutingSpec, Spidergon};
+        let topo = Spidergon::new(32).unwrap();
+        let wl = workload(&topo, 2e-4, 0.0).with_routing(RoutingSpec::DualPath);
+        let opts = ModelOptions::default();
+        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        assert!(loads.lambda.iter().any(|&l| l > 0.0));
+        for backend in ALL_BACKENDS {
+            let p = backend.backend().evaluate(&topo, &wl, &opts).unwrap();
+            assert!(p.unicast_latency > 32.0 && p.multicast_latency.is_nan());
+        }
+    }
+
+    #[test]
+    fn scaled_loads_match_loads_built_at_the_scaled_rate() {
+        let topo = Quarc::new(16).unwrap();
+        let opts = ModelOptions::default();
+        let base = ChannelLoads::build(&topo, &workload(&topo, 0.5, 0.1), &opts);
+        let built = ChannelLoads::build(&topo, &workload(&topo, 0.003, 0.1), &opts);
+        let mut scaled = base.clone();
+        scaled.assign_scaled(&base, 0.003 / 0.5);
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
+        for i in 0..built.lambda.len() {
+            assert!(close(scaled.lambda[i], built.lambda[i]));
+            assert_eq!(scaled.successors[i].len(), built.successors[i].len());
+            for (s, b) in scaled.successors[i].iter().zip(&built.successors[i]) {
+                assert!(s.0 == b.0 && close(s.1, b.1));
+            }
         }
     }
 

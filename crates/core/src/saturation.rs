@@ -5,9 +5,19 @@
 //! the model's saturation error — giving every `(N, M, α)` configuration a
 //! natural x-axis range, like the paper's curves which end just before the
 //! latency asymptote.
+//!
+//! A probe only needs a verdict, so the built-in backends do not pay for
+//! an [`evaluate`](ModelBackend::evaluate) per probe: channel loads are
+//! linear in the generation rate, so `bisect_scaled_loads` walks the
+//! routes once per search, rescales `λ` and the successor rates per
+//! probe, and the backend decides the probe by its holding recursion and
+//! its own finiteness check alone — no unicast or multicast latency is
+//! assembled.
 
 use crate::backend::{MgOneBackend, ModelBackend};
+use crate::model::check_domain;
 use crate::options::ModelOptions;
+use crate::rates::ChannelLoads;
 use noc_topology::Topology;
 use noc_workloads::Workload;
 
@@ -31,24 +41,37 @@ pub fn max_sustainable_rate(
 /// The bisection driver shared by every backend: the largest rate in
 /// `(0, 0.999]` satisfying `stable`, within `tol` relative precision.
 ///
-/// `stable` must be monotone (true below some threshold, false above);
-/// rates `<= 0` must report stable. Returns 0.0 if even the smallest
-/// probed rate (`1e-4`) is unstable.
-pub fn bisect_max_rate(tol: f64, stable: impl Fn(f64) -> bool) -> f64 {
-    // Exponential search upward for an unstable bracket.
-    let mut lo = 0.0f64;
+/// `stable` must be monotone (true below some threshold, false above).
+/// The search starts at `1e-4` and doubles upward to an unstable bracket,
+/// or — when `1e-4` is already unstable — halves downward to a stable
+/// one; it returns 0.0 only if nothing down to `1e-9` is stable.
+pub fn bisect_max_rate(tol: f64, mut stable: impl FnMut(f64) -> bool) -> f64 {
+    const FLOOR: f64 = 1e-9;
+    let mut lo;
     let mut hi = 1e-4;
-    while hi < 0.999 && stable(hi) {
-        lo = hi;
-        hi = (hi * 2.0).min(0.999);
+    if stable(hi) {
+        loop {
+            lo = hi;
+            if hi >= 0.999 {
+                return hi; // effectively unsaturable in the probed range
+            }
+            hi = (hi * 2.0).min(0.999);
+            if !stable(hi) {
+                break;
+            }
+        }
+    } else {
+        loop {
+            lo = 0.5 * hi;
+            if lo < FLOOR {
+                return 0.0;
+            }
+            if stable(lo) {
+                break;
+            }
+            hi = lo;
+        }
     }
-    if hi >= 0.999 && stable(hi) {
-        return hi; // effectively unsaturable in the probed range
-    }
-    if lo == 0.0 && !stable(hi) && hi <= 1e-4 {
-        return 0.0;
-    }
-    // Bisection.
     while (hi - lo) > tol * hi.max(1e-12) {
         let mid = 0.5 * (lo + hi);
         if stable(mid) {
@@ -58,6 +81,39 @@ pub fn bisect_max_rate(tol: f64, stable: impl Fn(f64) -> bool) -> f64 {
         }
     }
     lo
+}
+
+/// The built-in backends' saturation search: [`bisect_max_rate`] over the
+/// channel loads of `proto`, walked once at a reference rate and rescaled
+/// per probe; `stable` judges one set of loads. Outside the backends'
+/// rate-independent domain no rate is sustainable, and rates `proto`
+/// cannot be offered at (an on/off source above its peak) are unstable,
+/// as [`Workload::at_rate`] failing always was.
+pub(crate) fn bisect_scaled_loads(
+    topo: &dyn Topology,
+    proto: &Workload,
+    opts: &ModelOptions,
+    tol: f64,
+    stable: impl Fn(&ChannelLoads) -> bool,
+) -> f64 {
+    if check_domain(topo, proto).is_err() {
+        return 0.0;
+    }
+    // A power of two, so `rate / REFERENCE_RATE` is exact.
+    const REFERENCE_RATE: f64 = 0.5;
+    let reference = Workload {
+        gen_rate: REFERENCE_RATE,
+        ..proto.clone()
+    };
+    let base = ChannelLoads::build(topo, &reference, opts);
+    let mut probe = base.clone();
+    bisect_max_rate(tol, |rate| {
+        if proto.check_rate(rate).is_err() {
+            return false;
+        }
+        probe.assign_scaled(&base, rate / REFERENCE_RATE);
+        stable(&probe)
+    })
 }
 
 #[cfg(test)]
@@ -90,6 +146,28 @@ mod tests {
         assert!(AnalyticModel::new(&topo, &wl_bad, ModelOptions::default())
             .evaluate()
             .is_err());
+    }
+
+    #[test]
+    fn bisection_brackets_thresholds_on_either_side_of_its_first_probe() {
+        for threshold in [0.37, 2.3e-3, 1e-4, 3.1e-5, 4.2e-8, 2e-9] {
+            let mut probes = 0;
+            let r = bisect_max_rate(0.01, |rate| {
+                probes += 1;
+                rate <= threshold
+            });
+            assert!(
+                r <= threshold,
+                "{r:e} must be stable (threshold {threshold:e})"
+            );
+            assert!(r > 0.98 * threshold, "{r:e} too far below {threshold:e}");
+            assert!(probes <= 32, "{probes} probes for {threshold:e}");
+        }
+        // Nothing down to the 1e-9 floor is stable: give up with 0.0.
+        assert_eq!(bisect_max_rate(0.01, |rate| rate <= 4e-10), 0.0);
+        assert_eq!(bisect_max_rate(0.01, |_| false), 0.0);
+        // Nothing up to the cap is unstable.
+        assert_eq!(bisect_max_rate(0.01, |_| true), 0.999);
     }
 
     #[test]

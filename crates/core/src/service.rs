@@ -13,10 +13,33 @@
 //!
 //! The recursion itself is `solve_holding`, shared with the
 //! network-calculus backend; this module supplies the M/G/1 wait term.
+//!
+//! ## How it is solved
+//!
+//! `x_i` reads only the successors of `i`, and [`ChannelLoads`] already
+//! holds that graph. `solve_holding` hands it to
+//! [`noc_queueing::fixed_point`]: strongly connected components of the
+//! loaded, non-terminal channels, sinks first; a channel that is not on a
+//! cycle is back-substituted once (a mesh or hypercube under
+//! dimension-ordered routing is one pass over the channels, exactly the
+//! feedforward setting of the network-calculus literature), and only the
+//! cyclic components — the rims of quarc, ring, spidergon and torus — are
+//! swept Gauss–Seidel until their own residual is below the tolerance.
+//!
+//! The sweep is undamped because the system is monotone. Both wait terms
+//! are non-decreasing in `x_j` (P–K and the fluid wait grow with `ρ_j =
+//! λ_j·x_j` and with `x_j` itself), so `F` is non-decreasing; the start
+//! `x₀ = msg` is a sub-solution (`F_i(x₀) ≥ msg + 1` because the `P_{i→j}`
+//! sum to one); hence every in-place update is at least the value it
+//! replaces and the sweeps climb to the *least* fixed point — the one the
+//! model means. Two consequences: a utilisation `ρ_j ≥ 1` seen mid-solve
+//! can only grow, so it is final and reported as saturation at once; and a
+//! component still climbing when the sweep budget runs out has no
+//! certified fixed point, so that is saturation too, never a solution.
 
 use crate::options::ModelOptions;
 use crate::rates::ChannelLoads;
-use noc_queueing::fixed_point::{FixedPointError, FixedPointOutcome};
+use noc_queueing::fixed_point::Components;
 use noc_queueing::mg1::MG1;
 use noc_topology::{ChannelId, ChannelKind, Topology};
 
@@ -29,17 +52,19 @@ pub struct ServiceSolution {
     pub waiting: Vec<f64>,
     /// Utilisation `ρ_j` per channel.
     pub rho: Vec<f64>,
-    /// Fixed-point iterations used.
+    /// Gauss–Seidel sweeps of the slowest strongly connected component
+    /// of the channel-successor graph (1 when the graph is acyclic).
     pub iterations: usize,
 }
 
-/// Saturation: the recursion diverged because some channel load reached
-/// its stability limit.
+/// Saturation: the recursion has no finite solution because some channel
+/// load reached its stability limit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Saturated {
-    /// The most loaded channel when divergence was detected.
+    /// The channel that bound: the most utilised one in the last finite
+    /// iterate (or, from the raw-rate screen, the most loaded one).
     pub bottleneck: ChannelId,
-    /// Its utilisation estimate (lower bound) at that point.
+    /// Its utilisation `ρ = λ·x` there — a lower bound on the true one.
     pub rho: f64,
 }
 
@@ -59,7 +84,7 @@ impl std::error::Error for Saturated {}
 pub(crate) struct Holding {
     /// Per-channel time a message keeps the channel allocated.
     pub(crate) time: Vec<f64>,
-    /// Fixed-point iterations used.
+    /// Sweeps of the slowest component (1 when acyclic).
     pub(crate) iterations: usize,
     /// The most utilised channel at the fixed point (`ρ < 1`): what a
     /// backend reports when its own post-convergence check — a
@@ -75,9 +100,10 @@ pub(crate) struct Holding {
 ///
 /// `wait_term(x_j, rate_{i→j}, λ_i, λ_j)` is the only thing that differs:
 /// the self-traffic-corrected M/G/1 wait for the paper's model, the fluid
-/// `ρh/(1−ρ)` wait for the network-calculus bounds. On ring-based
-/// topologies the successor relation is cyclic, so the system is solved
-/// as a damped fixed point; a stalled or diverging iteration, or a fixed
+/// `ρh/(1−ρ)` wait for the network-calculus bounds. It must be
+/// non-decreasing in `x_j` and may answer `∞` for an unstable queue (see
+/// the module docs for why that makes the undamped component-ordered
+/// solve sound). A diverging or still-climbing component, or a fixed
 /// point with some `ρ_j ≥ 1`, is the model's saturation horizon.
 pub(crate) fn solve_holding(
     topo: &dyn Topology,
@@ -88,13 +114,6 @@ pub(crate) fn solve_holding(
 ) -> Result<Holding, Saturated> {
     let net = topo.network();
     let nc = net.num_channels();
-    let saturated_at = |service: &[f64]| {
-        let (idx, rho) = max_rho(&loads.lambda, service);
-        Saturated {
-            bottleneck: ChannelId(idx as u32),
-            rho,
-        }
-    };
 
     // Quick screen: a channel whose raw rate already exceeds 1/msg can
     // never be stable (its service time is at least the drain time).
@@ -112,62 +131,44 @@ pub(crate) fn solve_holding(
         }
     }
 
-    let is_terminal: Vec<bool> = net
-        .channels()
-        .iter()
-        .map(|c| c.kind == ChannelKind::Ejection || loads.successors[c.id.idx()].is_empty())
-        .collect();
-
-    let x0 = vec![msg_len; nc];
-    let result = opts.fixed_point.solve(x0, |x, out| {
-        for i in 0..nc {
-            let li = loads.lambda[i];
-            if is_terminal[i] || li <= 0.0 {
-                // Terminal or unloaded channel: service is the drain time.
-                out[i] = msg_len;
-                continue;
-            }
-            let mut acc = 0.0;
-            for &(j, rate) in &loads.successors[i] {
-                let j = j.idx();
-                let p = rate / li;
-                acc += p * (wait_term(x[j], rate, li, loads.lambda[j]) + x[j] + 1.0);
-            }
-            out[i] = acc;
-        }
+    // Terminal and unloaded channels serve in the drain time; the rest
+    // are the unknowns.
+    let channels = net.channels();
+    let unknown = |i: usize| {
+        loads.lambda[i] > 0.0
+            && channels[i].kind != ChannelKind::Ejection
+            && !loads.successors[i].is_empty()
+    };
+    let components = Components::new(nc, unknown, |i| {
+        loads.successors[i].iter().map(|&(j, _)| j.idx())
     });
-
-    match result {
-        Ok((time, outcome)) => {
-            let iterations = match outcome {
-                FixedPointOutcome::Converged { iterations } => iterations,
-                // Treat an unconverged residual as saturation: the
-                // recursion only stalls when some queue is near its
-                // stability limit.
-                FixedPointOutcome::MaxIterations { residual } if residual > 1e-3 => {
-                    return Err(saturated_at(&time));
-                }
-                FixedPointOutcome::MaxIterations { .. } => opts.fixed_point.max_iterations,
-            };
-            // A finite fixed point with an unstable queue is still
-            // saturation (its wait would be infinite).
-            let bottleneck = saturated_at(&time);
-            if bottleneck.rho >= 1.0 {
-                return Err(bottleneck);
-            }
-            Ok(Holding {
-                time,
-                iterations,
-                bottleneck,
-            })
+    let mut time = vec![msg_len; nc];
+    // The right-hand side of Eq. 6 at channel `i`.
+    let solved = opts.fixed_point.solve(&components, &mut time, |i, x| {
+        let li = loads.lambda[i];
+        let mut acc = 0.0;
+        for &(j, rate) in &loads.successors[i] {
+            let j = j.idx();
+            acc += (rate / li) * (wait_term(x[j], rate, li, loads.lambda[j]) + x[j] + 1.0);
         }
-        // Identify the bottleneck from the raw loads (the diverging
-        // component's own rho may be distorted; report the largest).
-        Err(FixedPointError::Diverged { .. }) => Err(saturated_at(&vec![msg_len; nc])),
+        acc
+    });
+    // On failure `time` is the last finite iterate, and the channel whose
+    // utilisation reached the limit is its most utilised one.
+    let bottleneck = most_utilised(&loads.lambda, &time);
+    match solved {
+        // A finite fixed point with an unstable queue is still saturation
+        // (its wait would be infinite).
+        Ok(iterations) if bottleneck.rho < 1.0 => Ok(Holding {
+            time,
+            iterations,
+            bottleneck,
+        }),
+        _ => Err(bottleneck),
     }
 }
 
-fn max_rho(lambda: &[f64], service: &[f64]) -> (usize, f64) {
+fn most_utilised(lambda: &[f64], service: &[f64]) -> Saturated {
     let mut best = (0usize, 0.0f64);
     for i in 0..lambda.len() {
         let r = lambda[i] * service[i];
@@ -175,7 +176,31 @@ fn max_rho(lambda: &[f64], service: &[f64]) -> (usize, f64) {
             best = (i, r);
         }
     }
-    best
+    Saturated {
+        bottleneck: ChannelId(best.0 as u32),
+        rho: best.1,
+    }
+}
+
+/// The M/G/1 wait `W` (Eq. 3–5) of a channel with arrival rate `lambda`
+/// and mean service time `x`.
+fn mg1_wait(lambda: f64, x: f64, msg_len: f64, opts: &ModelOptions) -> f64 {
+    if lambda <= 0.0 {
+        return 0.0;
+    }
+    MG1::with_paper_sigma(lambda, x, msg_len).waiting(opts.formula)
+}
+
+/// The paper's wait term of Eq. 6: `W_j` discounted by the self-traffic
+/// correction.
+pub(crate) fn corrected_mg1_wait(
+    msg_len: f64,
+    opts: &ModelOptions,
+) -> impl Fn(f64, f64, f64, f64) -> f64 + '_ {
+    move |xj, rate, li, lj| {
+        let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
+        opts.correction.factor(frac, rate / li) * mg1_wait(lj, xj, msg_len, opts)
+    }
 }
 
 /// Solve the service recursion for a routed workload.
@@ -185,22 +210,19 @@ pub fn solve(
     msg_len: f64,
     opts: &ModelOptions,
 ) -> Result<ServiceSolution, Saturated> {
-    let waiting_of = |lambda: f64, x: f64| -> f64 {
-        if lambda <= 0.0 {
-            return 0.0;
-        }
-        MG1::with_paper_sigma(lambda, x, msg_len).waiting(opts.formula)
-    };
-    let held = solve_holding(topo, loads, msg_len, opts, |xj, rate, li, lj| {
-        let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
-        opts.correction.factor(frac, rate / li) * waiting_of(lj, xj)
-    })?;
+    let held = solve_holding(
+        topo,
+        loads,
+        msg_len,
+        opts,
+        corrected_mg1_wait(msg_len, opts),
+    )?;
     let service = held.time;
     let waiting: Vec<f64> = loads
         .lambda
         .iter()
         .zip(&service)
-        .map(|(&l, &x)| waiting_of(l, x))
+        .map(|(&l, &x)| mg1_wait(l, x, msg_len, opts))
         .collect();
     if waiting.iter().any(|w| !w.is_finite()) {
         return Err(held.bottleneck);

@@ -13,8 +13,9 @@
 //! * [`distribution`] — the full distribution of the maximum (CDF,
 //!   quantiles, sampling): the paper derives only the expectation; the
 //!   distribution enables tail-latency (p95/p99) predictions.
-//! * [`fixed_point`] — a damped fixed-point driver with divergence
-//!   detection, used by the per-channel service-time recursion (Eq. 6).
+//! * [`fixed_point`] — component-ordered Gauss–Seidel for monotone fixed
+//!   points over a sparse dependency graph, with divergence detection,
+//!   used by the per-channel service-time recursion (Eq. 6).
 //! * [`network_calculus`] — deterministic (σ, ρ) arrival envelopes and
 //!   worst-case FIFO delay/backlog bounds (the substrate of the
 //!   distribution-free analytical backend; Farhi & Gaujal lineage).
@@ -35,7 +36,7 @@ pub mod stats;
 
 pub use distribution::MaxOfExponentials;
 pub use expmax::{expected_max_exponentials, expected_max_recursive, expected_min_exponentials};
-pub use fixed_point::{FixedPoint, FixedPointError, FixedPointOutcome};
+pub use fixed_point::{Components, FixedPoint, FixedPointError};
 pub use mg1::{WaitingFormula, MG1};
 pub use network_calculus::ArrivalEnvelope;
 pub use poisson::PoissonProcess;

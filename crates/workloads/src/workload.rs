@@ -87,16 +87,7 @@ impl Workload {
         multicast_fraction: f64,
         sets: DestinationSets,
     ) -> Result<Self, WorkloadError> {
-        if msg_len == 0 {
-            return Err(WorkloadError::ZeroLengthMessage);
-        }
-        if !gen_rate.is_finite() || !(0.0..1.0).contains(&gen_rate) {
-            return Err(WorkloadError::InvalidRate(gen_rate));
-        }
-        if !multicast_fraction.is_finite() || !(0.0..=1.0).contains(&multicast_fraction) {
-            return Err(WorkloadError::InvalidFraction(multicast_fraction));
-        }
-        Ok(Workload {
+        let wl = Workload {
             msg_len,
             gen_rate,
             multicast_fraction,
@@ -104,7 +95,9 @@ impl Workload {
             unicast_pattern: UnicastPattern::Uniform,
             traffic: TrafficSpec::Geometric,
             routing: RoutingSpec::PathBased,
-        })
+        };
+        wl.check_rate(gen_rate)?;
+        Ok(wl)
     }
 
     /// Replace the unicast destination pattern (builder style).
@@ -152,16 +145,29 @@ impl Workload {
     /// rate sweeps of Fig. 6–7). Rejects rates the arrival process cannot
     /// realize (an on/off source cannot average more than its peak rate).
     pub fn at_rate(&self, gen_rate: f64) -> Result<Self, WorkloadError> {
-        self.traffic.validate(self.sets.num_nodes(), gen_rate)?;
-        Ok(Workload::new(
-            self.msg_len,
+        self.check_rate(gen_rate)?;
+        Ok(Workload {
             gen_rate,
-            self.multicast_fraction,
-            self.sets.clone(),
-        )?
-        .with_unicast_pattern(self.unicast_pattern)
-        .with_traffic(self.traffic.clone())
-        .with_routing(self.routing))
+            ..self.clone()
+        })
+    }
+
+    /// Whether [`at_rate`](Self::at_rate) would accept `gen_rate`, without
+    /// building the copy — a saturation search asks this of every rate it
+    /// probes.
+    pub fn check_rate(&self, gen_rate: f64) -> Result<(), WorkloadError> {
+        self.traffic.validate(self.sets.num_nodes(), gen_rate)?;
+        if self.msg_len == 0 {
+            return Err(WorkloadError::ZeroLengthMessage);
+        }
+        if !gen_rate.is_finite() || !(0.0..1.0).contains(&gen_rate) {
+            return Err(WorkloadError::InvalidRate(gen_rate));
+        }
+        let alpha = self.multicast_fraction;
+        if !alpha.is_finite() || !(0.0..=1.0).contains(&alpha) {
+            return Err(WorkloadError::InvalidFraction(alpha));
+        }
+        Ok(())
     }
 
     /// The multicast destination set of `node`.
