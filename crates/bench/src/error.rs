@@ -144,7 +144,10 @@ impl From<SweepError> for Error {
 
 impl From<ModelError> for Error {
     fn from(e: ModelError) -> Self {
-        Error::Model(e)
+        match e {
+            ModelError::Pattern(p) => Error::Pattern(p),
+            e => Error::Model(e),
+        }
     }
 }
 
@@ -200,6 +203,11 @@ mod tests {
             SweepError::TooFewPoints(1).into(),
             ModelError::NonConcurrentMulticast.into(),
             ModelError::UnsupportedTopology { name: "min".into() }.into(),
+            ModelError::Pattern(PatternError::RequiresSquare {
+                pattern: "transpose",
+                n: 12,
+            })
+            .into(),
             noc_sim::PlanError::EmptyMulticastSet { node: 3 }.into(),
             noc_sim::PlanError::TooManyVcs { channel: 4, vcs: 9 }.into(),
             noc_sim::PlanError::Routing(RoutingError::SingleInjectionPort {

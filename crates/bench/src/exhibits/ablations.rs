@@ -125,17 +125,7 @@ fn ports_on(
         let pred = AnalyticModel::new(topo.as_ref(), &wl, mo).evaluate();
         let loads = ChannelLoads::build(topo.as_ref(), &wl, &mo);
         let heuristic = service::solve(topo.as_ref(), &loads, wl.msg_len as f64, &mo)
-            .map(|sol| {
-                largest_subset_latency(
-                    topo.as_ref(),
-                    wl.routing,
-                    wl.msg_len as f64,
-                    &|n| wl.multicast_set(n),
-                    &loads,
-                    &sol,
-                    &mo,
-                )
-            })
+            .map(|sol| largest_subset_latency(topo.as_ref(), &wl, &loads, &sol, &mo))
             .unwrap_or(f64::NAN);
         let (emax, ports) = match &pred {
             Ok(pred) => (

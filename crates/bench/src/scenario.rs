@@ -302,10 +302,22 @@ impl SweepSpec {
                     topo.name()
                 )));
             };
-            Ok(anchor
-                .backend()
-                .max_sustainable_rate(topo, proto, &model, SATURATION_TOL)
-                .max(1e-5))
+            let backend = anchor.backend();
+            let horizon = backend.max_sustainable_rate(topo, proto, &model, SATURATION_TOL);
+            if horizon > 0.0 {
+                return Ok(horizon);
+            }
+            // No rate is in the backend's domain (e.g. multicast on a
+            // one-port topology): it says why at the prototype rate.
+            let reason = match backend.evaluate(topo, proto, &model) {
+                Err(e) => e.to_string(),
+                Ok(_) => "no rate down to 1e-9 is sustainable".to_string(),
+            };
+            Err(Error::InvalidScenario(format!(
+                "saturation-relative sweeps need a sustainable rate to anchor \
+                 on, and the '{anchor}' backend finds none ({reason}); use \
+                 explicit rates instead"
+            )))
         };
         let sweep = match self {
             SweepSpec::Explicit { rates } => RateSweep::explicit(rates.clone())?,
@@ -914,6 +926,32 @@ mod tests {
         .unwrap();
         assert_eq!(fracs.len(), 2);
         assert!((fracs.rates()[1] / fracs.rates()[0] - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn an_empty_horizon_is_an_error_not_an_anchor() {
+        // Multicast on the one-port spidergon is outside both backends'
+        // domain at every rate: there is nothing to place "90 % of
+        // saturation" against (this used to resolve against 1e-5).
+        let topo = TopologySpec::Spidergon { n: 16 }.build().unwrap();
+        let workload = WorkloadSpec::new(32, 0.05, MulticastPattern::Random { group: 4 });
+        let proto = workload.prototype(topo.as_ref(), 42).unwrap();
+        let err = SweepSpec::figure_default(4)
+            .resolve(topo.as_ref(), &proto, ModelOptions::default())
+            .unwrap_err();
+        match err {
+            Error::InvalidScenario(msg) => {
+                assert!(msg.contains("'mg1'"), "{msg}");
+                assert!(msg.contains("concurrent port streams"), "{msg}");
+            }
+            other => panic!("expected Error::InvalidScenario, got {other:?}"),
+        }
+        // With nothing multicast the same topology anchors fine.
+        let unicast = WorkloadSpec::new(32, 0.0, MulticastPattern::Random { group: 4 });
+        let proto = unicast.prototype(topo.as_ref(), 42).unwrap();
+        let sweep =
+            SweepSpec::figure_default(4).resolve(topo.as_ref(), &proto, ModelOptions::default());
+        assert!(sweep.unwrap().rates()[0] > 1e-5);
     }
 
     #[test]

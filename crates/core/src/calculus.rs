@@ -8,17 +8,18 @@
 //! working with deterministic (σ, ρ) arrival envelopes instead of
 //! distributions (Farhi & Gaujal, arXiv 1007.4853 lineage):
 //!
-//! 1. **Flow envelopes** — every source's message process gets a
-//!    token-bucket envelope: `σ = 1` for the geometric source, the
-//!    mean-burst envelope for on/off sources, and the *exact* empirical
-//!    envelope for trace replay ([`noc_queueing::network_calculus`]).
-//! 2. **Per-channel aggregation** — the same deterministic route walks as
-//!    [`ChannelLoads`] accumulate, per channel, the aggregate burst `σ_j`
-//!    (flits) with a per-source *multiplicity*: one multicast operation
-//!    places one message per stream crossing the channel, which is exactly
-//!    the shared-prefix co-arrival (`Multipath`) and injection-port
+//! 1. **Flow envelopes and their aggregation** — every source's message
+//!    process gets a token-bucket envelope: `σ = 1` for the geometric
+//!    source, the mean-burst envelope for on/off sources, and the *exact*
+//!    empirical envelope for trace replay
+//!    ([`noc_queueing::network_calculus`]). The route walk
+//!    ([`ChannelLoads::build`], the same one the M/G/1 model takes) sums
+//!    them per channel into the aggregate burst `σ_j` (flits) with a
+//!    per-source *multiplicity*: one multicast operation places one
+//!    message per stream crossing the channel, which is exactly the
+//!    shared-prefix co-arrival (`Multipath`) and injection-port
 //!    serialisation (`UnicastTree`) that the M/G/1 model cannot see.
-//! 3. **Holding-time recursion** — the worst-case time a channel stays
+//! 2. **Holding-time recursion** — the worst-case time a channel stays
 //!    allocated to one message mirrors the shape of Eq. 6 with the mean
 //!    M/G/1 wait replaced by the fluid wait `w_j = ρ_j·h_j/(1 − ρ_j)`
 //!    (`ρ_j = λ_j·h_j`) and no self-traffic discount:
@@ -27,12 +28,13 @@
 //!    saturation horizon of the backend; bursts do not enter it — a
 //!    static burst delays messages without changing long-run
 //!    utilisation.
-//! 4. **Path/operation bounds** — after convergence each channel gets the
-//!    FIFO delay bound `D_j = (σ_j + ρ_j·h_j)/(1 − ρ_j)`; a header's
-//!    end-to-end wait is bounded by the sum of `D` over its path, a
-//!    multicast operation by the *sum* over its streams (sound even when
-//!    streams serialise or share links), plus the deterministic
-//!    `msg + hops` pipeline term.
+//! 3. **Path/operation bounds** — after convergence each channel gets the
+//!    FIFO delay bound `D_j = (σ_j + ρ_j·h_j)/(1 − ρ_j)`, and the shared
+//!    assembler (`model::assemble`) folds it the way it folds the M/G/1
+//!    waits: a header's end-to-end wait is bounded by the sum of `D` over
+//!    its path, a multicast operation by the *sum* over its streams
+//!    (sound even when streams serialise or share links), plus the
+//!    deterministic `msg + hops` pipeline term.
 //!
 //! Every per-channel bound dominates the corresponding M/G/1 mean
 //! (`D_j ≥ ρ_j h_j/(1−ρ_j) ≥ W_j`, uncorrected sums ≥ corrected sums,
@@ -41,110 +43,13 @@
 //! property tests — and, where simulation exists, `bound ≥ simulated
 //! mean`.
 
-use crate::model::{check_domain, ModelError, Prediction};
-use crate::multicast::NodeMulticast;
+use crate::model::{assemble, check_domain, ModelError, Prediction};
 use crate::options::ModelOptions;
 use crate::rates::ChannelLoads;
 use crate::service::{solve_holding, Holding, Saturated};
-use noc_queueing::network_calculus::{
-    channel_backlog_bound, channel_delay_bound, onoff_burstiness, trace_burstiness,
-};
-use noc_topology::{NodeId, Path, Topology};
-use noc_workloads::{TrafficSpec, Workload};
-
-/// Channel loads extended with the aggregate worst-case burst per channel.
-#[derive(Clone, Debug)]
-pub(crate) struct NcLoads {
-    pub(crate) loads: ChannelLoads,
-    /// Aggregate burst `σ_j` per channel, in flits.
-    pub(crate) sigma: Vec<f64>,
-}
-
-impl NcLoads {
-    pub(crate) fn build(topo: &dyn Topology, wl: &Workload, opts: &ModelOptions) -> Self {
-        let loads = ChannelLoads::build(topo, wl, opts);
-        let net = topo.network();
-        let nch = net.num_channels();
-        let n = net.num_nodes();
-        let msg = wl.msg_len as f64;
-
-        // Per-source message-burst envelopes (messages per burst).
-        let sigma_src: Vec<f64> = match &wl.traffic {
-            TrafficSpec::Geometric => vec![1.0; n],
-            TrafficSpec::OnOff {
-                burst_len,
-                peak_rate,
-            } => vec![onoff_burstiness(*burst_len, *peak_rate, wl.gen_rate); n],
-            TrafficSpec::Trace { entries } => {
-                let mut cycles: Vec<Vec<u64>> = vec![Vec::new(); n];
-                for e in entries.iter() {
-                    if (e.node as usize) < n {
-                        cycles[e.node as usize].push(e.cycle);
-                    }
-                }
-                cycles
-                    .iter()
-                    .map(|c| trace_burstiness(c, wl.gen_rate))
-                    .collect()
-            }
-        };
-
-        // Aggregate burst per channel, by source: a burst of σ_src
-        // messages can worst-case all take routes crossing channel j, and
-        // each message contributes `mult` appearances there — 1 for a
-        // unicast (one path per operation), the number of streams crossing
-        // j for a multicast (streams of one operation share prefix links
-        // under multipath and the injection port under the unicast
-        // baseline). Mixed classes take the larger multiplicity.
-        let uni_rate = wl.unicast_rate();
-        let mc_rate = wl.multicast_rate();
-        let mut sigma = vec![0.0; nch];
-        let mut mc_mult = vec![0u32; nch];
-        let mut uni_cross = vec![false; nch];
-        let mut touched: Vec<usize> = Vec::new();
-        for (s, &sig_src) in sigma_src.iter().enumerate() {
-            let src = NodeId(s as u32);
-            if uni_rate > 0.0 {
-                for d in 0..n {
-                    if s == d {
-                        continue;
-                    }
-                    let dst = NodeId(d as u32);
-                    if wl.unicast_pattern.weight(n, src, dst) <= 0.0 {
-                        continue;
-                    }
-                    for c in topo.unicast_path(src, dst).channels() {
-                        if !uni_cross[c.idx()] {
-                            uni_cross[c.idx()] = true;
-                            touched.push(c.idx());
-                        }
-                    }
-                }
-            }
-            if mc_rate > 0.0 {
-                let set = wl.multicast_set(src);
-                if !set.is_empty() {
-                    for stream in wl.routing.streams(topo, src, set) {
-                        for c in stream.path.channels() {
-                            if mc_mult[c.idx()] == 0 && !uni_cross[c.idx()] {
-                                touched.push(c.idx());
-                            }
-                            mc_mult[c.idx()] += 1;
-                        }
-                    }
-                }
-            }
-            for &i in &touched {
-                let mult = mc_mult[i].max(uni_cross[i] as u32) as f64;
-                sigma[i] += sig_src * mult * msg;
-                mc_mult[i] = 0;
-                uni_cross[i] = false;
-            }
-            touched.clear();
-        }
-        NcLoads { loads, sigma }
-    }
-}
+use noc_queueing::network_calculus::{channel_backlog_bound, channel_delay_bound};
+use noc_topology::Topology;
+use noc_workloads::Workload;
 
 /// Converged per-channel worst-case quantities (diagnostics / tests).
 #[derive(Clone, Debug)]
@@ -206,14 +111,14 @@ pub(crate) fn stable(
 
 fn solve_bounds(
     topo: &dyn Topology,
-    nc: &NcLoads,
+    loads: &ChannelLoads,
     msg_len: f64,
     opts: &ModelOptions,
 ) -> Result<ChannelBounds, Saturated> {
-    let lambda = &nc.loads.lambda;
-    let held = fluid_holding(topo, &nc.loads, msg_len, opts)?;
+    let lambda = &loads.lambda;
+    let held = fluid_holding(topo, loads, msg_len, opts)?;
     let holding = held.time;
-    let per_channel = || nc.sigma.iter().zip(lambda).zip(&holding);
+    let per_channel = || loads.sigma.iter().zip(lambda).zip(&holding);
     let delay: Vec<f64> = per_channel()
         .map(|((&s, &l), &h)| channel_delay_bound(s, l, h).unwrap_or(f64::INFINITY))
         .collect();
@@ -248,15 +153,17 @@ impl NetworkCalculusBackend {
         wl: &Workload,
         opts: &ModelOptions,
     ) -> Result<ChannelBounds, ModelError> {
-        if topo.network().is_implicit() {
-            return Err(ModelError::UnsupportedTopology {
-                name: topo.name().to_string(),
-            });
-        }
-        let nc = NcLoads::build(topo, wl, opts);
-        Ok(solve_bounds(topo, &nc, wl.msg_len as f64, opts)?)
+        check_domain(topo, wl)?;
+        let loads = ChannelLoads::build(topo, wl, opts);
+        Ok(solve_bounds(topo, &loads, wl.msg_len as f64, opts)?)
     }
 
+    /// Step 3 of the module docs through the shared assembler: `D_j` in
+    /// full at every hop (bounds take no mean-value correction), and per
+    /// node the *sum* of the per-stream bounds — it dominates the maximum
+    /// and stays sound when streams serialise at a shared port or
+    /// co-travel a shared prefix, the regimes the E[max]-of-exponentials
+    /// model excludes.
     pub(crate) fn evaluate_bounds(
         &self,
         topo: &dyn Topology,
@@ -264,80 +171,17 @@ impl NetworkCalculusBackend {
         opts: &ModelOptions,
     ) -> Result<Prediction, ModelError> {
         check_domain(topo, wl)?;
-        let msg = wl.msg_len as f64;
-        let nc = NcLoads::build(topo, wl, opts);
-        let bounds = solve_bounds(topo, &nc, msg, opts)?;
-        let path_bound =
-            |path: &Path| -> f64 { path.channels().map(|c| bounds.delay[c.idx()]).sum() };
-
-        // Unicast: worst-case wait sums over each pair's path, averaged
-        // with the pattern's destination weights — the bound analogue of
-        // Eq. 7's average (no self-traffic discount: bounds do not take
-        // the mean-value correction).
-        let n = topo.num_nodes();
-        let mut total = 0.0;
-        for s in 0..n {
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let (s, d) = (NodeId(s as u32), NodeId(d as u32));
-                let w = wl.unicast_pattern.weight(n, s, d);
-                if w <= 0.0 {
-                    continue;
-                }
-                let path = topo.unicast_path(s, d);
-                total += w * (path_bound(&path) + msg + path.hop_count() as f64);
-            }
-        }
-        let unicast_latency = total / n as f64;
-
-        // Multicast: the operation completes when the *last* stream
-        // drains; the sum of per-stream wait bounds dominates the maximum
-        // (and remains sound when streams serialise at a shared port or
-        // co-travel a shared prefix — the regimes the E[max]-of-
-        // exponentials model excludes).
-        let mut per_node = Vec::with_capacity(n);
-        let mut mc_total = 0.0;
-        if topo.concurrent_multicast() {
-            for j in 0..n {
-                let node = NodeId(j as u32);
-                let set = wl.multicast_set(node);
-                if set.is_empty() {
-                    continue;
-                }
-                let streams = wl.routing.streams(topo, node, set);
-                let mut port_waits = Vec::with_capacity(streams.len());
-                let mut max_hops = 0usize;
-                for st in &streams {
-                    port_waits.push(path_bound(&st.path));
-                    max_hops = max_hops.max(st.path.hop_count());
-                }
-                let waiting: f64 = port_waits.iter().sum();
-                let latency = waiting + msg + max_hops as f64;
-                mc_total += latency;
-                per_node.push(NodeMulticast {
-                    node,
-                    port_waits,
-                    waiting,
-                    max_hops,
-                    latency,
-                });
-            }
-        }
-        let multicast_latency = if per_node.is_empty() {
-            f64::NAN
-        } else {
-            mc_total / per_node.len() as f64
-        };
-        let max_rho = bounds.rho.iter().copied().fold(0.0, f64::max);
-        Ok(Prediction {
-            unicast_latency,
-            multicast_latency,
-            per_node,
-            max_rho,
-            iterations: bounds.iterations,
-        })
+        let loads = ChannelLoads::build(topo, wl, opts);
+        let bounds = solve_bounds(topo, &loads, wl.msg_len as f64, opts)?;
+        Ok(assemble(
+            topo,
+            wl,
+            &loads,
+            &bounds.rho,
+            bounds.iterations,
+            |_, to| bounds.delay[to.idx()],
+            |port_bounds| port_bounds.iter().sum(),
+        ))
     }
 }
 
@@ -347,7 +191,7 @@ mod tests {
     use crate::backend::ModelBackend;
     use crate::model::AnalyticModel;
     use noc_topology::{Quarc, RoutingSpec};
-    use noc_workloads::DestinationSets;
+    use noc_workloads::{DestinationSets, TrafficSpec};
 
     fn workload(rate: f64, alpha: f64) -> (Quarc, Workload) {
         let topo = Quarc::new(16).unwrap();
@@ -495,8 +339,8 @@ mod tests {
             })
             .collect();
         let wl = wl.with_traffic(TrafficSpec::trace(entries));
-        let nc = NcLoads::build(&topo, &wl, &ModelOptions::default());
-        let max_sigma = nc.sigma.iter().copied().fold(0.0, f64::max);
+        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let max_sigma = loads.sigma.iter().copied().fold(0.0, f64::max);
         // 8 clumped messages of 32 flits minus the rate-line allowance.
         assert!(
             max_sigma > 7.0 * 32.0,

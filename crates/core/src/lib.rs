@@ -8,11 +8,15 @@
 //!
 //! ## Model structure
 //!
-//! 1. **Channel loads** ([`rates`]) — every channel (injection, link,
-//!    ejection) receives a Poisson arrival rate `λ_j` accumulated from the
-//!    deterministic routes of the unicast traffic (uniform destinations)
-//!    and the fixed multicast streams, together with the next-channel
-//!    decomposition `λ_{i→j}` needed by Eq. 6.
+//! Three steps, each written once:
+//!
+//! 1. **The route walk** ([`rates`]) — the only place that knows how a
+//!    workload becomes routes. Every channel (injection, link, ejection)
+//!    receives a Poisson arrival rate `λ_j` accumulated from the
+//!    deterministic routes of the unicast traffic and the fixed multicast
+//!    streams, together with the next-channel decomposition `λ_{i→j}`
+//!    needed by Eq. 6 and, per edge, the unicast pattern weight crossing
+//!    it.
 //! 2. **Service times** ([`service`]) — each channel is an M/G/1 queue
 //!    (Eq. 3–5); mean service times satisfy the downstream recursion
 //!    (Eq. 6)
@@ -20,14 +24,16 @@
 //!    solved over the channel-successor graph: back-substitution where
 //!    it is acyclic, undamped Gauss–Seidel sweeps over its cyclic
 //!    components. Ejection channels serve in `msg` cycles.
-//! 3. **Unicast latency** ([`unicast`]) — Eq. 7:
-//!    `L(s,d) = Σ_l w_l + msg + D`, averaged over all pairs (§2.1).
-//! 4. **Multicast latency** ([`multicast`]) — per source and port, the
-//!    total path waiting `Ω_{j,c}` defines an exponential with rate
-//!    `µ_{j,c} = 1/Ω_{j,c}` (Eq. 8); the multicast waiting time is the
-//!    expected **maximum** of the `m` port exponentials (Eq. 12–13), and
-//!    `L_j = W_j + msg + D_j` with `D_j = max_c D_{j,c}` (Eq. 14–15),
-//!    averaged over nodes (Eq. 16).
+//! 3. **Assembly** ([`model`]) — latencies are folds of the solved
+//!    per-hop waits `w_l` over the walked loads. Unicast ([`unicast`],
+//!    Eq. 7): `L(s,d) = Σ_l w_l + msg + D`, averaged over all pairs
+//!    (§2.1) as a dot product with the per-edge weights. Multicast
+//!    ([`multicast`]): per source and port, the total path waiting
+//!    `Ω_{j,c}` defines an exponential with rate `µ_{j,c} = 1/Ω_{j,c}`
+//!    (Eq. 8); the multicast waiting time is the expected **maximum** of
+//!    the `m` port exponentials (Eq. 12–13), and `L_j = W_j + msg + D_j`
+//!    with `D_j = max_c D_{j,c}` (Eq. 14–15), averaged over nodes
+//!    (Eq. 16).
 //!
 //! ## Fidelity knobs
 //!
@@ -42,7 +48,9 @@
 //! backends behind the [`ModelBackend`] trait ([`backend`]): the paper's
 //! mean-value model ([`MgOneBackend`]) and a distribution-free
 //! network-calculus bound ([`NetworkCalculusBackend`], [`calculus`]) that
-//! stays sound for bursty traffic and every routing scheme. The
+//! stays sound for bursty traffic and every routing scheme. The bound
+//! runs the same three steps with the fluid wait in step 2, the delay
+//! bound `D_j` for `w_l` and a sum for the maximum in step 3. The
 //! serializable [`BackendSpec`] selects one per scenario.
 
 #![forbid(unsafe_code)]
@@ -69,3 +77,5 @@ pub use service::ServiceSolution;
 
 #[cfg(test)]
 mod differential;
+#[cfg(test)]
+mod walk_count;

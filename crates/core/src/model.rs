@@ -1,12 +1,13 @@
-//! The top-level model facade.
+//! The top-level model facade, and the one latency assembler under both
+//! backends.
 
-use crate::multicast::{self, NodeMulticast};
+use crate::multicast::{expected_last_completion, NodeMulticast};
 use crate::options::ModelOptions;
-use crate::rates::ChannelLoads;
+use crate::rates::{multicast_streams, ChannelLoads};
 use crate::service::{self, Saturated, ServiceSolution};
-use crate::unicast;
+use crate::unicast::path_wait;
 use noc_topology::{ChannelId, Topology};
-use noc_workloads::Workload;
+use noc_workloads::{PatternError, Workload};
 
 /// Model evaluation errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -30,6 +31,9 @@ pub enum ModelError {
         /// The topology's family name (`Topology::name`).
         name: String,
     },
+    /// The unicast destination pattern does not fit the topology (e.g.
+    /// transpose on a node count that is not a square).
+    Pattern(PatternError),
 }
 
 impl std::fmt::Display for ModelError {
@@ -47,15 +51,30 @@ impl std::fmt::Display for ModelError {
                 "analytical backends need materialized channel storage; \
                  topology '{name}' is implicit"
             ),
+            ModelError::Pattern(e) => write!(f, "traffic pattern: {e}"),
         }
     }
 }
 
-impl std::error::Error for ModelError {}
+impl std::error::Error for ModelError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            ModelError::Pattern(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<PatternError> for ModelError {
+    fn from(e: PatternError) -> Self {
+        ModelError::Pattern(e)
+    }
+}
 
 /// The rate-independent part of every backend's domain: materialized
-/// channel storage, and concurrent port streams if anything is multicast.
-/// Failing it, no rate is sustainable.
+/// channel storage, concurrent port streams if anything is multicast, and
+/// a unicast pattern that fits the node count (the route walk asks its
+/// weights unchecked). Failing it, no rate is sustainable.
 pub(crate) fn check_domain(topo: &dyn Topology, wl: &Workload) -> Result<(), ModelError> {
     if topo.network().is_implicit() {
         // Loads, holding times and bounds are dense per-channel vectors —
@@ -69,6 +88,7 @@ pub(crate) fn check_domain(topo: &dyn Topology, wl: &Workload) -> Result<(), Mod
         // stream table the schemes do not describe.
         return Err(ModelError::NonConcurrentMulticast);
     }
+    wl.unicast_pattern.validate(topo.num_nodes())?;
     Ok(())
 }
 
@@ -99,6 +119,77 @@ pub struct Prediction {
     pub iterations: usize,
 }
 
+/// Fold solved per-hop waits over the walked loads into a [`Prediction`] —
+/// the one assembler under both backends. What differs between them
+/// arrives as two closures: `hop_wait(from, to)`, the header's wait for
+/// channel `to` entered from `from = (channel, λ_{from→to})` (`None` at the
+/// injection channel) — the corrected `W` of Eq. 7 or the delay bound `D`
+/// — and `combine`, a node's multicast wait from its per-port sums — the
+/// expected last completion of Eq. 13 or their sum.
+///
+/// The unicast mean (Eq. 7 averaged with the pattern's weights, §2.1)
+/// regroups `Σ_{(s,d)} w(s,d)·(Σ_l w_l + msg + D)` by edge: a dot product
+/// of the waits with the weight sums the walk recorded, with no route in
+/// it. Multicast per-node results (Eq. 14) re-enumerate each source's
+/// streams, the only routes a prediction keeps per path; they are left
+/// empty on one-port topologies, whose serialised stream table the
+/// schemes do not describe.
+pub(crate) fn assemble(
+    topo: &dyn Topology,
+    wl: &Workload,
+    loads: &ChannelLoads,
+    rho: &[f64],
+    iterations: usize,
+    hop_wait: impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64,
+    combine: impl Fn(&[f64]) -> f64,
+) -> Prediction {
+    let msg = wl.msg_len as f64;
+    let mut total = loads.unicast_hops;
+    for (i, edges) in loads.unicast_edges.iter().enumerate() {
+        let from = ChannelId(i as u32);
+        let injected = loads.unicast_injected[i];
+        if injected > 0.0 {
+            total += injected * (hop_wait(None, from) + msg);
+        }
+        for &(to, weight) in edges {
+            total += weight * hop_wait(Some((from, loads.transition(from, to))), to);
+        }
+    }
+    let unicast_latency = total / topo.num_nodes() as f64;
+
+    let mut per_node = Vec::new();
+    if topo.concurrent_multicast() {
+        for (node, streams) in multicast_streams(topo, wl) {
+            let port_waits: Vec<f64> = streams
+                .iter()
+                .map(|st| path_wait(&st.path, loads, &hop_wait))
+                .collect();
+            let hops = streams.iter().map(|st| st.path.hop_count());
+            let max_hops = hops.max().unwrap_or(0);
+            let waiting = combine(&port_waits);
+            per_node.push(NodeMulticast {
+                node,
+                port_waits,
+                waiting,
+                max_hops,
+                latency: waiting + msg + max_hops as f64,
+            });
+        }
+    }
+    let multicast_latency = if per_node.is_empty() {
+        f64::NAN
+    } else {
+        per_node.iter().map(|nm| nm.latency).sum::<f64>() / per_node.len() as f64
+    };
+    Prediction {
+        unicast_latency,
+        multicast_latency,
+        per_node,
+        max_rho: rho.iter().copied().fold(0.0, f64::max),
+        iterations,
+    }
+}
+
 /// The analytical model bound to a topology and workload.
 pub struct AnalyticModel<'a> {
     topo: &'a dyn Topology,
@@ -113,12 +204,14 @@ impl<'a> AnalyticModel<'a> {
     }
 
     /// The channel loads this workload induces (diagnostics / tests).
+    /// Panics where [`ChannelLoads::build`] does.
     pub fn channel_loads(&self) -> ChannelLoads {
         ChannelLoads::build(self.topo, self.wl, &self.opts)
     }
 
     /// Solve the service recursion (diagnostics / tests).
     pub fn solve_service(&self) -> Result<ServiceSolution, ModelError> {
+        check_domain(self.topo, self.wl)?;
         let loads = self.channel_loads();
         Ok(service::solve(
             self.topo,
@@ -136,38 +229,17 @@ impl<'a> AnalyticModel<'a> {
     pub fn evaluate(&self) -> Result<Prediction, ModelError> {
         check_domain(self.topo, self.wl)?;
         let msg = self.wl.msg_len as f64;
-        let loads = ChannelLoads::build(self.topo, self.wl, &self.opts);
+        let loads = self.channel_loads();
         let sol = service::solve(self.topo, &loads, msg, &self.opts)?;
-
-        let unicast_latency = unicast::average_latency(
+        Ok(assemble(
             self.topo,
-            msg,
-            &self.wl.unicast_pattern,
+            self.wl,
             &loads,
-            &sol,
-            &self.opts,
-        );
-        let (per_node, multicast_latency) = if self.topo.concurrent_multicast() {
-            multicast::evaluate(
-                self.topo,
-                self.wl.routing,
-                msg,
-                &|n| self.wl.multicast_set(n),
-                &loads,
-                &sol,
-                &self.opts,
-            )
-        } else {
-            (Vec::new(), f64::NAN)
-        };
-        let max_rho = sol.rho.iter().copied().fold(0.0, f64::max);
-        Ok(Prediction {
-            unicast_latency,
-            multicast_latency,
-            per_node,
-            max_rho,
-            iterations: sol.iterations,
-        })
+            &sol.rho,
+            sol.iterations,
+            service::header_wait(&loads, &sol, msg, &self.opts),
+            expected_last_completion,
+        ))
     }
 }
 
@@ -230,6 +302,34 @@ mod tests {
             .evaluate()
             .unwrap();
         assert!(pred.unicast_latency > 32.0);
+    }
+
+    #[test]
+    fn a_misfit_pattern_is_a_typed_error_on_both_backends() {
+        use crate::backend::{NetworkCalculusBackend, ALL_BACKENDS};
+        use noc_workloads::UnicastPattern;
+        // Transpose needs a square node count; 12 is not one.
+        let topo = Quarc::new(12).unwrap();
+        let sets = DestinationSets::random(&topo, 3, 1);
+        let mut wl = Workload::new(32, 0.002, 0.05, sets).unwrap();
+        wl.unicast_pattern = UnicastPattern::Transpose;
+        let opts = ModelOptions::default();
+        let misfit = ModelError::Pattern(PatternError::RequiresSquare {
+            pattern: "transpose",
+            n: 12,
+        });
+        for backend in ALL_BACKENDS {
+            let backend = backend.backend();
+            assert_eq!(backend.evaluate(&topo, &wl, &opts).unwrap_err(), misfit);
+            // As for every other domain failure, no rate is sustainable.
+            assert_eq!(backend.max_sustainable_rate(&topo, &wl, &opts, 0.01), 0.0);
+        }
+        let model = AnalyticModel::new(&topo, &wl, opts);
+        assert_eq!(model.solve_service().unwrap_err(), misfit);
+        let bounds = NetworkCalculusBackend.channel_bounds(&topo, &wl, &opts);
+        assert_eq!(bounds.unwrap_err(), misfit);
+        assert!(std::error::Error::source(&misfit).is_some());
+        assert!(misfit.to_string().contains("square"), "{misfit}");
     }
 
     #[test]

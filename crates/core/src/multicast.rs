@@ -14,17 +14,24 @@
 //! ```
 //!
 //! A port whose stream experiences zero waiting contributes an
-//! instantly-firing variable and drops out of the maximum. The paper also
-//! discusses (and rejects) the "largest sub-network wins" heuristic; it is
-//! provided as [`largest_subset_latency`] for the ablation bench.
+//! instantly-firing variable and drops out of the maximum. The assembler
+//! (`model::assemble`) builds the per-node results; this module holds
+//! their shape and the combination of Eq. 13. Under schemes whose streams
+//! are not asynchronous per-port wormholes (`RoutingSpec::UnicastTree`)
+//! the numbers are still computed mechanically but lie outside the
+//! model's domain (the experiment layer stamps `model_applicable =
+//! false`). The paper also discusses (and rejects) the "largest
+//! sub-network wins" heuristic; it is provided as
+//! [`largest_subset_latency`] for the ablation bench.
 
 use crate::options::ModelOptions;
-use crate::rates::ChannelLoads;
-use crate::service::ServiceSolution;
-use crate::unicast::path_waiting_sum;
+use crate::rates::{multicast_streams, ChannelLoads};
+use crate::service::{header_wait, ServiceSolution};
+use crate::unicast::path_wait;
 use noc_queueing::expmax::expected_max_exponentials;
 use noc_queueing::MaxOfExponentials;
-use noc_topology::{NodeId, RoutingSpec, Topology};
+use noc_topology::{NodeId, Topology};
+use noc_workloads::Workload;
 
 /// Multicast prediction for one source node.
 #[derive(Clone, Debug)]
@@ -57,58 +64,6 @@ impl NodeMulticast {
     }
 }
 
-/// Evaluate the multicast latency of every node with a non-empty
-/// destination set; returns per-node results (Eq. 14) and their average
-/// (Eq. 16). Streams — and hence the per-port waiting sums `Ω_{j,c}` —
-/// are constructed by `routing`; under schemes whose streams are not
-/// asynchronous per-port wormholes (`RoutingSpec::UnicastTree`) the
-/// numbers are still computed mechanically but lie outside the model's
-/// domain (the experiment layer stamps `model_applicable = false`).
-pub fn evaluate<'s>(
-    topo: &dyn Topology,
-    routing: RoutingSpec,
-    msg_len: f64,
-    sets: &dyn Fn(NodeId) -> &'s [NodeId],
-    loads: &ChannelLoads,
-    sol: &ServiceSolution,
-    opts: &ModelOptions,
-) -> (Vec<NodeMulticast>, f64) {
-    let n = topo.num_nodes();
-    let mut per_node = Vec::with_capacity(n);
-    let mut total = 0.0;
-    for j in 0..n {
-        let node = NodeId(j as u32);
-        let set = sets(node);
-        if set.is_empty() {
-            continue;
-        }
-        let streams = routing.streams(topo, node, set);
-        debug_assert!(!streams.is_empty());
-        let mut port_waits = Vec::with_capacity(streams.len());
-        let mut max_hops = 0usize;
-        for st in &streams {
-            port_waits.push(path_waiting_sum(&st.path, loads, sol, opts));
-            max_hops = max_hops.max(st.path.hop_count());
-        }
-        let waiting = expected_last_completion(&port_waits);
-        let latency = waiting + msg_len + max_hops as f64;
-        total += latency;
-        per_node.push(NodeMulticast {
-            node,
-            port_waits,
-            waiting,
-            max_hops,
-            latency,
-        });
-    }
-    let avg = if per_node.is_empty() {
-        f64::NAN
-    } else {
-        total / per_node.len() as f64
-    };
-    (per_node, avg)
-}
-
 /// Expected waiting of the last-finishing stream: `E[max]` of exponentials
 /// with rates `1/Ω_c` (Eq. 8 + Eq. 13). Streams with `Ω = 0` fire
 /// instantly and are dropped.
@@ -124,32 +79,25 @@ pub fn expected_last_completion(port_waits: &[f64]) -> f64 {
 /// The "largest sub-network" heuristic the paper argues against (§2):
 /// take the latency of the port with the largest `Ω + D` instead of the
 /// expected maximum. Used by the ablation bench to show the differences.
-pub fn largest_subset_latency<'s>(
+pub fn largest_subset_latency(
     topo: &dyn Topology,
-    routing: RoutingSpec,
-    msg_len: f64,
-    sets: &dyn Fn(NodeId) -> &'s [NodeId],
+    wl: &Workload,
     loads: &ChannelLoads,
     sol: &ServiceSolution,
     opts: &ModelOptions,
 ) -> f64 {
-    let n = topo.num_nodes();
+    let msg_len = wl.msg_len as f64;
+    let hop_wait = header_wait(loads, sol, msg_len, opts);
     let mut total = 0.0;
     let mut count = 0usize;
-    for j in 0..n {
-        let node = NodeId(j as u32);
-        let set = sets(node);
-        if set.is_empty() {
-            continue;
-        }
-        let streams = routing.streams(topo, node, set);
+    for (_, streams) in multicast_streams(topo, wl) {
         // "Largest" sub-network: the stream covering the most targets,
         // ties broken by hop count.
         let candidate = streams
             .iter()
             .max_by_key(|st| (st.targets.len(), st.path.hop_count()))
             .expect("non-empty stream set");
-        let w = path_waiting_sum(&candidate.path, loads, sol, opts);
+        let w = path_wait(&candidate.path, loads, &hop_wait);
         total += w + msg_len + candidate.path.hop_count() as f64;
         count += 1;
     }
@@ -163,9 +111,10 @@ pub fn largest_subset_latency<'s>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::AnalyticModel;
     use crate::service;
     use noc_topology::Quarc;
-    use noc_workloads::{DestinationSets, Workload};
+    use noc_workloads::DestinationSets;
 
     fn fixture(rate: f64, alpha: f64, sets: DestinationSets) -> (Quarc, Workload) {
         let topo = Quarc::new(16).unwrap();
@@ -173,23 +122,19 @@ mod tests {
         (topo, wl)
     }
 
+    /// Per-node results (Eq. 14) and their average (Eq. 16).
+    fn evaluate(topo: &Quarc, wl: &Workload) -> (Vec<NodeMulticast>, f64) {
+        let model = AnalyticModel::new(topo, wl, ModelOptions::default());
+        let pred = model.evaluate().unwrap();
+        (pred.per_node, pred.multicast_latency)
+    }
+
     #[test]
     fn zero_load_broadcast_latency_is_msg_plus_max_hops() {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::broadcast(&topo);
         let (topo, wl) = fixture(0.0, 0.0, sets);
-        let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
-        let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
-        let (per_node, avg) = evaluate(
-            &topo,
-            wl.routing,
-            32.0,
-            &|n| wl.multicast_set(n),
-            &loads,
-            &sol,
-            &opts,
-        );
+        let (per_node, avg) = evaluate(&topo, &wl);
         assert_eq!(per_node.len(), 16);
         // All broadcast streams are k = 4 links → hop_count = 5.
         for nm in &per_node {
@@ -216,18 +161,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 6, 3);
         let (topo, wl) = fixture(0.006, 0.1, sets);
-        let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
-        let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
-        let (per_node, avg) = evaluate(
-            &topo,
-            wl.routing,
-            32.0,
-            &|n| wl.multicast_set(n),
-            &loads,
-            &sol,
-            &opts,
-        );
+        let (per_node, avg) = evaluate(&topo, &wl);
         assert!(avg.is_finite() && avg > 32.0);
         for nm in &per_node {
             if nm.port_waits.len() >= 2 {
@@ -256,24 +190,8 @@ mod tests {
         let opts = ModelOptions::default();
         let loads = ChannelLoads::build(&topo, &wl, &opts);
         let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
-        let (_, full) = evaluate(
-            &topo,
-            wl.routing,
-            32.0,
-            &|n| wl.multicast_set(n),
-            &loads,
-            &sol,
-            &opts,
-        );
-        let heuristic = largest_subset_latency(
-            &topo,
-            wl.routing,
-            32.0,
-            &|n| wl.multicast_set(n),
-            &loads,
-            &sol,
-            &opts,
-        );
+        let (_, full) = evaluate(&topo, &wl);
+        let heuristic = largest_subset_latency(&topo, &wl, &loads, &sol, &opts);
         assert!(
             full > heuristic - 1e-9,
             "E[max] model ({full}) should exceed the largest-subset heuristic ({heuristic})"
@@ -285,18 +203,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 6, 3);
         let (topo, wl) = fixture(0.005, 0.1, sets);
-        let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
-        let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
-        let (per_node, _) = evaluate(
-            &topo,
-            wl.routing,
-            32.0,
-            &|n| wl.multicast_set(n),
-            &loads,
-            &sol,
-            &opts,
-        );
+        let (per_node, _) = evaluate(&topo, &wl);
         for nm in &per_node {
             let p10 = nm.latency_quantile(0.10);
             let p95 = nm.latency_quantile(0.95);
@@ -316,18 +223,7 @@ mod tests {
         raw[3] = vec![NodeId(5), NodeId(9)];
         let sets = DestinationSets::explicit(raw);
         let (topo, wl) = fixture(0.002, 0.0, sets);
-        let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
-        let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
-        let (per_node, avg) = evaluate(
-            &topo,
-            wl.routing,
-            32.0,
-            &|n| wl.multicast_set(n),
-            &loads,
-            &sol,
-            &opts,
-        );
+        let (per_node, avg) = evaluate(&topo, &wl);
         assert_eq!(per_node.len(), 1);
         assert_eq!(per_node[0].node, NodeId(3));
         assert!(avg.is_finite());

@@ -106,7 +106,7 @@ pub(crate) fn bisect_scaled_loads(
         ..proto.clone()
     };
     let base = ChannelLoads::build(topo, &reference, opts);
-    let mut probe = base.clone();
+    let mut probe = base.rates_only();
     bisect_max_rate(tol, |rate| {
         if proto.check_rate(rate).is_err() {
             return false;

@@ -199,7 +199,35 @@ pub(crate) fn corrected_mg1_wait(
 ) -> impl Fn(f64, f64, f64, f64) -> f64 + '_ {
     move |xj, rate, li, lj| {
         let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
-        opts.correction.factor(frac, rate / li) * mg1_wait(lj, xj, msg_len, opts)
+        // An edge no traffic takes (a stream's, at zero multicast rate)
+        // may leave an unloaded channel: `P = 0` there, not `0/0`.
+        let p_next = if li > 0.0 { rate / li } else { 0.0 };
+        opts.correction.factor(frac, p_next) * mg1_wait(lj, xj, msg_len, opts)
+    }
+}
+
+/// Eq. 7's `w_l` at the solved point, in the shape the assembler and
+/// [`path_wait`](crate::unicast::path_wait) read: the header's wait for
+/// channel `to`, entered from `from = (channel, λ_{from→to})`. At the
+/// injection channel (`None`) the message queues behind its own node's
+/// earlier messages — no predecessor, full wait; after it, Eq. 6's wait
+/// term once more (the correction discounts the share of `to`'s traffic
+/// contributed by the message's own previous channel).
+pub fn header_wait<'a>(
+    loads: &'a ChannelLoads,
+    sol: &'a ServiceSolution,
+    msg_len: f64,
+    opts: &'a ModelOptions,
+) -> impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64 + 'a {
+    let corrected = corrected_mg1_wait(msg_len, opts);
+    move |from, to| match from {
+        None => sol.waiting[to.idx()],
+        Some((prev, rate)) => corrected(
+            sol.service[to.idx()],
+            rate,
+            loads.lambda[prev.idx()],
+            loads.lambda[to.idx()],
+        ),
     }
 }
 

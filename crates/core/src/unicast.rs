@@ -1,97 +1,46 @@
 //! Unicast latency (paper §2.1, Eq. 7).
 //!
-//! With the per-channel waits `W_l` solved, the latency of a specific
+//! With the per-channel waits solved, the latency of a specific
 //! source–destination pair expands the service recursion along its route:
 //!
 //! ```text
 //! L(s, d) = Σ_{l ∈ path} w_l + msg + D
 //! ```
 //!
-//! where `w_l` is the corrected waiting time of the header at channel `l`
-//! (the correction discounts the share of `l`'s traffic contributed by the
-//! message's own previous channel) and `D = path.hop_count()` reproduces
-//! the simulator's zero-load timing exactly.
+//! where `w_l` is the header's wait at channel `l` and `D =
+//! path.hop_count()` reproduces the simulator's zero-load timing exactly.
+//! [`path_wait`] is that sum over one path — what a multicast stream's
+//! `Ω_{j,c}` (Eq. 8) needs. The network average needs no path: `w_l`
+//! depends on the hop's edge only, so the assembler (`model::assemble`)
+//! takes it as a dot product with the per-edge pattern weights the route
+//! walk recorded ([`crate::rates`]).
 
-use crate::options::ModelOptions;
 use crate::rates::ChannelLoads;
-use crate::service::ServiceSolution;
-use noc_topology::{NodeId, Path, Topology};
-use noc_workloads::UnicastPattern;
+use noc_topology::{ChannelId, Path};
 
-/// Total corrected header waiting time along a path (the `Σ_l w_l` of
-/// Eq. 7 and the `Ω_{j,c}` of Eq. 8).
-pub fn path_waiting_sum(
+/// Total header waiting time along a path (the `Σ_l w_l` of Eq. 7 and the
+/// `Ω_{j,c}` of Eq. 8). `hop_wait(from, to)` is the wait for channel
+/// `to`, `from` the channel held meanwhile with the rate `λ_{from→to}` —
+/// `None` at the injection channel ([`crate::service::header_wait`] for
+/// the paper's model).
+pub fn path_wait(
     path: &Path,
     loads: &ChannelLoads,
-    sol: &ServiceSolution,
-    opts: &ModelOptions,
+    hop_wait: impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64,
 ) -> f64 {
-    let mut total = 0.0;
-    // Injection channel: the message queues behind its own node's earlier
-    // messages — no predecessor, full wait.
-    total += sol.waiting[path.hops[0].channel.idx()];
-    for (prev, cur) in path.transitions() {
-        let lj = loads.lambda[cur.idx()];
-        let w = sol.waiting[cur.idx()];
-        if w == 0.0 {
-            continue;
-        }
-        let rate = loads.transition(prev, cur);
-        let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
-        let p = loads.p_next(prev, cur);
-        total += opts.correction.factor(frac, p) * w;
-    }
-    total
-}
-
-/// Mean latency of one source–destination pair (Eq. 7).
-pub fn pair_latency(
-    topo: &dyn Topology,
-    src: NodeId,
-    dst: NodeId,
-    msg_len: f64,
-    loads: &ChannelLoads,
-    sol: &ServiceSolution,
-    opts: &ModelOptions,
-) -> f64 {
-    let path = topo.unicast_path(src, dst);
-    path_waiting_sum(&path, loads, sol, opts) + msg_len + path.hop_count() as f64
-}
-
-/// Network-average unicast latency (§2.1): sources uniform, destinations
-/// weighted by the workload's unicast pattern (uniform weights reproduce
-/// the paper's plain average over ordered pairs).
-pub fn average_latency(
-    topo: &dyn Topology,
-    msg_len: f64,
-    pattern: &UnicastPattern,
-    loads: &ChannelLoads,
-    sol: &ServiceSolution,
-    opts: &ModelOptions,
-) -> f64 {
-    let n = topo.num_nodes();
-    let mut total = 0.0;
-    for s in 0..n {
-        for d in 0..n {
-            if s == d {
-                continue;
-            }
-            let (s, d) = (NodeId(s as u32), NodeId(d as u32));
-            let w = pattern.weight(n, s, d);
-            if w <= 0.0 {
-                continue;
-            }
-            total += w * pair_latency(topo, s, d, msg_len, loads, sol, opts);
-        }
-    }
-    total / n as f64
+    let injection = hop_wait(None, path.hops[0].channel);
+    path.transitions().fold(injection, |total, (prev, cur)| {
+        total + hop_wait(Some((prev, loads.transition(prev, cur))), cur)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service;
-    use noc_topology::Quarc;
+    use crate::model::AnalyticModel;
+    use crate::options::ModelOptions;
+    use crate::service::{self, ServiceSolution};
+    use noc_topology::{NodeId, Quarc, Topology};
     use noc_workloads::{DestinationSets, Workload};
 
     fn solved(rate: f64) -> (Quarc, Workload, ChannelLoads, ServiceSolution, ModelOptions) {
@@ -104,11 +53,29 @@ mod tests {
         (topo, wl, loads, sol, opts)
     }
 
+    /// Eq. 7 for one pair, through the production path sum.
+    fn pair_latency(
+        topo: &Quarc,
+        (src, dst): (u32, u32),
+        loads: &ChannelLoads,
+        sol: &ServiceSolution,
+        opts: &ModelOptions,
+    ) -> f64 {
+        let path = topo.unicast_path(NodeId(src), NodeId(dst));
+        let wait = path_wait(&path, loads, service::header_wait(loads, sol, 32.0, opts));
+        wait + 32.0 + path.hop_count() as f64
+    }
+
+    fn average_latency(topo: &Quarc, wl: &Workload, opts: ModelOptions) -> f64 {
+        let model = AnalyticModel::new(topo, wl, opts);
+        model.evaluate().unwrap().unicast_latency
+    }
+
     #[test]
     fn zero_load_latency_is_msg_plus_hops() {
         let (topo, _wl, loads, sol, opts) = solved(0.0);
         for (s, d) in [(0u32, 1u32), (0, 4), (0, 8), (3, 11), (15, 2)] {
-            let lat = pair_latency(&topo, NodeId(s), NodeId(d), 32.0, &loads, &sol, &opts);
+            let lat = pair_latency(&topo, (s, d), &loads, &sol, &opts);
             let path = topo.unicast_path(NodeId(s), NodeId(d));
             let expected = 32.0 + path.hop_count() as f64;
             assert!(
@@ -124,8 +91,8 @@ mod tests {
         // 0.009 is just below the model's saturation horizon for this
         // configuration (N=16, M=32; see the saturation tests).
         for rate in [0.0, 0.002, 0.006, 0.009] {
-            let (topo, _wl, loads, sol, opts) = solved(rate);
-            let avg = average_latency(&topo, 32.0, &UnicastPattern::Uniform, &loads, &sol, &opts);
+            let (topo, wl, _loads, _sol, opts) = solved(rate);
+            let avg = average_latency(&topo, &wl, opts);
             assert!(
                 avg > prev,
                 "latency must increase with load ({rate}: {avg})"
@@ -136,14 +103,14 @@ mod tests {
 
     #[test]
     fn average_is_between_extremes() {
-        let (topo, _wl, loads, sol, opts) = solved(0.004);
-        let avg = average_latency(&topo, 32.0, &UnicastPattern::Uniform, &loads, &sol, &opts);
+        let (topo, wl, loads, sol, opts) = solved(0.004);
+        let avg = average_latency(&topo, &wl, opts);
         let mut lo = f64::INFINITY;
         let mut hi = 0.0f64;
         for s in 0..16u32 {
             for d in 0..16u32 {
                 if s != d {
-                    let l = pair_latency(&topo, NodeId(s), NodeId(d), 32.0, &loads, &sol, &opts);
+                    let l = pair_latency(&topo, (s, d), &loads, &sol, &opts);
                     lo = lo.min(l);
                     hi = hi.max(l);
                 }
@@ -152,29 +119,20 @@ mod tests {
         assert!(lo <= avg && avg <= hi);
         // Nearest-neighbour latency must be below the cross-quadrant one at
         // equal load (fewer hops, fewer queueing points).
-        let near = pair_latency(&topo, NodeId(0), NodeId(1), 32.0, &loads, &sol, &opts);
-        let far = pair_latency(&topo, NodeId(0), NodeId(6), 32.0, &loads, &sol, &opts);
+        let near = pair_latency(&topo, (0, 1), &loads, &sol, &opts);
+        let far = pair_latency(&topo, (0, 6), &loads, &sol, &opts);
         assert!(near < far);
     }
 
     #[test]
     fn correction_none_is_upper_bound() {
-        let (topo, _wl, loads, sol, _) = solved(0.006);
-        let with = path_waiting_sum(
-            &topo.unicast_path(NodeId(0), NodeId(4)),
-            &loads,
-            &sol,
-            &ModelOptions::default(),
-        );
-        let without = path_waiting_sum(
-            &topo.unicast_path(NodeId(0), NodeId(4)),
-            &loads,
-            &sol,
-            &ModelOptions {
-                correction: crate::options::ServiceCorrection::None,
-                ..Default::default()
-            },
-        );
+        let (topo, _wl, loads, sol, opts) = solved(0.006);
+        let uncorrected = ModelOptions {
+            correction: crate::options::ServiceCorrection::None,
+            ..opts
+        };
+        let with = pair_latency(&topo, (0, 4), &loads, &sol, &opts);
+        let without = pair_latency(&topo, (0, 4), &loads, &sol, &uncorrected);
         assert!(without >= with);
     }
 }

@@ -1,0 +1,117 @@
+//! Exact-count test that an evaluation is one route walk: a delegating
+//! [`Topology`] that counts the route constructions asked of it.
+
+use crate::backend::ALL_BACKENDS;
+use crate::options::ModelOptions;
+use noc_topology::{MulticastStream, Network, NodeId, Path, PortId, Topology, TopologySpec};
+use noc_workloads::{DestinationSets, UnicastPattern, Workload};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct Counting<'a> {
+    inner: &'a dyn Topology,
+    unicast_paths: AtomicUsize,
+    stream_builds: AtomicUsize,
+}
+
+impl<'a> Counting<'a> {
+    fn new(inner: &'a dyn Topology) -> Self {
+        Counting {
+            inner,
+            unicast_paths: AtomicUsize::new(0),
+            stream_builds: AtomicUsize::new(0),
+        }
+    }
+
+    /// `(unicast_path calls, multicast_streams calls)` since the last take.
+    fn take(&self) -> (usize, usize) {
+        (
+            self.unicast_paths.swap(0, Ordering::Relaxed),
+            self.stream_builds.swap(0, Ordering::Relaxed),
+        )
+    }
+}
+
+impl Topology for Counting<'_> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn network(&self) -> &Network {
+        self.inner.network()
+    }
+    fn port_for(&self, src: NodeId, dst: NodeId) -> PortId {
+        self.inner.port_for(src, dst)
+    }
+    fn unicast_path(&self, src: NodeId, dst: NodeId) -> Path {
+        self.unicast_paths.fetch_add(1, Ordering::Relaxed);
+        self.inner.unicast_path(src, dst)
+    }
+    fn quadrant(&self, src: NodeId, port: PortId) -> Vec<NodeId> {
+        self.inner.quadrant(src, port)
+    }
+    fn multicast_streams(&self, src: NodeId, targets: &[NodeId]) -> Vec<MulticastStream> {
+        self.stream_builds.fetch_add(1, Ordering::Relaxed);
+        self.inner.multicast_streams(src, targets)
+    }
+    fn diameter(&self) -> usize {
+        self.inner.diameter()
+    }
+    fn linear_label(&self, node: NodeId) -> usize {
+        self.inner.linear_label(node)
+    }
+    fn has_linear_order(&self) -> bool {
+        self.inner.has_linear_order()
+    }
+    fn concurrent_multicast(&self) -> bool {
+        self.inner.concurrent_multicast()
+    }
+}
+
+#[test]
+fn an_evaluation_walks_every_route_once() {
+    let opts = ModelOptions::default();
+    for spec in ["quarc-16", "mesh-4x4"] {
+        let topo = TopologySpec::parse(spec).unwrap().build().unwrap();
+        let n = topo.num_nodes();
+        let counting = Counting::new(topo.as_ref());
+        let hot_spot = UnicastPattern::HotSpot {
+            node: NodeId(3),
+            fraction: 0.3,
+        };
+        // A pattern with zero weights too, so "positive-weight pair" is
+        // not just "pair".
+        for pattern in [UnicastPattern::Uniform, hot_spot, UnicastPattern::Transpose] {
+            let pairs = (0..n)
+                .flat_map(|s| (0..n).map(move |d| (NodeId(s as u32), NodeId(d as u32))))
+                .filter(|&(s, d)| s != d && pattern.weight(n, s, d) > 0.0)
+                .count();
+            for alpha in [0.0, 0.05] {
+                // Path-based streams are the topology's own (`PathBased`
+                // delegates to `Topology::multicast_streams`). Every node
+                // has a destination set.
+                let sets = DestinationSets::random(topo.as_ref(), n / 4, 42);
+                let mut proto = Workload::new(32, 1e-5, alpha, sets).unwrap();
+                proto.unicast_pattern = pattern;
+                for backend in ALL_BACKENDS {
+                    let case = format!("{spec}/{pattern:?}/alpha {alpha}/{backend}");
+                    let backend = backend.backend();
+
+                    // One walk per saturation search, whatever its probes.
+                    let horizon = backend.max_sustainable_rate(&counting, &proto, &opts, 0.01);
+                    assert!(horizon > 0.0, "{case}");
+                    let loaded_streams = if alpha > 0.0 { n } else { 0 };
+                    assert_eq!(counting.take(), (pairs, loaded_streams), "{case}: search");
+
+                    // One walk per evaluation; a source's streams once for
+                    // the loads they add, once for their `Ω`.
+                    let wl = proto.at_rate(0.5 * horizon).unwrap();
+                    backend.evaluate(&counting, &wl, &opts).unwrap();
+                    assert_eq!(
+                        counting.take(),
+                        (pairs, loaded_streams + n),
+                        "{case}: evaluate"
+                    );
+                }
+            }
+        }
+    }
+}
