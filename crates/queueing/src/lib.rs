@@ -21,7 +21,6 @@
 //!   distribution-free analytical backend; Farhi & Gaujal lineage).
 //! * [`stats`] — Welford accumulators and batch-means confidence intervals
 //!   for the simulator.
-//! * [`poisson`] — discrete-time Poisson arrival processes for the sources.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,6 @@ pub mod expmax;
 pub mod fixed_point;
 pub mod mg1;
 pub mod network_calculus;
-pub mod poisson;
 pub mod stats;
 
 pub use distribution::MaxOfExponentials;
@@ -39,5 +37,4 @@ pub use expmax::{expected_max_exponentials, expected_max_recursive, expected_min
 pub use fixed_point::{Components, FixedPoint, FixedPointError};
 pub use mg1::{WaitingFormula, MG1};
 pub use network_calculus::ArrivalEnvelope;
-pub use poisson::PoissonProcess;
 pub use stats::{BatchMeans, Welford};

@@ -65,7 +65,7 @@ pub(crate) enum Action {
     Multicast { src: NodeId, payload: Payload },
     /// Wake `node` at cycle `at` (the cycle engine polls
     /// [`ClosedLoopDriver::timer_at`]; the event engine schedules on its
-    /// calendar queue).
+    /// event queue).
     Timer { node: NodeId, at: u64 },
 }
 

@@ -5,8 +5,8 @@
 //! policy: simulate *every* cycle, active or idle, and find the nodes
 //! that fire by polling all of them. That makes it slow at low load and
 //! trivially correct — exactly what a differential oracle should be. It
-//! deliberately stays off the calendar [`EventQueue`](crate::schedule::EventQueue),
-//! so the queue's ordering is checked against this plain node-order scan
+//! deliberately stays off the [`EventQueue`](crate::schedule::EventQueue), so
+//! the queue's ordering is checked against this plain node-order scan
 //! rather than against itself. The production engine is
 //! [`crate::EventSimulator`], which reproduces this engine's runs
 //! bit-for-bit while skipping inert cycles.

@@ -15,7 +15,7 @@
 //! identical cycle counts. `tests/engine_equivalence.rs` enforces the
 //! promise differentially — with the kernel shared, what it checks is
 //! everything the event policy adds (idle jumps, stall fixpoints, spans,
-//! calendar order, watchdog alignment); `tests/trace_invariants.rs`
+//! queue order, watchdog alignment); `tests/trace_invariants.rs`
 //! checks the kernel itself against an oracle that shares no code with
 //! it, and [`SimEngine::audit`] exposes the structural invariants
 //! (ownership consistency, conservation counters) to the property tests.

@@ -25,7 +25,7 @@
 //!   The state is a fixpoint until the next arrival.
 //!
 //! In either situation the engine advances straight to the earliest of:
-//! the next scheduled arrival or protocol timer (from the calendar
+//! the next scheduled arrival or protocol timer (from the
 //! [`EventQueue`]), the end of the measurement window (where the run may
 //! terminate), the drain deadline, and — when channels are still held —
 //! the next deadlock watchdog tick. Each of those is exactly a cycle
@@ -51,6 +51,16 @@
 //! releases. That is the ~7–16× lever the Fig. 6/7 sweeps need at low
 //! load (`sim.cycle.event_over_cycle.low` on the benchmark ledger), with
 //! the cycle engine retained as the oracle.
+//!
+//! *What the spans are worth* (measured at PR 21, commit after `d2bbd22`:
+//! the scan compiled out on a scratch copy, benchmark workloads at
+//! `--seed 42`, alternating pairs on one 2-vCPU host, results
+//! bit-identical): `cache-io` runs ≈ 11 % slower without them (median of
+//! six per-pair ratios, 5/6 pairs; stepped cycles 0.79 M → 1.04 M of
+//! 2.16 M), `lowload-skip` ≈ 4 % (5/6; 5.01 M → 5.70 M of 80.4 M), and
+//! `sat-kernel` does not resolve (four spans per repetition: past the
+//! knee the backoff keeps the scan dormant). They stay for the sweeps'
+//! low-load points; the idle and stall jumps carry the rest.
 
 use crate::engine_api::Engine;
 use crate::fabric::{
@@ -83,10 +93,10 @@ const SPAN_PROFIT_MIN: u64 = 8;
 /// advancing by [`SkipAhead`].
 pub type EventSimulator<'a> = Engine<'a, SkipAhead>;
 
-/// The event engine's time-advance policy: a calendar queue of firing
+/// The event engine's time-advance policy: a priority queue of firing
 /// times, the stall-fixpoint flag and the streaming-span scan.
 pub struct SkipAhead {
-    /// Calendar queue of `(next firing cycle, node)` — arrivals on
+    /// Queue of `(next firing cycle, node)` — arrivals on
     /// open-loop runs, protocol timers on closed-loop ones (whose
     /// workloads are zero-rate, so the two never mix). Same-cycle entries
     /// pop in node order, matching the oracle's polling scan.

@@ -42,7 +42,7 @@
 //! The kernel never decides *when* a cycle is simulated. That is the
 //! [`TimeAdvance`] policy of the engine around it: the oracle
 //! ([`crate::engine::EveryCycle`]) steps every cycle and polls the nodes,
-//! the event engine ([`crate::event_engine::SkipAhead`]) keeps a calendar
+//! the event engine ([`crate::event_engine::SkipAhead`]) keeps an event
 //! queue and jumps over cycles it proves inert. Run termination
 //! ([`Fabric::run_end`]) is kernel state too, so both drivers break on
 //! the same cycle by construction.

@@ -22,6 +22,18 @@
 //! plan allocates O(n) slots, not O(n²) paths. The accessor surface is
 //! identical either way, and the differential suite checks the lazily
 //! computed tables against a force-materialized oracle plan bit-for-bit.
+//!
+//! The split is a measured trade, selected by what the code can observe
+//! (`Network::is_implicit`), with a benchmark workload on each side
+//! (`scale-64k` lazy, the other five dense). Forcing every plan lazy on
+//! a scratch copy (PR 21, after `d2bbd22`; `--seed 42`, six alternating
+//! pairs each, digests identical) costs `sat-kernel` 5.4 % wall (6/6
+//! pairs; a fresh `Arc<Path>` per unicast) and leaves `fig6-sweep` and
+//! `lowload-skip` unresolved (3/6 each), while peak RSS falls 7.7 → 5.3,
+//! 9.7 → 5.6 and 9.9 → 4.8 MiB: the `n × n` `Arc<Path>` table is a third
+//! to a half of a legacy run's resident memory. Dense stays while a
+//! message holds its route as an `Arc<Path>`; a route + cursor would
+//! reopen the question.
 
 use crate::message::{absorb_schedule, AbsorbSchedule};
 use noc_topology::{ChannelId, Hop, NodeId, Path, RoutingError, Topology};

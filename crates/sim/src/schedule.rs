@@ -3,17 +3,12 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`EventQueue`] — a bucketed *calendar queue* of `(time, id)` events
-//!   popped in lexicographic `(time, id)` order, so same-cycle events pop
-//!   in ascending id order. Events due within the next
-//!   [`CALENDAR_SLOTS`] cycles live in per-cycle buckets (O(1) push/pop —
-//!   the dense regime of a loaded network); events further out fall back
-//!   to a small binary heap and migrate into buckets as the drain
-//!   frontier advances (the sparse low-load regime, where per-node gaps
-//!   are tens of thousands of cycles). The event engine keys the queue by
-//!   node to find the next injection without scanning the network; ties
-//!   popping in node order is what keeps its spawn order identical to the
-//!   cycle engine's `for node in 0..n` loop.
+//! * [`EventQueue`] — `(time, id)` events popped in lexicographic order
+//!   (a `std` binary heap), so same-cycle events pop in ascending id
+//!   order. The event engine keys the queue by node to find the next
+//!   injection without scanning the network; ties popping in node order
+//!   is what keeps its spawn order identical to the cycle engine's
+//!   `for node in 0..n` loop.
 //! * [`ArrivalProcess`] — the per-node arrival-process contract behind a
 //!   [`noc_workloads::TrafficSpec`]: a process knows the cycle of its next
 //!   arrival and, when popped, classifies the arrival and schedules the
@@ -38,97 +33,49 @@ use noc_topology::NodeId;
 use noc_workloads::{TraceEntry, TraceKind, TrafficSpec, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Width of the calendar window, in cycles (a power of two, so slot
-/// lookup is a mask). Events due within `[frontier, frontier + CALENDAR_SLOTS)`
-/// live in per-cycle buckets; later events wait in a heap and migrate in
-/// as the frontier advances.
-pub const CALENDAR_SLOTS: u64 = 1024;
-
-/// Bitmap words covering one bit per calendar slot.
-const OCC_WORDS: usize = (CALENDAR_SLOTS as usize) / 64;
-
-/// A bucketed calendar queue of `(time, id)` pairs.
+/// A priority queue of `(time, id)` pairs.
 ///
-/// `pop_due` pops events in `(time, id)` lexicographic order, so events
-/// scheduled for the same cycle come out in ascending id order — a
-/// deterministic tie-break the engines rely on.
-///
-/// Layout: events due within the next [`CALENDAR_SLOTS`] cycles of the
-/// drain frontier sit in per-cycle buckets (`slots[time % CALENDAR_SLOTS]`),
-/// found through an occupancy bitmap — push and pop are O(1) in the
-/// dense regime of a loaded network. Events beyond the window fall back
-/// to a small binary min-heap (`far`) and migrate into buckets when the
-/// frontier reaches them — the sparse low-load regime, where inter-event
-/// gaps dwarf the window. Within the window each slot holds events of
-/// exactly one time, and same-time ids pop in ascending order via a lazy
-/// descending sort on first drain of the slot.
+/// `pop_due` pops events in `(time, id)` lexicographic order — the tuple
+/// order of the heap's keys — so events scheduled for the same cycle come
+/// out in ascending id order, a deterministic tie-break the engines rely
+/// on.
 ///
 /// The frontier (`cursor`) tracks the time of the most recently popped
 /// event; `push` panics if asked to schedule behind it, so an engine bug
-/// that would silently reorder events under the old heap surfaces as a
-/// named invariant violation here.
-#[derive(Clone, Debug)]
+/// that a bare heap would silently reorder surfaces as a named invariant
+/// violation here.
+#[derive(Clone, Debug, Default)]
 pub struct EventQueue {
     /// Drain frontier: every pending event has `time >= cursor`.
     cursor: u64,
-    /// Earliest pending event time (`u64::MAX` when empty, except for
-    /// events literally scheduled at `u64::MAX`). Maintained as a `min`
-    /// on push and recomputed once per successful pop, so the loaded
-    /// regime's once-per-cycle *failing* `pop_due` probe — the engine's
-    /// hot path at saturation, where an arrival is due only every few
-    /// cycles — is a single compare instead of a bitmap scan.
-    next_time: u64,
-    /// Events currently held in the calendar window.
-    near_len: usize,
-    /// Per-cycle buckets; `slots[t % CALENDAR_SLOTS]` holds the ids due
-    /// at `t` for the unique in-window `t` mapping to that index.
-    slots: Vec<Vec<u32>>,
-    /// One bit per slot: does the bucket hold any events?
-    occupied: [u64; OCC_WORDS],
-    /// The time whose bucket is sorted (descending) and mid-drain.
-    draining: Option<u64>,
-    /// Far-future overflow: a binary min-heap of events with
-    /// `time >= cursor + CALENDAR_SLOTS`.
-    far: Vec<(u64, u32)>,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new()
-    }
+    heap: BinaryHeap<Reverse<(u64, u32)>>,
 }
 
 impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            cursor: 0,
-            next_time: u64::MAX,
-            near_len: 0,
-            slots: vec![Vec::new(); CALENDAR_SLOTS as usize],
-            occupied: [0; OCC_WORDS],
-            draining: None,
-            far: Vec::new(),
-        }
+        EventQueue::default()
     }
 
-    /// An empty queue with room for `cap` far-future events (the calendar
-    /// window itself is fixed-size).
+    /// An empty queue with room for `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
-        let mut q = EventQueue::new();
-        q.far.reserve(cap);
-        q
+        EventQueue {
+            cursor: 0,
+            heap: BinaryHeap::with_capacity(cap),
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.near_len + self.far.len()
+        self.heap.len()
     }
 
     /// Is the queue empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Schedule `id` at `time`.
@@ -145,179 +92,22 @@ impl EventQueue {
              past behind the drain frontier {}",
             self.cursor
         );
-        self.next_time = self.next_time.min(time);
-        if time - self.cursor < CALENDAR_SLOTS {
-            self.near_insert(time, id);
-        } else {
-            self.far.push((time, id));
-            self.far_sift_up(self.far.len() - 1);
-        }
+        self.heap.push(Reverse((time, id)));
     }
 
-    /// Earliest pending event time, if any. O(1): reads the maintained
-    /// minimum.
+    /// Earliest pending event time, if any.
     pub fn peek_time(&self) -> Option<u64> {
-        (!self.is_empty()).then_some(self.next_time)
+        self.heap.peek().map(|&Reverse((time, _))| time)
     }
 
     /// Pop the earliest event if it is due at or before `now`.
     pub fn pop_due(&mut self, now: u64) -> Option<u32> {
-        // Saturation hot path: a probe with nothing due is one compare
-        // (the emptiness check only runs when `now` reaches the cached
-        // minimum, which an empty queue parks at `u64::MAX`).
-        if self.next_time > now || self.is_empty() {
+        if self.peek_time()? > now {
             return None;
         }
-        let id = loop {
-            if let Some(t) = self.first_near_time() {
-                break self.pop_slot(t);
-            }
-            // The window is empty and the next far event is due (the
-            // cached minimum said so): jump the frontier to it so it (and
-            // any companions) migrate into buckets, then pop from there.
-            let &(t, _) = self
-                .far
-                .first()
-                .expect("EventQueue invariant violated: cached minimum but no pending event");
-            self.cursor = t;
-            self.settle();
-        };
-        // In-window events always precede far ones (far ≥ cursor + window).
-        self.next_time = self
-            .first_near_time()
-            .or_else(|| self.far.first().map(|&(t, _)| t))
-            .unwrap_or(u64::MAX);
+        let Reverse((time, id)) = self.heap.pop()?;
+        self.cursor = time;
         Some(id)
-    }
-
-    /// Insert an in-window event into its bucket.
-    fn near_insert(&mut self, time: u64, id: u32) {
-        let s = (time % CALENDAR_SLOTS) as usize;
-        if self.draining == Some(time) {
-            // The bucket is mid-drain (sorted descending): keep it sorted.
-            let pos = self.slots[s].partition_point(|&x| x > id);
-            self.slots[s].insert(pos, id);
-        } else {
-            self.slots[s].push(id);
-        }
-        self.occupied[s / 64] |= 1u64 << (s % 64);
-        self.near_len += 1;
-    }
-
-    /// Pop the smallest id due at `t` (the earliest pending time).
-    fn pop_slot(&mut self, t: u64) -> u32 {
-        if t > self.cursor {
-            self.cursor = t;
-            self.settle();
-        }
-        let s = (t % CALENDAR_SLOTS) as usize;
-        if self.draining != Some(t) {
-            // Lazy: sort descending on first drain so each pop is a
-            // cheap pop-from-the-back in ascending id order.
-            self.slots[s].sort_unstable_by(|a, b| b.cmp(a));
-            self.draining = Some(t);
-        }
-        let id = self.slots[s]
-            .pop()
-            .expect("EventQueue invariant violated: occupied bucket holds no event");
-        self.near_len -= 1;
-        if self.slots[s].is_empty() {
-            self.occupied[s / 64] &= !(1u64 << (s % 64));
-            self.draining = None;
-        }
-        id
-    }
-
-    /// Migrate far events that now fall inside the window. Called after
-    /// every frontier advance so the far heap's `time >= cursor + window`
-    /// invariant holds.
-    fn settle(&mut self) {
-        let limit = self.cursor.saturating_add(CALENDAR_SLOTS);
-        while let Some(&(t, id)) = self.far.first() {
-            if t >= limit {
-                break;
-            }
-            self.far_pop();
-            self.near_insert(t, id);
-        }
-    }
-
-    /// Earliest occupied bucket time within the window, via the bitmap.
-    fn first_near_time(&self) -> Option<u64> {
-        if self.near_len == 0 {
-            return None;
-        }
-        let start = (self.cursor % CALENDAR_SLOTS) as usize;
-        let base = self.cursor - self.cursor % CALENDAR_SLOTS;
-        // Slots at or after the frontier's index hold times in this
-        // window lap; earlier slots hold times one lap later.
-        if let Some(s) = self.first_set_in(start, CALENDAR_SLOTS as usize) {
-            return Some(base + s as u64);
-        }
-        let s = self.first_set_in(0, start)?;
-        Some(base + CALENDAR_SLOTS + s as u64)
-    }
-
-    /// Lowest set bit in `occupied[lo..hi)`, if any.
-    fn first_set_in(&self, lo: usize, hi: usize) -> Option<usize> {
-        if lo >= hi {
-            return None;
-        }
-        let hi_w = hi.div_ceil(64);
-        let mut w = lo / 64;
-        let mut bits = self.occupied[w] & (!0u64 << (lo % 64));
-        loop {
-            if bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                return (s < hi).then_some(s);
-            }
-            w += 1;
-            if w >= hi_w {
-                return None;
-            }
-            bits = self.occupied[w];
-        }
-    }
-
-    /// Pop the minimum of the far heap.
-    fn far_pop(&mut self) {
-        let last = self.far.len() - 1;
-        self.far.swap(0, last);
-        self.far.pop();
-        if !self.far.is_empty() {
-            self.far_sift_down(0);
-        }
-    }
-
-    fn far_sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.far[i] < self.far[parent] {
-                self.far.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn far_sift_down(&mut self, mut i: usize) {
-        let n = self.far.len();
-        loop {
-            let (l, r) = (2 * i + 1, 2 * i + 2);
-            let mut smallest = i;
-            if l < n && self.far[l] < self.far[smallest] {
-                smallest = l;
-            }
-            if r < n && self.far[r] < self.far[smallest] {
-                smallest = r;
-            }
-            if smallest == i {
-                break;
-            }
-            self.far.swap(i, smallest);
-            i = smallest;
-        }
     }
 }
 
@@ -391,7 +181,11 @@ fn ln_q(p: f64) -> f64 {
 
 /// The paper's memoryless source: geometric inter-arrival gaps at the
 /// workload's generation rate — one RNG draw per arrival instead of one
-/// Bernoulli draw per cycle, generating the identical process.
+/// Bernoulli draw per cycle, generating the identical process. The
+/// paper's sources are Poisson; a Bernoulli trial per cycle is its
+/// cycle-accurate discretisation, whose gaps are geometric and whose
+/// arrival counts converge to Poisson at the small per-cycle rates the
+/// sweeps use (λ ≤ ~0.05).
 #[derive(Clone, Debug)]
 pub struct GeometricProcess {
     /// `ln(1 − λ)`; `0.0` disables the process (λ = 0, or λ below f64
@@ -738,18 +532,21 @@ mod tests {
         assert_eq!(q.pop_due(u64::MAX), None);
     }
 
+    /// A horizon well past any engine's per-node gap at the swept rates.
+    const HORIZON: u64 = 4096;
+
     #[test]
-    fn far_events_migrate_across_the_window_boundary() {
-        // Times beyond CALENDAR_SLOTS start in the far heap and must pop
-        // in global (time, id) order as the frontier wraps the calendar.
+    fn near_and_far_events_pop_in_global_order() {
+        // Times a few cycles and many horizons apart, pushed out of
+        // order, must pop in global (time, id) order.
         let mut q = EventQueue::new();
         let events = [
             (2u64, 7u32),
-            (CALENDAR_SLOTS - 1, 3),
-            (CALENDAR_SLOTS + 5, 1),
-            (CALENDAR_SLOTS + 5, 0),
-            (3 * CALENDAR_SLOTS + 2, 9),
-            (10 * CALENDAR_SLOTS, 4),
+            (HORIZON - 1, 3),
+            (HORIZON + 5, 1),
+            (HORIZON + 5, 0),
+            (3 * HORIZON + 2, 9),
+            (10 * HORIZON, 4),
         ];
         for (t, id) in events {
             q.push(t, id);
@@ -765,22 +562,22 @@ mod tests {
 
     #[test]
     fn interleaved_pushes_keep_pop_order_after_wraps() {
-        // Push-as-you-pop across several window laps: the queue must keep
-        // honouring (time, id) order, including a push into a bucket that
-        // is mid-drain (same time as the event just popped).
+        // Push-as-you-pop over several horizons: the queue must keep
+        // honouring (time, id) order, including a push at the time of
+        // the event just popped (the cycle is mid-drain).
         let mut q = EventQueue::new();
         q.push(0, 5);
         q.push(0, 9);
         assert_eq!(q.pop_due(0), Some(5));
-        q.push(0, 7); // same-cycle push while the bucket drains
+        q.push(0, 7); // same-cycle push while the cycle drains
         assert_eq!(q.pop_due(0), Some(7));
         assert_eq!(q.pop_due(0), Some(9));
-        // March the frontier over multiple wraps with a sliding event set.
+        // March the frontier forward with a sliding event set.
         let mut time = 1u64;
         for lap in 0..5u64 {
-            let t = time + lap * (CALENDAR_SLOTS / 2 + 3);
+            let t = time + lap * (HORIZON / 2 + 3);
             q.push(t, lap as u32);
-            q.push(t + 2 * CALENDAR_SLOTS, 100 + lap as u32);
+            q.push(t + 2 * HORIZON, 100 + lap as u32);
             time = t;
         }
         let mut last = (0u64, 0u32);
@@ -797,6 +594,28 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 10);
+    }
+
+    #[test]
+    fn sparse_far_apart_events_pop_in_order() {
+        // 65 536 events at distinct times a million cycles apart, pushed
+        // in a scrambled order (37 is coprime to 2^16), plus one at the
+        // far end of the clock.
+        const N: u64 = 65_536;
+        let mut q = EventQueue::with_capacity(N as usize + 1);
+        q.push(u64::MAX - 1, 0);
+        for k in 0..N {
+            let i = (k * 37) % N;
+            q.push(i * 1_000_003, i as u32);
+        }
+        for i in 0..N {
+            assert_eq!(q.peek_time(), Some(i * 1_000_003));
+            assert_eq!(q.pop_due(i * 1_000_003), Some(i as u32));
+        }
+        assert_eq!(q.pop_due(u64::MAX - 2), None);
+        assert_eq!(q.peek_time(), Some(u64::MAX - 1));
+        assert_eq!(q.pop_due(u64::MAX - 1), Some(0));
+        assert!(q.is_empty());
     }
 
     #[test]

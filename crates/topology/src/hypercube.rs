@@ -20,6 +20,7 @@ use crate::channel::Channel;
 use crate::ids::{ChannelId, NodeId, PortId};
 use crate::network::{Network, Topology, TopologyError};
 use crate::path::{Hop, MulticastStream, Path};
+use crate::routing::dual_path_streams;
 
 /// A `2^d`-node binary hypercube (`1 ≤ d ≤ 16`), port `c` = dimension `c`.
 #[derive(Clone, Debug)]
@@ -124,42 +125,6 @@ impl Hypercube {
     pub fn node_at_gray(&self, h: usize) -> NodeId {
         NodeId((h ^ (h >> 1)) as u32)
     }
-
-    /// Build one dual-path stream covering the given Gray labels (sorted
-    /// in visit order) from `src`.
-    fn gray_stream(&self, src: NodeId, labels: &[usize], up: bool) -> MulticastStream {
-        debug_assert!(!labels.is_empty());
-        let h0 = self.gray_label(src);
-        let last = *labels.last().unwrap();
-        let step = |h: usize| if up { h + 1 } else { h - 1 };
-        // First hop decides the injection port.
-        let first_next = self.node_at_gray(step(h0));
-        let first_dim = (src.idx() ^ first_next.idx()).trailing_zeros() as usize;
-        let first_port = PortId(first_dim as u8);
-        let mut hops = vec![Hop::new(self.net.injection_channel(src, first_port), 0)];
-        let mut h = h0;
-        let mut at = src;
-        let mut arrival = first_port;
-        while h != last {
-            let next = self.node_at_gray(step(h));
-            let dim = (at.idx() ^ next.idx()).trailing_zeros() as usize;
-            hops.push(Hop::new(self.link(at.idx(), dim), 1)); // reserved VC1
-            arrival = PortId(dim as u8);
-            at = next;
-            h = step(h);
-        }
-        hops.push(Hop::new(self.net.ejection_channel(at, arrival), 0));
-        MulticastStream {
-            port: first_port,
-            path: Path {
-                src,
-                dst: at,
-                port: first_port,
-                hops,
-            },
-            targets: labels.iter().map(|&l| self.node_at_gray(l)).collect(),
-        }
-    }
 }
 
 impl Topology for Hypercube {
@@ -204,34 +169,9 @@ impl Topology for Hypercube {
             .collect()
     }
 
+    /// Dual-path along the Gray-code Hamiltonian order, on reserved VC1.
     fn multicast_streams(&self, src: NodeId, targets: &[NodeId]) -> Vec<MulticastStream> {
-        let h0 = self.gray_label(src);
-        let mut high: Vec<usize> = Vec::new();
-        let mut low: Vec<usize> = Vec::new();
-        for &t in targets {
-            if t == src {
-                continue;
-            }
-            let h = self.gray_label(t);
-            if h > h0 {
-                high.push(h);
-            } else {
-                low.push(h);
-            }
-        }
-        let mut streams = Vec::new();
-        high.sort_unstable();
-        high.dedup();
-        if !high.is_empty() {
-            streams.push(self.gray_stream(src, &high, true));
-        }
-        low.sort_unstable();
-        low.dedup();
-        low.reverse();
-        if !low.is_empty() {
-            streams.push(self.gray_stream(src, &low, false));
-        }
-        streams
+        dual_path_streams(self, src, targets)
     }
 
     fn diameter(&self) -> usize {

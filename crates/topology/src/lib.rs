@@ -82,6 +82,6 @@ pub use network::{ChannelFactory, Network, PathError, Topology, TopologyError};
 pub use path::{Hop, MulticastStream, Path};
 pub use quarc::Quarc;
 pub use ring::Ring;
-pub use routing::{MulticastRouting, RoutingError, RoutingSpec, ALL_ROUTINGS};
+pub use routing::{RoutingError, RoutingSpec, ALL_ROUTINGS};
 pub use spec::{ClusterInner, TopologySpec, KNOWN_TOPOLOGIES};
 pub use spidergon::Spidergon;

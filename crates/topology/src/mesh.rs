@@ -23,6 +23,7 @@ use crate::channel::Channel;
 use crate::ids::{ChannelId, NodeId, PortId};
 use crate::network::{Network, Topology, TopologyError};
 use crate::path::{Hop, MulticastStream, Path};
+use crate::routing::dual_path_streams;
 
 /// Port indices of the mesh/torus all-port router.
 pub mod port {
@@ -320,70 +321,6 @@ impl Mesh {
             self.node(self.width - 1 - x, y)
         }
     }
-
-    /// The physical port leading from label `h` to label `h+1` (or `h-1`
-    /// when `up` is false).
-    fn hamiltonian_port(&self, h: usize, up: bool) -> PortId {
-        let (from, to) = if up {
-            (self.node_at_label(h), self.node_at_label(h + 1))
-        } else {
-            (self.node_at_label(h), self.node_at_label(h - 1))
-        };
-        let (fx, fy) = self.coords(from);
-        let (tx, ty) = self.coords(to);
-        if ty == fy {
-            if tx == fx + 1 {
-                port::XPLUS
-            } else {
-                port::XMINUS
-            }
-        } else if ty == fy + 1 {
-            port::YPLUS
-        } else {
-            port::YMINUS
-        }
-    }
-
-    /// The VC index reserved for Hamiltonian multicast streams.
-    fn multicast_vc(&self) -> u8 {
-        match self.kind {
-            MeshKind::Mesh => 1,
-            MeshKind::Torus => 2,
-        }
-    }
-
-    /// Build one dual-path stream from `src` covering targets at the given
-    /// Hamiltonian labels (sorted in visit order).
-    fn hamiltonian_stream(&self, src: NodeId, labels: &[usize], up: bool) -> MulticastStream {
-        debug_assert!(!labels.is_empty());
-        let vc = self.multicast_vc();
-        let h0 = self.hamiltonian_label(src);
-        let last_label = *labels.last().unwrap();
-        let first_port = self.hamiltonian_port(h0, up);
-        let mut hops = vec![Hop::new(self.net.injection_channel(src, first_port), 0)];
-        let mut h = h0;
-        let mut at = src;
-        let mut arrival_port = first_port;
-        while h != last_label {
-            let p = self.hamiltonian_port(h, up);
-            hops.push(Hop::new(self.link(at, p), vc));
-            at = self.step(at, p);
-            arrival_port = p;
-            h = if up { h + 1 } else { h - 1 };
-        }
-        let dst = at;
-        hops.push(Hop::new(self.net.ejection_channel(dst, arrival_port), 0));
-        MulticastStream {
-            port: first_port,
-            path: Path {
-                src,
-                dst,
-                port: first_port,
-                hops,
-            },
-            targets: labels.iter().map(|&l| self.node_at_label(l)).collect(),
-        }
-    }
 }
 
 impl Topology for Mesh {
@@ -438,34 +375,10 @@ impl Topology for Mesh {
             .collect()
     }
 
+    /// Dual-path along the boustrophedon Hamiltonian order, on the
+    /// links' reserved top VC.
     fn multicast_streams(&self, src: NodeId, targets: &[NodeId]) -> Vec<MulticastStream> {
-        let h0 = self.hamiltonian_label(src);
-        let mut high: Vec<usize> = Vec::new();
-        let mut low: Vec<usize> = Vec::new();
-        for &t in targets {
-            if t == src {
-                continue;
-            }
-            let h = self.hamiltonian_label(t);
-            if h > h0 {
-                high.push(h);
-            } else {
-                low.push(h);
-            }
-        }
-        let mut streams = Vec::new();
-        high.sort_unstable();
-        high.dedup();
-        if !high.is_empty() {
-            streams.push(self.hamiltonian_stream(src, &high, true));
-        }
-        low.sort_unstable();
-        low.dedup();
-        low.reverse();
-        if !low.is_empty() {
-            streams.push(self.hamiltonian_stream(src, &low, false));
-        }
-        streams
+        dual_path_streams(self, src, targets)
     }
 
     fn diameter(&self) -> usize {

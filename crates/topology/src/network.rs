@@ -19,8 +19,9 @@
 use crate::channel::{Channel, ChannelKind};
 use crate::ids::{ChannelId, NodeId, PortId, VcId};
 use crate::path::{MulticastStream, Path};
+use crate::routing::OrderWalk;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors raised by topology constructors and the spec registry.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -245,6 +246,10 @@ pub struct Network {
     num_nodes: usize,
     ports_per_node: usize,
     storage: Storage,
+    /// The owning topology's order-walk step table, filled on first use
+    /// (`routing.rs`). It depends only on the channel table and the
+    /// topology's `linear_label`, so it is built once, not per stream.
+    pub(crate) order_walk: OnceLock<OrderWalk>,
 }
 
 impl Network {
@@ -276,6 +281,7 @@ impl Network {
                 injection,
                 ejection,
             },
+            order_walk: OnceLock::new(),
         }
     }
 
@@ -294,6 +300,7 @@ impl Network {
                 factory,
                 num_channels,
             },
+            order_walk: OnceLock::new(),
         }
     }
 

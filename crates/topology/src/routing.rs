@@ -12,9 +12,9 @@
 //!
 //! * [`RoutingSpec::PathBased`] — the topology's native stream
 //!   construction ([`Topology::multicast_streams`]): BRCP rim streams on
-//!   the Quarc/ring, Hamiltonian dual-path on mesh/torus/hypercube.
-//!   Bit-identical to the pre-abstraction behaviour.
-//! * [`RoutingSpec::DualPath`] — the generic Lin–Ni split: destinations
+//!   the Quarc/ring; on mesh/torus/hypercube it *is* the dual-path walk
+//!   below, over their boustrophedon / Gray-code orders.
+//! * [`RoutingSpec::DualPath`] — the Lin–Ni split: destinations
 //!   are divided into the half *above* and the half *below* the source on
 //!   the topology's linear order ([`Topology::linear_label`]) and each
 //!   half is served by one stream walking the order label-by-label,
@@ -39,12 +39,11 @@
 //! the linear order using only links between order-adjacent nodes, on
 //! each link's *top* virtual channel. Monotonicity makes the channel
 //! dependency graph of the up (and, mirrored, the down) subnetwork
-//! acyclic — the Lin–Ni argument the native mesh/hypercube dual-path
-//! construction also uses. On grid/cube topologies the top VC *is* the
-//! reserved multicast class; on rim topologies (Quarc/ring) it is the
-//! dateline class, which stays acyclic because the walk never crosses the
-//! wrap link. (An earlier construction chained shortest unicast legs
-//! instead; its mid-path turns deadlocked under load — see
+//! acyclic — the Lin–Ni argument. On grid/cube topologies the top VC
+//! *is* the reserved multicast class; on rim topologies (Quarc/ring) it
+//! is the dateline class, which stays acyclic because the walk never
+//! crosses the wrap link. (An earlier construction chained shortest
+//! unicast legs instead; its mid-path turns deadlocked under load — see
 //! `tests/routing_schemes.rs` for the regression.) `UnicastTree` streams
 //! are plain unicast routes and inherit the base routing's discipline.
 //!
@@ -115,44 +114,8 @@ impl fmt::Display for RoutingError {
 
 impl std::error::Error for RoutingError {}
 
-/// A multicast routing scheme: turns `(topology, source, destination set)`
-/// into per-port wormhole streams.
-///
-/// Implementations must uphold the *partition invariants* the simulator
-/// and the model rely on: the streams' target lists cover every requested
-/// destination (minus the source, minus duplicates) **exactly once**, and
-/// every stream path is valid on the topology's channel graph.
-pub trait MulticastRouting: Send + Sync {
-    /// Short registry code (`"path"`, `"dual-path"`, ...).
-    fn code(&self) -> &'static str;
-
-    /// Check the scheme is realizable on a topology of `num_nodes` nodes
-    /// with `num_ports` injection ports per node; `has_linear_order`
-    /// states whether the topology has a usable Hamiltonian linear order
-    /// ([`Topology::has_linear_order`]), which the order-walking schemes
-    /// require.
-    fn validate(
-        &self,
-        num_nodes: usize,
-        num_ports: usize,
-        has_linear_order: bool,
-    ) -> Result<(), RoutingError>;
-
-    /// Decompose a multicast from `src` to `targets` into streams.
-    /// `src` entries and duplicates in `targets` are ignored.
-    fn streams(&self, topo: &dyn Topology, src: NodeId, targets: &[NodeId])
-        -> Vec<MulticastStream>;
-
-    /// Does the paper's asynchronous-port waiting model (Eq. 8–16) apply
-    /// to this scheme's streams?
-    fn model_applicable(&self) -> bool {
-        true
-    }
-}
-
 /// Drop `src` and duplicates from a target list, preserving first-seen
-/// order (the shared sanitation step of all generic schemes, mirroring
-/// what the native topology constructions do).
+/// order.
 fn sanitize(src: NodeId, targets: &[NodeId]) -> Vec<NodeId> {
     let mut out = Vec::with_capacity(targets.len());
     for &t in targets {
@@ -163,15 +126,23 @@ fn sanitize(src: NodeId, targets: &[NodeId]) -> Vec<NodeId> {
     out
 }
 
-/// Shared per-call context of the order-based schemes: for each
-/// order-adjacent node pair, the connecting link. Built once per
-/// `streams()` call.
-struct OrderWalk {
+/// The step table of the order-based schemes: for each order-adjacent
+/// node pair, the connecting link. Built on the first order walk over a
+/// topology and kept beside its channel table (see [`order_walk`]).
+#[derive(Clone, Debug)]
+pub(crate) struct OrderWalk {
     /// `step_up[h]` — the link from label `h` to label `h + 1`
     /// (`step_up[n-1]` is unused and left as `None`).
     step_up: Vec<Option<Hop>>,
     /// `step_down[h]` — the link from label `h` to label `h - 1`.
     step_down: Vec<Option<Hop>>,
+}
+
+/// `topo`'s step table, built once per topology.
+fn order_walk(topo: &dyn Topology) -> &OrderWalk {
+    topo.network()
+        .order_walk
+        .get_or_init(|| OrderWalk::build(topo))
 }
 
 impl OrderWalk {
@@ -247,8 +218,8 @@ impl OrderWalk {
     }
 }
 
-/// Split the sanitized targets into the label-sorted halves above
-/// (ascending) and below (descending) `src`.
+/// Split the targets (minus `src`, minus duplicates) into the
+/// label-sorted halves above (ascending) and below (descending) `src`.
 fn order_halves(
     topo: &dyn Topology,
     src: NodeId,
@@ -257,7 +228,10 @@ fn order_halves(
     let h0 = topo.linear_label(src);
     let mut high: Vec<(usize, NodeId)> = Vec::new();
     let mut low: Vec<(usize, NodeId)> = Vec::new();
-    for t in sanitize(src, targets) {
+    for &t in targets {
+        if t == src {
+            continue;
+        }
         let h = topo.linear_label(t);
         if h > h0 {
             high.push((h, t));
@@ -265,8 +239,11 @@ fn order_halves(
             low.push((h, t));
         }
     }
-    high.sort_unstable();
-    low.sort_unstable();
+    // Labels are a bijection, so sorting brings duplicates together.
+    for half in [&mut high, &mut low] {
+        half.sort_unstable();
+        half.dedup();
+    }
     low.reverse();
     (
         high.into_iter().map(|(_, t)| t).collect(),
@@ -274,100 +251,26 @@ fn order_halves(
     )
 }
 
-/// The topology's native path-based construction
-/// ([`Topology::multicast_streams`]) — the paper's BRCP scheme on the
-/// Quarc and ring, Hamiltonian dual-path on mesh/torus/hypercube.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PathBased;
-
-impl MulticastRouting for PathBased {
-    fn code(&self) -> &'static str {
-        "path"
-    }
-
-    fn validate(
-        &self,
-        num_nodes: usize,
-        _num_ports: usize,
-        _has_linear_order: bool,
-    ) -> Result<(), RoutingError> {
-        if num_nodes < 2 {
-            return Err(RoutingError::TooFewNodes {
-                scheme: self.code(),
-                nodes: num_nodes,
-            });
-        }
-        Ok(())
-    }
-
-    fn streams(
-        &self,
-        topo: &dyn Topology,
-        src: NodeId,
-        targets: &[NodeId],
-    ) -> Vec<MulticastStream> {
-        topo.multicast_streams(src, targets)
-    }
-}
-
-/// Generic Lin–Ni dual-path: split the destinations into the halves above
-/// and below the source on [`Topology::linear_label`] and serve each half
+/// Lin–Ni dual-path: split the destinations into the halves above and
+/// below the source on [`Topology::linear_label`] and serve each half
 /// with one stream walking the order label-by-label (absorbing at
-/// targets) on the links' top virtual channel.
-///
-/// On mesh/torus/hypercube this reproduces the native Hamiltonian
-/// dual-path construction exactly; on the Quarc it is the two-rim-stream
+/// targets) on the links' top virtual channel. It is the native
+/// [`Topology::multicast_streams`] of mesh, torus and hypercube
+/// (boustrophedon / Gray-code orders) and [`RoutingSpec::DualPath`] on
+/// every topology with a linear order — on the Quarc, the two-rim-stream
 /// alternative to the native four-port BRCP decomposition.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DualPath;
-
-impl MulticastRouting for DualPath {
-    fn code(&self) -> &'static str {
-        "dual-path"
-    }
-
-    fn validate(
-        &self,
-        num_nodes: usize,
-        num_ports: usize,
-        has_linear_order: bool,
-    ) -> Result<(), RoutingError> {
-        if num_nodes < 2 {
-            return Err(RoutingError::TooFewNodes {
-                scheme: self.code(),
-                nodes: num_nodes,
-            });
-        }
-        if num_ports < 2 {
-            return Err(RoutingError::SingleInjectionPort {
-                scheme: self.code(),
-                ports: num_ports,
-            });
-        }
-        if !has_linear_order {
-            return Err(RoutingError::NoLinearOrder {
-                scheme: self.code(),
-            });
-        }
-        Ok(())
-    }
-
-    fn streams(
-        &self,
-        topo: &dyn Topology,
-        src: NodeId,
-        targets: &[NodeId],
-    ) -> Vec<MulticastStream> {
-        let (high, low) = order_halves(topo, src, targets);
-        let walk = OrderWalk::build(topo);
-        let mut streams = Vec::new();
-        for (half, up) in [(high, true), (low, false)] {
-            if !half.is_empty() {
-                streams.push(walk.stream(topo, src, &half, up));
-            }
-        }
-        streams
-    }
+pub(crate) fn dual_path_streams(
+    topo: &dyn Topology,
+    src: NodeId,
+    targets: &[NodeId],
+) -> Vec<MulticastStream> {
+    let (high, low) = order_halves(topo, src, targets);
+    let walk = order_walk(topo);
+    [(high, true), (low, false)]
+        .into_iter()
+        .filter(|(half, _)| !half.is_empty())
+        .map(|(half, up)| walk.stream(topo, src, &half, up))
+        .collect()
 }
 
 /// DPM-style partitioned multipath (arXiv:2108.00566): the dual-path
@@ -376,137 +279,56 @@ impl MulticastRouting for DualPath {
 /// targets — and each segment gets its own order walk. More streams mean
 /// shorter absorb lists (lower per-stream service time) at the cost of
 /// shared prefix links near the source.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Multipath;
-
-impl MulticastRouting for Multipath {
-    fn code(&self) -> &'static str {
-        "multipath"
+fn multipath_streams(topo: &dyn Topology, src: NodeId, targets: &[NodeId]) -> Vec<MulticastStream> {
+    let (high, low) = order_halves(topo, src, targets);
+    let budget = topo.num_ports();
+    // Greedy partitioning: start from the dual-path halves and keep
+    // splitting the largest segment in half until the port budget is
+    // spent or every segment is a single target.
+    let mut segments: Vec<(Vec<NodeId>, bool)> = [(high, true), (low, false)]
+        .into_iter()
+        .filter(|(half, _)| !half.is_empty())
+        .collect();
+    while segments.len() < budget {
+        let (i, _) = match segments
+            .iter()
+            .enumerate()
+            .filter(|(_, (seg, _))| seg.len() > 1)
+            .max_by_key(|(_, (seg, _))| seg.len())
+        {
+            Some((i, seg)) => (i, seg),
+            None => break, // all segments are singletons
+        };
+        let (seg, up) = segments.remove(i);
+        let (near, far) = seg.split_at(seg.len() / 2);
+        segments.insert(i, (near.to_vec(), up));
+        segments.insert(i + 1, (far.to_vec(), up));
     }
-
-    fn validate(
-        &self,
-        num_nodes: usize,
-        num_ports: usize,
-        has_linear_order: bool,
-    ) -> Result<(), RoutingError> {
-        if num_nodes < 2 {
-            return Err(RoutingError::TooFewNodes {
-                scheme: self.code(),
-                nodes: num_nodes,
-            });
-        }
-        if num_ports < 2 {
-            return Err(RoutingError::SingleInjectionPort {
-                scheme: self.code(),
-                ports: num_ports,
-            });
-        }
-        if !has_linear_order {
-            return Err(RoutingError::NoLinearOrder {
-                scheme: self.code(),
-            });
-        }
-        Ok(())
-    }
-
-    fn streams(
-        &self,
-        topo: &dyn Topology,
-        src: NodeId,
-        targets: &[NodeId],
-    ) -> Vec<MulticastStream> {
-        let (high, low) = order_halves(topo, src, targets);
-        let budget = topo.num_ports();
-        // Greedy partitioning: start from the dual-path halves and keep
-        // splitting the largest segment in half until the port budget is
-        // spent or every segment is a single target.
-        let mut segments: Vec<(Vec<NodeId>, bool)> = [(high, true), (low, false)]
-            .into_iter()
-            .filter(|(half, _)| !half.is_empty())
-            .collect();
-        while segments.len() < budget {
-            let (i, _) = match segments
-                .iter()
-                .enumerate()
-                .filter(|(_, (seg, _))| seg.len() > 1)
-                .max_by_key(|(_, (seg, _))| seg.len())
-            {
-                Some((i, seg)) => (i, seg),
-                None => break, // all segments are singletons
-            };
-            let (seg, up) = segments.remove(i);
-            let (near, far) = seg.split_at(seg.len() / 2);
-            segments.insert(i, (near.to_vec(), up));
-            segments.insert(i + 1, (far.to_vec(), up));
-        }
-        let walk = OrderWalk::build(topo);
-        segments
-            .into_iter()
-            .map(|(seg, up)| walk.stream(topo, src, &seg, up))
-            .collect()
-    }
-
-    /// Segments of the same half share their prefix links, so one
-    /// operation's streams co-arrive on common channels — a synchronized
-    /// contention the model's independent-exponentials combination
-    /// (Eq. 12–13) does not see (empirically a ~50% underprediction even
-    /// at 30% load). Out of the model's domain, like [`UnicastTree`].
-    fn model_applicable(&self) -> bool {
-        false
-    }
+    let walk = order_walk(topo);
+    segments
+        .into_iter()
+        .map(|(seg, up)| walk.stream(topo, src, &seg, up))
+        .collect()
 }
 
 /// Source-replicated unicast: one plain unicast stream per destination,
-/// the baseline for routers with no multicast hardware support. Streams
-/// that share an injection port serialize there — the asynchronous-port
-/// model does not apply ([`MulticastRouting::model_applicable`] is
-/// `false`).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UnicastTree;
-
-impl MulticastRouting for UnicastTree {
-    fn code(&self) -> &'static str {
-        "unicast"
-    }
-
-    fn validate(
-        &self,
-        num_nodes: usize,
-        _num_ports: usize,
-        _has_linear_order: bool,
-    ) -> Result<(), RoutingError> {
-        if num_nodes < 2 {
-            return Err(RoutingError::TooFewNodes {
-                scheme: self.code(),
-                nodes: num_nodes,
-            });
-        }
-        Ok(())
-    }
-
-    fn streams(
-        &self,
-        topo: &dyn Topology,
-        src: NodeId,
-        targets: &[NodeId],
-    ) -> Vec<MulticastStream> {
-        sanitize(src, targets)
-            .into_iter()
-            .map(|t| {
-                let path = topo.unicast_path(src, t);
-                MulticastStream {
-                    port: path.port,
-                    targets: vec![t],
-                    path,
-                }
-            })
-            .collect()
-    }
-
-    fn model_applicable(&self) -> bool {
-        false
-    }
+/// the baseline for routers with no multicast hardware support.
+fn unicast_tree_streams(
+    topo: &dyn Topology,
+    src: NodeId,
+    targets: &[NodeId],
+) -> Vec<MulticastStream> {
+    sanitize(src, targets)
+        .into_iter()
+        .map(|t| {
+            let path = topo.unicast_path(src, t);
+            MulticastStream {
+                port: path.port,
+                targets: vec![t],
+                path,
+            }
+        })
+        .collect()
 }
 
 /// The serializable multicast-routing selector of a workload.
@@ -554,52 +376,82 @@ pub const ALL_ROUTINGS: [RoutingSpec; 4] = [
 ];
 
 impl RoutingSpec {
-    /// The scheme implementation this spec selects.
-    pub fn scheme(&self) -> &'static dyn MulticastRouting {
-        match self {
-            RoutingSpec::PathBased => &PathBased,
-            RoutingSpec::DualPath => &DualPath,
-            RoutingSpec::Multipath => &Multipath,
-            RoutingSpec::UnicastTree => &UnicastTree,
-        }
-    }
-
     /// Short code used in derived labels (`"path"`, `"dual-path"`,
     /// `"multipath"`, `"unicast"`).
     pub fn code(&self) -> &'static str {
-        self.scheme().code()
+        match self {
+            RoutingSpec::PathBased => "path",
+            RoutingSpec::DualPath => "dual-path",
+            RoutingSpec::Multipath => "multipath",
+            RoutingSpec::UnicastTree => "unicast",
+        }
     }
 
     /// Check the scheme is realizable on a topology of `num_nodes` nodes
     /// with `num_ports` injection ports per node and (for the
-    /// order-walking schemes) a usable Hamiltonian linear order.
+    /// order-walking schemes) a usable Hamiltonian linear order
+    /// ([`Topology::has_linear_order`]).
     pub fn validate(
         &self,
         num_nodes: usize,
         num_ports: usize,
         has_linear_order: bool,
     ) -> Result<(), RoutingError> {
-        self.scheme()
-            .validate(num_nodes, num_ports, has_linear_order)
+        let scheme = self.code();
+        if num_nodes < 2 {
+            return Err(RoutingError::TooFewNodes {
+                scheme,
+                nodes: num_nodes,
+            });
+        }
+        // The order-walking schemes run concurrent streams along the
+        // linear order.
+        if matches!(self, RoutingSpec::DualPath | RoutingSpec::Multipath) {
+            if num_ports < 2 {
+                return Err(RoutingError::SingleInjectionPort {
+                    scheme,
+                    ports: num_ports,
+                });
+            }
+            if !has_linear_order {
+                return Err(RoutingError::NoLinearOrder { scheme });
+            }
+        }
+        Ok(())
     }
 
     /// Decompose a multicast from `src` to `targets` into streams under
-    /// this scheme (see [`MulticastRouting::streams`]).
+    /// this scheme. `src` entries and duplicates in `targets` are
+    /// ignored.
+    ///
+    /// Every scheme upholds the *partition invariants* the simulator and
+    /// the model rely on: the streams' target lists cover every requested
+    /// destination (minus the source, minus duplicates) **exactly once**,
+    /// and every stream path is valid on the topology's channel graph.
     pub fn streams(
         &self,
         topo: &dyn Topology,
         src: NodeId,
         targets: &[NodeId],
     ) -> Vec<MulticastStream> {
-        self.scheme().streams(topo, src, targets)
+        match self {
+            RoutingSpec::PathBased => topo.multicast_streams(src, targets),
+            RoutingSpec::DualPath => dual_path_streams(topo, src, targets),
+            RoutingSpec::Multipath => multipath_streams(topo, src, targets),
+            RoutingSpec::UnicastTree => unicast_tree_streams(topo, src, targets),
+        }
     }
 
-    /// Does the paper's asynchronous-port waiting model apply? `false`
-    /// for [`RoutingSpec::Multipath`] (segments of one operation share
-    /// their prefix links) and [`RoutingSpec::UnicastTree`] (streams
-    /// serialize at shared injection ports).
+    /// Does the paper's asynchronous-port waiting model (Eq. 8–16) apply?
+    /// `false` for [`RoutingSpec::Multipath`] — segments of one half share
+    /// their prefix links, so one operation's streams co-arrive on common
+    /// channels, a synchronized contention the independent-exponentials
+    /// combination of Eq. 12–13 does not see (empirically a ~50 %
+    /// underprediction even at 30 % load) — and for
+    /// [`RoutingSpec::UnicastTree`], whose streams serialize at shared
+    /// injection ports.
     pub fn model_applicable(&self) -> bool {
-        self.scheme().model_applicable()
+        matches!(self, RoutingSpec::PathBased | RoutingSpec::DualPath)
     }
 }
 
@@ -715,25 +567,66 @@ mod tests {
     }
 
     #[test]
-    fn dual_path_reproduces_the_native_construction_on_ordered_topologies() {
-        // On mesh/hypercube the native multicast *is* the Hamiltonian
-        // dual-path; the generic order walk must reproduce it exactly.
+    fn dual_path_hop_lists_are_pinned_on_ordered_topologies() {
+        // Mesh, torus and hypercube route their native multicast through
+        // the same order walk, so comparing the two would compare the
+        // walk with itself. These are the channel ids of the
+        // per-topology constructions the walk replaced (PR 18's build):
+        // source 5, every third other node, up-stream then down-stream.
+        /// `(port, targets, injection, links, ejection)`
+        type Pinned = (u8, &'static [u32], u32, &'static [u32], u32);
         let mesh = Mesh::new(4, 4, MeshKind::Mesh).unwrap();
+        let torus = Mesh::new(4, 4, MeshKind::Torus).unwrap();
         let cube = crate::hypercube::Hypercube::new(4).unwrap();
-        let topos: [&dyn Topology; 2] = [&mesh, &cube];
-        for topo in topos {
-            for src in [NodeId(0), NodeId(5), NodeId(10)] {
-                let targets: Vec<NodeId> = (0..16)
-                    .map(NodeId)
-                    .filter(|&t| t != src)
-                    .step_by(3)
-                    .collect();
-                assert_eq!(
-                    RoutingSpec::DualPath.streams(topo, src, &targets),
-                    topo.multicast_streams(src, &targets),
-                    "{} src {src:?}",
-                    topo.name()
-                );
+        // (topology, multicast vc of its links, [up, down])
+        let cases: [(&dyn Topology, u8, [Pinned; 2]); 3] = [
+            (
+                &mesh,
+                1,
+                [
+                    (1, &[10, 13], 69, &[14, 11, 24, 27, 31, 36, 46, 44], 165),
+                    (0, &[7, 3, 0], 68, &[13, 17, 23, 8, 6, 3], 113),
+                ],
+            ),
+            (
+                &torus,
+                2,
+                [
+                    (1, &[10, 13], 85, &[21, 18, 32, 36, 40, 46, 61, 57], 181),
+                    (0, &[7, 3, 0], 84, &[20, 24, 31, 13, 9, 5], 129),
+                ],
+            ),
+            (
+                &cube,
+                1,
+                [
+                    (0, &[13, 10], 84, &[20, 19, 48, 53, 60, 58], 170),
+                    (1, &[7, 3, 0], 85, &[21, 28, 26, 8, 13, 4], 128),
+                ],
+            ),
+        ];
+        let src = NodeId(5);
+        let targets: Vec<NodeId> = (0..16)
+            .map(NodeId)
+            .filter(|&t| t != src)
+            .step_by(3)
+            .collect();
+        for (topo, vc, pinned) in cases {
+            for spec in [RoutingSpec::PathBased, RoutingSpec::DualPath] {
+                let streams = spec.streams(topo, src, &targets);
+                assert_eq!(streams.len(), 2, "{} {spec}", topo.name());
+                for (st, (port, want_targets, inj, links, ej)) in streams.iter().zip(pinned) {
+                    let mut want_hops = vec![(inj, 0)];
+                    want_hops.extend(links.iter().map(|&l| (l, vc)));
+                    want_hops.push((ej, 0));
+                    let got_hops: Vec<(u32, u8)> =
+                        st.path.hops.iter().map(|h| (h.channel.0, h.vc.0)).collect();
+                    let got_targets: Vec<u32> = st.targets.iter().map(|t| t.0).collect();
+                    assert_eq!(st.port.0, port, "{} {spec}", topo.name());
+                    assert_eq!(got_targets, want_targets, "{} {spec}", topo.name());
+                    assert_eq!(got_hops, want_hops, "{} {spec}", topo.name());
+                    topo.network().validate_path(&st.path).unwrap();
+                }
             }
         }
     }

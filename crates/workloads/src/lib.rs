@@ -17,9 +17,9 @@
 //!   replay.
 //! * [`sweep`] — message-rate sweeps for the latency-vs-rate figures.
 //! * [`table`] — minimal CSV/aligned-table writers (no external deps).
-//! * [`parallel`] — an order-preserving parallel map built on crossbeam
-//!   scoped threads (rayon is not in the approved offline crate set; this
-//!   is the minimal substitute the sweep executors use).
+//! * [`parallel`] — an order-preserving parallel map on
+//!   `std::thread::scope` (rayon is not in the approved offline crate
+//!   set; this is the minimal substitute the sweep executors use).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! Order-preserving parallel map on crossbeam scoped threads.
+//! Order-preserving parallel map on `std` scoped threads.
 //!
 //! The figure sweeps evaluate many independent `(configuration, rate)`
 //! points; each point runs a complete simulation, so the sweep is
@@ -11,10 +11,10 @@
 //! load balancing — simulation points near saturation run much longer than
 //! low-load points, so static chunking would straggle).
 
-use parking_lot::Mutex;
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Render a panic payload the way the default hook does: `&str` and
 /// `String` payloads verbatim, anything else opaquely.
@@ -59,17 +59,22 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..items.len()).map(|_| Mutex::new(None)).collect();
     let failure: Mutex<Option<(usize, Box<dyn Any + Send>)>> = Mutex::new(None);
 
-    crossbeam::scope(|scope| {
+    // `f` runs inside `catch_unwind`, never under a lock, and every
+    // locked update is a single assignment — so a poisoned lock still
+    // guards valid data and is recovered rather than propagated.
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= items.len() {
                     break;
                 }
                 match catch_unwind(AssertUnwindSafe(|| f(&items[i]))) {
-                    Ok(r) => *results[i].lock() = Some(r),
+                    Ok(r) => {
+                        *results[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
+                    }
                     Err(payload) => {
-                        let mut slot = failure.lock();
+                        let mut slot = failure.lock().unwrap_or_else(PoisonError::into_inner);
                         match &*slot {
                             Some((first, _)) if *first <= i => {}
                             _ => *slot = Some((i, payload)),
@@ -79,10 +84,10 @@ where
                 }
             });
         }
-    })
-    .expect("crossbeam scope failed despite workers catching panics");
+    });
 
-    if let Some((i, payload)) = failure.into_inner() {
+    let failure = failure.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some((i, payload)) = failure {
         let msg = panic_message(payload.as_ref());
         if payload.downcast_ref::<&str>().is_some() || payload.downcast_ref::<String>().is_some() {
             panic!("worker panicked on item {i} ({:?}): {msg}", items[i]);
@@ -95,7 +100,11 @@ where
 
     results
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot must be filled"))
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every slot must be filled")
+        })
         .collect()
 }
 
@@ -204,6 +213,33 @@ mod tests {
         .expect_err("the worker panic must propagate");
         let msg = caught.downcast_ref::<String>().unwrap();
         assert!(msg.contains("item 0"), "lowest failing index wins: {msg}");
+    }
+
+    #[test]
+    fn a_panic_with_every_worker_busy_neither_deadlocks_nor_poisons() {
+        // Item 5 panics only once all 8 workers hold an item (the barrier
+        // forces the interleaving), so its siblings are mid-flight and
+        // store their results after the failure slot was written. The
+        // caller must get the contextualised panic — not a hang, and not
+        // a `PoisonError` from a lock.
+        let items: Vec<u32> = (0..8).collect();
+        let gate = std::sync::Barrier::new(items.len());
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            parallel_map(&items, 8, |&x| {
+                gate.wait();
+                if x == 5 {
+                    panic!("replicate exploded");
+                }
+                x
+            })
+        }))
+        .expect_err("the worker panic must propagate");
+        let msg = caught
+            .downcast_ref::<String>()
+            .expect("a PoisonError payload would not be a String");
+        assert!(msg.contains("item 5"), "missing item index: {msg}");
+        assert!(msg.contains("replicate exploded"), "missing cause: {msg}");
+        assert!(!msg.contains("Poison"), "lock poisoning leaked: {msg}");
     }
 
     #[test]

@@ -31,9 +31,9 @@ pub mod prelude {
         TraceEventKind, TraceLog, TraceMode, TrackNames, UtilSeries,
     };
     pub use noc_topology::{
-        ChannelFactory, ClusterInner, Clustered, Hypercube, Mesh, MeshKind, Min, MulticastRouting,
-        NodeId, PathError, PortId, Quarc, Ring, RoutingError, RoutingSpec, Spidergon, Topology,
-        TopologySpec, ALL_ROUTINGS,
+        ChannelFactory, ClusterInner, Clustered, Hypercube, Mesh, MeshKind, Min, NodeId, PathError,
+        PortId, Quarc, Ring, RoutingError, RoutingSpec, Spidergon, Topology, TopologySpec,
+        ALL_ROUTINGS,
     };
     pub use noc_workloads::{
         DestinationSets, PatternError, RateSweep, SweepError, TraceEntry, TraceKind, TrafficError,
