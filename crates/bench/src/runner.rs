@@ -337,6 +337,8 @@ impl ScenarioResult {
             "span_cycles",
             "stall_fixpoints",
             "failed_scans",
+            "flights",
+            "flight_cycles",
         ]);
         for (p, sims) in self.points.iter().zip(&self.sims) {
             let sum = |f: &dyn Fn(&SimResults) -> u64| sims.iter().map(f).sum::<u64>();
@@ -348,6 +350,8 @@ impl ScenarioResult {
                 sum(&|r| r.engine.span_cycles).to_string(),
                 sum(&|r| r.engine.stall_fixpoints).to_string(),
                 sum(&|r| r.engine.span_scans_failed).to_string(),
+                sum(&|r| r.engine.flights).to_string(),
+                sum(&|r| r.engine.flight_cycles).to_string(),
             ]);
         }
         t
@@ -430,7 +434,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// shape, so entries written by an older build are never served.
 ///
 /// 1: `SimResults::multicast_hist` removed.
-const CACHE_SCHEMA: u32 = 1;
+/// 2: `EngineCounters::{flights, flight_cycles}` added.
+const CACHE_SCHEMA: u32 = 2;
 
 /// The scenario's share of a cache key: its canonical JSON with the
 /// display name cleared, so renaming an experiment never invalidates
@@ -795,6 +800,11 @@ mod tests {
         assert!(qcsv.starts_with("rate,sim_mean,p50,p95,p99,sim_sat"));
         let ecsv = res.engine_table().to_csv();
         assert_eq!(ecsv.lines().count(), 3);
+        assert!(ecsv
+            .lines()
+            .next()
+            .unwrap()
+            .ends_with("failed_scans,flights,flight_cycles"));
         let summary = res.summary();
         assert!(summary.contains("0 cached / 2 simulated"), "{summary}");
     }

@@ -17,8 +17,9 @@ pub enum EngineKind {
     Cycle,
     /// The event-driven engine: skips provably inert cycles (idle gaps
     /// between injections, blocked fixpoints) and jumps straight to the
-    /// next arrival, grant boundary or watchdog tick. About 7–16× faster
-    /// at low load; the default.
+    /// next arrival, grant boundary or watchdog tick, and flies
+    /// uncontended messages in closed form. About 100× faster at low load;
+    /// the default.
     #[default]
     EventDriven,
 }

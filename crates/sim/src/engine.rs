@@ -85,6 +85,11 @@ mod tests {
     }
 
     #[test]
+    fn zero_load_unicast_latency_is_exact_in_a_run() {
+        behaviour::zero_load_latency_is_exact_in_a_run(EngineKind::Cycle);
+    }
+
+    #[test]
     fn conservation_all_generated_messages_absorb() {
         behaviour::low_load_run_completes_and_audits_clean(EngineKind::Cycle);
     }

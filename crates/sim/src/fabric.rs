@@ -45,7 +45,10 @@
 //! the event engine ([`crate::event_engine::SkipAhead`]) keeps an event
 //! queue and jumps over cycles it proves inert. Run termination
 //! ([`Fabric::run_end`]) is kernel state too, so both drivers break on
-//! the same cycle by construction.
+//! the same cycle by construction. One thing besides `step` advances a
+//! fabric: [`Fabric::fly`], which the event engine offers an arrival that
+//! finds the fabric empty, applies the message's whole transit in closed
+//! form — the sum of the cycles `step` would have simulated.
 
 use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
@@ -57,7 +60,7 @@ use crate::plan::SimPlan;
 use crate::results::{EngineCounters, SimResults};
 use crate::schedule::{Arrival, ArrivalStream};
 use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
-use noc_topology::{NodeId, Topology};
+use noc_topology::{NodeId, Path, Topology};
 use noc_workloads::Workload;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -142,6 +145,10 @@ pub struct CycleOutcome {
     pub moved: bool,
     /// New cv owners installed by the grant phase.
     pub granted: usize,
+    /// At least one tail crossed a hop: cvs were released, targets
+    /// absorbed or messages completed, so the next cycle's move set
+    /// differs from this one's.
+    pub tail: bool,
 }
 
 /// Why a run stopped (both flags clear: it completed).
@@ -217,7 +224,9 @@ pub struct Fabric<'a> {
 
     // --- scratch (reused across cycles) ---
     /// The last simulated cycle's move set, in selection order; kept
-    /// until the next selection for the event engine's span scan.
+    /// until the next selection for the event engine's span scan (which
+    /// runs right after that cycle; a multicast flight uses the list as
+    /// scratch in between and leaves it empty).
     pub(crate) moves: Vec<(MsgId, u16)>,
     regrant: Vec<u32>,
 
@@ -382,18 +391,35 @@ impl<'a> Fabric<'a> {
         }
     }
 
+    /// Draw `node`'s due arrival from its stream (class, destination,
+    /// next gap — the per-arrival draw order both engines share); returns
+    /// it with the cycle the node fires next (`u64::MAX`: never).
+    pub(crate) fn pop_arrival(&mut self, node: NodeId) -> (Arrival, u64) {
+        let stream = &mut self.arrivals[node.idx()];
+        let arrival = stream.pop(self.wl, self.plan.n, node);
+        (arrival, stream.next_arrival())
+    }
+
     /// Fire every node due this cycle, in the driver's (node-ascending)
     /// order: open-loop sources spawn their arrival and are rescheduled,
-    /// closed-loop nodes get their [`AppEvent::Timeout`].
-    fn generate(&mut self, tagging: bool, due: &mut impl TimeAdvance) {
+    /// closed-loop nodes get their [`AppEvent::Timeout`]. `first` is an
+    /// arrival the driver already drew for the lowest due node (a
+    /// declined flight); it spawns ahead of the rest, where it belongs.
+    fn generate(
+        &mut self,
+        tagging: bool,
+        first: Option<(NodeId, Arrival)>,
+        due: &mut impl TimeAdvance,
+    ) {
+        if let Some((node, arrival)) = first {
+            self.spawn(node, arrival, tagging);
+        }
         while let Some(n) = due.next_due(self) {
             let node = NodeId(n);
             if let Some(driver) = self.closed.as_mut() {
                 driver.dispatch(self.cycle, node, AppEvent::Timeout, &mut self.actions);
             } else {
-                let stream = &mut self.arrivals[n as usize];
-                let arrival = stream.pop(self.wl, self.plan.n, node);
-                let next = stream.next_arrival();
+                let (arrival, next) = self.pop_arrival(node);
                 self.spawn(node, arrival, tagging);
                 if next != u64::MAX {
                     due.schedule(next, n);
@@ -455,9 +481,11 @@ impl<'a> Fabric<'a> {
     }
 
     /// Phase 3: apply the selected moves; handle requests, releases,
-    /// absorptions and completions.
-    fn apply_moves(&mut self, measuring: bool) {
+    /// absorptions and completions. Returns whether any tail crossed a
+    /// hop.
+    fn apply_moves(&mut self, measuring: bool) -> bool {
         let now = self.cycle;
+        let mut tail = false;
         let closed = self.closed.is_some();
         let buffer_depth = self.cfg.buffer_depth;
         // Taken so the loop body may borrow `self` whole; restored below
@@ -490,6 +518,7 @@ impl<'a> Fabric<'a> {
             if !tail_passed {
                 continue;
             }
+            tail = true;
 
             // --- tail traversed hop h: it left buffer(h-1) ---
             if let Some(prev) = prev_hop {
@@ -563,6 +592,7 @@ impl<'a> Fabric<'a> {
             self.msgs.free(mid, "absorbed message");
         }
         self.moves = moves;
+        tail
     }
 
     /// Phase 4: grant free channels to FIFO-first waiters; returns how
@@ -613,9 +643,23 @@ impl<'a> Fabric<'a> {
         measuring: bool,
         due: &mut impl TimeAdvance,
     ) -> CycleOutcome {
+        self.step_from(cycle, tagging, measuring, None, due)
+    }
+
+    /// [`Fabric::step`] with `first` — an arrival the driver already drew
+    /// for the lowest node due at `cycle` — spawned ahead of the nodes
+    /// still queued, so the spawn order stays node-ascending.
+    pub(crate) fn step_from(
+        &mut self,
+        cycle: u64,
+        tagging: bool,
+        measuring: bool,
+        first: Option<(NodeId, Arrival)>,
+        due: &mut impl TimeAdvance,
+    ) -> CycleOutcome {
         debug_assert!(cycle > self.cycle);
         self.cycle = cycle;
-        self.generate(tagging, due);
+        self.generate(tagging, first, due);
         self.select_moves();
         let moved = !self.moves.is_empty();
         if moved {
@@ -624,10 +668,14 @@ impl<'a> Fabric<'a> {
             // Traffic holds channels but nothing can move this cycle.
             self.metrics.trace_stall(cycle);
         }
-        self.apply_moves(measuring);
+        let tail = self.apply_moves(measuring);
         self.closed_deliver(due);
         let granted = self.grant();
-        CycleOutcome { moved, granted }
+        CycleOutcome {
+            moved,
+            granted,
+            tail,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -687,6 +735,184 @@ impl<'a> Fabric<'a> {
         }
         self.actions = actions;
         self.actions.clear();
+    }
+
+    // ------------------------------------------------------------------
+    // Flights: an arrival on an empty fabric, applied in closed form.
+    // ------------------------------------------------------------------
+
+    /// Can any arrival of this run fly? A flight records no trace event
+    /// and no utilization window, hands no delivery to a protocol machine,
+    /// and its closed form is that of buffers deep enough to stream (at
+    /// depth 1 a hop moves every other cycle): runs with telemetry, a
+    /// closed loop or single-flit buffers are stepped, not emulated.
+    pub(crate) fn flights_possible(&self) -> bool {
+        self.closed.is_none() && !self.cfg.telemetry.enabled() && self.cfg.buffer_depth >= 2
+    }
+
+    /// Apply the whole transit of `arrival`, generated by `node` at cycle
+    /// `c0` on a fabric with no live message, and jump to the cycle its
+    /// last flit is absorbed on — unless something could interfere before
+    /// then. `false` means declined: the caller steps `c0` with the
+    /// arrival as its first spawn (all a declined flight may have done is
+    /// the stale-entry sweep that cycle's selection starts with).
+    ///
+    /// Alone on the fabric, with `hops = path.len()` (injection and
+    /// ejection hops included) and `L` flits, a message is granted hop `h`
+    /// at cycle `c0 + h` and moves a flit across it on each of the cycles
+    /// `c0 + h + 1 ..= c0 + h + L`: at depth ≥ 2 no buffer ever holds more
+    /// than the flit in transit, so neither supply nor credit stalls a
+    /// hop. The tail leaves the ejection hop, and frees the message, at
+    /// `c0 + hops − 1 + L`. The streams of one multicast operation each do
+    /// the same provided no two of them cross one physical channel.
+    ///
+    /// `before` is the cycle of the next queued event. The flight is
+    /// declined when
+    ///
+    /// * it would not end *strictly* before `before`: the newcomer would
+    ///   find channels held or — on the end cycle itself — stale entries
+    ///   on the active list, whose lazy removal permutes the order its
+    ///   own moves are selected (and its statistics recorded) in;
+    /// * it would not end strictly before `measure_end`: from there on the
+    ///   oracle may end the run mid-flight (an untagged message does not
+    ///   hold a run open) and moves stop being measured. The drain
+    ///   deadline lies at or past `measure_end`, so this covers it;
+    /// * its moves, on cycles `c0 + 1 ..= end`, straddle the warmup
+    ///   boundary: `measuring` is one verdict for all of them. Tagging is
+    ///   `in_window(c0)` and has no such constraint — a message generated
+    ///   at `warmup` is untagged and measured;
+    /// * it spawns more messages than `backlog_limit`, or `c0` is a
+    ///   watchdog tick more than the window past the last move (the grant
+    ///   of cycle `c0` leaves the active list non-empty): on both the
+    ///   oracle's end-of-run check fires at `c0`;
+    /// * two hops share a physical channel: they would take turns.
+    pub(crate) fn fly(&mut self, c0: u64, node: NodeId, arrival: Arrival, before: u64) -> bool {
+        debug_assert!(self.flights_possible() && c0 > self.cycle);
+        debug_assert!(self.msgs.is_empty() && self.ops.is_empty() && self.regrant.is_empty());
+        debug_assert_eq!((self.inj_backlog, self.tagged_outstanding), (0, 0));
+        let (flits, len) = (self.wl.msg_len, u64::from(self.wl.msg_len));
+        let unicast = match arrival {
+            Arrival::Unicast(dst) => Some(self.plan.unicast_path(node, dst)),
+            Arrival::Multicast => None,
+        };
+        let streams = match unicast {
+            Some(_) => &[][..],
+            None => self.plan.streams(node.idx()),
+        };
+        let paths = || {
+            let streams = streams.iter().map(|pre| &*pre.path);
+            unicast.iter().map(|path| &**path).chain(streams)
+        };
+        let Some(longest) = paths().map(Path::len).max() else {
+            return false; // no stream configured: the stepped spawn reports it
+        };
+        let (messages, end) = (paths().count(), c0 + longest as u64 - 1 + len);
+        let warmup = self.cfg.warmup_cycles;
+        if end >= before.min(self.cfg.measure_end())
+            || (c0 < warmup && warmup < end)
+            || messages > self.cfg.backlog_limit
+            || (c0.is_multiple_of(WATCHDOG_STRIDE) && c0 - self.last_move_cycle > WATCHDOG_WINDOW)
+        {
+            return false;
+        }
+
+        // What the selection of cycle `c0` starts with: with no live
+        // message every listed channel is stale. The list then stays
+        // empty — the flight's own channels are all released by `end`, and
+        // `watchdog_fires` and the event engine read a non-empty list as
+        // "channels are held".
+        for pc in self.active.drain(..) {
+            debug_assert_eq!(self.channels[pc as usize].owned, 0);
+            self.channels[pc as usize].active = false;
+        }
+        // With the list empty the `active` flags are free to mark the
+        // flight's channels: one met twice is shared.
+        let mut marked = 0;
+        let shared = paths().flat_map(|path| &path.hops).any(|hop| {
+            let seen = std::mem::replace(&mut self.channels[hop.channel.idx()].active, true);
+            marked += usize::from(!seen);
+            seen
+        });
+        if shared {
+            for hop in paths().flat_map(|path| &path.hops).take(marked) {
+                self.channels[hop.channel.idx()].active = false;
+            }
+            return false;
+        }
+
+        // Every hop: `L` moves, the last of which leaves the round-robin
+        // pointer just past the hop's vc.
+        let (tagged, measuring) = (self.in_window(c0), self.in_window(c0 + 1));
+        for path in paths() {
+            for (h, hop) in path.hops.iter().enumerate() {
+                let pc = hop.channel.idx();
+                let ch = &mut self.channels[pc];
+                ch.active = false;
+                ch.rr = (hop.vc.0 + 1) % self.plan.vcs[pc];
+                self.metrics
+                    .record_flit_moves_bulk(c0 + h as u64, pc, len, measuring);
+            }
+        }
+
+        // The messages. Arena ids never reach `SimResults`, but they are
+        // inserted and freed all the same, so slot order and generation
+        // tags stay the oracle's.
+        self.metrics.total_generated += messages as u64;
+        self.metrics.total_absorbed += messages as u64;
+        self.peak_backlog = self.peak_backlog.max(messages);
+        if let Some(path) = unicast {
+            let id = self
+                .msgs
+                .insert(ActiveMsg::unicast(path, flits, c0, tagged));
+            self.msgs.free(id, "flown unicast");
+            if tagged {
+                self.metrics.unicast_injected += 1;
+                self.metrics.record_unicast_delivery(end, c0);
+            }
+        } else {
+            // Every target absorbs when the tail crosses its completion
+            // hop; the operation completes with the last of them.
+            let mut op = MulticastOp {
+                src: node,
+                gen: c0,
+                remaining: 0,
+                last_absorb: c0,
+                tagged,
+            };
+            let opid = self.ops.insert(op.clone());
+            self.ops.free(opid, "flown multicast op");
+            self.ops_allocated += 1;
+            self.ops_completed += 1;
+            // `moves` gets each stream's last move, across its ejection
+            // hop, in the order the oracle makes them: ascending hop, so
+            // ascending cycle. Streams that end on one cycle record equal
+            // latencies, so their mutual order cannot change a bit.
+            self.moves.clear();
+            for pre in streams {
+                let (path, absorbs) = (Arc::clone(&pre.path), Arc::clone(&pre.absorbs));
+                let (last, _) = *absorbs.last().expect("a stream has a target");
+                op.last_absorb = op.last_absorb.max(c0 + u64::from(last) + len);
+                let ejection = (path.len() - 1) as u16;
+                let msg = ActiveMsg::stream(path, flits, c0, tagged, opid, absorbs);
+                self.moves.push((self.msgs.insert(msg), ejection));
+            }
+            self.moves.sort_by_key(|&(_, ejection)| ejection);
+            for &(id, ejection) in &self.moves {
+                self.msgs.free(id, "flown stream");
+                if tagged {
+                    let freed = c0 + u64::from(ejection) + len;
+                    self.metrics.record_stream_delivery(freed, c0);
+                }
+            }
+            self.moves.clear();
+            if tagged {
+                self.metrics.multicast_injected += 1;
+                self.metrics.record_op_delivery(&op);
+            }
+        }
+        self.cycle = end;
+        self.last_move_cycle = end;
+        true
     }
 
     // ------------------------------------------------------------------
@@ -1061,6 +1287,51 @@ mod tests {
     }
 
     #[test]
+    fn a_flown_run_leaves_the_fabric_a_stepped_run_leaves() {
+        // Results cannot see a round-robin pointer or an arena slot; the
+        // arbitration of whatever comes next can. The torus has two vcs
+        // per link, so a pointer left behind would show.
+        use noc_topology::{Mesh, MeshKind};
+        use noc_workloads::{TraceEntry, TraceKind, TrafficSpec};
+        let topo = Mesh::new(4, 4, MeshKind::Torus).unwrap();
+        let entry = |i: u32| TraceEntry {
+            cycle: 3500 + 300 * u64::from(i),
+            node: 5 * i % 16,
+            kind: match i % 3 {
+                0 => TraceKind::Multicast,
+                _ => TraceKind::Unicast {
+                    dst: (5 * i + 3 + i % 11) % 16,
+                },
+            },
+        };
+        let wl = Workload::new(16, 0.0, 0.1, DestinationSets::random(&topo, 4, 1))
+            .unwrap()
+            .with_traffic(TrafficSpec::trace((0..24).map(entry).collect()));
+        let mut stepped = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut flown = crate::EventSimulator::new(&topo, &wl, SimConfig::quick(1));
+        let (a, b) = (stepped.run(), flown.run());
+        assert_eq!(
+            (a.total_absorbed, a.flit_moves),
+            (b.total_absorbed, b.flit_moves)
+        );
+        assert_eq!(b.engine.flights, 24, "every arrival flew");
+
+        let pointers = |f: &Fabric<'_>| f.channels.iter().map(|ch| ch.rr).collect::<Vec<_>>();
+        assert_eq!(pointers(&stepped.fabric), pointers(&flown.fabric));
+        assert!(stepped.fabric.active.is_empty() && flown.fabric.active.is_empty());
+        // Both arenas hand out the same slots under the same tags next.
+        for _ in 0..3 {
+            let ids = |sim: &mut dyn SimEngine| {
+                let mut ids = sim.inject_multicast_now(NodeId(2));
+                ids.push(sim.inject_unicast_now(NodeId(0), NodeId(5)));
+                ids
+            };
+            assert_eq!(ids(&mut stepped), ids(&mut flown));
+        }
+        flown.audit().expect("flown fabric audits clean");
+    }
+
+    #[test]
     fn audit_names_the_channel_cv_or_message_that_drifted() {
         let topo = Quarc::new(16).unwrap();
         let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
@@ -1127,6 +1398,30 @@ pub(crate) mod behaviour {
                 lat, expected,
                 "{kind:?}: zero-load latency {src}->{dst} len {msg_len}: got {lat}, want {expected}"
             );
+        }
+    }
+
+    /// The same latency read off a `run`: one traced arrival — which the
+    /// event engine flies, so the closed form answers here, not the
+    /// per-cycle machinery.
+    pub(crate) fn zero_load_latency_is_exact_in_a_run(kind: EngineKind) {
+        use noc_workloads::{TraceEntry, TraceKind, TrafficSpec};
+        let topo = Quarc::new(16).unwrap();
+        for (src, dst, msg_len) in [(0u32, 3u32, 16u32), (0, 8, 32), (5, 1, 64), (2, 12, 16)] {
+            let arrival = TraceEntry {
+                cycle: 5_000,
+                node: src,
+                kind: TraceKind::Unicast { dst },
+            };
+            let wl = Workload::new(msg_len, 0.0, 0.0, DestinationSets::random(&topo, 4, 1))
+                .unwrap()
+                .with_traffic(TrafficSpec::trace(vec![arrival]));
+            let res = run(kind, &topo, &wl, SimConfig::quick(1));
+            let path = topo.unicast_path(NodeId(src), NodeId(dst));
+            let expected = (msg_len as usize + path.hop_count()) as f64;
+            assert_eq!((res.unicast.count, res.unicast.mean), (1, expected));
+            let flown = u64::from(kind == EngineKind::EventDriven);
+            assert_eq!(res.engine.flights, flown, "{kind:?}: {src}->{dst}");
         }
     }
 

@@ -6,8 +6,9 @@
 //! under **two time-advance policies** behind one [`SimEngine`] contract:
 //!
 //! * [`EventSimulator`] (default) — event-driven: skips provably inert
-//!   cycles and jumps between injections, grants and run boundaries.
-//!   About 7–16× faster at the low-load sweep points the Fig. 6/7
+//!   cycles, jumps between injections, grants and run boundaries, and
+//!   applies an uncontended message's whole transit in closed form.
+//!   About 100× faster at the low-load sweep points the Fig. 6/7
 //!   validation protocol spends most of its time on
 //!   (`sim.cycle.event_over_cycle.low` on the benchmark ledger), at parity
 //!   past saturation.

@@ -138,7 +138,7 @@ pub struct LatencyHists {
 /// two bit-identical runs may legitimately differ here (the cycle engine
 /// reports only `simulated_cycles`), so the differential equivalence
 /// suite deliberately excludes this field from its comparisons.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct EngineCounters {
     /// Cycles the engine actually executed through its per-cycle
     /// machinery (the cycle engine: every cycle; the event engine: the
@@ -158,6 +158,33 @@ pub struct EngineCounters {
     /// pure overhead, the hot-load pathology this counter exists to
     /// watch (event engine only).
     pub span_scans_failed: u64,
+    /// Arrivals whose whole transit was applied in closed form, one
+    /// unicast or one multicast operation each (event engine only).
+    pub flights: u64,
+    /// Cycles those flights covered, arrival to last absorption
+    /// inclusive (event engine only).
+    pub flight_cycles: u64,
+}
+
+// Hand-written (the vendored derive has no `default`) so results
+// persisted before a counter existed keep parsing: a run that predates a
+// mechanism used it zero times. `simulated_cycles` is as old as the
+// struct, so it stays required — which also rejects a non-map value.
+impl serde::Deserialize for EngineCounters {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let stepped = serde::de::field(v, "EngineCounters", "simulated_cycles")?;
+        let count = |name| v.get(name).map_or(Ok(0), u64::from_value);
+        Ok(EngineCounters {
+            simulated_cycles: u64::from_value(stepped)?,
+            events_popped: count("events_popped")?,
+            spans_batched: count("spans_batched")?,
+            span_cycles: count("span_cycles")?,
+            stall_fixpoints: count("stall_fixpoints")?,
+            span_scans_failed: count("span_scans_failed")?,
+            flights: count("flights")?,
+            flight_cycles: count("flight_cycles")?,
+        })
+    }
 }
 
 /// Closed-loop protocol statistics of one run (present only when a
@@ -386,6 +413,11 @@ mod tests {
         assert_eq!(r.latency_hists.multicast.count(), 2);
         assert_eq!((r.cycles, r.flit_moves), (1200, 340));
         assert_eq!(r.engine.events_popped, 12);
+        assert_eq!(
+            (r.engine.flights, r.engine.flight_cycles),
+            (0, 0),
+            "counters the entry predates read zero"
+        );
         assert!(r.complete() && !r.deadlocked);
     }
 }

@@ -5,15 +5,31 @@
 //! per-channel utilisation — on every topology, at low and mid load, and
 //! across early-termination paths (saturation, backlog overflow).
 
+use proptest::prelude::*;
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{EngineKind, EventSimulator, SimConfig, SimResults, Simulator};
+use quarc_noc::sim::{EngineAudit, EngineKind, EventSimulator, SimConfig, SimResults, Simulator};
 
 /// Run both engines on the same (topology, workload, seed) and return
 /// their results as (cycle, event).
 fn both(topo: &dyn Topology, wl: &Workload, cfg: SimConfig) -> (SimResults, SimResults) {
-    let cycle = Simulator::new(topo, wl, cfg.with_engine(EngineKind::Cycle)).run();
-    let event = EventSimulator::new(topo, wl, cfg.with_engine(EngineKind::EventDriven)).run();
+    let [(cycle, _), (event, _)] = both_audited(topo, wl, cfg);
     (cycle, event)
+}
+
+/// [`both`] with each engine's post-run audit (which must pass).
+fn both_audited(
+    topo: &dyn Topology,
+    wl: &Workload,
+    cfg: SimConfig,
+) -> [(SimResults, EngineAudit); 2] {
+    let mut cycle = Simulator::new(topo, wl, cfg.with_engine(EngineKind::Cycle));
+    let mut event = EventSimulator::new(topo, wl, cfg.with_engine(EngineKind::EventDriven));
+    let (c, e) = (cycle.run(), event.run());
+    let audit = |sim: &dyn SimEngine, who| sim.audit().unwrap_or_else(|e| panic!("{who}: {e}"));
+    [
+        (c, audit(&cycle, "cycle engine audit")),
+        (e, audit(&event, "event engine audit")),
+    ]
 }
 
 /// Bitwise equality for f64 statistics (NaN-safe: both engines must
@@ -337,6 +353,8 @@ fn both_closed(
 
 fn assert_closed_identical(cycle: &SimResults, event: &SimResults, ctx: &str) {
     assert_runs_identical(cycle, event, ctx);
+    // A delivery can inject the next message: closed loops are stepped.
+    assert_eq!(event.engine.flights, 0, "{ctx}: closed loops never fly");
     let c = cycle.closed_loop.as_ref().expect("cycle closed-loop stats");
     let e = event.closed_loop.as_ref().expect("event closed-loop stats");
     assert_eq!(c.requests_issued, e.requests_issued, "{ctx}: issued");
@@ -425,6 +443,8 @@ fn closed_loop_seeds_decorrelate_but_replay() {
 // engines order same-cycle work differently).
 // ---------------------------------------------------------------------
 
+/// A flight records no trace event, so a run with telemetry installed
+/// declines them all: the event side here is idle jumps and spans only.
 #[test]
 fn telemetry_on_both_engines_stays_bit_identical() {
     use quarc_noc::sim::TelemetrySpec;
@@ -436,6 +456,7 @@ fn telemetry_on_both_engines_stays_bit_identical() {
         let (cycle, event) = both(&topo, &wl, cfg);
         let ctx = format!("quarc telemetry-on rate {rate}");
         assert_runs_identical(&cycle, &event, &ctx);
+        assert_eq!(event.engine.flights, 0, "{ctx}: telemetry declines flights");
         let cu = cycle.util.as_ref().expect("cycle util captured");
         assert!(cu.num_windows() > 0, "{ctx}: windows recorded");
         // Same flit movement → same trace *population*, even though the
@@ -461,7 +482,9 @@ fn telemetry_is_observation_only() {
     use quarc_noc::sim::TelemetrySpec;
     // The PR 6 guard: a run with the flight recorder on must report the
     // same simulation — every pre-telemetry field bit-identical — as the
-    // same run with it off, on both engines.
+    // same run with it off, on both engines. On the event engine that now
+    // compares a stepped run (telemetry declines every flight) with one
+    // whose uncontended arrivals flew.
     let topo = Mesh::new(4, 4, MeshKind::Mesh).unwrap();
     let sets = DestinationSets::random(&topo, 4, 67);
     let wl = Workload::new(16, 0.008, 0.08, sets).unwrap();
@@ -469,6 +492,8 @@ fn telemetry_is_observation_only() {
     let on = base.with_telemetry(TelemetrySpec::flight_recorder(1 << 16, 128));
     let (cycle_off, event_off) = both(&topo, &wl, base);
     let (cycle_on, event_on) = both(&topo, &wl, on);
+    assert_eq!(event_on.engine.flights, 0, "telemetry declines flights");
+    assert!(event_off.engine.flights > 0, "without it, arrivals fly");
     for (off, on, ctx) in [
         (&cycle_off, &cycle_on, "cycle on-vs-off"),
         (&event_off, &event_on, "event on-vs-off"),
@@ -538,4 +563,314 @@ fn shared_plan_differential_pair_is_identical_too() {
     .run();
     let event = build_engine_with_plan(&topo, &wl, cfg, plan).run();
     assert_runs_identical(&cycle, &event, "quarc shared plan");
+}
+
+// ---------------------------------------------------------------------
+// Flights: an arrival that finds the fabric empty and nothing queued
+// before it would finish is applied in closed form (`Fabric::fly`). The
+// oracle never flies, so every comparison below is flown vs stepped.
+// ---------------------------------------------------------------------
+
+fn topology(spec: &str) -> Box<dyn Topology> {
+    TopologySpec::parse(spec).unwrap().build().unwrap()
+}
+
+/// The eight topology families at 9–64 nodes.
+const FAMILIES: [&str; 8] = [
+    "quarc-16",
+    "ring-9",
+    "mesh-4x4",
+    "torus-4x4",
+    "spidergon-12",
+    "hypercube-4",
+    "min-4x3",
+    "clustered-2x-quarc-8",
+];
+
+#[test]
+fn flights_are_bit_identical_on_every_family_and_path_scheme() {
+    // 16-flit messages saturate these networks near 0.01 messages per
+    // node and cycle; 2e-4 and 5e-4 are 1–5 % of that, where most
+    // arrivals find the fabric empty. `min-4x3` plans lazily.
+    for spec in FAMILIES {
+        let topo = topology(spec);
+        let sets = DestinationSets::random(topo.as_ref(), 4, 97);
+        for routing in [RoutingSpec::PathBased, RoutingSpec::DualPath] {
+            for rate in [2e-4, 5e-4] {
+                let wl = Workload::new(16, rate, 0.1, sets.clone())
+                    .unwrap()
+                    .with_routing(routing);
+                if SimPlan::build(topo.as_ref(), &wl).is_err() {
+                    continue; // dual-path on a one-port router
+                }
+                let (cycle, event) = both(topo.as_ref(), &wl, SimConfig::quick(97));
+                let ctx = format!("{spec} {routing} rate {rate}");
+                assert_runs_identical(&cycle, &event, &ctx);
+                assert!(cycle.multicast_delivered > 0, "{ctx}: multicasts ran");
+                assert_eq!(cycle.engine.flights, 0, "{ctx}: the oracle never flies");
+                assert!(event.engine.flights > 0, "{ctx}: nothing flew");
+                assert!(
+                    event.engine.flight_cycles > 16 * event.engine.flights,
+                    "{ctx}: a flight covers the message and its hops"
+                );
+            }
+        }
+    }
+}
+
+/// `count` arrivals of `kind(i)` from node `4 i mod n`, 500 cycles apart
+/// from cycle 4000 on: far enough for each to finish alone.
+fn lone_arrivals(n: u32, count: u32, kind: impl Fn(u32) -> TraceKind) -> TrafficSpec {
+    let entry = |i| TraceEntry {
+        cycle: 4000 + 500 * u64::from(i),
+        node: 4 * i % n,
+        kind: kind(i),
+    };
+    TrafficSpec::trace((0..count).map(entry).collect())
+}
+
+#[test]
+fn multicasts_whose_streams_share_a_channel_are_stepped() {
+    // On quarc-16 the unicast tree sends every copy through one
+    // injection channel and multipath streams share a prefix link: the
+    // copies take turns, so those operations are declined. Path-based
+    // streams leave through a port each and fly.
+    let topo = Quarc::new(16).unwrap();
+    let sets = DestinationSets::random(&topo, 6, 101);
+    let multicasts = lone_arrivals(16, 12, |_| TraceKind::Multicast);
+    for (routing, flown) in [
+        (RoutingSpec::PathBased, 12),
+        (RoutingSpec::UnicastTree, 0),
+        (RoutingSpec::Multipath, 0),
+    ] {
+        let wl = Workload::new(16, 0.0, 0.1, sets.clone())
+            .unwrap()
+            .with_routing(routing)
+            .with_traffic(multicasts.clone());
+        let (cycle, event) = both(&topo, &wl, SimConfig::quick(101));
+        let ctx = format!("quarc-16 {routing} multicasts");
+        assert_eq!(cycle.multicast_delivered, 12, "{ctx}: every operation ran");
+        assert_runs_identical(&cycle, &event, &ctx);
+        assert_eq!(event.engine.flights, flown, "{ctx}: flights");
+    }
+    // Their unicasts fly whatever the multicast scheme.
+    let mixed = lone_arrivals(16, 12, |i| match i % 2 {
+        0 => TraceKind::Multicast,
+        _ => TraceKind::Unicast {
+            dst: (4 * i + 7) % 16,
+        },
+    });
+    let wl = Workload::new(16, 0.0, 0.1, sets)
+        .unwrap()
+        .with_routing(RoutingSpec::UnicastTree)
+        .with_traffic(mixed);
+    let (cycle, event) = both(&topo, &wl, SimConfig::quick(101));
+    assert_runs_identical(&cycle, &event, "quarc-16 unicast-tree mixed");
+    assert_eq!(event.engine.flights, 6, "the six unicasts");
+}
+
+#[test]
+fn single_flit_buffers_are_stepped_and_deeper_ones_fly() {
+    // At depth 1 a hop moves every other cycle (the credit comes back a
+    // cycle late): not the streaming closed form, so nothing flies.
+    let topo = Mesh::new(4, 4, MeshKind::Mesh).unwrap();
+    let sets = DestinationSets::random(&topo, 4, 103);
+    let wl = Workload::new(16, 4e-4, 0.1, sets).unwrap();
+    for depth in [1, 2, 4] {
+        let mut cfg = SimConfig::quick(103);
+        cfg.buffer_depth = depth;
+        let (cycle, event) = both(&topo, &wl, cfg);
+        let ctx = format!("mesh-4x4 buffer depth {depth}");
+        assert!(cycle.unicast_delivered > 0, "{ctx}: traffic ran");
+        assert_runs_identical(&cycle, &event, &ctx);
+        assert_eq!(event.engine.flights > 0, depth >= 2, "{ctx}: flights");
+    }
+}
+
+#[test]
+fn bursty_arrivals_fly_between_bursts() {
+    // Inside a burst the next arrival is a few cycles away and declines
+    // the flight; the off-gaps are long enough for whole transits.
+    let topo = Quarc::new(16).unwrap();
+    let sets = DestinationSets::random(&topo, 4, 107);
+    let wl = Workload::new(16, 4e-4, 0.1, sets)
+        .unwrap()
+        .with_traffic(TrafficSpec::OnOff {
+            burst_len: 4.0,
+            peak_rate: 0.05,
+        });
+    let (cycle, event) = both(&topo, &wl, SimConfig::quick(107));
+    assert_runs_identical(&cycle, &event, "quarc-16 on/off");
+    let (flights, events) = (event.engine.flights, event.engine.events_popped);
+    assert!(flights > 0 && flights < events, "{flights} of {events}");
+}
+
+// ----- decline boundaries, scripted -----
+
+/// Windows short enough for the oracle, boundaries easy to aim at.
+fn scripted_cfg() -> SimConfig {
+    SimConfig {
+        warmup_cycles: 2_000,
+        measure_cycles: 6_000,
+        drain_cycles: 4_000,
+        ..SimConfig::quick(109)
+    }
+}
+
+/// Quarc-16 under a scripted schedule of `(cycle, src, dst)` unicasts of
+/// 16 flits: both engines bit-equal, and the event engine's flight count.
+fn scripted(cfg: SimConfig, unicasts: &[(u64, u32, u32)], ctx: &str) -> (SimResults, u64) {
+    let topo = Quarc::new(16).unwrap();
+    let entry = |&(cycle, node, dst)| TraceEntry {
+        cycle,
+        node,
+        kind: TraceKind::Unicast { dst },
+    };
+    let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 109))
+        .unwrap()
+        .with_traffic(TrafficSpec::trace(unicasts.iter().map(entry).collect()));
+    let (cycle, event) = both(&topo, &wl, cfg);
+    assert_eq!(
+        cycle.total_generated,
+        unicasts.len() as u64,
+        "{ctx}: every arrival ran"
+    );
+    assert_runs_identical(&cycle, &event, ctx);
+    (cycle, event.engine.flights)
+}
+
+/// Cycles from the generation of a 16-flit unicast `src → dst` on
+/// quarc-16 to its last absorption, alone: `path.len() − 1 + 16`.
+fn transit(src: u32, dst: u32) -> u64 {
+    let path = Quarc::new(16)
+        .unwrap()
+        .unicast_path(NodeId(src), NodeId(dst));
+    path.len() as u64 - 1 + 16
+}
+
+#[test]
+fn a_flight_must_end_strictly_before_the_next_arrival() {
+    let (cfg, t) = (scripted_cfg(), transit(0, 3));
+    // The second arrival, at another node, a cycle after the first
+    // message is gone: both fly.
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3001 + t, 8, 11)], "one before");
+    assert_eq!(flights, 2);
+    // On the cycle its tail is absorbed, or the cycle before: the first
+    // is stepped, and the second then finds the fabric occupied.
+    for at in [3000 + t, 2999 + t] {
+        let (_, flights) = scripted(cfg, &[(3000, 0, 3), (at, 8, 11)], "on or after");
+        assert_eq!(flights, 0, "second arrival at {at}");
+    }
+    // Two nodes due on one cycle: the first drawn is handed back to the
+    // ordinary step, which spawns it ahead of the other. A later, lone
+    // arrival still flies.
+    let same = [(3000, 0, 3), (3000, 8, 11), (5000, 4, 9)];
+    assert_eq!(scripted(cfg, &same, "same cycle").1, 1);
+}
+
+#[test]
+fn a_flight_may_not_straddle_the_warmup_boundary() {
+    let cfg = scripted_cfg();
+    let w = cfg.warmup_cycles;
+    // Generated at `warmup − 1`: the first move, on cycle `warmup`, is
+    // unmeasured and the rest are measured. Stepped.
+    let (res, flights) = scripted(cfg, &[(w - 1, 0, 3)], "warmup - 1");
+    assert_eq!((flights, res.unicast_injected), (0, 0));
+    // Generated at `warmup`: untagged (the window opens after it), every
+    // move measured. Flown.
+    let (res, flights) = scripted(cfg, &[(w, 0, 3)], "warmup");
+    assert_eq!((flights, res.unicast_injected), (1, 0));
+    assert!(res.max_utilization() > 0.0, "its moves were measured");
+    // Generated at `warmup + 1`: tagged and measured. Flown.
+    let (res, flights) = scripted(cfg, &[(w + 1, 0, 3)], "warmup + 1");
+    assert_eq!((flights, res.unicast_delivered), (1, 1));
+    assert_eq!(res.unicast.mean, transit(0, 3) as f64);
+    // Wholly inside the warmup: untagged, unmeasured, flown.
+    let (res, flights) = scripted(cfg, &[(w - 1 - transit(0, 3), 0, 3)], "in warmup");
+    assert_eq!((flights, res.max_utilization()), (1, 0.0));
+}
+
+#[test]
+fn a_flight_must_end_strictly_before_the_measurement_window_closes() {
+    let cfg = scripted_cfg();
+    let (end, t) = (cfg.measure_end(), transit(0, 3));
+    for (last_absorb, flown) in [(end - 1, 1), (end, 0), (end + 1, 0)] {
+        let ctx = format!("tail absorbed at {last_absorb}");
+        let (res, flights) = scripted(cfg, &[(last_absorb - t, 0, 3)], &ctx);
+        assert_eq!(flights, flown, "{ctx}");
+        assert_eq!(
+            res.cycles,
+            last_absorb.max(end),
+            "{ctx}: tagged, so waited for"
+        );
+    }
+}
+
+#[test]
+fn arrivals_the_end_of_run_check_fires_on_are_stepped() {
+    // One queued message is already over a backlog limit of zero: the
+    // oracle ends the run on the arrival cycle.
+    let mut cfg = scripted_cfg();
+    cfg.backlog_limit = 0;
+    let (res, flights) = scripted(cfg, &[(3000, 0, 3)], "backlog limit 0");
+    assert_eq!((flights, res.saturated, res.cycles), (0, true, 3000));
+    // The watchdog looks at stride multiples for "channels held, nothing
+    // moved for the window" — and the grant of an arrival's own cycle
+    // already holds the injection channel. 10 240 is the first stride
+    // multiple more than the window after cycle 0.
+    let mut cfg = scripted_cfg();
+    cfg.measure_cycles = 12_000;
+    let (res, flights) = scripted(cfg, &[(10_240, 0, 3)], "watchdog tick");
+    assert_eq!((flights, res.cycles), (0, 10_240));
+    // One cycle later nothing is special about it.
+    assert_eq!(scripted(cfg, &[(10_241, 0, 3)], "off the tick").1, 1);
+}
+
+/// One arrival of a random schedule: the gap since the previous one, the
+/// node, and the class (`None`: multicast; else an offset to the
+/// destination).
+fn arrival_strategy() -> impl Strategy<Value = (u64, u32, Option<u32>)> {
+    (1u64..=200, 0u32..1024, 0u32..1024)
+        .prop_map(|(gap, node, class)| (gap, node, (class % 5 != 0).then_some(class / 5)))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Sparse random schedules: some arrivals fly, some land on a
+    /// predecessor still in transit, some on a window boundary. Results
+    /// bit-equal, and the fabrics left behind audit to the same counts.
+    #[test]
+    fn sparse_trace_schedules_fly_bit_identically(
+        family in 0usize..7,
+        start in 1u64..1500,
+        arrivals in proptest::collection::vec(arrival_strategy(), 1..41),
+    ) {
+        // The six dense families and lazily planned `min-4x3`.
+        let spec = FAMILIES[family];
+        let topo = topology(spec);
+        let n = topo.num_nodes() as u32;
+        let mut cycle = start;
+        let entries = arrivals.iter().map(|&(gap, node, class)| {
+            cycle += gap;
+            let node = node % n;
+            let kind = match class {
+                Some(offset) => TraceKind::Unicast { dst: (node + 1 + offset % (n - 1)) % n },
+                None => TraceKind::Multicast,
+            };
+            TraceEntry { cycle, node, kind }
+        }).collect();
+        let wl = Workload::new(12, 0.0, 0.2, DestinationSets::random(topo.as_ref(), 3, 113))
+            .unwrap()
+            .with_traffic(TrafficSpec::trace(entries));
+        let cfg = SimConfig {
+            warmup_cycles: 1_000,
+            measure_cycles: 2_500,
+            drain_cycles: 4_000,
+            ..SimConfig::quick(113)
+        };
+        let [(c, c_audit), (e, e_audit)] = both_audited(topo.as_ref(), &wl, cfg);
+        assert_runs_identical(&c, &e, spec);
+        prop_assert_eq!(c_audit, e_audit, "{}: post-run audits", spec);
+    }
 }
