@@ -49,7 +49,10 @@ pub struct Progress {
 
 /// One operating point of a scenario: analytical prediction (when the
 /// overlay is enabled) and across-replicate simulation measurement.
-#[derive(Clone, Debug)]
+///
+/// Older persisted results stay readable: a column a file predates reads
+/// as what that file's run would have reported for it.
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct PointResult {
     /// Generation rate (messages/node/cycle).
     pub rate: f64,
@@ -64,11 +67,15 @@ pub struct PointResult {
     /// Worst-case unicast latency bound from the network-calculus
     /// backend, evaluated alongside the mean overlay (`NaN` without an
     /// overlay or past the calculus stability horizon). Wherever finite,
-    /// `bound ≥ simulated mean` is the cross-validation invariant.
+    /// `bound ≥ simulated mean` is the cross-validation invariant. Files
+    /// from before the backend refactor lack the bounds: never computed,
+    /// `NaN`.
+    #[serde(default = "nan")]
     pub bound_unicast: f64,
     /// Worst-case multicast latency bound from the network-calculus
     /// backend (`NaN` without an overlay or past the calculus stability
     /// horizon).
+    #[serde(default = "nan")]
     pub bound_multicast: f64,
     /// Is the analytical overlay inside its applicability domain? `false`
     /// when the scenario's traffic spec is not the memoryless (Poisson)
@@ -77,7 +84,10 @@ pub struct PointResult {
     /// (`Multipath`, `UnicastTree`) — the overlay is still evaluated (the
     /// divergence
     /// *is* the measurement, see `fig-burstiness`/`fig-routing`), but its
-    /// numbers must not be read as predictions.
+    /// numbers must not be read as predictions. Files from before the
+    /// traffic subsystem lack the key: every one ran Poisson traffic,
+    /// where the overlay always applies.
+    #[serde(default = "yes")]
     pub model_applicable: bool,
     /// Simulated unicast latency (mean over replicates).
     pub sim_unicast: f64,
@@ -91,94 +101,42 @@ pub struct PointResult {
     /// population (multicast for open-loop scenarios, request completion
     /// for closed-loop), merged across replicates before the quantile is
     /// taken — not averaged per replicate. `NaN` when the population is
-    /// empty (e.g. a fully saturated point).
+    /// empty (e.g. a fully saturated point) — or never taken: files from
+    /// before the flight recorder lack the quantile columns.
+    #[serde(default = "nan")]
     pub sim_p50: f64,
     /// 95th percentile of the merged primary latency histogram.
+    #[serde(default = "nan")]
     pub sim_p95: f64,
     /// 99th percentile of the merged primary latency histogram.
+    #[serde(default = "nan")]
     pub sim_p99: f64,
-    /// Replicates of this point served from the result cache.
+    /// Replicates of this point served from the result cache (a run that
+    /// predates cache accounting recorded zero of either outcome).
+    #[serde(default)]
     pub cache_hits: u64,
     /// Replicates of this point actually simulated.
+    #[serde(default)]
     pub cache_misses: u64,
     /// Wall-clock spent producing this point, summed over replicates
     /// (milliseconds; cache hits contribute their read-and-parse time).
     /// Run accounting, not a result: reported in
     /// [`ScenarioResult::summary`] but excluded from serialization, so
     /// persisted sinks stay byte-identical across hosts, thread counts
-    /// and re-runs (files deserialize it as `NaN`).
+    /// and re-runs (files deserialize it as `NaN`) — the structured JSON
+    /// sink is byte-compared across runs by the round-trip suite.
+    #[serde(skip_serializing, default = "nan")]
     pub wall_ms: f64,
     /// Simulator saturation flag (any replicate).
     pub sim_saturated: bool,
 }
 
-// Hand-written to keep the persisted form deterministic: every field is
-// a function of the scenario except `wall_ms`, which is wall-clock and
-// is deliberately left out — the structured JSON sink is byte-compared
-// across runs by the round-trip suite.
-impl serde::Serialize for PointResult {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Map(vec![
-            ("rate".into(), self.rate.to_value()),
-            ("model_unicast".into(), self.model_unicast.to_value()),
-            ("model_multicast".into(), self.model_multicast.to_value()),
-            ("bound_unicast".into(), self.bound_unicast.to_value()),
-            ("bound_multicast".into(), self.bound_multicast.to_value()),
-            ("model_applicable".into(), self.model_applicable.to_value()),
-            ("sim_unicast".into(), self.sim_unicast.to_value()),
-            ("sim_multicast".into(), self.sim_multicast.to_value()),
-            ("sim_multicast_ci".into(), self.sim_multicast_ci.to_value()),
-            ("sim_p50".into(), self.sim_p50.to_value()),
-            ("sim_p95".into(), self.sim_p95.to_value()),
-            ("sim_p99".into(), self.sim_p99.to_value()),
-            ("cache_hits".into(), self.cache_hits.to_value()),
-            ("cache_misses".into(), self.cache_misses.to_value()),
-            ("sim_saturated".into(), self.sim_saturated.to_value()),
-        ])
-    }
+fn nan() -> f64 {
+    f64::NAN
 }
 
-// Hand-written so older persisted results stay readable: files from
-// before the traffic subsystem lack `model_applicable` (every one ran
-// Poisson traffic, where the overlay always applies), files from before
-// the backend refactor lack the calculus bounds (absent = never computed
-// = `NaN`, exactly how a disabled overlay reports), and files from
-// before the flight recorder lack the quantile and run-accounting
-// columns (quantiles were never taken = `NaN`; a run that predates cache
-// accounting recorded zero of either outcome).
-impl serde::Deserialize for PointResult {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        let f = |name| serde::de::field(v, "PointResult", name);
-        let opt_nan = |name| match v.get(name) {
-            Some(x) => serde::Deserialize::from_value(x),
-            None => Ok(f64::NAN),
-        };
-        let opt_zero = |name| match v.get(name) {
-            Some(x) => serde::Deserialize::from_value(x),
-            None => Ok(0u64),
-        };
-        Ok(PointResult {
-            rate: serde::Deserialize::from_value(f("rate")?)?,
-            model_unicast: serde::Deserialize::from_value(f("model_unicast")?)?,
-            model_multicast: serde::Deserialize::from_value(f("model_multicast")?)?,
-            bound_unicast: opt_nan("bound_unicast")?,
-            bound_multicast: opt_nan("bound_multicast")?,
-            model_applicable: match v.get("model_applicable") {
-                Some(b) => serde::Deserialize::from_value(b)?,
-                None => true,
-            },
-            sim_unicast: serde::Deserialize::from_value(f("sim_unicast")?)?,
-            sim_multicast: serde::Deserialize::from_value(f("sim_multicast")?)?,
-            sim_multicast_ci: serde::Deserialize::from_value(f("sim_multicast_ci")?)?,
-            sim_p50: opt_nan("sim_p50")?,
-            sim_p95: opt_nan("sim_p95")?,
-            sim_p99: opt_nan("sim_p99")?,
-            cache_hits: opt_zero("cache_hits")?,
-            cache_misses: opt_zero("cache_misses")?,
-            wall_ms: opt_nan("wall_ms")?,
-            sim_saturated: serde::Deserialize::from_value(f("sim_saturated")?)?,
-        })
-    }
+fn yes() -> bool {
+    true
 }
 
 impl PointResult {

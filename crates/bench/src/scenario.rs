@@ -87,7 +87,7 @@ impl MulticastPattern {
 }
 
 /// The serializable traffic specification of a scenario.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Message length in flits (`M`).
     pub msg_len: u32,
@@ -97,44 +97,23 @@ pub struct WorkloadSpec {
     pub multicast: MulticastPattern,
     /// Spatial pattern of unicast destinations.
     pub unicast: UnicastPattern,
-    /// Temporal arrival process of every node's source.
+    /// Temporal arrival process of every node's source. A scenario
+    /// persisted before the traffic subsystem has no such key: the paper's
+    /// geometric source, the only one that existed.
+    #[serde(default)]
     pub traffic: TrafficSpec,
-    /// Multicast routing scheme.
+    /// Multicast routing scheme; absent from scenarios persisted before
+    /// the routing abstraction, which all ran path-based BRCP.
+    #[serde(default)]
     pub routing: RoutingSpec,
     /// Closed-loop protocol driving injections instead of open-loop
     /// arrivals. `Some` turns the scenario into a closed-loop run: the
     /// sweep must be the single placeholder rate `0.0`, the traffic spec
     /// stays the (unused) geometric default, and the runner installs the
     /// protocol on the engine instead of evaluating the model overlay.
+    /// Pre-closed-loop specs have no such key: open loop.
+    #[serde(default)]
     pub closed_loop: Option<ClosedLoopSpec>,
-}
-
-// Hand-written so scenarios persisted before the traffic subsystem (no
-// `traffic` key) or the routing abstraction (no `routing` key) stay
-// readable: a missing field means the only behaviour that existed then —
-// the paper's geometric source / path-based BRCP routing.
-impl serde::Deserialize for WorkloadSpec {
-    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Ok(WorkloadSpec {
-            msg_len: Deserialize::from_value(serde::de::field(v, "WorkloadSpec", "msg_len")?)?,
-            alpha: Deserialize::from_value(serde::de::field(v, "WorkloadSpec", "alpha")?)?,
-            multicast: Deserialize::from_value(serde::de::field(v, "WorkloadSpec", "multicast")?)?,
-            unicast: Deserialize::from_value(serde::de::field(v, "WorkloadSpec", "unicast")?)?,
-            traffic: match v.get("traffic") {
-                Some(t) => Deserialize::from_value(t)?,
-                None => TrafficSpec::Geometric,
-            },
-            routing: match v.get("routing") {
-                Some(r) => Deserialize::from_value(r)?,
-                None => RoutingSpec::PathBased,
-            },
-            // Pre-closed-loop specs have no `closed_loop` key: open loop.
-            closed_loop: match v.get("closed_loop") {
-                Some(c) => Deserialize::from_value(c)?,
-                None => None,
-            },
-        })
-    }
 }
 
 impl WorkloadSpec {

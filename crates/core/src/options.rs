@@ -41,7 +41,7 @@ impl ServiceCorrection {
 }
 
 /// All model fidelity knobs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ModelOptions {
     /// Which algebraic form of the M/G/1 waiting time to use (Eq. 3).
     pub formula: WaitingFormula,
@@ -59,38 +59,11 @@ pub struct ModelOptions {
     /// Which analytical backend evaluates the model and anchors
     /// saturation-relative sweeps ([`crate::backend`]). The default is
     /// the paper's M/G/1 model, keeping historical scenarios and result
-    /// files byte-identical.
+    /// files byte-identical — and option files written before the selector
+    /// existed readable: a missing key means the M/G/1 model, which is
+    /// what those files meant.
+    #[serde(default)]
     pub backend: BackendSpec,
-}
-
-// Manual impl (instead of derive) so option files written before the
-// backend selector existed still parse: a missing `backend` key means the
-// M/G/1 model, which is what those files meant.
-impl Deserialize for ModelOptions {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(ModelOptions {
-            formula: Deserialize::from_value(serde::de::field(v, "ModelOptions", "formula")?)?,
-            correction: Deserialize::from_value(serde::de::field(
-                v,
-                "ModelOptions",
-                "correction",
-            )?)?,
-            clone_ejection_load: Deserialize::from_value(serde::de::field(
-                v,
-                "ModelOptions",
-                "clone_ejection_load",
-            )?)?,
-            fixed_point: Deserialize::from_value(serde::de::field(
-                v,
-                "ModelOptions",
-                "fixed_point",
-            )?)?,
-            backend: match v.get("backend") {
-                Some(b) => Deserialize::from_value(b)?,
-                None => BackendSpec::default(),
-            },
-        })
-    }
 }
 
 #[cfg(test)]

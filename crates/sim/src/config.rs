@@ -25,7 +25,7 @@ pub enum EngineKind {
 }
 
 /// Run-length and fidelity parameters of a simulation.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Master seed; every run is deterministic in `(seed, config,
     /// workload, topology)`.
@@ -53,32 +53,11 @@ pub struct SimConfig {
     /// Flight-recorder telemetry: event tracing and the utilization time
     /// series. Off by default — a disabled instrument costs one branch
     /// per tap and never perturbs results (the equivalence suite checks
-    /// runs bit-identical with telemetry on and off).
+    /// runs bit-identical with telemetry on and off). A configuration
+    /// persisted before the telemetry subsystem has no such key: everything
+    /// off, which is how those runs executed.
+    #[serde(default)]
     pub telemetry: TelemetrySpec,
-}
-
-// Hand-written so configurations persisted before the telemetry
-// subsystem (scenario JSONs, cached results) keep parsing: a missing
-// `telemetry` key means everything off, which is exactly how those runs
-// executed.
-impl serde::Deserialize for SimConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let f = |name| serde::de::field(v, "SimConfig", name);
-        Ok(SimConfig {
-            seed: Deserialize::from_value(f("seed")?)?,
-            warmup_cycles: Deserialize::from_value(f("warmup_cycles")?)?,
-            measure_cycles: Deserialize::from_value(f("measure_cycles")?)?,
-            drain_cycles: Deserialize::from_value(f("drain_cycles")?)?,
-            buffer_depth: Deserialize::from_value(f("buffer_depth")?)?,
-            backlog_limit: Deserialize::from_value(f("backlog_limit")?)?,
-            batch_size: Deserialize::from_value(f("batch_size")?)?,
-            engine: Deserialize::from_value(f("engine")?)?,
-            telemetry: match v.get("telemetry") {
-                Some(t) => Deserialize::from_value(t)?,
-                None => TelemetrySpec::default(),
-            },
-        })
-    }
 }
 
 impl SimConfig {

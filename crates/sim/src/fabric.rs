@@ -66,8 +66,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Deadlock-watchdog parameters: checked on multiples of
-/// `WATCHDOG_STRIDE`, firing after `WATCHDOG_WINDOW` move-free cycles
-/// with channels still held. With the dateline virtual channels this must
+/// `WATCHDOG_STRIDE`, firing after `WATCHDOG_WINDOW` cycles without a
+/// move or a grant and with channels still held. With the dateline virtual channels this must
 /// never trigger; it exists to catch regressions in deadlock avoidance.
 pub(crate) const WATCHDOG_STRIDE: u64 = 1024;
 pub(crate) const WATCHDOG_WINDOW: u64 = 10_000;
@@ -219,7 +219,8 @@ pub struct Fabric<'a> {
     peak_backlog: usize,
     /// Tagged traffic still in flight.
     pub(crate) tagged_outstanding: u64,
-    /// Last cycle on which any flit moved (deadlock watchdog).
+    /// Last cycle on which a flit moved or a channel was granted
+    /// (deadlock watchdog).
     pub(crate) last_move_cycle: u64,
 
     // --- scratch (reused across cycles) ---
@@ -662,15 +663,18 @@ impl<'a> Fabric<'a> {
         self.generate(tagging, first, due);
         self.select_moves();
         let moved = !self.moves.is_empty();
-        if moved {
-            self.last_move_cycle = cycle;
-        } else if !self.active.is_empty() {
+        if !moved && !self.active.is_empty() {
             // Traffic holds channels but nothing can move this cycle.
             self.metrics.trace_stall(cycle);
         }
         let tail = self.apply_moves(measuring);
         self.closed_deliver(due);
         let granted = self.grant();
+        if moved || granted > 0 {
+            // A grant is progress too: the channel an arrival's own cycle
+            // just granted is held, but not by anything stuck.
+            self.last_move_cycle = cycle;
+        }
         CycleOutcome {
             moved,
             granted,
@@ -781,10 +785,8 @@ impl<'a> Fabric<'a> {
     ///   boundary: `measuring` is one verdict for all of them. Tagging is
     ///   `in_window(c0)` and has no such constraint — a message generated
     ///   at `warmup` is untagged and measured;
-    /// * it spawns more messages than `backlog_limit`, or `c0` is a
-    ///   watchdog tick more than the window past the last move (the grant
-    ///   of cycle `c0` leaves the active list non-empty): on both the
-    ///   oracle's end-of-run check fires at `c0`;
+    /// * it spawns more messages than `backlog_limit`: the oracle's
+    ///   end-of-run check fires at `c0`;
     /// * two hops share a physical channel: they would take turns.
     pub(crate) fn fly(&mut self, c0: u64, node: NodeId, arrival: Arrival, before: u64) -> bool {
         debug_assert!(self.flights_possible() && c0 > self.cycle);
@@ -811,7 +813,6 @@ impl<'a> Fabric<'a> {
         if end >= before.min(self.cfg.measure_end())
             || (c0 < warmup && warmup < end)
             || messages > self.cfg.backlog_limit
-            || (c0.is_multiple_of(WATCHDOG_STRIDE) && c0 - self.last_move_cycle > WATCHDOG_WINDOW)
         {
             return false;
         }
@@ -949,7 +950,7 @@ impl<'a> Fabric<'a> {
     }
 
     /// Flits exist in the network (owned channels) but nothing has moved
-    /// for the watchdog window.
+    /// or been granted for the watchdog window.
     #[inline]
     fn watchdog_fires(&self) -> bool {
         self.cycle.saturating_sub(self.last_move_cycle) > WATCHDOG_WINDOW && !self.active.is_empty()
@@ -1403,13 +1404,21 @@ pub(crate) mod behaviour {
 
     /// The same latency read off a `run`: one traced arrival — which the
     /// event engine flies, so the closed form answers here, not the
-    /// per-cycle machinery.
+    /// per-cycle machinery. The last one arrives on the first watchdog
+    /// tick more than the window after cycle 0: its own grant is progress,
+    /// not a held channel with nothing moving.
     pub(crate) fn zero_load_latency_is_exact_in_a_run(kind: EngineKind) {
         use noc_workloads::{TraceEntry, TraceKind, TrafficSpec};
         let topo = Quarc::new(16).unwrap();
-        for (src, dst, msg_len) in [(0u32, 3u32, 16u32), (0, 8, 32), (5, 1, 64), (2, 12, 16)] {
+        for (src, dst, msg_len, cycle) in [
+            (0u32, 3u32, 16u32, 5_000),
+            (0, 8, 32, 5_000),
+            (5, 1, 64, 5_000),
+            (2, 12, 16, 5_000),
+            (0, 3, 16, 10 * super::WATCHDOG_STRIDE),
+        ] {
             let arrival = TraceEntry {
-                cycle: 5_000,
+                cycle,
                 node: src,
                 kind: TraceKind::Unicast { dst },
             };
@@ -1420,6 +1429,7 @@ pub(crate) mod behaviour {
             let path = topo.unicast_path(NodeId(src), NodeId(dst));
             let expected = (msg_len as usize + path.hop_count()) as f64;
             assert_eq!((res.unicast.count, res.unicast.mean), (1, expected));
+            assert!(!res.deadlocked && !res.saturated, "{kind:?} at {cycle}");
             let flown = u64::from(kind == EngineKind::EventDriven);
             assert_eq!(res.engine.flights, flown, "{kind:?}: {src}->{dst}");
         }

@@ -5,7 +5,7 @@ use noc_telemetry::{LogHistogram, TraceLog, UtilSeries};
 use serde::{Deserialize, Serialize};
 
 /// Summary of a latency population.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct LatencyStats {
     /// Sample mean (cycles); 0 when no samples were collected.
     pub mean: f64,
@@ -19,36 +19,21 @@ pub struct LatencyStats {
     /// Largest observed latency (`NaN` when empty).
     pub max: f64,
     /// Median estimate from the population's [`LogHistogram`] (`NaN`
-    /// when empty or when no histogram backs the population).
+    /// when empty or when no histogram backs the population — which is
+    /// what a summary persisted before the telemetry subsystem, without
+    /// the quantile keys, reads back as).
+    #[serde(default = "nan")]
     pub p50: f64,
     /// 95th-percentile estimate (`NaN` as for `p50`).
+    #[serde(default = "nan")]
     pub p95: f64,
     /// 99th-percentile estimate (`NaN` as for `p50`).
+    #[serde(default = "nan")]
     pub p99: f64,
 }
 
-// Hand-written so latency summaries persisted before the telemetry
-// subsystem (cached results, saved scenario JSONs) keep parsing: the
-// quantile fields were never computed there, which is exactly what `NaN`
-// reports.
-impl serde::Deserialize for LatencyStats {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let f = |name| serde::de::field(v, "LatencyStats", name);
-        let opt_nan = |name| match v.get(name) {
-            Some(x) => serde::Deserialize::from_value(x),
-            None => Ok(f64::NAN),
-        };
-        Ok(LatencyStats {
-            mean: Deserialize::from_value(f("mean")?)?,
-            ci95: Deserialize::from_value(f("ci95")?)?,
-            count: Deserialize::from_value(f("count")?)?,
-            min: Deserialize::from_value(f("min")?)?,
-            max: Deserialize::from_value(f("max")?)?,
-            p50: opt_nan("p50")?,
-            p95: opt_nan("p95")?,
-            p99: opt_nan("p99")?,
-        })
-    }
+fn nan() -> f64 {
+    f64::NAN
 }
 
 impl Default for LatencyStats {
@@ -138,7 +123,11 @@ pub struct LatencyHists {
 /// two bit-identical runs may legitimately differ here (the cycle engine
 /// reports only `simulated_cycles`), so the differential equivalence
 /// suite deliberately excludes this field from its comparisons.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+///
+/// Only `simulated_cycles` is as old as the struct; a result persisted
+/// before one of the other counters existed reads it as zero — a run that
+/// predates a mechanism used it zero times.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct EngineCounters {
     /// Cycles the engine actually executed through its per-cycle
     /// machinery (the cycle engine: every cycle; the event engine: the
@@ -146,45 +135,31 @@ pub struct EngineCounters {
     /// compression ratio).
     pub simulated_cycles: u64,
     /// Arrival events popped off the event queue (event engine only).
+    #[serde(default)]
     pub events_popped: u64,
     /// Streaming spans applied in bulk (event engine only).
+    #[serde(default)]
     pub spans_batched: u64,
     /// Cycles fast-forwarded inside those spans (event engine only).
+    #[serde(default)]
     pub span_cycles: u64,
     /// Cycles proven to be stalled fixpoints and skipped from (event
     /// engine only).
+    #[serde(default)]
     pub stall_fixpoints: u64,
     /// Streaming-span eligibility scans that found no batchable span —
     /// pure overhead, the hot-load pathology this counter exists to
     /// watch (event engine only).
+    #[serde(default)]
     pub span_scans_failed: u64,
     /// Arrivals whose whole transit was applied in closed form, one
     /// unicast or one multicast operation each (event engine only).
+    #[serde(default)]
     pub flights: u64,
     /// Cycles those flights covered, arrival to last absorption
     /// inclusive (event engine only).
+    #[serde(default)]
     pub flight_cycles: u64,
-}
-
-// Hand-written (the vendored derive has no `default`) so results
-// persisted before a counter existed keep parsing: a run that predates a
-// mechanism used it zero times. `simulated_cycles` is as old as the
-// struct, so it stays required — which also rejects a non-map value.
-impl serde::Deserialize for EngineCounters {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let stepped = serde::de::field(v, "EngineCounters", "simulated_cycles")?;
-        let count = |name| v.get(name).map_or(Ok(0), u64::from_value);
-        Ok(EngineCounters {
-            simulated_cycles: u64::from_value(stepped)?,
-            events_popped: count("events_popped")?,
-            spans_batched: count("spans_batched")?,
-            span_cycles: count("span_cycles")?,
-            stall_fixpoints: count("stall_fixpoints")?,
-            span_scans_failed: count("span_scans_failed")?,
-            flights: count("flights")?,
-            flight_cycles: count("flight_cycles")?,
-        })
-    }
 }
 
 /// Closed-loop protocol statistics of one run (present only when a
@@ -193,7 +168,7 @@ impl serde::Deserialize for EngineCounters {
 /// Open-loop metrics answer "how fast does the network serve offered
 /// load"; these answer the closed-loop question — how fast does the
 /// *application* make progress when its sources stall on the network.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ClosedLoopResults {
     /// Requests issued across all nodes.
     pub requests_issued: u64,
@@ -203,7 +178,9 @@ pub struct ClosedLoopResults {
     /// quantiles stamped from `completion_hist`.
     pub completion: LatencyStats,
     /// Streaming histogram behind `completion`, kept whole so replicate
-    /// tails merge exactly.
+    /// tails merge exactly. Empty when read from a result persisted
+    /// before the telemetry subsystem, which has none.
+    #[serde(default)]
     pub completion_hist: LogHistogram,
     /// Time-average outstanding requests across all nodes (the
     /// occupancy of the protocol windows).
@@ -217,28 +194,6 @@ pub struct ClosedLoopResults {
     /// The cycle the run ended on (the quiescence cycle when
     /// `quiesced`).
     pub quiesce_cycle: u64,
-}
-
-// Hand-written for the same legacy-file reason as [`LatencyStats`]: a
-// result persisted before the telemetry subsystem has no completion
-// histogram — an empty one is the honest reconstruction.
-impl serde::Deserialize for ClosedLoopResults {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let f = |name| serde::de::field(v, "ClosedLoopResults", name);
-        Ok(ClosedLoopResults {
-            requests_issued: Deserialize::from_value(f("requests_issued")?)?,
-            requests_retired: Deserialize::from_value(f("requests_retired")?)?,
-            completion: Deserialize::from_value(f("completion")?)?,
-            completion_hist: match v.get("completion_hist") {
-                Some(h) => Deserialize::from_value(h)?,
-                None => LogHistogram::new(),
-            },
-            avg_outstanding: Deserialize::from_value(f("avg_outstanding")?)?,
-            ops_per_cycle: Deserialize::from_value(f("ops_per_cycle")?)?,
-            quiesced: Deserialize::from_value(f("quiesced")?)?,
-            quiesce_cycle: Deserialize::from_value(f("quiesce_cycle")?)?,
-        })
-    }
 }
 
 /// Complete results of one simulation run.

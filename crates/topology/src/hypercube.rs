@@ -42,7 +42,7 @@ impl Hypercube {
             });
         }
         let n = 1usize << dim;
-        let mut channels = Vec::with_capacity(3 * n * dim);
+        let mut channels = Vec::with_capacity(n * dim);
         let mut out_link = vec![ChannelId(0); n * dim];
         for i in 0..n {
             for c in 0..dim {
@@ -60,33 +60,7 @@ impl Hypercube {
                 out_link[i * dim + c] = id;
             }
         }
-        let mut injection = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            for c in 0..dim {
-                let id = ChannelId(channels.len() as u32);
-                channels.push(Channel::injection(
-                    id,
-                    NodeId(i as u32),
-                    PortId(c as u8),
-                    format!("inj {i}.{c}"),
-                ));
-                injection.push(id);
-            }
-        }
-        let mut ejection = Vec::with_capacity(n * dim);
-        for i in 0..n {
-            for c in 0..dim {
-                let id = ChannelId(channels.len() as u32);
-                channels.push(Channel::ejection(
-                    id,
-                    NodeId(i as u32),
-                    PortId(c as u8),
-                    format!("ej {i}.{c}"),
-                ));
-                ejection.push(id);
-            }
-        }
-        let net = Network::new(n, dim, channels, injection, ejection);
+        let net = Network::dense(n, dim, channels);
         Ok(Hypercube {
             dim,
             n,

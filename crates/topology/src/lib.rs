@@ -67,6 +67,7 @@ pub mod network;
 pub mod path;
 pub mod quarc;
 pub mod render;
+mod rim;
 pub mod ring;
 pub mod routing;
 pub mod spec;

@@ -81,136 +81,42 @@ impl Mesh {
         let mut channels: Vec<Channel> = Vec::new();
         let mut out_link: Vec<Option<ChannelId>> = vec![None; n * 4];
         let node = |x: usize, y: usize| NodeId((y * width + x) as u32);
-        let mut push_link = |channels: &mut Vec<Channel>,
-                             from: NodeId,
-                             to: NodeId,
-                             p: PortId,
-                             dateline: bool,
-                             label: String| {
-            let id = ChannelId(channels.len() as u32);
-            // Rim links carry 2 VCs: vc0 = XY unicast (+ torus dateline uses
-            // vc1), vc1 = Hamiltonian multicast class. To keep the VC budget
-            // small we give torus links 3 VCs (0/1 for XY dateline, 2 for
-            // multicast) and mesh links 2 VCs (0 XY, 1 multicast).
-            let vcs = match kind {
-                MeshKind::Mesh => 2,
-                MeshKind::Torus => 3,
-            };
-            channels.push(Channel::link(id, from, to, p, vcs, dateline, label));
-            out_link[from.idx() * 4 + p.idx()] = Some(id);
+        // Mesh links carry 2 VCs (0 XY unicast, 1 Hamiltonian multicast),
+        // torus links 3 (0/1 for the XY dateline, 2 for multicast).
+        let vcs = match kind {
+            MeshKind::Mesh => 2,
+            MeshKind::Torus => 3,
         };
+        // Each port's label tag and step; a step off the grid is the
+        // dimension's wrap (and dateline) link on the torus, no link on
+        // the mesh.
+        let steps = [
+            (port::XPLUS, "x+", 1, 0),
+            (port::XMINUS, "x-", -1, 0),
+            (port::YPLUS, "y+", 0, 1),
+            (port::YMINUS, "y-", 0, -1),
+        ];
+        let (w, h) = (width as isize, height as isize);
         for y in 0..height {
             for x in 0..width {
-                let from = node(x, y);
-                // +x
-                if x + 1 < width {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(x + 1, y),
-                        port::XPLUS,
-                        false,
-                        format!("x+ ({x},{y})"),
-                    );
-                } else if kind == MeshKind::Torus {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(0, y),
-                        port::XPLUS,
-                        true,
-                        format!("x+ wrap ({x},{y})"),
-                    );
-                }
-                // -x
-                if x > 0 {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(x - 1, y),
-                        port::XMINUS,
-                        false,
-                        format!("x- ({x},{y})"),
-                    );
-                } else if kind == MeshKind::Torus {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(width - 1, y),
-                        port::XMINUS,
-                        true,
-                        format!("x- wrap ({x},{y})"),
-                    );
-                }
-                // +y
-                if y + 1 < height {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(x, y + 1),
-                        port::YPLUS,
-                        false,
-                        format!("y+ ({x},{y})"),
-                    );
-                } else if kind == MeshKind::Torus {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(x, 0),
-                        port::YPLUS,
-                        true,
-                        format!("y+ wrap ({x},{y})"),
-                    );
-                }
-                // -y
-                if y > 0 {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(x, y - 1),
-                        port::YMINUS,
-                        false,
-                        format!("y- ({x},{y})"),
-                    );
-                } else if kind == MeshKind::Torus {
-                    push_link(
-                        &mut channels,
-                        from,
-                        node(x, height - 1),
-                        port::YMINUS,
-                        true,
-                        format!("y- wrap ({x},{y})"),
-                    );
+                for (p, tag, dx, dy) in steps {
+                    let (tx, ty) = (x as isize + dx, y as isize + dy);
+                    let wraps = !(0..w).contains(&tx) || !(0..h).contains(&ty);
+                    if wraps && kind == MeshKind::Mesh {
+                        continue;
+                    }
+                    let to = node(tx.rem_euclid(w) as usize, ty.rem_euclid(h) as usize);
+                    let label = match wraps {
+                        true => format!("{tag} wrap ({x},{y})"),
+                        false => format!("{tag} ({x},{y})"),
+                    };
+                    let (id, from) = (ChannelId(channels.len() as u32), node(x, y));
+                    channels.push(Channel::link(id, from, to, p, vcs, wraps, label));
+                    out_link[from.idx() * 4 + p.idx()] = Some(id);
                 }
             }
         }
-        let mut injection = Vec::with_capacity(n * 4);
-        for i in 0..n {
-            for p in 0..4u8 {
-                let id = ChannelId(channels.len() as u32);
-                channels.push(Channel::injection(
-                    id,
-                    NodeId(i as u32),
-                    PortId(p),
-                    format!("inj {i}.{p}"),
-                ));
-                injection.push(id);
-            }
-        }
-        let mut ejection = Vec::with_capacity(n * 4);
-        for i in 0..n {
-            for p in 0..4u8 {
-                let id = ChannelId(channels.len() as u32);
-                channels.push(Channel::ejection(
-                    id,
-                    NodeId(i as u32),
-                    PortId(p),
-                    format!("ej {i}.{p}"),
-                ));
-                ejection.push(id);
-            }
-        }
-        let net = Network::new(n, 4, channels, injection, ejection);
+        let net = Network::dense(n, 4, channels);
         Ok(Mesh {
             width,
             height,

@@ -253,8 +253,9 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build a materialized network from its parts. Intended for topology
-    /// constructors.
+    /// Build a materialized network from explicit tables: the oracle
+    /// builds of [`Network::materialize`] and hand-built networks. The
+    /// dense families number their channels through `Network::dense`.
     ///
     /// # Panics
     ///
@@ -283,6 +284,36 @@ impl Network {
             },
             order_walk: OnceLock::new(),
         }
+    }
+
+    /// Build a materialized network in the *dense layout* from its link
+    /// channels alone: ids `0..links.len()` are the links, then come the
+    /// `n · ports` injection channels and the `n · ports` ejection
+    /// channels, both node-major — `(node, port)` injects on
+    /// `links.len() + node · ports + port` and ejects `n · ports` above
+    /// that. Labels are `inj {node}.{port}` / `ej {node}.{port}`, without
+    /// the port on one-port families.
+    pub(crate) fn dense(num_nodes: usize, ports_per_node: usize, links: Vec<Channel>) -> Self {
+        let per_kind = num_nodes * ports_per_node;
+        let mut channels = links;
+        channels.reserve(2 * per_kind);
+        type Make = fn(ChannelId, NodeId, PortId, String) -> Channel;
+        let mut append = |make: Make, tag: &str| -> Vec<ChannelId> {
+            let ids = (0..per_kind).map(|slot| {
+                let (node, port) = (slot / ports_per_node, slot % ports_per_node);
+                let label = match ports_per_node {
+                    1 => format!("{tag} {node}"),
+                    _ => format!("{tag} {node}.{port}"),
+                };
+                let id = ChannelId(channels.len() as u32);
+                channels.push(make(id, NodeId(node as u32), PortId(port as u8), label));
+                id
+            });
+            ids.collect()
+        };
+        let injection = append(Channel::injection, "inj");
+        let ejection = append(Channel::ejection, "ej");
+        Network::new(num_nodes, ports_per_node, channels, injection, ejection)
     }
 
     /// Build an implicit network whose channels are computed on demand by

@@ -22,23 +22,22 @@
 //! cross-left stream visits `8, 7, 6, 5` while cross-right visits
 //! `9, 10, 11` (Fig. 3).
 //!
-//! Rim links carry two virtual channels with a dateline discipline
-//! (inherited from the Spidergon) to break the cyclic channel dependency of
-//! each rim ring.
+//! The rim, its two virtual channels and their dateline discipline are
+//! the Spidergon's (`rim.rs`).
 
-use crate::channel::Channel;
 use crate::ids::{ChannelId, NodeId, PortId};
 use crate::network::{Network, Topology, TopologyError};
 use crate::path::{Hop, MulticastStream, Path};
+use crate::rim::Rim;
 
 /// Port indices of the Quarc all-port router.
 pub mod port {
     use crate::ids::PortId;
 
     /// Clockwise rim port.
-    pub const CW: PortId = PortId(0);
+    pub const CW: PortId = crate::rim::CW;
     /// Counter-clockwise rim port.
-    pub const CCW: PortId = PortId(1);
+    pub const CCW: PortId = crate::rim::CCW;
     /// Cross-left port (serves the far quadrant reached via the cross link
     /// and then counter-clockwise rim travel; includes the opposite node).
     pub const CROSS_LEFT: PortId = PortId(2);
@@ -53,7 +52,7 @@ pub mod port {
 /// The Quarc topology (`N = 4k` nodes, `k ≥ 2`).
 #[derive(Clone, Debug)]
 pub struct Quarc {
-    n: usize,
+    rim: Rim,
     k: usize,
     net: Network,
 }
@@ -67,97 +66,20 @@ impl Quarc {
                 requirement: "Quarc requires N % 4 == 0 and N >= 8",
             });
         }
-        let k = n / 4;
-        let nu = n as u32;
-        let mut channels = Vec::with_capacity(12 * n);
-        // Clockwise rim links: id i, i -> i+1; dateline at i == n-1.
-        for i in 0..nu {
-            let to = (i + 1) % nu;
-            channels.push(Channel::link(
-                ChannelId(i),
-                NodeId(i),
-                NodeId(to),
-                port::CW,
-                2,
-                i == nu - 1,
-                format!("cw {i}->{to}"),
-            ));
-        }
-        // Counter-clockwise rim links: id n+i, i -> i-1; dateline at i == 0.
-        for i in 0..nu {
-            let to = (i + nu - 1) % nu;
-            channels.push(Channel::link(
-                ChannelId(nu + i),
-                NodeId(i),
-                NodeId(to),
-                port::CCW,
-                2,
-                i == 0,
-                format!("ccw {i}->{to}"),
-            ));
-        }
-        // Cross-left links: id 2n+i, i -> i + n/2.
-        for i in 0..nu {
-            let to = (i + nu / 2) % nu;
-            channels.push(Channel::link(
-                ChannelId(2 * nu + i),
-                NodeId(i),
-                NodeId(to),
-                port::CROSS_LEFT,
-                1,
-                false,
-                format!("xl {i}->{to}"),
-            ));
-        }
-        // Cross-right links: id 3n+i, i -> i + n/2 (separate physical link).
-        for i in 0..nu {
-            let to = (i + nu / 2) % nu;
-            channels.push(Channel::link(
-                ChannelId(3 * nu + i),
-                NodeId(i),
-                NodeId(to),
-                port::CROSS_RIGHT,
-                1,
-                false,
-                format!("xr {i}->{to}"),
-            ));
-        }
-        // Injection channels: id 4n + i*4 + p.
-        let mut injection = Vec::with_capacity(4 * n);
-        for i in 0..nu {
-            for p in 0..4u8 {
-                let id = ChannelId(4 * nu + i * 4 + p as u32);
-                channels.push(Channel::injection(
-                    id,
-                    NodeId(i),
-                    PortId(p),
-                    format!("inj {i}.{p}"),
-                ));
-                injection.push(id);
-            }
-        }
-        // Ejection channels: id 8n + i*4 + p (p = input direction).
-        let mut ejection = Vec::with_capacity(4 * n);
-        for i in 0..nu {
-            for p in 0..4u8 {
-                let id = ChannelId(8 * nu + i * 4 + p as u32);
-                channels.push(Channel::ejection(
-                    id,
-                    NodeId(i),
-                    PortId(p),
-                    format!("ej {i}.{p}"),
-                ));
-                ejection.push(id);
-            }
-        }
-        let net = Network::new(n, 4, channels, injection, ejection);
-        Ok(Quarc { n, k, net })
+        let rim = Rim { n };
+        // The cross link is doubled: cross-left `2n + i` and cross-right
+        // `3n + i` are separate physical links `i -> i + n/2`.
+        let mut links = rim.links();
+        links.extend(rim.cross_links(2 * n, port::CROSS_LEFT, "xl"));
+        links.extend(rim.cross_links(3 * n, port::CROSS_RIGHT, "xr"));
+        let net = Network::dense(n, 4, links);
+        Ok(Quarc { rim, k: n / 4, net })
     }
 
     /// Node count.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.rim.n
     }
 
     /// Quadrant size `k = N/4` (also the network diameter in links).
@@ -169,132 +91,7 @@ impl Quarc {
     /// Clockwise distance from `s` to `d` in `[0, N)`.
     #[inline]
     pub fn cw_dist(&self, s: NodeId, d: NodeId) -> usize {
-        (d.idx() + self.n - s.idx()) % self.n
-    }
-
-    #[inline]
-    fn node(&self, i: usize) -> NodeId {
-        NodeId((i % self.n) as u32)
-    }
-
-    fn cw_link(&self, i: usize) -> ChannelId {
-        ChannelId((i % self.n) as u32)
-    }
-
-    fn ccw_link(&self, i: usize) -> ChannelId {
-        ChannelId((self.n + i % self.n) as u32)
-    }
-
-    fn xl_link(&self, i: usize) -> ChannelId {
-        ChannelId((2 * self.n + i % self.n) as u32)
-    }
-
-    fn xr_link(&self, i: usize) -> ChannelId {
-        ChannelId((3 * self.n + i % self.n) as u32)
-    }
-
-    /// Append clockwise rim hops from `from` for `count` links, applying the
-    /// dateline VC discipline (VC 1 from the dateline link onwards).
-    fn push_cw_hops(&self, hops: &mut Vec<Hop>, from: usize, count: usize) {
-        let mut crossed = false;
-        for step in 0..count {
-            let i = (from + step) % self.n;
-            if i == self.n - 1 {
-                crossed = true;
-            }
-            hops.push(Hop::new(self.cw_link(i), u8::from(crossed)));
-        }
-    }
-
-    /// Append counter-clockwise rim hops from `from` for `count` links.
-    fn push_ccw_hops(&self, hops: &mut Vec<Hop>, from: usize, count: usize) {
-        let mut crossed = false;
-        for step in 0..count {
-            let i = (from + self.n - step) % self.n;
-            if i == 0 {
-                crossed = true;
-            }
-            hops.push(Hop::new(self.ccw_link(i), u8::from(crossed)));
-        }
-    }
-
-    /// Build the route serving clockwise-quadrant destination at cw
-    /// distance `d ∈ [1, k]`.
-    fn path_cw(&self, s: NodeId, d: usize) -> Path {
-        let dst = self.node(s.idx() + d);
-        let mut hops = Vec::with_capacity(d + 2);
-        hops.push(Hop::new(self.net.injection_channel(s, port::CW), 0));
-        self.push_cw_hops(&mut hops, s.idx(), d);
-        hops.push(Hop::new(self.net.ejection_channel(dst, port::CW), 0));
-        Path {
-            src: s,
-            dst,
-            port: port::CW,
-            hops,
-        }
-    }
-
-    /// Build the route serving counter-clockwise destination at ccw
-    /// distance `d ∈ [1, k]`.
-    fn path_ccw(&self, s: NodeId, d: usize) -> Path {
-        let dst = self.node(s.idx() + self.n - d);
-        let mut hops = Vec::with_capacity(d + 2);
-        hops.push(Hop::new(self.net.injection_channel(s, port::CCW), 0));
-        self.push_ccw_hops(&mut hops, s.idx(), d);
-        hops.push(Hop::new(self.net.ejection_channel(dst, port::CCW), 0));
-        Path {
-            src: s,
-            dst,
-            port: port::CCW,
-            hops,
-        }
-    }
-
-    /// Build the cross-left route to cw distance `d ∈ [k+1, 2k]`:
-    /// cross link, then `2k − d` ccw rim links.
-    fn path_xl(&self, s: NodeId, d: usize) -> Path {
-        let opposite = s.idx() + self.n / 2;
-        let rim = 2 * self.k - d;
-        let dst = self.node(s.idx() + d);
-        let mut hops = Vec::with_capacity(rim + 3);
-        hops.push(Hop::new(self.net.injection_channel(s, port::CROSS_LEFT), 0));
-        hops.push(Hop::new(self.xl_link(s.idx()), 0));
-        self.push_ccw_hops(&mut hops, opposite, rim);
-        let ej_port = if rim == 0 {
-            port::CROSS_LEFT
-        } else {
-            port::CCW
-        };
-        hops.push(Hop::new(self.net.ejection_channel(dst, ej_port), 0));
-        Path {
-            src: s,
-            dst,
-            port: port::CROSS_LEFT,
-            hops,
-        }
-    }
-
-    /// Build the cross-right route to cw distance `d ∈ [2k+1, 3k−1]`:
-    /// cross link, then `d − 2k` cw rim links.
-    fn path_xr(&self, s: NodeId, d: usize) -> Path {
-        let opposite = s.idx() + self.n / 2;
-        let rim = d - 2 * self.k;
-        let dst = self.node(s.idx() + d);
-        let mut hops = Vec::with_capacity(rim + 3);
-        hops.push(Hop::new(
-            self.net.injection_channel(s, port::CROSS_RIGHT),
-            0,
-        ));
-        hops.push(Hop::new(self.xr_link(s.idx()), 0));
-        self.push_cw_hops(&mut hops, opposite, rim);
-        // rim >= 1 always in this quadrant, so arrival is via a cw link.
-        hops.push(Hop::new(self.net.ejection_channel(dst, port::CW), 0));
-        Path {
-            src: s,
-            dst,
-            port: port::CROSS_RIGHT,
-            hops,
-        }
+        self.rim.cw_dist(s, d)
     }
 
     /// The last node visited by a broadcast stream on `p` (the destination
@@ -302,10 +99,10 @@ impl Quarc {
     pub fn broadcast_last_node(&self, s: NodeId, p: PortId) -> NodeId {
         let k = self.k;
         match p {
-            x if x == port::CW => self.node(s.idx() + k),
-            x if x == port::CCW => self.node(s.idx() + self.n - k),
-            x if x == port::CROSS_LEFT => self.node(s.idx() + k + 1),
-            x if x == port::CROSS_RIGHT => self.node(s.idx() + 3 * k - 1),
+            x if x == port::CW => self.rim.node(s.idx() + k),
+            x if x == port::CCW => self.rim.node(s.idx() + self.rim.n - k),
+            x if x == port::CROSS_LEFT => self.rim.node(s.idx() + k + 1),
+            x if x == port::CROSS_RIGHT => self.rim.node(s.idx() + 3 * k - 1),
             _ => panic!("invalid Quarc port {p:?}"),
         }
     }
@@ -336,17 +133,30 @@ impl Topology for Quarc {
     }
 
     fn unicast_path(&self, src: NodeId, dst: NodeId) -> Path {
-        assert_ne!(src, dst, "no route from a node to itself");
+        let port = self.port_for(src, dst);
+        let (n, k, s) = (self.rim.n, self.k, src.idx());
         let d = self.cw_dist(src, dst);
-        let k = self.k;
-        if d <= k {
-            self.path_cw(src, d)
-        } else if d <= 2 * k {
-            self.path_xl(src, d)
-        } else if d < 3 * k {
-            self.path_xr(src, d)
-        } else {
-            self.path_ccw(src, self.n - d)
+        // The port fixes the whole route (the table in the module docs): a
+        // cross link or none, then `rim` links from `from` in direction
+        // `dir`.
+        let (cross, dir, from, rim) = match port {
+            x if x == port::CW => (None, port::CW, s, d),
+            x if x == port::CCW => (None, port::CCW, s, n - d),
+            x if x == port::CROSS_LEFT => (Some(2 * n + s), port::CCW, s + n / 2, 2 * k - d),
+            _ => (Some(3 * n + s), port::CW, s + n / 2, d - 2 * k),
+        };
+        let mut hops = Vec::with_capacity(rim + 3);
+        hops.push(Hop::new(self.net.injection_channel(src, port), 0));
+        hops.extend(cross.map(|link| Hop::new(ChannelId(link as u32), 0)));
+        self.rim.push_hops(&mut hops, dir, from, rim);
+        // Ejection is by input direction: the last link's class.
+        let arrival = if rim == 0 { port } else { dir };
+        hops.push(Hop::new(self.net.ejection_channel(dst, arrival), 0));
+        Path {
+            src,
+            dst,
+            port,
+            hops,
         }
     }
 
@@ -354,54 +164,22 @@ impl Topology for Quarc {
         let k = self.k;
         let s = src.idx();
         match p {
-            x if x == port::CW => (1..=k).map(|d| self.node(s + d)).collect(),
-            x if x == port::CCW => (1..=k).map(|d| self.node(s + self.n - d)).collect(),
+            x if x == port::CW => (1..=k).map(|d| self.rim.node(s + d)).collect(),
+            x if x == port::CCW => (1..=k).map(|d| self.rim.node(s + self.rim.n - d)).collect(),
             // Visit order: opposite node first, then counter-clockwise.
-            x if x == port::CROSS_LEFT => (0..k).map(|i| self.node(s + 2 * k - i)).collect(),
+            x if x == port::CROSS_LEFT => (0..k).map(|i| self.rim.node(s + 2 * k - i)).collect(),
             // Visit order: first node past the opposite, then clockwise.
-            x if x == port::CROSS_RIGHT => (1..k).map(|i| self.node(s + 2 * k + i)).collect(),
+            x if x == port::CROSS_RIGHT => (1..k).map(|i| self.rim.node(s + 2 * k + i)).collect(),
             _ => panic!("invalid Quarc port {p:?}"),
         }
     }
 
     fn multicast_streams(&self, src: NodeId, targets: &[NodeId]) -> Vec<MulticastStream> {
-        let mut by_port: [Vec<usize>; 4] = Default::default(); // cw distances
-        for &t in targets {
-            if t == src {
-                continue;
-            }
-            let d = self.cw_dist(src, t);
-            by_port[self.port_for(src, t).idx()].push(d);
-        }
-        let mut streams = Vec::new();
-        for p in port::ALL {
-            let ds = &mut by_port[p.idx()];
-            if ds.is_empty() {
-                continue;
-            }
-            ds.sort_unstable();
-            ds.dedup();
-            // Visit order per quadrant geometry: CW and CROSS_RIGHT visit
-            // ascending cw distance; CCW visits ascending ccw distance
-            // (= descending cw) and CROSS_LEFT starts at the opposite node
-            // (d = 2k) and walks down. The last element is the final target.
-            let mut visit_order = ds.clone();
-            if p == port::CCW || p == port::CROSS_LEFT {
-                visit_order.reverse();
-            }
-            let last_d = *visit_order.last().unwrap();
-            let path = self.unicast_path(src, self.node(src.idx() + last_d));
-            let targets: Vec<NodeId> = visit_order
-                .iter()
-                .map(|&d| self.node(src.idx() + d))
-                .collect();
-            streams.push(MulticastStream {
-                port: p,
-                path,
-                targets,
-            });
-        }
-        streams
+        // CW and CROSS_RIGHT visit ascending cw distance; CCW visits
+        // ascending ccw distance and CROSS_LEFT starts at the opposite
+        // node (d = 2k) and walks down.
+        let descending = [port::CCW, port::CROSS_LEFT];
+        self.rim.multicast_streams(self, src, targets, &descending)
     }
 
     fn diameter(&self) -> usize {

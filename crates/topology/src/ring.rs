@@ -6,19 +6,19 @@
 //! is the expected maximum of two independent exponentials (Eq. 10–11).
 //! It is used in unit/property tests and in the port-count ablation.
 
-use crate::channel::Channel;
-use crate::ids::{ChannelId, NodeId, PortId};
+use crate::ids::{NodeId, PortId};
 use crate::network::{Network, Topology, TopologyError};
 use crate::path::{Hop, MulticastStream, Path};
+use crate::rim::Rim;
 
 /// Port indices of the two-port ring router.
 pub mod port {
     use crate::ids::PortId;
 
     /// Clockwise port.
-    pub const CW: PortId = PortId(0);
+    pub const CW: PortId = crate::rim::CW;
     /// Counter-clockwise port.
-    pub const CCW: PortId = PortId(1);
+    pub const CCW: PortId = crate::rim::CCW;
 
     /// Both ports in index order.
     pub const ALL: [PortId; 2] = [CW, CCW];
@@ -27,7 +27,7 @@ pub mod port {
 /// A bidirectional ring of `N ≥ 4` nodes with all-port (two-port) routers.
 #[derive(Clone, Debug)]
 pub struct Ring {
-    n: usize,
+    rim: Rim,
     net: Network,
 }
 
@@ -40,114 +40,27 @@ impl Ring {
                 requirement: "Ring requires N >= 4",
             });
         }
-        let nu = n as u32;
-        let mut channels = Vec::with_capacity(6 * n);
-        for i in 0..nu {
-            let to = (i + 1) % nu;
-            channels.push(Channel::link(
-                ChannelId(i),
-                NodeId(i),
-                NodeId(to),
-                port::CW,
-                2,
-                i == nu - 1,
-                format!("cw {i}->{to}"),
-            ));
-        }
-        for i in 0..nu {
-            let to = (i + nu - 1) % nu;
-            channels.push(Channel::link(
-                ChannelId(nu + i),
-                NodeId(i),
-                NodeId(to),
-                port::CCW,
-                2,
-                i == 0,
-                format!("ccw {i}->{to}"),
-            ));
-        }
-        let mut injection = Vec::with_capacity(2 * n);
-        for i in 0..nu {
-            for p in 0..2u8 {
-                let id = ChannelId(2 * nu + i * 2 + p as u32);
-                channels.push(Channel::injection(
-                    id,
-                    NodeId(i),
-                    PortId(p),
-                    format!("inj {i}.{p}"),
-                ));
-                injection.push(id);
-            }
-        }
-        let mut ejection = Vec::with_capacity(2 * n);
-        for i in 0..nu {
-            for p in 0..2u8 {
-                let id = ChannelId(4 * nu + i * 2 + p as u32);
-                channels.push(Channel::ejection(
-                    id,
-                    NodeId(i),
-                    PortId(p),
-                    format!("ej {i}.{p}"),
-                ));
-                ejection.push(id);
-            }
-        }
-        let net = Network::new(n, 2, channels, injection, ejection);
-        Ok(Ring { n, net })
+        let rim = Rim { n };
+        let net = Network::dense(n, 2, rim.links());
+        Ok(Ring { rim, net })
     }
 
     /// Node count.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.rim.n
     }
 
     /// Clockwise distance from `s` to `d`.
     #[inline]
     pub fn cw_dist(&self, s: NodeId, d: NodeId) -> usize {
-        (d.idx() + self.n - s.idx()) % self.n
+        self.rim.cw_dist(s, d)
     }
 
     /// Largest clockwise distance served by the clockwise port.
     #[inline]
     fn cw_reach(&self) -> usize {
-        self.n / 2 // d in [1, n/2] go cw; the rest ccw
-    }
-
-    #[inline]
-    fn node(&self, i: usize) -> NodeId {
-        NodeId((i % self.n) as u32)
-    }
-
-    fn build_path(&self, s: NodeId, d_cw: usize, p: PortId) -> Path {
-        let (dst, steps) = if p == port::CW {
-            (self.node(s.idx() + d_cw), d_cw)
-        } else {
-            (self.node(s.idx() + d_cw), self.n - d_cw)
-        };
-        let mut hops = Vec::with_capacity(steps + 2);
-        hops.push(Hop::new(self.net.injection_channel(s, p), 0));
-        let mut crossed = false;
-        for step in 0..steps {
-            let (link, wraps) = if p == port::CW {
-                let i = (s.idx() + step) % self.n;
-                (ChannelId(i as u32), i == self.n - 1)
-            } else {
-                let i = (s.idx() + self.n - step) % self.n;
-                (ChannelId((self.n + i) as u32), i == 0)
-            };
-            if wraps {
-                crossed = true;
-            }
-            hops.push(Hop::new(link, u8::from(crossed)));
-        }
-        hops.push(Hop::new(self.net.ejection_channel(dst, p), 0));
-        Path {
-            src: s,
-            dst,
-            port: p,
-            hops,
-        }
+        self.rim.n / 2 // d in [1, n/2] go cw; the rest ccw
     }
 }
 
@@ -170,61 +83,46 @@ impl Topology for Ring {
     }
 
     fn unicast_path(&self, src: NodeId, dst: NodeId) -> Path {
-        let p = self.port_for(src, dst);
-        self.build_path(src, self.cw_dist(src, dst), p)
+        let port = self.port_for(src, dst);
+        let d_cw = self.cw_dist(src, dst);
+        let steps = if port == port::CW {
+            d_cw
+        } else {
+            self.rim.n - d_cw
+        };
+        let mut hops = Vec::with_capacity(steps + 2);
+        hops.push(Hop::new(self.net.injection_channel(src, port), 0));
+        self.rim.push_hops(&mut hops, port, src.idx(), steps);
+        hops.push(Hop::new(self.net.ejection_channel(dst, port), 0));
+        Path {
+            src,
+            dst,
+            port,
+            hops,
+        }
     }
 
     fn quadrant(&self, src: NodeId, p: PortId) -> Vec<NodeId> {
-        let s = src.idx();
+        let (s, n) = (src.idx(), self.rim.n);
         match p {
-            x if x == port::CW => (1..=self.cw_reach()).map(|d| self.node(s + d)).collect(),
-            x if x == port::CCW => (self.cw_reach() + 1..self.n)
+            x if x == port::CW => (1..=self.cw_reach())
+                .map(|d| self.rim.node(s + d))
+                .collect(),
+            x if x == port::CCW => (self.cw_reach() + 1..n)
                 .rev()
-                .map(|d| self.node(s + d))
+                .map(|d| self.rim.node(s + d))
                 .collect(),
             _ => panic!("invalid ring port {p:?}"),
         }
     }
 
     fn multicast_streams(&self, src: NodeId, targets: &[NodeId]) -> Vec<MulticastStream> {
-        let mut cw: Vec<usize> = Vec::new();
-        let mut ccw: Vec<usize> = Vec::new();
-        for &t in targets {
-            if t == src {
-                continue;
-            }
-            let d = self.cw_dist(src, t);
-            if d <= self.cw_reach() {
-                cw.push(d);
-            } else {
-                ccw.push(d);
-            }
-        }
-        let mut streams = Vec::new();
-        cw.sort_unstable();
-        cw.dedup();
-        if let Some(&last) = cw.last() {
-            streams.push(MulticastStream {
-                port: port::CW,
-                path: self.build_path(src, last, port::CW),
-                targets: cw.iter().map(|&d| self.node(src.idx() + d)).collect(),
-            });
-        }
-        ccw.sort_unstable();
-        ccw.dedup();
-        ccw.reverse(); // visit order: descending cw distance = ascending ccw
-        if let Some(&last) = ccw.last() {
-            streams.push(MulticastStream {
-                port: port::CCW,
-                path: self.build_path(src, last, port::CCW),
-                targets: ccw.iter().map(|&d| self.node(src.idx() + d)).collect(),
-            });
-        }
-        streams
+        // The counter-clockwise stream visits ascending ccw distance.
+        self.rim.multicast_streams(self, src, targets, &[port::CCW])
     }
 
     fn diameter(&self) -> usize {
-        self.n / 2
+        self.rim.n / 2
     }
 }
 

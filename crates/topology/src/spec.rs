@@ -377,6 +377,8 @@ impl fmt::Display for TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{NodeId, PortId};
+    use crate::path::Path;
 
     #[test]
     fn registry_builds_every_family() {
@@ -554,5 +556,101 @@ mod tests {
             .unwrap()
             .build()
             .is_err());
+    }
+
+    /// FNV-1a-64 over the whole dense channel table — every channel's
+    /// `(id, kind, from, to, port, vcs, dateline, label)` and both
+    /// `(node, port)` id maps — and over every unicast path, broadcast
+    /// stream and one sparse multicast per source. Results, caches and
+    /// goldens are keyed by these ids and walk these routes.
+    fn table_and_route_digests(topo: &dyn Topology) -> (u64, u64) {
+        fn fnv(h: u64, words: &[u64]) -> u64 {
+            words.iter().flat_map(|w| w.to_le_bytes()).fold(h, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        }
+        let net = topo.network();
+        let mut table = 0xcbf2_9ce4_8422_2325;
+        for c in net.channels() {
+            let label: Vec<u64> = c.label.bytes().map(u64::from).collect();
+            table = fnv(
+                table,
+                &[
+                    c.id.0.into(),
+                    c.kind as u64,
+                    c.from.0.into(),
+                    c.to.0.into(),
+                    c.port.0.into(),
+                    c.vcs.into(),
+                    c.dateline.into(),
+                    label.len() as u64,
+                ],
+            );
+            table = fnv(table, &label);
+        }
+        let nodes = || (0..topo.num_nodes() as u32).map(NodeId);
+        for node in nodes() {
+            for port in (0..topo.num_ports() as u8).map(PortId) {
+                let (inj, ej) = (
+                    net.injection_channel(node, port),
+                    net.ejection_channel(node, port),
+                );
+                table = fnv(table, &[inj.0.into(), ej.0.into()]);
+            }
+        }
+        let mut routes = 0xcbf2_9ce4_8422_2325;
+        let path = |h: u64, p: &Path| {
+            let hops: Vec<u64> = p
+                .hops
+                .iter()
+                .flat_map(|hop| [hop.channel.0.into(), hop.vc.0.into()])
+                .collect();
+            fnv(
+                fnv(h, &[p.src.0.into(), p.dst.0.into(), p.port.0.into()]),
+                &hops,
+            )
+        };
+        for src in nodes() {
+            for dst in nodes().filter(|&d| d != src) {
+                routes = path(routes, &topo.unicast_path(src, dst));
+            }
+            let sparse: Vec<NodeId> = nodes()
+                .filter(|&d| d != src && (d.0 + src.0) % 3 == 0)
+                .collect();
+            let streams = [
+                topo.broadcast_streams(src),
+                topo.multicast_streams(src, &sparse),
+            ];
+            for stream in streams.iter().flatten() {
+                let targets: Vec<u64> = stream.targets.iter().map(|t| t.0.into()).collect();
+                routes = fnv(path(routes, &stream.path), &targets);
+                routes = fnv(routes, &[stream.port.0.into()]);
+            }
+        }
+        (table, routes)
+    }
+
+    /// Recorded on the commit before the dense layout and the rim moved
+    /// behind `Network::dense` and `rim.rs`.
+    #[test]
+    fn dense_channel_tables_and_routes_are_pinned() {
+        for (spec, table, routes) in [
+            ("quarc-16", 0x85f6499b018db9e9_u64, 0xecf1971c6de911e7_u64),
+            ("quarc-64", 0xab8b8d2b88cc1029, 0xa41fcc83f145e43e),
+            ("ring-6", 0x6fb72a09b379ca25, 0xa8d1bf9400609d9f),
+            ("ring-9", 0x946e62b7e0777229, 0x5f192b510df24369),
+            ("spidergon-8", 0xcdca075b356840c5, 0xdee493df1fd7b8ae),
+            ("spidergon-18", 0xee98fbdc7c3aa2a8, 0x4f93ed75b208f1be),
+            ("mesh-4x3", 0x21f363e302506280, 0xb84435512d47a4a8),
+            ("mesh-8x8", 0x5bc499da88505d65, 0xfe61c7fe63b20ca3),
+            ("torus-3x4", 0x3cbf7e861944c905, 0x96c0e7e28b5d4267),
+            ("torus-5x5", 0xdb01379861ec2cd9, 0x5bfda7e0c7b04a51),
+            ("hypercube-3", 0xccd0ba6fa8417525, 0xace97b16c01040f4),
+            ("hypercube-6", 0xc1357b04123455e5, 0x78a92dbe012f42f2),
+        ] {
+            let topo = TopologySpec::parse(spec).unwrap().build().unwrap();
+            let got = table_and_route_digests(topo.as_ref());
+            assert_eq!(got, (table, routes), "{spec}");
+        }
     }
 }

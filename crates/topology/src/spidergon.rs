@@ -17,10 +17,10 @@
 //! collective-latency comparison (the motivation for the Quarc, §3.2) can be
 //! reproduced in simulation.
 
-use crate::channel::Channel;
 use crate::ids::{ChannelId, NodeId, PortId};
 use crate::network::{Network, Topology, TopologyError};
 use crate::path::{Hop, MulticastStream, Path};
+use crate::rim::Rim;
 
 /// Link classes of the Spidergon router (the node still has a single
 /// injection/ejection port; these label the *link* channels only).
@@ -28,9 +28,9 @@ pub mod link_class {
     use crate::ids::PortId;
 
     /// Clockwise rim link.
-    pub const CW: PortId = PortId(0);
+    pub const CW: PortId = crate::rim::CW;
     /// Counter-clockwise rim link.
-    pub const CCW: PortId = PortId(1);
+    pub const CCW: PortId = crate::rim::CCW;
     /// Cross link.
     pub const CROSS: PortId = PortId(2);
 }
@@ -41,7 +41,7 @@ pub const THE_PORT: PortId = PortId(0);
 /// The Spidergon topology (`N` even, `N ≥ 6`).
 #[derive(Clone, Debug)]
 pub struct Spidergon {
-    n: usize,
+    rim: Rim,
     /// Rim reach `⌊N/4⌋` of the across-first routing.
     b: usize,
     net: Network,
@@ -56,107 +56,23 @@ impl Spidergon {
                 requirement: "Spidergon requires even N >= 6",
             });
         }
-        let nu = n as u32;
-        let mut channels = Vec::with_capacity(5 * n);
-        for i in 0..nu {
-            let to = (i + 1) % nu;
-            channels.push(Channel::link(
-                ChannelId(i),
-                NodeId(i),
-                NodeId(to),
-                link_class::CW,
-                2,
-                i == nu - 1,
-                format!("cw {i}->{to}"),
-            ));
-        }
-        for i in 0..nu {
-            let to = (i + nu - 1) % nu;
-            channels.push(Channel::link(
-                ChannelId(nu + i),
-                NodeId(i),
-                NodeId(to),
-                link_class::CCW,
-                2,
-                i == 0,
-                format!("ccw {i}->{to}"),
-            ));
-        }
-        for i in 0..nu {
-            let to = (i + nu / 2) % nu;
-            channels.push(Channel::link(
-                ChannelId(2 * nu + i),
-                NodeId(i),
-                NodeId(to),
-                link_class::CROSS,
-                1,
-                false,
-                format!("x {i}->{to}"),
-            ));
-        }
-        let mut injection = Vec::with_capacity(n);
-        for i in 0..nu {
-            let id = ChannelId(3 * nu + i);
-            channels.push(Channel::injection(
-                id,
-                NodeId(i),
-                THE_PORT,
-                format!("inj {i}"),
-            ));
-            injection.push(id);
-        }
-        let mut ejection = Vec::with_capacity(n);
-        for i in 0..nu {
-            let id = ChannelId(4 * nu + i);
-            channels.push(Channel::ejection(
-                id,
-                NodeId(i),
-                THE_PORT,
-                format!("ej {i}"),
-            ));
-            ejection.push(id);
-        }
-        let net = Network::new(n, 1, channels, injection, ejection);
-        Ok(Spidergon { n, b: n / 4, net })
+        let rim = Rim { n };
+        let mut links = rim.links();
+        links.extend(rim.cross_links(2 * n, link_class::CROSS, "x"));
+        let net = Network::dense(n, 1, links);
+        Ok(Spidergon { rim, b: n / 4, net })
     }
 
     /// Node count.
     #[inline]
     pub fn n(&self) -> usize {
-        self.n
+        self.rim.n
     }
 
     /// Clockwise distance from `s` to `d`.
     #[inline]
     pub fn cw_dist(&self, s: NodeId, d: NodeId) -> usize {
-        (d.idx() + self.n - s.idx()) % self.n
-    }
-
-    #[inline]
-    fn node(&self, i: usize) -> NodeId {
-        NodeId((i % self.n) as u32)
-    }
-
-    fn push_cw(&self, hops: &mut Vec<Hop>, from: usize, count: usize) {
-        let mut crossed = false;
-        for step in 0..count {
-            let i = (from + step) % self.n;
-            if i == self.n - 1 {
-                crossed = true;
-            }
-            hops.push(Hop::new(ChannelId(i as u32), u8::from(crossed)));
-        }
-    }
-
-    fn push_ccw(&self, hops: &mut Vec<Hop>, from: usize, count: usize) {
-        let mut crossed = false;
-        for step in 0..count {
-            let i = (from + self.n - step) % self.n;
-            if i == 0 {
-                crossed = true;
-            }
-            hops.push(Hop::new(ChannelId((self.n + i) as u32), u8::from(crossed)));
-        }
+        self.rim.cw_dist(s, d)
     }
 }
 
@@ -176,28 +92,27 @@ impl Topology for Spidergon {
 
     fn unicast_path(&self, src: NodeId, dst: NodeId) -> Path {
         assert_ne!(src, dst, "no route from a node to itself");
-        let n = self.n;
+        let n = self.rim.n;
         let dcw = self.cw_dist(src, dst);
         let dccw = n - dcw;
         let mut hops = vec![Hop::new(self.net.injection_channel(src, THE_PORT), 0)];
         if dcw <= self.b {
-            // Rim clockwise.
-            self.push_cw(&mut hops, src.idx(), dcw);
+            self.rim
+                .push_hops(&mut hops, link_class::CW, src.idx(), dcw);
         } else if dccw <= self.b {
-            // Rim counter-clockwise.
-            self.push_ccw(&mut hops, src.idx(), dccw);
+            self.rim
+                .push_hops(&mut hops, link_class::CCW, src.idx(), dccw);
         } else {
-            // Across first, then shortest rim from the opposite node.
+            // Across first, then the shorter way round from the opposite
+            // node (no rim hop when that is the destination).
             hops.push(Hop::new(ChannelId((2 * n + src.idx()) as u32), 0));
             let o = src.idx() + n / 2;
             let rcw = (dcw + n - n / 2) % n;
             let rccw = (n - rcw) % n;
-            if rcw == 0 {
-                // Destination is the opposite node.
-            } else if rcw <= rccw {
-                self.push_cw(&mut hops, o, rcw);
+            if rcw <= rccw {
+                self.rim.push_hops(&mut hops, link_class::CW, o, rcw);
             } else {
-                self.push_ccw(&mut hops, o, rccw);
+                self.rim.push_hops(&mut hops, link_class::CCW, o, rccw);
             }
         }
         hops.push(Hop::new(self.net.ejection_channel(dst, THE_PORT), 0));
@@ -211,7 +126,9 @@ impl Topology for Spidergon {
 
     fn quadrant(&self, src: NodeId, p: PortId) -> Vec<NodeId> {
         assert_eq!(p, THE_PORT, "the Spidergon router has a single port");
-        (1..self.n).map(|d| self.node(src.idx() + d)).collect()
+        (1..self.rim.n)
+            .map(|d| self.rim.node(src.idx() + d))
+            .collect()
     }
 
     /// One-port multicast: a train of consecutive unicast messages through
@@ -227,7 +144,7 @@ impl Topology for Spidergon {
         ds.dedup();
         ds.iter()
             .map(|&d| {
-                let t = self.node(src.idx() + d);
+                let t = self.rim.node(src.idx() + d);
                 MulticastStream {
                     port: THE_PORT,
                     path: self.unicast_path(src, t),
@@ -241,7 +158,7 @@ impl Topology for Spidergon {
         // Rim quadrants reach b links; across-first paths reach
         // 1 + (n/2 - b - 1) links for the destination just past the rim
         // quadrant. diameter = max(b, n/2 - b).
-        self.b.max(self.n / 2 - self.b)
+        self.b.max(self.rim.n / 2 - self.b)
     }
 }
 

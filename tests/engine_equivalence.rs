@@ -815,15 +815,18 @@ fn arrivals_the_end_of_run_check_fires_on_are_stepped() {
     let (res, flights) = scripted(cfg, &[(3000, 0, 3)], "backlog limit 0");
     assert_eq!((flights, res.saturated, res.cycles), (0, true, 3000));
     // The watchdog looks at stride multiples for "channels held, nothing
-    // moved for the window" — and the grant of an arrival's own cycle
-    // already holds the injection channel. 10 240 is the first stride
-    // multiple more than the window after cycle 0.
+    // moved or granted for the window". The grant of an arrival's own
+    // cycle holds the injection channel and is progress: 10 240, the first
+    // stride multiple more than the window after cycle 0, is a cycle like
+    // any other — flown, delivered, not deadlocked.
     let mut cfg = scripted_cfg();
     cfg.measure_cycles = 12_000;
-    let (res, flights) = scripted(cfg, &[(10_240, 0, 3)], "watchdog tick");
-    assert_eq!((flights, res.cycles), (0, 10_240));
-    // One cycle later nothing is special about it.
-    assert_eq!(scripted(cfg, &[(10_241, 0, 3)], "off the tick").1, 1);
+    for at in [10_240, 10_241] {
+        let (res, flights) = scripted(cfg, &[(at, 0, 3)], "watchdog tick");
+        assert_eq!((flights, res.unicast_delivered), (1, 1), "arrival at {at}");
+        assert!(res.complete() && !res.deadlocked && !res.saturated);
+        assert_eq!(res.cycles, cfg.measure_end());
+    }
 }
 
 /// One arrival of a random schedule: the gap since the previous one, the
