@@ -8,8 +8,10 @@ use noc_bench::{MulticastPattern, Result, SweepSpec, WorkloadSpec};
 use noc_topology::TopologySpec;
 use noc_workloads::table::{fmt_latency, Table};
 use quarc_core::multicast::largest_subset_latency;
-use quarc_core::rates::ChannelLoads;
-use quarc_core::{service, AnalyticModel, ModelOptions, ServiceCorrection, WaitingFormula};
+use quarc_core::{
+    service, MgOneBackend, ModelBackend, ModelOptions, RoutedLoads, ServiceCorrection,
+    WaitingFormula,
+};
 
 /// Ablation A: the two formula ambiguities of the printed paper.
 ///
@@ -69,13 +71,18 @@ pub fn correction(opts: &Options) -> Result<()> {
     emit_json(opts, &result)?;
 
     // Overlay each formula variant on the already-simulated points,
-    // rebuilding the exact pair the runner used.
+    // rebuilding the exact pair the runner used. One route walk per
+    // variant (counting clone load changes the loads), read at every
+    // point.
     let (topo, proto) = sc.materialize()?;
+    let routed = variants
+        .iter()
+        .map(|(_, mo)| RoutedLoads::walk(topo.as_ref(), &proto, mo))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
     let mut table = Table::new(vec!["variant", "load", "model_mc", "sim_mc", "err%"]);
     for (p, load_frac) in result.points.iter().zip(load_fractions) {
-        let wl = proto.at_rate(p.rate)?;
-        for (name, mo) in &variants {
-            let model_mc = match AnalyticModel::new(topo.as_ref(), &wl, *mo).evaluate() {
+        for ((name, _), routed) in variants.iter().zip(&routed) {
+            let model_mc = match MgOneBackend.evaluate_over(routed, p.rate) {
                 Ok(pred) => pred.multicast_latency,
                 Err(_) => f64::NAN,
             };
@@ -120,12 +127,12 @@ fn ports_on(
 
     let (topo, proto) = sc.materialize()?;
     let mo = ModelOptions::default();
+    let routed = RoutedLoads::walk(topo.as_ref(), &proto, &mo)?;
     for (p, load_frac) in result.points.iter().zip(load_fractions) {
-        let wl = proto.at_rate(p.rate)?;
-        let pred = AnalyticModel::new(topo.as_ref(), &wl, mo).evaluate();
-        let loads = ChannelLoads::build(topo.as_ref(), &wl, &mo);
-        let heuristic = service::solve(topo.as_ref(), &loads, wl.msg_len as f64, &mo)
-            .map(|sol| largest_subset_latency(topo.as_ref(), &wl, &loads, &sol, &mo))
+        let pred = MgOneBackend.evaluate_over(&routed, p.rate);
+        let loads = routed.at(p.rate);
+        let heuristic = service::solve(topo.as_ref(), &loads, proto.msg_len as f64, &mo)
+            .map(|sol| largest_subset_latency(&routed, &loads, &sol))
             .unwrap_or(f64::NAN);
         let (emax, ports) = match &pred {
             Ok(pred) => (

@@ -4,6 +4,9 @@
 //!
 //! * builds the topology through the registry and the workload prototype
 //!   from the scenario's master seed;
+//! * walks the routes once per scenario, when the sweep or an overlay
+//!   first asks, into the one [`RoutedLoads`] table the saturation search
+//!   and every point's overlays read;
 //! * resolves the sweep (evaluating the analytical saturation point for
 //!   saturation-relative sweeps);
 //! * builds **one** [`SimPlan`] per scenario and shares it across every
@@ -20,16 +23,16 @@
 //! callbacks never change results.
 
 use crate::error::{Error, Result};
-use crate::scenario::Scenario;
+use crate::scenario::{saturation_anchor, Scenario};
 use noc_sim::{build_engine_with_plan, LogHistogram, SimPlan, SimResults};
 use noc_topology::NodeId;
 use noc_workloads::parallel::{effective_threads, parallel_map};
 use noc_workloads::table::{fmt_latency, Table};
-use quarc_core::{BackendSpec, ModelBackend, NetworkCalculusBackend};
+use quarc_core::{BackendSpec, ModelBackend, NetworkCalculusBackend, RoutedLoads};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Instant;
 
 /// One completed `(rate, replicate)` job, reported to progress callbacks.
@@ -459,13 +462,21 @@ impl Runner {
         let (topo, proto) = sc.materialize()?;
         let model_opts = sc.model.unwrap_or_default();
         let closed = sc.workload.closed_loop;
+        // The routes depend on (topology, destination sets, routing), not
+        // on the rate: one walk serves the saturation search and both
+        // overlays of every point, shared read-only by the workers. Made
+        // on first use, so never for a closed loop or an overlay-less
+        // scenario at absolute rates.
+        let routed = LazyLock::new(|| RoutedLoads::walk(topo.as_ref(), &proto, &model_opts));
         // Closed-loop runs have no generation rate to sweep: validation
         // pinned the spec to the single placeholder 0.0, which never
         // resolves through a saturation model.
         let rates: Vec<f64> = if closed.is_some() {
             vec![0.0]
         } else {
-            let sweep = sc.sweep.resolve(topo.as_ref(), &proto, model_opts)?;
+            let sweep = sc.sweep.resolve_with(|| {
+                saturation_anchor(topo.as_ref(), &proto, model_opts.backend, &routed)
+            })?;
             for &rate in sweep.rates() {
                 if rate >= 1.0 {
                     return Err(Error::InvalidScenario(format!(
@@ -507,9 +518,10 @@ impl Runner {
             let nan2 = (f64::NAN, f64::NAN);
             let (model, bound) = match sc.model {
                 Some(mo) if rep == 0 && closed.is_none() => {
-                    let eval = |b: &dyn ModelBackend| match b.evaluate(topo.as_ref(), &wl, &mo) {
-                        Ok(p) => (p.unicast_latency, p.multicast_latency),
-                        Err(_) => nan2,
+                    let eval = |b: &dyn ModelBackend| {
+                        let routed = routed.as_ref().ok();
+                        let outcome = routed.and_then(|r| b.evaluate_over(r, rate).ok());
+                        outcome.map_or(nan2, |p| (p.unicast_latency, p.multicast_latency))
                     };
                     let model = eval(mo.backend.backend());
                     let bound = if mo.backend == BackendSpec::NetworkCalculus {
@@ -773,6 +785,50 @@ mod tests {
         let a = Runner::new().threads(1).run(&sc).unwrap();
         let b = Runner::new().threads(4).run(&sc).unwrap();
         assert_eq!(a.to_csv(), b.to_csv());
+    }
+
+    #[test]
+    fn hoisted_overlays_are_the_per_point_evaluations() {
+        // The Runner walks the routes once per scenario. Every overlay and
+        // every resolved rate must be, bit for bit, what the backends
+        // answer when asked per point, each with a walk of its own.
+        use crate::harness::{default_panels, Pattern};
+        use crate::scenario::SATURATION_TOL;
+        use noc_workloads::RateSweep;
+        use quarc_core::MgOneBackend;
+        for panel in default_panels(Pattern::Random, 42) {
+            let sc = panel.scenario(3, SimConfig::quick(42));
+            let (topo, proto) = sc.materialize().unwrap();
+            let mo = sc.model.expect("figure panels carry the overlay");
+            let bits = |b: &dyn ModelBackend, wl: &noc_workloads::Workload| {
+                let p = b.evaluate(topo.as_ref(), wl, &mo);
+                p.map_or([f64::NAN.to_bits(); 2], |p| {
+                    [p.unicast_latency.to_bits(), p.multicast_latency.to_bits()]
+                })
+            };
+            let horizon =
+                MgOneBackend.max_sustainable_rate(topo.as_ref(), &proto, &mo, SATURATION_TOL);
+            let by_hand = RateSweep::linear(0.15 * horizon, 1.02 * horizon, 3).unwrap();
+            for threads in [1, 4] {
+                let res = Runner::new().threads(threads).run(&sc).unwrap();
+                let case = format!("{} on {threads} threads", sc.name);
+                assert_eq!(res.points.len(), 3, "{case}");
+                for (p, &rate) in res.points.iter().zip(by_hand.rates()) {
+                    assert_eq!(p.rate.to_bits(), rate.to_bits(), "{case}");
+                    let wl = proto.at_rate(rate).unwrap();
+                    assert_eq!(
+                        [p.model_unicast.to_bits(), p.model_multicast.to_bits()],
+                        bits(&MgOneBackend, &wl),
+                        "{case}: mean at {rate}"
+                    );
+                    assert_eq!(
+                        [p.bound_unicast.to_bits(), p.bound_multicast.to_bits()],
+                        bits(&NetworkCalculusBackend, &wl),
+                        "{case}: bound at {rate}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

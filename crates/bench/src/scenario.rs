@@ -27,7 +27,7 @@ use noc_topology::{NodeId, Topology, TopologySpec};
 use noc_workloads::{
     DestinationSets, RateSweep, RoutingSpec, TrafficSpec, UnicastPattern, Workload,
 };
-use quarc_core::{BackendSpec, ModelOptions};
+use quarc_core::{BackendSpec, ModelError, ModelOptions, RoutedLoads};
 use serde::{Deserialize, Serialize};
 
 /// Placeholder generation rate of workload *prototypes*: low enough that
@@ -222,7 +222,7 @@ pub enum SweepSpec {
 
 /// Relative tolerance of the saturation-rate bisection used by the
 /// saturation-relative sweep variants (matches the figure harness).
-const SATURATION_TOL: f64 = 0.01;
+pub(crate) const SATURATION_TOL: f64 = 0.01;
 
 impl SweepSpec {
     /// Number of operating points the spec resolves to (without building
@@ -247,7 +247,8 @@ impl SweepSpec {
     }
 
     /// Resolve to concrete rates on a topology/workload, evaluating the
-    /// saturation point with `model` where the spec is saturation-relative.
+    /// saturation point with `model` where the spec is saturation-relative
+    /// (the routes are walked for that search alone).
     ///
     /// The saturation anchor comes from `model.backend` — unless that
     /// backend's assumptions do not hold for `topo`/`proto` (e.g. the
@@ -265,39 +266,15 @@ impl SweepSpec {
         proto: &Workload,
         model: ModelOptions,
     ) -> Result<RateSweep> {
-        let sat = || -> Result<f64> {
-            let anchor = if model.backend.backend().applicable(topo, proto) {
-                model.backend
-            } else if BackendSpec::NetworkCalculus
-                .backend()
-                .applicable(topo, proto)
-            {
-                BackendSpec::NetworkCalculus
-            } else {
-                return Err(Error::InvalidScenario(format!(
-                    "saturation-relative sweeps need an applicable analytical \
-                     backend to anchor on, and none supports the implicit \
-                     topology '{}'; use explicit rates instead",
-                    topo.name()
-                )));
-            };
-            let backend = anchor.backend();
-            let horizon = backend.max_sustainable_rate(topo, proto, &model, SATURATION_TOL);
-            if horizon > 0.0 {
-                return Ok(horizon);
-            }
-            // No rate is in the backend's domain (e.g. multicast on a
-            // one-port topology): it says why at the prototype rate.
-            let reason = match backend.evaluate(topo, proto, &model) {
-                Err(e) => e.to_string(),
-                Ok(_) => "no rate down to 1e-9 is sustainable".to_string(),
-            };
-            Err(Error::InvalidScenario(format!(
-                "saturation-relative sweeps need a sustainable rate to anchor \
-                 on, and the '{anchor}' backend finds none ({reason}); use \
-                 explicit rates instead"
-            )))
-        };
+        self.resolve_with(|| {
+            let routed = RoutedLoads::walk(topo, proto, &model);
+            saturation_anchor(topo, proto, model.backend, &routed)
+        })
+    }
+
+    /// [`resolve`](Self::resolve) with the saturation point as a
+    /// question, asked only by the saturation-relative variants.
+    pub(crate) fn resolve_with(&self, sat: impl FnOnce() -> Result<f64>) -> Result<RateSweep> {
         let sweep = match self {
             SweepSpec::Explicit { rates } => RateSweep::explicit(rates.clone())?,
             SweepSpec::Linear { lo, hi, points } => RateSweep::linear(*lo, *hi, *points)?,
@@ -313,6 +290,55 @@ impl SweepSpec {
         };
         Ok(sweep)
     }
+}
+
+/// The saturation rate a saturation-relative sweep of `proto` on `topo`
+/// is anchored on (the rules are [`SweepSpec::resolve`]'s, `selected` its
+/// `model.backend`), searched over `routed` — the routes of `proto` walked
+/// under the scenario's model options, or why there are none.
+pub(crate) fn saturation_anchor(
+    topo: &dyn Topology,
+    proto: &Workload,
+    selected: BackendSpec,
+    routed: &std::result::Result<RoutedLoads<'_>, ModelError>,
+) -> Result<f64> {
+    let anchor = if selected.backend().applicable(topo, proto) {
+        selected
+    } else if BackendSpec::NetworkCalculus
+        .backend()
+        .applicable(topo, proto)
+    {
+        BackendSpec::NetworkCalculus
+    } else {
+        return Err(Error::InvalidScenario(format!(
+            "saturation-relative sweeps need an applicable analytical \
+             backend to anchor on, and none supports the implicit \
+             topology '{}'; use explicit rates instead",
+            topo.name()
+        )));
+    };
+    let backend = anchor.backend();
+    // No rate is in the backend's domain (e.g. multicast on a one-port
+    // topology) when there is no table; with one, the backend says why at
+    // the prototype rate.
+    let reason = match routed {
+        Ok(routed) => {
+            let horizon = backend.max_rate_over(routed, SATURATION_TOL);
+            if horizon > 0.0 {
+                return Ok(horizon);
+            }
+            match backend.evaluate_over(routed, proto.gen_rate) {
+                Err(e) => e.to_string(),
+                Ok(_) => "no rate down to 1e-9 is sustainable".to_string(),
+            }
+        }
+        Err(e) => e.to_string(),
+    };
+    Err(Error::InvalidScenario(format!(
+        "saturation-relative sweeps need a sustainable rate to anchor \
+         on, and the '{anchor}' backend finds none ({reason}); use \
+         explicit rates instead"
+    )))
 }
 
 /// A complete, serializable experiment specification.

@@ -16,20 +16,30 @@
 //!    (serde)      │  code / applicable           │
 //!                 │  evaluate -> Prediction      │
 //!                 │  max_sustainable_rate        │
+//!                 │  … both `_over` RoutedLoads  │
 //!                 └──────┬───────────────┬───────┘
 //!                        │               │
 //!                 MgOneBackend   NetworkCalculusBackend
 //!                 (mean, Eq.3–16) (worst-case (σ,ρ) bounds)
 //! ```
+//!
+//! A sweep's points share their routes, so both questions can also be
+//! asked over a [`RoutedLoads`] table walked once
+//! ([`evaluate_over`](ModelBackend::evaluate_over),
+//! [`max_rate_over`](ModelBackend::max_rate_over)). For the built-in
+//! backends that is the only implementation: their `evaluate` and
+//! `max_sustainable_rate` walk, then ask the table.
 
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
 use crate::calculus;
-use crate::model::{AnalyticModel, ModelError, Prediction};
+use crate::model::{assemble, ModelError, Prediction};
+use crate::multicast::expected_last_completion;
 use crate::options::ModelOptions;
-use crate::saturation::{bisect_max_rate, bisect_scaled_loads};
+use crate::rates::RoutedLoads;
+use crate::saturation::bisect_max_rate;
 use crate::service;
 use noc_topology::Topology;
 use noc_workloads::Workload;
@@ -72,7 +82,7 @@ pub trait ModelBackend: Sync {
     ///
     /// The default probes with a full `evaluate` per rate. The built-in
     /// backends override it with a probe that reaches the same verdict
-    /// from the holding recursion alone, over loads walked once per
+    /// from the holding recursion alone, over routes walked once per
     /// search (see [`crate::saturation`]).
     fn max_sustainable_rate(
         &self,
@@ -88,10 +98,26 @@ pub trait ModelBackend: Sync {
             self.evaluate(topo, &wl, opts).is_ok()
         })
     }
+
+    /// [`evaluate`](Self::evaluate) at generation rate `rate` over routes
+    /// already walked. The default does not read the table: it evaluates
+    /// the routed workload at `rate` from scratch.
+    fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
+        let wl = Workload {
+            gen_rate: rate,
+            ..routed.wl.clone()
+        };
+        self.evaluate(routed.topo, &wl, &routed.opts)
+    }
+
+    /// [`max_sustainable_rate`](Self::max_sustainable_rate) over routes
+    /// already walked. The default does not read the table.
+    fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
+        self.max_sustainable_rate(routed.topo, routed.wl, &routed.opts, tol)
+    }
 }
 
-/// The paper's M/G/1 mean-value model (Eq. 3–16) as a backend: thin
-/// adapter over [`AnalyticModel`].
+/// The paper's M/G/1 mean-value model (Eq. 3–16) as a backend.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MgOneBackend;
 
@@ -115,7 +141,7 @@ impl ModelBackend for MgOneBackend {
         wl: &Workload,
         opts: &ModelOptions,
     ) -> Result<Prediction, ModelError> {
-        AnalyticModel::new(topo, wl, *opts).evaluate()
+        self.evaluate_over(&RoutedLoads::walk(topo, wl, opts)?, wl.gen_rate)
     }
 
     fn max_sustainable_rate(
@@ -125,10 +151,28 @@ impl ModelBackend for MgOneBackend {
         opts: &ModelOptions,
         tol: f64,
     ) -> f64 {
-        let msg = proto.msg_len as f64;
-        bisect_scaled_loads(topo, proto, opts, tol, |loads| {
-            service::solve(topo, loads, msg, opts).is_ok()
-        })
+        RoutedLoads::walk(topo, proto, opts).map_or(0.0, |routed| self.max_rate_over(&routed, tol))
+    }
+
+    fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
+        let (topo, opts) = (routed.topo, &routed.opts);
+        let msg = routed.wl.msg_len as f64;
+        let loads = routed.at(rate);
+        let sol = service::solve(topo, &loads, msg, opts)?;
+        Ok(assemble(
+            routed,
+            &loads,
+            &sol.rho,
+            sol.iterations,
+            service::header_wait(&loads, &sol, msg, opts),
+            expected_last_completion,
+        ))
+    }
+
+    fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
+        let (topo, opts) = (routed.topo, &routed.opts);
+        let msg = routed.wl.msg_len as f64;
+        routed.max_rate(tol, |loads| service::solve(topo, loads, msg, opts).is_ok())
     }
 }
 
@@ -153,7 +197,7 @@ impl ModelBackend for NetworkCalculusBackend {
         wl: &Workload,
         opts: &ModelOptions,
     ) -> Result<Prediction, ModelError> {
-        self.evaluate_bounds(topo, wl, opts)
+        self.evaluate_over(&RoutedLoads::walk(topo, wl, opts)?, wl.gen_rate)
     }
 
     fn max_sustainable_rate(
@@ -163,10 +207,33 @@ impl ModelBackend for NetworkCalculusBackend {
         opts: &ModelOptions,
         tol: f64,
     ) -> f64 {
-        let msg = proto.msg_len as f64;
-        bisect_scaled_loads(topo, proto, opts, tol, |loads| {
-            calculus::stable(topo, loads, msg, opts)
-        })
+        RoutedLoads::walk(topo, proto, opts).map_or(0.0, |routed| self.max_rate_over(&routed, tol))
+    }
+
+    /// Step 3 of the [`calculus`] module docs through the shared
+    /// assembler: `D_j` in full at every hop (bounds take no mean-value
+    /// correction), and per node the *sum* of the per-stream bounds — it
+    /// dominates the maximum and stays sound when streams serialise at a
+    /// shared port or co-travel a shared prefix, the regimes the
+    /// `E[max]`-of-exponentials model excludes.
+    fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
+        let msg = routed.wl.msg_len as f64;
+        let loads = routed.at(rate);
+        let bounds = calculus::solve_bounds(routed.topo, &loads, msg, &routed.opts)?;
+        Ok(assemble(
+            routed,
+            &loads,
+            &bounds.rho,
+            bounds.iterations,
+            |_, to| bounds.delay[to.idx()],
+            |port_bounds| port_bounds.iter().sum(),
+        ))
+    }
+
+    fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
+        let (topo, opts) = (routed.topo, &routed.opts);
+        let msg = routed.wl.msg_len as f64;
+        routed.max_rate(tol, |loads| calculus::stable(topo, loads, msg, opts))
     }
 }
 
@@ -255,7 +322,9 @@ mod tests {
         let (topo, wl) = workload(0.1);
         let opts = ModelOptions::default();
         let via_backend = MgOneBackend.evaluate(&topo, &wl, &opts).unwrap();
-        let direct = AnalyticModel::new(&topo, &wl, opts).evaluate().unwrap();
+        let direct = crate::AnalyticModel::new(&topo, &wl, opts)
+            .evaluate()
+            .unwrap();
         assert_eq!(via_backend.unicast_latency, direct.unicast_latency);
         assert_eq!(via_backend.multicast_latency, direct.multicast_latency);
     }

@@ -12,8 +12,8 @@
 //!    process gets a token-bucket envelope: `σ = 1` for the geometric
 //!    source, the mean-burst envelope for on/off sources, and the *exact*
 //!    empirical envelope for trace replay
-//!    ([`noc_queueing::network_calculus`]). The route walk
-//!    ([`ChannelLoads::build`], the same one the M/G/1 model takes) sums
+//!    ([`noc_queueing::network_calculus`]). The routed table
+//!    ([`RoutedLoads`], the same one the M/G/1 model reads) sums
 //!    them per channel into the aggregate burst `σ_j` (flits) with a
 //!    per-source *multiplicity*: one multicast operation places one
 //!    message per stream crossing the channel, which is exactly the
@@ -43,9 +43,9 @@
 //! property tests — and, where simulation exists, `bound ≥ simulated
 //! mean`.
 
-use crate::model::{assemble, check_domain, ModelError, Prediction};
+use crate::model::ModelError;
 use crate::options::ModelOptions;
-use crate::rates::ChannelLoads;
+use crate::rates::{ChannelLoads, RoutedLoads};
 use crate::service::{solve_holding, Holding, Saturated};
 use noc_queueing::network_calculus::{channel_backlog_bound, channel_delay_bound};
 use noc_topology::Topology;
@@ -109,7 +109,7 @@ pub(crate) fn stable(
     })
 }
 
-fn solve_bounds(
+pub(crate) fn solve_bounds(
     topo: &dyn Topology,
     loads: &ChannelLoads,
     msg_len: f64,
@@ -146,42 +146,15 @@ pub struct NetworkCalculusBackend;
 impl NetworkCalculusBackend {
     /// Per-channel worst-case holding/delay/backlog bounds (diagnostics;
     /// [`crate::backend::ModelBackend::evaluate`] assembles them into a
-    /// [`Prediction`]).
+    /// [`Prediction`](crate::Prediction)).
     pub fn channel_bounds(
         &self,
         topo: &dyn Topology,
         wl: &Workload,
         opts: &ModelOptions,
     ) -> Result<ChannelBounds, ModelError> {
-        check_domain(topo, wl)?;
-        let loads = ChannelLoads::build(topo, wl, opts);
+        let loads = RoutedLoads::walk(topo, wl, opts)?.at(wl.gen_rate);
         Ok(solve_bounds(topo, &loads, wl.msg_len as f64, opts)?)
-    }
-
-    /// Step 3 of the module docs through the shared assembler: `D_j` in
-    /// full at every hop (bounds take no mean-value correction), and per
-    /// node the *sum* of the per-stream bounds — it dominates the maximum
-    /// and stays sound when streams serialise at a shared port or
-    /// co-travel a shared prefix, the regimes the E[max]-of-exponentials
-    /// model excludes.
-    pub(crate) fn evaluate_bounds(
-        &self,
-        topo: &dyn Topology,
-        wl: &Workload,
-        opts: &ModelOptions,
-    ) -> Result<Prediction, ModelError> {
-        check_domain(topo, wl)?;
-        let loads = ChannelLoads::build(topo, wl, opts);
-        let bounds = solve_bounds(topo, &loads, wl.msg_len as f64, opts)?;
-        Ok(assemble(
-            topo,
-            wl,
-            &loads,
-            &bounds.rho,
-            bounds.iterations,
-            |_, to| bounds.delay[to.idx()],
-            |port_bounds| port_bounds.iter().sum(),
-        ))
     }
 }
 
@@ -204,9 +177,7 @@ mod tests {
     fn zero_load_bound_equals_zero_load_latency() {
         let (topo, wl) = workload(0.0, 0.0);
         let opts = ModelOptions::default();
-        let nc = NetworkCalculusBackend
-            .evaluate_bounds(&topo, &wl, &opts)
-            .unwrap();
+        let nc = NetworkCalculusBackend.evaluate(&topo, &wl, &opts).unwrap();
         let mg1 = AnalyticModel::new(&topo, &wl, opts).evaluate().unwrap();
         // No traffic: every delay bound is zero, so the "worst case"
         // collapses to the deterministic pipeline latency on both sides.
@@ -232,9 +203,7 @@ mod tests {
             let rate = frac * nc_sat;
             let (topo, wl) = workload(rate, 0.1);
             let opts = ModelOptions::default();
-            let nc = NetworkCalculusBackend
-                .evaluate_bounds(&topo, &wl, &opts)
-                .unwrap();
+            let nc = NetworkCalculusBackend.evaluate(&topo, &wl, &opts).unwrap();
             let mg1 = AnalyticModel::new(&topo, &wl, opts).evaluate().unwrap();
             assert!(
                 nc.unicast_latency >= mg1.unicast_latency,
@@ -255,15 +224,13 @@ mod tests {
     fn burstier_traffic_widens_the_bound() {
         let (topo, wl) = workload(0.002, 0.1);
         let opts = ModelOptions::default();
-        let smooth = NetworkCalculusBackend
-            .evaluate_bounds(&topo, &wl, &opts)
-            .unwrap();
+        let smooth = NetworkCalculusBackend.evaluate(&topo, &wl, &opts).unwrap();
         let bursty_wl = wl.with_traffic(TrafficSpec::OnOff {
             burst_len: 8.0,
             peak_rate: 0.2,
         });
         let bursty = NetworkCalculusBackend
-            .evaluate_bounds(&topo, &bursty_wl, &opts)
+            .evaluate(&topo, &bursty_wl, &opts)
             .unwrap();
         assert!(
             bursty.multicast_latency > smooth.multicast_latency,
@@ -280,9 +247,7 @@ mod tests {
         let (topo, wl) = workload(0.0004, 0.2);
         let wl = wl.with_routing(RoutingSpec::Multipath);
         let opts = ModelOptions::default();
-        let nc = NetworkCalculusBackend
-            .evaluate_bounds(&topo, &wl, &opts)
-            .unwrap();
+        let nc = NetworkCalculusBackend.evaluate(&topo, &wl, &opts).unwrap();
         assert!(nc.multicast_latency.is_finite() && nc.multicast_latency > 32.0);
         assert!(nc.unicast_latency.is_finite());
     }
@@ -305,7 +270,7 @@ mod tests {
     fn saturation_errors_propagate() {
         let (topo, wl) = workload(0.25, 0.1);
         let err = NetworkCalculusBackend
-            .evaluate_bounds(&topo, &wl, &ModelOptions::default())
+            .evaluate(&topo, &wl, &ModelOptions::default())
             .unwrap_err();
         assert!(matches!(err, ModelError::Saturated { .. }));
     }

@@ -16,7 +16,8 @@
 //!    deterministic routes of the unicast traffic and the fixed multicast
 //!    streams, together with the next-channel decomposition `λ_{i→j}`
 //!    needed by Eq. 6 and, per edge, the unicast pattern weight crossing
-//!    it.
+//!    it. Routes do not depend on the generation rate, so the walk is a
+//!    table ([`RoutedLoads`]) a whole sweep asks for its loads at a rate.
 //! 2. **Service times** ([`service`]) — each channel is an M/G/1 queue
 //!    (Eq. 3–5); mean service times satisfy the downstream recursion
 //!    (Eq. 6)
@@ -71,7 +72,7 @@ pub use calculus::ChannelBounds;
 pub use model::{AnalyticModel, ModelError, Prediction};
 pub use noc_queueing::mg1::WaitingFormula;
 pub use options::{ModelOptions, ServiceCorrection};
-pub use rates::ChannelLoads;
+pub use rates::{ChannelLoads, RoutedLoads};
 pub use saturation::{bisect_max_rate, max_sustainable_rate};
 pub use service::ServiceSolution;
 

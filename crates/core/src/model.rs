@@ -1,9 +1,10 @@
 //! The top-level model facade, and the one latency assembler under both
 //! backends.
 
-use crate::multicast::{expected_last_completion, NodeMulticast};
+use crate::backend::{MgOneBackend, ModelBackend};
+use crate::multicast::NodeMulticast;
 use crate::options::ModelOptions;
-use crate::rates::{multicast_streams, ChannelLoads};
+use crate::rates::{ChannelLoads, RoutedLoads};
 use crate::service::{self, Saturated, ServiceSolution};
 use crate::unicast::path_wait;
 use noc_topology::{ChannelId, Topology};
@@ -71,27 +72,6 @@ impl From<PatternError> for ModelError {
     }
 }
 
-/// The rate-independent part of every backend's domain: materialized
-/// channel storage, concurrent port streams if anything is multicast, and
-/// a unicast pattern that fits the node count (the route walk asks its
-/// weights unchecked). Failing it, no rate is sustainable.
-pub(crate) fn check_domain(topo: &dyn Topology, wl: &Workload) -> Result<(), ModelError> {
-    if topo.network().is_implicit() {
-        // Loads, holding times and bounds are dense per-channel vectors —
-        // out of scope for implicit scale topologies.
-        return Err(ModelError::UnsupportedTopology {
-            name: topo.name().to_string(),
-        });
-    }
-    if wl.multicast_fraction > 0.0 && !topo.concurrent_multicast() {
-        // One-port topologies serialise multicast through a single
-        // stream table the schemes do not describe.
-        return Err(ModelError::NonConcurrentMulticast);
-    }
-    wl.unicast_pattern.validate(topo.num_nodes())?;
-    Ok(())
-}
-
 impl From<Saturated> for ModelError {
     fn from(s: Saturated) -> Self {
         ModelError::Saturated {
@@ -119,35 +99,34 @@ pub struct Prediction {
     pub iterations: usize,
 }
 
-/// Fold solved per-hop waits over the walked loads into a [`Prediction`] —
-/// the one assembler under both backends. What differs between them
-/// arrives as two closures: `hop_wait(from, to)`, the header's wait for
-/// channel `to` entered from `from = (channel, λ_{from→to})` (`None` at the
-/// injection channel) — the corrected `W` of Eq. 7 or the delay bound `D`
-/// — and `combine`, a node's multicast wait from its per-port sums — the
+/// Fold solved per-hop waits over the routed table into a [`Prediction`] —
+/// the one assembler under both backends. `loads` are the table's at the
+/// evaluated rate. What differs between the backends arrives as two
+/// closures: `hop_wait(from, to)`, the header's wait for channel `to`
+/// entered from `from = (channel, λ_{from→to})` (`None` at the injection
+/// channel) — the corrected `W` of Eq. 7 or the delay bound `D` — and
+/// `combine`, a node's multicast wait from its per-port sums — the
 /// expected last completion of Eq. 13 or their sum.
 ///
 /// The unicast mean (Eq. 7 averaged with the pattern's weights, §2.1)
 /// regroups `Σ_{(s,d)} w(s,d)·(Σ_l w_l + msg + D)` by edge: a dot product
 /// of the waits with the weight sums the walk recorded, with no route in
-/// it. Multicast per-node results (Eq. 14) re-enumerate each source's
-/// streams, the only routes a prediction keeps per path; they are left
-/// empty on one-port topologies, whose serialised stream table the
-/// schemes do not describe.
+/// it. Multicast per-node results (Eq. 14) sum the waits along each
+/// source's streams, the only routes the table keeps per path (none on
+/// one-port topologies).
 pub(crate) fn assemble(
-    topo: &dyn Topology,
-    wl: &Workload,
+    routed: &RoutedLoads<'_>,
     loads: &ChannelLoads,
     rho: &[f64],
     iterations: usize,
     hop_wait: impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64,
     combine: impl Fn(&[f64]) -> f64,
 ) -> Prediction {
-    let msg = wl.msg_len as f64;
-    let mut total = loads.unicast_hops;
-    for (i, edges) in loads.unicast_edges.iter().enumerate() {
+    let msg = routed.wl.msg_len as f64;
+    let mut total = routed.unicast_hops;
+    for (i, edges) in routed.unicast_edges.iter().enumerate() {
         let from = ChannelId(i as u32);
-        let injected = loads.unicast_injected[i];
+        let injected = routed.unicast_injected[i];
         if injected > 0.0 {
             total += injected * (hop_wait(None, from) + msg);
         }
@@ -155,26 +134,24 @@ pub(crate) fn assemble(
             total += weight * hop_wait(Some((from, loads.transition(from, to))), to);
         }
     }
-    let unicast_latency = total / topo.num_nodes() as f64;
+    let unicast_latency = total / routed.topo.num_nodes() as f64;
 
-    let mut per_node = Vec::new();
-    if topo.concurrent_multicast() {
-        for (node, streams) in multicast_streams(topo, wl) {
-            let port_waits: Vec<f64> = streams
-                .iter()
-                .map(|st| path_wait(&st.path, loads, &hop_wait))
-                .collect();
-            let hops = streams.iter().map(|st| st.path.hop_count());
-            let max_hops = hops.max().unwrap_or(0);
-            let waiting = combine(&port_waits);
-            per_node.push(NodeMulticast {
-                node,
-                port_waits,
-                waiting,
-                max_hops,
-                latency: waiting + msg + max_hops as f64,
-            });
-        }
+    let mut per_node = Vec::with_capacity(routed.streams.len());
+    for (node, streams) in &routed.streams {
+        let port_waits: Vec<f64> = streams
+            .iter()
+            .map(|st| path_wait(&st.path, loads, &hop_wait))
+            .collect();
+        let hops = streams.iter().map(|st| st.path.hop_count());
+        let max_hops = hops.max().unwrap_or(0);
+        let waiting = combine(&port_waits);
+        per_node.push(NodeMulticast {
+            node: *node,
+            port_waits,
+            waiting,
+            max_hops,
+            latency: waiting + msg + max_hops as f64,
+        });
     }
     let multicast_latency = if per_node.is_empty() {
         f64::NAN
@@ -211,35 +188,18 @@ impl<'a> AnalyticModel<'a> {
 
     /// Solve the service recursion (diagnostics / tests).
     pub fn solve_service(&self) -> Result<ServiceSolution, ModelError> {
-        check_domain(self.topo, self.wl)?;
-        let loads = self.channel_loads();
-        Ok(service::solve(
-            self.topo,
-            &loads,
-            self.wl.msg_len as f64,
-            &self.opts,
-        )?)
+        let loads = RoutedLoads::walk(self.topo, self.wl, &self.opts)?.at(self.wl.gen_rate);
+        let msg = self.wl.msg_len as f64;
+        Ok(service::solve(self.topo, &loads, msg, &self.opts)?)
     }
 
-    /// Evaluate the full model.
+    /// Evaluate the full model ([`MgOneBackend`]'s evaluation).
     ///
     /// Returns [`ModelError::Saturated`] beyond the stability limit and
     /// [`ModelError::NonConcurrentMulticast`] for one-port topologies with
     /// a positive multicast fraction.
     pub fn evaluate(&self) -> Result<Prediction, ModelError> {
-        check_domain(self.topo, self.wl)?;
-        let msg = self.wl.msg_len as f64;
-        let loads = self.channel_loads();
-        let sol = service::solve(self.topo, &loads, msg, &self.opts)?;
-        Ok(assemble(
-            self.topo,
-            self.wl,
-            &loads,
-            &sol.rho,
-            sol.iterations,
-            service::header_wait(&loads, &sol, msg, &self.opts),
-            expected_last_completion,
-        ))
+        MgOneBackend.evaluate(self.topo, self.wl, &self.opts)
     }
 }
 

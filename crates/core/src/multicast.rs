@@ -24,14 +24,12 @@
 //! sub-network wins" heuristic; it is provided as
 //! [`largest_subset_latency`] for the ablation bench.
 
-use crate::options::ModelOptions;
-use crate::rates::{multicast_streams, ChannelLoads};
+use crate::rates::{ChannelLoads, RoutedLoads};
 use crate::service::{header_wait, ServiceSolution};
 use crate::unicast::path_wait;
 use noc_queueing::expmax::expected_max_exponentials;
 use noc_queueing::MaxOfExponentials;
-use noc_topology::{NodeId, Topology};
-use noc_workloads::Workload;
+use noc_topology::NodeId;
 
 /// Multicast prediction for one source node.
 #[derive(Clone, Debug)]
@@ -79,18 +77,17 @@ pub fn expected_last_completion(port_waits: &[f64]) -> f64 {
 /// The "largest sub-network" heuristic the paper argues against (§2):
 /// take the latency of the port with the largest `Ω + D` instead of the
 /// expected maximum. Used by the ablation bench to show the differences.
+/// `loads` are `routed`'s at the rate `sol` was solved at.
 pub fn largest_subset_latency(
-    topo: &dyn Topology,
-    wl: &Workload,
+    routed: &RoutedLoads<'_>,
     loads: &ChannelLoads,
     sol: &ServiceSolution,
-    opts: &ModelOptions,
 ) -> f64 {
-    let msg_len = wl.msg_len as f64;
-    let hop_wait = header_wait(loads, sol, msg_len, opts);
+    let msg_len = routed.wl.msg_len as f64;
+    let hop_wait = header_wait(loads, sol, msg_len, &routed.opts);
     let mut total = 0.0;
     let mut count = 0usize;
-    for (_, streams) in multicast_streams(topo, wl) {
+    for (_, streams) in &routed.streams {
         // "Largest" sub-network: the stream covering the most targets,
         // ties broken by hop count.
         let candidate = streams
@@ -112,9 +109,10 @@ pub fn largest_subset_latency(
 mod tests {
     use super::*;
     use crate::model::AnalyticModel;
+    use crate::options::ModelOptions;
     use crate::service;
     use noc_topology::Quarc;
-    use noc_workloads::DestinationSets;
+    use noc_workloads::{DestinationSets, Workload};
 
     fn fixture(rate: f64, alpha: f64, sets: DestinationSets) -> (Quarc, Workload) {
         let topo = Quarc::new(16).unwrap();
@@ -188,10 +186,11 @@ mod tests {
         let sets = DestinationSets::random(&topo, 8, 9);
         let (topo, wl) = fixture(0.005, 0.1, sets);
         let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        let routed = RoutedLoads::walk(&topo, &wl, &opts).unwrap();
+        let loads = routed.at(wl.gen_rate);
         let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
         let (_, full) = evaluate(&topo, &wl);
-        let heuristic = largest_subset_latency(&topo, &wl, &loads, &sol, &opts);
+        let heuristic = largest_subset_latency(&routed, &loads, &sol);
         assert!(
             full > heuristic - 1e-9,
             "E[max] model ({full}) should exceed the largest-subset heuristic ({heuristic})"

@@ -1,8 +1,8 @@
 //! The one route walk: how a [`Workload`] becomes routes on a
 //! [`Topology`], and everything the model folds over those routes.
 //!
-//! Nothing else in this crate enumerates routes. [`ChannelLoads::build`]
-//! walks every deterministic route once, with its offered rate:
+//! Nothing else in this crate enumerates routes. [`RoutedLoads::walk`]
+//! walks every deterministic route once, at a reference generation rate:
 //!
 //! * each unicast pair `(s, d)` carries `(1 − α)·λ_g·w(s, d)`, `w` the
 //!   destination pattern's weight (`1/(N − 1)` when uniform);
@@ -13,27 +13,34 @@
 //!   operation; under the unicast baseline that is one packet per
 //!   destination).
 //!
-//! and records, per channel `j`, the aggregate arrival rate `λ_j`, per
+//! Nothing in a route depends on `λ_g`, so one walk serves every rate of
+//! a sweep: [`RoutedLoads::at`] answers with the [`ChannelLoads`] at a
+//! rate — per channel `j` the aggregate arrival rate `λ_j` and per
 //! ordered channel pair the rate `λ_{i→j}` of traffic that traverses `i`
-//! immediately before `j` (the successor graph of Eq. 6), the aggregate
-//! burst `σ_j` of the calculus bounds, and the unicast pattern weight
-//! crossing every edge and entering at every injection channel. The last
-//! turn the network-average unicast latency into a dot product with the
-//! solved per-hop waits (`crate::model::assemble`) instead of a second
-//! walk.
+//! immediately before `j` (the successor graph of Eq. 6), both the
+//! reference walk's rescaled, and the aggregate burst `σ_j` of the
+//! calculus bounds, rebuilt from the channels each source's routes cross
+//! because the source envelopes read the rate. The table also keeps what
+//! the assembler (`crate::model::assemble`) reads whatever the rate:
+//! every source's streams, and the unicast pattern weight crossing every
+//! edge and entering at every injection channel, which turn the
+//! network-average unicast latency into a dot product with the solved
+//! per-hop waits instead of a second walk.
 
+use crate::model::ModelError;
 use crate::options::ModelOptions;
+use crate::saturation::bisect_max_rate;
 use noc_queueing::network_calculus::{onoff_burstiness, trace_burstiness};
 use noc_topology::{ChannelId, ChannelKind, MulticastStream, NodeId, Path, Topology};
 use noc_workloads::{TrafficSpec, Workload};
 
-/// Channel loads extracted from a routed workload.
+/// Channel loads of a routed workload at one generation rate.
 #[derive(Clone, Debug)]
 pub struct ChannelLoads {
     /// Aggregate arrival rate per channel (indexed by `ChannelId`).
     pub lambda: Vec<f64>,
     /// Successor decomposition: for each channel, the list of
-    /// `(next_channel, rate)` pairs with positive rate.
+    /// `(next_channel, rate)` pairs its traffic continues on.
     pub successors: Vec<Vec<(ChannelId, f64)>>,
     /// Aggregate worst-case burst `σ_j` per channel, in flits: a burst of
     /// one source's messages can all take routes crossing `j`, each
@@ -43,23 +50,74 @@ pub struct ChannelLoads {
     /// source sending both classes counts the larger. Read by the
     /// calculus bounds only, and not linear in the generation rate.
     pub sigma: Vec<f64>,
+}
+
+/// The routes of a workload on a topology, walked once: the table a
+/// saturation search and every evaluation of a sweep read instead of
+/// walking (see the module docs). Rate-independent; [`at`](Self::at)
+/// is the loads at a rate.
+pub struct RoutedLoads<'a> {
+    /// The topology the routes were walked on.
+    pub(crate) topo: &'a dyn Topology,
+    /// The workload that was routed; its generation rate is not part of
+    /// the table.
+    pub(crate) wl: &'a Workload,
+    /// The options the walk was made under.
+    pub(crate) opts: ModelOptions,
+    /// `λ` and the successor rates at `REFERENCE_RATE`; no bursts.
+    reference: ChannelLoads,
     /// Unicast pattern weight per edge, `u_{i→j} = Σ_{(s,d) ∋ i→j} w(s,d)`:
     /// for each channel the `(next_channel, u)` pairs its unicast routes
-    /// continue on. Independent of the rates.
+    /// continue on.
     pub(crate) unicast_edges: Vec<Vec<(ChannelId, f64)>>,
     /// Unicast pattern weight of the pairs that enter the network at each
     /// channel (positive on injection channels only).
     pub(crate) unicast_injected: Vec<f64>,
     /// `Σ_{(s,d)} w(s,d)·D(s,d)`, `D` the pair's hop count.
     pub(crate) unicast_hops: f64,
+    /// Every source's multicast streams, sources with an empty destination
+    /// set skipped; none at all on a one-port topology, whose serialised
+    /// stream table the schemes do not describe.
+    pub(crate) streams: Vec<(NodeId, Vec<MulticastStream>)>,
+    /// Which channels each source's loaded unicast routes cross: one row
+    /// of `⌈channels/64⌉` words per source.
+    unicast_crossings: Vec<u64>,
+    /// `(source, channel, count)`: the streams of `source` cross `channel`
+    /// `count` times more than its unicast routes do.
+    stream_crossings: Vec<(NodeId, ChannelId, u32)>,
+}
+
+/// The generation rate the routes are walked at. A power of two, so
+/// `rate / REFERENCE_RATE` is exact.
+const REFERENCE_RATE: f64 = 0.5;
+
+/// The rate-independent part of every backend's domain: materialized
+/// channel storage, concurrent port streams if anything is multicast, and
+/// a unicast pattern that fits the node count (the route walk asks its
+/// weights unchecked). Failing it, no rate is sustainable.
+fn check_domain(topo: &dyn Topology, wl: &Workload) -> Result<(), ModelError> {
+    if topo.network().is_implicit() {
+        // Loads, holding times and bounds are dense per-channel vectors —
+        // out of scope for implicit scale topologies.
+        return Err(ModelError::UnsupportedTopology {
+            name: topo.name().to_string(),
+        });
+    }
+    if wl.multicast_fraction > 0.0 && !topo.concurrent_multicast() {
+        // One-port topologies serialise multicast through a single
+        // stream table the schemes do not describe.
+        return Err(ModelError::NonConcurrentMulticast);
+    }
+    wl.unicast_pattern.validate(topo.num_nodes())?;
+    Ok(())
 }
 
 /// Every source's multicast streams under the workload's routing scheme,
 /// sources with an empty destination set skipped. The scheme need not be
-/// realizable on the topology unless something is actually multicast (the
-/// experiment layer validates it; the library API does not), so callers
-/// ask only then.
-pub(crate) fn multicast_streams<'a>(
+/// realizable on a topology without concurrent multicast (the experiment
+/// layer validates it; the library API does not), so the walk asks only
+/// elsewhere.
+fn multicast_streams<'a>(
     topo: &'a dyn Topology,
     wl: &'a Workload,
 ) -> impl Iterator<Item = (NodeId, Vec<MulticastStream>)> + 'a {
@@ -70,16 +128,16 @@ pub(crate) fn multicast_streams<'a>(
     })
 }
 
-/// Per-source message-burst envelopes (messages per burst): `1` for the
-/// geometric source, the mean-burst envelope for on/off sources, the
-/// exact empirical envelope for trace replay.
-fn source_bursts(wl: &Workload, n: usize) -> Vec<f64> {
+/// Per-source message-burst envelopes (messages per burst) at generation
+/// rate `rate`: `1` for the geometric source, the mean-burst envelope for
+/// on/off sources, the exact empirical envelope for trace replay.
+fn source_bursts(wl: &Workload, rate: f64, n: usize) -> Vec<f64> {
     match &wl.traffic {
         TrafficSpec::Geometric => vec![1.0; n],
         TrafficSpec::OnOff {
             burst_len,
             peak_rate,
-        } => vec![onoff_burstiness(*burst_len, *peak_rate, wl.gen_rate); n],
+        } => vec![onoff_burstiness(*burst_len, *peak_rate, rate); n],
         TrafficSpec::Trace { entries } => {
             let mut cycles: Vec<Vec<u64>> = vec![Vec::new(); n];
             for e in entries.iter() {
@@ -87,52 +145,49 @@ fn source_bursts(wl: &Workload, n: usize) -> Vec<f64> {
                     cycles[e.node as usize].push(e.cycle);
                 }
             }
-            cycles
-                .iter()
-                .map(|c| trace_burstiness(c, wl.gen_rate))
-                .collect()
+            cycles.iter().map(|c| trace_burstiness(c, rate)).collect()
         }
     }
 }
 
-impl ChannelLoads {
-    /// Walk every route of `wl` over `topo` once and accumulate the loads.
+impl<'a> RoutedLoads<'a> {
+    /// Walk every route of `wl` over `topo` once. `wl` supplies
+    /// everything but the rate (message length, multicast fraction,
+    /// destination sets, traffic shape, routing scheme); of `opts` the
+    /// walk reads `clone_ejection_load`, the backends the rest.
     ///
-    /// # Panics
-    ///
-    /// May panic if the unicast pattern does not fit the topology; the
-    /// backends validate it first and answer with a typed
-    /// [`ModelError::Pattern`](crate::ModelError::Pattern).
-    pub fn build(topo: &dyn Topology, wl: &Workload, opts: &ModelOptions) -> Self {
+    /// Outside the backends' rate-independent domain — implicit channel
+    /// storage, something multicast on a one-port topology, a unicast
+    /// pattern that does not fit the node count — nothing is walked and
+    /// the error says which.
+    pub fn walk(
+        topo: &'a dyn Topology,
+        wl: &'a Workload,
+        opts: &ModelOptions,
+    ) -> Result<Self, ModelError> {
+        check_domain(topo, wl)?;
         let net = topo.network();
         let nc = net.num_channels();
         let n = net.num_nodes();
-        let mut loads = ChannelLoads {
+        let mut reference = ChannelLoads {
             lambda: vec![0.0; nc],
             successors: vec![Vec::new(); nc],
-            sigma: vec![0.0; nc],
-            unicast_edges: vec![Vec::new(); nc],
-            unicast_injected: vec![0.0; nc],
-            unicast_hops: 0.0,
+            sigma: Vec::new(),
         };
-        // Flits one message of each source's burst puts on a channel.
-        let msg = wl.msg_len as f64;
-        let burst: Vec<f64> = source_bursts(wl, n).iter().map(|b| b * msg).collect();
-        // Which channels each source's unicast routes cross, one row of
-        // bits per source. All unicast pairs are walked before all streams
-        // (interleaving them per source would reorder `λ`'s additions), so
-        // the rows wait for the stream half, where `σ` needs them.
+        let mut unicast_edges = vec![Vec::new(); nc];
+        let mut unicast_injected = vec![0.0; nc];
+        let mut unicast_hops = 0.0;
         let words = nc.div_ceil(64);
-        let mut crossed = vec![0u64; n * words];
+        let mut unicast_crossings = vec![0u64; n * words];
 
         // Unicast: per-pair rate is the generation rate scaled by the
         // destination pattern's weight (uniform = 1/(N-1), the paper's
         // assumption; hot-spot/complement as extensions). The weights are
-        // recorded at any rate — a unicast latency is predicted even when
-        // nothing is unicast — the loads only when there is one.
-        let uni_rate = wl.unicast_rate();
+        // recorded whatever `α` — a unicast latency is predicted even when
+        // nothing is unicast — the loads only when something is.
+        let uni_rate = (1.0 - wl.multicast_fraction) * REFERENCE_RATE;
         for s in 0..n {
-            let row = &mut crossed[s * words..][..words];
+            let row = &mut unicast_crossings[s * words..][..words];
             for d in 0..n {
                 if s == d {
                     continue;
@@ -143,8 +198,8 @@ impl ChannelLoads {
                     continue;
                 }
                 let path = topo.unicast_path(src, dst);
-                loads.unicast_injected[path.hops[0].channel.idx()] += w;
-                loads.unicast_hops += w * path.hop_count() as f64;
+                unicast_injected[path.hops[0].channel.idx()] += w;
+                unicast_hops += w * path.hop_count() as f64;
                 let rate = uni_rate * w;
                 let mut prev = None;
                 for c in path.channels() {
@@ -152,7 +207,7 @@ impl ChannelLoads {
                         // While only unicast routes have been walked the
                         // two edge lists of a channel grow in step, so one
                         // search serves both.
-                        let edges = &mut loads.unicast_edges[a.idx()];
+                        let edges = &mut unicast_edges[a.idx()];
                         let k = edges.iter().position(|(next, _)| *next == c);
                         let k = k.unwrap_or_else(|| {
                             edges.push((c, 0.0));
@@ -160,7 +215,7 @@ impl ChannelLoads {
                         });
                         edges[k].1 += w;
                         if uni_rate > 0.0 {
-                            let succ = &mut loads.successors[a.idx()];
+                            let succ = &mut reference.successors[a.idx()];
                             if k == succ.len() {
                                 succ.push((c, 0.0));
                             }
@@ -169,29 +224,28 @@ impl ChannelLoads {
                         }
                     }
                     if uni_rate > 0.0 {
-                        loads.lambda[c.idx()] += rate;
+                        reference.lambda[c.idx()] += rate;
                         row[c.idx() / 64] |= 1 << (c.idx() % 64);
                     }
-                }
-            }
-            // A burst of `s` can pile up on every channel its routes cross.
-            for (word, &bits) in row.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    loads.sigma[word * 64 + bits.trailing_zeros() as usize] += burst[s];
-                    bits &= bits - 1;
                 }
             }
         }
 
         // Multicast: fixed per-node streams, each at the operation rate.
-        // At zero rate there is nothing to add, so no stream is built.
-        let mc_rate = wl.multicast_rate();
+        // The streams are kept whatever `α`, as the unicast weights are;
+        // check_domain left `α > 0` to concurrent topologies only.
+        let mc_rate = wl.multicast_fraction * REFERENCE_RATE;
+        let streams: Vec<_> = if topo.concurrent_multicast() {
+            multicast_streams(topo, wl).collect()
+        } else {
+            Vec::new()
+        };
+        let mut stream_crossings = Vec::new();
         if mc_rate > 0.0 {
             let mut multiplicity = vec![0u32; nc];
-            for (src, streams) in multicast_streams(topo, wl) {
-                for stream in &streams {
-                    loads.add_path(&stream.path, mc_rate);
+            for (src, streams) in &streams {
+                for stream in streams {
+                    reference.add_path(&stream.path, mc_rate);
                     if opts.clone_ejection_load {
                         // Clones at intermediate targets occupy that node's
                         // ejection channel for the arrival direction.
@@ -202,7 +256,7 @@ impl ChannelLoads {
                                 && ch.to != stream.path.dst
                             {
                                 let ej = net.ejection_channel(ch.to, ch.port);
-                                loads.lambda[ej.idx()] += mc_rate;
+                                reference.lambda[ej.idx()] += mc_rate;
                             }
                         }
                     }
@@ -211,18 +265,115 @@ impl ChannelLoads {
                     }
                 }
                 // `σ` takes the larger of the stream multiplicity and the
-                // unicast crossing, which the unicast half already added.
-                let row = &crossed[src.idx() * words..][..words];
+                // unicast crossing, which the rows already hold.
+                let row = &unicast_crossings[src.idx() * words..][..words];
                 for c in streams.iter().flat_map(|st| st.path.channels()) {
                     let m = std::mem::take(&mut multiplicity[c.idx()]);
-                    if m > 0 {
-                        let unicast = (row[c.idx() / 64] >> (c.idx() % 64)) as u32 & 1;
-                        loads.sigma[c.idx()] += burst[src.idx()] * (m - unicast) as f64;
+                    let unicast = (row[c.idx() / 64] >> (c.idx() % 64)) as u32 & 1;
+                    if m > unicast {
+                        stream_crossings.push((*src, c, m - unicast));
                     }
                 }
             }
         }
+        Ok(RoutedLoads {
+            topo,
+            wl,
+            opts: *opts,
+            reference,
+            unicast_edges,
+            unicast_injected,
+            unicast_hops,
+            streams,
+            unicast_crossings,
+            stream_crossings,
+        })
+    }
+
+    /// The loads at generation rate `rate`.
+    pub fn at(&self, rate: f64) -> ChannelLoads {
+        let mut loads = self.reference.clone();
+        self.rescale(&mut loads, rate);
+        loads.sigma = self.bursts_at(rate);
         loads
+    }
+
+    /// Overwrite the rates of `loads` — a copy of the reference walk's —
+    /// with those at generation rate `rate`.
+    fn rescale(&self, loads: &mut ChannelLoads, rate: f64) {
+        let k = rate / REFERENCE_RATE;
+        for (l, r) in loads.lambda.iter_mut().zip(&self.reference.lambda) {
+            *l = r * k;
+        }
+        let edges = loads.successors.iter_mut().zip(&self.reference.successors);
+        for (succ, reference) in edges {
+            for (s, r) in succ.iter_mut().zip(reference) {
+                s.1 = r.1 * k;
+            }
+        }
+    }
+
+    /// `σ_j` at generation rate `rate`: a burst of `s` can pile up on
+    /// every channel its routes cross. At rate zero nothing is offered and
+    /// nothing is crossed.
+    fn bursts_at(&self, rate: f64) -> Vec<f64> {
+        let nc = self.reference.lambda.len();
+        let mut sigma = vec![0.0; nc];
+        if rate <= 0.0 {
+            return sigma;
+        }
+        // Flits each source's burst puts on a channel it crosses once.
+        let msg = self.wl.msg_len as f64;
+        let mut burst = source_bursts(self.wl, rate, self.topo.num_nodes());
+        burst.iter_mut().for_each(|b| *b *= msg);
+        let rows = self.unicast_crossings.chunks_exact(nc.div_ceil(64));
+        for (row, b) in rows.zip(&burst) {
+            for (word, &bits) in row.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    sigma[word * 64 + bits.trailing_zeros() as usize] += b;
+                    bits &= bits - 1;
+                }
+            }
+        }
+        for &(src, c, count) in &self.stream_crossings {
+            sigma[c.idx()] += burst[src.idx()] * count as f64;
+        }
+        sigma
+    }
+
+    /// The built-in backends' saturation search: [`bisect_max_rate`] over
+    /// the reference loads rescaled per probe; `stable` judges one set of
+    /// rates (a probe carries no bursts — a finite burst shifts a delay
+    /// bound, not the stability limit). Rates the workload cannot be
+    /// offered at (an on/off source above its peak) are unstable, as
+    /// [`Workload::at_rate`] failing always was.
+    pub(crate) fn max_rate(&self, tol: f64, stable: impl Fn(&ChannelLoads) -> bool) -> f64 {
+        let mut probe = self.reference.clone();
+        bisect_max_rate(tol, |rate| {
+            if self.wl.check_rate(rate).is_err() {
+                return false;
+            }
+            self.rescale(&mut probe, rate);
+            stable(&probe)
+        })
+    }
+}
+
+impl ChannelLoads {
+    /// The loads `wl` induces on `topo` at its own generation rate:
+    /// [`RoutedLoads::walk`], then [`RoutedLoads::at`].
+    ///
+    /// # Panics
+    ///
+    /// Outside the backends' rate-independent domain (see
+    /// [`RoutedLoads::walk`]), where they answer with a typed
+    /// [`ModelError`].
+    pub fn build(topo: &dyn Topology, wl: &Workload, opts: &ModelOptions) -> Self {
+        match RoutedLoads::walk(topo, wl, opts) {
+            Ok(routed) => routed.at(wl.gen_rate),
+            Err(e) => panic!("no channel loads: {e}"),
+        }
     }
 
     fn add_path(&mut self, path: &Path, rate: f64) {
@@ -234,34 +385,6 @@ impl ChannelLoads {
             match succ.iter_mut().find(|(c, _)| *c == b) {
                 Some((_, r)) => *r += rate,
                 None => succ.push((b, rate)),
-            }
-        }
-    }
-
-    /// A copy of the rates alone, the part of the loads that is linear in
-    /// the generation rate and all a saturation probe reads; bursts and
-    /// weights are left empty.
-    pub(crate) fn rates_only(&self) -> ChannelLoads {
-        ChannelLoads {
-            lambda: self.lambda.clone(),
-            successors: self.successors.clone(),
-            sigma: Vec::new(),
-            unicast_edges: Vec::new(),
-            unicast_injected: Vec::new(),
-            unicast_hops: 0.0,
-        }
-    }
-
-    /// Overwrite the rates of `self` — a copy of `base`'s — with `base` at
-    /// `k` times its generation rate, so a saturation search walks the
-    /// routes once and rescales per probe.
-    pub(crate) fn assign_scaled(&mut self, base: &ChannelLoads, k: f64) {
-        for (l, b) in self.lambda.iter_mut().zip(&base.lambda) {
-            *l = b * k;
-        }
-        for (succ, base_succ) in self.successors.iter_mut().zip(&base.successors) {
-            for (s, b) in succ.iter_mut().zip(base_succ) {
-                s.1 = b.1 * k;
             }
         }
     }
@@ -410,7 +533,7 @@ mod tests {
     fn zero_multicast_rate_builds_no_streams() {
         // Dual-path needs two injection ports; the one-port spidergon has
         // no such streams to build, and asking used to index out of
-        // bounds. With nothing multicast there is nothing to ask.
+        // bounds. A one-port topology is never asked for streams.
         use crate::backend::ALL_BACKENDS;
         use noc_topology::{RoutingSpec, Spidergon};
         let topo = Spidergon::new(32).unwrap();
@@ -426,18 +549,23 @@ mod tests {
 
     #[test]
     fn scaled_loads_match_loads_built_at_the_scaled_rate() {
+        // One table answers every rate: bit for bit what a walk made for
+        // that rate alone answers, and linear in the rate.
         let topo = Quarc::new(16).unwrap();
         let opts = ModelOptions::default();
-        let base = ChannelLoads::build(&topo, &workload(&topo, 0.5, 0.1), &opts);
+        let proto = workload(&topo, 0.5, 0.1);
+        let routed = RoutedLoads::walk(&topo, &proto, &opts).unwrap();
+        let half = routed.at(0.0015);
+        let scaled = routed.at(0.003);
         let built = ChannelLoads::build(&topo, &workload(&topo, 0.003, 0.1), &opts);
-        let mut scaled = base.rates_only();
-        scaled.assign_scaled(&base, 0.003 / 0.5);
+        assert_eq!(scaled.lambda, built.lambda);
+        assert_eq!(scaled.successors, built.successors);
+        assert_eq!(scaled.sigma, built.sigma);
         let close = |a: f64, b: f64| (a - b).abs() <= 1e-12 * b.abs();
         for i in 0..built.lambda.len() {
-            assert!(close(scaled.lambda[i], built.lambda[i]));
-            assert_eq!(scaled.successors[i].len(), built.successors[i].len());
-            for (s, b) in scaled.successors[i].iter().zip(&built.successors[i]) {
-                assert!(s.0 == b.0 && close(s.1, b.1));
+            assert!(close(2.0 * half.lambda[i], built.lambda[i]));
+            for (h, b) in half.successors[i].iter().zip(&built.successors[i]) {
+                assert!(h.0 == b.0 && close(2.0 * h.1, b.1));
             }
         }
     }

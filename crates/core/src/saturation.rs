@@ -8,16 +8,15 @@
 //!
 //! A probe only needs a verdict, so the built-in backends do not pay for
 //! an [`evaluate`](ModelBackend::evaluate) per probe: channel loads are
-//! linear in the generation rate, so `bisect_scaled_loads` walks the
-//! routes once per search, rescales `λ` and the successor rates per
-//! probe, and the backend decides the probe by its holding recursion and
-//! its own finiteness check alone — no unicast or multicast latency is
-//! assembled.
+//! linear in the generation rate, so a search reads routes walked once
+//! ([`RoutedLoads`](crate::rates::RoutedLoads)), rescales `λ` and the
+//! successor rates per probe, and the backend decides the probe by its
+//! holding recursion and its own finiteness check alone — no unicast or
+//! multicast latency is assembled. Outside the backends' rate-independent
+//! domain there is no table and no rate is sustainable.
 
 use crate::backend::{MgOneBackend, ModelBackend};
-use crate::model::check_domain;
 use crate::options::ModelOptions;
-use crate::rates::ChannelLoads;
 use noc_topology::Topology;
 use noc_workloads::Workload;
 
@@ -81,39 +80,6 @@ pub fn bisect_max_rate(tol: f64, mut stable: impl FnMut(f64) -> bool) -> f64 {
         }
     }
     lo
-}
-
-/// The built-in backends' saturation search: [`bisect_max_rate`] over the
-/// channel loads of `proto`, walked once at a reference rate and rescaled
-/// per probe; `stable` judges one set of loads. Outside the backends'
-/// rate-independent domain no rate is sustainable, and rates `proto`
-/// cannot be offered at (an on/off source above its peak) are unstable,
-/// as [`Workload::at_rate`] failing always was.
-pub(crate) fn bisect_scaled_loads(
-    topo: &dyn Topology,
-    proto: &Workload,
-    opts: &ModelOptions,
-    tol: f64,
-    stable: impl Fn(&ChannelLoads) -> bool,
-) -> f64 {
-    if check_domain(topo, proto).is_err() {
-        return 0.0;
-    }
-    // A power of two, so `rate / REFERENCE_RATE` is exact.
-    const REFERENCE_RATE: f64 = 0.5;
-    let reference = Workload {
-        gen_rate: REFERENCE_RATE,
-        ..proto.clone()
-    };
-    let base = ChannelLoads::build(topo, &reference, opts);
-    let mut probe = base.rates_only();
-    bisect_max_rate(tol, |rate| {
-        if proto.check_rate(rate).is_err() {
-            return false;
-        }
-        probe.assign_scaled(&base, rate / REFERENCE_RATE);
-        stable(&probe)
-    })
 }
 
 #[cfg(test)]

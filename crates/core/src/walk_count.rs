@@ -1,8 +1,9 @@
-//! Exact-count test that an evaluation is one route walk: a delegating
+//! Exact-count test that a sweep is one route walk: a delegating
 //! [`Topology`] that counts the route constructions asked of it.
 
 use crate::backend::ALL_BACKENDS;
 use crate::options::ModelOptions;
+use crate::rates::RoutedLoads;
 use noc_topology::{MulticastStream, Network, NodeId, Path, PortId, Topology, TopologySpec};
 use noc_workloads::{DestinationSets, UnicastPattern, Workload};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,29 +88,37 @@ fn an_evaluation_walks_every_route_once() {
             for alpha in [0.0, 0.05] {
                 // Path-based streams are the topology's own (`PathBased`
                 // delegates to `Topology::multicast_streams`). Every node
-                // has a destination set.
+                // has a destination set, and its streams are kept for the
+                // multicast latency whether or not they carry load.
                 let sets = DestinationSets::random(topo.as_ref(), n / 4, 42);
                 let mut proto = Workload::new(32, 1e-5, alpha, sets).unwrap();
                 proto.unicast_pattern = pattern;
+                let case = format!("{spec}/{pattern:?}/alpha {alpha}");
+
+                // A sweep: one table under one search plus eight
+                // evaluations on each backend. The table is the walk.
+                let routed = RoutedLoads::walk(&counting, &proto, &opts).unwrap();
+                assert_eq!(counting.take(), (pairs, n), "{case}: walk");
                 for backend in ALL_BACKENDS {
-                    let case = format!("{spec}/{pattern:?}/alpha {alpha}/{backend}");
+                    let horizon = backend.backend().max_rate_over(&routed, 0.01);
+                    assert!(horizon > 0.0, "{case}/{backend}");
+                    assert_eq!(counting.take(), (0, 0), "{case}/{backend}: search");
+                    for point in 1..=8 {
+                        let rate = 0.1 * point as f64 * horizon;
+                        backend.backend().evaluate_over(&routed, rate).unwrap();
+                        assert_eq!(counting.take(), (0, 0), "{case}/{backend}: point {point}");
+                    }
+                }
+
+                // Asked without a table, each question is one walk.
+                for backend in ALL_BACKENDS {
+                    let case = format!("{case}/{backend}");
                     let backend = backend.backend();
-
-                    // One walk per saturation search, whatever its probes.
                     let horizon = backend.max_sustainable_rate(&counting, &proto, &opts, 0.01);
-                    assert!(horizon > 0.0, "{case}");
-                    let loaded_streams = if alpha > 0.0 { n } else { 0 };
-                    assert_eq!(counting.take(), (pairs, loaded_streams), "{case}: search");
-
-                    // One walk per evaluation; a source's streams once for
-                    // the loads they add, once for their `Ω`.
+                    assert_eq!(counting.take(), (pairs, n), "{case}: search");
                     let wl = proto.at_rate(0.5 * horizon).unwrap();
                     backend.evaluate(&counting, &wl, &opts).unwrap();
-                    assert_eq!(
-                        counting.take(),
-                        (pairs, loaded_streams + n),
-                        "{case}: evaluate"
-                    );
+                    assert_eq!(counting.take(), (pairs, n), "{case}: evaluate");
                 }
             }
         }
