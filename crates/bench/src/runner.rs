@@ -210,61 +210,6 @@ impl ScenarioResult {
         t
     }
 
-    /// Render the worst-case-bound curve as a table (one row per rate):
-    /// the network-calculus bound against the simulated mean, with the
-    /// `bound ≥ sim` cross-validation verdict per row (`-` where either
-    /// side is unavailable). Kept separate from [`ScenarioResult::table`],
-    /// whose column set is golden-locked.
-    pub fn bounds_table(&self) -> Table {
-        let mut t = Table::new(vec![
-            "rate",
-            "bound_uni",
-            "sim_uni",
-            "bound_mc",
-            "sim_mc",
-            "mc_ci95",
-            "sim_sat",
-            "bound_ok",
-        ]);
-        for p in &self.points {
-            let ok = |bound: f64, sim: f64| {
-                if bound.is_finite() && sim.is_finite() {
-                    Some(bound >= sim)
-                } else {
-                    None
-                }
-            };
-            let verdict = match (
-                ok(p.bound_unicast, p.sim_unicast),
-                ok(p.bound_multicast, p.sim_multicast),
-            ) {
-                (None, None) => "-".into(),
-                (u, m) => {
-                    if u != Some(false) && m != Some(false) {
-                        "yes".into()
-                    } else {
-                        "NO".to_string()
-                    }
-                }
-            };
-            t.push_row(vec![
-                format!("{:.5}", p.rate),
-                fmt_latency(p.bound_unicast),
-                fmt_latency(p.sim_unicast),
-                fmt_latency(p.bound_multicast),
-                fmt_latency(p.sim_multicast),
-                if p.sim_multicast_ci.is_finite() {
-                    format!("{:.2}", p.sim_multicast_ci)
-                } else {
-                    "-".into()
-                },
-                if p.sim_saturated { "yes" } else { "no" }.into(),
-                verdict,
-            ]);
-        }
-        t
-    }
-
     /// Render the tail-latency curve as a table (one row per rate): the
     /// streaming-histogram quantiles of the primary latency population
     /// (multicast completion for open-loop scenarios, request completion
@@ -346,11 +291,6 @@ impl ScenarioResult {
     /// pretty JSON.
     pub fn to_json(&self) -> String {
         serde::json::to_string_pretty(self)
-    }
-
-    /// Write the CSV sink as `<dir>/<name>.csv`, creating `dir` if needed.
-    pub fn write_csv(&self, dir: impl AsRef<Path>) -> Result<PathBuf> {
-        self.write_named(dir, ".csv", &self.to_csv())
     }
 
     /// Write the JSON sink as `<dir>/<name>.json`, creating `dir` if
@@ -912,9 +852,6 @@ mod tests {
                 }
             }
         }
-        let bt = res.bounds_table().to_csv();
-        assert_eq!(bt.lines().count(), 3, "header + one row per rate");
-        assert!(!bt.contains(",NO"), "no bound violations:\n{bt}");
     }
 
     #[test]

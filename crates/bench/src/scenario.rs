@@ -528,6 +528,11 @@ impl Scenario {
         // protocols multicast through the same destination sets, so they
         // need non-empty sets even at alpha = 0.
         let needs_sets = self.workload.alpha > 0.0 || self.workload.closed_loop.is_some();
+        // What empty sets would fail to serve, for the two messages below.
+        let served = || match &self.workload.closed_loop {
+            Some(cl) => format!("the {} protocol's multicasts", cl.code()),
+            None => format!("alpha = {} > 0", self.workload.alpha),
+        };
         if needs_sets {
             let group = match self.workload.multicast {
                 MulticastPattern::Random { group } | MulticastPattern::Localized { group } => {
@@ -538,11 +543,7 @@ impl Scenario {
             if group == Some(0) {
                 return Err(Error::InvalidScenario(format!(
                     "multicast group size 0 cannot serve {}",
-                    if self.workload.closed_loop.is_some() {
-                        "a closed-loop protocol's multicasts".to_string()
-                    } else {
-                        format!("alpha = {} > 0", self.workload.alpha)
-                    }
+                    served()
                 )));
             }
         }
@@ -568,8 +569,8 @@ impl Scenario {
                 }
                 if needs_sets && set.is_empty() {
                     return Err(Error::InvalidScenario(format!(
-                        "node {src} has an empty destination set but alpha = {} > 0",
-                        self.workload.alpha
+                        "node {src} has an empty destination set, which cannot serve {}",
+                        served()
                     )));
                 }
             }
@@ -843,6 +844,19 @@ mod tests {
         let mut sc = ok.clone();
         sc.workload.multicast = MulticastPattern::Random { group: 0 };
         assert!(matches!(sc.validate(), Err(Error::InvalidScenario(_))));
+        // An explicit empty set names the protocol it cannot serve, not
+        // the alpha it does not have.
+        let mut sets: Vec<Vec<u32>> = (0..16u32).map(|s| vec![(s + 1) % 16]).collect();
+        sets[5].clear();
+        sc.workload.multicast = MulticastPattern::Explicit { sets };
+        match sc.validate() {
+            Err(Error::InvalidScenario(msg)) => assert_eq!(
+                msg,
+                "node 5 has an empty destination set, which cannot serve the coh-w4 \
+                 protocol's multicasts"
+            ),
+            other => panic!("expected an invalid scenario, got {other:?}"),
+        }
 
         // The barrier's release must reach every node.
         let bar = ClosedLoopSpec::Barrier {

@@ -219,7 +219,7 @@ impl ModelBackend for NetworkCalculusBackend {
     fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
         let msg = routed.wl.msg_len as f64;
         let loads = routed.at(rate);
-        let bounds = calculus::solve_bounds(routed.topo, &loads, msg, &routed.opts)?;
+        let bounds = calculus::solve_bounds(routed.topo, &loads, msg)?;
         Ok(assemble(
             routed,
             &loads,
@@ -231,9 +231,8 @@ impl ModelBackend for NetworkCalculusBackend {
     }
 
     fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
-        let (topo, opts) = (routed.topo, &routed.opts);
         let msg = routed.wl.msg_len as f64;
-        routed.max_rate(tol, |loads| calculus::stable(topo, loads, msg, opts))
+        routed.max_rate(tol, |loads| calculus::stable(routed.topo, loads, msg))
     }
 }
 

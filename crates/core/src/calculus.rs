@@ -81,9 +81,8 @@ fn fluid_holding(
     topo: &dyn Topology,
     loads: &ChannelLoads,
     msg_len: f64,
-    opts: &ModelOptions,
 ) -> Result<Holding, Saturated> {
-    solve_holding(topo, loads, msg_len, opts, fluid_wait)
+    solve_holding(topo, loads, msg_len, fluid_wait)
 }
 
 /// The calculus wait term of the holding recursion: `ρ_j·h_j/(1−ρ_j)`,
@@ -97,13 +96,8 @@ pub(crate) fn fluid_wait(hj: f64, _rate: f64, _li: f64, lj: f64) -> f64 {
 /// `solve_bounds(..).is_ok()` without the bursts — the bound is finite
 /// exactly when `ρ_j` is below the stability limit; a (finite) burst only
 /// shifts it.
-pub(crate) fn stable(
-    topo: &dyn Topology,
-    loads: &ChannelLoads,
-    msg_len: f64,
-    opts: &ModelOptions,
-) -> bool {
-    fluid_holding(topo, loads, msg_len, opts).is_ok_and(|held| {
+pub(crate) fn stable(topo: &dyn Topology, loads: &ChannelLoads, msg_len: f64) -> bool {
+    fluid_holding(topo, loads, msg_len).is_ok_and(|held| {
         let mut per_channel = loads.lambda.iter().zip(&held.time);
         per_channel.all(|(&l, &h)| channel_delay_bound(0.0, l, h).is_some())
     })
@@ -113,10 +107,9 @@ pub(crate) fn solve_bounds(
     topo: &dyn Topology,
     loads: &ChannelLoads,
     msg_len: f64,
-    opts: &ModelOptions,
 ) -> Result<ChannelBounds, Saturated> {
     let lambda = &loads.lambda;
-    let held = fluid_holding(topo, loads, msg_len, opts)?;
+    let held = fluid_holding(topo, loads, msg_len)?;
     let holding = held.time;
     let per_channel = || loads.sigma.iter().zip(lambda).zip(&holding);
     let delay: Vec<f64> = per_channel()
@@ -154,7 +147,7 @@ impl NetworkCalculusBackend {
         opts: &ModelOptions,
     ) -> Result<ChannelBounds, ModelError> {
         let loads = RoutedLoads::walk(topo, wl, opts)?.at(wl.gen_rate);
-        Ok(solve_bounds(topo, &loads, wl.msg_len as f64, opts)?)
+        Ok(solve_bounds(topo, &loads, wl.msg_len as f64)?)
     }
 }
 

@@ -74,12 +74,12 @@ fn compare(case: &str, topo: &dyn Topology, wl: &Workload, backend: BackendSpec)
         BackendSpec::MgOne => {
             let wait = corrected_mg1_wait(msg, &opts);
             (
-                solve_holding(topo, &loads, msg, &opts, &wait),
+                solve_holding(topo, &loads, msg, &wait),
                 dense_jacobi_holding(topo, &loads, msg, &wait),
             )
         }
         BackendSpec::NetworkCalculus => (
-            solve_holding(topo, &loads, msg, &opts, fluid_wait),
+            solve_holding(topo, &loads, msg, fluid_wait),
             dense_jacobi_holding(topo, &loads, msg, fluid_wait),
         ),
     };

@@ -1,7 +1,6 @@
 //! Model configuration.
 
 use crate::backend::BackendSpec;
-use noc_queueing::fixed_point::FixedPoint;
 use noc_queueing::mg1::WaitingFormula;
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +39,9 @@ impl ServiceCorrection {
     }
 }
 
-/// All model fidelity knobs.
+/// All model fidelity knobs. (Files written while the options still
+/// carried the solver's `fixed_point` settings parse; the key is ignored
+/// and the service recursion uses `FixedPoint::default()`.)
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ModelOptions {
     /// Which algebraic form of the M/G/1 waiting time to use (Eq. 3).
@@ -52,10 +53,6 @@ pub struct ModelOptions {
     /// ejection channel in lock-step with its input link and never queues,
     /// so the default is `false`; `true` is an ablation.
     pub clone_ejection_load: bool,
-    /// Fixed-point solver settings for the service recursion: tolerance,
-    /// sweep budget and divergence bound. (Files written when the solver
-    /// still had a `damping` factor parse; the key is ignored.)
-    pub fixed_point: FixedPoint,
     /// Which analytical backend evaluates the model and anchors
     /// saturation-relative sweeps ([`crate::backend`]). The default is
     /// the paper's M/G/1 model, keeping historical scenarios and result
@@ -108,8 +105,8 @@ mod tests {
     #[test]
     fn pre_backend_option_files_stay_readable() {
         // Serialized before the backend selector existed: the missing key
-        // must mean the M/G/1 model, not a parse error. The solver's
-        // `damping` factor of that time is gone; its key is ignored.
+        // must mean the M/G/1 model, not a parse error. The solver
+        // settings of that time are gone; their key is ignored.
         let legacy = r#"{
             "formula": "PollaczekKhinchine",
             "correction": "SelfExcluding",

@@ -397,12 +397,6 @@ impl ChannelLoads {
             .map(|(_, r)| *r)
             .unwrap_or(0.0)
     }
-
-    /// Largest `λ_j · msg` lower bound on utilisation — a quick saturation
-    /// screen before solving the fixed point.
-    pub fn min_rho_bound(&self, msg_len: f64) -> f64 {
-        self.lambda.iter().copied().fold(0.0, f64::max) * msg_len
-    }
 }
 
 #[cfg(test)]

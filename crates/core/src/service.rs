@@ -39,7 +39,7 @@
 
 use crate::options::ModelOptions;
 use crate::rates::ChannelLoads;
-use noc_queueing::fixed_point::Components;
+use noc_queueing::fixed_point::{Components, FixedPoint};
 use noc_queueing::mg1::MG1;
 use noc_topology::{ChannelId, ChannelKind, Topology};
 
@@ -109,7 +109,6 @@ pub(crate) fn solve_holding(
     topo: &dyn Topology,
     loads: &ChannelLoads,
     msg_len: f64,
-    opts: &ModelOptions,
     wait_term: impl Fn(f64, f64, f64, f64) -> f64,
 ) -> Result<Holding, Saturated> {
     let net = topo.network();
@@ -144,7 +143,7 @@ pub(crate) fn solve_holding(
     });
     let mut time = vec![msg_len; nc];
     // The right-hand side of Eq. 6 at channel `i`.
-    let solved = opts.fixed_point.solve(&components, &mut time, |i, x| {
+    let solved = FixedPoint::default().solve(&components, &mut time, |i, x| {
         let li = loads.lambda[i];
         let mut acc = 0.0;
         for &(j, rate) in &loads.successors[i] {
@@ -238,13 +237,7 @@ pub fn solve(
     msg_len: f64,
     opts: &ModelOptions,
 ) -> Result<ServiceSolution, Saturated> {
-    let held = solve_holding(
-        topo,
-        loads,
-        msg_len,
-        opts,
-        corrected_mg1_wait(msg_len, opts),
-    )?;
+    let held = solve_holding(topo, loads, msg_len, corrected_mg1_wait(msg_len, opts))?;
     let service = held.time;
     let waiting: Vec<f64> = loads
         .lambda

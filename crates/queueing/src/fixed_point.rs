@@ -31,8 +31,6 @@
 //! exhausted sweep budget are both errors — a still-climbing iterate is
 //! not a fixed point. The caller reports either as saturation.
 
-use serde::{Deserialize, Serialize};
-
 /// Failure modes of the solve.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FixedPointError {
@@ -76,7 +74,7 @@ impl std::fmt::Display for FixedPointError {
 impl std::error::Error for FixedPointError {}
 
 /// Configuration of the fixed-point driver.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FixedPoint {
     /// Convergence tolerance on the max absolute update of one sweep over
     /// a cyclic component.

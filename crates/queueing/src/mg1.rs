@@ -68,12 +68,6 @@ impl MG1 {
         self.lambda * self.mean_service
     }
 
-    /// `true` when the queue is at or beyond its stability limit.
-    #[inline]
-    pub fn is_saturated(&self) -> bool {
-        self.rho() >= 1.0
-    }
-
     /// Mean waiting time in queue (time from arrival to start of service).
     ///
     /// Returns `f64::INFINITY` when saturated.
@@ -93,11 +87,6 @@ impl MG1 {
             WaitingFormula::LiteralEq3 => self.lambda * rho * (1.0 + cv2) / (2.0 * (1.0 - rho)),
         }
     }
-
-    /// Mean sojourn time (waiting + service).
-    pub fn sojourn(&self, formula: WaitingFormula) -> f64 {
-        self.waiting(formula) + self.mean_service
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +102,6 @@ mod tests {
         let q = MG1::new(0.0, 32.0, 0.0);
         assert_eq!(q.waiting(WaitingFormula::PollaczekKhinchine), 0.0);
         assert_eq!(q.rho(), 0.0);
-        assert!(!q.is_saturated());
     }
 
     #[test]
@@ -147,7 +135,7 @@ mod tests {
     #[test]
     fn saturation_reports_infinity() {
         let q = MG1::new(0.05, 32.0, 0.0);
-        assert!(q.is_saturated());
+        assert!(q.rho() >= 1.0);
         assert!(q.waiting(WaitingFormula::PollaczekKhinchine).is_infinite());
     }
 
@@ -179,16 +167,5 @@ mod tests {
         let pk = q.waiting(WaitingFormula::PollaczekKhinchine);
         let lit = q.waiting(WaitingFormula::LiteralEq3);
         assert!(close(lit, pk * q.lambda / q.mean_service, 1e-12));
-    }
-
-    #[test]
-    fn sojourn_adds_service() {
-        let q = MG1::new(0.004, 25.0, 5.0);
-        let w = q.waiting(WaitingFormula::PollaczekKhinchine);
-        assert!(close(
-            q.sojourn(WaitingFormula::PollaczekKhinchine),
-            w + 25.0,
-            1e-12
-        ));
     }
 }

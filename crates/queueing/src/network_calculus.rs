@@ -14,67 +14,6 @@
 //! This module holds the topology-agnostic math; `quarc-core::calculus`
 //! assembles it into per-channel bounds over routed workloads.
 
-use serde::{Deserialize, Serialize};
-
-/// A token-bucket arrival envelope: cumulative arrivals over any window of
-/// `t` cycles are at most `sigma + rho * t`.
-///
-/// Units are the caller's choice (messages or flits) as long as they are
-/// used consistently; aggregation of independent flows is the sum of
-/// envelopes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ArrivalEnvelope {
-    /// Burst allowance `σ` (same unit as the arrival count).
-    pub sigma: f64,
-    /// Long-run arrival rate `ρ` (units per cycle).
-    pub rho: f64,
-}
-
-impl ArrivalEnvelope {
-    /// A flow bounded by `sigma + rho * t`.
-    pub fn new(sigma: f64, rho: f64) -> Self {
-        ArrivalEnvelope { sigma, rho }
-    }
-
-    /// The empty flow.
-    pub fn zero() -> Self {
-        ArrivalEnvelope {
-            sigma: 0.0,
-            rho: 0.0,
-        }
-    }
-
-    /// Envelope of the aggregate of two independent flows (sum of curves).
-    pub fn add(&self, other: &Self) -> Self {
-        ArrivalEnvelope {
-            sigma: self.sigma + other.sigma,
-            rho: self.rho + other.rho,
-        }
-    }
-
-    /// Envelope of `k` parallel copies of this flow (e.g. converting a
-    /// message envelope to flits by scaling with the message length).
-    pub fn scale(&self, k: f64) -> Self {
-        ArrivalEnvelope {
-            sigma: self.sigma * k,
-            rho: self.rho * k,
-        }
-    }
-
-    /// Worst-case delay through a rate–latency server `β(t) = R·(t − T)⁺`:
-    /// `T + σ/R`, or `None` when the server cannot sustain the flow
-    /// (`ρ ≥ R`).
-    pub fn delay_bound(&self, rate: f64, latency: f64) -> Option<f64> {
-        (self.rho < rate && rate > 0.0).then(|| latency + self.sigma / rate)
-    }
-
-    /// Worst-case backlog at the same server: `σ + ρ·T` (vertical
-    /// deviation), or `None` when unstable.
-    pub fn backlog_bound(&self, rate: f64, latency: f64) -> Option<f64> {
-        (self.rho < rate).then_some(self.sigma + self.rho * latency)
-    }
-}
-
 /// Utilisations at or above this value are treated as unstable — the
 /// bounds diverge as `ρ → 1` and finite arithmetic stops being meaningful
 /// slightly before that.
@@ -158,29 +97,6 @@ pub fn trace_burstiness(cycles: &[u64], rho: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn envelopes_compose() {
-        let a = ArrivalEnvelope::new(2.0, 0.1);
-        let b = ArrivalEnvelope::new(1.0, 0.05);
-        let agg = a.add(&b);
-        assert_eq!(agg, ArrivalEnvelope::new(3.0, 0.15000000000000002));
-        let flits = a.scale(16.0);
-        assert_eq!(flits.sigma, 32.0);
-        assert!((flits.rho - 1.6).abs() < 1e-12);
-        assert_eq!(ArrivalEnvelope::zero().add(&a), a);
-    }
-
-    #[test]
-    fn rate_latency_bounds() {
-        let e = ArrivalEnvelope::new(4.0, 0.5);
-        // R = 1, T = 2: delay ≤ 2 + 4, backlog ≤ 4 + 0.5·2.
-        assert_eq!(e.delay_bound(1.0, 2.0), Some(6.0));
-        assert_eq!(e.backlog_bound(1.0, 2.0), Some(5.0));
-        // Unstable server.
-        assert_eq!(e.delay_bound(0.5, 2.0), None);
-        assert_eq!(e.backlog_bound(0.4, 2.0), None);
-    }
 
     #[test]
     fn channel_delay_grows_with_burst_and_load() {

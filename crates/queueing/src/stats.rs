@@ -154,11 +154,6 @@ impl BatchMeans {
         self.overall.count()
     }
 
-    /// Number of completed batches.
-    pub fn completed_batches(&self) -> u64 {
-        self.batches.count()
-    }
-
     /// Half-width of an approximate 95% confidence interval on the mean,
     /// from the completed batch means (normal approximation, `z = 1.96`).
     /// Returns `NaN` with fewer than 2 completed batches.
@@ -230,10 +225,15 @@ mod tests {
     #[test]
     fn batch_means_cuts_batches() {
         let mut bm = BatchMeans::new(10);
-        for i in 0..95 {
+        for i in 0..19 {
             bm.push(i as f64);
         }
-        assert_eq!(bm.completed_batches(), 9);
+        assert!(bm.ci95_half_width().is_nan(), "one batch cut after 19");
+        bm.push(19.0);
+        assert!(bm.ci95_half_width().is_finite(), "the second cut at 20");
+        for i in 20..95 {
+            bm.push(i as f64);
+        }
         assert_eq!(bm.count(), 95);
         assert!((bm.mean() - 47.0).abs() < 1e-9);
         assert!(bm.ci95_half_width() > 0.0);
@@ -245,7 +245,6 @@ mod tests {
         for i in 0..150 {
             bm.push(i as f64);
         }
-        assert_eq!(bm.completed_batches(), 1);
         assert!(bm.ci95_half_width().is_nan());
     }
 

@@ -60,6 +60,7 @@ use crate::plan::SimPlan;
 use crate::results::{EngineCounters, SimResults};
 use crate::schedule::{Arrival, ArrivalStream};
 use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
+use noc_telemetry::TraceEventKind;
 use noc_topology::{NodeId, Path, Topology};
 use noc_workloads::Workload;
 use std::collections::HashSet;
@@ -330,7 +331,7 @@ impl<'a> Fabric<'a> {
         self.request(self.plan.cv_index(hop0), id);
         self.inj_backlog += 1;
         self.peak_backlog = self.peak_backlog.max(self.inj_backlog);
-        self.metrics.trace_inject(self.cycle, node);
+        self.metrics.trace(TraceEventKind::Inject, self.cycle, node);
     }
 
     /// Generate one unicast `src → dst` this cycle.
@@ -478,7 +479,8 @@ impl<'a> Fabric<'a> {
         ch.owned &= !(1 << hop.vc.0);
         ch.ready &= !(1 << hop.vc.0);
         self.regrant.push(cv);
-        self.metrics.trace_release(self.cycle, hop.channel.idx());
+        self.metrics
+            .trace(TraceEventKind::Release, self.cycle, hop.channel.0);
     }
 
     /// Phase 3: apply the selected moves; handle requests, releases,
@@ -541,7 +543,7 @@ impl<'a> Fabric<'a> {
                             target,
                         });
                     }
-                    self.metrics.trace_absorb(now, target.0);
+                    self.metrics.trace(TraceEventKind::Absorb, now, target.0);
                     stream.next_absorb += 1;
                     absorbed_here += 1;
                 }
@@ -557,7 +559,7 @@ impl<'a> Fabric<'a> {
             if let Some(opid) = op_done {
                 self.ops_completed += 1;
                 let op = self.ops.get(opid, "completed multicast op");
-                self.metrics.trace_op_done(now, op.src.0);
+                self.metrics.trace(TraceEventKind::OpDone, now, op.src.0);
                 if op.tagged {
                     self.metrics.record_op_delivery(op);
                     self.tagged_outstanding -= 1;
@@ -579,7 +581,8 @@ impl<'a> Fabric<'a> {
             if msg.multicast.is_none() {
                 // Multicast targets trace their absorbs in the stream's
                 // absorb list above; unicasts here.
-                self.metrics.trace_absorb(now, msg.path.dst.0);
+                self.metrics
+                    .trace(TraceEventKind::Absorb, now, msg.path.dst.0);
                 if tagged {
                     self.metrics.record_unicast_delivery(now, gen);
                     self.tagged_outstanding -= 1;
@@ -626,7 +629,8 @@ impl<'a> Fabric<'a> {
                 ch.active = true;
                 self.active.push(channel as u32);
             }
-            self.metrics.trace_grant(self.cycle, channel);
+            self.metrics
+                .trace(TraceEventKind::Grant, self.cycle, channel as u32);
         }
         self.regrant = regrant;
         self.regrant.clear();
@@ -665,7 +669,7 @@ impl<'a> Fabric<'a> {
         let moved = !self.moves.is_empty();
         if !moved && !self.active.is_empty() {
             // Traffic holds channels but nothing can move this cycle.
-            self.metrics.trace_stall(cycle);
+            self.metrics.trace(TraceEventKind::Stall, cycle, 0);
         }
         let tail = self.apply_moves(measuring);
         self.closed_deliver(due);

@@ -57,12 +57,11 @@
 //!
 //! ## Traffic generation
 //!
-//! Each node's source is an [`ArrivalStream`]: a private RNG plus an
-//! [`ArrivalProcess`] built from the workload's
-//! [`noc_workloads::TrafficSpec`] — memoryless geometric gaps (the
-//! paper's Poisson assumption, the default), bursty on/off sources with
-//! the long-run mean matched to the nominal rate, or deterministic
-//! replay of a recorded trace ([`record_trace`]). Generation is
+//! Each node's source is an [`ArrivalStream`]: a private RNG plus the
+//! process of the workload's [`noc_workloads::TrafficSpec`] — memoryless
+//! geometric gaps (the paper's Poisson assumption, the default), bursty
+//! on/off sources with the long-run mean matched to the nominal rate, or
+//! deterministic replay of a recorded trace ([`record_trace`]). Generation is
 //! open-loop and O(arrivals): processes never observe network state and
 //! draw randomness per arrival, never per cycle. Under the geometric
 //! spec the streams are draw-for-draw identical to the pre-subsystem
@@ -101,7 +100,7 @@ pub use engine_api::{build_engine, build_engine_with_plan, EngineAudit, SimEngin
 pub use event_engine::EventSimulator;
 pub use plan::{PlanError, SimPlan};
 pub use results::{ClosedLoopResults, EngineCounters, LatencyHists, LatencyStats, SimResults};
-pub use schedule::{record_trace, Arrival, ArrivalProcess, ArrivalStream};
+pub use schedule::{record_trace, Arrival, ArrivalStream};
 
 // Re-exported so engine users can name a protocol without depending on
 // `noc-app` directly (the closed-loop API surface lives on `SimEngine`).

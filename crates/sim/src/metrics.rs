@@ -5,8 +5,8 @@
 //! conservation counters) is common code and the differential tests
 //! compare engine *dynamics*, not bookkeeping.
 //!
-//! The flight-recorder instruments live here too: the trace sink and the
-//! utilization time series are built from the config's
+//! The flight-recorder instruments live here too: the trace recorder and
+//! the utilization time series are built from the config's
 //! [`noc_telemetry::TelemetrySpec`] and fed through `#[inline]` taps.
 //! When telemetry is off every tap reduces to one branch on a `None` —
 //! the overhead policy; a leak would show in the benchmark ledger's
@@ -16,9 +16,7 @@ use crate::config::SimConfig;
 use crate::message::MulticastOp;
 use crate::results::{EngineCounters, LatencyHists, LatencyStats, SimResults};
 use noc_queueing::{BatchMeans, Welford};
-use noc_telemetry::{
-    RingSink, TraceEvent, TraceEventKind, TraceMode, TraceSink, UtilSeries, VecSink,
-};
+use noc_telemetry::{TraceEvent, TraceEventKind, TraceRecorder, UtilSeries};
 
 /// Latency accumulators and conservation counters of one run.
 #[derive(Debug)]
@@ -36,8 +34,8 @@ pub(crate) struct Metrics {
     pub(crate) total_absorbed: u64,
     pub(crate) flit_moves: u64,
     pub(crate) channel_traversals: Vec<u64>,
-    /// Event-trace sink; `None` when tracing is off.
-    tracer: Option<Box<dyn TraceSink>>,
+    /// Event-trace recorder; `None` when tracing is off.
+    tracer: Option<TraceRecorder>,
     /// Windowed utilization series; `None` when disabled.
     util: Option<UtilSeries>,
     /// Start of the measurement window (for utilization offsets: a flit
@@ -52,11 +50,6 @@ impl Metrics {
     /// node-indexed accumulator vector is exactly the O(n) memory the
     /// implicit path exists to avoid at 64k+ nodes.
     pub(crate) fn new(cfg: &SimConfig, nodes: usize, channels: usize, per_source: bool) -> Self {
-        let tracer: Option<Box<dyn TraceSink>> = match cfg.telemetry.trace {
-            TraceMode::Off => None,
-            TraceMode::Full => Some(Box::new(VecSink::new())),
-            TraceMode::Ring { capacity } => Some(Box::new(RingSink::new(capacity as usize))),
-        };
         let util = (cfg.telemetry.util_window > 0)
             .then(|| UtilSeries::new(cfg.telemetry.util_window, channels));
         Metrics {
@@ -73,7 +66,7 @@ impl Metrics {
             total_absorbed: 0,
             flit_moves: 0,
             channel_traversals: vec![0; channels],
-            tracer,
+            tracer: TraceRecorder::for_mode(cfg.telemetry.trace),
             util,
             warmup: cfg.warmup_cycles,
         }
@@ -145,81 +138,17 @@ impl Metrics {
         self.hists.stream.record(now - gen);
     }
 
-    // ----- trace taps (one `None` branch each when tracing is off) -----
-
-    /// A message entered `node`'s injection queue.
+    /// The trace tap: `kind` happened at cycle `at` on `loc` (a channel
+    /// for `Grant`/`Release`, a node otherwise, `0` for `Stall`). One
+    /// `None` branch when tracing is off.
     #[inline]
-    pub(crate) fn trace_inject(&mut self, at: u64, node: u32) {
+    pub(crate) fn trace(&mut self, kind: TraceEventKind, at: u64, loc: u32) {
         if let Some(t) = &mut self.tracer {
-            t.record(TraceEvent {
-                at,
-                kind: TraceEventKind::Inject,
-                loc: node,
-            });
+            t.record(TraceEvent { at, kind, loc });
         }
     }
 
-    /// `channel` was granted to a message (occupancy span opens).
-    #[inline]
-    pub(crate) fn trace_grant(&mut self, at: u64, channel: usize) {
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceEvent {
-                at,
-                kind: TraceEventKind::Grant,
-                loc: channel as u32,
-            });
-        }
-    }
-
-    /// `channel`'s owner released it (occupancy span closes).
-    #[inline]
-    pub(crate) fn trace_release(&mut self, at: u64, channel: usize) {
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceEvent {
-                at,
-                kind: TraceEventKind::Release,
-                loc: channel as u32,
-            });
-        }
-    }
-
-    /// A stream's tail was absorbed at `node`.
-    #[inline]
-    pub(crate) fn trace_absorb(&mut self, at: u64, node: u32) {
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceEvent {
-                at,
-                kind: TraceEventKind::Absorb,
-                loc: node,
-            });
-        }
-    }
-
-    /// A multicast operation completed at every target (`node` = source).
-    #[inline]
-    pub(crate) fn trace_op_done(&mut self, at: u64, node: u32) {
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceEvent {
-                at,
-                kind: TraceEventKind::OpDone,
-                loc: node,
-            });
-        }
-    }
-
-    /// A cycle passed with traffic in flight but no flit movement.
-    #[inline]
-    pub(crate) fn trace_stall(&mut self, at: u64) {
-        if let Some(t) = &mut self.tracer {
-            t.record(TraceEvent {
-                at,
-                kind: TraceEventKind::Stall,
-                loc: 0,
-            });
-        }
-    }
-
-    /// Assemble the run results (draining the trace sink).
+    /// Assemble the run results (draining the trace recorder).
     ///
     /// `measured_cycles` must be the number of cycles actually spent
     /// inside the measurement window — a run that breaks out early (on
@@ -260,14 +189,15 @@ impl Metrics {
             cycles,
             flit_moves: self.flit_moves,
             peak_backlog,
-            channel_utilization: self
-                .channel_traversals
-                .iter()
-                .map(|&t| t as f64 / denom)
+            // Converted in place: no second channel-sized vector at the
+            // peak of a 64 Ki-node run.
+            channel_utilization: std::mem::take(&mut self.channel_traversals)
+                .into_iter()
+                .map(|t| t as f64 / denom)
                 .collect(),
             engine,
             util: self.util.take(),
-            trace: self.tracer.take().map(|mut t| t.drain()),
+            trace: self.tracer.take().map(TraceRecorder::into_log),
             // The closed-loop driver stamps its summary after `finish`.
             closed_loop: None,
         }
@@ -284,8 +214,8 @@ mod tests {
         let cfg = SimConfig::quick(1);
         let mut m = Metrics::new(&cfg, 2, 4, true);
         m.record_flit_move(cfg.warmup_cycles + 1, 0, true);
-        m.trace_grant(5, 1);
-        m.trace_stall(6);
+        m.trace(TraceEventKind::Grant, 5, 1);
+        m.trace(TraceEventKind::Stall, 6, 0);
         let res = m.finish(false, false, 100, 0, 10, EngineCounters::default());
         assert!(res.trace.is_none());
         assert!(res.util.is_none());
@@ -300,8 +230,8 @@ mod tests {
         let mut m = Metrics::new(&cfg, 2, 4, true);
         m.record_flit_move(w + 1, 0, true);
         m.record_flit_moves_bulk(w + 1, 1, 10, true); // cycles w+2..=w+11
-        m.trace_grant(w + 1, 3);
-        m.trace_release(w + 4, 3);
+        m.trace(TraceEventKind::Grant, w + 1, 3);
+        m.trace(TraceEventKind::Release, w + 4, 3);
         let res = m.finish(false, false, 100, 0, 11, EngineCounters::default());
         let trace = res.trace.expect("trace captured");
         assert_eq!(trace.events.len(), 2);

@@ -25,15 +25,18 @@
 //!
 //! The split is a measured trade, selected by what the code can observe
 //! (`Network::is_implicit`), with a benchmark workload on each side
-//! (`scale-64k` lazy, the other five dense). Forcing every plan lazy on
-//! a scratch copy (PR 21, after `d2bbd22`; `--seed 42`, six alternating
-//! pairs each, digests identical) costs `sat-kernel` 5.4 % wall (6/6
-//! pairs; a fresh `Arc<Path>` per unicast) and leaves `fig6-sweep` and
-//! `lowload-skip` unresolved (3/6 each), while peak RSS falls 7.7 → 5.3,
-//! 9.7 → 5.6 and 9.9 → 4.8 MiB: the `n × n` `Arc<Path>` table is a third
-//! to a half of a legacy run's resident memory. Dense stays while a
-//! message holds its route as an `Arc<Path>`; a route + cursor would
-//! reopen the question.
+//! (`scale-64k` lazy, the other five dense). Forcing every plan lazy
+//! (2-vCPU Xeon VM, `--seed 42`, 5 s alternating pairs, digests identical,
+//! no failed operation) costs `sat-kernel` 0.457 → 0.480 s wall (+5.1 %,
+//! slower in 6/6 pairs; a fresh `Arc<Path>` per unicast) and
+//! `lowload-skip` 0.273 → 0.278 s (4/4), while peak RSS falls 7.7 → 5.3
+//! (`sat-kernel`), 10.0 → 6.6 (`fig6-sweep`) and 10.1 → 4.9 MiB
+//! (`lowload-skip`): the `n × n` `Arc<Path>` table is a third to a half
+//! of a legacy run's resident memory. Recycling route and counter
+//! buffers per arena slot on top of that still leaves `sat-kernel`
+//! +1.9 % (5/6) and `lowload-skip` +3.6 % (3/3), and raises `scale-64k`
+//! peak RSS 48.6 → 50.6 MiB. So the dense table stays, as the measured
+//! cache it is.
 
 use crate::message::{absorb_schedule, AbsorbSchedule};
 use noc_topology::{ChannelId, Hop, NodeId, Path, RoutingError, Topology};

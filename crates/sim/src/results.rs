@@ -94,11 +94,6 @@ impl LatencyStats {
         self.p99 = h.p99();
         self
     }
-
-    /// Mean latency, or `None` when no samples exist.
-    pub fn mean_opt(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
 }
 
 /// The streaming log-bucketed histograms behind the run's latency
@@ -291,14 +286,12 @@ mod tests {
         assert!((s.mean - 17.0).abs() < 1e-12);
         assert_eq!(s.min, 10.0);
         assert_eq!(s.max, 24.0);
-        assert_eq!(s.mean_opt(), Some(17.0));
     }
 
     #[test]
     fn empty_stats_are_safe() {
         let s = LatencyStats::from_batch_means(&BatchMeans::new(4));
         assert_eq!(s.count, 0);
-        assert_eq!(s.mean_opt(), None);
         assert!(s.p99.is_nan(), "no histogram stamped, no quantiles");
     }
 

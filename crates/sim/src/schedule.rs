@@ -1,7 +1,7 @@
 //! Event scheduling and traffic generation shared by the simulation
 //! engines.
 //!
-//! Three pieces live here:
+//! Two pieces live here:
 //!
 //! * [`EventQueue`] — `(time, id)` events popped in lexicographic order
 //!   (a `std` binary heap), so same-cycle events pop in ascending id
@@ -9,25 +9,22 @@
 //!   injection without scanning the network; ties popping in node order
 //!   is what keeps its spawn order identical to the cycle engine's
 //!   `for node in 0..n` loop.
-//! * [`ArrivalProcess`] — the per-node arrival-process contract behind a
-//!   [`noc_workloads::TrafficSpec`]: a process knows the cycle of its next
-//!   arrival and, when popped, classifies the arrival and schedules the
-//!   following one. Draws are made *per arrival*, never per cycle, so the
-//!   cost of generation is O(arrivals) regardless of how sparse the
-//!   traffic is. Implementations: [`GeometricProcess`] (the paper's
-//!   memoryless source — `P(gap = k) = (1 − λ)^{k−1} λ`, exactly the
-//!   waiting time of a per-cycle Bernoulli source), [`OnOffProcess`]
-//!   (bursty two-state source with the long-run mean matched to the
-//!   nominal rate) and [`TraceProcess`] (deterministic replay of a
-//!   recorded trace; see [`record_trace`]).
 //! * [`ArrivalStream`] — one node's source: the node's private RNG
-//!   (seeded from the master seed and the node index) plus its boxed
-//!   process. Both engines consume the same streams and the per-arrival
-//!   draw order (class, destination, next gap) is part of their
-//!   deterministic contract, which is what makes their runs bit-identical
-//!   under a shared seed. Under [`TrafficSpec::Geometric`] the streams
-//!   are draw-for-draw identical to the pre-subsystem hard-coded source,
-//!   so existing seeds keep their meaning.
+//!   (seeded from the master seed and the node index), the cycle of its
+//!   next arrival (`u64::MAX` = never again) and the process of the
+//!   workload's [`TrafficSpec`] that schedules the one after it: the
+//!   paper's memoryless source (`P(gap = k) = (1 − λ)^{k−1} λ`, exactly
+//!   the waiting time of a per-cycle Bernoulli source), a bursty on/off
+//!   source with the long-run mean matched to the nominal rate, or the
+//!   deterministic replay of a recorded trace (see [`record_trace`]).
+//!   Draws are made *per arrival*, never per cycle, so generation costs
+//!   O(arrivals) however sparse the traffic is. Both engines consume the
+//!   same streams and the per-arrival draw order (class, destination,
+//!   next gap) is part of their deterministic contract, which is what
+//!   makes their runs bit-identical under a shared seed. Under
+//!   [`TrafficSpec::Geometric`] the streams are draw-for-draw identical
+//!   to the pre-subsystem hard-coded source, so existing seeds keep their
+//!   meaning.
 
 use noc_topology::NodeId;
 use noc_workloads::{TraceEntry, TraceKind, TrafficSpec, Workload};
@@ -121,25 +118,6 @@ pub enum Arrival {
     Multicast,
 }
 
-/// One node's arrival process: when messages appear and what class they
-/// are.
-///
-/// The contract both engines rely on:
-///
-/// * [`ArrivalProcess::next_arrival`] is the exact cycle of the next
-///   arrival (`u64::MAX` = the process never fires again);
-/// * [`ArrivalProcess::pop`] must only be called when `next_arrival()`
-///   equals the current cycle; it classifies the due arrival, schedules
-///   the next one, and draws randomness *only* from the passed RNG, in a
-///   deterministic order — the draws happen per arrival, never per cycle.
-pub trait ArrivalProcess: std::fmt::Debug + Send {
-    /// Cycle of the next arrival (`u64::MAX` when the process is done).
-    fn next_arrival(&self) -> u64;
-
-    /// Consume the arrival due now: classify it and schedule the next.
-    fn pop(&mut self, rng: &mut SmallRng, wl: &Workload, n: usize, src: NodeId) -> Arrival;
-}
-
 /// Classify a freshly generated message: multicast with probability α,
 /// otherwise a unicast to a pattern-sampled destination. Shared by every
 /// stochastic process so the draw order (class, then destination) is
@@ -179,62 +157,54 @@ fn ln_q(p: f64) -> f64 {
     }
 }
 
-/// The paper's memoryless source: geometric inter-arrival gaps at the
-/// workload's generation rate — one RNG draw per arrival instead of one
-/// Bernoulli draw per cycle, generating the identical process. The
-/// paper's sources are Poisson; a Bernoulli trial per cycle is its
-/// cycle-accurate discretisation, whose gaps are geometric and whose
-/// arrival counts converge to Poisson at the small per-cycle rates the
-/// sweeps use (λ ≤ ~0.05).
-#[derive(Clone, Debug)]
-pub struct GeometricProcess {
-    /// `ln(1 − λ)`; `0.0` disables the process (λ = 0, or λ below f64
-    /// resolution).
-    ln_one_minus_rate: f64,
-    next: u64,
+/// Sample an on/off burst boundary: the size of the next burst (all but
+/// its first arrival stashed in `remaining`) and the off-gap preceding
+/// its first arrival.
+fn boundary_gap(rng: &mut SmallRng, ln_q_burst: f64, ln_q_off: f64, remaining: &mut u64) -> u64 {
+    let burst = if ln_q_burst < 0.0 {
+        geometric_gap(rng, ln_q_burst)
+    } else {
+        1
+    };
+    *remaining = burst - 1;
+    geometric_gap(rng, ln_q_off)
 }
 
-impl GeometricProcess {
-    /// A process firing at `rate` messages/cycle, with the first gap
-    /// measured from cycle 0. A `rate` of zero (or small enough that
-    /// `1 − rate == 1` in f64) never fires and draws nothing.
-    pub fn new(rate: f64, rng: &mut SmallRng) -> Self {
-        let ln_one_minus_rate = ln_q(rate);
-        let next = if ln_one_minus_rate < 0.0 {
-            geometric_gap(rng, ln_one_minus_rate)
-        } else {
-            u64::MAX
-        };
-        GeometricProcess {
-            ln_one_minus_rate,
-            next,
-        }
-    }
+/// What schedules a stream's next arrival: one variant per
+/// [`TrafficSpec`]. The on/off and trace states are boxed so a geometric
+/// stream stays 56 bytes: a 64 Ki-node run holds one stream per node, and
+/// inline they made its `Vec<ArrivalStream>` 5 MiB instead of 3.5 MiB.
+#[derive(Debug)]
+enum Process {
+    /// The paper's memoryless source: geometric inter-arrival gaps at the
+    /// workload's generation rate — one RNG draw per arrival instead of
+    /// one Bernoulli draw per cycle, generating the identical process.
+    /// The paper's sources are Poisson; a Bernoulli trial per cycle is its
+    /// cycle-accurate discretisation, whose gaps are geometric and whose
+    /// arrival counts converge to Poisson at the small per-cycle rates the
+    /// sweeps use (λ ≤ ~0.05).
+    Geometric {
+        /// `ln(1 − λ)`.
+        ln_q: f64,
+    },
+    /// A two-state bursty source: bursts of geometrically many messages
+    /// (mean `burst_len`) spaced at geometric gaps of the peak rate,
+    /// separated by geometric off-gaps sized so the long-run mean rate
+    /// equals the workload's nominal rate (Wald's identity makes the
+    /// match exact in expectation, so rate sweeps stay comparable with
+    /// Poisson runs). One draw per in-burst arrival, three per burst
+    /// boundary.
+    OnOff(Box<OnOff>),
+    /// Deterministic replay of the node's slice of a recorded trace:
+    /// classes and destinations come from the trace, nothing is drawn.
+    /// Arrivals still to come, latest first (the due one is last).
+    #[allow(clippy::box_collection)] // a `Vec` inline is 24 bytes: see above
+    Trace(Box<Vec<(u64, Arrival)>>),
 }
 
-impl ArrivalProcess for GeometricProcess {
-    fn next_arrival(&self) -> u64 {
-        self.next
-    }
-
-    fn pop(&mut self, rng: &mut SmallRng, wl: &Workload, n: usize, src: NodeId) -> Arrival {
-        let arrival = classify(rng, wl, n, src);
-        let gap = geometric_gap(rng, self.ln_one_minus_rate);
-        self.next = self.next.saturating_add(gap);
-        arrival
-    }
-}
-
-/// A two-state bursty source: bursts of geometrically many messages
-/// (mean `burst_len`) spaced at geometric gaps of the peak rate, separated
-/// by geometric off-gaps sized so the long-run mean rate equals the
-/// workload's nominal rate (Wald's identity makes the match exact in
-/// expectation, so rate sweeps stay comparable with Poisson runs).
-///
-/// Draw cost: one draw per in-burst arrival, three per burst boundary —
-/// O(arrivals) like every process here.
-#[derive(Clone, Debug)]
-pub struct OnOffProcess {
+/// The state of an on/off source.
+#[derive(Debug)]
+struct OnOff {
     /// `ln(1 − peak_rate)` — in-burst gap sampler.
     ln_q_on: f64,
     /// `ln(1 − 1/burst_len)` — burst-size sampler (`0.0` ⇒ size 1, no
@@ -244,136 +214,17 @@ pub struct OnOffProcess {
     ln_q_off: f64,
     /// Arrivals left in the current burst after the one scheduled.
     remaining: u64,
-    next: u64,
 }
 
-impl OnOffProcess {
-    /// A bursty process with mean `burst_len` messages per burst at
-    /// `peak_rate` inside bursts, matching a long-run mean of `rate`.
-    /// `rate = 0` never fires and draws nothing; otherwise the parameters
-    /// must satisfy `rate < peak_rate < 1` and `burst_len >= 1`
-    /// (validated by [`TrafficSpec::validate`]).
-    pub fn new(burst_len: f64, peak_rate: f64, rate: f64, rng: &mut SmallRng) -> Self {
-        if rate <= 0.0 {
-            return OnOffProcess {
-                ln_q_on: 0.0,
-                ln_q_burst: 0.0,
-                ln_q_off: 0.0,
-                remaining: 0,
-                next: u64::MAX,
-            };
-        }
-        let off_mean = TrafficSpec::off_gap_mean(burst_len, peak_rate, rate);
-        let ln_q_off = ln_q(1.0 / off_mean);
-        if ln_q_off == 0.0 {
-            // The off-gap probability underflowed f64 (a mean rate below
-            // resolution): a source that never fires, mirroring the
-            // geometric process's treatment of such rates.
-            return OnOffProcess {
-                ln_q_on: 0.0,
-                ln_q_burst: 0.0,
-                ln_q_off: 0.0,
-                remaining: 0,
-                next: u64::MAX,
-            };
-        }
-        let mut p = OnOffProcess {
-            ln_q_on: ln_q(peak_rate),
-            // `burst_len = 1` means every burst has exactly one message:
-            // keep the 0.0 "no draw" sentinel (ln_q(1.0) would be −∞ and
-            // waste a draw on a deterministic outcome). With one message
-            // per burst every gap is an off-gap of mean 1/rate, so the
-            // stream degenerates to draw-for-draw the geometric source.
-            ln_q_burst: if burst_len > 1.0 {
-                ln_q(1.0 / burst_len)
-            } else {
-                0.0
-            },
-            ln_q_off,
-            remaining: 0,
-            next: 0,
-        };
-        // Start at a burst boundary: the first arrival opens the first
-        // burst after an off-gap measured from cycle 0.
-        let gap = p.boundary_gap(rng);
-        p.next = gap;
-        p
-    }
-
-    /// Sample a burst boundary: the size of the next burst (stashed in
-    /// `remaining`) and the off-gap preceding its first arrival.
-    fn boundary_gap(&mut self, rng: &mut SmallRng) -> u64 {
-        let burst = if self.ln_q_burst < 0.0 {
-            geometric_gap(rng, self.ln_q_burst)
-        } else {
-            1
-        };
-        self.remaining = burst - 1;
-        geometric_gap(rng, self.ln_q_off)
-    }
-}
-
-impl ArrivalProcess for OnOffProcess {
-    fn next_arrival(&self) -> u64 {
-        self.next
-    }
-
-    fn pop(&mut self, rng: &mut SmallRng, wl: &Workload, n: usize, src: NodeId) -> Arrival {
-        let arrival = classify(rng, wl, n, src);
-        let gap = if self.remaining > 0 {
-            self.remaining -= 1;
-            geometric_gap(rng, self.ln_q_on)
-        } else {
-            self.boundary_gap(rng)
-        };
-        self.next = self.next.saturating_add(gap);
-        arrival
-    }
-}
-
-/// Deterministic replay of one node's slice of a recorded arrival trace.
-/// Draws nothing from the RNG; classes and destinations come from the
-/// trace.
-#[derive(Clone, Debug)]
-pub struct TraceProcess {
-    /// This node's arrivals in cycle order.
-    entries: Vec<(u64, Arrival)>,
-    next_idx: usize,
-}
-
-impl TraceProcess {
-    /// A process replaying `entries` (already filtered to one node,
-    /// strictly increasing cycles — [`TrafficSpec::validate`] enforces
-    /// the shape).
-    pub fn new(entries: Vec<(u64, Arrival)>) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        TraceProcess {
-            entries,
-            next_idx: 0,
-        }
-    }
-}
-
-impl ArrivalProcess for TraceProcess {
-    fn next_arrival(&self) -> u64 {
-        self.entries
-            .get(self.next_idx)
-            .map_or(u64::MAX, |&(c, _)| c)
-    }
-
-    fn pop(&mut self, _rng: &mut SmallRng, _wl: &Workload, _n: usize, _src: NodeId) -> Arrival {
-        let (_, arrival) = self.entries[self.next_idx];
-        self.next_idx += 1;
-        arrival
-    }
-}
-
-/// One node's message source: the node's private RNG plus its arrival
-/// process.
+/// One node's message source: the node's private RNG, the cycle of its
+/// next arrival and the process that schedules the one after.
 #[derive(Debug)]
 pub struct ArrivalStream {
     rng: SmallRng,
-    process: Box<dyn ArrivalProcess>,
+    /// Cycle of the next arrival; `u64::MAX` = the stream never fires
+    /// again (a zero or sub-resolution rate, or an exhausted trace).
+    next: u64,
+    process: Process,
 }
 
 /// Per-node seed mixing constant (kept from the original engine so seeds
@@ -392,8 +243,61 @@ impl ArrivalStream {
     /// named constructor for tests and micro-benchmarks.
     pub fn new(master_seed: u64, node: usize, rate: f64) -> Self {
         let mut rng = node_rng(master_seed, node);
-        let process = Box::new(GeometricProcess::new(rate, &mut rng));
-        ArrivalStream { rng, process }
+        // A rate of zero (or small enough that `1 − rate == 1` in f64)
+        // never fires and draws nothing.
+        let ln_q = ln_q(rate);
+        let next = if ln_q < 0.0 {
+            geometric_gap(&mut rng, ln_q)
+        } else {
+            u64::MAX
+        };
+        ArrivalStream {
+            rng,
+            next,
+            process: Process::Geometric { ln_q },
+        }
+    }
+
+    /// Node `node`'s on/off stream: mean `burst_len` messages per burst at
+    /// `peak_rate` inside bursts, matching a long-run mean of `rate`
+    /// (`rate < peak_rate < 1`, `burst_len >= 1`: validated by
+    /// [`TrafficSpec::validate`]). The first arrival opens the first burst
+    /// after an off-gap measured from cycle 0.
+    fn on_off(master_seed: u64, node: usize, burst_len: f64, peak_rate: f64, rate: f64) -> Self {
+        let mut rng = node_rng(master_seed, node);
+        // A zero mean rate, or one whose off-gap probability underflows
+        // f64, never fires and draws nothing, like the geometric source.
+        let ln_q_off = if rate > 0.0 {
+            ln_q(1.0 / TrafficSpec::off_gap_mean(burst_len, peak_rate, rate))
+        } else {
+            0.0
+        };
+        // `burst_len = 1` means every burst has exactly one message: keep
+        // the 0.0 "no draw" sentinel (ln_q(1.0) would be −∞ and waste a
+        // draw on a deterministic outcome). With one message per burst
+        // every gap is an off-gap of mean 1/rate, so the stream
+        // degenerates to draw-for-draw the geometric source.
+        let ln_q_burst = if burst_len > 1.0 {
+            ln_q(1.0 / burst_len)
+        } else {
+            0.0
+        };
+        let mut remaining = 0;
+        let next = if ln_q_off < 0.0 {
+            boundary_gap(&mut rng, ln_q_burst, ln_q_off, &mut remaining)
+        } else {
+            u64::MAX
+        };
+        ArrivalStream {
+            rng,
+            next,
+            process: Process::OnOff(Box::new(OnOff {
+                ln_q_on: ln_q(peak_rate),
+                ln_q_burst,
+                ln_q_off,
+                remaining,
+            })),
+        }
     }
 
     /// Build every node's stream for `wl` under `master_seed`, dispatching
@@ -418,16 +322,7 @@ impl ArrivalStream {
                 burst_len,
                 peak_rate,
             } => (0..n)
-                .map(|i| {
-                    let mut rng = node_rng(master_seed, i);
-                    let process = Box::new(OnOffProcess::new(
-                        *burst_len,
-                        *peak_rate,
-                        wl.gen_rate,
-                        &mut rng,
-                    ));
-                    ArrivalStream { rng, process }
-                })
+                .map(|i| ArrivalStream::on_off(master_seed, i, *burst_len, *peak_rate, wl.gen_rate))
                 .collect(),
             TrafficSpec::Trace { entries } => {
                 let mut per_node: Vec<Vec<(u64, Arrival)>> = vec![Vec::new(); n];
@@ -441,9 +336,16 @@ impl ArrivalStream {
                 per_node
                     .into_iter()
                     .enumerate()
-                    .map(|(i, entries)| ArrivalStream {
-                        rng: node_rng(master_seed, i),
-                        process: Box::new(TraceProcess::new(entries)),
+                    .map(|(i, mut pending)| {
+                        // Strictly increasing cycles per node:
+                        // `TrafficSpec::validate` enforces the shape.
+                        debug_assert!(pending.windows(2).all(|w| w[0].0 < w[1].0));
+                        pending.reverse();
+                        ArrivalStream {
+                            rng: node_rng(master_seed, i),
+                            next: pending.last().map_or(u64::MAX, |&(c, _)| c),
+                            process: Process::Trace(Box::new(pending)),
+                        }
                     })
                     .collect()
             }
@@ -454,7 +356,7 @@ impl ArrivalStream {
     /// or exhausted).
     #[inline]
     pub fn next_arrival(&self) -> u64 {
-        self.process.next_arrival()
+        self.next
     }
 
     /// Consume the arrival due now: classify it and schedule the next one.
@@ -463,7 +365,36 @@ impl ArrivalStream {
     /// current cycle; the draw order (class, destination, next gap) is
     /// part of the deterministic contract between the engines.
     pub fn pop(&mut self, wl: &Workload, n: usize, src: NodeId) -> Arrival {
-        self.process.pop(&mut self.rng, wl, n, src)
+        let rng = &mut self.rng;
+        let (arrival, gap) = match &mut self.process {
+            Process::Geometric { ln_q } => {
+                let arrival = classify(rng, wl, n, src);
+                (arrival, geometric_gap(rng, *ln_q))
+            }
+            Process::OnOff(on_off) => {
+                let arrival = classify(rng, wl, n, src);
+                let OnOff {
+                    ln_q_on,
+                    ln_q_burst,
+                    ln_q_off,
+                    remaining,
+                } = &mut **on_off;
+                let gap = if *remaining > 0 {
+                    *remaining -= 1;
+                    geometric_gap(rng, *ln_q_on)
+                } else {
+                    boundary_gap(rng, *ln_q_burst, *ln_q_off, remaining)
+                };
+                (arrival, gap)
+            }
+            Process::Trace(pending) => {
+                let (_, arrival) = pending.pop().expect("popped only when due");
+                self.next = pending.last().map_or(u64::MAX, |&(c, _)| c);
+                return arrival;
+            }
+        };
+        self.next = self.next.saturating_add(gap);
+        arrival
     }
 }
 
@@ -791,9 +722,18 @@ mod tests {
         // A mean rate below f64 resolution underflows the off-gap
         // probability; the stream must go quiet (like the geometric
         // source), not invert into an every-cycle injector.
-        let mut rng = SmallRng::seed_from_u64(1);
-        let p = OnOffProcess::new(4.0, 0.5, 1e-300, &mut rng);
-        assert_eq!(p.next_arrival(), u64::MAX);
+        let wl = test_workload(1e-300, 0.0).with_traffic(TrafficSpec::OnOff {
+            burst_len: 4.0,
+            peak_rate: 0.5,
+        });
+        let streams = ArrivalStream::build_all(&wl, 16, 1);
+        assert!(streams.iter().all(|s| s.next_arrival() == u64::MAX));
+    }
+
+    #[test]
+    fn a_stream_is_56_bytes() {
+        // The size `Process` boxes its on/off and trace states for.
+        assert_eq!(std::mem::size_of::<ArrivalStream>(), 56);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Flit-level event records and the sinks that capture them.
+//! Flit-level event records and the recorder that captures them.
 
+use crate::spec::TraceMode;
 use serde::{Deserialize, Serialize};
 
 /// What happened at a trace tap.
@@ -40,79 +41,52 @@ pub struct TraceEvent {
 }
 
 /// A drained trace: events in recording order plus how many were evicted
-/// by a bounded sink.
+/// by a bounded recorder.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceLog {
     /// Captured events, oldest first.
     pub events: Vec<TraceEvent>,
-    /// Events evicted by a bounded sink (0 for [`VecSink`]).
+    /// Events evicted by a bounded recorder (0 without a bound).
     pub dropped: u64,
 }
 
-/// Receives trace events during a run and surrenders them at the end.
-///
-/// Implementations must be cheap on `record` — it sits on the engine's
-/// per-event path whenever tracing is enabled.
-pub trait TraceSink: std::fmt::Debug + Send {
-    /// Append one event.
-    fn record(&mut self, ev: TraceEvent);
-    /// Surrender the captured log (the sink is spent afterwards).
-    fn drain(&mut self) -> TraceLog;
-}
-
-/// Unbounded sink: keeps every event. Memory grows with the run — use
-/// for short diagnostic runs.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    events: Vec<TraceEvent>,
-}
-
-impl VecSink {
-    /// An empty unbounded sink.
-    pub fn new() -> Self {
-        VecSink::default()
-    }
-}
-
-impl TraceSink for VecSink {
-    fn record(&mut self, ev: TraceEvent) {
-        self.events.push(ev);
-    }
-
-    fn drain(&mut self) -> TraceLog {
-        TraceLog {
-            events: std::mem::take(&mut self.events),
-            dropped: 0,
-        }
-    }
-}
-
-/// Bounded flight recorder: keeps the most recent `capacity` events,
-/// evicting the oldest and counting what was lost. A saturated run's
-/// trace stays bounded while the interesting part — the end — survives.
+/// The flight recorder behind every [`TraceMode`] but `Off`: keeps every
+/// event (`Full`), or only the most recent `capacity` (`Ring`), evicting
+/// the oldest and counting what was lost, so a saturated run's trace
+/// stays bounded while the interesting part — the end — survives.
+/// `record` sits on the engine's per-event path whenever tracing is
+/// enabled.
 #[derive(Debug)]
-pub struct RingSink {
+pub struct TraceRecorder {
     buf: Vec<TraceEvent>,
+    /// Most events kept; `usize::MAX` without a bound.
     capacity: usize,
     /// Index of the oldest event once the ring has wrapped.
     head: usize,
     dropped: u64,
 }
 
-impl RingSink {
-    /// A ring keeping at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        RingSink {
+impl TraceRecorder {
+    /// The recorder `mode` asks for: none when tracing is off, an
+    /// unbounded one for [`TraceMode::Full`], a ring of `capacity` events
+    /// (min 1) for [`TraceMode::Ring`].
+    pub fn for_mode(mode: TraceMode) -> Option<Self> {
+        let capacity = match mode {
+            TraceMode::Off => return None,
+            TraceMode::Full => usize::MAX,
+            TraceMode::Ring { capacity } => (capacity as usize).max(1),
+        };
+        Some(TraceRecorder {
             buf: Vec::new(),
-            capacity: capacity.max(1),
+            capacity,
             head: 0,
             dropped: 0,
-        }
+        })
     }
-}
 
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: TraceEvent) {
+    /// Append one event.
+    #[inline]
+    pub fn record(&mut self, ev: TraceEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -122,13 +96,12 @@ impl TraceSink for RingSink {
         }
     }
 
-    fn drain(&mut self) -> TraceLog {
-        let mut events = std::mem::take(&mut self.buf);
-        events.rotate_left(self.head);
-        self.head = 0;
+    /// Surrender the captured log, oldest event first.
+    pub fn into_log(mut self) -> TraceLog {
+        self.buf.rotate_left(self.head);
         TraceLog {
-            events,
-            dropped: std::mem::take(&mut self.dropped),
+            events: self.buf,
+            dropped: self.dropped,
         }
     }
 }
@@ -146,12 +119,12 @@ mod tests {
     }
 
     #[test]
-    fn vec_sink_keeps_everything_in_order() {
-        let mut s = VecSink::new();
+    fn unbounded_recorder_keeps_everything_in_order() {
+        let mut s = TraceRecorder::for_mode(TraceMode::Full).unwrap();
         for at in 0..100 {
             s.record(ev(at));
         }
-        let log = s.drain();
+        let log = s.into_log();
         assert_eq!(log.events.len(), 100);
         assert_eq!(log.dropped, 0);
         assert!(log.events.windows(2).all(|w| w[0].at < w[1].at));
@@ -159,11 +132,11 @@ mod tests {
 
     #[test]
     fn ring_sink_keeps_the_most_recent_events() {
-        let mut s = RingSink::new(10);
+        let mut s = TraceRecorder::for_mode(TraceMode::Ring { capacity: 10 }).unwrap();
         for at in 0..25 {
             s.record(ev(at));
         }
-        let log = s.drain();
+        let log = s.into_log();
         assert_eq!(log.events.len(), 10);
         assert_eq!(log.dropped, 15);
         let ats: Vec<u64> = log.events.iter().map(|e| e.at).collect();
@@ -172,11 +145,11 @@ mod tests {
 
     #[test]
     fn ring_sink_below_capacity_drops_nothing() {
-        let mut s = RingSink::new(100);
+        let mut s = TraceRecorder::for_mode(TraceMode::Ring { capacity: 100 }).unwrap();
         for at in 0..7 {
             s.record(ev(at));
         }
-        let log = s.drain();
+        let log = s.into_log();
         assert_eq!(log.events.len(), 7);
         assert_eq!(log.dropped, 0);
     }

@@ -21,14 +21,6 @@ pub enum ChannelKind {
     Ejection,
 }
 
-impl ChannelKind {
-    /// `true` for channels internal to a node (injection/ejection).
-    #[inline]
-    pub fn is_internal(self) -> bool {
-        !matches!(self, ChannelKind::Link)
-    }
-}
-
 /// A directed channel of the network.
 ///
 /// For `Injection` and `Ejection` channels, `from == to == node`. For `Link`
@@ -109,12 +101,6 @@ impl Channel {
             label: label.into(),
         }
     }
-
-    /// The node at which this channel queues traffic (its upstream side).
-    #[inline]
-    pub fn queueing_node(&self) -> NodeId {
-        self.from
-    }
 }
 
 #[cfg(test)]
@@ -126,7 +112,6 @@ mod tests {
         let inj = Channel::injection(ChannelId(0), NodeId(3), PortId(1), "inj");
         assert_eq!(inj.kind, ChannelKind::Injection);
         assert_eq!(inj.from, inj.to);
-        assert!(inj.kind.is_internal());
 
         let link = Channel::link(
             ChannelId(1),
@@ -138,13 +123,12 @@ mod tests {
             "cw 3->4",
         );
         assert_eq!(link.kind, ChannelKind::Link);
-        assert!(!link.kind.is_internal());
+        assert_eq!((link.from, link.to), (NodeId(3), NodeId(4)));
         assert_eq!(link.vcs, 2);
 
         let ej = Channel::ejection(ChannelId(2), NodeId(4), PortId(0), "ej");
         assert_eq!(ej.kind, ChannelKind::Ejection);
-        assert!(ej.kind.is_internal());
-        assert_eq!(ej.queueing_node(), NodeId(4));
+        assert_eq!((ej.from, ej.to), (NodeId(4), NodeId(4)));
     }
 
     #[test]

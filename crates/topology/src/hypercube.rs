@@ -93,12 +93,6 @@ impl Hypercube {
         b ^= b >> 16;
         b
     }
-
-    /// The node at Gray-code position `h`.
-    #[inline]
-    pub fn node_at_gray(&self, h: usize) -> NodeId {
-        NodeId((h ^ (h >> 1)) as u32)
-    }
 }
 
 impl Topology for Hypercube {
@@ -164,7 +158,7 @@ impl Topology for Hypercube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn rejects_degenerate_dimensions() {
@@ -211,16 +205,17 @@ mod tests {
     #[test]
     fn gray_labels_are_a_hamiltonian_path() {
         let h = Hypercube::new(5).unwrap();
-        let mut seen = BTreeSet::new();
+        let mut at_label = BTreeMap::new();
         for i in 0..32u32 {
-            let l = h.gray_label(NodeId(i));
-            assert_eq!(h.node_at_gray(l), NodeId(i), "inverse round-trip");
-            seen.insert(l);
+            at_label.insert(h.gray_label(NodeId(i)), NodeId(i));
         }
-        assert_eq!(seen.len(), 32);
+        assert!(
+            at_label.keys().copied().eq(0..32),
+            "labels are 0..32, once each"
+        );
         for l in 0..31usize {
-            let a = h.node_at_gray(l).idx();
-            let b = h.node_at_gray(l + 1).idx();
+            let a = at_label[&l].idx();
+            let b = at_label[&(l + 1)].idx();
             assert_eq!((a ^ b).count_ones(), 1, "gray neighbours are adjacent");
         }
     }

@@ -215,18 +215,6 @@ impl Mesh {
             y * self.width + (self.width - 1 - x)
         }
     }
-
-    /// Inverse of [`Mesh::hamiltonian_label`].
-    #[inline]
-    pub fn node_at_label(&self, h: usize) -> NodeId {
-        let y = h / self.width;
-        let x = h % self.width;
-        if y.is_multiple_of(2) {
-            self.node(x, y)
-        } else {
-            self.node(self.width - 1 - x, y)
-        }
-    }
 }
 
 impl Topology for Mesh {
@@ -308,7 +296,7 @@ impl Topology for Mesh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     #[test]
     fn rejects_degenerate_sizes() {
@@ -381,16 +369,18 @@ mod tests {
     #[test]
     fn hamiltonian_labels_are_a_bijection_between_adjacent_nodes() {
         let m = Mesh::new(4, 3, MeshKind::Mesh).unwrap();
-        let mut seen = BTreeSet::new();
+        let mut at_label = BTreeMap::new();
         for i in 0..12u32 {
-            seen.insert(m.hamiltonian_label(NodeId(i)));
-            assert_eq!(m.node_at_label(m.hamiltonian_label(NodeId(i))), NodeId(i));
+            at_label.insert(m.hamiltonian_label(NodeId(i)), NodeId(i));
         }
-        assert_eq!(seen.len(), 12);
+        assert!(
+            at_label.keys().copied().eq(0..12),
+            "labels are 0..12, once each"
+        );
         // Consecutive labels are physically adjacent.
         for h in 0..11usize {
-            let a = m.coords(m.node_at_label(h));
-            let b = m.coords(m.node_at_label(h + 1));
+            let a = m.coords(at_label[&h]);
+            let b = m.coords(at_label[&(h + 1)]);
             assert_eq!(a.0.abs_diff(b.0) + a.1.abs_diff(b.1), 1, "h={h}");
         }
     }

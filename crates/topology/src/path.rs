@@ -101,32 +101,6 @@ pub struct MulticastStream {
     pub targets: Vec<NodeId>,
 }
 
-impl MulticastStream {
-    /// Link distances (1-based link counts from the source) of each target,
-    /// matched against an externally supplied visit order.
-    ///
-    /// The topologies construct streams such that `targets` appear in the
-    /// same order as the path visits them; this helper re-derives each
-    /// target's distance given the per-hop downstream nodes.
-    pub fn target_distances(&self, downstream_of: impl Fn(ChannelId) -> NodeId) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.targets.len());
-        let mut next_target = 0usize;
-        // Link hops are hops[1..len-1]; hop i (1-based among links) lands on
-        // downstream_of(channel).
-        for (i, hop) in self.path.hops[1..self.path.hops.len() - 1]
-            .iter()
-            .enumerate()
-        {
-            let node = downstream_of(hop.channel);
-            if next_target < self.targets.len() && self.targets[next_target] == node {
-                out.push(i + 1);
-                next_target += 1;
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -82,12 +82,6 @@ impl Quarc {
         self.rim.n
     }
 
-    /// Quadrant size `k = N/4` (also the network diameter in links).
-    #[inline]
-    pub fn quadrant_size(&self) -> usize {
-        self.k
-    }
-
     /// Clockwise distance from `s` to `d` in `[0, N)`.
     #[inline]
     pub fn cw_dist(&self, s: NodeId, d: NodeId) -> usize {
@@ -366,7 +360,7 @@ mod tests {
         // broadcast requires N/4 hops in the Quarc vs N-1 in Spidergon).
         let q = Quarc::new(32).unwrap();
         for st in q.broadcast_streams(NodeId(5)) {
-            assert_eq!(st.path.link_count(), q.quadrant_size());
+            assert_eq!(st.path.link_count(), 32 / 4);
         }
     }
 
@@ -415,8 +409,11 @@ mod tests {
         let xl = &streams[0];
         assert_eq!(xl.port, port::CROSS_LEFT);
         let net = q.network();
-        let dists = xl.target_distances(|c| net.downstream(c));
-        // 8 at 1 link, 6 at 3 links, 5 at 4 links.
-        assert_eq!(dists, vec![1, 3, 4]);
+        // The cross link lands on 8, then the rim walks 7, 6, 5: the
+        // targets sit 1, 3 and 4 links out, in visit order.
+        let links = xl.path.channels().skip(1).take(xl.path.link_count());
+        let visited: Vec<NodeId> = links.map(|c| net.downstream(c)).collect();
+        assert_eq!(visited, [8, 7, 6, 5].map(NodeId));
+        assert_eq!(xl.targets, [8, 6, 5].map(NodeId));
     }
 }

@@ -154,14 +154,6 @@ impl DestinationSets {
         self.sets.len()
     }
 
-    /// Mean destination-set size across nodes.
-    pub fn mean_group_size(&self) -> f64 {
-        if self.sets.is_empty() {
-            return 0.0;
-        }
-        self.sets.iter().map(|s| s.len()).sum::<usize>() as f64 / self.sets.len() as f64
-    }
-
     /// Sample a uniformly random unicast destination distinct from `src`.
     pub fn random_unicast_dest(n: usize, src: NodeId, rng: &mut impl Rng) -> NodeId {
         debug_assert!(n >= 2);
@@ -194,7 +186,6 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), 4, "no duplicates");
         }
-        assert!((sets.mean_group_size() - 4.0).abs() < 1e-12);
     }
 
     #[test]

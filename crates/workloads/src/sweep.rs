@@ -116,14 +116,6 @@ impl RateSweep {
     pub fn is_empty(&self) -> bool {
         self.rates.is_empty()
     }
-
-    /// Truncate the sweep to rates strictly below `limit` (e.g. an
-    /// analytically determined saturation rate).
-    pub fn below(&self, limit: f64) -> RateSweep {
-        RateSweep {
-            rates: self.rates.iter().copied().filter(|&r| r < limit).collect(),
-        }
-    }
 }
 
 fn check_grid(lo: f64, hi: f64, points: usize) -> Result<(), SweepError> {
@@ -165,13 +157,6 @@ mod tests {
         for w in r.windows(2) {
             assert!((w[1] / w[0] - 2.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn below_filters() {
-        let s = RateSweep::linear(0.001, 0.01, 10).unwrap().below(0.0055);
-        assert!(s.rates().iter().all(|&r| r < 0.0055));
-        assert_eq!(s.len(), 5);
     }
 
     #[test]

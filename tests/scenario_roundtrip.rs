@@ -144,6 +144,36 @@ fn pre_telemetry_scenario_json_still_parses_and_runs() {
 }
 
 #[test]
+fn scenario_json_with_solver_settings_in_the_model_still_parses_and_runs() {
+    // Scenario files written while the model options carried the
+    // solver's `fixed_point` settings: the key is ignored, the spec equals
+    // a fresh one and runs bit-identically to it.
+    let sc = scenario_for(TopologySpec::Quarc { n: 16 });
+    let mut doc: serde::Value = serde::json::from_str(&sc.to_json()).unwrap();
+    let serde::Value::Map(fields) = &mut doc else {
+        panic!("scenario serializes as a map");
+    };
+    let (_, serde::Value::Map(model)) = fields.iter_mut().find(|(k, _)| k == "model").unwrap()
+    else {
+        panic!("the model overlay serializes as a map");
+    };
+    assert!(model.iter().all(|(k, _)| k != "fixed_point"));
+    let solver = r#"{"tolerance": 1e-9, "max_iterations": 10000, "bound": 1e12}"#;
+    model.insert(
+        3,
+        ("fixed_point".into(), serde::json::from_str(solver).unwrap()),
+    );
+    let legacy = serde::json::to_string_pretty(&doc);
+    assert!(legacy.contains("\"fixed_point\""));
+    let parsed = Scenario::from_json(&legacy).expect("legacy scenario parses");
+    assert_eq!(parsed, sc, "the solver settings are ignored");
+    let runner = Runner::new().threads(2);
+    let a = runner.run(&sc).unwrap();
+    let b = runner.run(&parsed).unwrap();
+    assert_eq!(a.to_json(), b.to_json(), "legacy spec runs bit-identically");
+}
+
+#[test]
 fn registry_round_trips_the_scale_families() {
     // `parse(spec.to_string())` is the registry contract; the scale
     // families carry structured arguments, so spell both forms out.

@@ -195,6 +195,43 @@ fn mesh_trace_obeys_wormhole_invariants() {
     check_both(&topo, &wl, SimConfig::quick(13), None, "mesh-4x4");
 }
 
+#[test]
+fn a_ring_that_never_wraps_returns_the_full_trace() {
+    // One recorder serves both trace modes, so a ring at or above the
+    // full log's length must hand back exactly that log on both engines;
+    // a ring that wraps keeps the newest events and counts the rest.
+    let topo = Quarc::new(16).unwrap();
+    let sets = DestinationSets::random(&topo, 4, 3);
+    let wl = Workload::new(16, 0.004, 0.05, sets).unwrap();
+    for kind in [EngineKind::Cycle, EngineKind::EventDriven] {
+        let run = |mode| {
+            let telemetry = TelemetrySpec::off().with_trace(mode);
+            let cfg = SimConfig::quick(7)
+                .with_engine(kind)
+                .with_telemetry(telemetry);
+            let mut sim = build_engine(&topo, &wl, cfg).expect("plan builds");
+            sim.run().trace.expect("trace captured")
+        };
+        let full = run(TraceMode::Full);
+        let len = full.events.len() as u32;
+        assert!(len > 10 && full.dropped == 0, "{kind:?}: {len} events");
+        for capacity in [len, 2 * len] {
+            let ring = run(TraceMode::Ring { capacity });
+            assert_eq!(
+                ring, full,
+                "{kind:?}: ring of {capacity}, full log of {len}"
+            );
+        }
+        let short = run(TraceMode::Ring { capacity: len - 10 });
+        assert_eq!(short.dropped, 10, "{kind:?}");
+        assert_eq!(
+            short.events,
+            full.events[10..],
+            "{kind:?}: the newest survive"
+        );
+    }
+}
+
 fn coherence() -> ClosedLoopSpec {
     ClosedLoopSpec::Coherence {
         window: 2,
