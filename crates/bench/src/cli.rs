@@ -139,9 +139,9 @@ impl Options {
             .with_seed(self.seed)
     }
 
-    /// A runner on `--threads` workers (no result cache).
+    /// A runner on `--threads` workers, caching under [`Self::cache_dir`].
     pub fn runner(&self) -> Runner {
-        Runner::new().threads(self.threads)
+        Runner::new().threads(self.threads).cache(self.cache_dir())
     }
 
     /// Write a file under the output directory, creating it if needed.
@@ -220,6 +220,33 @@ mod tests {
     fn json_flag_parses() {
         assert!(!parse(&[]).unwrap().json);
         assert!(parse(&["--json"]).unwrap().json);
+    }
+
+    #[test]
+    fn runners_cache_under_the_output_directory_unless_told_not_to() {
+        use crate::scenario::MulticastPattern;
+        let out = std::env::temp_dir().join(format!("noc-bench-cli-cache-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&out);
+        let dir = out.to_str().unwrap();
+        let cached_entries = |extra: &[&str]| {
+            let o = parse(&[&["--quick", "--threads", "1", "--out", dir], extra].concat()).unwrap();
+            let workload = WorkloadSpec::new(16, 0.05, MulticastPattern::Random { group: 4 });
+            let sweep = SweepSpec::Explicit { rates: vec![0.002] };
+            let sc = o.scenario("cli-cache", TopologySpec::Quarc { n: 16 }, workload, sweep);
+            o.runner().run(&sc).expect("scenario runs");
+            std::fs::read_dir(out.join("cache")).map_or(0, |d| d.count())
+        };
+        assert_eq!(
+            cached_entries(&["--no-cache"]),
+            0,
+            "--no-cache writes nothing"
+        );
+        assert_eq!(
+            cached_entries(&[]),
+            1,
+            "one point, one replicate, one entry"
+        );
+        std::fs::remove_dir_all(&out).unwrap();
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub fn run(opts: &Options) -> Result<()> {
     // ramp, dominates the measurement.
     let requests: u32 = if opts.quick { 32 } else { 128 };
     let windows: Vec<u32> = (0..opts.points as u32).map(|i| 1 << i).collect();
-    let runner = opts.runner().cache(opts.cache_dir());
+    let runner = opts.runner();
     for (label, topology) in PANELS {
         let mut table = Table::new(vec![
             "window",

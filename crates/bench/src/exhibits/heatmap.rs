@@ -42,7 +42,7 @@ pub fn run(opts: &Options) -> Result<()> {
         .map(|i| 0.2 + 0.6 * i as f64 / (opts.points - 1) as f64)
         .collect();
 
-    let runner = opts.runner().cache(opts.cache_dir());
+    let runner = opts.runner();
     for (label, topology) in PANELS {
         let sc = opts
             .scenario(

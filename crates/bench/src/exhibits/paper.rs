@@ -94,7 +94,7 @@ fn figure(figure: &str, pattern: Pattern, blurb: &str, opts: &Options) -> Result
     } else {
         default_panels(pattern, opts.seed)
     };
-    let runner = opts.runner().cache(opts.cache_dir()).on_progress(|p| {
+    let runner = opts.runner().on_progress(|p| {
         eprint!("\r{}: {}/{} points", p.scenario, p.completed, p.total);
         if p.completed == p.total {
             eprintln!();
@@ -122,10 +122,7 @@ fn figure(figure: &str, pattern: Pattern, blurb: &str, opts: &Options) -> Result
             &result.table(),
         )?;
         println!();
-        if opts.json {
-            emit_json(opts, &result)?;
-            println!();
-        }
+        emit_json(opts, &result)?;
     }
     Ok(())
 }

@@ -23,7 +23,7 @@
 
 use noc_bench::cli::Options;
 use noc_bench::Result;
-use noc_sim::{EventSimulator, SimConfig, SimPlan, SimResults, Simulator};
+use noc_sim::{build_engine_with_plan, EngineKind, SimConfig, SimPlan, SimResults};
 use noc_topology::TopologySpec;
 use noc_workloads::{DestinationSets, Workload};
 use std::sync::Arc;
@@ -103,13 +103,16 @@ fn run_rung(spec_str: &str, rate: f64, differential: bool, opts: &Options) -> Re
     assert!(plan.is_lazy(), "{spec_str}: implicit nets get lazy plans");
 
     let cfg = cfg(opts.quick, opts.seed);
+    let run = |kind| {
+        build_engine_with_plan(topo.as_ref(), &wl, cfg.with_engine(kind), Arc::clone(&plan)).run()
+    };
     let t0 = Instant::now();
-    let event = EventSimulator::with_plan(topo.as_ref(), &wl, cfg, Arc::clone(&plan)).run();
+    let event = run(EngineKind::EventDriven);
     let wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
     assert_finite(spec_str, "event", &event);
 
     if differential {
-        let cycle = Simulator::with_plan(topo.as_ref(), &wl, cfg, Arc::clone(&plan)).run();
+        let cycle = run(EngineKind::Cycle);
         assert_finite(spec_str, "cycle", &cycle);
         assert_eq!(event.cycles, cycle.cycles, "{spec_str}: cycles diverged");
         assert_eq!(

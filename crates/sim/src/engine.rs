@@ -1,36 +1,30 @@
-//! The cycle-stepped wormhole engine — the reference oracle.
+//! The cycle-stepped time-advance policy — the reference oracle.
 //!
-//! [`Simulator`] is the shared kernel (`fabric.rs`, which documents the
-//! four phases of a cycle) under the simplest possible time-advance
-//! policy: simulate *every* cycle, active or idle, and find the nodes
-//! that fire by polling all of them. That makes it slow at low load and
-//! trivially correct — exactly what a differential oracle should be. It
+//! [`EveryCycle`] drives the shared kernel (`fabric.rs`, which documents
+//! the four phases of a cycle) under the simplest possible policy:
+//! simulate *every* cycle, active or idle, and find the nodes that fire
+//! by polling all of them. That makes it slow at low load and trivially
+//! correct — exactly what a differential oracle should be. It
 //! deliberately stays off the [`EventQueue`](crate::schedule::EventQueue), so
 //! the queue's ordering is checked against this plain node-order scan
-//! rather than against itself. The production engine is
-//! [`crate::EventSimulator`], which reproduces this engine's runs
-//! bit-for-bit while skipping inert cycles.
+//! rather than against itself. An [`Engine`](crate::Engine) runs it when
+//! its config says [`EngineKind::Cycle`](crate::EngineKind::Cycle); the
+//! default, [`SkipAhead`](crate::event_engine::SkipAhead), reproduces its
+//! runs bit-for-bit while skipping inert cycles.
 
-use crate::engine_api::Engine;
 use crate::fabric::{Fabric, TimeAdvance};
 use crate::results::{EngineCounters, SimResults};
-
-/// The cycle-stepped simulator: [`Engine`] advancing [`EveryCycle`].
-pub type Simulator<'a> = Engine<'a, EveryCycle>;
 
 /// The oracle's time-advance policy: every cycle is simulated, and the
 /// nodes due on it are found by polling each node's next firing time in
 /// node order — the deterministic spawn order both engines share.
-pub struct EveryCycle {
+#[derive(Default)]
+pub(crate) struct EveryCycle {
     /// Next node to poll within the current cycle's scan.
     cursor: usize,
 }
 
 impl TimeAdvance for EveryCycle {
-    fn new(_: &Fabric<'_>) -> Self {
-        EveryCycle { cursor: 0 }
-    }
-
     fn next_due(&mut self, fabric: &Fabric<'_>) -> Option<u32> {
         while self.cursor < fabric.plan.n {
             let node = self.cursor;
@@ -45,8 +39,11 @@ impl TimeAdvance for EveryCycle {
 
     /// Nothing to remember: firing times are polled, not scheduled.
     fn schedule(&mut self, _at: u64, _node: u32) {}
+}
 
-    fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults {
+impl EveryCycle {
+    /// Step every cycle from [`Fabric::start`] to [`Fabric::run_end`].
+    pub(crate) fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults {
         let end = match fabric.start(self) {
             Some(end) => end,
             None => loop {
@@ -65,19 +62,24 @@ impl TimeAdvance for EveryCycle {
         fabric.finish(end, counters)
     }
 
-    fn step_one(&mut self, fabric: &mut Fabric<'_>) {
+    /// Simulate exactly the next cycle, untagged and unmeasured.
+    pub(crate) fn step_one(&mut self, fabric: &mut Fabric<'_>) {
         fabric.step(fabric.cycle + 1, false, false, self);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fabric::behaviour;
-    use crate::{EngineKind, SimConfig, SimEngine, SimPlan};
+    use crate::{build_engine_with_plan, Engine, EngineKind, SimConfig, SimPlan};
     use noc_topology::{NodeId, Quarc};
     use noc_workloads::{DestinationSets, Workload};
     use std::sync::Arc;
+
+    /// The quick config, naming the oracle.
+    fn oracle(seed: u64) -> SimConfig {
+        SimConfig::quick(seed).with_engine(EngineKind::Cycle)
+    }
 
     #[test]
     fn zero_load_unicast_latency_is_exact() {
@@ -108,7 +110,7 @@ mod tests {
     fn zero_load_broadcast_latency_matches_longest_stream() {
         let topo = Quarc::new(16).unwrap();
         let wl = Workload::new(32, 0.0, 0.0, DestinationSets::broadcast(&topo)).unwrap();
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut sim = Engine::new(&topo, &wl, oracle(1));
         let lat = sim.measure_isolated_multicast(NodeId(0));
         // All four broadcast streams traverse k = 4 links; the slowest
         // completes at msg + (k + 1) cycles.
@@ -122,7 +124,7 @@ mod tests {
         let mut means = Vec::new();
         for rate in [0.002, 0.02] {
             let wl = Workload::new(16, rate, 0.05, sets.clone()).unwrap();
-            let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(11));
+            let mut sim = Engine::new(&topo, &wl, oracle(11));
             let res = sim.run();
             assert!(res.unicast.count > 50, "need samples at rate {rate}");
             means.push(res.unicast.mean);
@@ -143,11 +145,11 @@ mod tests {
         let topo = Quarc::new(8).unwrap();
         let sets = DestinationSets::random(&topo, 2, 3);
         let wl = Workload::new(64, 0.9, 0.5, sets).unwrap();
-        let mut cfg = SimConfig::quick(13);
+        let mut cfg = oracle(13);
         cfg.warmup_cycles = 100;
         cfg.measure_cycles = 1_000_000; // never reached
         cfg.backlog_limit = 2_000;
-        let mut sim = Simulator::new(&topo, &wl, cfg);
+        let mut sim = Engine::new(&topo, &wl, cfg);
         let res = sim.run();
         assert!(res.saturated);
         assert!(
@@ -175,7 +177,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 6, 5);
         let wl = Workload::new(16, 0.008, 0.2, sets).unwrap();
-        let res = Simulator::new(&topo, &wl, SimConfig::quick(42)).run();
+        let res = Engine::new(&topo, &wl, oracle(42)).run();
         assert!(res.multicast.count > 20);
         assert!(
             res.multicast.mean >= res.stream.mean,
@@ -189,9 +191,9 @@ mod tests {
         let sets = DestinationSets::random(&topo, 4, 5);
         let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
         let plan = SimPlan::build(&topo, &wl).expect("plan builds");
-        let a = Simulator::new(&topo, &wl, SimConfig::quick(5)).run();
-        let b = Simulator::with_plan(&topo, &wl, SimConfig::quick(5), Arc::clone(&plan)).run();
-        let c = Simulator::with_plan(&topo, &wl, SimConfig::quick(5), plan).run();
+        let a = Engine::new(&topo, &wl, oracle(5)).run();
+        let b = build_engine_with_plan(&topo, &wl, oracle(5), Arc::clone(&plan)).run();
+        let c = build_engine_with_plan(&topo, &wl, oracle(5), plan).run();
         assert_eq!(a.flit_moves, b.flit_moves);
         assert_eq!(a.unicast.mean, b.unicast.mean);
         assert_eq!(b.flit_moves, c.flit_moves, "plans are reusable");

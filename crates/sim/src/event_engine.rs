@@ -1,9 +1,11 @@
-//! The event-driven wormhole engine.
+//! The event-driven time-advance policy — the default.
 //!
-//! [`EventSimulator`] is the shared kernel (`fabric.rs`) under a
-//! time-advance policy that only *simulates* cycles on which the network
-//! state can change, and jumps over the rest. Runs are bit-identical to
-//! the cycle-stepped reference ([`crate::Simulator`]) under the same
+//! [`SkipAhead`] drives the shared kernel (`fabric.rs`) so that an
+//! [`Engine`](crate::Engine) whose config says
+//! [`EngineKind::EventDriven`](crate::EngineKind::EventDriven) only
+//! *simulates* cycles on which the network state can change, and jumps
+//! over the rest. Runs are bit-identical to the cycle-stepped reference
+//! ([`EveryCycle`](crate::engine::EveryCycle)) under the same
 //! seed — same arrivals, same arbitration outcomes, same statistics in
 //! the same order — which the differential suite
 //! (`tests/engine_equivalence.rs`) enforces. The kernel being common
@@ -94,7 +96,6 @@
 //! scan dormant. They stay for the sweeps' low-to-mid-load points, where
 //! messages overlap too often to fly.
 
-use crate::engine_api::Engine;
 use crate::fabric::{
     refresh_ready_around, CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW,
 };
@@ -127,14 +128,10 @@ const SPAN_BACKOFF_CAP: u32 = 8;
 /// scanning and the scan overhead eats the streamed cycles it saves.
 const SPAN_PROFIT_MIN: u64 = 8;
 
-/// The event-driven simulator — the default engine: [`Engine`]
-/// advancing by [`SkipAhead`].
-pub type EventSimulator<'a> = Engine<'a, SkipAhead>;
-
 /// The event engine's time-advance policy: a priority queue of firing
 /// times, the stall-fixpoint flag, the flight offer and the
 /// streaming-span scan.
-pub struct SkipAhead {
+pub(crate) struct SkipAhead {
     /// Queue of `(next firing cycle, node)` — arrivals on
     /// open-loop runs, protocol timers on closed-loop ones (whose
     /// workloads are zero-rate, so the two never mix). Same-cycle entries
@@ -163,7 +160,21 @@ pub struct SkipAhead {
 }
 
 impl TimeAdvance for SkipAhead {
-    fn new(fabric: &Fabric<'_>) -> Self {
+    fn next_due(&mut self, fabric: &Fabric<'_>) -> Option<u32> {
+        let node = self.queue.pop_due(fabric.cycle)?;
+        self.counters.events_popped += 1;
+        debug_assert_eq!(fabric.fires_at(node as usize), fabric.cycle);
+        Some(node)
+    }
+
+    fn schedule(&mut self, at: u64, node: u32) {
+        self.queue.push(at, node);
+    }
+}
+
+impl SkipAhead {
+    /// A policy for a freshly built fabric (cycle 0, arrivals primed).
+    pub(crate) fn new(fabric: &Fabric<'_>) -> Self {
         let plan = &fabric.plan;
         let mut queue = EventQueue::with_capacity(plan.n);
         for node in 0..plan.n {
@@ -183,19 +194,8 @@ impl TimeAdvance for SkipAhead {
         }
     }
 
-    fn next_due(&mut self, fabric: &Fabric<'_>) -> Option<u32> {
-        let node = self.queue.pop_due(fabric.cycle)?;
-        self.counters.events_popped += 1;
-        debug_assert_eq!(fabric.fires_at(node as usize), fabric.cycle);
-        Some(node)
-    }
-
-    fn schedule(&mut self, at: u64, node: u32) {
-        self.queue.push(at, node);
-    }
-
     /// The oracle's trajectory, evaluated only on cycles of interest.
-    fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults {
+    pub(crate) fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults {
         let end = match fabric.start(self) {
             Some(end) => end,
             None => {
@@ -235,17 +235,17 @@ impl TimeAdvance for SkipAhead {
         fabric.finish(end, self.counters)
     }
 
-    fn step_one(&mut self, fabric: &mut Fabric<'_>) {
+    /// Simulate exactly the next cycle, untagged and unmeasured.
+    pub(crate) fn step_one(&mut self, fabric: &mut Fabric<'_>) {
         self.simulate_cycle(fabric, fabric.cycle + 1, false, None);
     }
 
-    /// New work exists; whatever stall was proven before no longer holds.
-    fn work_injected(&mut self) {
+    /// A scripted injection added work behind the policy's back:
+    /// whatever stall was proven before no longer holds.
+    pub(crate) fn work_injected(&mut self) {
         self.stalled = false;
     }
-}
 
-impl SkipAhead {
     /// Simulate exactly cycle `target` (every cycle strictly between the
     /// current one and `target` is inert by construction — see the module
     /// docs), tagged and measured iff `window`, and update the stall
@@ -540,20 +540,11 @@ impl SkipAhead {
     }
 }
 
-impl Engine<'_, SkipAhead> {
-    /// How many cycles were actually simulated (the rest were skipped or
-    /// fast-forwarded). Diagnostics: `now() / simulated_cycles()` is the
-    /// engine's effective compression ratio.
-    pub fn simulated_cycles(&self) -> u64 {
-        self.policy.counters.simulated_cycles
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fabric::behaviour;
-    use crate::{EngineKind, SimConfig};
+    use crate::{Engine, EngineKind, SimConfig};
     use noc_topology::Quarc;
     use noc_workloads::{DestinationSets, Workload};
 
@@ -591,16 +582,16 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 3);
         let wl = Workload::new(32, 0.0005, 0.05, sets).unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(7));
-        let res = sim.run();
+        let cfg = SimConfig::quick(7).with_engine(EngineKind::EventDriven);
+        let res = Engine::new(&topo, &wl, cfg).run();
         assert!(!res.saturated);
-        let ratio = res.cycles as f64 / sim.simulated_cycles() as f64;
+        let stepped = res.engine.simulated_cycles;
+        let ratio = res.cycles as f64 / stepped as f64;
         assert!(res.engine.flights > 0, "no arrival flew");
         assert!(
             ratio > 15.0,
             "expected >15x cycle compression at low load, got {ratio:.1} \
-             ({} simulated of {})",
-            sim.simulated_cycles(),
+             ({stepped} simulated of {})",
             res.cycles
         );
     }
@@ -610,7 +601,7 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 1);
         let wl = Workload::new(16, 0.0, 0.0, sets).unwrap();
-        let sim = EventSimulator::new(&topo, &wl, SimConfig::quick(1));
+        let sim = Engine::new(&topo, &wl, SimConfig::quick(1));
         let c = SkipAhead::next_watchdog_cycle(&sim.fabric);
         assert_eq!(c % WATCHDOG_STRIDE, 0);
         assert!(c > sim.fabric.last_move_cycle + WATCHDOG_WINDOW);

@@ -159,15 +159,14 @@ pub struct RunEnd {
     deadlocked: bool,
 }
 
-/// A time-advance policy: the half of an engine that decides which
-/// cycles the [`Fabric`] simulates and knows which nodes fire on them.
-/// Two exist, [`crate::engine::EveryCycle`] and
-/// [`crate::event_engine::SkipAhead`]; the module is private, so the set
-/// is closed.
+/// What the kernel asks of a time-advance policy, the half of an engine
+/// that decides which cycles the [`Fabric`] simulates (each calls
+/// [`Fabric::start`], then [`Fabric::step`] on the cycles of its choosing
+/// until [`Fabric::run_end`]) and knows which nodes fire on them. Two
+/// exist, [`crate::engine::EveryCycle`] and
+/// [`crate::event_engine::SkipAhead`]; [`crate::Engine`] holds one,
+/// chosen by [`SimConfig::engine`], and the kernel is generic over it.
 pub trait TimeAdvance {
-    /// A policy for a freshly built fabric (cycle 0, arrivals primed).
-    fn new(fabric: &Fabric<'_>) -> Self;
-
     /// The next node whose arrival or protocol timer is due at
     /// `fabric.cycle` (see [`Fabric::fires_at`]), node-ascending; `None`
     /// once the cycle's due nodes are exhausted.
@@ -176,17 +175,6 @@ pub trait TimeAdvance {
     /// `node` next fires at cycle `at` (a rescheduled arrival stream or a
     /// freshly set protocol timer).
     fn schedule(&mut self, at: u64, node: u32);
-
-    /// Run to completion: call [`Fabric::start`], then [`Fabric::step`]
-    /// on the cycles of the policy's choosing until [`Fabric::run_end`],
-    /// and hand over [`Fabric::finish`]'s results.
-    fn run(&mut self, fabric: &mut Fabric<'_>) -> SimResults;
-
-    /// Simulate exactly the next cycle, untagged and unmeasured.
-    fn step_one(&mut self, fabric: &mut Fabric<'_>);
-
-    /// A scripted injection added work behind the policy's back.
-    fn work_injected(&mut self) {}
 }
 
 /// All in-flight state of one simulation run, and every phase that
@@ -278,7 +266,7 @@ impl<'a> Fabric<'a> {
         }
     }
 
-    /// See [`crate::SimEngine::install_closed_loop`].
+    /// See [`crate::Engine::install_closed_loop`].
     pub(crate) fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
         assert_eq!(self.cycle, 0, "closed-loop install after the run started");
         assert!(
@@ -1017,17 +1005,17 @@ impl<'a> Fabric<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Scripted injection and diagnostics (the `SimEngine` test hooks).
+    // Scripted injection and diagnostics (the `Engine` test hooks).
     // ------------------------------------------------------------------
 
-    /// See [`crate::SimEngine::inject_unicast_now`].
+    /// See [`crate::Engine::inject_unicast_now`].
     pub(crate) fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
         let id = self.start_unicast(src, dst, false);
         self.grant();
         id
     }
 
-    /// See [`crate::SimEngine::inject_multicast_now`].
+    /// See [`crate::Engine::inject_multicast_now`].
     pub(crate) fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
         let mut ids = Vec::new();
         self.start_multicast(src, false, |id| ids.push(id));
@@ -1058,7 +1046,7 @@ impl<'a> Fabric<'a> {
         Ok((owned, ready))
     }
 
-    /// See [`crate::SimEngine::audit`].
+    /// See [`crate::Engine::audit`].
     pub(crate) fn audit(&self) -> Result<EngineAudit, String> {
         let mut owned_cvs = 0u64;
         let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
@@ -1215,7 +1203,7 @@ impl<'a> Fabric<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SimEngine, Simulator};
+    use crate::{Engine, EngineKind};
     use noc_topology::Quarc;
     use noc_workloads::{DestinationSets, Workload};
 
@@ -1252,7 +1240,7 @@ mod tests {
     fn contending_headers_are_granted_in_arrival_order_across_slot_reuse() {
         let topo = Quarc::new(16).unwrap();
         let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(1));
         let (src, dst) = (NodeId(0), NodeId(3));
         let slot = |id: MsgId| id & ((1 << Arena::<ActiveMsg>::INDEX_BITS) - 1);
 
@@ -1312,8 +1300,9 @@ mod tests {
         let wl = Workload::new(16, 0.0, 0.1, DestinationSets::random(&topo, 4, 1))
             .unwrap()
             .with_traffic(TrafficSpec::trace((0..24).map(entry).collect()));
-        let mut stepped = Simulator::new(&topo, &wl, SimConfig::quick(1));
-        let mut flown = crate::EventSimulator::new(&topo, &wl, SimConfig::quick(1));
+        let cfg = SimConfig::quick(1);
+        let mut stepped = Engine::new(&topo, &wl, cfg.with_engine(EngineKind::Cycle));
+        let mut flown = Engine::new(&topo, &wl, cfg);
         let (a, b) = (stepped.run(), flown.run());
         assert_eq!(
             (a.total_absorbed, a.flit_moves),
@@ -1326,7 +1315,7 @@ mod tests {
         assert!(stepped.fabric.active.is_empty() && flown.fabric.active.is_empty());
         // Both arenas hand out the same slots under the same tags next.
         for _ in 0..3 {
-            let ids = |sim: &mut dyn SimEngine| {
+            let ids = |sim: &mut Engine<'_>| {
                 let mut ids = sim.inject_multicast_now(NodeId(2));
                 ids.push(sim.inject_unicast_now(NodeId(0), NodeId(5)));
                 ids
@@ -1340,7 +1329,7 @@ mod tests {
     fn audit_names_the_channel_cv_or_message_that_drifted() {
         let topo = Quarc::new(16).unwrap();
         let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(1));
+        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(1));
         // One owner of the injection cv and two headers queued behind it.
         let ids: Vec<MsgId> = (0..3)
             .map(|_| sim.inject_unicast_now(NodeId(0), NodeId(3)))
@@ -1348,7 +1337,7 @@ mod tests {
         let inj = sim.fabric.msgs.get(ids[0], "owner").path.hops[0];
         let (pc, cv) = (inj.channel.idx(), sim.fabric.plan.cv_index(inj) as usize);
         sim.audit().expect("sound before tampering");
-        let fails_with = |sim: &Simulator<'_>, what: &str| {
+        let fails_with = |sim: &Engine<'_>, what: &str| {
             let err = sim.audit().expect_err(what);
             assert!(err.contains(what), "{err:?} does not mention {what:?}");
         };
@@ -1378,12 +1367,12 @@ mod tests {
 /// table for its own kind; only policy-specific tests live there.
 #[cfg(test)]
 pub(crate) mod behaviour {
-    use crate::{build_engine, EngineKind, SimConfig, SimResults};
+    use crate::{Engine, EngineKind, SimConfig, SimResults};
     use noc_topology::{NodeId, Quarc, Topology};
     use noc_workloads::{DestinationSets, Workload};
 
     fn run(kind: EngineKind, topo: &Quarc, wl: &Workload, cfg: SimConfig) -> SimResults {
-        let mut sim = build_engine(topo, wl, cfg.with_engine(kind)).expect("plan builds");
+        let mut sim = Engine::new(topo, wl, cfg.with_engine(kind));
         let res = sim.run();
         sim.audit().expect("post-run audit");
         res
@@ -1395,7 +1384,7 @@ pub(crate) mod behaviour {
             let sets = DestinationSets::random(&topo, 4, 1);
             let wl = Workload::new(msg_len, 0.0, 0.0, sets).unwrap();
             let cfg = SimConfig::quick(1).with_engine(kind);
-            let mut sim = build_engine(&topo, &wl, cfg).expect("plan builds");
+            let mut sim = Engine::new(&topo, &wl, cfg);
             let lat = sim.measure_isolated_unicast(NodeId(src), NodeId(dst));
             let path = topo.unicast_path(NodeId(src), NodeId(dst));
             let expected = msg_len as u64 + path.hop_count() as u64;

@@ -3,23 +3,23 @@
 //! A flit-level wormhole NoC simulator — the reproduction's substitute for
 //! the paper's OMNET++ discrete-event simulator (§4). One wormhole kernel
 //! (`fabric.rs`: cv state, arbitration, the four phases of a cycle) runs
-//! under **two time-advance policies** behind one [`SimEngine`] contract:
+//! inside one [`Engine`] under the time-advance policy its [`SimConfig`]
+//! names ([`EngineKind`]):
 //!
-//! * [`EventSimulator`] (default) — event-driven: skips provably inert
+//! * [`EngineKind::EventDriven`] (default) — skips provably inert
 //!   cycles, jumps between injections, grants and run boundaries, and
 //!   applies an uncontended message's whole transit in closed form.
 //!   About 100× faster at the low-load sweep points the Fig. 6/7
 //!   validation protocol spends most of its time on
 //!   (`sim.cycle.event_over_cycle.low` on the benchmark ledger), at parity
 //!   past saturation.
-//! * [`Simulator`] — cycle-stepped reference oracle: simulates every
+//! * [`EngineKind::Cycle`] — the reference oracle: simulates every
 //!   cycle and polls every node. Kept deliberately simple; the
 //!   differential suite (`tests/engine_equivalence.rs`) requires the
-//!   event engine to reproduce its runs bit-for-bit under a shared seed.
+//!   event policy to reproduce its runs bit-for-bit under a shared seed.
 //!
-//! Select the engine via the [`SimConfig`] `engine` field
-//! ([`EngineKind`]) and construct through [`build_engine`], or
-//! instantiate either engine directly.
+//! Construct with [`Engine::new`], or with [`build_engine_with_plan`] on
+//! a [`SimPlan`] shared across runs.
 //!
 //! ## Model of a node (paper Fig. 5)
 //!
@@ -83,9 +83,9 @@
 pub mod arena;
 mod closed_loop;
 pub mod config;
-pub mod engine;
+mod engine;
 pub mod engine_api;
-pub mod event_engine;
+mod event_engine;
 mod fabric;
 pub mod message;
 mod metrics;
@@ -95,15 +95,13 @@ pub mod schedule;
 
 pub use arena::Arena;
 pub use config::{EngineKind, SimConfig};
-pub use engine::Simulator;
-pub use engine_api::{build_engine, build_engine_with_plan, EngineAudit, SimEngine};
-pub use event_engine::EventSimulator;
+pub use engine_api::{build_engine_with_plan, Engine, EngineAudit};
 pub use plan::{PlanError, SimPlan};
 pub use results::{ClosedLoopResults, EngineCounters, LatencyHists, LatencyStats, SimResults};
 pub use schedule::{record_trace, Arrival, ArrivalStream};
 
 // Re-exported so engine users can name a protocol without depending on
-// `noc-app` directly (the closed-loop API surface lives on `SimEngine`).
+// `noc-app` directly (the closed-loop API surface lives on `Engine`).
 pub use noc_app::ClosedLoopSpec;
 
 // Re-exported so telemetry consumers (the bench runner, figure bins) can

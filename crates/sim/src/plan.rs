@@ -581,10 +581,10 @@ mod tests {
         let widest = Pair::new(SimPlan::MAX_VCS);
         let plan = SimPlan::build(&widest, &wl).expect("8 vcs fit");
         let cfg = crate::SimConfig::quick(3);
-        let mut sim = crate::EventSimulator::with_plan(&widest, &wl, cfg, plan);
+        let mut sim = crate::build_engine_with_plan(&widest, &wl, cfg, plan);
         let res = sim.run();
         assert!(res.complete() && res.flit_moves > 0);
-        crate::SimEngine::audit(&sim).expect("post-run audit");
+        sim.audit().expect("post-run audit");
     }
 
     #[test]

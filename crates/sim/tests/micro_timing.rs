@@ -1,5 +1,5 @@
 //! Cycle-precise micro scenarios with hand-derived expected timings,
-//! executed against **both** engines through the [`SimEngine`] trait.
+//! executed against **both** engine kinds through one [`Engine`] type.
 //!
 //! These tests pin the exact semantics of the wormhole engines: injection
 //! serialisation, FIFO link arbitration, blocking duration, virtual-channel
@@ -11,7 +11,7 @@
 //! exactness (and every contention timing) a property of the *contract*,
 //! not of one implementation.
 
-use noc_sim::{EngineKind, EventSimulator, SimConfig, SimEngine, Simulator};
+use noc_sim::{Engine, EngineKind, SimConfig};
 use noc_topology::{NodeId, Quarc, Topology};
 use noc_workloads::{DestinationSets, Workload};
 
@@ -34,12 +34,12 @@ fn isolated(links: u64) -> u64 {
 fn on_both_engines(
     topo: &dyn Topology,
     wl: &Workload,
-    mut scenario: impl FnMut(&mut dyn SimEngine, &str),
+    mut scenario: impl FnMut(&mut Engine<'_>, &str),
 ) {
     let cfg = SimConfig::quick(1);
-    let mut cycle = Simulator::new(topo, wl, cfg.with_engine(EngineKind::Cycle));
+    let mut cycle = Engine::new(topo, wl, cfg.with_engine(EngineKind::Cycle));
     scenario(&mut cycle, "cycle engine");
-    let mut event = EventSimulator::new(topo, wl, cfg);
+    let mut event = Engine::new(topo, wl, cfg.with_engine(EngineKind::EventDriven));
     scenario(&mut event, "event engine");
 }
 
@@ -316,10 +316,10 @@ fn scripted_injections_compose_with_poisson_background_on_both_engines() {
     let sets = DestinationSets::random(&topo, 4, 9);
     let wl = Workload::new(L as u32, 0.01, 0.1, sets).unwrap();
     let cfg = SimConfig::quick(17);
-    let mut cycle = Simulator::new(&topo, &wl, cfg.with_engine(EngineKind::Cycle));
-    let mut event = EventSimulator::new(&topo, &wl, cfg);
+    let mut cycle = Engine::new(&topo, &wl, cfg.with_engine(EngineKind::Cycle));
+    let mut event = Engine::new(&topo, &wl, cfg.with_engine(EngineKind::EventDriven));
     let completions: Vec<u64> = {
-        let run = |sim: &mut dyn SimEngine| {
+        let run = |sim: &mut Engine<'_>| {
             for _ in 0..100 {
                 sim.step_one();
             }

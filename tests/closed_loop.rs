@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{EngineKind, EventSimulator, SimConfig, SimResults, Simulator};
+use quarc_noc::sim::{Engine, EngineKind, SimConfig, SimResults};
 
 fn run_closed(
     engine: EngineKind,
@@ -19,21 +19,13 @@ fn run_closed(
     seed: u64,
 ) -> (SimResults, quarc_noc::sim::EngineAudit) {
     let wl = Workload::new(8, 0.0, 0.0, sets).unwrap();
-    let cfg = SimConfig::quick(seed).with_engine(engine);
-    match engine {
-        EngineKind::Cycle => {
-            let mut sim = Simulator::new(topo, &wl, cfg);
-            sim.install_closed_loop(spec, seed);
-            let res = sim.run();
-            (res, sim.audit().expect("cycle audit"))
-        }
-        EngineKind::EventDriven => {
-            let mut sim = EventSimulator::new(topo, &wl, cfg);
-            sim.install_closed_loop(spec, seed);
-            let res = sim.run();
-            (res, sim.audit().expect("event audit"))
-        }
-    }
+    let mut sim = Engine::new(topo, &wl, SimConfig::quick(seed).with_engine(engine));
+    sim.install_closed_loop(spec, seed);
+    let res = sim.run();
+    let audit = sim
+        .audit()
+        .unwrap_or_else(|e| panic!("{engine:?} audit: {e}"));
+    (res, audit)
 }
 
 fn check_conservation(
@@ -140,7 +132,8 @@ fn closed_loop_rejects_nonzero_rate() {
     // AssertUnwindSafe: nothing is reused after the catch, and Network's
     // implicit-storage handle is plain shared data either way.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-        let mut sim = Simulator::new(&topo, &wl, SimConfig::quick(3));
+        let cfg = SimConfig::quick(3).with_engine(EngineKind::Cycle);
+        let mut sim = Engine::new(&topo, &wl, cfg);
         sim.install_closed_loop(&spec, 3);
     }));
     assert!(result.is_err(), "non-zero rate must be rejected");

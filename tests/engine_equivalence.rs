@@ -7,7 +7,10 @@
 
 use proptest::prelude::*;
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{EngineAudit, EngineKind, EventSimulator, SimConfig, SimResults, Simulator};
+use quarc_noc::sim::{EngineAudit, EngineKind, SimConfig, SimResults};
+
+/// The oracle first, then the engine under test.
+const KINDS: [EngineKind; 2] = [EngineKind::Cycle, EngineKind::EventDriven];
 
 /// Run both engines on the same (topology, workload, seed) and return
 /// their results as (cycle, event).
@@ -22,14 +25,14 @@ fn both_audited(
     wl: &Workload,
     cfg: SimConfig,
 ) -> [(SimResults, EngineAudit); 2] {
-    let mut cycle = Simulator::new(topo, wl, cfg.with_engine(EngineKind::Cycle));
-    let mut event = EventSimulator::new(topo, wl, cfg.with_engine(EngineKind::EventDriven));
-    let (c, e) = (cycle.run(), event.run());
-    let audit = |sim: &dyn SimEngine, who| sim.audit().unwrap_or_else(|e| panic!("{who}: {e}"));
-    [
-        (c, audit(&cycle, "cycle engine audit")),
-        (e, audit(&event, "event engine audit")),
-    ]
+    KINDS.map(|kind| {
+        let mut sim = Engine::new(topo, wl, cfg.with_engine(kind));
+        let res = sim.run();
+        let audit = sim
+            .audit()
+            .unwrap_or_else(|e| panic!("{kind:?} engine audit: {e}"));
+        (res, audit)
+    })
 }
 
 /// Bitwise equality for f64 statistics (NaN-safe: both engines must
@@ -335,20 +338,21 @@ fn zero_rate_runs_terminate_identically() {
 // injections, same quiescence cycle.
 // ---------------------------------------------------------------------
 
-/// Run both engines closed-loop on the same (topology, sets, spec, seed).
+/// Run both engines closed-loop on the same (topology, sets, spec,
+/// config); `cfg.seed` seeds the protocol too.
 fn both_closed(
     topo: &dyn Topology,
     sets: DestinationSets,
     spec: &ClosedLoopSpec,
-    seed: u64,
+    cfg: SimConfig,
 ) -> (SimResults, SimResults) {
     let wl = Workload::new(8, 0.0, 0.0, sets).unwrap();
-    let cfg = SimConfig::quick(seed);
-    let mut cycle = Simulator::new(topo, &wl, cfg.with_engine(EngineKind::Cycle));
-    cycle.install_closed_loop(spec, seed);
-    let mut event = EventSimulator::new(topo, &wl, cfg.with_engine(EngineKind::EventDriven));
-    event.install_closed_loop(spec, seed);
-    (cycle.run(), event.run())
+    let [cycle, event] = KINDS.map(|kind| {
+        let mut sim = Engine::new(topo, &wl, cfg.with_engine(kind));
+        sim.install_closed_loop(spec, cfg.seed);
+        sim.run()
+    });
+    (cycle, event)
 }
 
 fn assert_closed_identical(cycle: &SimResults, event: &SimResults, ctx: &str) {
@@ -382,7 +386,7 @@ fn coherence_closed_loop_identical_on_quarc_and_mesh() {
     let topos: [&dyn Topology; 2] = [&quarc, &mesh];
     for topo in topos {
         let sets = DestinationSets::random(topo, 4, 51);
-        let (cycle, event) = both_closed(topo, sets, &spec, 51);
+        let (cycle, event) = both_closed(topo, sets, &spec, SimConfig::quick(51));
         let ctx = format!("{} coherence", topo.name());
         let cl = cycle.closed_loop.as_ref().unwrap();
         assert!(cl.quiesced, "{ctx}: must quiesce");
@@ -405,7 +409,7 @@ fn barrier_closed_loop_identical_on_quarc_and_torus() {
     let topos: [&dyn Topology; 2] = [&quarc, &torus];
     for topo in topos {
         let sets = DestinationSets::broadcast(topo);
-        let (cycle, event) = both_closed(topo, sets, &spec, 53);
+        let (cycle, event) = both_closed(topo, sets, &spec, SimConfig::quick(53));
         let ctx = format!("{} barrier", topo.name());
         let cl = cycle.closed_loop.as_ref().unwrap();
         assert!(cl.quiesced, "{ctx}: must quiesce");
@@ -425,11 +429,11 @@ fn closed_loop_seeds_decorrelate_but_replay() {
         write_fraction: 0.5,
     };
     let sets = DestinationSets::random(&topo, 4, 57);
-    let (a, _) = both_closed(&topo, sets.clone(), &spec, 57);
-    let (b, _) = both_closed(&topo, sets.clone(), &spec, 57);
+    let (a, _) = both_closed(&topo, sets.clone(), &spec, SimConfig::quick(57));
+    let (b, _) = both_closed(&topo, sets.clone(), &spec, SimConfig::quick(57));
     assert_eq!(a.flit_moves, b.flit_moves, "same seed replays");
     assert_eq!(a.cycles, b.cycles);
-    let (c, _) = both_closed(&topo, sets, &spec, 58);
+    let (c, _) = both_closed(&topo, sets, &spec, SimConfig::quick(58));
     assert_ne!(
         a.flit_moves, c.flit_moves,
         "different master seed, different run"
@@ -526,13 +530,8 @@ fn closed_loop_telemetry_identical_and_offsets_re_zeroed() {
         write_fraction: 0.3,
     };
     let sets = DestinationSets::random(&topo, 4, 71);
-    let wl = Workload::new(8, 0.0, 0.0, sets).unwrap();
     let cfg = SimConfig::quick(71).with_telemetry(TelemetrySpec::flight_recorder(1 << 16, 64));
-    let mut cycle = Simulator::new(&topo, &wl, cfg.with_engine(EngineKind::Cycle));
-    cycle.install_closed_loop(&spec, 71);
-    let mut event = EventSimulator::new(&topo, &wl, cfg.with_engine(EngineKind::EventDriven));
-    event.install_closed_loop(&spec, 71);
-    let (cycle, event) = (cycle.run(), event.run());
+    let (cycle, event) = both_closed(&topo, sets, &spec, cfg);
     assert_closed_identical(&cycle, &event, "quarc coherence telemetry");
     let util = cycle.util.as_ref().expect("util captured");
     assert!(
@@ -561,7 +560,8 @@ fn shared_plan_differential_pair_is_identical_too() {
         std::sync::Arc::clone(&plan),
     )
     .run();
-    let event = build_engine_with_plan(&topo, &wl, cfg, plan).run();
+    let event =
+        build_engine_with_plan(&topo, &wl, cfg.with_engine(EngineKind::EventDriven), plan).run();
     assert_runs_identical(&cycle, &event, "quarc shared plan");
 }
 

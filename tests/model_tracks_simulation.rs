@@ -9,7 +9,7 @@
 
 use quarc_noc::model::{max_sustainable_rate, AnalyticModel, ModelOptions};
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{SimConfig, Simulator};
+use quarc_noc::sim::{Engine, SimConfig};
 
 struct Agreement {
     unicast_err: f64,
@@ -23,7 +23,7 @@ fn compare(topo: &dyn Topology, proto: &Workload, load_frac: f64, seed: u64) -> 
     let pred = AnalyticModel::new(topo, &wl, ModelOptions::default())
         .evaluate()
         .expect("operating point below saturation");
-    let res = Simulator::new(topo, &wl, SimConfig::quick(seed)).run();
+    let res = Engine::new(topo, &wl, SimConfig::quick(seed)).run();
     assert!(
         !res.saturated,
         "simulation must not saturate at {load_frac} of model sat"
@@ -134,7 +134,7 @@ fn spidergon_one_port_unicast_tracks_simulation() {
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
         .unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(47)).run();
+    let res = Engine::new(&topo, &wl, SimConfig::quick(47)).run();
     assert!(!res.saturated);
     let err = (pred.unicast_latency - res.unicast.mean).abs() / res.unicast.mean;
     assert!(err < 0.08, "spidergon unicast error {err:.3}");
@@ -175,7 +175,7 @@ fn per_node_predictions_track_per_source_measurements() {
         .unwrap();
     let mut cfg = SimConfig::quick(53);
     cfg.measure_cycles *= 4; // per-source populations need more samples
-    let res = Simulator::new(&topo, &wl, cfg).run();
+    let res = Engine::new(&topo, &wl, cfg).run();
 
     let mut pairs = Vec::new();
     for nm in &pred.per_node {
@@ -221,7 +221,7 @@ fn model_is_conservative_near_its_knee() {
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
         .unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(41)).run();
+    let res = Engine::new(&topo, &wl, SimConfig::quick(41)).run();
     assert!(
         pred.multicast_latency > res.multicast.mean * 0.9,
         "near the knee the model should not underestimate grossly: model {} sim {}",

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{SimConfig, Simulator};
+use quarc_noc::sim::{build_engine_with_plan, Engine, SimConfig};
 
 #[test]
 fn no_deadlock_at_heavy_load_on_ring_topologies() {
@@ -22,26 +22,26 @@ fn no_deadlock_at_heavy_load_on_ring_topologies() {
     let quarc = Quarc::new(16).unwrap();
     let sets = DestinationSets::random(&quarc, 4, 1);
     let wl = Workload::new(32, 0.08, 0.10, sets).unwrap();
-    let res = Simulator::new(&quarc, &wl, cfg(1)).run();
+    let res = Engine::new(&quarc, &wl, cfg(1)).run();
     assert!(!res.deadlocked, "quarc deadlocked");
     assert!(res.total_absorbed > 0);
 
     let ring = Ring::new(8).unwrap();
     let sets = DestinationSets::random(&ring, 3, 1);
     let wl = Workload::new(32, 0.12, 0.10, sets).unwrap();
-    let res = Simulator::new(&ring, &wl, cfg(2)).run();
+    let res = Engine::new(&ring, &wl, cfg(2)).run();
     assert!(!res.deadlocked, "ring deadlocked");
 
     let torus = Mesh::new(4, 4, MeshKind::Torus).unwrap();
     let sets = DestinationSets::random(&torus, 4, 1);
     let wl = Workload::new(32, 0.08, 0.10, sets).unwrap();
-    let res = Simulator::new(&torus, &wl, cfg(3)).run();
+    let res = Engine::new(&torus, &wl, cfg(3)).run();
     assert!(!res.deadlocked, "torus deadlocked");
 
     let spid = Spidergon::new(16).unwrap();
     let sets = DestinationSets::random(&spid, 4, 1);
     let wl = Workload::new(32, 0.08, 0.10, sets).unwrap();
-    let res = Simulator::new(&spid, &wl, cfg(4)).run();
+    let res = Engine::new(&spid, &wl, cfg(4)).run();
     assert!(!res.deadlocked, "spidergon deadlocked");
 }
 
@@ -51,7 +51,7 @@ fn observed_latency_never_below_zero_load_bound() {
     let topo = Quarc::new(16).unwrap();
     let sets = DestinationSets::random(&topo, 4, 5);
     let wl = Workload::new(32, 0.006, 0.10, sets).unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(7)).run();
+    let res = Engine::new(&topo, &wl, SimConfig::quick(7)).run();
     // Cheapest possible unicast: 1 link => hop_count 2 => 32 + 2.
     assert!(res.unicast.min >= 34.0, "unicast min {}", res.unicast.min);
     // Cheapest multicast: the farthest target of the op is at least one
@@ -68,7 +68,7 @@ fn tagged_counts_are_consistent() {
     let topo = Quarc::new(16).unwrap();
     let sets = DestinationSets::random(&topo, 4, 5);
     let wl = Workload::new(16, 0.005, 0.2, sets).unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(11)).run();
+    let res = Engine::new(&topo, &wl, SimConfig::quick(11)).run();
     assert!(!res.saturated);
     assert_eq!(res.unicast_delivered, res.unicast_injected);
     assert_eq!(res.multicast_delivered, res.multicast_injected);
@@ -86,7 +86,7 @@ fn utilization_scales_linearly_at_low_load() {
     let mut utils = Vec::new();
     for rate in [0.002, 0.004] {
         let wl = Workload::new(32, rate, 0.05, sets.clone()).unwrap();
-        let res = Simulator::new(&topo, &wl, SimConfig::quick(13)).run();
+        let res = Engine::new(&topo, &wl, SimConfig::quick(13)).run();
         utils.push(res.max_utilization());
     }
     let ratio = utils[1] / utils[0];
@@ -114,7 +114,7 @@ fn model_channel_rates_match_simulated_utilization() {
     let mut cfg = SimConfig::quick(31);
     cfg.measure_cycles *= 8;
     cfg.drain_cycles *= 4;
-    let res = Simulator::new(&topo, &wl, cfg).run();
+    let res = Engine::new(&topo, &wl, cfg).run();
     assert!(!res.saturated);
 
     let net = topo.network();
@@ -144,13 +144,13 @@ fn same_seed_same_everything_different_seed_different_run() {
     let topo = Mesh::new(4, 3, MeshKind::Mesh).unwrap();
     let sets = DestinationSets::random(&topo, 3, 5);
     let wl = Workload::new(16, 0.01, 0.1, sets).unwrap();
-    let a = Simulator::new(&topo, &wl, SimConfig::quick(5)).run();
-    let b = Simulator::new(&topo, &wl, SimConfig::quick(5)).run();
+    let a = Engine::new(&topo, &wl, SimConfig::quick(5)).run();
+    let b = Engine::new(&topo, &wl, SimConfig::quick(5)).run();
     assert_eq!(a.flit_moves, b.flit_moves);
     assert_eq!(a.unicast.mean, b.unicast.mean);
     assert_eq!(a.multicast.mean, b.multicast.mean);
     assert_eq!(a.total_generated, b.total_generated);
-    let c = Simulator::new(&topo, &wl, SimConfig::quick(6)).run();
+    let c = Engine::new(&topo, &wl, SimConfig::quick(6)).run();
     assert_ne!(a.flit_moves, c.flit_moves);
 }
 
@@ -166,8 +166,8 @@ fn spidergon_one_port_serialisation_hurts_multicast() {
     let s_sets = DestinationSets::random(&spid, 8, 5);
     let q_wl = Workload::new(msg, 0.003, 0.1, q_sets).unwrap();
     let s_wl = Workload::new(msg, 0.003, 0.1, s_sets).unwrap();
-    let q = Simulator::new(&quarc, &q_wl, SimConfig::quick(3)).run();
-    let s = Simulator::new(&spid, &s_wl, SimConfig::quick(3)).run();
+    let q = Engine::new(&quarc, &q_wl, SimConfig::quick(3)).run();
+    let s = Engine::new(&spid, &s_wl, SimConfig::quick(3)).run();
     assert!(q.multicast.count > 10 && s.multicast.count > 10);
     assert!(
         s.multicast.mean > 2.0 * q.multicast.mean,
@@ -186,8 +186,8 @@ fn buffer_depth_one_still_works_but_slower_under_load() {
     deep.buffer_depth = 4;
     let mut shallow = SimConfig::quick(9);
     shallow.buffer_depth = 1;
-    let d = Simulator::new(&topo, &wl, deep).run();
-    let s = Simulator::new(&topo, &wl, shallow).run();
+    let d = Engine::new(&topo, &wl, deep).run();
+    let s = Engine::new(&topo, &wl, shallow).run();
     assert!(!d.deadlocked && !s.deadlocked);
     // Depth-1 buffers halve per-channel throughput under the one-cycle
     // credit loop, so latency must be no better.
@@ -202,7 +202,7 @@ fn buffer_depth_one_still_works_but_slower_under_load() {
 // ---------------------------------------------------------------------------
 // Proptest conservation invariants for the event-driven engine.
 //
-// `SimEngine::audit` walks the engine's resource state and rejects any
+// `Engine::audit` walks the engine's resource state and rejects any
 // structural violation (a cv owned by a dead message, a (message, hop)
 // holding two cvs, a live multicast op with zero targets remaining, broken
 // op accounting). On top of the audit these properties pin the
@@ -236,7 +236,7 @@ proptest! {
             sets,
         )
         .unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(seed));
+        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(seed));
         let res = sim.run();
         let audit = sim.audit().map_err(TestCaseError::fail)?;
         prop_assert_eq!(
@@ -270,7 +270,7 @@ proptest! {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, seed);
         let wl = Workload::new(16, rate_milli as f64 * 0.001, 0.2, sets).unwrap();
-        let mut sim = EventSimulator::new(&topo, &wl, SimConfig::quick(seed));
+        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(seed));
         for _ in 0..steps {
             sim.step_one();
         }
@@ -286,11 +286,8 @@ proptest! {
             "mid-run op accounting"
         );
         // The cycle engine under the same seed must agree mid-run too.
-        let mut reference = Simulator::new(
-            &topo,
-            &wl,
-            SimConfig::quick(seed).with_engine(EngineKind::Cycle),
-        );
+        let oracle = SimConfig::quick(seed).with_engine(EngineKind::Cycle);
+        let mut reference = Engine::new(&topo, &wl, oracle);
         for _ in 0..steps {
             reference.step_one();
         }
@@ -345,14 +342,13 @@ fn planned(
 
 /// The oracle and the event engine on one plan, in that order.
 fn both_engines<'a>(
-    topo: &'a dyn Topology,
+    topo: &dyn Topology,
     wl: &'a Workload,
     cfg: SimConfig,
     plan: &std::sync::Arc<SimPlan>,
-) -> [Box<dyn SimEngine + 'a>; 2] {
-    [EngineKind::Cycle, EngineKind::EventDriven].map(|kind| {
-        quarc_noc::sim::build_engine_with_plan(topo, wl, cfg.with_engine(kind), plan.clone())
-    })
+) -> [Engine<'a>; 2] {
+    [EngineKind::Cycle, EngineKind::EventDriven]
+        .map(|kind| build_engine_with_plan(topo, wl, cfg.with_engine(kind), plan.clone()))
 }
 
 proptest! {
@@ -429,7 +425,7 @@ fn span_fast_forward_leaves_the_ready_masks_current() {
     ] {
         let (topo, wl, plan) = planned(name, routing, 0.2, 32, 11).expect("realizable");
         let cfg = SimConfig::quick(11);
-        let mut sim = EventSimulator::with_plan(topo.as_ref(), &wl, cfg, plan);
+        let mut sim = build_engine_with_plan(topo.as_ref(), &wl, cfg, plan);
         let res = sim.run();
         assert!(!res.saturated, "{name}: low load");
         assert!(res.engine.spans_batched > 0, "{name}: no span was batched");
@@ -446,7 +442,7 @@ fn span_fast_forward_leaves_the_ready_masks_current() {
     let wl = Workload::new(600, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
     let mut cfg = SimConfig::quick(1);
     (cfg.warmup_cycles, cfg.measure_cycles) = (40, 160);
-    let mut sim = EventSimulator::new(&topo, &wl, cfg);
+    let mut sim = Engine::new(&topo, &wl, cfg);
     let mut ids = vec![
         sim.inject_unicast_now(NodeId(0), NodeId(3)),
         sim.inject_unicast_now(NodeId(0), NodeId(3)),

@@ -123,7 +123,7 @@ fn traced_run(
     let cfg = cfg
         .with_engine(kind)
         .with_telemetry(TelemetrySpec::off().with_trace(TraceMode::Full));
-    let mut sim = build_engine(topo, wl, cfg).expect("plan builds");
+    let mut sim = Engine::new(topo, wl, cfg);
     if let Some(spec) = closed {
         sim.install_closed_loop(spec, cfg.seed);
     }
@@ -209,7 +209,7 @@ fn a_ring_that_never_wraps_returns_the_full_trace() {
             let cfg = SimConfig::quick(7)
                 .with_engine(kind)
                 .with_telemetry(telemetry);
-            let mut sim = build_engine(&topo, &wl, cfg).expect("plan builds");
+            let mut sim = Engine::new(&topo, &wl, cfg);
             sim.run().trace.expect("trace captured")
         };
         let full = run(TraceMode::Full);

@@ -5,7 +5,7 @@
 
 use quarc_noc::model::{max_sustainable_rate, AnalyticModel, ModelOptions};
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{SimConfig, Simulator};
+use quarc_noc::sim::{Engine, SimConfig};
 use quarc_noc::workloads::UnicastPattern;
 
 fn proto(topo: &dyn Topology, pattern: UnicastPattern) -> Workload {
@@ -29,7 +29,7 @@ fn model_tracks_simulation_under_hot_spot_traffic() {
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
         .unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(3)).run();
+    let res = Engine::new(&topo, &wl, SimConfig::quick(3)).run();
     assert!(!res.saturated);
     let uni_err = (pred.unicast_latency - res.unicast.mean).abs() / res.unicast.mean;
     assert!(uni_err < 0.10, "hot-spot unicast error {uni_err:.3}");
@@ -71,7 +71,7 @@ fn hot_spot_concentrates_simulated_traffic() {
     )
     .at_rate(0.003)
     .unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(5)).run();
+    let res = Engine::new(&topo, &wl, SimConfig::quick(5)).run();
     let net = topo.network();
     let absorbed_at = |node: NodeId| -> f64 {
         net.channels()
@@ -97,7 +97,7 @@ fn complement_pattern_agrees_between_model_and_simulation() {
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
         .unwrap();
-    let res = Simulator::new(&topo, &wl, SimConfig::quick(7)).run();
+    let res = Engine::new(&topo, &wl, SimConfig::quick(7)).run();
     assert!(!res.saturated);
     let uni_err = (pred.unicast_latency - res.unicast.mean).abs() / res.unicast.mean;
     assert!(uni_err < 0.10, "complement unicast error {uni_err:.3}");
@@ -143,7 +143,7 @@ fn pattern_validation_guards_simulator_and_model() {
     // AssertUnwindSafe: nothing is reused after the catch, and Network's
     // implicit-storage handle is plain shared data either way.
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = Simulator::new(&topo, &bad, SimConfig::quick(1));
+        let _ = Engine::new(&topo, &bad, SimConfig::quick(1));
     }));
     assert!(
         result.is_err(),

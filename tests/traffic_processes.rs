@@ -31,8 +31,8 @@ fn quick_workload(topo: &dyn Topology, rate: f64, traffic: TrafficSpec) -> Workl
 /// Run both engines on the same (topology, workload, seed); the
 /// differential contract must hold for every traffic spec.
 fn both(topo: &dyn Topology, wl: &Workload, cfg: SimConfig) -> (SimResults, SimResults) {
-    let cycle = Simulator::new(topo, wl, cfg.with_engine(EngineKind::Cycle)).run();
-    let event = EventSimulator::new(topo, wl, cfg.with_engine(EngineKind::EventDriven)).run();
+    let [cycle, event] = [EngineKind::Cycle, EngineKind::EventDriven]
+        .map(|kind| Engine::new(topo, wl, cfg.with_engine(kind)).run());
     (cycle, event)
 }
 
@@ -179,7 +179,7 @@ fn permutation_patterns_route_to_the_defined_partner() {
             let wl = Workload::new(8, 0.004, 0.0, sets)
                 .unwrap()
                 .with_unicast_pattern(*pattern);
-            let res = EventSimulator::new(topo.as_ref(), &wl, SimConfig::quick(5)).run();
+            let res = Engine::new(topo.as_ref(), &wl, SimConfig::quick(5)).run();
             assert!(res.unicast.count > 0, "{pattern:?} on {}", topo.name());
             let net = topo.network();
             for ch in net.channels() {
