@@ -17,7 +17,7 @@
 //! child can never run two rounds ahead, because releasing round `k+1`
 //! needs this very machine's arrival first.
 
-use crate::protocol::{AppEvent, AppProtocol, Emission, NetEnv, Payload};
+use crate::protocol::{AppEvent, Emission, Payload};
 use noc_topology::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -29,20 +29,21 @@ mod kind {
 }
 
 /// The barrier/allreduce protocol description.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Barrier {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Barrier {
     /// Number of barrier rounds to run.
-    pub rounds: u32,
+    pub(crate) rounds: u32,
     /// Fan-in radix of the combining tree (`>= 1`).
-    pub radix: u32,
+    pub(crate) radix: u32,
     /// Maximum extra compute delay per round; each node draws uniformly
-    /// from `1..=1+compute` cycles before arriving.
-    pub compute: u64,
+    /// from `1..=1+compute` cycles before arriving (saturating at
+    /// `u64::MAX`).
+    pub(crate) compute: u64,
 }
 
 /// Per-node barrier machine state.
 #[derive(Clone, Debug)]
-pub struct BarState {
+pub(crate) struct BarState {
     num_children: u32,
     /// Current round (also the request id).
     round: u32,
@@ -67,7 +68,7 @@ impl Barrier {
     fn start_round(&self, st: &mut BarState, rng: &mut SmallRng, out: &mut Vec<Emission>) {
         out.push(Emission::Issued { req: st.round });
         out.push(Emission::Timer {
-            delay: rng.gen_range(1..=1 + self.compute),
+            delay: rng.gen_range(1..=self.compute.saturating_add(1)),
         });
     }
 
@@ -123,14 +124,11 @@ impl Barrier {
             debug_assert_eq!(st.early, 0, "arrivals past the last round");
         }
     }
-}
 
-impl AppProtocol for Barrier {
-    type State = BarState;
-
-    fn init(&self, node: NodeId, env: &NetEnv) -> BarState {
+    /// The initial state of `node`'s machine in a network of `n` nodes.
+    pub(crate) fn init(&self, node: NodeId, n: usize) -> BarState {
         BarState {
-            num_children: self.num_children(node, env.n),
+            num_children: self.num_children(node, n),
             round: 0,
             self_arrived: false,
             arrived: 0,
@@ -138,7 +136,8 @@ impl AppProtocol for Barrier {
         }
     }
 
-    fn step(
+    /// Advance `node`'s machine by one event.
+    pub(crate) fn step(
         &self,
         node: NodeId,
         st: &mut BarState,
@@ -185,14 +184,7 @@ impl AppProtocol for Barrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{Machines, ProtocolBank};
-
-    fn env(n: usize) -> NetEnv {
-        NetEnv {
-            n,
-            fanout: vec![(n - 1) as u32; n],
-        }
-    }
+    use crate::ClosedLoopSpec;
 
     #[test]
     fn tree_shape() {
@@ -218,13 +210,13 @@ mod tests {
         // Drive a 4-node radix-2 barrier by hand, playing the network:
         // deliver every emitted message instantly, fire timers in node
         // order. Two rounds must retire on every node, exactly once each.
-        let proto = Barrier {
+        let spec = ClosedLoopSpec::Barrier {
             rounds: 2,
             radix: 2,
             compute: 3,
         };
         let n = 4;
-        let mut bank = Machines::new(proto, &env(n), 9);
+        let mut bank = spec.build(&vec![(n - 1) as u32; n], 9);
         let mut retired = vec![0u32; n];
         let mut done = vec![false; n];
         let mut inbox: Vec<(NodeId, AppEvent)> = (0..n)

@@ -23,7 +23,7 @@
 //! when it is in the home's sharer set — that counts as a self-ack), so
 //! retirement checks are order-independent.
 
-use crate::protocol::{AppEvent, AppProtocol, Emission, NetEnv, Payload};
+use crate::protocol::{AppEvent, Emission, Payload};
 use noc_topology::NodeId;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -39,14 +39,14 @@ mod kind {
 }
 
 /// The invalidation-based coherence protocol description.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Coherence {
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Coherence {
     /// Maximum outstanding requests per node.
-    pub window: u32,
+    pub(crate) window: u32,
     /// Total requests each node issues over the run.
-    pub requests: u32,
+    pub(crate) requests: u32,
     /// Probability that a request is a write (`0.0..=1.0`).
-    pub write_fraction: f64,
+    pub(crate) write_fraction: f64,
 }
 
 /// One outstanding request at its requester.
@@ -64,7 +64,7 @@ struct Pending {
 
 /// Per-node coherence machine state.
 #[derive(Clone, Debug)]
-pub struct CohState {
+pub(crate) struct CohState {
     n: u32,
     /// This node's multicast fan-out — the ack count its `WriteGrant`s
     /// promise when it acts as a home.
@@ -125,22 +125,21 @@ impl Coherence {
             }
         }
     }
-}
 
-impl AppProtocol for Coherence {
-    type State = CohState;
-
-    fn init(&self, node: NodeId, env: &NetEnv) -> CohState {
+    /// The initial state of `node`'s machine; `fanout` holds every node's
+    /// multicast fan-out (the size of its destination set).
+    pub(crate) fn init(&self, node: NodeId, fanout: &[u32]) -> CohState {
         CohState {
-            n: env.n as u32,
-            fanout: env.fanout[node.idx()],
+            n: fanout.len() as u32,
+            fanout: fanout[node.idx()],
             next_seq: 0,
             retired: 0,
             pending: Vec::with_capacity(self.window as usize),
         }
     }
 
-    fn step(
+    /// Advance `node`'s machine by one event.
+    pub(crate) fn step(
         &self,
         node: NodeId,
         st: &mut CohState,
@@ -223,23 +222,21 @@ impl AppProtocol for Coherence {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{app_rng, Machines, ProtocolBank};
+    use crate::{ClosedLoopSpec, Machines};
 
-    fn env(n: usize, fanout: u32) -> NetEnv {
-        NetEnv {
-            n,
-            fanout: vec![fanout; n],
-        }
+    /// `n` coherence machines, each node's multicast reaching `fanout`.
+    fn machines(spec: ClosedLoopSpec, n: usize, fanout: u32, seed: u64) -> Machines {
+        spec.build(&vec![fanout; n], seed)
     }
 
     #[test]
     fn start_fills_the_window_only() {
-        let proto = Coherence {
+        let spec = ClosedLoopSpec::Coherence {
             window: 3,
             requests: 10,
             write_fraction: 0.0,
         };
-        let mut bank = Machines::new(proto, &env(8, 2), 7);
+        let mut bank = machines(spec, 8, 2, 7);
         let mut out = Vec::new();
         bank.step(NodeId(0), AppEvent::Start, &mut out);
         let issued = out
@@ -256,12 +253,12 @@ mod tests {
 
     #[test]
     fn read_retires_on_data_and_refills() {
-        let proto = Coherence {
+        let spec = ClosedLoopSpec::Coherence {
             window: 1,
             requests: 2,
             write_fraction: 0.0,
         };
-        let mut bank = Machines::new(proto, &env(4, 1), 1);
+        let mut bank = machines(spec, 4, 1, 1);
         let mut out = Vec::new();
         bank.step(NodeId(0), AppEvent::Start, &mut out);
         let Emission::Unicast { payload, .. } = out[1] else {
@@ -283,12 +280,12 @@ mod tests {
 
     #[test]
     fn write_waits_for_grant_and_all_acks() {
-        let proto = Coherence {
+        let spec = ClosedLoopSpec::Coherence {
             window: 1,
             requests: 1,
             write_fraction: 1.0,
         };
-        let mut bank = Machines::new(proto, &env(4, 2), 3);
+        let mut bank = machines(spec, 4, 2, 3);
         let mut out = Vec::new();
         bank.step(NodeId(0), AppEvent::Start, &mut out);
         let Emission::Unicast { payload, .. } = out[1] else {
@@ -333,12 +330,12 @@ mod tests {
 
     #[test]
     fn home_answers_statelessly() {
-        let proto = Coherence {
+        let spec = ClosedLoopSpec::Coherence {
             window: 1,
             requests: 1,
             write_fraction: 0.0,
         };
-        let mut bank = Machines::new(proto, &env(4, 2), 5);
+        let mut bank = machines(spec, 4, 2, 5);
         let mut out = Vec::new();
         let p = Payload {
             kind: kind::WRITE_REQ,
@@ -360,22 +357,26 @@ mod tests {
 
     #[test]
     fn homes_are_never_self_and_draws_are_reproducible() {
-        let proto = Coherence {
+        let spec = ClosedLoopSpec::Coherence {
             window: 4,
             requests: 64,
             write_fraction: 0.5,
         };
-        let e = env(8, 2);
-        for node in 0..8u32 {
-            let mut st = proto.init(NodeId(node), &e);
-            let mut rng = app_rng(11, NodeId(node));
+        let start = |bank: &mut Machines, node: u32| {
             let mut out = Vec::new();
-            proto.step(NodeId(node), &mut st, AppEvent::Start, &mut rng, &mut out);
+            bank.step(NodeId(node), AppEvent::Start, &mut out);
+            out
+        };
+        let mut bank = machines(spec, 8, 2, 11);
+        let mut replay = machines(spec, 8, 2, 11);
+        for node in 0..8u32 {
+            let out = start(&mut bank, node);
             for e in &out {
                 if let Emission::Unicast { dst, .. } = e {
                     assert_ne!(*dst, NodeId(node), "home must not be the requester");
                 }
             }
+            assert_eq!(out, start(&mut replay, node), "same seed, same draws");
         }
     }
 }

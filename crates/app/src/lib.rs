@@ -12,22 +12,20 @@
 //! cannot describe. This crate supplies that layer as *pure models* in the
 //! style of openmina's state-machine experiments:
 //!
-//! * [`AppProtocol`] — a per-node state machine as a pure function
-//!   `(state, event) -> (state', emissions)`. All randomness comes from a
-//!   seeded per-node [`rand::rngs::SmallRng`], so a protocol replays
+//! * [`ClosedLoopSpec`] — the serializable description of a protocol,
+//!   embedded in `noc_bench`'s `WorkloadSpec` and the only way to name
+//!   one. Two ship: invalidation-based *coherence* (read/write requests
+//!   to random homes, multicast invalidation fan-out, ack collection, a
+//!   bounded window of outstanding requests per node) and a *barrier*
+//!   (radix-`r` fan-in rounds with randomized compute delays, exercising
+//!   the timeout path, released by a root multicast).
+//! * [`Machines`] — what [`ClosedLoopSpec::build`] returns: one machine
+//!   per node, each a pure function `(state, event) -> (state',
+//!   emissions)`. All randomness comes from a seeded per-node
+//!   [`rand::rngs::SmallRng`] ([`app_rng`]), so a protocol replays
 //!   bit-identically on the cycle and event engines. Machines never touch
-//!   the network directly: they return [`Emission`] values and the engine
-//!   side (the dispatcher, `noc_sim::ClosedLoopDriver`) performs them.
-//! * [`ProtocolBank`] / [`Machines`] — the object-safe bundle of one
-//!   machine per node that the dispatcher drives.
-//! * [`Coherence`] — an invalidation-based coherence protocol: read/write
-//!   requests to random home nodes, multicast invalidation fan-out, ack
-//!   collection, a bounded window of outstanding requests per node.
-//! * [`Barrier`] — barrier/allreduce rounds over a configurable radix-`r`
-//!   fan-in tree with randomized compute delays (exercising the timeout
-//!   path), released by a root multicast.
-//! * [`ClosedLoopSpec`] — the serializable description of either protocol,
-//!   embedded in `noc_bench`'s `WorkloadSpec`.
+//!   the network: they return [`Emission`] values and the engine side
+//!   (the dispatcher, `noc_sim::ClosedLoopDriver`) performs them.
 //!
 //! The strict model/dispatcher split is the determinism story: every
 //! side effect is data ([`Emission`]), every input is data ([`AppEvent`]),
@@ -43,14 +41,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod barrier;
-pub mod coherence;
+mod barrier;
+mod coherence;
 pub mod protocol;
 pub mod spec;
 
-pub use barrier::Barrier;
-pub use coherence::Coherence;
-pub use protocol::{
-    app_rng, AppEvent, AppProtocol, Emission, Machines, NetEnv, Payload, ProtocolBank,
-};
+pub use protocol::{app_rng, AppEvent, Emission, Machines, Payload};
 pub use spec::ClosedLoopSpec;

@@ -1,14 +1,16 @@
 //! The pure protocol model: events in, emissions out.
 //!
-//! An [`AppProtocol`] is a deterministic per-node state machine. The
+//! [`Machines`] holds one deterministic state machine per node. The
 //! engine-facing dispatcher translates network happenings into
-//! [`AppEvent`]s, feeds them to the machine, and performs the returned
-//! [`Emission`]s — the machine itself never sees a cycle number, a channel
-//! or an engine. That split is what makes closed-loop runs replay
+//! [`AppEvent`]s, feeds them to the machines, and performs the returned
+//! [`Emission`]s — a machine never sees a cycle number, a channel or an
+//! engine. That split is what makes closed-loop runs replay
 //! bit-identically on the cycle and the event engine: both feed the same
 //! event sequence in the same order, and all randomness is drawn from the
 //! machine's own seeded RNG.
 
+use crate::barrier::{BarState, Barrier};
+use crate::coherence::{CohState, Coherence};
 use noc_topology::NodeId;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -78,7 +80,8 @@ pub enum Emission {
         payload: Payload,
     },
     /// Request a [`AppEvent::Timeout`] `delay` cycles from now
-    /// (`delay >= 1`; at most one timer may be pending per node).
+    /// (`delay >= 1`; at most one timer may be pending per node; a due
+    /// cycle past `u64::MAX` saturates to it, which never fires).
     Timer {
         /// Cycles until the timeout fires (must be at least 1).
         delay: u64,
@@ -99,89 +102,42 @@ pub enum Emission {
     Done,
 }
 
-/// Static network facts a protocol may condition on: fixed before the run,
-/// identical on both engines.
-#[derive(Clone, Debug)]
-pub struct NetEnv {
-    /// Number of nodes.
-    pub n: usize,
-    /// Per-node multicast fan-out: how many targets one multicast
-    /// operation from node `i` reaches (the size of its destination set).
-    pub fanout: Vec<u32>,
-}
-
-/// A deterministic per-node protocol state machine.
+/// The per-node machines of one closed-loop run, built by
+/// [`ClosedLoopSpec::build`](crate::ClosedLoopSpec::build): one protocol
+/// state and one seeded RNG per node.
 ///
-/// `step` must be a pure function of `(state, event, rng)`: no
+/// A machine's step is a pure function of `(state, event, rng)`: no
 /// interior mutability, no global state, no clocks. The dispatcher owns
 /// when events happen; the machine owns only what they mean.
-pub trait AppProtocol {
-    /// Per-node machine state.
-    type State;
-
-    /// The initial state of `node`'s machine.
-    fn init(&self, node: NodeId, env: &NetEnv) -> Self::State;
-
-    /// Advance `node`'s machine by one event, appending emissions to
-    /// `out` in the order they should be performed.
-    fn step(
-        &self,
-        node: NodeId,
-        state: &mut Self::State,
-        event: AppEvent,
-        rng: &mut SmallRng,
-        out: &mut Vec<Emission>,
-    );
+pub struct Machines {
+    pub(crate) bank: Bank,
+    pub(crate) rngs: Vec<SmallRng>,
 }
 
-/// Object-safe bundle of one protocol machine per node — the interface the
-/// engine-side dispatcher drives.
-pub trait ProtocolBank {
-    /// Number of node machines in the bank.
-    fn num_nodes(&self) -> usize;
-
-    /// Feed `event` to `node`'s machine, appending its emissions to `out`.
-    fn step(&mut self, node: NodeId, event: AppEvent, out: &mut Vec<Emission>);
+/// One protocol description with its per-node states.
+pub(crate) enum Bank {
+    Coherence(Coherence, Vec<CohState>),
+    Barrier(Barrier, Vec<BarState>),
 }
 
-/// The standard [`ProtocolBank`]: one `P::State` and one seeded RNG per
-/// node, all driven by a single protocol description.
-pub struct Machines<P: AppProtocol> {
-    proto: P,
-    states: Vec<P::State>,
-    rngs: Vec<SmallRng>,
-}
+impl Machines {
+    /// Number of node machines.
+    pub fn num_nodes(&self) -> usize {
+        self.rngs.len()
+    }
 
-impl<P: AppProtocol> Machines<P> {
-    /// Build the per-node machines for `env` under `master_seed`.
-    pub fn new(proto: P, env: &NetEnv, master_seed: u64) -> Self {
-        let states = (0..env.n)
-            .map(|i| proto.init(NodeId(i as u32), env))
-            .collect();
-        let rngs = (0..env.n)
-            .map(|i| app_rng(master_seed, NodeId(i as u32)))
-            .collect();
-        Machines {
-            proto,
-            states,
-            rngs,
+    /// Feed `event` to `node`'s machine, appending its emissions to `out`
+    /// in the order they should be performed.
+    pub fn step(&mut self, node: NodeId, event: AppEvent, out: &mut Vec<Emission>) {
+        let rng = &mut self.rngs[node.idx()];
+        match &mut self.bank {
+            Bank::Coherence(proto, states) => {
+                proto.step(node, &mut states[node.idx()], event, rng, out)
+            }
+            Bank::Barrier(proto, states) => {
+                proto.step(node, &mut states[node.idx()], event, rng, out)
+            }
         }
-    }
-}
-
-impl<P: AppProtocol> ProtocolBank for Machines<P> {
-    fn num_nodes(&self) -> usize {
-        self.states.len()
-    }
-
-    fn step(&mut self, node: NodeId, event: AppEvent, out: &mut Vec<Emission>) {
-        self.proto.step(
-            node,
-            &mut self.states[node.idx()],
-            event,
-            &mut self.rngs[node.idx()],
-            out,
-        );
     }
 }
 

@@ -2,11 +2,12 @@
 //!
 //! [`ClosedLoopSpec`] is the data form of a protocol — what
 //! `noc_bench::WorkloadSpec` embeds and scenario JSON round-trips —
-//! plus the factory that builds the per-node machine bank for a run.
+//! plus the factory that builds the per-node [`Machines`] for a run.
 
 use crate::barrier::Barrier;
 use crate::coherence::Coherence;
-use crate::protocol::{Machines, NetEnv, ProtocolBank};
+use crate::protocol::{app_rng, Bank, Machines};
+use noc_topology::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// A closed-loop protocol selection with its parameters.
@@ -15,7 +16,9 @@ use serde::{Deserialize, Serialize};
 /// `{"Coherence": {"window": 4, ...}}`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ClosedLoopSpec {
-    /// Invalidation-based coherence (see [`Coherence`]).
+    /// Invalidation-based coherence: read/write requests to random home
+    /// nodes, multicast invalidation fan-out over the home's destination
+    /// set, ack collection, a bounded window of outstanding requests.
     Coherence {
         /// Maximum outstanding requests per node.
         window: u32,
@@ -24,7 +27,8 @@ pub enum ClosedLoopSpec {
         /// Probability that a request is a write.
         write_fraction: f64,
     },
-    /// Barrier/allreduce rounds over a radix tree (see [`Barrier`]).
+    /// Barrier/allreduce rounds over a radix tree rooted at node 0, with
+    /// randomized compute delays, released by a root multicast.
     Barrier {
         /// Number of barrier rounds.
         rounds: u32,
@@ -91,54 +95,38 @@ impl ClosedLoopSpec {
         matches!(self, ClosedLoopSpec::Barrier { .. })
     }
 
-    /// The nominal outstanding-request bound per node (1 for the barrier:
-    /// one round in flight at a time).
-    pub fn window(&self) -> u32 {
-        match *self {
-            ClosedLoopSpec::Coherence { window, .. } => window,
-            ClosedLoopSpec::Barrier { .. } => 1,
-        }
-    }
-
-    /// Total requests the whole run will retire.
-    pub fn total_requests(&self, n: usize) -> u64 {
-        let per_node = match *self {
-            ClosedLoopSpec::Coherence { requests, .. } => requests as u64,
-            ClosedLoopSpec::Barrier { rounds, .. } => rounds as u64,
-        };
-        per_node * n as u64
-    }
-
-    /// Build the per-node machine bank for `env` under `master_seed`.
-    pub fn build(&self, env: &NetEnv, master_seed: u64) -> Box<dyn ProtocolBank> {
-        match *self {
+    /// Build the per-node machines for a network whose node `i` multicasts
+    /// to `fanout[i]` targets, under `master_seed`.
+    pub fn build(&self, fanout: &[u32], master_seed: u64) -> Machines {
+        let nodes = (0..fanout.len() as u32).map(NodeId);
+        let rngs = nodes.clone().map(|i| app_rng(master_seed, i)).collect();
+        let bank = match *self {
             ClosedLoopSpec::Coherence {
                 window,
                 requests,
                 write_fraction,
-            } => Box::new(Machines::new(
-                Coherence {
+            } => {
+                let proto = Coherence {
                     window,
                     requests,
                     write_fraction,
-                },
-                env,
-                master_seed,
-            )),
+                };
+                Bank::Coherence(proto, nodes.map(|i| proto.init(i, fanout)).collect())
+            }
             ClosedLoopSpec::Barrier {
                 rounds,
                 radix,
                 compute,
-            } => Box::new(Machines::new(
-                Barrier {
+            } => {
+                let proto = Barrier {
                     rounds,
                     radix,
                     compute,
-                },
-                env,
-                master_seed,
-            )),
-        }
+                };
+                Bank::Barrier(proto, nodes.map(|i| proto.init(i, fanout.len())).collect())
+            }
+        };
+        Machines { bank, rngs }
     }
 }
 
@@ -203,8 +191,6 @@ mod tests {
             requests: 100,
             write_fraction: 0.3,
         };
-        assert_eq!(coh.window(), 4);
-        assert_eq!(coh.total_requests(16), 1600);
         assert!(!coh.needs_broadcast());
         assert_eq!(coh.code(), "coh-w4");
         let bar = ClosedLoopSpec::Barrier {
@@ -212,8 +198,6 @@ mod tests {
             radix: 2,
             compute: 16,
         };
-        assert_eq!(bar.window(), 1);
-        assert_eq!(bar.total_requests(16), 128);
         assert!(bar.needs_broadcast());
         assert_eq!(bar.code(), "bar-r8x2");
     }

@@ -1,8 +1,8 @@
 //! The engine-side closed-loop dispatcher.
 //!
 //! [`ClosedLoopDriver`] is the impure half of the closed-loop split: it
-//! owns the per-node protocol machines (a [`ProtocolBank`] built from a
-//! [`noc_app::ClosedLoopSpec`]), translates network happenings into
+//! owns the per-node protocol [`Machines`] (built by
+//! [`noc_app::ClosedLoopSpec::build`]), translates network happenings into
 //! [`AppEvent`]s, and turns the machines' [`Emission`]s into engine
 //! actions (injections, timers) plus run accounting (issued/retired
 //! requests, completion latencies, outstanding-window occupancy).
@@ -27,7 +27,7 @@
 
 use crate::message::{MsgId, OpId};
 use crate::results::{ClosedLoopResults, LatencyStats};
-use noc_app::{AppEvent, Emission, Payload, ProtocolBank};
+use noc_app::{AppEvent, Emission, Machines, Payload};
 use noc_queueing::Welford;
 use noc_telemetry::LogHistogram;
 use noc_topology::NodeId;
@@ -71,7 +71,7 @@ pub(crate) enum Action {
 
 /// Protocol machines plus the closed-loop bookkeeping of one run.
 pub(crate) struct ClosedLoopDriver {
-    bank: Box<dyn ProtocolBank>,
+    machines: Machines,
     /// Pending wake-up per node (at most one, enforced on emission).
     timers: Vec<Option<u64>>,
     /// Nodes that emitted [`Emission::Done`].
@@ -95,10 +95,10 @@ pub(crate) struct ClosedLoopDriver {
 }
 
 impl ClosedLoopDriver {
-    pub(crate) fn new(bank: Box<dyn ProtocolBank>) -> Self {
-        let n = bank.num_nodes();
+    pub(crate) fn new(machines: Machines) -> Self {
+        let n = machines.num_nodes();
         ClosedLoopDriver {
-            bank,
+            machines,
             timers: vec![None; n],
             done: vec![false; n],
             unicast_payload: HashMap::new(),
@@ -131,7 +131,7 @@ impl ClosedLoopDriver {
         }
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
-        self.bank.step(node, event, &mut out);
+        self.machines.step(node, event, &mut out);
         for &e in &out {
             match e {
                 Emission::Unicast { dst, payload } => {
@@ -152,11 +152,10 @@ impl ClosedLoopDriver {
                         "node {} set a second timer",
                         node.0
                     );
-                    self.timers[node.idx()] = Some(now + delay);
-                    actions.push(Action::Timer {
-                        node,
-                        at: now + delay,
-                    });
+                    // Saturating: a timer at `u64::MAX` never fires.
+                    let at = now.saturating_add(delay);
+                    self.timers[node.idx()] = Some(at);
+                    actions.push(Action::Timer { node, at });
                 }
                 Emission::Issued { req } => {
                     self.update_occ(now);
@@ -272,7 +271,7 @@ impl ClosedLoopDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_app::{ClosedLoopSpec, NetEnv};
+    use noc_app::ClosedLoopSpec;
 
     fn driver(n: usize) -> ClosedLoopDriver {
         let spec = ClosedLoopSpec::Coherence {
@@ -280,11 +279,7 @@ mod tests {
             requests: 4,
             write_fraction: 0.0,
         };
-        let env = NetEnv {
-            n,
-            fanout: vec![(n - 1) as u32; n],
-        };
-        ClosedLoopDriver::new(spec.build(&env, 7))
+        ClosedLoopDriver::new(spec.build(&vec![(n - 1) as u32; n], 7))
     }
 
     #[test]

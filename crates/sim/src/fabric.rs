@@ -59,7 +59,7 @@ use crate::metrics::Metrics;
 use crate::plan::SimPlan;
 use crate::results::{EngineCounters, SimResults};
 use crate::schedule::{Arrival, ArrivalStream};
-use noc_app::{AppEvent, ClosedLoopSpec, NetEnv};
+use noc_app::{AppEvent, ClosedLoopSpec};
 use noc_telemetry::TraceEventKind;
 use noc_topology::{NodeId, Path, Topology};
 use noc_workloads::Workload;
@@ -273,13 +273,10 @@ impl<'a> Fabric<'a> {
             self.arrivals.iter().all(|s| s.next_arrival() == u64::MAX),
             "closed-loop runs require a zero-rate workload"
         );
-        let env = NetEnv {
-            n: self.plan.n,
-            fanout: self.plan.fanout_table(),
-        };
         // Closed-loop runs measure every cycle from cycle 1.
         self.metrics.set_measure_origin(0);
-        self.closed = Some(ClosedLoopDriver::new(spec.build(&env, master_seed)));
+        let machines = spec.build(self.plan.fanout_table(), master_seed);
+        self.closed = Some(ClosedLoopDriver::new(machines));
     }
 
     /// The cycle `node` next fires on: its pending protocol timer on a

@@ -347,13 +347,10 @@ impl SimPlan {
         }
     }
 
-    /// Per-node multicast fan-out (total targets per operation), cloned
-    /// for engine-side bookkeeping.
-    pub(crate) fn fanout_table(&self) -> Vec<u32> {
+    /// Per-node multicast fan-out (total targets per operation).
+    pub(crate) fn fanout_table(&self) -> &[u32] {
         match &self.tables {
-            Tables::Dense { op_targets, .. } | Tables::Lazy { op_targets, .. } => {
-                op_targets.clone()
-            }
+            Tables::Dense { op_targets, .. } | Tables::Lazy { op_targets, .. } => op_targets,
         }
     }
 

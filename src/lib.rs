@@ -15,7 +15,7 @@ pub use quarc_core as model;
 
 /// Convenient single-import surface for examples and downstream users.
 pub mod prelude {
-    pub use noc_app::{AppEvent, AppProtocol, ClosedLoopSpec, Emission, NetEnv, ProtocolBank};
+    pub use noc_app::{AppEvent, ClosedLoopSpec, Emission};
     pub use noc_bench::{
         Error, MulticastPattern, PointResult, Progress, Runner, Scenario, ScenarioResult,
         SweepSpec, WorkloadSpec,

@@ -5,7 +5,8 @@
 //! live messages, no pending timers, no outstanding window slots. The
 //! proptests below drive randomly drawn protocol parameters through
 //! both engines and check the promise against the engines' structural
-//! audit, not just the driver's own counters.
+//! audit, not just the driver's own counters. Two runs are pinned to
+//! recorded outcomes on both engines.
 
 use proptest::prelude::*;
 use quarc_noc::prelude::*;
@@ -84,7 +85,7 @@ proptest! {
             requests,
             write_fraction: write_pct as f64 / 100.0,
         };
-        let expected = spec.total_requests(16);
+        let expected = 16 * requests as u64;
         let sets = DestinationSets::random(&topo, group, seed);
         for engine in [EngineKind::Cycle, EngineKind::EventDriven] {
             let (res, audit) = run_closed(engine, &topo, sets.clone(), &spec, seed);
@@ -108,11 +109,86 @@ proptest! {
     ) {
         let topo = Quarc::new(16).unwrap();
         let spec = ClosedLoopSpec::Barrier { rounds, radix, compute };
-        let expected = spec.total_requests(16);
+        let expected = 16 * rounds as u64;
         let sets = DestinationSets::broadcast(&topo);
         for engine in [EngineKind::Cycle, EngineKind::EventDriven] {
             let (res, audit) = run_closed(engine, &topo, sets.clone(), &spec, seed);
             check_conservation(&res, &audit, expected, &format!("{engine:?} barrier"))?;
+        }
+    }
+}
+
+#[test]
+fn closed_loop_runs_match_recorded_outcomes() {
+    // The engine suites compare the two engines with each other, so a
+    // reordered protocol draw that both engines share would pass them.
+    // These outcomes are fixed records: retired requests, quiescence
+    // cycle, flit moves and the bits of the completion mean and P99.
+    let topo = Quarc::new(16).unwrap();
+    let cases = [
+        (
+            ClosedLoopSpec::Coherence {
+                window: 4,
+                requests: 16,
+                write_fraction: 0.3,
+            },
+            DestinationSets::random(&topo, 4, 29),
+            (
+                256,
+                1806,
+                38_232,
+                0x4077_e0e0_0000_0001,
+                0x4094_fc00_0000_0000,
+            ),
+        ),
+        (
+            ClosedLoopSpec::Barrier {
+                rounds: 4,
+                radix: 2,
+                compute: 8,
+            },
+            DestinationSets::broadcast(&topo),
+            (64, 363, 2976, 0x4056_8dff_ffff_ffff, 0x4058_4000_0000_0000),
+        ),
+    ];
+    for engine in [EngineKind::Cycle, EngineKind::EventDriven] {
+        for (spec, sets, expected) in &cases {
+            let (res, _) = run_closed(engine, &topo, sets.clone(), spec, 1);
+            let cl = res.closed_loop.as_ref().expect("closed-loop stats");
+            assert!(cl.quiesced, "{engine:?} {}: quiesces", spec.code());
+            let got = (
+                cl.requests_retired,
+                cl.quiesce_cycle,
+                res.flit_moves,
+                cl.completion.mean.to_bits(),
+                cl.completion.p99.to_bits(),
+            );
+            assert_eq!(got, *expected, "{engine:?} {}", spec.code());
+        }
+    }
+}
+
+#[test]
+fn barrier_with_unbounded_compute_times_out() {
+    // `compute = u64::MAX` passes validation. The compute draw and the
+    // timer arithmetic saturate, so the timer lands at the "never fires"
+    // sentinel and the run times out exactly like a compute delay that
+    // merely outlasts the horizon.
+    let topo = Quarc::new(16).unwrap();
+    for engine in [EngineKind::Cycle, EngineKind::EventDriven] {
+        for compute in [u64::MAX - 615, u64::MAX] {
+            let spec = ClosedLoopSpec::Barrier {
+                rounds: 2,
+                radix: 2,
+                compute,
+            };
+            let (res, _) = run_closed(engine, &topo, DestinationSets::broadcast(&topo), &spec, 1);
+            let cl = res.closed_loop.as_ref().expect("closed-loop stats");
+            let ctx = format!("{engine:?} compute {compute}");
+            assert!(!cl.quiesced, "{ctx}: no round can finish");
+            assert_eq!(cl.requests_retired, 0, "{ctx}: retired");
+            assert_eq!(cl.quiesce_cycle, 58_000, "{ctx}: quiesce cycle");
+            assert_eq!(res.cycles, 58_000, "{ctx}: cycles");
         }
     }
 }
