@@ -25,9 +25,10 @@
 use crate::error::{Error, Result};
 use crate::scenario::{saturation_anchor, Scenario};
 use noc_sim::{build_engine_with_plan, LogHistogram, SimPlan, SimResults};
-use noc_topology::NodeId;
+use noc_topology::{NodeId, Topology};
 use noc_workloads::parallel::{effective_threads, parallel_map};
 use noc_workloads::table::{fmt_latency, Table};
+use noc_workloads::Workload;
 use quarc_core::{BackendSpec, ModelBackend, NetworkCalculusBackend, RoutedLoads};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -400,6 +401,17 @@ impl Runner {
     pub fn run(&self, sc: &Scenario) -> Result<ScenarioResult> {
         sc.validate()?;
         let (topo, proto) = sc.materialize()?;
+        self.run_on(sc, topo.as_ref(), &proto)
+    }
+
+    /// [`run`](Self::run) on the scenario's topology and workload
+    /// prototype, already built.
+    fn run_on(
+        &self,
+        sc: &Scenario,
+        topo: &dyn Topology,
+        proto: &Workload,
+    ) -> Result<ScenarioResult> {
         let model_opts = sc.model.unwrap_or_default();
         let closed = sc.workload.closed_loop;
         // The routes depend on (topology, destination sets, routing), not
@@ -407,16 +419,16 @@ impl Runner {
         // overlays of every point, shared read-only by the workers. Made
         // on first use, so never for a closed loop or an overlay-less
         // scenario at absolute rates.
-        let routed = LazyLock::new(|| RoutedLoads::walk(topo.as_ref(), &proto, &model_opts));
+        let routed = LazyLock::new(|| RoutedLoads::walk(topo, proto, &model_opts));
         // Closed-loop runs have no generation rate to sweep: validation
         // pinned the spec to the single placeholder 0.0, which never
         // resolves through a saturation model.
         let rates: Vec<f64> = if closed.is_some() {
             vec![0.0]
         } else {
-            let sweep = sc.sweep.resolve_with(|| {
-                saturation_anchor(topo.as_ref(), &proto, model_opts.backend, &routed)
-            })?;
+            let sweep = sc
+                .sweep
+                .resolve_with(|| saturation_anchor(topo, proto, model_opts.backend, &routed))?;
             for &rate in sweep.rates() {
                 if rate >= 1.0 {
                     return Err(Error::InvalidScenario(format!(
@@ -429,7 +441,7 @@ impl Runner {
 
         // One plan for the whole sweep: unicast paths, multicast streams
         // and absorb schedules depend only on (topology, destination sets).
-        let plan = SimPlan::build(topo.as_ref(), &proto)?;
+        let plan = SimPlan::build(topo, proto)?;
 
         let cache_base: Option<(&Path, String)> = match &self.cache {
             Some(dir) => {
@@ -491,8 +503,7 @@ impl Runner {
             let res = match cached {
                 Some(res) => res,
                 None => {
-                    let mut engine =
-                        build_engine_with_plan(topo.as_ref(), &wl, cfg, Arc::clone(&plan));
+                    let mut engine = build_engine_with_plan(topo, &wl, cfg, Arc::clone(&plan));
                     if let Some(spec) = &closed {
                         engine.install_closed_loop(spec, cfg.seed);
                     }
@@ -544,11 +555,8 @@ impl Runner {
         // `UnicastTree` streams) are annotated as out-of-domain. A
         // closed-loop run is categorically outside every backend: the
         // model's Poisson sources do not exist.
-        let model_applicable = closed.is_none()
-            && model_opts
-                .backend
-                .backend()
-                .applicable(topo.as_ref(), &proto);
+        let model_applicable =
+            closed.is_none() && model_opts.backend.backend().applicable(topo, proto);
         let mut points = Vec::with_capacity(rates.len());
         let mut sims: Vec<Vec<SimResults>> = Vec::with_capacity(rates.len());
         for (i, &rate) in rates.iter().enumerate() {
@@ -768,6 +776,106 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// `inner`, counting the unicast routes and multicast stream tables
+    /// asked of it.
+    struct Counting<'a> {
+        inner: &'a dyn Topology,
+        routes: AtomicUsize,
+        streams: AtomicUsize,
+    }
+
+    impl Counting<'_> {
+        /// `(unicast_path calls, multicast_streams calls)` since the last
+        /// take.
+        fn take(&self) -> (usize, usize) {
+            (
+                self.routes.swap(0, Ordering::Relaxed),
+                self.streams.swap(0, Ordering::Relaxed),
+            )
+        }
+    }
+
+    impl Topology for Counting<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn network(&self) -> &noc_topology::Network {
+            self.inner.network()
+        }
+        fn port_for(&self, src: NodeId, dst: NodeId) -> noc_topology::PortId {
+            self.inner.port_for(src, dst)
+        }
+        fn unicast_path(&self, src: NodeId, dst: NodeId) -> noc_topology::Path {
+            self.routes.fetch_add(1, Ordering::Relaxed);
+            self.inner.unicast_path(src, dst)
+        }
+        fn quadrant(&self, src: NodeId, port: noc_topology::PortId) -> Vec<NodeId> {
+            self.inner.quadrant(src, port)
+        }
+        fn multicast_streams(
+            &self,
+            src: NodeId,
+            targets: &[NodeId],
+        ) -> Vec<noc_topology::MulticastStream> {
+            self.streams.fetch_add(1, Ordering::Relaxed);
+            self.inner.multicast_streams(src, targets)
+        }
+        fn diameter(&self) -> usize {
+            self.inner.diameter()
+        }
+        fn linear_label(&self, node: NodeId) -> usize {
+            self.inner.linear_label(node)
+        }
+        fn has_linear_order(&self) -> bool {
+            self.inner.has_linear_order()
+        }
+        fn concurrent_multicast(&self) -> bool {
+            self.inner.concurrent_multicast()
+        }
+        fn translate(
+            &self,
+            c: noc_topology::ChannelId,
+            by: NodeId,
+        ) -> Option<noc_topology::ChannelId> {
+            self.inner.translate(c, by)
+        }
+    }
+
+    #[test]
+    fn the_runner_walks_each_scenario_once() {
+        // One walk serves the saturation search and both overlays of every
+        // point, on every worker: beyond what the simulation plan asks, a
+        // Quarc figure panel costs node 0's N - 1 uniform routes (the
+        // topology's rotation maps them onto every source) and one stream
+        // table per source. A walk per point or per backend would multiply
+        // both.
+        use crate::harness::{default_panels, Pattern};
+        let sim = SimConfig {
+            measure_cycles: 1_000,
+            ..SimConfig::quick(42)
+        };
+        for panel in default_panels(Pattern::Random, 42) {
+            let sc = panel.scenario(4, sim);
+            let (topo, proto) = sc.materialize().unwrap();
+            let n = topo.num_nodes();
+            let counting = Counting {
+                inner: topo.as_ref(),
+                routes: AtomicUsize::new(0),
+                streams: AtomicUsize::new(0),
+            };
+            SimPlan::build(&counting, &proto).unwrap();
+            let (plan_routes, plan_streams) = counting.take();
+            let res = Runner::new().threads(2).run_on(&sc, &counting, &proto);
+            assert!(res.unwrap().points[0].model_multicast.is_finite());
+            assert_eq!(
+                counting.take(),
+                (plan_routes + n - 1, plan_streams + n),
+                "{}",
+                sc.name
+            );
         }
     }
 

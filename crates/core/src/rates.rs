@@ -5,7 +5,13 @@
 //! walks every deterministic route once, at a reference generation rate:
 //!
 //! * each unicast pair `(s, d)` carries `(1 − α)·λ_g·w(s, d)`, `w` the
-//!   destination pattern's weight (`1/(N − 1)` when uniform);
+//!   destination pattern's weight (`1/(N − 1)` when uniform). Uniform
+//!   destinations on a topology that answers [`Topology::translate`]
+//!   (Quarc, ring, Spidergon, torus, hypercube) route node 0's `N − 1`
+//!   destinations only and map them onto every other source; a
+//!   permutation routes each source's partner; hot-spot traffic, and
+//!   uniform traffic on the mesh or a topology without a symmetry, route
+//!   all `N(N − 1)` pairs;
 //! * each multicast stream of node `s` — constructed by the workload's
 //!   routing scheme (`RoutingSpec`, the paper's path-based BRCP by
 //!   default; `multicast_streams` is the one place that asks it) —
@@ -31,8 +37,8 @@ use crate::model::ModelError;
 use crate::options::ModelOptions;
 use crate::saturation::bisect_max_rate;
 use noc_queueing::network_calculus::{onoff_burstiness, trace_burstiness};
-use noc_topology::{ChannelId, ChannelKind, MulticastStream, NodeId, Path, Topology};
-use noc_workloads::{TrafficSpec, Workload};
+use noc_topology::{ChannelId, ChannelKind, MulticastStream, Network, NodeId, Path, Topology};
+use noc_workloads::{TrafficSpec, UnicastPattern, Workload};
 
 /// Channel loads of a routed workload at one generation rate.
 #[derive(Clone, Debug)]
@@ -150,6 +156,223 @@ fn source_bursts(wl: &Workload, rate: f64, n: usize) -> Vec<f64> {
     }
 }
 
+/// The unicast half of a [`RoutedLoads`] while it is walked.
+struct UnicastWalk {
+    /// The unicast share of the reference rate.
+    rate: f64,
+    /// `λ` and the successor rates of the unicast routes.
+    reference: ChannelLoads,
+    /// [`RoutedLoads::unicast_edges`].
+    edges: Vec<Vec<(ChannelId, f64)>>,
+    /// [`RoutedLoads::unicast_injected`].
+    injected: Vec<f64>,
+    /// [`RoutedLoads::unicast_hops`].
+    hops: f64,
+    /// `⌈channels/64⌉`, the length of one source's row of `crossings`.
+    words: usize,
+    /// [`RoutedLoads::unicast_crossings`].
+    crossings: Vec<u64>,
+}
+
+impl UnicastWalk {
+    fn new(net: &Network, rate: f64) -> Self {
+        let (nc, words) = (net.num_channels(), net.num_channels().div_ceil(64));
+        UnicastWalk {
+            rate,
+            reference: ChannelLoads {
+                lambda: vec![0.0; nc],
+                successors: vec![Vec::new(); nc],
+                sigma: Vec::new(),
+            },
+            edges: vec![Vec::new(); nc],
+            injected: vec![0.0; nc],
+            hops: 0.0,
+            words,
+            crossings: vec![0; net.num_nodes() * words],
+        }
+    }
+
+    /// The route of every positive-weight pair: all `N(N − 1)` under a
+    /// stochastic pattern, one per source under a permutation (a source
+    /// the permutation maps to itself falls back to uniform destinations).
+    fn walk_pairs(&mut self, topo: &dyn Topology, pattern: UnicastPattern) {
+        let n = topo.num_nodes();
+        for src in (0..n as u32).map(NodeId) {
+            let partner = pattern.permutation_partner(n, src).filter(|&p| p != src);
+            let dsts = partner.map_or(0..n, |p| p.idx()..p.idx() + 1);
+            for dst in dsts.map(|d| NodeId(d as u32)).filter(|&d| d != src) {
+                let w = pattern.weight(n, src, dst);
+                if w <= 0.0 {
+                    continue;
+                }
+                let path = topo.unicast_path(src, dst);
+                self.injected[path.hops[0].channel.idx()] += w;
+                self.hops += w * path.hop_count() as f64;
+                for (a, c) in path.transitions() {
+                    self.edge(a, c, w);
+                }
+                for c in path.channels() {
+                    self.cross(src, c, w);
+                }
+            }
+        }
+    }
+
+    /// Uniform destinations on a topology that translates: node 0's
+    /// `N − 1` routes, summed per channel, then for every source `by` that
+    /// table's image under the automorphism taking 0 to `by`, which is the
+    /// routes of `by` channel by channel. Edges new to a channel are added
+    /// in the order [`walk_pairs`](Self::walk_pairs) meets them, visiting
+    /// the routes of `by` by destination: the edge lists are its lists, and
+    /// the solver sweeps the channels in the same order.
+    fn walk_by_symmetry(&mut self, topo: &dyn Topology) {
+        let (net, n) = (topo.network(), topo.num_nodes());
+        let table = SourceTable::walk(topo);
+        let (mut images, mut dst, mut order) = (Vec::new(), Vec::new(), Vec::new());
+        for by in (0..n as u32).map(NodeId) {
+            images.clear();
+            images.extend(table.slots.iter().map(|slot| {
+                topo.translate(slot.channel, by)
+                    .expect("a topology that translates one channel translates every one")
+            }));
+            // Where the image of each of node 0's routes ends.
+            dst.clear();
+            dst.extend(table.ejections.iter().map(|&k| net.downstream(images[k])));
+            for (slot, &from) in table.slots.iter().zip(&images) {
+                self.injected[from.idx()] += slot.injected;
+                self.cross(by, from, slot.weight);
+                order.clear();
+                order.extend(slot.next.iter().map(|next| (images[next.slot], next)));
+                let known = &self.edges[from.idx()];
+                let new = order
+                    .iter()
+                    .filter(|(c, _)| known.iter().all(|(k, _)| k != c));
+                if new.count() > 1 {
+                    // The first route of `by` to take an edge adds it.
+                    order.sort_by_key(|(_, next)| next.routes.iter().map(|&r| dst[r]).min());
+                }
+                for &(to, next) in &order {
+                    self.edge(from, to, next.weight);
+                }
+            }
+            self.hops += table.hops;
+        }
+    }
+
+    /// Pattern weight `w` on channel `c` from routes of `src`: load and a
+    /// crossing, when anything is unicast.
+    fn cross(&mut self, src: NodeId, c: ChannelId, w: f64) {
+        if self.rate > 0.0 {
+            self.reference.lambda[c.idx()] += self.rate * w;
+            self.crossings[src.idx() * self.words + c.idx() / 64] |= 1 << (c.idx() % 64);
+        }
+    }
+
+    /// Pattern weight `w` moving from channel `a` straight on to `c`. While
+    /// only unicast routes have been walked the two edge lists of a channel
+    /// grow in step, so one search serves both.
+    fn edge(&mut self, a: ChannelId, c: ChannelId, w: f64) {
+        let edges = &mut self.edges[a.idx()];
+        let k = edges.iter().position(|(next, _)| *next == c);
+        let k = k.unwrap_or_else(|| {
+            edges.push((c, 0.0));
+            edges.len() - 1
+        });
+        edges[k].1 += w;
+        if self.rate > 0.0 {
+            let succ = &mut self.reference.successors[a.idx()];
+            if k == succ.len() {
+                succ.push((c, 0.0));
+            }
+            debug_assert_eq!(succ[k].0, c);
+            succ[k].1 += self.rate * w;
+        }
+    }
+}
+
+/// Node 0's routes to uniform destinations, summed per channel they
+/// cross: what [`UnicastWalk::walk_by_symmetry`] maps onto every source.
+/// Summed, a source costs one update per channel and edge its routes
+/// touch; mapping each route costs one per hop, which is what the pair
+/// walk spends, route construction aside.
+struct SourceTable {
+    /// The channels crossed, in the order first crossed.
+    slots: Vec<Slot>,
+    /// The slot each route ends on; route `r` goes to node `r + 1`.
+    ejections: Vec<usize>,
+    /// `Σ_d w·D(0, d)`.
+    hops: f64,
+}
+
+/// One channel of a [`SourceTable`].
+struct Slot {
+    channel: ChannelId,
+    /// Pattern weight crossing the channel.
+    weight: f64,
+    /// Pattern weight entering the network on it.
+    injected: f64,
+    /// The edges the routes move straight on along, in the order first met.
+    next: Vec<Next>,
+}
+
+/// An edge of a [`SourceTable`], held by the slot it leaves.
+struct Next {
+    /// The slot it enters.
+    slot: usize,
+    /// Pattern weight moving along it.
+    weight: f64,
+    /// The routes that take it.
+    routes: Vec<usize>,
+}
+
+impl SourceTable {
+    fn walk(topo: &dyn Topology) -> Self {
+        let n = topo.num_nodes();
+        let mut slot_of = vec![usize::MAX; topo.network().num_channels()];
+        let mut table = SourceTable {
+            slots: Vec::new(),
+            ejections: Vec::with_capacity(n - 1),
+            hops: 0.0,
+        };
+        for (r, dst) in (1..n as u32).map(NodeId).enumerate() {
+            let w = UnicastPattern::Uniform.weight(n, NodeId(0), dst);
+            let path = topo.unicast_path(NodeId(0), dst);
+            table.hops += w * path.hop_count() as f64;
+            let mut prev = None;
+            for c in path.channels() {
+                if slot_of[c.idx()] == usize::MAX {
+                    slot_of[c.idx()] = table.slots.len();
+                    table.slots.push(Slot {
+                        channel: c,
+                        weight: 0.0,
+                        injected: 0.0,
+                        next: Vec::new(),
+                    });
+                }
+                let k = slot_of[c.idx()];
+                table.slots[k].weight += w;
+                let Some(p) = prev.replace(k) else {
+                    table.slots[k].injected += w;
+                    continue;
+                };
+                let next = &mut table.slots[p].next;
+                let i = next.iter().position(|e| e.slot == k).unwrap_or_else(|| {
+                    next.push(Next {
+                        slot: k,
+                        weight: 0.0,
+                        routes: Vec::new(),
+                    });
+                    next.len() - 1
+                });
+                next[i].weight += w;
+                next[i].routes.push(r);
+            }
+            table.ejections.extend(prev);
+        }
+        table
+    }
+}
+
 impl<'a> RoutedLoads<'a> {
     /// Walk every route of `wl` over `topo` once. `wl` supplies
     /// everything but the rate (message length, multicast fraction,
@@ -168,68 +391,30 @@ impl<'a> RoutedLoads<'a> {
         check_domain(topo, wl)?;
         let net = topo.network();
         let nc = net.num_channels();
-        let n = net.num_nodes();
-        let mut reference = ChannelLoads {
-            lambda: vec![0.0; nc],
-            successors: vec![Vec::new(); nc],
-            sigma: Vec::new(),
-        };
-        let mut unicast_edges = vec![Vec::new(); nc];
-        let mut unicast_injected = vec![0.0; nc];
-        let mut unicast_hops = 0.0;
-        let words = nc.div_ceil(64);
-        let mut unicast_crossings = vec![0u64; n * words];
 
         // Unicast: per-pair rate is the generation rate scaled by the
         // destination pattern's weight (uniform = 1/(N-1), the paper's
         // assumption; hot-spot/complement as extensions). The weights are
         // recorded whatever `α` — a unicast latency is predicted even when
         // nothing is unicast — the loads only when something is.
-        let uni_rate = (1.0 - wl.multicast_fraction) * REFERENCE_RATE;
-        for s in 0..n {
-            let row = &mut unicast_crossings[s * words..][..words];
-            for d in 0..n {
-                if s == d {
-                    continue;
-                }
-                let (src, dst) = (NodeId(s as u32), NodeId(d as u32));
-                let w = wl.unicast_pattern.weight(n, src, dst);
-                if w <= 0.0 {
-                    continue;
-                }
-                let path = topo.unicast_path(src, dst);
-                unicast_injected[path.hops[0].channel.idx()] += w;
-                unicast_hops += w * path.hop_count() as f64;
-                let rate = uni_rate * w;
-                let mut prev = None;
-                for c in path.channels() {
-                    if let Some(a) = prev.replace(c) {
-                        // While only unicast routes have been walked the
-                        // two edge lists of a channel grow in step, so one
-                        // search serves both.
-                        let edges = &mut unicast_edges[a.idx()];
-                        let k = edges.iter().position(|(next, _)| *next == c);
-                        let k = k.unwrap_or_else(|| {
-                            edges.push((c, 0.0));
-                            edges.len() - 1
-                        });
-                        edges[k].1 += w;
-                        if uni_rate > 0.0 {
-                            let succ = &mut reference.successors[a.idx()];
-                            if k == succ.len() {
-                                succ.push((c, 0.0));
-                            }
-                            debug_assert_eq!(succ[k].0, c);
-                            succ[k].1 += rate;
-                        }
-                    }
-                    if uni_rate > 0.0 {
-                        reference.lambda[c.idx()] += rate;
-                        row[c.idx() / 64] |= 1 << (c.idx() % 64);
-                    }
-                }
-            }
+        // Uniform destinations look alike from every node up to the
+        // topology's symmetry, when it offers one.
+        let mut unicast = UnicastWalk::new(net, (1.0 - wl.multicast_fraction) * REFERENCE_RATE);
+        let uniform = wl.unicast_pattern == UnicastPattern::Uniform;
+        if uniform && topo.translate(ChannelId(0), NodeId(0)).is_some() {
+            unicast.walk_by_symmetry(topo);
+        } else {
+            unicast.walk_pairs(topo, wl.unicast_pattern);
         }
+        let UnicastWalk {
+            mut reference,
+            edges: unicast_edges,
+            injected: unicast_injected,
+            hops: unicast_hops,
+            words,
+            crossings: unicast_crossings,
+            ..
+        } = unicast;
 
         // Multicast: fixed per-node streams, each at the operation rate.
         // The streams are kept whatever `α`, as the unicast weights are;
@@ -402,6 +587,7 @@ impl ChannelLoads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::walk_count::Counting;
     use noc_topology::Quarc;
     use noc_workloads::DestinationSets;
 
@@ -412,8 +598,10 @@ mod tests {
     #[test]
     fn unicast_rates_are_symmetric_on_the_quarc() {
         // Uniform traffic on a vertex-symmetric topology loads all
-        // clockwise rim links identically.
-        let topo = Quarc::new(16).unwrap();
+        // clockwise rim links identically — walked pair by pair, so the
+        // routes show it and the symmetric walk cannot assume it.
+        let quarc = Quarc::new(16).unwrap();
+        let topo = Counting::all_pairs(&quarc);
         let wl = workload(&topo, 0.01, 0.0);
         let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
         let net = topo.network();
@@ -561,6 +749,128 @@ mod tests {
             for (h, b) in half.successors[i].iter().zip(&built.successors[i]) {
                 assert!(h.0 == b.0 && close(2.0 * h.1, b.1));
             }
+        }
+    }
+
+    #[test]
+    fn a_symmetric_walk_is_the_all_pairs_walk() {
+        use crate::backend::ALL_BACKENDS;
+        use noc_topology::TopologySpec;
+        let opts = ModelOptions::default();
+        let close = |a: f64, b: f64| {
+            a == b || (a - b).abs() <= 1e-12 * a.abs().max(b.abs()) || a.is_nan() && b.is_nan()
+        };
+        let specs = [
+            "quarc-8",
+            "quarc-16",
+            "quarc-32",
+            "ring-4",
+            "ring-9",
+            "spidergon-6",
+            "spidergon-10",
+            "torus-3x5",
+            "torus-4x4",
+            "hypercube-2",
+            "hypercube-4",
+        ];
+        for spec in specs {
+            let topo = TopologySpec::parse(spec).unwrap().build().unwrap();
+            let all_pairs = Counting::all_pairs(topo.as_ref());
+            for alpha in [0.0, 0.05, 1.0] {
+                let case = format!("{spec}/alpha {alpha}");
+                let wl = workload(topo.as_ref(), 1e-4, alpha);
+                let (Ok(sym), Ok(full)) = (
+                    RoutedLoads::walk(topo.as_ref(), &wl, &opts),
+                    RoutedLoads::walk(&all_pairs, &wl, &opts),
+                ) else {
+                    // Both refuse multicast on the one-port Spidergon.
+                    assert!(alpha > 0.0 && !topo.concurrent_multicast(), "{case}");
+                    continue;
+                };
+                for backend in ALL_BACKENDS {
+                    let case = format!("{case}/{backend}");
+                    let backend = backend.backend();
+                    let horizon = backend.max_rate_over(&sym, 0.01);
+                    let full_horizon = backend.max_rate_over(&full, 0.01);
+                    assert_eq!(horizon.to_bits(), full_horizon.to_bits(), "{case}");
+                    for rate in [0.3 * horizon, 0.9 * horizon] {
+                        let (got, want) = (sym.at(rate), full.at(rate));
+                        for (i, succ) in got.successors.iter().enumerate() {
+                            assert!(close(got.lambda[i], want.lambda[i]), "{case}: λ {i}");
+                            assert!(close(got.sigma[i], want.sigma[i]), "{case}: σ {i}");
+                            // In the same order, so the solver sweeps alike.
+                            let want = &want.successors[i];
+                            assert_eq!(succ.len(), want.len(), "{case}: {i}");
+                            for (&(j, r), &(k, s)) in succ.iter().zip(want) {
+                                assert!(j == k && close(r, s), "{case}: {i}→{j:?}");
+                            }
+                        }
+                        let got = backend.evaluate_over(&sym, rate).unwrap();
+                        let want = backend.evaluate_over(&full, rate).unwrap();
+                        assert_eq!(got.iterations, want.iterations, "{case}");
+                        assert!(close(got.unicast_latency, want.unicast_latency), "{case}");
+                        assert!(
+                            close(got.multicast_latency, want.multicast_latency),
+                            "{case}"
+                        );
+                        assert_eq!(got.per_node.len(), want.per_node.len(), "{case}");
+                        for (g, w) in got.per_node.iter().zip(&want.per_node) {
+                            assert!(g.node == w.node && close(g.latency, w.latency), "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// FNV-1a-64 over every number of a table, bit for bit.
+    fn table_digest(routed: &RoutedLoads) -> u64 {
+        let mut words: Vec<u64> = routed
+            .reference
+            .lambda
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        let lists = routed
+            .reference
+            .successors
+            .iter()
+            .chain(&routed.unicast_edges);
+        for list in lists {
+            words.push(list.len() as u64);
+            words.extend(
+                list.iter()
+                    .flat_map(|&(c, x)| [u64::from(c.0), x.to_bits()]),
+            );
+        }
+        words.extend(routed.unicast_injected.iter().map(|x| x.to_bits()));
+        words.push(routed.unicast_hops.to_bits());
+        words.extend(&routed.unicast_crossings);
+        for &(src, c, count) in &routed.stream_crossings {
+            words.extend([src.0, c.0, count].map(u64::from));
+        }
+        let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+        bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn a_permutation_walk_is_the_all_pairs_walk_bit_for_bit() {
+        // Recorded when the walk still asked every pair's weight and
+        // skipped the zero ones: visiting only each source's partner (or
+        // its uniform row) adds the same numbers in the same order.
+        use noc_topology::TopologySpec;
+        use noc_workloads::UnicastPattern::{Complement, Transpose};
+        for (spec, pattern, digest) in [
+            ("mesh-4x4", Transpose, 0x20a0753ec578f03b_u64),
+            ("quarc-16", Complement, 0x2489e2d21a9b0e06),
+        ] {
+            let topo = TopologySpec::parse(spec).unwrap().build().unwrap();
+            let mut wl = workload(topo.as_ref(), 0.01, 0.05);
+            wl.unicast_pattern = pattern;
+            let routed = RoutedLoads::walk(topo.as_ref(), &wl, &ModelOptions::default()).unwrap();
+            assert_eq!(table_digest(&routed), digest, "{spec}/{pattern:?}");
         }
     }
 

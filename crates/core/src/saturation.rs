@@ -43,7 +43,8 @@ pub fn max_sustainable_rate(
 /// `stable` must be monotone (true below some threshold, false above).
 /// The search starts at `1e-4` and doubles upward to an unstable bracket,
 /// or — when `1e-4` is already unstable — halves downward to a stable
-/// one; it returns 0.0 only if nothing down to `1e-9` is stable.
+/// one; it returns 0.0 only if nothing down to `1e-9` is stable. A
+/// `tol <= 0` bisects until the bracket holds two adjacent floats.
 pub fn bisect_max_rate(tol: f64, mut stable: impl FnMut(f64) -> bool) -> f64 {
     const FLOOR: f64 = 1e-9;
     let mut lo;
@@ -73,6 +74,11 @@ pub fn bisect_max_rate(tol: f64, mut stable: impl FnMut(f64) -> bool) -> f64 {
     }
     while (hi - lo) > tol * hi.max(1e-12) {
         let mid = 0.5 * (lo + hi);
+        if mid <= lo || mid >= hi {
+            // No float lies strictly between: the bracket is as tight as
+            // it gets, whatever `tol` asked for.
+            break;
+        }
         if stable(mid) {
             lo = mid;
         } else {
@@ -134,6 +140,37 @@ mod tests {
         assert_eq!(bisect_max_rate(0.01, |_| false), 0.0);
         // Nothing up to the cap is unstable.
         assert_eq!(bisect_max_rate(0.01, |_| true), 0.999);
+    }
+
+    #[test]
+    fn bisection_without_tolerance_stops_at_adjacent_floats() {
+        let probed = |tol: f64, threshold: f64| {
+            let mut probes = 0;
+            bisect_max_rate(tol, |rate| {
+                probes += 1;
+                assert!(probes <= 1_100, "still probing at tol {tol}");
+                rate <= threshold
+            })
+        };
+        assert_eq!(probed(0.0, 0.0123), 0.0123);
+        assert_eq!(probed(-1.0, 0.0123), 0.0123);
+        // A positive tolerance stops long before that: its answers are the
+        // ones it always gave.
+        for (threshold, r) in [
+            (0.37, 0.368),
+            (2.3e-3, 2.3e-3),
+            (1e-4, 1e-4),
+            (3.1e-5, 3.0859375e-5),
+            (4.2e-8, 4.1961669921875004e-8),
+            (2e-9, 1.9907951354980472e-9),
+        ] {
+            assert_eq!(probed(0.01, threshold), r, "threshold {threshold:e}");
+        }
+        // A backend's search at `tol = 0` ends too, above its coarse answer.
+        let (topo, wl) = proto(16, 32, 0.05);
+        let exact = max_sustainable_rate(&topo, &wl, ModelOptions::default(), 0.0);
+        let coarse = max_sustainable_rate(&topo, &wl, ModelOptions::default(), 0.01);
+        assert_eq!((exact, coarse), (8.298132629779527e-3, 8.25e-3));
     }
 
     #[test]

@@ -153,6 +153,17 @@ impl Topology for Hypercube {
     fn concurrent_multicast(&self) -> bool {
         true
     }
+
+    /// `v ↦ v ⊕ by`: e-cube resolves the bits of `src ⊕ dst`, which the
+    /// XOR keeps.
+    fn translate(&self, c: ChannelId, by: NodeId) -> Option<ChannelId> {
+        let image = |v: usize| v ^ by.idx();
+        let terminal = self.net.terminal_image(c, image);
+        Some(terminal.unwrap_or_else(|| {
+            let link = self.net.channel(c);
+            self.link(image(link.from.idx()), link.port.idx())
+        }))
+    }
 }
 
 #[cfg(test)]

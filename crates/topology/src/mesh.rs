@@ -291,6 +291,27 @@ impl Topology for Mesh {
     fn concurrent_multicast(&self) -> bool {
         true
     }
+
+    /// On the torus, the translation `(x, y) ↦ (x + dx, y + dy)` by the
+    /// coordinates of `by`: each XY leg reads only the distance around its
+    /// dimension ring. The mesh has no translation that keeps its
+    /// borders, so it offers none.
+    fn translate(&self, c: ChannelId, by: NodeId) -> Option<ChannelId> {
+        if self.kind == MeshKind::Mesh {
+            return None;
+        }
+        let (dx, dy) = self.coords(by);
+        let image = |v: usize| {
+            let (x, y) = self.coords(NodeId(v as u32));
+            self.node((x + dx) % self.width, (y + dy) % self.height)
+                .idx()
+        };
+        let terminal = self.net.terminal_image(c, image);
+        Some(terminal.unwrap_or_else(|| {
+            let link = self.net.channel(c);
+            self.link(NodeId(image(link.from.idx()) as u32), link.port)
+        }))
+    }
 }
 
 #[cfg(test)]

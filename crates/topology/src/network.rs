@@ -316,6 +316,23 @@ impl Network {
         Network::new(num_nodes, ports_per_node, channels, injection, ejection)
     }
 
+    /// On a network in the dense layout ([`Network::dense`]): if `c` is an
+    /// injection or ejection channel, the one of the same kind and port at
+    /// node `image(node)`; `None` if `c` is a link.
+    pub(crate) fn terminal_image(
+        &self,
+        c: ChannelId,
+        image: impl FnOnce(usize) -> usize,
+    ) -> Option<ChannelId> {
+        let (ports, per_kind) = (self.ports_per_node, self.num_nodes * self.ports_per_node);
+        let links = self.num_channels() - 2 * per_kind;
+        let slot = c.idx().checked_sub(links)?;
+        let (kind, node, port) = (slot / per_kind, slot % per_kind / ports, slot % ports);
+        Some(ChannelId(
+            (links + kind * per_kind + image(node) * ports + port) as u32,
+        ))
+    }
+
     /// Build an implicit network whose channels are computed on demand by
     /// `factory`. Intended for the scale-axis topology constructors.
     pub fn implicit(
@@ -649,6 +666,22 @@ pub trait Topology: Send + Sync {
     /// train of consecutive unicasts through the single port.
     fn concurrent_multicast(&self) -> bool {
         self.num_ports() > 1
+    }
+
+    /// The image of channel `c` under a routing automorphism `g` of this
+    /// topology that takes node 0 to `by`, or `None` when the topology
+    /// offers none (the default).
+    ///
+    /// The contract: `g` is a bijection on channels that keeps each
+    /// channel's kind and port and maps node `v`'s injection and ejection
+    /// channels onto those of `g(v)`, and for every destination `d` the
+    /// route from `by` to `g(d)` is `g` applied to the route from node 0
+    /// to `d`, channel by channel (virtual channels may differ). A load
+    /// that is the same for every source up to `g` — uniform unicast
+    /// destinations — can then be built from node 0's routes alone.
+    fn translate(&self, c: ChannelId, by: NodeId) -> Option<ChannelId> {
+        let _ = (c, by);
+        None
     }
 }
 

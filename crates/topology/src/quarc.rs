@@ -179,6 +179,10 @@ impl Topology for Quarc {
     fn diameter(&self) -> usize {
         self.k
     }
+
+    fn translate(&self, c: ChannelId, by: NodeId) -> Option<ChannelId> {
+        Some(self.rim.translate(&self.net, c, by))
+    }
 }
 
 #[cfg(test)]

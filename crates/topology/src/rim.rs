@@ -12,7 +12,7 @@
 
 use crate::channel::Channel;
 use crate::ids::{ChannelId, NodeId, PortId};
-use crate::network::Topology;
+use crate::network::{Network, Topology};
 use crate::path::{Hop, MulticastStream};
 
 /// Clockwise: the port, and link class, of links `i → i+1`.
@@ -63,6 +63,20 @@ impl Rim {
             let (id, to) = (ChannelId((first + i) as u32), self.node(i + self.n / 2));
             let label = format!("{tag} {i}->{}", to.idx());
             Channel::link(id, self.node(i), to, class, 1, false, label)
+        })
+    }
+
+    /// The image of channel `c` of `net` under the rotation taking node 0
+    /// to `by`: the rim families' links come in blocks of `n` indexed by
+    /// their `from` node (rim, then cross links), followed by the dense
+    /// layout's injection and ejection channels. Every route depends only
+    /// on the clockwise distance, so this is a routing automorphism.
+    pub(crate) fn translate(self, net: &Network, c: ChannelId, by: NodeId) -> ChannelId {
+        let n = self.n;
+        let rotate = |v: usize| (v + by.idx()) % n;
+        net.terminal_image(c, rotate).unwrap_or_else(|| {
+            let (block, from) = (c.idx() / n, c.idx() % n);
+            ChannelId((block * n + rotate(from)) as u32)
         })
     }
 

@@ -6,7 +6,7 @@
 //! is the expected maximum of two independent exponentials (Eq. 10–11).
 //! It is used in unit/property tests and in the port-count ablation.
 
-use crate::ids::{NodeId, PortId};
+use crate::ids::{ChannelId, NodeId, PortId};
 use crate::network::{Network, Topology, TopologyError};
 use crate::path::{Hop, MulticastStream, Path};
 use crate::rim::Rim;
@@ -123,6 +123,10 @@ impl Topology for Ring {
 
     fn diameter(&self) -> usize {
         self.rim.n / 2
+    }
+
+    fn translate(&self, c: ChannelId, by: NodeId) -> Option<ChannelId> {
+        Some(self.rim.translate(&self.net, c, by))
     }
 }
 

@@ -377,7 +377,7 @@ impl fmt::Display for TopologySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::{NodeId, PortId};
+    use crate::ids::{ChannelId, NodeId, PortId};
     use crate::path::Path;
 
     #[test]
@@ -628,6 +628,86 @@ mod tests {
             }
         }
         (table, routes)
+    }
+
+    /// `Topology::translate`'s contract, checked for every `by` wherever
+    /// it answers: a bijection on channels keeping kind and port, node
+    /// `v`'s injection and ejection channels onto those of `g(v)`, links
+    /// onto links between the images, and every route of node 0 onto the
+    /// route from `by` to the image destination.
+    #[test]
+    fn translate_is_a_routing_automorphism() {
+        let specs = [
+            "quarc-8",
+            "quarc-16",
+            "ring-4",
+            "ring-9",
+            "spidergon-6",
+            "spidergon-10",
+            "torus-3x5",
+            "torus-4x4",
+            "hypercube-2",
+            "hypercube-4",
+        ];
+        for spec in specs {
+            let topo = TopologySpec::parse(spec).unwrap().build().unwrap();
+            let net = topo.network();
+            let (n, nc) = (topo.num_nodes(), net.num_channels());
+            for by in (0..n as u32).map(NodeId) {
+                let case = format!("{spec} by {by:?}");
+                let image: Vec<ChannelId> = (0..nc as u32)
+                    .map(|c| topo.translate(ChannelId(c), by).expect(&case))
+                    .collect();
+                let mut sorted = image.clone();
+                sorted.sort_unstable();
+                assert!(
+                    sorted.iter().map(|c| c.idx()).eq(0..nc),
+                    "{case}: no bijection"
+                );
+                // `g` on nodes, read off node v's first injection channel.
+                let g = |v: NodeId| {
+                    let inj = net.injection_channel(v, PortId(0));
+                    net.channel(image[inj.idx()]).from
+                };
+                assert_eq!(g(NodeId(0)), by, "{case}");
+                for c in net.channels() {
+                    let to = net.channel(image[c.id.idx()]);
+                    assert_eq!((to.kind, to.port), (c.kind, c.port), "{case}: {}", c.label);
+                    assert_eq!(
+                        (to.from, to.to),
+                        (g(c.from), g(c.to)),
+                        "{case}: {}",
+                        c.label
+                    );
+                }
+                for v in (0..n as u32).map(NodeId) {
+                    for port in (0..topo.num_ports() as u8).map(PortId) {
+                        let (inj, ej) = (
+                            net.injection_channel(v, port),
+                            net.ejection_channel(v, port),
+                        );
+                        assert_eq!(
+                            image[inj.idx()],
+                            net.injection_channel(g(v), port),
+                            "{case}"
+                        );
+                        assert_eq!(image[ej.idx()], net.ejection_channel(g(v), port), "{case}");
+                    }
+                }
+                for d in (1..n as u32).map(NodeId) {
+                    let (from_0, from_by) =
+                        (topo.unicast_path(NodeId(0), d), topo.unicast_path(by, g(d)));
+                    let mapped = from_0.channels().map(|c| image[c.idx()]);
+                    assert!(mapped.eq(from_by.channels()), "{case}: route to {d:?}");
+                }
+            }
+        }
+        for spec in ["mesh-4x4", "mesh-3x5", "min-4x2", "clustered-4x-ring-6"] {
+            let topo = TopologySpec::parse(spec).unwrap().build().unwrap();
+            for c in [0, topo.network().num_channels() as u32 - 1].map(ChannelId) {
+                assert_eq!(topo.translate(c, NodeId(1)), None, "{spec}");
+            }
+        }
     }
 
     /// Recorded on the commit before the dense layout and the rim moved

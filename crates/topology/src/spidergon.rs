@@ -160,6 +160,10 @@ impl Topology for Spidergon {
         // quadrant. diameter = max(b, n/2 - b).
         self.b.max(self.rim.n / 2 - self.b)
     }
+
+    fn translate(&self, c: ChannelId, by: NodeId) -> Option<ChannelId> {
+        Some(self.rim.translate(&self.net, c, by))
+    }
 }
 
 #[cfg(test)]
