@@ -337,7 +337,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 ///
 /// 1: `SimResults::multicast_hist` removed.
 /// 2: `EngineCounters::{flights, flight_cycles}` added.
-const CACHE_SCHEMA: u32 = 2;
+/// 3: an empty latency population reads mean `NaN`, not 0.
+const CACHE_SCHEMA: u32 = 3;
 
 /// The scenario's share of a cache key: its canonical JSON with the
 /// display name cleared, so renaming an experiment never invalidates

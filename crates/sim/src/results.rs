@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// Summary of a latency population.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct LatencyStats {
-    /// Sample mean (cycles); 0 when no samples were collected.
+    /// Sample mean (cycles); `NaN` when no samples were collected.
     pub mean: f64,
     /// Half-width of the approximate 95% confidence interval (batch
     /// means); `NaN` with insufficient batches.
@@ -36,10 +36,21 @@ fn nan() -> f64 {
     f64::NAN
 }
 
+/// The mean of a population of `count` samples whose accumulator reports
+/// `mean`: `NaN` when it is empty. The accumulators read 0 there, which a
+/// table would show as a measured zero-cycle latency.
+fn population_mean(count: u64, mean: f64) -> f64 {
+    if count == 0 {
+        f64::NAN
+    } else {
+        mean
+    }
+}
+
 impl Default for LatencyStats {
     fn default() -> Self {
         LatencyStats {
-            mean: 0.0,
+            mean: f64::NAN,
             ci95: 0.0,
             count: 0,
             min: 0.0,
@@ -55,7 +66,7 @@ impl LatencyStats {
     /// Summarise a batch-means accumulator.
     pub fn from_batch_means(bm: &BatchMeans) -> Self {
         LatencyStats {
-            mean: bm.mean(),
+            mean: population_mean(bm.count(), bm.mean()),
             ci95: bm.ci95_half_width(),
             count: bm.count(),
             min: bm.overall().min(),
@@ -75,7 +86,7 @@ impl LatencyStats {
             f64::NAN
         };
         LatencyStats {
-            mean: w.mean(),
+            mean: population_mean(w.count(), w.mean()),
             ci95,
             count: w.count(),
             min: w.min(),
@@ -293,6 +304,20 @@ mod tests {
         let s = LatencyStats::from_batch_means(&BatchMeans::new(4));
         assert_eq!(s.count, 0);
         assert!(s.p99.is_nan(), "no histogram stamped, no quantiles");
+    }
+
+    #[test]
+    fn an_empty_population_has_no_mean() {
+        let batched = LatencyStats::from_batch_means(&BatchMeans::new(4));
+        let plain = LatencyStats::from_welford(&Welford::new());
+        for s in [batched, plain, LatencyStats::default()] {
+            assert_eq!(s.count, 0);
+            assert!(s.mean.is_nan(), "an empty population read mean {}", s.mean);
+        }
+        // One sample is a mean, zero or not.
+        let mut w = Welford::new();
+        w.push(0.0);
+        assert_eq!(LatencyStats::from_welford(&w).mean, 0.0);
     }
 
     #[test]
