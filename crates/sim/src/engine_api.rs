@@ -23,12 +23,13 @@ use crate::config::{EngineKind, SimConfig};
 use crate::engine::EveryCycle;
 use crate::event_engine::SkipAhead;
 use crate::fabric::Fabric;
-use crate::message::MsgId;
+use crate::message::{MsgId, OpId};
 use crate::plan::SimPlan;
 use crate::results::SimResults;
 use noc_app::ClosedLoopSpec;
 use noc_topology::{NodeId, Topology};
 use noc_workloads::Workload;
+use std::fmt;
 use std::sync::Arc;
 
 /// Snapshot of an engine's structural counters, produced by
@@ -57,6 +58,278 @@ pub struct EngineAudit {
     /// Tagged traffic still outstanding.
     pub tagged_outstanding: u64,
 }
+
+/// The first structural invariant [`Engine::audit`] found violated.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum AuditError {
+    /// A cv is owned by a message that is not live.
+    DeadOwner {
+        /// The cv.
+        cv: usize,
+        /// Its owner's id.
+        msg: MsgId,
+    },
+    /// A cv's owner holds it at a hop its path does not have.
+    OwnerHopBeyondPath {
+        /// The cv.
+        cv: usize,
+        /// Its owner.
+        msg: MsgId,
+        /// The hop it claims.
+        hop: u16,
+    },
+    /// A cv's owner holds it at a hop whose channel and vc are another
+    /// cv's.
+    OwnerHopElsewhere {
+        /// The cv.
+        cv: usize,
+        /// Its owner.
+        msg: MsgId,
+        /// The hop it claims.
+        hop: u16,
+        /// The cv that hop maps to.
+        maps_to: u32,
+    },
+    /// A cv's owner holds it at a hop it has not been granted yet.
+    OwnerPastHead {
+        /// The cv.
+        cv: usize,
+        /// Its owner.
+        msg: MsgId,
+        /// The hop it claims.
+        hop: u16,
+        /// The owner's head cursor.
+        head: u16,
+    },
+    /// One hop of one message owns two cvs.
+    HopOwnsTwo {
+        /// The message.
+        msg: MsgId,
+        /// The hop.
+        hop: u16,
+    },
+    /// A message moved a flit across a hop it had no supply or credit for.
+    ImpossibleMove {
+        /// The cv of that hop.
+        cv: usize,
+        /// The message.
+        msg: MsgId,
+        /// The hop.
+        hop: u16,
+        /// Its length in flits.
+        len: u32,
+        /// Flits that crossed each of its hops.
+        traversed: Vec<u32>,
+        /// Flits a buffer holds.
+        buffer_depth: u32,
+    },
+    /// A channel's cached `(owned, ready)` masks differ from its owners'
+    /// verdicts.
+    MasksDrifted {
+        /// The physical channel.
+        channel: usize,
+        /// The cached masks.
+        cached: (u8, u8),
+        /// The masks derived from scratch.
+        actual: (u8, u8),
+    },
+    /// A channel's round-robin pointer names a vc it does not have.
+    PointerPastVcs {
+        /// The physical channel.
+        channel: usize,
+        /// The pointer.
+        rr: u8,
+        /// Its vc count.
+        vcs: u8,
+    },
+    /// A channel owns cvs but is not on the active list.
+    OwnedButInactive {
+        /// The physical channel.
+        channel: usize,
+    },
+    /// The active list is not the set of channels flagged active.
+    ActiveListMismatch {
+        /// Channels listed.
+        listed: usize,
+        /// Channels flagged.
+        flagged: usize,
+    },
+    /// A message's head cursor says it holds a hop it does not own.
+    HeadNotHeld {
+        /// The message.
+        msg: MsgId,
+        /// Its head cursor.
+        head: u16,
+    },
+    /// A cv's waiter list names a message that is not live.
+    DeadWaiter {
+        /// The cv.
+        cv: usize,
+        /// The waiter's id.
+        msg: MsgId,
+    },
+    /// A waiter sits in a list twice, or in two lists.
+    WaiterQueuedTwice {
+        /// The cv whose list met it again.
+        cv: usize,
+        /// The waiter.
+        msg: MsgId,
+    },
+    /// A cv's waiter requests another cv next.
+    WaiterElsewhere {
+        /// The cv.
+        cv: usize,
+        /// The waiter.
+        msg: MsgId,
+        /// The hop it requests.
+        head: u16,
+    },
+    /// A cv's recorded last waiter is not the end of its list.
+    WaitTailMismatch {
+        /// The cv.
+        cv: usize,
+        /// The recorded last waiter.
+        wait_tail: MsgId,
+        /// The list's actual last.
+        last: MsgId,
+    },
+    /// A live multicast operation has no targets left.
+    OpWithoutTargets {
+        /// The operation.
+        op: OpId,
+    },
+    /// Operations allocated are not those completed plus those live.
+    OpAccounting {
+        /// Allocated.
+        allocated: u64,
+        /// Completed.
+        completed: u64,
+        /// Live.
+        live: u64,
+    },
+    /// Messages generated are not those absorbed plus those live.
+    MessageConservation {
+        /// Generated.
+        generated: u64,
+        /// Absorbed.
+        absorbed: u64,
+        /// Live.
+        live: u64,
+    },
+    /// An arrival held from a declined flight group was not spawned on
+    /// its cycle.
+    HeldPastCycle {
+        /// Its node.
+        node: NodeId,
+        /// Its cycle.
+        at: u64,
+        /// The engine's current cycle.
+        cycle: u64,
+    },
+}
+
+impl fmt::Display for AuditError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            AuditError::DeadOwner { cv, msg } => write!(f, "cv {cv} owned by dead message {msg}"),
+            AuditError::OwnerHopBeyondPath { cv, msg, hop } => {
+                write!(f, "cv {cv} owner hop {hop} beyond message {msg}'s path")
+            }
+            AuditError::OwnerHopElsewhere {
+                cv,
+                msg,
+                hop,
+                maps_to,
+            } => write!(
+                f,
+                "cv {cv} owned by message {msg} at hop {hop}, but that hop maps to cv {maps_to}"
+            ),
+            AuditError::OwnerPastHead { cv, msg, hop, head } => write!(
+                f,
+                "cv {cv} owned by message {msg} at hop {hop}, at or past its head cursor {head}"
+            ),
+            AuditError::HopOwnsTwo { msg, hop } => write!(f, "message {msg} hop {hop} owns two cvs"),
+            AuditError::ImpossibleMove {
+                cv,
+                msg,
+                hop,
+                len,
+                traversed,
+                buffer_depth,
+            } => write!(
+                f,
+                "cv {cv}: message {msg} moved a flit across hop {hop} it could not have \
+                 (of {len} flits, {traversed:?} crossed each hop; buffers hold {buffer_depth})"
+            ),
+            AuditError::MasksDrifted {
+                channel,
+                cached,
+                actual,
+            } => write!(
+                f,
+                "channel {channel}: masks drifted (cached owned {:#010b} ready {:#010b}, \
+                 actual owned {:#010b} ready {:#010b})",
+                cached.0, cached.1, actual.0, actual.1
+            ),
+            AuditError::PointerPastVcs { channel, rr, vcs } => write!(
+                f,
+                "channel {channel}: round-robin pointer {rr} past its {vcs} vcs"
+            ),
+            AuditError::OwnedButInactive { channel } => {
+                write!(f, "channel {channel}: owns cvs but is not active")
+            }
+            AuditError::ActiveListMismatch { listed, flagged } => write!(
+                f,
+                "the active list ({listed} channels) and the {flagged} active bits disagree"
+            ),
+            AuditError::HeadNotHeld { msg, head } => write!(
+                f,
+                "message {msg}: head cursor {head} but it does not own hop {}",
+                head - 1
+            ),
+            AuditError::DeadWaiter { cv, msg } => write!(f, "cv {cv} queues dead message {msg}"),
+            AuditError::WaiterQueuedTwice { cv, msg } => write!(
+                f,
+                "cv {cv}: waiter {msg} is queued twice (a cycle, or a second cv's list)"
+            ),
+            AuditError::WaiterElsewhere { cv, msg, head } => write!(
+                f,
+                "cv {cv} queues message {msg}, whose next hop {head} is another cv"
+            ),
+            AuditError::WaitTailMismatch {
+                cv,
+                wait_tail,
+                last,
+            } => write!(f, "cv {cv}: wait_tail {wait_tail} is not the last waiter {last}"),
+            AuditError::OpWithoutTargets { op } => {
+                write!(f, "live multicast op {op} has zero targets remaining")
+            }
+            AuditError::OpAccounting {
+                allocated,
+                completed,
+                live,
+            } => write!(
+                f,
+                "op accounting broken: {allocated} allocated != {completed} completed + {live} live"
+            ),
+            AuditError::MessageConservation {
+                generated,
+                absorbed,
+                live,
+            } => write!(
+                f,
+                "flit conservation broken: {generated} generated != {absorbed} absorbed + {live} live"
+            ),
+            AuditError::HeldPastCycle { node, at, cycle } => write!(
+                f,
+                "node {}'s arrival of cycle {at} is still held at cycle {cycle}",
+                node.0
+            ),
+        }
+    }
+}
+
+impl std::error::Error for AuditError {}
 
 /// Build the engine `cfg.engine` names on a prebuilt [`SimPlan`] (rate
 /// sweeps and differential pairs share one plan across runs; build it
@@ -181,8 +454,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Structural self-check: ownership consistency plus the conservation
-    /// counters. `Err` describes the first violated invariant.
-    pub fn audit(&self) -> Result<EngineAudit, String> {
+    /// counters. `Err` names the first violated invariant.
+    pub fn audit(&self) -> Result<EngineAudit, AuditError> {
         self.fabric.audit()
     }
 

@@ -25,15 +25,19 @@
 //!   advance on a chosen move; so if nothing moved and nothing was
 //!   granted, the next cycle's selection reaches the identical verdict.
 //!   The state is a fixpoint until the next arrival.
-//! * **In flight** — the fabric holds no message and the only event due
-//!   is one node's arrival, whose whole transit ends before the next
-//!   queued event. Nothing can contend with it, so an `L`-flit message
-//!   generated at `c0` moves across hop `h` on cycles
-//!   `c0 + h + 1 ..= c0 + h + L` and nothing else happens: the zero-load
-//!   term of the paper's latency equations, applied rather than
-//!   simulated. `Fabric::fly` lists when an arrival is declined (and
-//!   then stepped like any other); telemetry, closed loops and
-//!   single-flit buffers decline them all.
+//! * **In flight** — the fabric holds no message and the next event is
+//!   an arrival. It opens a *group*: every arrival due before the
+//!   group's running end joins, in `(cycle, node)` order. When no two
+//!   members hold one physical channel over overlapping cycles nothing
+//!   contends, so an `L`-flit message generated at `c` moves across hop
+//!   `h` on cycles `c + h + 1 ..= c + h + L` and nothing else happens:
+//!   the zero-load term of the paper's latency equations, applied rather
+//!   than simulated, for the whole group at once. A group starts and
+//!   ends on an empty fabric: it must end strictly before the next event
+//!   outside it. `Fabric::admit` and `Fabric::fly_group` list when a
+//!   group is declined; its arrivals are then held, and stepped at their
+//!   own cycles like any other. Telemetry, closed loops and single-flit
+//!   buffers decline them all.
 //!
 //! Idle and stalled cycles are *inert*: the engine advances straight to
 //! the earliest of the next scheduled arrival or protocol timer (from the
@@ -47,22 +51,27 @@
 //! A flight's cycles are not inert, so it writes what they would have.
 //! Each write equals the oracle's:
 //!
-//! * the arrival is drawn from the node's stream and its successor
-//!   queued exactly as the generation phase does it (same RNG draws);
+//! * every arrival is drawn from its node's stream and the successor
+//!   queued exactly as the generation phase does it (same RNG draws), so
+//!   a declined group's held arrivals are the ones the oracle spawns;
 //! * `flit_moves` and the per-channel traversal counts grow by `L` per
 //!   hop — integer sums, so their order is free — under the one
-//!   `measuring` verdict all the move cycles share;
-//! * every channel's round-robin pointer sits just past the hop's vc,
-//!   where the last of its `L` picks left it;
-//! * one unicast latency, or one sample per stream in ascending end cycle
-//!   and one for the operation at its last absorption — each population
-//!   is its own accumulator, and nothing else records meanwhile;
+//!   `measuring` verdict all of a member's move cycles share;
+//! * every channel's round-robin pointer sits just past the vc of its
+//!   last user's hop, where the last of its `L` picks left it;
+//! * the deliveries in end-cycle order: a latency per unicast, per stream
+//!   and per operation at its last absorption. Each population is its
+//!   own accumulator, and two samples of one population on one cycle are
+//!   equal (else the group is declined), so their order is free;
 //! * generated, absorbed, injected and delivered counts; the peak backlog
-//!   (the backlog was zero and briefly the message count);
-//! * arena slots, inserted and freed in the oracle's order;
-//! * `cycle` and the watchdog's last-move anchor stand at the end cycle,
-//!   and the active list is empty: the oracle's still names the released
-//!   channels, which its next selection sweeps before anything reads them.
+//!   (a cycle's messages wait beside the previous cycle's);
+//! * arena slots, each inserted on its arrival cycle and freed on its
+//!   last absorption's, a cycle's insertions before its frees (frees of
+//!   one cycle may come in another order: ids reach no result);
+//! * `cycle` and the watchdog's last-move anchor stand at the group's
+//!   end, and the active list is empty: the oracle's still names the
+//!   released channels, which its next selection sweeps before anything
+//!   reads them.
 //!
 //! ## Streaming fast-forward
 //!
@@ -80,28 +89,28 @@
 //!
 //! Together the mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
-//! releases under contention, one closed form per message without. That
+//! releases under contention, one closed form per group without. That
 //! is the lever the Fig. 6/7 sweeps need at low load
 //! (`sim.cycle.event_over_cycle.low` on the benchmark ledger: 0.0096, from
 //! 0.12 before flights), with the cycle engine retained as the oracle.
 //!
-//! *What the spans are worth* (re-measured with flights and the tail gate
-//! in place: the scan compiled out on a scratch copy, benchmark workloads
-//! at `--seed 42`, alternating 5 s pairs on one 2-vCPU host, results
-//! bit-identical): `cache-io` runs ≈ 15 % slower without them (median of
-//! six per-pair ratios, 6/6 pairs; stepped cycles 0.51 M → 0.75 M of
-//! 2.16 M); `lowload-skip`, whose messages now fly, does not resolve
-//! (3/4 pairs, ≈ 2 %; 0.58 M → 0.69 M of 80.4 M), and `sat-kernel`
-//! batches ten spans per repetition — past the knee the backoff keeps the
-//! scan dormant. They stay for the sweeps' low-to-mid-load points, where
-//! messages overlap too often to fly.
+//! *What the spans are worth* (re-measured with group flights and the
+//! tail gate in place: the scan compiled out on a scratch copy, benchmark
+//! workloads at `--seed 42`, alternating 5 s pairs on one 2-vCPU host,
+//! results bit-identical): `cache-io` runs ≈ 11 % slower without them
+//! (median, 3/4 pairs; stepped cycles 0.31 M → 0.44 M of 2.16 M);
+//! `lowload-skip`, whose messages now fly in groups, steps 0.11 M →
+//! 0.12 M of 80.4 M cycles without them, and `sat-kernel` batches ten
+//! spans per repetition — past the knee the backoff keeps the scan
+//! dormant. They stay for the sweeps' low-to-mid-load points, where
+//! messages share channels too often to fly.
 
 use crate::fabric::{
     refresh_ready_around, CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW,
 };
 use crate::message::{ActiveMsg, MsgId};
 use crate::results::{EngineCounters, SimResults};
-use crate::schedule::{Arrival, EventQueue};
+use crate::schedule::EventQueue;
 use noc_topology::NodeId;
 
 /// Cap of the streaming-scan backoff exponent: after repeated
@@ -129,7 +138,7 @@ const SPAN_BACKOFF_CAP: u32 = 8;
 const SPAN_PROFIT_MIN: u64 = 8;
 
 /// The event engine's time-advance policy: a priority queue of firing
-/// times, the stall-fixpoint flag, the flight offer and the
+/// times, the stall-fixpoint flag, flight groups and the
 /// streaming-span scan.
 pub(crate) struct SkipAhead {
     /// Queue of `(next firing cycle, node)` — arrivals on
@@ -202,18 +211,19 @@ impl SkipAhead {
                 let may_fly = fabric.flights_possible();
                 loop {
                     let target = self.next_cycle_of_interest(fabric);
-                    let mut first = None;
-                    if may_fly && fabric.msgs.is_empty() && self.queue.peek_time() == Some(target) {
-                        first = self.fly_or_hand_over(fabric, target);
-                        if first.is_none() {
-                            // Flown; no end-of-run check can fire on a
-                            // cycle a flight covers (`Fabric::fly`).
-                            debug_assert!(fabric.run_end().is_none());
-                            continue;
-                        }
+                    if may_fly
+                        && fabric.msgs.is_empty()
+                        && fabric.held.is_empty()
+                        && self.queue.peek_time() == Some(target)
+                        && self.fly_group(fabric, target)
+                    {
+                        // No end-of-run check can fire on a cycle a
+                        // flight covers (`Fabric::admit`).
+                        debug_assert!(fabric.run_end().is_none());
+                        continue;
                     }
                     let window = fabric.in_window(target);
-                    let out = self.simulate_cycle(fabric, target, window, first);
+                    let out = self.simulate_cycle(fabric, target, window);
                     if let Some(end) = fabric.run_end() {
                         break end;
                     }
@@ -237,7 +247,7 @@ impl SkipAhead {
 
     /// Simulate exactly the next cycle, untagged and unmeasured.
     pub(crate) fn step_one(&mut self, fabric: &mut Fabric<'_>) {
-        self.simulate_cycle(fabric, fabric.cycle + 1, false, None);
+        self.simulate_cycle(fabric, fabric.cycle + 1, false);
     }
 
     /// A scripted injection added work behind the policy's back:
@@ -256,10 +266,9 @@ impl SkipAhead {
         fabric: &mut Fabric<'_>,
         target: u64,
         window: bool,
-        first: Option<(NodeId, Arrival)>,
     ) -> CycleOutcome {
         self.counters.simulated_cycles += 1;
-        let out = fabric.step_from(target, window, window, first, self);
+        let out = fabric.step(target, window, window, self);
         self.stalled = !out.moved && out.granted == 0;
         if self.stalled {
             self.counters.stall_fixpoints += 1;
@@ -267,28 +276,38 @@ impl SkipAhead {
         out
     }
 
-    /// The fabric is empty and the earliest queued event — a node's
-    /// arrival — is due at `c0`, the cycle about to be simulated: draw
-    /// the arrival exactly as the generation phase would (same RNG draws,
-    /// successor rescheduled) and offer it to [`Fabric::fly`] with the
-    /// next queued event as its horizon. `None`: it flew, and the fabric
-    /// stands at the end of its transit. Otherwise the drawn arrival is
-    /// returned to be spawned first in the ordinary step of `c0` — it
-    /// belongs to the lowest node due, so the spawn order is unchanged.
-    fn fly_or_hand_over(&mut self, fabric: &mut Fabric<'_>, c0: u64) -> Option<(NodeId, Arrival)> {
-        let node = self.queue.pop_due(c0).expect("an event is due at c0");
-        self.counters.events_popped += 1;
-        let (arrival, next) = fabric.pop_arrival(NodeId(node));
-        if next != u64::MAX {
-            self.queue.push(next, node);
+    /// The fabric is empty, nothing is held, and the earliest queued
+    /// event — an arrival — is due at `c0`, the cycle about to be
+    /// simulated. Gather the group that flies with it: every arrival due
+    /// before the group's running end, popped in `(cycle, node)` order and
+    /// drawn exactly as the generation phase would draw it (same RNG
+    /// draws, successor queued — streams are per node), each offered to
+    /// [`Fabric::admit`]. Then [`Fabric::fly_group`] applies them, with
+    /// the next queued event as the horizon. `true`: they flew, and the
+    /// fabric stands at the group's end. Otherwise every arrival drawn is
+    /// held, and the ordinary steps spawn each at its own cycle.
+    fn fly_group(&mut self, fabric: &mut Fabric<'_>, c0: u64) -> bool {
+        fabric.begin_group(c0);
+        let mut due = Some(c0);
+        while let Some(at) = due {
+            let node = self.queue.pop_due(at).expect("a peeked event is due");
+            self.counters.events_popped += 1;
+            let (arrival, next) = fabric.pop_arrival(NodeId(node));
+            if next != u64::MAX {
+                self.queue.push(next, node);
+            }
+            if !fabric.admit(at, NodeId(node), arrival) {
+                return false;
+            }
+            due = self.queue.peek_time().filter(|&t| t < fabric.group_end());
         }
         let before = self.queue.peek_time().unwrap_or(u64::MAX);
-        if !fabric.fly(c0, NodeId(node), arrival, before) {
-            return Some((NodeId(node), arrival));
-        }
-        self.counters.flights += 1;
-        self.counters.flight_cycles += fabric.cycle - c0 + 1;
-        None
+        let Some((arrivals, cycles)) = fabric.fly_group(before) else {
+            return false;
+        };
+        self.counters.flights += arrivals;
+        self.counters.flight_cycles += cycles;
+        true
     }
 
     /// Attempt the streaming fast-forward after a cycle that moved flits,
@@ -355,8 +374,7 @@ impl SkipAhead {
         // warmup or measurement boundary (the measuring flag must stay
         // constant and the run may end at `measure_end`), or pass the
         // drain deadline.
-        let next_arrival = self.queue.peek_time().unwrap_or(u64::MAX);
-        let mut k = next_arrival.saturating_sub(c + 1);
+        let mut k = self.next_event(fabric).saturating_sub(c + 1);
         if c < warmup {
             k = k.min(warmup - c);
         } else if c < measure_end {
@@ -515,7 +533,7 @@ impl SkipAhead {
         if held && !self.stalled {
             return next;
         }
-        let mut t = self.queue.peek_time().unwrap_or(u64::MAX);
+        let mut t = self.next_event(fabric);
         if fabric.tagged_outstanding == 0 && !fabric.is_closed() {
             // The run may end at the measurement boundary.
             t = t.min(fabric.cfg.measure_end());
@@ -527,6 +545,16 @@ impl SkipAhead {
             t = t.min(Self::next_watchdog_cycle(fabric));
         }
         t.max(next)
+    }
+
+    /// The cycle of the next arrival or protocol timer: queued, or held
+    /// from a declined group (`u64::MAX`: none).
+    fn next_event(&self, fabric: &Fabric<'_>) -> u64 {
+        let queued = self.queue.peek_time().unwrap_or(u64::MAX);
+        fabric
+            .held
+            .front()
+            .map_or(queued, |&(at, ..)| at.min(queued))
     }
 
     /// First stride-aligned cycle at which the watchdog condition
@@ -577,8 +605,9 @@ mod tests {
     fn low_load_runs_skip_most_cycles() {
         // The engine's raison d'être: at low load, the vast majority of
         // cycles are idle gaps, flights or streaming spans and must not
-        // be simulated one by one. This run steps 879 of 18 019 cycles
-        // (20.5×; 3 463, 5.2×, before flights), 76 arrivals flown.
+        // be simulated one by one. This run steps 141 of 18 019 cycles
+        // (128×) and flies 131 of its 144 arrivals; one arrival per
+        // flight stepped 879 (20.5×, 76 flown), no flights 3 463 (5.2×).
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 3);
         let wl = Workload::new(32, 0.0005, 0.05, sets).unwrap();
@@ -589,10 +618,34 @@ mod tests {
         let ratio = res.cycles as f64 / stepped as f64;
         assert!(res.engine.flights > 0, "no arrival flew");
         assert!(
-            ratio > 15.0,
-            "expected >15x cycle compression at low load, got {ratio:.1} \
+            ratio > 100.0,
+            "expected >100x cycle compression at low load, got {ratio:.1} \
              ({stepped} simulated of {})",
             res.cycles
+        );
+    }
+
+    #[test]
+    fn quarc_128_at_low_load_flies_nearly_every_arrival() {
+        // `lowload-skip`'s quarc-128 case (rate 2e-5, 32 flits, 5 %
+        // multicast to 32 targets, seed 42) with its window cut to 1/20:
+        // 2 409 of 2 501 arrivals fly and 3 581 of 1 005 000 cycles are
+        // stepped. The rest meet another message on a channel over
+        // overlapping cycles, or share a group with one that does.
+        let topo = Quarc::new(128).unwrap();
+        let sets = DestinationSets::random(&topo, 32, 42);
+        let wl = Workload::new(32, 2e-5, 0.05, sets).unwrap();
+        let cfg = SimConfig {
+            warmup_cycles: 5_000,
+            measure_cycles: 1_000_000,
+            drain_cycles: 5_000,
+            ..SimConfig::quick(42)
+        };
+        let res = Engine::new(&topo, &wl, cfg).run();
+        let (flights, events) = (res.engine.flights, res.engine.events_popped);
+        assert!(
+            flights as f64 >= 0.95 * events as f64,
+            "{flights} of {events} arrivals flew"
         );
     }
 

@@ -46,24 +46,24 @@
 //! queue and jumps over cycles it proves inert. Run termination
 //! ([`Fabric::run_end`]) is kernel state too, so both drivers break on
 //! the same cycle by construction. One thing besides `step` advances a
-//! fabric: [`Fabric::fly`], which the event engine offers an arrival that
-//! finds the fabric empty, applies the message's whole transit in closed
+//! fabric: [`Fabric::fly_group`], which applies a group of arrivals the
+//! event engine gathered on an empty fabric ([`Fabric::admit`]) in closed
 //! form — the sum of the cycles `step` would have simulated.
 
 use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
 use crate::config::SimConfig;
-use crate::engine_api::EngineAudit;
+use crate::engine_api::{AuditError, EngineAudit};
 use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId, NO_MSG};
 use crate::metrics::Metrics;
-use crate::plan::SimPlan;
+use crate::plan::{PreStream, SimPlan};
 use crate::results::{EngineCounters, SimResults};
 use crate::schedule::{Arrival, ArrivalStream};
 use noc_app::{AppEvent, ClosedLoopSpec};
 use noc_telemetry::TraceEventKind;
 use noc_topology::{NodeId, Path, Topology};
 use noc_workloads::Workload;
-use std::collections::HashSet;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Deadlock-watchdog parameters: checked on multiples of
@@ -177,6 +177,72 @@ pub trait TimeAdvance {
     fn schedule(&mut self, at: u64, node: u32);
 }
 
+/// The arrivals the event engine gathers into one flight
+/// ([`Fabric::admit`]), and the scratch flying them takes.
+#[derive(Debug, Default)]
+struct Group {
+    /// The last absorption of any member admitted so far.
+    end: u64,
+    members: Vec<Member>,
+    /// Messages spawned per arrival cycle, `(cycle, count)` ascending.
+    spawned: Vec<(u64, usize)>,
+    /// Per physical channel: the last move of the latest window admitted
+    /// on it, by this group or an earlier one. Sized by the first group.
+    last_move: Vec<u64>,
+    /// Tagged deliveries, `(cycle, population, generation, source)`.
+    deliveries: Vec<(u64, Sample, u64, NodeId)>,
+    /// Arena replay: `(cycle, freed?, value number)`.
+    lives: Vec<(u64, bool, u32)>,
+    /// `(member, stream)` of each message, in insertion order.
+    messages: Vec<(u32, u32)>,
+    op_ids: Vec<OpId>,
+    msg_ids: Vec<MsgId>,
+}
+
+/// One arrival of a group.
+#[derive(Debug)]
+struct Member {
+    /// Its cycle.
+    at: u64,
+    node: NodeId,
+    /// The unicast's route; `None` for the node's multicast operation,
+    /// whose streams are the plan's.
+    unicast: Option<Arc<Path>>,
+    /// Its last absorption, alone on the fabric.
+    end: u64,
+}
+
+impl Member {
+    /// Its multicast streams (none for a unicast).
+    fn streams<'p>(&self, plan: &'p SimPlan) -> &'p [PreStream] {
+        match self.unicast {
+            Some(_) => &[],
+            None => plan.streams(self.node.idx()),
+        }
+    }
+
+    /// Its messages' routes: the unicast's, or the streams'.
+    fn paths<'a>(&'a self, plan: &'a SimPlan) -> impl Iterator<Item = &'a Arc<Path>> {
+        let streams = self.streams(plan).iter().map(|pre| &pre.path);
+        self.unicast.iter().chain(streams)
+    }
+}
+
+/// The latency population a delivery is recorded in.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Sample {
+    Unicast,
+    Operation,
+    Stream,
+}
+
+/// Cycles from a stream's generation to its tail crossing the ejection
+/// hop, where its final target absorbs, alone on the fabric.
+fn stream_transit(pre: &PreStream, flits: u32) -> u64 {
+    let (ejection, _) = *pre.absorbs.last().expect("a stream has a target");
+    u64::from(ejection) + u64::from(flits)
+}
+
 /// All in-flight state of one simulation run, and every phase that
 /// mutates it.
 pub struct Fabric<'a> {
@@ -215,10 +281,17 @@ pub struct Fabric<'a> {
     // --- scratch (reused across cycles) ---
     /// The last simulated cycle's move set, in selection order; kept
     /// until the next selection for the event engine's span scan (which
-    /// runs right after that cycle; a multicast flight uses the list as
-    /// scratch in between and leaves it empty).
+    /// runs right after that cycle).
     pub(crate) moves: Vec<(MsgId, u16)>,
     regrant: Vec<u32>,
+
+    // --- flights (the event engine's; see `Fabric::admit`) ---
+    /// Arrivals drawn for a group that was then declined, in `(cycle,
+    /// node)` order. Each spawns at its own cycle ahead of the nodes still
+    /// queued for it, which are all higher.
+    pub(crate) held: VecDeque<(u64, NodeId, Arrival)>,
+    /// The group being gathered.
+    group: Group,
 
     // --- closed-loop protocol drive (None on open-loop runs) ---
     closed: Option<ClosedLoopDriver>,
@@ -258,6 +331,8 @@ impl<'a> Fabric<'a> {
             last_move_cycle: 0,
             moves: Vec::new(),
             regrant: Vec::new(),
+            held: VecDeque::new(),
+            group: Group::default(),
             closed: None,
             arrived: Vec::new(),
             actions: Vec::new(),
@@ -387,18 +462,17 @@ impl<'a> Fabric<'a> {
         (arrival, stream.next_arrival())
     }
 
-    /// Fire every node due this cycle, in the driver's (node-ascending)
-    /// order: open-loop sources spawn their arrival and are rescheduled,
-    /// closed-loop nodes get their [`AppEvent::Timeout`]. `first` is an
-    /// arrival the driver already drew for the lowest due node (a
-    /// declined flight); it spawns ahead of the rest, where it belongs.
-    fn generate(
-        &mut self,
-        tagging: bool,
-        first: Option<(NodeId, Arrival)>,
-        due: &mut impl TimeAdvance,
-    ) {
-        if let Some((node, arrival)) = first {
+    /// Fire every node due this cycle in node order: first the arrivals
+    /// held for it (drawn for a declined group), then the nodes the driver
+    /// reports due — open-loop sources spawn their arrival and are
+    /// rescheduled, closed-loop nodes get their [`AppEvent::Timeout`].
+    fn generate(&mut self, tagging: bool, due: &mut impl TimeAdvance) {
+        while let Some(&(at, node, arrival)) = self.held.front() {
+            if at != self.cycle {
+                debug_assert!(at > self.cycle, "held arrival of cycle {at} skipped");
+                break;
+            }
+            self.held.pop_front();
             self.spawn(node, arrival, tagging);
         }
         while let Some(n) = due.next_due(self) {
@@ -633,23 +707,9 @@ impl<'a> Fabric<'a> {
         measuring: bool,
         due: &mut impl TimeAdvance,
     ) -> CycleOutcome {
-        self.step_from(cycle, tagging, measuring, None, due)
-    }
-
-    /// [`Fabric::step`] with `first` — an arrival the driver already drew
-    /// for the lowest node due at `cycle` — spawned ahead of the nodes
-    /// still queued, so the spawn order stays node-ascending.
-    pub(crate) fn step_from(
-        &mut self,
-        cycle: u64,
-        tagging: bool,
-        measuring: bool,
-        first: Option<(NodeId, Arrival)>,
-        due: &mut impl TimeAdvance,
-    ) -> CycleOutcome {
         debug_assert!(cycle > self.cycle);
         self.cycle = cycle;
-        self.generate(tagging, first, due);
+        self.generate(tagging, due);
         self.select_moves();
         let moved = !self.moves.is_empty();
         if !moved && !self.active.is_empty() {
@@ -731,7 +791,8 @@ impl<'a> Fabric<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Flights: an arrival on an empty fabric, applied in closed form.
+    // Flights: a group of arrivals on an empty fabric, applied in closed
+    // form.
     // ------------------------------------------------------------------
 
     /// Can any arrival of this run fly? A flight records no trace event
@@ -743,166 +804,300 @@ impl<'a> Fabric<'a> {
         self.closed.is_none() && !self.cfg.telemetry.enabled() && self.cfg.buffer_depth >= 2
     }
 
-    /// Apply the whole transit of `arrival`, generated by `node` at cycle
-    /// `c0` on a fabric with no live message, and jump to the cycle its
-    /// last flit is absorbed on — unless something could interfere before
-    /// then. `false` means declined: the caller steps `c0` with the
-    /// arrival as its first spawn (all a declined flight may have done is
-    /// the stale-entry sweep that cycle's selection starts with).
+    /// Open a group whose first arrival is due at `c0`, on a fabric with
+    /// no live message and nothing held. The fabric is not touched until
+    /// the group flies.
+    pub(crate) fn begin_group(&mut self, c0: u64) {
+        debug_assert!(self.flights_possible() && c0 > self.cycle);
+        debug_assert!(self.msgs.is_empty() && self.ops.is_empty() && self.regrant.is_empty());
+        debug_assert_eq!((self.inj_backlog, self.tagged_outstanding), (0, 0));
+        debug_assert!(self.held.is_empty());
+        let g = &mut self.group;
+        if g.last_move.len() != self.plan.num_channels {
+            g.last_move = vec![0; self.plan.num_channels];
+        }
+        g.members.clear();
+        g.spawned.clear();
+        g.end = c0;
+    }
+
+    /// The last absorption of any member admitted so far: arrivals due
+    /// before it overlap the group in time and are offered to it.
+    pub(crate) fn group_end(&self) -> u64 {
+        self.group.end
+    }
+
+    /// Offer the group `arrival`, drawn for `node` at cycle `at` (arrivals
+    /// come in `(cycle, node)` order). It is held whatever the verdict, so
+    /// a declined group's arrivals spawn at their own cycles. `false`
+    /// declines the whole group.
     ///
     /// Alone on the fabric, with `hops = path.len()` (injection and
     /// ejection hops included) and `L` flits, a message is granted hop `h`
-    /// at cycle `c0 + h` and moves a flit across it on each of the cycles
-    /// `c0 + h + 1 ..= c0 + h + L`: at depth ≥ 2 no buffer ever holds more
+    /// at cycle `at + h` and moves a flit across it on each of the cycles
+    /// `at + h + 1 ..= at + h + L`: at depth ≥ 2 no buffer ever holds more
     /// than the flit in transit, so neither supply nor credit stalls a
     /// hop. The tail leaves the ejection hop, and frees the message, at
-    /// `c0 + hops − 1 + L`. The streams of one multicast operation each do
-    /// the same provided no two of them cross one physical channel.
+    /// `at + hops − 1 + L`. Messages contend only for physical channels,
+    /// so members that never hold one over overlapping cycles each move
+    /// as if alone. The arrival is declined when
     ///
-    /// `before` is the cycle of the next queued event. The flight is
-    /// declined when
-    ///
-    /// * it would not end *strictly* before `before`: the newcomer would
-    ///   find channels held or — on the end cycle itself — stale entries
-    ///   on the active list, whose lazy removal permutes the order its
-    ///   own moves are selected (and its statistics recorded) in;
+    /// * a hop's grant cycle is no later than the last move of a window
+    ///   admitted on its physical channel before — another member's, or
+    ///   its own streams': they would take turns. Windows must come in
+    ///   admission order, so a channel's last admitted user is its last;
     /// * it would not end strictly before `measure_end`: from there on the
     ///   oracle may end the run mid-flight (an untagged message does not
     ///   hold a run open) and moves stop being measured. The drain
     ///   deadline lies at or past `measure_end`, so this covers it;
-    /// * its moves, on cycles `c0 + 1 ..= end`, straddle the warmup
+    /// * its moves, on cycles `at + 1 ..= end`, straddle the warmup
     ///   boundary: `measuring` is one verdict for all of them. Tagging is
-    ///   `in_window(c0)` and has no such constraint — a message generated
+    ///   `in_window(at)` and has no such constraint — a message generated
     ///   at `warmup` is untagged and measured;
-    /// * it spawns more messages than `backlog_limit`: the oracle's
-    ///   end-of-run check fires at `c0`;
-    /// * two hops share a physical channel: they would take turns.
-    pub(crate) fn fly(&mut self, c0: u64, node: NodeId, arrival: Arrival, before: u64) -> bool {
-        debug_assert!(self.flights_possible() && c0 > self.cycle);
-        debug_assert!(self.msgs.is_empty() && self.ops.is_empty() && self.regrant.is_empty());
-        debug_assert_eq!((self.inj_backlog, self.tagged_outstanding), (0, 0));
-        let (flits, len) = (self.wl.msg_len, u64::from(self.wl.msg_len));
+    /// * the group spawns more than `backlog_limit` messages on its cycle:
+    ///   the oracle's end-of-run check fires there.
+    pub(crate) fn admit(&mut self, at: u64, node: NodeId, arrival: Arrival) -> bool {
+        self.held.push_back((at, node, arrival));
+        let len = u64::from(self.wl.msg_len);
         let unicast = match arrival {
             Arrival::Unicast(dst) => Some(self.plan.unicast_path(node, dst)),
             Arrival::Multicast => None,
         };
-        let streams = match unicast {
-            Some(_) => &[][..],
-            None => self.plan.streams(node.idx()),
+        let mut member = Member {
+            at,
+            node,
+            unicast,
+            end: 0,
         };
-        let paths = || {
-            let streams = streams.iter().map(|pre| &*pre.path);
-            unicast.iter().map(|path| &**path).chain(streams)
-        };
-        let Some(longest) = paths().map(Path::len).max() else {
+        let Some(longest) = member.paths(&self.plan).map(|path| path.len()).max() else {
             return false; // no stream configured: the stepped spawn reports it
         };
-        let (messages, end) = (paths().count(), c0 + longest as u64 - 1 + len);
+        member.end = at + longest as u64 - 1 + len;
         let warmup = self.cfg.warmup_cycles;
-        if end >= before.min(self.cfg.measure_end())
-            || (c0 < warmup && warmup < end)
-            || messages > self.cfg.backlog_limit
+        if member.end >= self.cfg.measure_end() || (at < warmup && warmup < member.end) {
+            return false;
+        }
+        let g = &mut self.group;
+        let messages = member.paths(&self.plan).count();
+        match g.spawned.last_mut() {
+            Some((cycle, count)) if *cycle == at => *count += messages,
+            _ => g.spawned.push((at, messages)),
+        }
+        if g.spawned
+            .last()
+            .is_some_and(|&(_, n)| n > self.cfg.backlog_limit)
         {
             return false;
         }
+        // Every window starts at or after the group's first arrival, and
+        // every stamp an earlier group left is older: no reset needed.
+        for path in member.paths(&self.plan) {
+            for (h, hop) in path.hops.iter().enumerate() {
+                let grant = at + h as u64;
+                let last = &mut g.last_move[hop.channel.idx()];
+                if grant <= *last {
+                    return false;
+                }
+                *last = grant + len;
+            }
+        }
+        g.end = g.end.max(member.end);
+        g.members.push(member);
+        true
+    }
 
-        // What the selection of cycle `c0` starts with: with no live
+    /// Fly the admitted group and jump to the cycle its last flit is
+    /// absorbed on. Returns the arrivals flown and the cycles they covered
+    /// (each from its arrival to its last absorption); `None` declines and
+    /// leaves the fabric as it was. The group is declined when
+    ///
+    /// * it would not end strictly before `before`, the next event outside
+    ///   it: on that event's cycle the newcomer would find channels held
+    ///   or stale entries on the active list, whose lazy removal permutes
+    ///   the order its own moves are selected (and its statistics
+    ///   recorded) in;
+    /// * two samples of one latency population (unicast, operation or
+    ///   stream) land on one cycle with different values: the oracle
+    ///   records them in the order its active list holds their channels,
+    ///   which the closed form does not track. Equal values commute, and
+    ///   so do samples of different populations.
+    pub(crate) fn fly_group(&mut self, before: u64) -> Option<(u64, u64)> {
+        let mut g = std::mem::take(&mut self.group);
+        let flown =
+            (g.end < before && self.settle_deliveries(&mut g)).then(|| self.apply_group(&mut g));
+        self.group = g;
+        flown
+    }
+
+    /// List the group's deliveries in end-cycle order, the order the
+    /// oracle records them in; `false` on a tie that order leaves open.
+    fn settle_deliveries(&self, g: &mut Group) -> bool {
+        g.deliveries.clear();
+        for m in g.members.iter().filter(|m| self.in_window(m.at)) {
+            if m.unicast.is_some() {
+                g.deliveries.push((m.end, Sample::Unicast, m.at, m.node));
+                continue;
+            }
+            for pre in self.plan.streams(m.node.idx()) {
+                let freed = m.at + stream_transit(pre, self.wl.msg_len);
+                g.deliveries.push((freed, Sample::Stream, m.at, m.node));
+            }
+            g.deliveries.push((m.end, Sample::Operation, m.at, m.node));
+        }
+        g.deliveries
+            .sort_unstable_by_key(|&(cycle, sample, ..)| (cycle, sample));
+        !g.deliveries
+            .windows(2)
+            .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1) && w[0].2 != w[1].2)
+    }
+
+    /// Write what the oracle's steps over the group's cycles write, in
+    /// the order it writes them wherever the order can show.
+    fn apply_group(&mut self, g: &mut Group) -> (u64, u64) {
+        // What the selection of the first cycle starts with: with no live
         // message every listed channel is stale. The list then stays
-        // empty — the flight's own channels are all released by `end`, and
+        // empty — the group's channels are all released by its end, and
         // `watchdog_fires` and the event engine read a non-empty list as
         // "channels are held".
         for pc in self.active.drain(..) {
             debug_assert_eq!(self.channels[pc as usize].owned, 0);
             self.channels[pc as usize].active = false;
         }
-        // With the list empty the `active` flags are free to mark the
-        // flight's channels: one met twice is shared.
-        let mut marked = 0;
-        let shared = paths().flat_map(|path| &path.hops).any(|hop| {
-            let seen = std::mem::replace(&mut self.channels[hop.channel.idx()].active, true);
-            marked += usize::from(!seen);
-            seen
-        });
-        if shared {
-            for hop in paths().flat_map(|path| &path.hops).take(marked) {
-                self.channels[hop.channel.idx()].active = false;
-            }
-            return false;
-        }
 
-        // Every hop: `L` moves, the last of which leaves the round-robin
-        // pointer just past the hop's vc.
-        let (tagged, measuring) = (self.in_window(c0), self.in_window(c0 + 1));
-        for path in paths() {
-            for (h, hop) in path.hops.iter().enumerate() {
-                let pc = hop.channel.idx();
-                let ch = &mut self.channels[pc];
-                ch.active = false;
-                ch.rr = (hop.vc.0 + 1) % self.plan.vcs[pc];
-                self.metrics
-                    .record_flit_moves_bulk(c0 + h as u64, pc, len, measuring);
-            }
-        }
-
-        // The messages. Arena ids never reach `SimResults`, but they are
-        // inserted and freed all the same, so slot order and generation
-        // tags stay the oracle's.
-        self.metrics.total_generated += messages as u64;
-        self.metrics.total_absorbed += messages as u64;
-        self.peak_backlog = self.peak_backlog.max(messages);
-        if let Some(path) = unicast {
-            let id = self
-                .msgs
-                .insert(ActiveMsg::unicast(path, flits, c0, tagged));
-            self.msgs.free(id, "flown unicast");
-            if tagged {
-                self.metrics.unicast_injected += 1;
-                self.metrics.record_unicast_delivery(end, c0);
-            }
-        } else {
-            // Every target absorbs when the tail crosses its completion
-            // hop; the operation completes with the last of them.
-            let mut op = MulticastOp {
-                src: node,
-                gen: c0,
-                remaining: 0,
-                last_absorb: c0,
-                tagged,
-            };
-            let opid = self.ops.insert(op.clone());
-            self.ops.free(opid, "flown multicast op");
-            self.ops_allocated += 1;
-            self.ops_completed += 1;
-            // `moves` gets each stream's last move, across its ejection
-            // hop, in the order the oracle makes them: ascending hop, so
-            // ascending cycle. Streams that end on one cycle record equal
-            // latencies, so their mutual order cannot change a bit.
-            self.moves.clear();
-            for pre in streams {
-                let (path, absorbs) = (Arc::clone(&pre.path), Arc::clone(&pre.absorbs));
-                let (last, _) = *absorbs.last().expect("a stream has a target");
-                op.last_absorb = op.last_absorb.max(c0 + u64::from(last) + len);
-                let ejection = (path.len() - 1) as u16;
-                let msg = ActiveMsg::stream(path, flits, c0, tagged, opid, absorbs);
-                self.moves.push((self.msgs.insert(msg), ejection));
-            }
-            self.moves.sort_by_key(|&(_, ejection)| ejection);
-            for &(id, ejection) in &self.moves {
-                self.msgs.free(id, "flown stream");
-                if tagged {
-                    let freed = c0 + u64::from(ejection) + len;
-                    self.metrics.record_stream_delivery(freed, c0);
+        // Every hop: `L` moves under its member's one `measuring` verdict,
+        // the last of which leaves the round-robin pointer just past the
+        // hop's vc. A channel's windows were admitted in time order, so
+        // its last user writes last.
+        let len = u64::from(self.wl.msg_len);
+        let (mut messages, mut ops, mut covered) = (0, 0, 0);
+        for m in &g.members {
+            let measuring = self.in_window(m.at + 1);
+            for path in m.paths(&self.plan) {
+                messages += 1;
+                for (h, hop) in path.hops.iter().enumerate() {
+                    let pc = hop.channel.idx();
+                    self.channels[pc].rr = (hop.vc.0 + 1) % self.plan.vcs[pc];
+                    self.metrics
+                        .record_flit_moves_bulk(m.at + h as u64, pc, len, measuring);
                 }
             }
-            self.moves.clear();
-            if tagged {
-                self.metrics.multicast_injected += 1;
-                self.metrics.record_op_delivery(&op);
+            let tagged = u64::from(self.in_window(m.at));
+            if m.unicast.is_some() {
+                self.metrics.unicast_injected += tagged;
+            } else {
+                ops += 1;
+                self.metrics.multicast_injected += tagged;
+            }
+            covered += m.end - m.at + 1;
+        }
+        self.metrics.total_generated += messages;
+        self.metrics.total_absorbed += messages;
+        self.ops_allocated += ops;
+        self.ops_completed += ops;
+        // A cycle's arrivals queue beside the previous cycle's, whose
+        // headers leave the injection channels after generation.
+        for (i, &(at, spawned)) in g.spawned.iter().enumerate() {
+            let previous = i.checked_sub(1).map(|j| g.spawned[j]);
+            let waiting = previous.filter(|&(c, _)| c + 1 == at).map_or(0, |(_, n)| n);
+            self.peak_backlog = self.peak_backlog.max(spawned + waiting);
+        }
+
+        self.replay_arenas(g);
+
+        for &(cycle, sample, gen, src) in &g.deliveries {
+            match sample {
+                Sample::Unicast => self.metrics.record_unicast_delivery(cycle, gen),
+                Sample::Stream => self.metrics.record_stream_delivery(cycle, gen),
+                Sample::Operation => self.metrics.record_op_delivery(&MulticastOp {
+                    src,
+                    gen,
+                    remaining: 0,
+                    last_absorb: cycle,
+                    tagged: true,
+                }),
             }
         }
-        self.cycle = end;
-        self.last_move_cycle = end;
-        true
+
+        self.cycle = g.end;
+        self.last_move_cycle = g.end;
+        self.held.clear();
+        (g.members.len() as u64, covered)
+    }
+
+    /// Insert and free the group's operations and messages: each inserted
+    /// at its arrival, in arrival order (a multicast's operation, then its
+    /// streams), and freed at its last absorption — a cycle's insertions
+    /// (generation) before its frees (application), the frees of one
+    /// cycle in insertion order. The oracle frees those in the order its
+    /// active list holds their ejection channels, so the slot a later
+    /// message gets may differ; ids reach no result and no audit.
+    fn replay_arenas(&mut self, g: &mut Group) {
+        // Operations first: a stream holds its operation's id.
+        g.lives.clear();
+        for (k, m) in g.members.iter().enumerate() {
+            if m.unicast.is_none() {
+                g.lives.push((m.at, false, k as u32));
+                g.lives.push((m.end, true, k as u32));
+            }
+        }
+        g.lives.sort_unstable();
+        g.op_ids.resize(g.members.len(), 0);
+        for &(_, free, k) in &g.lives {
+            let (k, m) = (k as usize, &g.members[k as usize]);
+            if free {
+                self.ops.free(g.op_ids[k], "flown multicast op");
+                continue;
+            }
+            let op = MulticastOp {
+                src: m.node,
+                gen: m.at,
+                remaining: 0,
+                last_absorb: m.end,
+                tagged: self.in_window(m.at),
+            };
+            g.op_ids[k] = self.ops.insert(op);
+        }
+
+        // Then messages, numbered in insertion order as `(member, stream)`.
+        let flits = self.wl.msg_len;
+        g.lives.clear();
+        g.messages.clear();
+        for (k, m) in g.members.iter().enumerate() {
+            let mut live = |stream: u32, end: u64| {
+                let id = g.messages.len() as u32;
+                g.messages.push((k as u32, stream));
+                g.lives.push((m.at, false, id));
+                g.lives.push((end, true, id));
+            };
+            if m.unicast.is_some() {
+                live(0, m.end);
+            }
+            for (si, pre) in m.streams(&self.plan).iter().enumerate() {
+                live(si as u32, m.at + stream_transit(pre, flits));
+            }
+        }
+        g.lives.sort_unstable();
+        g.msg_ids.resize(g.messages.len(), 0);
+        for &(_, free, id) in &g.lives {
+            let id = id as usize;
+            if free {
+                self.msgs.free(g.msg_ids[id], "flown message");
+                continue;
+            }
+            let (k, si) = g.messages[id];
+            let m = &g.members[k as usize];
+            let tagged = self.in_window(m.at);
+            let msg = match &m.unicast {
+                Some(path) => ActiveMsg::unicast(Arc::clone(path), flits, m.at, tagged),
+                None => {
+                    let pre = &m.streams(&self.plan)[si as usize];
+                    let (path, absorbs) = (Arc::clone(&pre.path), Arc::clone(&pre.absorbs));
+                    let op = g.op_ids[k as usize];
+                    ActiveMsg::stream(path, flits, m.at, tagged, op, absorbs)
+                }
+            };
+            g.msg_ids[id] = self.msgs.insert(msg);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1023,7 +1218,7 @@ impl<'a> Fabric<'a> {
     /// The `(owned, ready)` masks of channel `pc` derived from scratch:
     /// every cv's owner asked whether it can move a flit. The reference
     /// the incrementally maintained [`ChannelState`] is held to.
-    fn reference_masks(&self, pc: usize) -> Result<(u8, u8), String> {
+    fn reference_masks(&self, pc: usize) -> Result<(u8, u8), AuditError> {
         let base = self.plan.cv_base[pc];
         let (mut owned, mut ready) = (0u8, 0u8);
         for vc in 0..self.plan.vcs[pc] {
@@ -1034,7 +1229,7 @@ impl<'a> Fabric<'a> {
             let msg = self
                 .msgs
                 .try_get(m)
-                .ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
+                .ok_or(AuditError::DeadOwner { cv, msg: m })?;
             owned |= 1 << vc;
             if msg.can_move(h as usize, self.cfg.buffer_depth) {
                 ready |= 1 << vc;
@@ -1044,7 +1239,7 @@ impl<'a> Fabric<'a> {
     }
 
     /// See [`crate::Engine::audit`].
-    pub(crate) fn audit(&self) -> Result<EngineAudit, String> {
+    pub(crate) fn audit(&self) -> Result<EngineAudit, AuditError> {
         let mut owned_cvs = 0u64;
         let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
         for (cv, state) in self.cvs.iter().enumerate() {
@@ -1055,57 +1250,66 @@ impl<'a> Fabric<'a> {
             let msg = self
                 .msgs
                 .try_get(m)
-                .ok_or_else(|| format!("cv {cv} owned by dead message {m}"))?;
+                .ok_or(AuditError::DeadOwner { cv, msg: m })?;
             let hop = *msg
                 .path
                 .hops
                 .get(h as usize)
-                .ok_or_else(|| format!("cv {cv} owner hop {h} beyond message {m}'s path"))?;
-            if self.plan.cv_index(hop) as usize != cv {
-                return Err(format!(
-                    "cv {cv} owned by message {m} at hop {h}, but that hop maps to cv {}",
-                    self.plan.cv_index(hop)
-                ));
+                .ok_or(AuditError::OwnerHopBeyondPath { cv, msg: m, hop: h })?;
+            let maps_to = self.plan.cv_index(hop);
+            if maps_to as usize != cv {
+                return Err(AuditError::OwnerHopElsewhere {
+                    cv,
+                    msg: m,
+                    hop: h,
+                    maps_to,
+                });
             }
             if h >= msg.head {
-                return Err(format!(
-                    "cv {cv} owned by message {m} at hop {h}, at or past its head cursor {}",
-                    msg.head
-                ));
+                return Err(AuditError::OwnerPastHead {
+                    cv,
+                    msg: m,
+                    hop: h,
+                    head: msg.head,
+                });
             }
             if !holders.insert((m, h)) {
-                return Err(format!("message {m} hop {h} owns two cvs"));
+                return Err(AuditError::HopOwnsTwo { msg: m, hop: h });
             }
             // A move selected on a stale verdict leaves its mark here: a
             // hop ahead of its supply, or a buffer over capacity.
             let t = &msg.traversed;
             let supply = if h == 0 { msg.len } else { t[h as usize - 1] };
             if t[h as usize] > supply || msg.occupancy(h as usize) > self.cfg.buffer_depth {
-                return Err(format!(
-                    "cv {cv}: message {m} moved a flit across hop {h} it could not have \
-                     (of {} flits, {t:?} crossed each hop; buffers hold {})",
-                    msg.len, self.cfg.buffer_depth
-                ));
+                return Err(AuditError::ImpossibleMove {
+                    cv,
+                    msg: m,
+                    hop: h,
+                    len: msg.len,
+                    traversed: t.to_vec(),
+                    buffer_depth: self.cfg.buffer_depth,
+                });
             }
         }
 
         for (pc, ch) in self.channels.iter().enumerate() {
             let (owned, ready) = self.reference_masks(pc)?;
             if (ch.owned, ch.ready) != (owned, ready) {
-                return Err(format!(
-                    "channel {pc}: masks drifted (cached owned {:#010b} ready {:#010b}, \
-                     actual owned {owned:#010b} ready {ready:#010b})",
-                    ch.owned, ch.ready
-                ));
+                return Err(AuditError::MasksDrifted {
+                    channel: pc,
+                    cached: (ch.owned, ch.ready),
+                    actual: (owned, ready),
+                });
             }
             if ch.rr >= self.plan.vcs[pc] {
-                return Err(format!(
-                    "channel {pc}: round-robin pointer {} past its {} vcs",
-                    ch.rr, self.plan.vcs[pc]
-                ));
+                return Err(AuditError::PointerPastVcs {
+                    channel: pc,
+                    rr: ch.rr,
+                    vcs: self.plan.vcs[pc],
+                });
             }
             if owned != 0 && !ch.active {
-                return Err(format!("channel {pc}: owns cvs but is not active"));
+                return Err(AuditError::OwnedButInactive { channel: pc });
             }
         }
         // Every listed channel flagged and as many listed as flagged: the
@@ -1113,21 +1317,20 @@ impl<'a> Fabric<'a> {
         let flagged = self.channels.iter().filter(|ch| ch.active).count();
         let listed = |&pc: &u32| self.channels[pc as usize].active;
         if flagged != self.active.len() || !self.active.iter().all(listed) {
-            return Err(format!(
-                "the active list ({} channels) and the {flagged} active bits disagree",
-                self.active.len()
-            ));
+            return Err(AuditError::ActiveListMismatch {
+                listed: self.active.len(),
+                flagged,
+            });
         }
 
         // The leading granted hop is released last (with the message), so
         // a live message with a non-zero head cursor still owns it.
         for (m, msg) in self.msgs.iter() {
             if msg.head > 0 && !holders.contains(&(m, msg.head - 1)) {
-                return Err(format!(
-                    "message {m}: head cursor {} but it does not own hop {}",
-                    msg.head,
-                    msg.head - 1
-                ));
+                return Err(AuditError::HeadNotHeld {
+                    msg: m,
+                    head: msg.head,
+                });
             }
         }
 
@@ -1138,48 +1341,58 @@ impl<'a> Fabric<'a> {
                 let msg = self
                     .msgs
                     .try_get(at)
-                    .ok_or_else(|| format!("cv {cv} queues dead message {at}"))?;
+                    .ok_or(AuditError::DeadWaiter { cv, msg: at })?;
                 if !queued.insert(at) {
-                    return Err(format!(
-                        "cv {cv}: waiter {at} is queued twice (a cycle, or a second cv's list)"
-                    ));
+                    return Err(AuditError::WaiterQueuedTwice { cv, msg: at });
                 }
                 let wanted = msg.path.hops.get(msg.head as usize);
                 if wanted.map(|&hop| self.plan.cv_index(hop) as usize) != Some(cv) {
-                    return Err(format!(
-                        "cv {cv} queues message {at}, whose next hop {} is another cv",
-                        msg.head
-                    ));
+                    return Err(AuditError::WaiterElsewhere {
+                        cv,
+                        msg: at,
+                        head: msg.head,
+                    });
                 }
                 (last, at) = (at, msg.next_waiter);
             }
             if state.wait_tail != last {
-                return Err(format!(
-                    "cv {cv}: wait_tail {} is not the last waiter {last}",
-                    state.wait_tail
-                ));
+                return Err(AuditError::WaitTailMismatch {
+                    cv,
+                    wait_tail: state.wait_tail,
+                    last,
+                });
             }
         }
 
-        if let Some((i, _)) = self.ops.iter().find(|(_, op)| op.remaining == 0) {
-            return Err(format!("live multicast op {i} has zero targets remaining"));
+        if let Some((op, _)) = self.ops.iter().find(|(_, op)| op.remaining == 0) {
+            return Err(AuditError::OpWithoutTargets { op });
         }
         let live_ops = self.ops.len() as u64;
         if self.ops_allocated != self.ops_completed + live_ops {
-            return Err(format!(
-                "op accounting broken: {} allocated != {} completed + {} live",
-                self.ops_allocated, self.ops_completed, live_ops
-            ));
+            return Err(AuditError::OpAccounting {
+                allocated: self.ops_allocated,
+                completed: self.ops_completed,
+                live: live_ops,
+            });
         }
 
         let live_messages = self.msgs.len() as u64;
         let (total_generated, total_absorbed) =
             (self.metrics.total_generated, self.metrics.total_absorbed);
         if total_generated != total_absorbed + live_messages {
-            return Err(format!(
-                "flit conservation broken: {total_generated} generated != \
-                 {total_absorbed} absorbed + {live_messages} live"
-            ));
+            return Err(AuditError::MessageConservation {
+                generated: total_generated,
+                absorbed: total_absorbed,
+                live: live_messages,
+            });
+        }
+        // Every arrival held for its cycle was spawned on it.
+        if let Some(&(at, node, _)) = self.held.front().filter(|&&(at, ..)| at <= self.cycle) {
+            return Err(AuditError::HeldPastCycle {
+                node,
+                at,
+                cycle: self.cycle,
+            });
         }
 
         Ok(EngineAudit {
@@ -1334,26 +1547,63 @@ mod tests {
         let inj = sim.fabric.msgs.get(ids[0], "owner").path.hops[0];
         let (pc, cv) = (inj.channel.idx(), sim.fabric.plan.cv_index(inj) as usize);
         sim.audit().expect("sound before tampering");
-        let fails_with = |sim: &Engine<'_>, what: &str| {
+        let fails_with = |sim: &Engine<'_>, expected: AuditError, what: &str| {
             let err = sim.audit().expect_err(what);
-            assert!(err.contains(what), "{err:?} does not mention {what:?}");
+            assert!(
+                err.to_string().contains(what),
+                "{err} does not mention {what:?}"
+            );
+            assert_eq!(err, expected);
         };
 
+        let (owned, ready) = (sim.fabric.channels[pc].owned, sim.fabric.channels[pc].ready);
         sim.fabric.channels[pc].ready ^= 1;
-        fails_with(&sim, &format!("channel {pc}: masks drifted"));
+        let drifted = AuditError::MasksDrifted {
+            channel: pc,
+            cached: (owned, ready ^ 1),
+            actual: (owned, ready),
+        };
+        fails_with(&sim, drifted, &format!("channel {pc}: masks drifted"));
         sim.fabric.channels[pc].ready ^= 1;
 
         sim.fabric.msgs.get_mut(ids[0], "owner").head += 1;
-        fails_with(&sim, &format!("message {}: head cursor 2", ids[0]));
+        let unheld = AuditError::HeadNotHeld {
+            msg: ids[0],
+            head: 2,
+        };
+        fails_with(&sim, unheld, &format!("message {}: head cursor 2", ids[0]));
         sim.fabric.msgs.get_mut(ids[0], "owner").head -= 1;
 
         sim.fabric.cvs[cv].wait_tail = ids[1];
-        fails_with(&sim, &format!("cv {cv}: wait_tail {}", ids[1]));
+        let tail = AuditError::WaitTailMismatch {
+            cv,
+            wait_tail: ids[1],
+            last: ids[2],
+        };
+        fails_with(&sim, tail, &format!("cv {cv}: wait_tail {}", ids[1]));
         sim.fabric.cvs[cv].wait_tail = ids[2];
 
         sim.fabric.msgs.get_mut(ids[2], "last waiter").next_waiter = ids[1];
-        fails_with(&sim, &format!("cv {cv}: waiter {} is queued twice", ids[1]));
+        let twice = AuditError::WaiterQueuedTwice { cv, msg: ids[1] };
+        fails_with(
+            &sim,
+            twice,
+            &format!("cv {cv}: waiter {} is queued twice", ids[1]),
+        );
         sim.fabric.msgs.get_mut(ids[2], "last waiter").next_waiter = NO_MSG;
+
+        // An arrival held for a cycle the engine has passed.
+        let now = sim.now();
+        sim.fabric
+            .held
+            .push_back((now, NodeId(5), Arrival::Multicast));
+        let held = AuditError::HeldPastCycle {
+            node: NodeId(5),
+            at: now,
+            cycle: now,
+        };
+        fails_with(&sim, held, &format!("node 5's arrival of cycle {now}"));
+        sim.fabric.held.clear();
 
         sim.audit().expect("sound again once restored");
     }

@@ -95,7 +95,7 @@ pub mod schedule;
 
 pub use arena::Arena;
 pub use config::{EngineKind, SimConfig};
-pub use engine_api::{build_engine_with_plan, Engine, EngineAudit};
+pub use engine_api::{build_engine_with_plan, AuditError, Engine, EngineAudit};
 pub use plan::{PlanError, SimPlan};
 pub use results::{ClosedLoopResults, EngineCounters, LatencyHists, LatencyStats, SimResults};
 pub use schedule::{record_trace, Arrival, ArrivalStream};

@@ -566,9 +566,11 @@ fn shared_plan_differential_pair_is_identical_too() {
 }
 
 // ---------------------------------------------------------------------
-// Flights: an arrival that finds the fabric empty and nothing queued
-// before it would finish is applied in closed form (`Fabric::fly`). The
-// oracle never flies, so every comparison below is flown vs stepped.
+// Flights: an arrival that finds the fabric empty gathers every arrival
+// due before the group's running end, and a group whose members hold no
+// channel over overlapping cycles is applied in closed form
+// (`Fabric::admit`, `Fabric::fly_group`). The oracle never flies, so every
+// comparison below is flown vs stepped.
 // ---------------------------------------------------------------------
 
 fn topology(spec: &str) -> Box<dyn Topology> {
@@ -633,8 +635,9 @@ fn lone_arrivals(n: u32, count: u32, kind: impl Fn(u32) -> TraceKind) -> Traffic
 fn multicasts_whose_streams_share_a_channel_are_stepped() {
     // On quarc-16 the unicast tree sends every copy through one
     // injection channel and multipath streams share a prefix link: the
-    // copies take turns, so those operations are declined. Path-based
-    // streams leave through a port each and fly.
+    // copies' windows on it overlap, so a group holding such an operation
+    // is declined, here a group of one. Path-based streams leave through
+    // a port each and fly.
     let topo = Quarc::new(16).unwrap();
     let sets = DestinationSets::random(&topo, 6, 101);
     let multicasts = lone_arrivals(16, 12, |_| TraceKind::Multicast);
@@ -720,16 +723,25 @@ fn scripted_cfg() -> SimConfig {
 /// Quarc-16 under a scripted schedule of `(cycle, src, dst)` unicasts of
 /// 16 flits: both engines bit-equal, and the event engine's flight count.
 fn scripted(cfg: SimConfig, unicasts: &[(u64, u32, u32)], ctx: &str) -> (SimResults, u64) {
-    let topo = Quarc::new(16).unwrap();
+    scripted_on(&Quarc::new(16).unwrap(), cfg, unicasts, ctx)
+}
+
+/// [`scripted`] on `topo`.
+fn scripted_on(
+    topo: &dyn Topology,
+    cfg: SimConfig,
+    unicasts: &[(u64, u32, u32)],
+    ctx: &str,
+) -> (SimResults, u64) {
     let entry = |&(cycle, node, dst)| TraceEntry {
         cycle,
         node,
         kind: TraceKind::Unicast { dst },
     };
-    let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 109))
+    let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(topo, 4, 109))
         .unwrap()
         .with_traffic(TrafficSpec::trace(unicasts.iter().map(entry).collect()));
-    let (cycle, event) = both(&topo, &wl, cfg);
+    let (cycle, event) = both(topo, &wl, cfg);
     assert_eq!(
         cycle.total_generated,
         unicasts.len() as u64,
@@ -752,20 +764,115 @@ fn transit(src: u32, dst: u32) -> u64 {
 fn a_flight_must_end_strictly_before_the_next_arrival() {
     let (cfg, t) = (scripted_cfg(), transit(0, 3));
     // The second arrival, at another node, a cycle after the first
-    // message is gone: both fly.
-    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3001 + t, 8, 11)], "one before");
+    // message is gone: each flies alone.
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3001 + t, 8, 11)], "one after");
     assert_eq!(flights, 2);
-    // On the cycle its tail is absorbed, or the cycle before: the first
-    // is stepped, and the second then finds the fabric occupied.
-    for at in [3000 + t, 2999 + t] {
-        let (_, flights) = scripted(cfg, &[(3000, 0, 3), (at, 8, 11)], "on or after");
-        assert_eq!(flights, 0, "second arrival at {at}");
-    }
-    // Two nodes due on one cycle: the first drawn is handed back to the
-    // ordinary step, which spawns it ahead of the other. A later, lone
-    // arrival still flies.
+    // On the cycle the first's tail is absorbed it is no member, and the
+    // group does not end strictly before it: both are stepped.
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3000 + t, 8, 11)], "on the end");
+    assert_eq!(flights, 0);
+    // The cycle before, it is a member: the two share no channel and fly
+    // together.
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (2999 + t, 8, 11)], "the cycle before");
+    assert_eq!(flights, 2);
+    // Two nodes due on one cycle fly together too, and a later, lone
+    // arrival alone.
     let same = [(3000, 0, 3), (3000, 8, 11), (5000, 4, 9)];
-    assert_eq!(scripted(cfg, &same, "same cycle").1, 1);
+    assert_eq!(scripted(cfg, &same, "same cycle").1, 3);
+}
+
+// ----- groups, scripted -----
+
+#[test]
+fn two_overlapping_disjoint_unicasts_fly_together() {
+    // 0 → 3 and 8 → 11 run clockwise on opposite halves of the rim.
+    let (res, flights) = scripted(scripted_cfg(), &[(3000, 0, 3), (3005, 8, 11)], "disjoint");
+    assert_eq!(flights, 2);
+    assert_eq!(res.unicast_delivered, 2);
+}
+
+#[test]
+fn a_shared_channel_or_touching_windows_step_both() {
+    let cfg = scripted_cfg();
+    // 1 → 3 crosses the link 1 → 2 while 0 → 3 still holds it.
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3005, 1, 3)], "shared link");
+    assert_eq!(flights, 0);
+    // Two messages of one source share its injection channel, whose
+    // window runs from the arrival to the last flit's move, `L` = 16
+    // cycles later. A second message granted on that cycle touches the
+    // first's window and waits; one granted a cycle later moves as if
+    // alone on every hop, while the first is still in flight.
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3016, 0, 3)], "touching");
+    assert_eq!(flights, 0);
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3017, 0, 3)], "a cycle apart");
+    assert_eq!(flights, 2);
+}
+
+#[test]
+fn a_same_cycle_tie_between_different_latencies_steps_both() {
+    // 8 → 10 is a hop shorter than 0 → 3: started a cycle later it is
+    // absorbed on the same cycle with a latency one lower. The oracle
+    // records the two in the order its active list holds their ejection
+    // channels, which a flight cannot know.
+    let cfg = scripted_cfg();
+    let second = 3000 + transit(0, 3) - transit(8, 10);
+    assert_eq!(second, 3001);
+    let (res, flights) = scripted(cfg, &[(3000, 0, 3), (second, 8, 10)], "tie");
+    assert_eq!((flights, res.unicast_delivered), (0, 2));
+    // Equal latencies on one cycle commute: the group flies.
+    let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3000, 8, 11)], "equal");
+    assert_eq!(flights, 2);
+}
+
+#[test]
+fn a_group_that_straddles_warmup_or_measure_end_is_stepped() {
+    let cfg = scripted_cfg();
+    let (w, end) = (cfg.warmup_cycles, cfg.measure_end());
+    let t = transit(0, 3);
+    // The first is absorbed before warmup; the second joins it and is
+    // absorbed after.
+    let (_, flights) = scripted(cfg, &[(w - 30, 0, 3), (w - 30 + t - 5, 8, 11)], "warmup");
+    assert_eq!(flights, 0);
+    // Both absorbed before `measure_end`: flown; the second absorbed on
+    // it: stepped.
+    let before = [(end - 2 * t, 0, 3), (end - t - 1, 8, 11)];
+    assert_eq!(scripted(cfg, &before, "before measure_end").1, 2);
+    let on = [(end - 2 * t, 0, 3), (end - t, 8, 11)];
+    assert_eq!(scripted(cfg, &on, "on measure_end").1, 0);
+}
+
+#[test]
+fn a_group_that_ends_on_the_next_outside_event_is_stepped() {
+    let cfg = scripted_cfg();
+    let end = 3010 + transit(8, 11);
+    let group = [(3000, 0, 3), (3010, 8, 11)];
+    // The third arrival comes on the group's last cycle: not a member,
+    // and not strictly after the group. All three are stepped.
+    let (_, flights) = scripted(cfg, &[group[0], group[1], (end, 4, 6)], "on the end");
+    assert_eq!(flights, 0);
+    // A cycle later the group flies, and the third alone after it.
+    let (_, flights) = scripted(cfg, &[group[0], group[1], (end + 1, 4, 6)], "after it");
+    assert_eq!(flights, 3);
+}
+
+#[test]
+fn a_declined_groups_held_arrivals_spawn_in_node_order() {
+    // mesh-4x4, XY routing, node = 4 y + x. The group opens with 15 → 12
+    // along the top row, absorbed 5 cycles before `measure_end`. Six
+    // cycles before it, nodes 4 and 6 are due: node 4's arrival would end
+    // past `measure_end`, so the group is declined there, holding 15's
+    // and 4's arrivals while 6 is still queued for the same cycle.
+    // 4 → 9 and 6 → 13 then request the link (1,1) → (1,2) on one cycle,
+    // and whichever asks first takes it: with their different remaining
+    // routes the latencies show who did, so spawning 6 ahead of 4 (the
+    // queue ahead of the held) would show in the results.
+    let topo = Mesh::new(4, 4, MeshKind::Mesh).unwrap();
+    let cfg = scripted_cfg();
+    let end = cfg.measure_end();
+    let schedule = [(end - 25, 15, 12), (end - 6, 4, 9), (end - 6, 6, 13)];
+    let (res, flights) = scripted_on(&topo, cfg, &schedule, "held and queued");
+    assert_eq!(flights, 0);
+    assert_eq!(res.unicast_delivered, 3);
 }
 
 #[test]
@@ -829,12 +936,52 @@ fn arrivals_the_end_of_run_check_fires_on_are_stepped() {
     }
 }
 
-/// One arrival of a random schedule: the gap since the previous one, the
-/// node, and the class (`None`: multicast; else an offset to the
-/// destination).
-fn arrival_strategy() -> impl Strategy<Value = (u64, u32, Option<u32>)> {
-    (1u64..=200, 0u32..1024, 0u32..1024)
+/// One arrival of a random schedule: the gap since the previous one (at
+/// most `max_gap`), the node, and the class (`None`: multicast; else an
+/// offset to the destination).
+fn arrival_strategy(max_gap: u64) -> impl Strategy<Value = (u64, u32, Option<u32>)> {
+    (1u64..=max_gap, 0u32..1024, 0u32..1024)
         .prop_map(|(gap, node, class)| (gap, node, (class % 5 != 0).then_some(class / 5)))
+}
+
+/// Replay a random schedule from `start` on `FAMILIES[family]`: results
+/// bit-equal, and the fabrics left behind audit to the same counts.
+fn random_schedule_is_bit_identical(
+    family: usize,
+    start: u64,
+    arrivals: &[(u64, u32, Option<u32>)],
+) -> Result<(), TestCaseError> {
+    let spec = FAMILIES[family];
+    let topo = topology(spec);
+    let n = topo.num_nodes() as u32;
+    let mut cycle = start;
+    let entries = arrivals
+        .iter()
+        .map(|&(gap, node, class)| {
+            cycle += gap;
+            let node = node % n;
+            let kind = match class {
+                Some(offset) => TraceKind::Unicast {
+                    dst: (node + 1 + offset % (n - 1)) % n,
+                },
+                None => TraceKind::Multicast,
+            };
+            TraceEntry { cycle, node, kind }
+        })
+        .collect();
+    let wl = Workload::new(12, 0.0, 0.2, DestinationSets::random(topo.as_ref(), 3, 113))
+        .unwrap()
+        .with_traffic(TrafficSpec::trace(entries));
+    let cfg = SimConfig {
+        warmup_cycles: 1_000,
+        measure_cycles: 2_500,
+        drain_cycles: 4_000,
+        ..SimConfig::quick(113)
+    };
+    let [(c, c_audit), (e, e_audit)] = both_audited(topo.as_ref(), &wl, cfg);
+    assert_runs_identical(&c, &e, spec);
+    prop_assert_eq!(c_audit, e_audit, "{}: post-run audits", spec);
+    Ok(())
 }
 
 proptest! {
@@ -847,33 +994,21 @@ proptest! {
     fn sparse_trace_schedules_fly_bit_identically(
         family in 0usize..7,
         start in 1u64..1500,
-        arrivals in proptest::collection::vec(arrival_strategy(), 1..41),
+        arrivals in proptest::collection::vec(arrival_strategy(200), 1..41),
     ) {
         // The six dense families and lazily planned `min-4x3`.
-        let spec = FAMILIES[family];
-        let topo = topology(spec);
-        let n = topo.num_nodes() as u32;
-        let mut cycle = start;
-        let entries = arrivals.iter().map(|&(gap, node, class)| {
-            cycle += gap;
-            let node = node % n;
-            let kind = match class {
-                Some(offset) => TraceKind::Unicast { dst: (node + 1 + offset % (n - 1)) % n },
-                None => TraceKind::Multicast,
-            };
-            TraceEntry { cycle, node, kind }
-        }).collect();
-        let wl = Workload::new(12, 0.0, 0.2, DestinationSets::random(topo.as_ref(), 3, 113))
-            .unwrap()
-            .with_traffic(TrafficSpec::trace(entries));
-        let cfg = SimConfig {
-            warmup_cycles: 1_000,
-            measure_cycles: 2_500,
-            drain_cycles: 4_000,
-            ..SimConfig::quick(113)
-        };
-        let [(c, c_audit), (e, e_audit)] = both_audited(topo.as_ref(), &wl, cfg);
-        assert_runs_identical(&c, &e, spec);
-        prop_assert_eq!(c_audit, e_audit, "{}: post-run audits", spec);
+        random_schedule_is_bit_identical(family, start, &arrivals)?;
+    }
+
+    /// Dense random schedules, 1–40 cycles apart: most arrivals overlap a
+    /// predecessor in time, so groups form, and fly or are declined and
+    /// held.
+    #[test]
+    fn dense_trace_schedules_fly_in_groups_bit_identically(
+        family in 0usize..7,
+        start in 1u64..1500,
+        arrivals in proptest::collection::vec(arrival_strategy(40), 1..41),
+    ) {
+        random_schedule_is_bit_identical(family, start, &arrivals)?;
     }
 }

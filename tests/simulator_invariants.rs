@@ -238,7 +238,7 @@ proptest! {
         .unwrap();
         let mut sim = Engine::new(&topo, &wl, SimConfig::quick(seed));
         let res = sim.run();
-        let audit = sim.audit().map_err(TestCaseError::fail)?;
+        let audit = sim.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(
             audit.total_generated,
             audit.total_absorbed + audit.live_messages,
@@ -274,7 +274,7 @@ proptest! {
         for _ in 0..steps {
             sim.step_one();
         }
-        let mid = sim.audit().map_err(TestCaseError::fail)?;
+        let mid = sim.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(
             mid.total_generated,
             mid.total_absorbed + mid.live_messages,
@@ -291,7 +291,7 @@ proptest! {
         for _ in 0..steps {
             reference.step_one();
         }
-        let ref_mid = reference.audit().map_err(TestCaseError::fail)?;
+        let ref_mid = reference.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(mid, ref_mid, "mid-run audits of the two engines");
     }
 }
@@ -373,12 +373,12 @@ proptest! {
             engines.iter_mut().for_each(|e| e.step_one());
             if cycle % every == 0 {
                 let [oracle, event] = &engines;
-                let a = oracle.audit().map_err(TestCaseError::fail)?;
-                let b = event.audit().map_err(TestCaseError::fail)?;
+                let a = oracle.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
+                let b = event.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
                 prop_assert_eq!(a, b, "cycle {}", cycle);
             }
         }
-        let busy = engines[0].audit().map_err(TestCaseError::fail)?;
+        let busy = engines[0].audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert!(busy.total_generated > 0, "the run must carry traffic");
     }
 
@@ -404,7 +404,7 @@ proptest! {
             sim.install_closed_loop(&spec, seed);
             let res = sim.run();
             prop_assert!(res.closed_loop.as_ref().is_some_and(|cl| cl.quiesced));
-            audits.push(sim.audit().map_err(TestCaseError::fail)?);
+            audits.push(sim.audit().map_err(|e| TestCaseError::fail(e.to_string()))?);
         }
         prop_assert_eq!(audits[0], audits[1]);
         prop_assert_eq!(audits[0].live_messages, 0);
