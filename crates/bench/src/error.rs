@@ -7,7 +7,7 @@
 //! `unwrap()`/`assert!` seams the pre-`Scenario` harness relied on are
 //! gone from the public surface.
 
-use noc_topology::{PathError, RoutingError, TopologyError};
+use noc_topology::{RoutingError, TopologyError};
 use noc_workloads::{PatternError, SweepError, WorkloadError};
 use quarc_core::ModelError;
 use std::fmt;
@@ -25,10 +25,6 @@ pub enum Error {
     /// The multicast routing scheme cannot be realized on the topology
     /// (e.g. multipath on a one-port node).
     Routing(RoutingError),
-    /// A routed path failed structural validation against its network
-    /// (surfaced by diagnostics that audit implicit topologies against
-    /// the materialized oracle).
-    Path(PathError),
     /// Rate-sweep construction failed.
     Sweep(SweepError),
     /// The analytical model could not be evaluated where a finite result
@@ -65,7 +61,6 @@ impl fmt::Display for Error {
             Error::Workload(e) => write!(f, "workload: {e}"),
             Error::Pattern(e) => write!(f, "traffic pattern: {e}"),
             Error::Routing(e) => write!(f, "multicast routing: {e}"),
-            Error::Path(e) => write!(f, "path validation: {e}"),
             Error::Sweep(e) => write!(f, "sweep: {e}"),
             Error::Model(e) => write!(f, "model: {e}"),
             Error::InvalidScenario(msg) => write!(f, "invalid scenario: {msg}"),
@@ -90,7 +85,6 @@ impl std::error::Error for Error {
             Error::Workload(e) => Some(e),
             Error::Pattern(e) => Some(e),
             Error::Routing(e) => Some(e),
-            Error::Path(e) => Some(e),
             Error::Sweep(e) => Some(e),
             Error::Model(e) => Some(e),
             Error::Serde(e) => Some(e),
@@ -127,12 +121,6 @@ impl From<noc_workloads::TrafficError> for Error {
 impl From<RoutingError> for Error {
     fn from(e: RoutingError) -> Self {
         Error::Routing(e)
-    }
-}
-
-impl From<PathError> for Error {
-    fn from(e: PathError) -> Self {
-        Error::Path(e)
     }
 }
 
@@ -199,7 +187,6 @@ mod tests {
                 ports: 1,
             }
             .into(),
-            PathError::TooShort { hops: 1 }.into(),
             SweepError::TooFewPoints(1).into(),
             ModelError::NonConcurrentMulticast.into(),
             ModelError::UnsupportedTopology { name: "min".into() }.into(),

@@ -8,7 +8,7 @@ use noc_bench::{MulticastPattern, PointResult, Result, SweepSpec, WorkloadSpec};
 use noc_topology::{RoutingSpec, TopologySpec, ALL_ROUTINGS};
 use noc_workloads::table::{fmt_latency, Table};
 use noc_workloads::TrafficSpec;
-use quarc_core::{max_sustainable_rate, BackendSpec, ModelOptions};
+use quarc_core::{BackendSpec, MgOneBackend, ModelBackend, ModelOptions};
 
 fn yes_no(flag: bool) -> String {
     if flag { "yes" } else { "no" }.into()
@@ -36,12 +36,8 @@ fn model_saturation(
         SweepSpec::Explicit { rates: vec![] },
     );
     let (topo, proto) = probe.materialize()?;
-    Ok(max_sustainable_rate(
-        topo.as_ref(),
-        &proto,
-        Default::default(),
-        0.01,
-    ))
+    let model = ModelOptions::default();
+    Ok(MgOneBackend.max_sustainable_rate(topo.as_ref(), &proto, &model, 0.01))
 }
 
 /// The invariant that makes a bound a bound: wherever the calculus bound

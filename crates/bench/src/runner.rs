@@ -24,7 +24,7 @@
 
 use crate::error::{Error, Result};
 use crate::scenario::{saturation_anchor, Scenario};
-use noc_sim::{build_engine_with_plan, LogHistogram, SimPlan, SimResults};
+use noc_sim::{build_engine_with_plan, LatencyStats, LogHistogram, SimPlan, SimResults};
 use noc_topology::{NodeId, Topology};
 use noc_workloads::parallel::{effective_threads, parallel_map};
 use noc_workloads::table::{fmt_latency, Table};
@@ -93,13 +93,14 @@ pub struct PointResult {
     /// where the overlay always applies.
     #[serde(default = "yes")]
     pub model_applicable: bool,
-    /// Simulated unicast latency (mean over replicates).
+    /// Simulated unicast latency (mean over the replicates with a sample;
+    /// `NaN` when none has one).
     pub sim_unicast: f64,
-    /// Simulated multicast latency (mean over replicates).
+    /// Simulated multicast latency (mean as for `sim_unicast`).
     pub sim_multicast: f64,
     /// 95% CI half-width of the simulated multicast latency: batch-means
-    /// within the single run for `replicates == 1`, across replicate
-    /// means otherwise.
+    /// within the run when one replicate has a sample, across the means
+    /// of those that have one otherwise.
     pub sim_multicast_ci: f64,
     /// Streaming-histogram median of the point's primary latency
     /// population (multicast for open-loop scenarios, request completion
@@ -628,30 +629,41 @@ fn merged_hist(group: &[JobSample]) -> LogHistogram {
     h
 }
 
-/// Collapse one sweep rate's replicates into a [`PointResult`]. A single
-/// replicate passes through exactly (no re-aggregation); multiple
-/// replicates report the across-replicate mean with a normal-theory CI
-/// over the replicate means. Quantiles always come from the *pooled*
-/// latency histogram, and the cache/wall accounting sums over the group.
+/// One population's mean and 95% CI over the replicates that sampled it
+/// (`NaN` when none did). A single such replicate passes through exactly
+/// (no re-aggregation); several report the across-replicate mean with a
+/// normal-theory CI over their means.
+fn across(group: &[JobSample], stats: impl Fn(&SimResults) -> &LatencyStats) -> (f64, f64) {
+    let sampled: Vec<&LatencyStats> = group
+        .iter()
+        .map(|s| stats(&s.res))
+        .filter(|st| st.count > 0)
+        .collect();
+    match sampled[..] {
+        [] => (f64::NAN, f64::NAN),
+        [one] => (one.mean, one.ci95),
+        _ => {
+            let n = sampled.len() as f64;
+            let mean = sampled.iter().map(|st| st.mean).sum::<f64>() / n;
+            let var = sampled
+                .iter()
+                .map(|st| (st.mean - mean).powi(2))
+                .sum::<f64>()
+                / (n - 1.0);
+            (mean, 1.96 * (var / n).sqrt())
+        }
+    }
+}
+
+/// Collapse one sweep rate's replicates into a [`PointResult`]: means and
+/// the multicast CI as [`across`] takes them, quantiles from the *pooled*
+/// latency histogram, and the cache/wall accounting summed over the group.
 fn aggregate(rate: f64, group: &[JobSample], model_applicable: bool) -> PointResult {
     let first = &group[0];
     let hist = merged_hist(group);
     let cache_hits = group.iter().filter(|s| s.cache_hit).count() as u64;
-    let n = group.len() as f64;
-    let mean = |f: &dyn Fn(&SimResults) -> f64| group.iter().map(|s| f(&s.res)).sum::<f64>() / n;
-    let (sim_unicast, sim_multicast, sim_multicast_ci) = if group.len() == 1 {
-        let res = &first.res;
-        (res.unicast.mean, res.multicast.mean, res.multicast.ci95)
-    } else {
-        let sim_multicast = mean(&|r| r.multicast.mean);
-        let var = group
-            .iter()
-            .map(|s| (s.res.multicast.mean - sim_multicast).powi(2))
-            .sum::<f64>()
-            / (n - 1.0);
-        let ci = 1.96 * (var / n).sqrt();
-        (mean(&|r| r.unicast.mean), sim_multicast, ci)
-    };
+    let (sim_unicast, _) = across(group, |r| &r.unicast);
+    let (sim_multicast, sim_multicast_ci) = across(group, |r| &r.multicast);
     PointResult {
         rate,
         model_unicast: first.model.0,
@@ -913,6 +925,25 @@ mod tests {
             res.sims[0][0].multicast.mean, res.sims[0][1].multicast.mean,
             "replicates must not repeat the same stream"
         );
+    }
+
+    #[test]
+    fn a_replicate_without_samples_does_not_blank_its_point() {
+        // So few multicasts at this rate that one replicate tags none.
+        let mut sc = quick_scenario().with_replicates(3).with_seed(42);
+        sc.sweep = SweepSpec::Explicit {
+            rates: vec![0.0002],
+        };
+        let res = Runner::new().threads(3).run(&sc).unwrap();
+        let (p, sims) = (&res.points[0], &res.sims[0]);
+        let sampled: Vec<f64> = sims
+            .iter()
+            .filter(|s| s.multicast.count > 0)
+            .map(|s| s.multicast.mean)
+            .collect();
+        assert_eq!(sampled.len(), 2, "one replicate tags none");
+        assert_eq!(p.sim_multicast, sampled.iter().sum::<f64>() / 2.0);
+        assert!(p.sim_multicast_ci.is_finite() && p.sim_unicast.is_finite());
     }
 
     #[test]

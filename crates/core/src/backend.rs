@@ -23,8 +23,11 @@
 //!                 (mean, Eq.3–16) (worst-case (σ,ρ) bounds)
 //! ```
 //!
-//! A sweep's points share their routes, so both questions can also be
-//! asked over a [`RoutedLoads`] table walked once
+//! The trait is the one entry to both questions: latency through
+//! [`evaluate`](ModelBackend::evaluate), saturation through
+//! [`max_sustainable_rate`](ModelBackend::max_sustainable_rate). A
+//! sweep's points share their routes, so both can also be asked over a
+//! [`RoutedLoads`] table walked once
 //! ([`evaluate_over`](ModelBackend::evaluate_over),
 //! [`max_rate_over`](ModelBackend::max_rate_over)). For the built-in
 //! backends that is the only implementation: their `evaluate` and
@@ -127,12 +130,17 @@ impl ModelBackend for MgOneBackend {
     }
 
     fn applicable(&self, topo: &dyn Topology, wl: &Workload) -> bool {
-        // The derivation assumes memoryless arrivals and asynchronous
-        // per-port multicast streams — exactly the Runner's historical
-        // `model_applicable` stamp — plus a materialized channel table
+        // The derivation assumes memoryless arrivals, asynchronous
+        // per-port multicast streams and messages at least as long as the
+        // network diameter (Eq. 6 holds a channel until the tail drains
+        // through the path's end, which is only physical when the message
+        // spans the remaining path), plus a materialized channel table
         // (the fixed point iterates dense per-channel load vectors, which
         // is exactly what implicit scale topologies avoid building).
-        !topo.network().is_implicit() && wl.traffic.is_poisson() && wl.routing.model_applicable()
+        !topo.network().is_implicit()
+            && wl.traffic.is_poisson()
+            && wl.routing.model_applicable()
+            && wl.msg_len as usize >= topo.diameter()
     }
 
     fn evaluate(
@@ -302,6 +310,18 @@ mod tests {
     }
 
     #[test]
+    fn mg1_needs_messages_at_least_as_long_as_the_diameter() {
+        let topo = Quarc::new(128).unwrap();
+        assert_eq!(topo.diameter(), 32);
+        let sets = DestinationSets::random(&topo, 32, 7);
+        let at = |msg| Workload::new(msg, 0.001, 0.1, sets.clone()).unwrap();
+        assert!(!MgOneBackend.applicable(&topo, &at(16)));
+        assert!(MgOneBackend.applicable(&topo, &at(32)));
+        // The bound assumes nothing about message length.
+        assert!(NetworkCalculusBackend.applicable(&topo, &at(16)));
+    }
+
+    #[test]
     fn no_backend_is_applicable_to_implicit_topologies() {
         use noc_topology::Min;
         let implicit = Min::new(2, 4).unwrap();
@@ -326,16 +346,6 @@ mod tests {
             .unwrap();
         assert_eq!(via_backend.unicast_latency, direct.unicast_latency);
         assert_eq!(via_backend.multicast_latency, direct.multicast_latency);
-    }
-
-    #[test]
-    fn backend_trait_saturation_matches_the_free_function() {
-        let (topo, wl) = workload(0.1);
-        let proto = wl.at_rate(1e-5).unwrap();
-        let opts = ModelOptions::default();
-        let via_trait = MgOneBackend.max_sustainable_rate(&topo, &proto, &opts, 0.01);
-        let via_free = crate::saturation::max_sustainable_rate(&topo, &proto, opts, 0.01);
-        assert_eq!(via_trait, via_free);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The network-calculus analytical backend: worst-case delay/backlog
-//! bounds over routed workloads.
+//! The network-calculus analytical backend: worst-case delay bounds over
+//! routed workloads.
 //!
 //! The paper's M/G/1 model ([`crate::model::AnalyticModel`]) predicts
 //! *mean* latencies under two assumptions the scenario space has outgrown:
@@ -47,21 +47,17 @@ use crate::model::ModelError;
 use crate::options::ModelOptions;
 use crate::rates::{ChannelLoads, RoutedLoads};
 use crate::service::{solve_holding, Holding, Saturated};
-use noc_queueing::network_calculus::{channel_backlog_bound, channel_delay_bound};
+use noc_queueing::network_calculus::channel_delay_bound;
 use noc_topology::Topology;
 use noc_workloads::Workload;
 
 /// Converged per-channel worst-case quantities (diagnostics / tests).
 #[derive(Clone, Debug)]
 pub struct ChannelBounds {
-    /// Worst-case holding time `h_j` per channel (cycles).
-    pub holding: Vec<f64>,
     /// Worst-case header acquisition delay `D_j` per channel (cycles).
     pub delay: Vec<f64>,
     /// Utilisation `ρ_j = λ_j·h_j` per channel.
     pub rho: Vec<f64>,
-    /// Worst-case backlog per channel (flits).
-    pub backlog: Vec<f64>,
     /// Gauss–Seidel sweeps the holding recursion spent on the slowest
     /// strongly connected component of the channel-successor graph (1 when
     /// that graph is acyclic).
@@ -110,23 +106,17 @@ pub(crate) fn solve_bounds(
 ) -> Result<ChannelBounds, Saturated> {
     let lambda = &loads.lambda;
     let held = fluid_holding(topo, loads, msg_len)?;
-    let holding = held.time;
-    let per_channel = || loads.sigma.iter().zip(lambda).zip(&holding);
-    let delay: Vec<f64> = per_channel()
+    let per_channel = loads.sigma.iter().zip(lambda).zip(&held.time);
+    let delay: Vec<f64> = per_channel
         .map(|((&s, &l), &h)| channel_delay_bound(s, l, h).unwrap_or(f64::INFINITY))
         .collect();
     if delay.iter().any(|d| !d.is_finite()) {
         return Err(held.bottleneck);
     }
-    let backlog = per_channel()
-        .map(|((&s, &l), &h)| channel_backlog_bound(s, l, h, msg_len).unwrap_or(f64::NAN))
-        .collect();
-    let rho = lambda.iter().zip(&holding).map(|(l, h)| l * h).collect();
+    let rho = lambda.iter().zip(&held.time).map(|(l, h)| l * h).collect();
     Ok(ChannelBounds {
-        holding,
         delay,
         rho,
-        backlog,
         iterations: held.iterations,
     })
 }
@@ -137,7 +127,7 @@ pub(crate) fn solve_bounds(
 pub struct NetworkCalculusBackend;
 
 impl NetworkCalculusBackend {
-    /// Per-channel worst-case holding/delay/backlog bounds (diagnostics;
+    /// Per-channel worst-case delay bounds and utilisations (diagnostics;
     /// [`crate::backend::ModelBackend::evaluate`] assembles them into a
     /// [`Prediction`](crate::Prediction)).
     pub fn channel_bounds(
@@ -250,7 +240,7 @@ mod tests {
         let (topo, wl) = workload(1e-5, 0.1);
         let opts = ModelOptions::default();
         let nc_sat = NetworkCalculusBackend.max_sustainable_rate(&topo, &wl, &opts, 0.02);
-        let mg1_sat = crate::saturation::max_sustainable_rate(&topo, &wl, opts, 0.02);
+        let mg1_sat = crate::MgOneBackend.max_sustainable_rate(&topo, &wl, &opts, 0.02);
         assert!(nc_sat > 0.0, "some rate must be sustainable");
         assert!(
             nc_sat <= mg1_sat,
@@ -269,17 +259,16 @@ mod tests {
     }
 
     #[test]
-    fn channel_bounds_expose_backlog() {
+    fn channel_bounds_expose_delay_and_utilisation() {
         let (topo, wl) = workload(0.002, 0.1);
         let b = NetworkCalculusBackend
             .channel_bounds(&topo, &wl, &ModelOptions::default())
             .unwrap();
         let net = topo.network();
-        assert_eq!(b.backlog.len(), net.num_channels());
-        // Loaded channels carry a positive worst-case backlog of at least
-        // one burst's worth of flits somewhere.
-        let max_b = b.backlog.iter().copied().fold(0.0, f64::max);
-        assert!(max_b >= 32.0, "peak backlog {max_b} below one message");
+        assert_eq!(b.delay.len(), net.num_channels());
+        // A header can find a whole message's burst ahead of it somewhere.
+        let max_d = b.delay.iter().copied().fold(0.0, f64::max);
+        assert!(max_d >= 32.0, "peak delay bound {max_d} below one message");
         assert!(b.rho.iter().all(|&r| (0.0..1.0).contains(&r)));
         assert!(b.delay.iter().all(|&d| d.is_finite() && d >= 0.0));
     }
@@ -297,7 +286,9 @@ mod tests {
             })
             .collect();
         let wl = wl.with_traffic(TrafficSpec::trace(entries));
-        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
         let max_sigma = loads.sigma.iter().copied().fold(0.0, f64::max);
         // 8 clumped messages of 32 flits minus the rate-line allowance.
         assert!(

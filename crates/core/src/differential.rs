@@ -12,7 +12,7 @@ use crate::backend::{BackendSpec, NetworkCalculusBackend, ALL_BACKENDS};
 use crate::calculus::fluid_wait;
 use crate::multicast::expected_last_completion;
 use crate::options::{ModelOptions, ServiceCorrection};
-use crate::rates::ChannelLoads;
+use crate::rates::{ChannelLoads, RoutedLoads};
 use crate::service::{self, corrected_mg1_wait, solve_holding, ServiceSolution};
 use noc_topology::{ChannelKind, NodeId, Path, RoutingSpec, Topology, TopologySpec, ALL_ROUTINGS};
 use noc_workloads::{DestinationSets, TrafficSpec, UnicastPattern, Workload};
@@ -69,7 +69,7 @@ fn dense_jacobi_holding(
 fn compare(case: &str, topo: &dyn Topology, wl: &Workload, backend: BackendSpec) {
     let opts = ModelOptions::default();
     let msg = wl.msg_len as f64;
-    let loads = ChannelLoads::build(topo, wl, &opts);
+    let loads = RoutedLoads::walk(topo, wl, &opts).unwrap().at(wl.gen_rate);
     let (new, old) = match backend {
         BackendSpec::MgOne => {
             let wait = corrected_mg1_wait(msg, &opts);
@@ -363,7 +363,7 @@ fn compare_assembly(
     backend: BackendSpec,
 ) {
     let got = backend.backend().evaluate(topo, wl, opts).unwrap();
-    let loads = ChannelLoads::build(topo, wl, opts);
+    let loads = RoutedLoads::walk(topo, wl, opts).unwrap().at(wl.gen_rate);
     let want = match backend {
         BackendSpec::MgOne => {
             let sol = service::solve(topo, &loads, wl.msg_len as f64, opts).unwrap();

@@ -53,6 +53,13 @@
 //! runs the same three steps with the fluid wait in step 2, the delay
 //! bound `D_j` for `w_l` and a sum for the maximum in step 3. The
 //! serializable [`BackendSpec`] selects one per scenario.
+//!
+//! Each question has one entry. Latency at a rate:
+//! [`ModelBackend::evaluate`], or [`ModelBackend::evaluate_over`] on
+//! routes already walked. The rate at which a channel saturates:
+//! [`ModelBackend::max_sustainable_rate`] or
+//! [`ModelBackend::max_rate_over`]. Channel loads:
+//! [`RoutedLoads::walk`], then [`RoutedLoads::at`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,7 +80,7 @@ pub use model::{AnalyticModel, ModelError, Prediction};
 pub use noc_queueing::mg1::WaitingFormula;
 pub use options::{ModelOptions, ServiceCorrection};
 pub use rates::{ChannelLoads, RoutedLoads};
-pub use saturation::{bisect_max_rate, max_sustainable_rate};
+pub use saturation::bisect_max_rate;
 pub use service::ServiceSolution;
 
 #[cfg(test)]

@@ -180,10 +180,17 @@ impl<'a> AnalyticModel<'a> {
         AnalyticModel { topo, wl, opts }
     }
 
-    /// The channel loads this workload induces (diagnostics / tests).
-    /// Panics where [`ChannelLoads::build`] does.
+    /// The channel loads this workload induces (diagnostics / tests):
+    /// [`RoutedLoads::walk`], then [`RoutedLoads::at`].
+    ///
+    /// # Panics
+    ///
+    /// Where the walk answers with a [`ModelError`].
     pub fn channel_loads(&self) -> ChannelLoads {
-        ChannelLoads::build(self.topo, self.wl, &self.opts)
+        match RoutedLoads::walk(self.topo, self.wl, &self.opts) {
+            Ok(routed) => routed.at(self.wl.gen_rate),
+            Err(e) => panic!("no channel loads: {e}"),
+        }
     }
 
     /// Solve the service recursion (diagnostics / tests).

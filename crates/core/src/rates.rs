@@ -546,21 +546,6 @@ impl<'a> RoutedLoads<'a> {
 }
 
 impl ChannelLoads {
-    /// The loads `wl` induces on `topo` at its own generation rate:
-    /// [`RoutedLoads::walk`], then [`RoutedLoads::at`].
-    ///
-    /// # Panics
-    ///
-    /// Outside the backends' rate-independent domain (see
-    /// [`RoutedLoads::walk`]), where they answer with a typed
-    /// [`ModelError`].
-    pub fn build(topo: &dyn Topology, wl: &Workload, opts: &ModelOptions) -> Self {
-        match RoutedLoads::walk(topo, wl, opts) {
-            Ok(routed) => routed.at(wl.gen_rate),
-            Err(e) => panic!("no channel loads: {e}"),
-        }
-    }
-
     fn add_path(&mut self, path: &Path, rate: f64) {
         for c in path.channels() {
             self.lambda[c.idx()] += rate;
@@ -603,7 +588,9 @@ mod tests {
         let quarc = Quarc::new(16).unwrap();
         let topo = Counting::all_pairs(&quarc);
         let wl = workload(&topo, 0.01, 0.0);
-        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
         let net = topo.network();
         let cw: Vec<f64> = net
             .links()
@@ -621,7 +608,9 @@ mod tests {
     fn total_injection_rate_matches_generation() {
         let topo = Quarc::new(16).unwrap();
         let wl = workload(&topo, 0.01, 0.0);
-        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
         let net = topo.network();
         // Sum of injection-channel rates = per-node unicast rate × N.
         let inj_total: f64 = net
@@ -639,7 +628,9 @@ mod tests {
         // traffic spread over its ejection channels.
         let topo = Quarc::new(16).unwrap();
         let wl = workload(&topo, 0.008, 0.0);
-        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
         let net = topo.network();
         for node in 0..16u32 {
             let total: f64 = net
@@ -656,7 +647,9 @@ mod tests {
     fn multicast_streams_add_operation_rate_per_port() {
         let topo = Quarc::new(16).unwrap();
         let wl = Workload::new(32, 0.01, 1.0, DestinationSets::broadcast(&topo)).unwrap();
-        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
         let net = topo.network();
         // Broadcast from every node at rate 0.01: every injection channel
         // carries exactly the operation rate.
@@ -677,7 +670,9 @@ mod tests {
         // (every message continues to exactly one next channel).
         let topo = Quarc::new(16).unwrap();
         let wl = workload(&topo, 0.01, 0.1);
-        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
         let net = topo.network();
         for c in net.channels() {
             if c.kind == ChannelKind::Ejection {
@@ -697,7 +692,9 @@ mod tests {
     fn p_next_sums_to_one_on_loaded_channels() {
         let topo = Quarc::new(16).unwrap();
         let wl = workload(&topo, 0.01, 0.05);
-        let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+        let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
         for (i, succ) in loads.successors.iter().enumerate() {
             if succ.is_empty() || loads.lambda[i] == 0.0 {
                 continue;
@@ -721,7 +718,9 @@ mod tests {
         let topo = Spidergon::new(32).unwrap();
         let wl = workload(&topo, 2e-4, 0.0).with_routing(RoutingSpec::DualPath);
         let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        let loads = RoutedLoads::walk(&topo, &wl, &opts)
+            .unwrap()
+            .at(wl.gen_rate);
         assert!(loads.lambda.iter().any(|&l| l > 0.0));
         for backend in ALL_BACKENDS {
             let p = backend.backend().evaluate(&topo, &wl, &opts).unwrap();
@@ -739,7 +738,10 @@ mod tests {
         let routed = RoutedLoads::walk(&topo, &proto, &opts).unwrap();
         let half = routed.at(0.0015);
         let scaled = routed.at(0.003);
-        let built = ChannelLoads::build(&topo, &workload(&topo, 0.003, 0.1), &opts);
+        let wl = workload(&topo, 0.003, 0.1);
+        let built = RoutedLoads::walk(&topo, &wl, &opts)
+            .unwrap()
+            .at(wl.gen_rate);
         assert_eq!(scaled.lambda, built.lambda);
         assert_eq!(scaled.successors, built.successors);
         assert_eq!(scaled.sigma, built.sigma);
@@ -878,15 +880,19 @@ mod tests {
     fn clone_ejection_load_adds_rate() {
         let topo = Quarc::new(16).unwrap();
         let wl = Workload::new(32, 0.01, 1.0, DestinationSets::broadcast(&topo)).unwrap();
-        let base = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
-        let with = ChannelLoads::build(
+        let base = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+            .unwrap()
+            .at(wl.gen_rate);
+        let with = RoutedLoads::walk(
             &topo,
             &wl,
             &ModelOptions {
                 clone_ejection_load: true,
                 ..Default::default()
             },
-        );
+        )
+        .unwrap()
+        .at(wl.gen_rate);
         let sum_base: f64 = base.lambda.iter().sum();
         let sum_with: f64 = with.lambda.iter().sum();
         assert!(sum_with > sum_base, "clone load must add ejection rate");

@@ -1,41 +1,21 @@
 //! Saturation-rate search.
 //!
-//! The figure sweeps plot latency up to the onset of saturation. This
-//! module locates the largest sustainable generation rate by bisection on
-//! the model's saturation error — giving every `(N, M, α)` configuration a
-//! natural x-axis range, like the paper's curves which end just before the
-//! latency asymptote.
+//! The figure sweeps plot latency up to the onset of saturation, so every
+//! `(N, M, α)` configuration gets a natural x-axis range, like the paper's
+//! curves which end just before the latency asymptote. The question is
+//! asked of a backend:
+//! [`ModelBackend::max_sustainable_rate`](crate::ModelBackend::max_sustainable_rate),
+//! or [`max_rate_over`](crate::ModelBackend::max_rate_over) on routes a
+//! sweep already walked. This module holds the bisection both run.
 //!
 //! A probe only needs a verdict, so the built-in backends do not pay for
-//! an [`evaluate`](ModelBackend::evaluate) per probe: channel loads are
-//! linear in the generation rate, so a search reads routes walked once
-//! ([`RoutedLoads`](crate::rates::RoutedLoads)), rescales `λ` and the
-//! successor rates per probe, and the backend decides the probe by its
-//! holding recursion and its own finiteness check alone — no unicast or
-//! multicast latency is assembled. Outside the backends' rate-independent
-//! domain there is no table and no rate is sustainable.
-
-use crate::backend::{MgOneBackend, ModelBackend};
-use crate::options::ModelOptions;
-use noc_topology::Topology;
-use noc_workloads::Workload;
-
-/// Largest generation rate (messages/node/cycle) the paper's M/G/1 model
-/// deems stable, found by bisection within `tol` relative precision.
-///
-/// Thin wrapper over
-/// [`MgOneBackend::max_sustainable_rate`](ModelBackend::max_sustainable_rate);
-/// other backends answer the same question through the trait.
-///
-/// Returns 0.0 if even the smallest probed rate saturates.
-pub fn max_sustainable_rate(
-    topo: &dyn Topology,
-    proto: &Workload,
-    opts: ModelOptions,
-    tol: f64,
-) -> f64 {
-    MgOneBackend.max_sustainable_rate(topo, proto, &opts, tol)
-}
+//! an [`evaluate`](crate::ModelBackend::evaluate) per probe: channel
+//! loads are linear in the generation rate, so a search reads routes
+//! walked once ([`RoutedLoads`](crate::rates::RoutedLoads)), rescales `λ`
+//! and the successor rates per probe, and the backend decides the probe by
+//! its holding recursion and its own finiteness check alone — no unicast
+//! or multicast latency is assembled. Outside the backends'
+//! rate-independent domain there is no table and no rate is sustainable.
 
 /// The bisection driver shared by every backend: the largest rate in
 /// `(0, 0.999]` satisfying `stable`, within `tol` relative precision.
@@ -91,9 +71,15 @@ pub fn bisect_max_rate(tol: f64, mut stable: impl FnMut(f64) -> bool) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{MgOneBackend, ModelBackend};
     use crate::model::AnalyticModel;
+    use crate::options::ModelOptions;
     use noc_topology::Quarc;
-    use noc_workloads::DestinationSets;
+    use noc_workloads::{DestinationSets, Workload};
+
+    fn horizon(topo: &Quarc, wl: &Workload, tol: f64) -> f64 {
+        MgOneBackend.max_sustainable_rate(topo, wl, &ModelOptions::default(), tol)
+    }
 
     fn proto(n: usize, msg: u32, alpha: f64) -> (Quarc, Workload) {
         let topo = Quarc::new(n).unwrap();
@@ -105,7 +91,7 @@ mod tests {
     #[test]
     fn finds_a_positive_stable_rate() {
         let (topo, wl) = proto(16, 32, 0.05);
-        let r = max_sustainable_rate(&topo, &wl, ModelOptions::default(), 0.02);
+        let r = horizon(&topo, &wl, 0.02);
         assert!(r > 0.001, "saturation rate should exceed 0.001, got {r}");
         assert!(r < 0.2, "saturation rate should be well below 0.2, got {r}");
         // The returned rate must itself be stable...
@@ -168,8 +154,8 @@ mod tests {
         }
         // A backend's search at `tol = 0` ends too, above its coarse answer.
         let (topo, wl) = proto(16, 32, 0.05);
-        let exact = max_sustainable_rate(&topo, &wl, ModelOptions::default(), 0.0);
-        let coarse = max_sustainable_rate(&topo, &wl, ModelOptions::default(), 0.01);
+        let exact = horizon(&topo, &wl, 0.0);
+        let coarse = horizon(&topo, &wl, 0.01);
         assert_eq!((exact, coarse), (8.298132629779527e-3, 8.25e-3));
     }
 
@@ -177,8 +163,8 @@ mod tests {
     fn longer_messages_saturate_earlier() {
         let (topo, wl16) = proto(16, 16, 0.05);
         let (_, wl64) = proto(16, 64, 0.05);
-        let r16 = max_sustainable_rate(&topo, &wl16, ModelOptions::default(), 0.02);
-        let r64 = max_sustainable_rate(&topo, &wl64, ModelOptions::default(), 0.02);
+        let r16 = horizon(&topo, &wl16, 0.02);
+        let r64 = horizon(&topo, &wl64, 0.02);
         assert!(
             r64 < r16,
             "64-flit messages must saturate at a lower rate ({r64} vs {r16})"
@@ -191,8 +177,8 @@ mod tests {
         // alpha raises the offered flit load at fixed generation rate.
         let (topo, wl_lo) = proto(16, 32, 0.03);
         let (_, wl_hi) = proto(16, 32, 0.5);
-        let r_lo = max_sustainable_rate(&topo, &wl_lo, ModelOptions::default(), 0.02);
-        let r_hi = max_sustainable_rate(&topo, &wl_hi, ModelOptions::default(), 0.02);
+        let r_lo = horizon(&topo, &wl_lo, 0.02);
+        let r_hi = horizon(&topo, &wl_hi, 0.02);
         assert!(
             r_hi < r_lo,
             "alpha 0.5 must saturate earlier ({r_hi} vs {r_lo})"

@@ -265,6 +265,7 @@ pub fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rates::RoutedLoads;
     use noc_topology::Quarc;
     use noc_workloads::{DestinationSets, Workload};
 
@@ -279,7 +280,9 @@ mod tests {
     fn zero_load_service_is_drain_time_plus_pipeline() {
         let (topo, wl) = setup(0.0, 0.0);
         let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        let loads = RoutedLoads::walk(&topo, &wl, &opts)
+            .unwrap()
+            .at(wl.gen_rate);
         let sol = solve(&topo, &loads, 32.0, &opts).unwrap();
         // All channels unloaded: service defaults to msg, waits to zero.
         assert!(sol.waiting.iter().all(|&w| w == 0.0));
@@ -290,7 +293,9 @@ mod tests {
     fn light_load_converges_with_small_waits() {
         let (topo, wl) = setup(0.002, 0.05);
         let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        let loads = RoutedLoads::walk(&topo, &wl, &opts)
+            .unwrap()
+            .at(wl.gen_rate);
         let sol = solve(&topo, &loads, 32.0, &opts).unwrap();
         assert!(sol.iterations > 0);
         // Waits exist but are small at 0.002 msgs/node/cycle.
@@ -316,7 +321,9 @@ mod tests {
         let mut prev_max = 0.0;
         for rate in [0.001, 0.004, 0.008] {
             let (topo, wl) = setup(rate, 0.05);
-            let loads = ChannelLoads::build(&topo, &wl, &opts);
+            let loads = RoutedLoads::walk(&topo, &wl, &opts)
+                .unwrap()
+                .at(wl.gen_rate);
             let sol = solve(&topo, &loads, 32.0, &opts).unwrap();
             let max_x = sol.service.iter().copied().fold(0.0, f64::max);
             assert!(max_x > prev_max, "service must grow with load");
@@ -328,7 +335,9 @@ mod tests {
     fn saturation_detected_at_high_rate() {
         let (topo, wl) = setup(0.2, 0.05);
         let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        let loads = RoutedLoads::walk(&topo, &wl, &opts)
+            .unwrap()
+            .at(wl.gen_rate);
         let err = solve(&topo, &loads, 32.0, &opts).unwrap_err();
         assert!(
             err.rho >= 1.0,
@@ -341,7 +350,9 @@ mod tests {
     fn ejection_channels_serve_in_msg_cycles() {
         let (topo, wl) = setup(0.004, 0.1);
         let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        let loads = RoutedLoads::walk(&topo, &wl, &opts)
+            .unwrap()
+            .at(wl.gen_rate);
         let sol = solve(&topo, &loads, 32.0, &opts).unwrap();
         let net = topo.network();
         for c in net.channels() {

@@ -39,6 +39,7 @@ mod tests {
     use super::*;
     use crate::model::AnalyticModel;
     use crate::options::ModelOptions;
+    use crate::rates::RoutedLoads;
     use crate::service::{self, ServiceSolution};
     use noc_topology::{NodeId, Quarc, Topology};
     use noc_workloads::{DestinationSets, Workload};
@@ -48,7 +49,9 @@ mod tests {
         let sets = DestinationSets::random(&topo, 4, 1);
         let wl = Workload::new(32, rate, 0.0, sets).unwrap();
         let opts = ModelOptions::default();
-        let loads = ChannelLoads::build(&topo, &wl, &opts);
+        let loads = RoutedLoads::walk(&topo, &wl, &opts)
+            .unwrap()
+            .at(wl.gen_rate);
         let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
         (topo, wl, loads, sol, opts)
     }

@@ -17,7 +17,7 @@
 //!   points over a sparse dependency graph, with divergence detection,
 //!   used by the per-channel service-time recursion (Eq. 6).
 //! * [`network_calculus`] — deterministic (σ, ρ) arrival envelopes and
-//!   worst-case FIFO delay/backlog bounds (the substrate of the
+//!   worst-case FIFO delay bounds (the substrate of the
 //!   distribution-free analytical backend; Farhi & Gaujal lineage).
 //! * [`stats`] — Welford accumulators and batch-means confidence intervals
 //!   for the simulator.

@@ -1,5 +1,5 @@
 //! Deterministic network-calculus primitives: (σ, ρ) arrival envelopes
-//! and worst-case FIFO delay/backlog bounds.
+//! and worst-case FIFO delay bounds.
 //!
 //! The paper's M/G/1 model predicts *mean* latencies and is only valid for
 //! memoryless (Poisson) sources feeding asynchronous per-port streams. The
@@ -41,12 +41,6 @@ pub fn channel_delay_bound(sigma: f64, lambda: f64, holding: f64) -> Option<f64>
     }
     let rho = lambda * holding;
     (rho < RHO_STABLE_MAX).then(|| (sigma + rho * holding) / (1.0 - rho))
-}
-
-/// Worst-case backlog (flits queued) at the same channel: the burst plus
-/// everything arriving during the delay bound, `σ + λ·msg_len·D`.
-pub fn channel_backlog_bound(sigma: f64, lambda: f64, holding: f64, msg_len: f64) -> Option<f64> {
-    channel_delay_bound(sigma, lambda, holding).map(|d| sigma + lambda * msg_len * d)
 }
 
 /// Message-burst envelope of an on/off source (messages): a burst of mean
@@ -125,13 +119,6 @@ mod tests {
             let d = channel_delay_bound(msg, lambda, x).unwrap();
             assert!(d >= w, "D {d} must dominate W {w} at λ={lambda}");
         }
-    }
-
-    #[test]
-    fn backlog_bound_exceeds_burst() {
-        let b = channel_backlog_bound(64.0, 0.01, 32.0, 32.0).unwrap();
-        assert!(b > 64.0);
-        assert_eq!(channel_backlog_bound(64.0, 0.04, 32.0, 32.0), None);
     }
 
     #[test]

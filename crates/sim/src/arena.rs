@@ -43,15 +43,6 @@ impl<T> Arena<T> {
 
     const INDEX_MASK: u32 = (1 << Self::INDEX_BITS) - 1;
 
-    /// An empty arena.
-    pub fn new() -> Self {
-        Arena {
-            values: Vec::new(),
-            metas: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
     /// An empty arena with room for `cap` values before reallocating.
     pub fn with_capacity(cap: usize) -> Self {
         Arena {
@@ -208,7 +199,7 @@ mod tests {
 
     #[test]
     fn insert_get_free_roundtrip() {
-        let mut a = Arena::new();
+        let mut a = Arena::default();
         let x = a.insert("x");
         let y = a.insert("y");
         assert_eq!(a.len(), 2);
@@ -224,7 +215,7 @@ mod tests {
 
     #[test]
     fn slots_are_reused_lifo_with_fresh_generations() {
-        let mut a = Arena::new();
+        let mut a = Arena::default();
         let x = a.insert(1u32);
         let y = a.insert(2);
         a.free(y, "test");
@@ -242,7 +233,7 @@ mod tests {
 
     #[test]
     fn iter_visits_exactly_the_live_values() {
-        let mut a = Arena::new();
+        let mut a = Arena::default();
         let ids: Vec<u32> = (0..5).map(|v| a.insert(v)).collect();
         a.free(ids[1], "test");
         a.free(ids[3], "test");
@@ -253,7 +244,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arena invariant violated")]
     fn stale_id_access_names_the_invariant() {
-        let mut a = Arena::new();
+        let mut a = Arena::default();
         let x = a.insert(7u8);
         a.free(x, "test");
         let _ = a.insert(8); // reuses the slot under a new generation
@@ -263,7 +254,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "arena invariant violated")]
     fn double_free_names_the_invariant() {
-        let mut a = Arena::new();
+        let mut a = Arena::default();
         let x = a.insert(7u8);
         a.free(x, "double-free");
         a.free(x, "double-free");

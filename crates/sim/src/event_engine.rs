@@ -65,9 +65,6 @@
 //!   equal (else the group is declined), so their order is free;
 //! * generated, absorbed, injected and delivered counts; the peak backlog
 //!   (a cycle's messages wait beside the previous cycle's);
-//! * arena slots, each inserted on its arrival cycle and freed on its
-//!   last absorption's, a cycle's insertions before its frees (frees of
-//!   one cycle may come in another order: ids reach no result);
 //! * `cycle` and the watchdog's last-move anchor stand at the group's
 //!   end, and the active list is empty: the oracle's still names the
 //!   released channels, which its next selection sweeps before anything
@@ -94,16 +91,15 @@
 //! (`sim.cycle.event_over_cycle.low` on the benchmark ledger: 0.0096, from
 //! 0.12 before flights), with the cycle engine retained as the oracle.
 //!
-//! *What the spans are worth* (re-measured with group flights and the
-//! tail gate in place: the scan compiled out on a scratch copy, benchmark
-//! workloads at `--seed 42`, alternating 5 s pairs on one 2-vCPU host,
-//! results bit-identical): `cache-io` runs ≈ 11 % slower without them
-//! (median, 3/4 pairs; stepped cycles 0.31 M → 0.44 M of 2.16 M);
-//! `lowload-skip`, whose messages now fly in groups, steps 0.11 M →
-//! 0.12 M of 80.4 M cycles without them, and `sat-kernel` batches ten
-//! spans per repetition — past the knee the backoff keeps the scan
-//! dormant. They stay for the sweeps' low-to-mid-load points, where
-//! messages share channels too often to fly.
+//! *What the spans are worth* (benchmark workloads at `--seed 42`,
+//! alternating 10 s pairs on one 2-vCPU host, digests identical):
+//! without the scan `cache-io` runs 12.2 % slower (5/5 pairs; stepped
+//! cycles 0.31 M → 0.44 M of 2.16 M), with a scan that accepts only
+//! single-vc movers 5.6 % slower (5/5; 0.36 M stepped), so the
+//! held-channel walk carries about half the gain. `fig6-sweep` (+1.6 %,
+//! 4/5) and `lowload-skip` (+1.0 %, 3/5), whose messages mostly fly,
+//! stay within their own spread. The spans serve the sweeps' low-to-mid
+//! load points, where messages share channels too often to fly.
 
 use crate::fabric::{
     refresh_ready_around, CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW,
@@ -158,10 +154,11 @@ pub(crate) struct SkipAhead {
     /// fixpoints, failed scans), surfaced through
     /// [`SimResults::engine`](crate::results::SimResults::engine).
     counters: EngineCounters,
-    /// Did this cv move a flit in the current cycle? Populated *lazily*
-    /// by the streaming eligibility scan from the cycle's move list (and
-    /// cleared before the scan returns), so ordinary cycles pay nothing
-    /// for the O(1) move-set lookup the fast-forward needs.
+    /// Did this cv move a flit in the current cycle? Allocated by the
+    /// first streaming eligibility scan and populated *lazily* by each
+    /// from the cycle's move list (and cleared before the scan returns),
+    /// so ordinary cycles pay nothing for the O(1) move-set lookup the
+    /// fast-forward needs.
     cv_moved: Vec<bool>,
     /// Channels that moved this cycle (scratch of the fast-forward scan,
     /// cleared before it returns).
@@ -198,8 +195,8 @@ impl SkipAhead {
             span_fail_streak: 0,
             span_cooldown: 0,
             counters: EngineCounters::default(),
-            cv_moved: vec![false; plan.num_cvs],
-            channel_moved: vec![false; plan.num_channels],
+            cv_moved: Vec::new(),
+            channel_moved: Vec::new(),
         }
     }
 
@@ -386,7 +383,12 @@ impl SkipAhead {
         }
 
         // Mark the cycle's move set for `in_move_set` — lazily, here,
-        // so only scan cycles pay for the bookkeeping.
+        // so only scan cycles pay for the bookkeeping and only runs that
+        // scan allocate the bitmaps.
+        if self.cv_moved.is_empty() {
+            self.cv_moved = vec![false; fabric.plan.num_cvs];
+            self.channel_moved = vec![false; fabric.plan.num_channels];
+        }
         for &(m, h16) in &fabric.moves {
             let msg = fabric.msgs.get(m, "streaming mover");
             self.cv_moved[fabric.plan.cv_index(msg.path.hops[h16 as usize]) as usize] = true;

@@ -191,12 +191,6 @@ struct Group {
     last_move: Vec<u64>,
     /// Tagged deliveries, `(cycle, population, generation, source)`.
     deliveries: Vec<(u64, Sample, u64, NodeId)>,
-    /// Arena replay: `(cycle, freed?, value number)`.
-    lives: Vec<(u64, bool, u32)>,
-    /// `(member, stream)` of each message, in insertion order.
-    messages: Vec<(u32, u32)>,
-    op_ids: Vec<OpId>,
-    msg_ids: Vec<MsgId>,
 }
 
 /// One arrival of a group.
@@ -620,7 +614,8 @@ impl<'a> Fabric<'a> {
                 let op = self.ops.get(opid, "completed multicast op");
                 self.metrics.trace(TraceEventKind::OpDone, now, op.src.0);
                 if op.tagged {
-                    self.metrics.record_op_delivery(op);
+                    self.metrics
+                        .record_op_delivery(op.last_absorb, op.gen, op.src);
                     self.tagged_outstanding -= 1;
                 }
                 self.ops.free(opid, "completed multicast op");
@@ -924,7 +919,7 @@ impl<'a> Fabric<'a> {
     pub(crate) fn fly_group(&mut self, before: u64) -> Option<(u64, u64)> {
         let mut g = std::mem::take(&mut self.group);
         let flown =
-            (g.end < before && self.settle_deliveries(&mut g)).then(|| self.apply_group(&mut g));
+            (g.end < before && self.settle_deliveries(&mut g)).then(|| self.apply_group(&g));
         self.group = g;
         flown
     }
@@ -953,7 +948,7 @@ impl<'a> Fabric<'a> {
 
     /// Write what the oracle's steps over the group's cycles write, in
     /// the order it writes them wherever the order can show.
-    fn apply_group(&mut self, g: &mut Group) -> (u64, u64) {
+    fn apply_group(&mut self, g: &Group) -> (u64, u64) {
         // What the selection of the first cycle starts with: with no live
         // message every listed channel is stale. The list then stays
         // empty — the group's channels are all released by its end, and
@@ -1002,19 +997,11 @@ impl<'a> Fabric<'a> {
             self.peak_backlog = self.peak_backlog.max(spawned + waiting);
         }
 
-        self.replay_arenas(g);
-
         for &(cycle, sample, gen, src) in &g.deliveries {
             match sample {
                 Sample::Unicast => self.metrics.record_unicast_delivery(cycle, gen),
                 Sample::Stream => self.metrics.record_stream_delivery(cycle, gen),
-                Sample::Operation => self.metrics.record_op_delivery(&MulticastOp {
-                    src,
-                    gen,
-                    remaining: 0,
-                    last_absorb: cycle,
-                    tagged: true,
-                }),
+                Sample::Operation => self.metrics.record_op_delivery(cycle, gen, src),
             }
         }
 
@@ -1022,82 +1009,6 @@ impl<'a> Fabric<'a> {
         self.last_move_cycle = g.end;
         self.held.clear();
         (g.members.len() as u64, covered)
-    }
-
-    /// Insert and free the group's operations and messages: each inserted
-    /// at its arrival, in arrival order (a multicast's operation, then its
-    /// streams), and freed at its last absorption — a cycle's insertions
-    /// (generation) before its frees (application), the frees of one
-    /// cycle in insertion order. The oracle frees those in the order its
-    /// active list holds their ejection channels, so the slot a later
-    /// message gets may differ; ids reach no result and no audit.
-    fn replay_arenas(&mut self, g: &mut Group) {
-        // Operations first: a stream holds its operation's id.
-        g.lives.clear();
-        for (k, m) in g.members.iter().enumerate() {
-            if m.unicast.is_none() {
-                g.lives.push((m.at, false, k as u32));
-                g.lives.push((m.end, true, k as u32));
-            }
-        }
-        g.lives.sort_unstable();
-        g.op_ids.resize(g.members.len(), 0);
-        for &(_, free, k) in &g.lives {
-            let (k, m) = (k as usize, &g.members[k as usize]);
-            if free {
-                self.ops.free(g.op_ids[k], "flown multicast op");
-                continue;
-            }
-            let op = MulticastOp {
-                src: m.node,
-                gen: m.at,
-                remaining: 0,
-                last_absorb: m.end,
-                tagged: self.in_window(m.at),
-            };
-            g.op_ids[k] = self.ops.insert(op);
-        }
-
-        // Then messages, numbered in insertion order as `(member, stream)`.
-        let flits = self.wl.msg_len;
-        g.lives.clear();
-        g.messages.clear();
-        for (k, m) in g.members.iter().enumerate() {
-            let mut live = |stream: u32, end: u64| {
-                let id = g.messages.len() as u32;
-                g.messages.push((k as u32, stream));
-                g.lives.push((m.at, false, id));
-                g.lives.push((end, true, id));
-            };
-            if m.unicast.is_some() {
-                live(0, m.end);
-            }
-            for (si, pre) in m.streams(&self.plan).iter().enumerate() {
-                live(si as u32, m.at + stream_transit(pre, flits));
-            }
-        }
-        g.lives.sort_unstable();
-        g.msg_ids.resize(g.messages.len(), 0);
-        for &(_, free, id) in &g.lives {
-            let id = id as usize;
-            if free {
-                self.msgs.free(g.msg_ids[id], "flown message");
-                continue;
-            }
-            let (k, si) = g.messages[id];
-            let m = &g.members[k as usize];
-            let tagged = self.in_window(m.at);
-            let msg = match &m.unicast {
-                Some(path) => ActiveMsg::unicast(Arc::clone(path), flits, m.at, tagged),
-                None => {
-                    let pre = &m.streams(&self.plan)[si as usize];
-                    let (path, absorbs) = (Arc::clone(&pre.path), Arc::clone(&pre.absorbs));
-                    let op = g.op_ids[k as usize];
-                    ActiveMsg::stream(path, flits, m.at, tagged, op, absorbs)
-                }
-            };
-            g.msg_ids[id] = self.msgs.insert(msg);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1491,9 +1402,9 @@ mod tests {
 
     #[test]
     fn a_flown_run_leaves_the_fabric_a_stepped_run_leaves() {
-        // Results cannot see a round-robin pointer or an arena slot; the
-        // arbitration of whatever comes next can. The torus has two vcs
-        // per link, so a pointer left behind would show.
+        // Results cannot see a round-robin pointer; the arbitration of
+        // whatever comes next can. The torus has two vcs per link, so a
+        // pointer left behind would show.
         use noc_topology::{Mesh, MeshKind};
         use noc_workloads::{TraceEntry, TraceKind, TrafficSpec};
         let topo = Mesh::new(4, 4, MeshKind::Torus).unwrap();
@@ -1523,15 +1434,6 @@ mod tests {
         let pointers = |f: &Fabric<'_>| f.channels.iter().map(|ch| ch.rr).collect::<Vec<_>>();
         assert_eq!(pointers(&stepped.fabric), pointers(&flown.fabric));
         assert!(stepped.fabric.active.is_empty() && flown.fabric.active.is_empty());
-        // Both arenas hand out the same slots under the same tags next.
-        for _ in 0..3 {
-            let ids = |sim: &mut Engine<'_>| {
-                let mut ids = sim.inject_multicast_now(NodeId(2));
-                ids.push(sim.inject_unicast_now(NodeId(0), NodeId(5)));
-                ids
-            };
-            assert_eq!(ids(&mut stepped), ids(&mut flown));
-        }
         flown.audit().expect("flown fabric audits clean");
     }
 

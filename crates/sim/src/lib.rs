@@ -80,22 +80,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
+mod arena;
 mod closed_loop;
 pub mod config;
 mod engine;
 pub mod engine_api;
 mod event_engine;
 mod fabric;
-pub mod message;
+mod message;
 mod metrics;
 pub mod plan;
 pub mod results;
 pub mod schedule;
 
-pub use arena::Arena;
 pub use config::{EngineKind, SimConfig};
 pub use engine_api::{build_engine_with_plan, AuditError, Engine, EngineAudit};
+pub use message::{MsgId, OpId};
 pub use plan::{PlanError, SimPlan};
 pub use results::{ClosedLoopResults, EngineCounters, LatencyHists, LatencyStats, SimResults};
 pub use schedule::{record_trace, Arrival, ArrivalStream};

@@ -13,10 +13,10 @@
 //! `sim.engine.ns_per_move.*` rows, which run with telemetry off.
 
 use crate::config::SimConfig;
-use crate::message::MulticastOp;
 use crate::results::{EngineCounters, LatencyHists, LatencyStats, SimResults};
 use noc_queueing::{BatchMeans, Welford};
 use noc_telemetry::{TraceEvent, TraceEventKind, TraceRecorder, UtilSeries};
+use noc_topology::NodeId;
 
 /// Latency accumulators and conservation counters of one run.
 #[derive(Debug)]
@@ -120,15 +120,15 @@ impl Metrics {
         self.unicast_delivered += 1;
     }
 
-    /// A tagged multicast operation completed (its last target absorbed
-    /// the tail at `op.last_absorb`).
-    pub(crate) fn record_op_delivery(&mut self, op: &MulticastOp) {
-        let lat = (op.last_absorb - op.gen) as f64;
+    /// A tagged multicast operation of `src` completed: its last target
+    /// absorbed the tail at `now`.
+    pub(crate) fn record_op_delivery(&mut self, now: u64, gen: u64, src: NodeId) {
+        let lat = (now - gen) as f64;
         self.multicast_lat.push(lat);
-        if let Some(w) = self.multicast_by_source.get_mut(op.src.idx()) {
+        if let Some(w) = self.multicast_by_source.get_mut(src.idx()) {
             w.push(lat);
         }
-        self.hists.multicast.record(op.last_absorb - op.gen);
+        self.hists.multicast.record(now - gen);
         self.multicast_delivered += 1;
     }
 

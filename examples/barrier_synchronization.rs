@@ -21,7 +21,6 @@
 //! cargo run --release --example barrier_synchronization
 //! ```
 
-use quarc_noc::model::max_sustainable_rate;
 use quarc_noc::prelude::*;
 
 fn main() -> Result<(), Error> {
@@ -38,7 +37,12 @@ fn main() -> Result<(), Error> {
         for alpha in [0.05, 0.20] {
             let proto = WorkloadSpec::new(msg, alpha, MulticastPattern::Random { group })
                 .prototype(topo.as_ref(), 11)?;
-            let sat = max_sustainable_rate(topo.as_ref(), &proto, ModelOptions::default(), 0.01);
+            let sat = MgOneBackend.max_sustainable_rate(
+                topo.as_ref(),
+                &proto,
+                &ModelOptions::default(),
+                0.01,
+            );
             let wl = proto.at_rate(sat * 0.6)?;
             let mc = AnalyticModel::new(topo.as_ref(), &wl, ModelOptions::default())
                 .evaluate()

@@ -184,7 +184,7 @@ fn lazy_sim_plans_serve_the_dense_oracle_tables() {
 // ---------------------------------------------------------------------
 // PathError: one regression test per variant, exercised through
 // `validate_path` on implicit storage (so `channel_at` is on the hook
-// too), and folded into the workspace error.
+// too).
 // ---------------------------------------------------------------------
 
 #[test]
@@ -294,22 +294,6 @@ fn path_error_wrong_terminus() {
             at: NodeId(0),
             dst: NodeId(5),
         })
-    );
-}
-
-#[test]
-fn path_errors_fold_into_the_workspace_error() {
-    let topo = Min::new(2, 3).unwrap();
-    let mut p = topo.unicast_path(NodeId(0), NodeId(5));
-    p.hops.truncate(0);
-    let path_err = topo.network().validate_path(&p).unwrap_err();
-    let err: Error = path_err.clone().into();
-    assert!(matches!(err, Error::Path(ref e) if *e == path_err));
-    let msg = err.to_string();
-    assert!(msg.contains("path validation"), "{msg}");
-    assert!(
-        std::error::Error::source(&err).is_some(),
-        "source chain preserved"
     );
 }
 

@@ -7,7 +7,7 @@
 //! to catch structural regressions (a broken correction factor or a
 //! misrouted stream moves errors far beyond them).
 
-use quarc_noc::model::{max_sustainable_rate, AnalyticModel, ModelOptions};
+use quarc_noc::model::{AnalyticModel, ModelOptions};
 use quarc_noc::prelude::*;
 use quarc_noc::sim::{Engine, SimConfig};
 
@@ -17,7 +17,7 @@ struct Agreement {
 }
 
 fn compare(topo: &dyn Topology, proto: &Workload, load_frac: f64, seed: u64) -> Agreement {
-    let sat = max_sustainable_rate(topo, proto, ModelOptions::default(), 0.01);
+    let sat = MgOneBackend.max_sustainable_rate(topo, proto, &ModelOptions::default(), 0.01);
     assert!(sat > 0.0, "must find a positive saturation rate");
     let wl = proto.at_rate(sat * load_frac).unwrap();
     let pred = AnalyticModel::new(topo, &wl, ModelOptions::default())
@@ -129,7 +129,7 @@ fn spidergon_one_port_unicast_tracks_simulation() {
     let topo = Spidergon::new(16).unwrap();
     let sets = DestinationSets::random(&topo, 4, 21);
     let proto = Workload::new(32, 1e-5, 0.0, sets).unwrap();
-    let sat = max_sustainable_rate(&topo, &proto, ModelOptions::default(), 0.01);
+    let sat = MgOneBackend.max_sustainable_rate(&topo, &proto, &ModelOptions::default(), 0.01);
     let wl = proto.at_rate(sat * 0.35).unwrap();
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
@@ -168,7 +168,7 @@ fn per_node_predictions_track_per_source_measurements() {
     let topo = Quarc::new(16).unwrap();
     let sets = DestinationSets::localized(&topo, 3, 8);
     let proto = Workload::new(32, 1e-5, 0.15, sets).unwrap();
-    let sat = max_sustainable_rate(&topo, &proto, ModelOptions::default(), 0.01);
+    let sat = MgOneBackend.max_sustainable_rate(&topo, &proto, &ModelOptions::default(), 0.01);
     let wl = proto.at_rate(sat * 0.4).unwrap();
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
@@ -216,7 +216,7 @@ fn model_is_conservative_near_its_knee() {
     let topo = Quarc::new(16).unwrap();
     let sets = DestinationSets::random(&topo, 4, 3);
     let proto = Workload::new(32, 1e-5, 0.05, sets).unwrap();
-    let sat = max_sustainable_rate(&topo, &proto, ModelOptions::default(), 0.01);
+    let sat = MgOneBackend.max_sustainable_rate(&topo, &proto, &ModelOptions::default(), 0.01);
     let wl = proto.at_rate(sat * 0.95).unwrap();
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()

@@ -6,7 +6,7 @@
 //! the expected values below were recorded with every evaluation still
 //! walking at its own rate.
 
-use quarc_noc::model::rates::ChannelLoads;
+use quarc_noc::model::RoutedLoads;
 use quarc_noc::prelude::*;
 
 fn topology(spec: &str) -> Box<dyn Topology> {
@@ -61,7 +61,9 @@ fn a_zero_rate_evaluation_is_the_pipeline_latency() {
 
 /// `(Σ_j σ_j, max_j σ_j)` of the loads `wl` induces on `topo`.
 fn sigma_digest(topo: &dyn Topology, wl: &Workload) -> (f64, f64) {
-    let loads = ChannelLoads::build(topo, wl, &ModelOptions::default());
+    let loads = RoutedLoads::walk(topo, wl, &ModelOptions::default())
+        .unwrap()
+        .at(wl.gen_rate);
     let sum = loads.sigma.iter().sum();
     let max = loads.sigma.iter().copied().fold(0.0, f64::max);
     (sum, max)

@@ -103,13 +103,14 @@ fn model_channel_rates_match_simulated_utilization() {
     // blocking) the simulator's measured utilisation must match — a
     // direct cross-validation of the routing/weighting logic feeding
     // Eq. 6, independent of the queueing approximations.
-    use quarc_noc::model::rates::ChannelLoads;
-    use quarc_noc::model::ModelOptions;
+    use quarc_noc::model::{ModelOptions, RoutedLoads};
 
     let topo = Quarc::new(16).unwrap();
     let sets = DestinationSets::random(&topo, 4, 5);
     let wl = Workload::new(32, 0.003, 0.05, sets).unwrap();
-    let loads = ChannelLoads::build(&topo, &wl, &ModelOptions::default());
+    let loads = RoutedLoads::walk(&topo, &wl, &ModelOptions::default())
+        .unwrap()
+        .at(wl.gen_rate);
 
     let mut cfg = SimConfig::quick(31);
     cfg.measure_cycles *= 8;
@@ -327,11 +328,12 @@ fn planned(
     msg_len: u32,
     seed: u64,
 ) -> Option<(Box<dyn Topology>, Workload, std::sync::Arc<SimPlan>)> {
-    use quarc_noc::model::{max_sustainable_rate, ModelOptions};
+    use quarc_noc::model::ModelOptions;
     let topo = TopologySpec::parse(name).unwrap().build().unwrap();
     let sets = DestinationSets::random(topo.as_ref(), 3, seed);
     let unicast = Workload::new(msg_len, 1e-4, 0.0, sets.clone()).unwrap();
-    let horizon = max_sustainable_rate(topo.as_ref(), &unicast, ModelOptions::default(), 0.01);
+    let horizon =
+        MgOneBackend.max_sustainable_rate(topo.as_ref(), &unicast, &ModelOptions::default(), 0.01);
     assert!(horizon > 0.0, "{name}: empty stability horizon");
     let wl = Workload::new(msg_len, (load * horizon).min(0.9), 0.1, sets)
         .unwrap()

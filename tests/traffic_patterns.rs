@@ -3,7 +3,7 @@
 //! distribution is skewed, and the physics must respond correctly
 //! (hot-spots collapse the saturation rate).
 
-use quarc_noc::model::{max_sustainable_rate, AnalyticModel, ModelOptions};
+use quarc_noc::model::{AnalyticModel, ModelOptions};
 use quarc_noc::prelude::*;
 use quarc_noc::sim::{Engine, SimConfig};
 use quarc_noc::workloads::UnicastPattern;
@@ -23,7 +23,7 @@ fn model_tracks_simulation_under_hot_spot_traffic() {
         fraction: 0.25,
     };
     let p = proto(&topo, pattern);
-    let sat = max_sustainable_rate(&topo, &p, ModelOptions::default(), 0.01);
+    let sat = MgOneBackend.max_sustainable_rate(&topo, &p, &ModelOptions::default(), 0.01);
     assert!(sat > 0.0);
     let wl = p.at_rate(sat * 0.4).unwrap();
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
@@ -48,8 +48,8 @@ fn hot_spot_collapses_the_saturation_rate() {
             fraction: 0.5,
         },
     );
-    let sat_u = max_sustainable_rate(&topo, &uniform, ModelOptions::default(), 0.01);
-    let sat_h = max_sustainable_rate(&topo, &hot, ModelOptions::default(), 0.01);
+    let sat_u = MgOneBackend.max_sustainable_rate(&topo, &uniform, &ModelOptions::default(), 0.01);
+    let sat_h = MgOneBackend.max_sustainable_rate(&topo, &hot, &ModelOptions::default(), 0.01);
     assert!(
         sat_h < 0.75 * sat_u,
         "a 50% hot-spot must cost >25% of the sustainable rate ({sat_h} vs {sat_u})"
@@ -92,7 +92,7 @@ fn hot_spot_concentrates_simulated_traffic() {
 fn complement_pattern_agrees_between_model_and_simulation() {
     let topo = Quarc::new(16).unwrap();
     let p = proto(&topo, UnicastPattern::Complement);
-    let sat = max_sustainable_rate(&topo, &p, ModelOptions::default(), 0.01);
+    let sat = MgOneBackend.max_sustainable_rate(&topo, &p, &ModelOptions::default(), 0.01);
     let wl = p.at_rate(sat * 0.4).unwrap();
     let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
         .evaluate()
