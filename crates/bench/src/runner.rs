@@ -24,13 +24,14 @@
 
 use crate::error::{Error, Result};
 use crate::scenario::{saturation_anchor, Scenario};
+use noc_queueing::student_t975;
 use noc_sim::{build_engine_with_plan, LatencyStats, LogHistogram, SimPlan, SimResults};
 use noc_topology::{NodeId, Topology};
 use noc_workloads::parallel::{effective_threads, parallel_map};
 use noc_workloads::table::{fmt_latency, Table};
 use noc_workloads::Workload;
 use quarc_core::{BackendSpec, ModelBackend, NetworkCalculusBackend, RoutedLoads};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock};
@@ -53,10 +54,7 @@ pub struct Progress {
 
 /// One operating point of a scenario: analytical prediction (when the
 /// overlay is enabled) and across-replicate simulation measurement.
-///
-/// Older persisted results stay readable: a column a file predates reads
-/// as what that file's run would have reported for it.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct PointResult {
     /// Generation rate (messages/node/cycle).
     pub rate: f64,
@@ -71,15 +69,11 @@ pub struct PointResult {
     /// Worst-case unicast latency bound from the network-calculus
     /// backend, evaluated alongside the mean overlay (`NaN` without an
     /// overlay or past the calculus stability horizon). Wherever finite,
-    /// `bound ≥ simulated mean` is the cross-validation invariant. Files
-    /// from before the backend refactor lack the bounds: never computed,
-    /// `NaN`.
-    #[serde(default = "nan")]
+    /// `bound ≥ simulated mean` is the cross-validation invariant.
     pub bound_unicast: f64,
     /// Worst-case multicast latency bound from the network-calculus
     /// backend (`NaN` without an overlay or past the calculus stability
     /// horizon).
-    #[serde(default = "nan")]
     pub bound_multicast: f64,
     /// Is the analytical overlay inside its applicability domain? `false`
     /// when the scenario's traffic spec is not the memoryless (Poisson)
@@ -88,10 +82,7 @@ pub struct PointResult {
     /// (`Multipath`, `UnicastTree`) — the overlay is still evaluated (the
     /// divergence
     /// *is* the measurement, see `fig-burstiness`/`fig-routing`), but its
-    /// numbers must not be read as predictions. Files from before the
-    /// traffic subsystem lack the key: every one ran Poisson traffic,
-    /// where the overlay always applies.
-    #[serde(default = "yes")]
+    /// numbers must not be read as predictions.
     pub model_applicable: bool,
     /// Simulated unicast latency (mean over the replicates with a sample;
     /// `NaN` when none has one).
@@ -106,42 +97,27 @@ pub struct PointResult {
     /// population (multicast for open-loop scenarios, request completion
     /// for closed-loop), merged across replicates before the quantile is
     /// taken — not averaged per replicate. `NaN` when the population is
-    /// empty (e.g. a fully saturated point) — or never taken: files from
-    /// before the flight recorder lack the quantile columns.
-    #[serde(default = "nan")]
+    /// empty (e.g. a fully saturated point).
     pub sim_p50: f64,
     /// 95th percentile of the merged primary latency histogram.
-    #[serde(default = "nan")]
     pub sim_p95: f64,
     /// 99th percentile of the merged primary latency histogram.
-    #[serde(default = "nan")]
     pub sim_p99: f64,
-    /// Replicates of this point served from the result cache (a run that
-    /// predates cache accounting recorded zero of either outcome).
-    #[serde(default)]
+    /// Replicates of this point served from the result cache.
     pub cache_hits: u64,
     /// Replicates of this point actually simulated.
-    #[serde(default)]
     pub cache_misses: u64,
     /// Wall-clock spent producing this point, summed over replicates
     /// (milliseconds; cache hits contribute their read-and-parse time).
     /// Run accounting, not a result: reported in
     /// [`ScenarioResult::summary`] but excluded from serialization, so
     /// persisted sinks stay byte-identical across hosts, thread counts
-    /// and re-runs (files deserialize it as `NaN`) — the structured JSON
-    /// sink is byte-compared across runs by the round-trip suite.
-    #[serde(skip_serializing, default = "nan")]
+    /// and re-runs — the structured JSON sink is byte-compared across
+    /// runs by the round-trip suite.
+    #[serde(skip_serializing)]
     pub wall_ms: f64,
     /// Simulator saturation flag (any replicate).
     pub sim_saturated: bool,
-}
-
-fn nan() -> f64 {
-    f64::NAN
-}
-
-fn yes() -> bool {
-    true
 }
 
 impl PointResult {
@@ -162,7 +138,7 @@ fn rel_err(model: f64, sim: f64) -> Option<f64> {
 
 /// Complete results of one scenario run: the spec that produced them, the
 /// aggregated latency curve and the full per-replicate simulator output.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct ScenarioResult {
     /// The scenario exactly as executed.
     pub scenario: Scenario,
@@ -339,7 +315,9 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// 1: `SimResults::multicast_hist` removed.
 /// 2: `EngineCounters::{flights, flight_cycles}` added.
 /// 3: an empty latency population reads mean `NaN`, not 0.
-const CACHE_SCHEMA: u32 = 3;
+/// 4: stamped quantiles and the per-stream population removed; no key
+///    of a cached entry has a default any more.
+const CACHE_SCHEMA: u32 = 4;
 
 /// The scenario's share of a cache key: its canonical JSON with the
 /// display name cleared, so renaming an experiment never invalidates
@@ -631,8 +609,8 @@ fn merged_hist(group: &[JobSample]) -> LogHistogram {
 
 /// One population's mean and 95% CI over the replicates that sampled it
 /// (`NaN` when none did). A single such replicate passes through exactly
-/// (no re-aggregation); several report the across-replicate mean with a
-/// normal-theory CI over their means.
+/// (no re-aggregation); `n` of them report the across-replicate mean with
+/// a Student-t CI over their means, `t(n − 1)·s/√n`.
 fn across(group: &[JobSample], stats: impl Fn(&SimResults) -> &LatencyStats) -> (f64, f64) {
     let sampled: Vec<&LatencyStats> = group
         .iter()
@@ -650,7 +628,7 @@ fn across(group: &[JobSample], stats: impl Fn(&SimResults) -> &LatencyStats) -> 
                 .map(|st| (st.mean - mean).powi(2))
                 .sum::<f64>()
                 / (n - 1.0);
-            (mean, 1.96 * (var / n).sqrt())
+            (mean, student_t975(n as u64 - 1) * (var / n).sqrt())
         }
     }
 }
@@ -911,6 +889,21 @@ mod tests {
     }
 
     #[test]
+    fn three_replicates_take_the_t_quantile_of_two_degrees_of_freedom() {
+        let res = Runner::new()
+            .run(&quick_scenario().with_replicates(3))
+            .unwrap();
+        for (p, sims) in res.points.iter().zip(&res.sims) {
+            let means: Vec<f64> = sims.iter().map(|s| s.multicast.mean).collect();
+            let mean = means.iter().sum::<f64>() / 3.0;
+            let s = (means.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / 2.0).sqrt();
+            let want = 4.302653 * s / 3f64.sqrt();
+            let ci = p.sim_multicast_ci;
+            assert!((ci - want).abs() < 1e-9 * want, "ci {ci}, t(2)·s/√3 {want}");
+        }
+    }
+
+    #[test]
     fn replicates_tighten_the_estimate_and_flag_any_saturation() {
         let sc = quick_scenario().with_replicates(3);
         let res = Runner::new().threads(3).run(&sc).unwrap();
@@ -1097,30 +1090,6 @@ mod tests {
         assert!(!qcsv.lines().nth(1).unwrap().contains("-,"), "{qcsv}");
     }
 
-    #[test]
-    fn legacy_point_results_parse_without_telemetry_fields() {
-        let legacy = r#"{
-            "rate": 0.002,
-            "model_unicast": 40.0,
-            "model_multicast": 50.0,
-            "sim_unicast": 41.0,
-            "sim_multicast": 51.0,
-            "sim_multicast_ci": 0.5,
-            "sim_saturated": false
-        }"#;
-        let p: PointResult = serde::json::from_str(legacy).expect("pre-telemetry JSON parses");
-        assert!(p.sim_p50.is_nan() && p.sim_p99.is_nan());
-        assert_eq!(p.cache_hits, 0);
-        assert_eq!(p.cache_misses, 0);
-        assert!(p.wall_ms.is_nan());
-        assert!(p.model_applicable, "absent flag defaults to applicable");
-        // And a current PointResult round-trips through its own JSON.
-        let again: PointResult = serde::json::from_str(&serde::json::to_string(&p)).unwrap();
-        assert_eq!(again.rate, p.rate);
-        assert_eq!(again.cache_misses, 0);
-        assert!(again.sim_p95.is_nan());
-    }
-
     fn scratch_cache_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("noc-bench-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1178,8 +1147,17 @@ mod tests {
         let sc = quick_scenario();
         let runner = Runner::new().cache(Some(dir.clone()));
         let baseline = runner.run(&sc).unwrap();
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            std::fs::write(entry.unwrap().path(), "{ not json").unwrap();
+        // One entry is not JSON, the other lacks a key (no field of a
+        // cached result has a default).
+        for (i, entry) in std::fs::read_dir(&dir).unwrap().enumerate() {
+            let path = entry.unwrap().path();
+            let body = std::fs::read_to_string(&path).unwrap();
+            let keyless: Vec<&str> = body
+                .lines()
+                .filter(|l| !l.contains("\"flights\""))
+                .collect();
+            let corrupt = [String::from("{ not json"), keyless.join("\n")];
+            std::fs::write(path, &corrupt[i % 2]).unwrap();
         }
         let recovered = runner.run(&sc).unwrap();
         assert_eq!(
@@ -1190,7 +1168,7 @@ mod tests {
         for entry in std::fs::read_dir(&dir).unwrap() {
             let body = std::fs::read_to_string(entry.unwrap().path()).unwrap();
             assert!(
-                serde::json::from_str::<SimResults>(&body).is_ok(),
+                serde::json::from_str::<SimResults>(&body).is_ok() && body.contains("\"flights\""),
                 "recomputed points overwrite the corrupt entries"
             );
         }

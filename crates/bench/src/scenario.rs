@@ -203,7 +203,7 @@ pub enum SweepSpec {
     },
     /// `points` rates linear over `[lo, hi] ×` the model's saturation
     /// rate — the figures' framing (`lo = 0.15`, `hi = 1.02` shows the
-    /// flat region and the knee). At least 2 points.
+    /// flat region and the knee). At least 2 points, as for `Linear`.
     SaturationSpan {
         /// Lower bound as a fraction of the saturation rate.
         lo: f64,
@@ -225,13 +225,14 @@ pub enum SweepSpec {
 pub(crate) const SATURATION_TOL: f64 = 0.01;
 
 impl SweepSpec {
-    /// Number of operating points the spec resolves to (without building
-    /// a topology; `SaturationSpan` is clamped to its 2-point minimum).
+    /// Number of operating points the spec resolves to, without building
+    /// a topology.
     pub fn num_points(&self) -> usize {
         match self {
             SweepSpec::Explicit { rates } => rates.len(),
-            SweepSpec::Linear { points, .. } | SweepSpec::Geometric { points, .. } => *points,
-            SweepSpec::SaturationSpan { points, .. } => (*points).max(2),
+            SweepSpec::Linear { points, .. }
+            | SweepSpec::Geometric { points, .. }
+            | SweepSpec::SaturationSpan { points, .. } => *points,
             SweepSpec::SaturationFractions { fractions } => fractions.len(),
         }
     }
@@ -281,7 +282,7 @@ impl SweepSpec {
             SweepSpec::Geometric { lo, hi, points } => RateSweep::geometric(*lo, *hi, *points)?,
             SweepSpec::SaturationSpan { lo, hi, points } => {
                 let s = sat()?;
-                RateSweep::linear(lo * s, hi * s, (*points).max(2))?
+                RateSweep::linear(lo * s, hi * s, *points)?
             }
             SweepSpec::SaturationFractions { fractions } => {
                 let s = sat()?;
@@ -596,6 +597,7 @@ impl Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_workloads::SweepError;
 
     fn small() -> Scenario {
         Scenario::new(
@@ -986,6 +988,23 @@ mod tests {
         .resolve(topo.as_ref(), &proto, ModelOptions::default())
         .unwrap_err();
         assert!(matches!(err, Error::Sweep(_)));
+    }
+
+    #[test]
+    fn one_point_is_too_few_for_every_ranged_sweep() {
+        let (lo, hi, points) = (0.2, 0.8, 1);
+        for spec in [
+            SweepSpec::Linear { lo, hi, points },
+            SweepSpec::Geometric { lo, hi, points },
+            SweepSpec::SaturationSpan { lo, hi, points },
+        ] {
+            assert_eq!(spec.num_points(), 1, "{spec:?}");
+            let err = spec.resolve_with(|| Ok(0.01)).unwrap_err();
+            assert!(
+                matches!(err, Error::Sweep(SweepError::TooFewPoints(1))),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -36,4 +36,4 @@ pub use distribution::MaxOfExponentials;
 pub use expmax::{expected_max_exponentials, expected_max_recursive, expected_min_exponentials};
 pub use fixed_point::{Components, FixedPoint, FixedPointError};
 pub use mg1::{WaitingFormula, MG1};
-pub use stats::{BatchMeans, Welford};
+pub use stats::{student_t975, BatchMeans, Welford};

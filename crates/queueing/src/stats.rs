@@ -171,6 +171,32 @@ impl BatchMeans {
     }
 }
 
+/// Two-sided 95 % quantile of Student's t with `df` degrees of freedom
+/// (`t` with upper tail 0.025): the multiplier of `s/√n` in a 95 %
+/// confidence interval on a mean of `n = df + 1` observations. Tabled to
+/// `df = 30`, then the Cornish–Fisher series in `1/df` (within 1e-5 of
+/// the exact quantile from `df = 31` on, and `1.96` in the limit).
+///
+/// # Panics
+/// On `df == 0`: one observation has no spread to scale.
+pub fn student_t975(df: u64) -> f64 {
+    const TABLE: [f64; 30] = [
+        12.706205, 4.302653, 3.182446, 2.776445, 2.570582, 2.446912, 2.364624, 2.306004, 2.262157,
+        2.228139, 2.200985, 2.178813, 2.160369, 2.144787, 2.131450, 2.119905, 2.109816, 2.100922,
+        2.093024, 2.085963, 2.079614, 2.073873, 2.068658, 2.063899, 2.059539, 2.055529, 2.051831,
+        2.048407, 2.045230, 2.042272,
+    ];
+    assert!(df >= 1, "a t quantile needs at least one degree of freedom");
+    if let Some(&t) = TABLE.get(df as usize - 1) {
+        return t;
+    }
+    let (z, v) = (1.959_964, df as f64);
+    let z2 = z * z;
+    z + z * (z2 + 1.0) / (4.0 * v)
+        + z * ((5.0 * z2 + 16.0) * z2 + 3.0) / (96.0 * v * v)
+        + z * (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / (384.0 * v * v * v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,6 +272,23 @@ mod tests {
             bm.push(i as f64);
         }
         assert!(bm.ci95_half_width().is_nan());
+    }
+
+    #[test]
+    fn t975_meets_the_normal_quantile_from_above() {
+        assert_eq!(student_t975(2), 4.302653);
+        // Past the table the series continues it: t(31) = 2.039513,
+        // t(60) = 2.000298, t(120) = 1.979930.
+        for (df, exact) in [(31, 2.039513), (60, 2.000298), (120, 1.979930)] {
+            assert!(
+                (student_t975(df) - exact).abs() < 1e-5,
+                "student_t975({df}) = {}",
+                student_t975(df)
+            );
+        }
+        let ts: Vec<f64> = (1..200).map(student_t975).collect();
+        assert!(ts.windows(2).all(|w| w[0] > w[1]), "decreasing in df");
+        assert!((student_t975(1 << 40) - 1.959964).abs() < 1e-9);
     }
 
     #[test]

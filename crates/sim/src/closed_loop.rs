@@ -257,8 +257,7 @@ impl ClosedLoopDriver {
         ClosedLoopResults {
             requests_issued: self.issued,
             requests_retired: self.retired,
-            completion: LatencyStats::from_welford(&self.completion)
-                .with_quantiles(&self.completion_hist),
+            completion: LatencyStats::from_welford(&self.completion),
             completion_hist: self.completion_hist.clone(),
             avg_outstanding: self.occ_area as f64 / denom,
             ops_per_cycle: self.retired as f64 / denom,
@@ -329,8 +328,8 @@ mod tests {
         assert_eq!(res.requests_retired, 2);
         assert_eq!(res.completion.count, 2);
         assert_eq!(res.completion.mean, 25.0, "issued at 0, retired at 25");
-        assert_eq!(res.completion.p50, 25.0, "exact below 64");
-        assert_eq!(res.completion.p99, 25.0);
+        assert_eq!(res.completion_hist.p50(), 25.0, "exact below 64");
+        assert_eq!(res.completion_hist.p99(), 25.0);
         assert_eq!(res.completion_hist.count(), 2);
         // Occupancy integral: 2 outstanding over cycles 0..25 (window
         // refills keep it at 2 until both retire), then the refilled pair.

@@ -173,19 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn multicast_latency_at_least_stream_latency() {
-        let topo = Quarc::new(16).unwrap();
-        let sets = DestinationSets::random(&topo, 6, 5);
-        let wl = Workload::new(16, 0.008, 0.2, sets).unwrap();
-        let res = Engine::new(&topo, &wl, oracle(42)).run();
-        assert!(res.multicast.count > 20);
-        assert!(
-            res.multicast.mean >= res.stream.mean,
-            "op latency (max over streams) must dominate stream latency"
-        );
-    }
-
-    #[test]
     fn shared_plan_reproduces_fresh_construction() {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, 5);

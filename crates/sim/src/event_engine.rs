@@ -59,9 +59,9 @@
 //!   `measuring` verdict all of a member's move cycles share;
 //! * every channel's round-robin pointer sits just past the vc of its
 //!   last user's hop, where the last of its `L` picks left it;
-//! * the deliveries in end-cycle order: a latency per unicast, per stream
-//!   and per operation at its last absorption. Each population is its
-//!   own accumulator, and two samples of one population on one cycle are
+//! * the deliveries in end-cycle order: a latency per unicast and per
+//!   operation at its last absorption. Each population is its own
+//!   accumulator, and two samples of one population on one cycle are
 //!   equal (else the group is declined), so their order is free;
 //! * generated, absorbed, injected and delivered counts; the peak backlog
 //!   (a cycle's messages wait beside the previous cycle's);

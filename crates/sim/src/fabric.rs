@@ -227,14 +227,6 @@ impl Member {
 enum Sample {
     Unicast,
     Operation,
-    Stream,
-}
-
-/// Cycles from a stream's generation to its tail crossing the ejection
-/// hop, where its final target absorbs, alone on the fabric.
-fn stream_transit(pre: &PreStream, flits: u32) -> u64 {
-    let (ejection, _) = *pre.absorbs.last().expect("a stream has a target");
-    u64::from(ejection) + u64::from(flits)
 }
 
 /// All in-flight state of one simulation run, and every phase that
@@ -644,8 +636,6 @@ impl<'a> Fabric<'a> {
                 if closed {
                     self.arrived.push(ClosedDelivery::Unicast(mid));
                 }
-            } else if tagged {
-                self.metrics.record_stream_delivery(now, gen);
             }
             self.msgs.free(mid, "absorbed message");
         }
@@ -911,8 +901,8 @@ impl<'a> Fabric<'a> {
     ///   or stale entries on the active list, whose lazy removal permutes
     ///   the order its own moves are selected (and its statistics
     ///   recorded) in;
-    /// * two samples of one latency population (unicast, operation or
-    ///   stream) land on one cycle with different values: the oracle
+    /// * two samples of one latency population (unicast or operation)
+    ///   land on one cycle with different values: the oracle
     ///   records them in the order its active list holds their channels,
     ///   which the closed form does not track. Equal values commute, and
     ///   so do samples of different populations.
@@ -929,15 +919,11 @@ impl<'a> Fabric<'a> {
     fn settle_deliveries(&self, g: &mut Group) -> bool {
         g.deliveries.clear();
         for m in g.members.iter().filter(|m| self.in_window(m.at)) {
-            if m.unicast.is_some() {
-                g.deliveries.push((m.end, Sample::Unicast, m.at, m.node));
-                continue;
-            }
-            for pre in self.plan.streams(m.node.idx()) {
-                let freed = m.at + stream_transit(pre, self.wl.msg_len);
-                g.deliveries.push((freed, Sample::Stream, m.at, m.node));
-            }
-            g.deliveries.push((m.end, Sample::Operation, m.at, m.node));
+            let sample = match m.unicast {
+                Some(_) => Sample::Unicast,
+                None => Sample::Operation,
+            };
+            g.deliveries.push((m.end, sample, m.at, m.node));
         }
         g.deliveries
             .sort_unstable_by_key(|&(cycle, sample, ..)| (cycle, sample));
@@ -1000,7 +986,6 @@ impl<'a> Fabric<'a> {
         for &(cycle, sample, gen, src) in &g.deliveries {
             match sample {
                 Sample::Unicast => self.metrics.record_unicast_delivery(cycle, gen),
-                Sample::Stream => self.metrics.record_stream_delivery(cycle, gen),
                 Sample::Operation => self.metrics.record_op_delivery(cycle, gen, src),
             }
         }

@@ -24,12 +24,9 @@ pub(crate) struct Metrics {
     unicast_lat: BatchMeans,
     multicast_lat: BatchMeans,
     multicast_by_source: Vec<Welford>,
-    stream_lat: BatchMeans,
     hists: LatencyHists,
     pub(crate) unicast_injected: u64,
-    pub(crate) unicast_delivered: u64,
     pub(crate) multicast_injected: u64,
-    pub(crate) multicast_delivered: u64,
     pub(crate) total_generated: u64,
     pub(crate) total_absorbed: u64,
     pub(crate) flit_moves: u64,
@@ -56,12 +53,9 @@ impl Metrics {
             unicast_lat: BatchMeans::new(cfg.batch_size),
             multicast_lat: BatchMeans::new(cfg.batch_size),
             multicast_by_source: vec![Welford::new(); if per_source { nodes } else { 0 }],
-            stream_lat: BatchMeans::new(cfg.batch_size),
             hists: LatencyHists::default(),
             unicast_injected: 0,
-            unicast_delivered: 0,
             multicast_injected: 0,
-            multicast_delivered: 0,
             total_generated: 0,
             total_absorbed: 0,
             flit_moves: 0,
@@ -117,7 +111,6 @@ impl Metrics {
     pub(crate) fn record_unicast_delivery(&mut self, now: u64, gen: u64) {
         self.unicast_lat.push((now - gen) as f64);
         self.hists.unicast.record(now - gen);
-        self.unicast_delivered += 1;
     }
 
     /// A tagged multicast operation of `src` completed: its last target
@@ -129,13 +122,6 @@ impl Metrics {
             w.push(lat);
         }
         self.hists.multicast.record(now - gen);
-        self.multicast_delivered += 1;
-    }
-
-    /// A tagged multicast stream absorbed at its own final target.
-    pub(crate) fn record_stream_delivery(&mut self, now: u64, gen: u64) {
-        self.stream_lat.push((now - gen) as f64);
-        self.hists.stream.record(now - gen);
     }
 
     /// The trace tap: `kind` happened at cycle `at` on `loc` (a channel
@@ -166,22 +152,18 @@ impl Metrics {
     ) -> SimResults {
         let denom = measured_cycles.max(1) as f64;
         SimResults {
-            unicast: LatencyStats::from_batch_means(&self.unicast_lat)
-                .with_quantiles(&self.hists.unicast),
-            multicast: LatencyStats::from_batch_means(&self.multicast_lat)
-                .with_quantiles(&self.hists.multicast),
+            unicast: LatencyStats::from_batch_means(&self.unicast_lat),
+            multicast: LatencyStats::from_batch_means(&self.multicast_lat),
             multicast_by_source: self
                 .multicast_by_source
                 .iter()
                 .map(LatencyStats::from_welford)
                 .collect(),
-            stream: LatencyStats::from_batch_means(&self.stream_lat)
-                .with_quantiles(&self.hists.stream),
             latency_hists: self.hists.clone(),
             unicast_injected: self.unicast_injected,
-            unicast_delivered: self.unicast_delivered,
+            unicast_delivered: self.unicast_lat.count(),
             multicast_injected: self.multicast_injected,
-            multicast_delivered: self.multicast_delivered,
+            multicast_delivered: self.multicast_lat.count(),
             total_generated: self.total_generated,
             total_absorbed: self.total_absorbed,
             saturated,
@@ -251,8 +233,8 @@ mod tests {
             m.record_unicast_delivery(100 + lat, 100);
         }
         let res = m.finish(false, false, 100, 0, 10, EngineCounters::default());
-        assert_eq!(res.unicast.p50, 20.0, "exact below 64");
-        assert_eq!(res.unicast.p99, 40.0);
+        assert_eq!(res.latency_hists.unicast.p50(), 20.0, "exact below 64");
+        assert_eq!(res.latency_hists.unicast.p99(), 40.0);
         assert_eq!(res.latency_hists.unicast.count(), 4);
     }
 }

@@ -78,21 +78,13 @@ impl LogHistogram {
     /// Record one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Record `n` identical samples.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
         let i = bucket_index(v);
         if self.counts.len() <= i {
             self.counts.resize(i + 1, 0);
         }
-        self.counts[i] += n;
-        self.count += n;
-        self.sum += v * n;
+        self.counts[i] += 1;
+        self.count += 1;
+        self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }

@@ -6,8 +6,8 @@
 //! form — so the model can predict p95/p99 latencies, which is what an
 //! SoC integrator actually budgets for. This example runs one [`Scenario`]
 //! over three saturation-relative operating points and compares the
-//! model's latency quantiles against the simulated latency histograms the
-//! [`Runner`] retains in its structured results.
+//! model's latency quantiles against the ones the [`Runner`] reads from
+//! the simulated latency histograms.
 //!
 //! ```text
 //! cargo run --release --example tail_latency
@@ -43,7 +43,7 @@ fn main() -> Result<(), Error> {
         "{:>12} {:>11} {:>9} {:>11} {:>9} {:>11} {:>9}",
         "load", "mean(mod)", "mean(sim)", "p95(mod)", "p95(sim)", "p99(mod)", "p99(sim)"
     );
-    for ((p, sims), frac) in result.points.iter().zip(&result.sims).zip([0.3, 0.5, 0.7]) {
+    for (p, frac) in result.points.iter().zip([0.3, 0.5, 0.7]) {
         let wl = proto.at_rate(p.rate)?;
         let pred = AnalyticModel::new(topo.as_ref(), &wl, ModelOptions::default()).evaluate()?;
         // The simulator's histogram pools operations over ALL source
@@ -69,16 +69,15 @@ fn main() -> Result<(), Error> {
             }
             0.5 * (lo + hi)
         };
-        let hist = &sims[0].latency_hists.multicast;
         println!(
             "{:>11.0}% {:>11.1} {:>9.1} {:>11.1} {:>9.1} {:>11.1} {:>9.1}",
             frac * 100.0,
             p.model_multicast,
             p.sim_multicast,
             q(0.95),
-            hist.p95(),
+            p.sim_p95,
             q(0.99),
-            hist.p99(),
+            p.sim_p99,
         );
     }
     println!("\nfinding: the means agree within a few percent, but the");

@@ -161,7 +161,7 @@ fn closed_loop_runs_match_recorded_outcomes() {
                 cl.quiesce_cycle,
                 res.flit_moves,
                 cl.completion.mean.to_bits(),
-                cl.completion.p99.to_bits(),
+                cl.completion_hist.p99().to_bits(),
             );
             assert_eq!(got, *expected, "{engine:?} {}", spec.code());
         }

@@ -239,25 +239,3 @@ fn backend_selector_round_trips_and_legacy_files_default_to_mg1() {
         "legacy files must keep meaning the original overlay"
     );
 }
-
-/// Result files from before the backend refactor lack the bound columns;
-/// absent bounds parse as `NaN` (= never computed), exactly how a
-/// disabled overlay reports.
-#[test]
-fn legacy_point_results_parse_with_nan_bounds() {
-    let legacy = r#"{
-        "rate": 0.003,
-        "model_unicast": 21.5,
-        "model_multicast": 34.0,
-        "sim_unicast": 20.9,
-        "sim_multicast": 33.1,
-        "sim_multicast_ci": 0.8,
-        "sim_saturated": false
-    }"#;
-    let p: PointResult = serde::json::from_str(legacy).expect("legacy point parses");
-    assert_eq!(p.rate, 0.003);
-    assert!(p.bound_unicast.is_nan(), "absent bound must read as NaN");
-    assert!(p.bound_multicast.is_nan(), "absent bound must read as NaN");
-    assert!(p.model_applicable, "pre-traffic files were all Poisson");
-    assert_eq!(p.sim_multicast, 33.1);
-}
