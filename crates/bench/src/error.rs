@@ -134,6 +134,7 @@ impl From<ModelError> for Error {
     fn from(e: ModelError) -> Self {
         match e {
             ModelError::Pattern(p) => Error::Pattern(p),
+            ModelError::Workload(w) => Error::Workload(w),
             e => Error::Model(e),
         }
     }

@@ -103,13 +103,12 @@ pub trait ModelBackend: Sync {
     }
 
     /// [`evaluate`](Self::evaluate) at generation rate `rate` over routes
-    /// already walked. The default does not read the table: it evaluates
-    /// the routed workload at `rate` from scratch.
+    /// already walked; a rate the workload cannot be offered at
+    /// ([`Workload::check_rate`]) is a [`ModelError::Workload`]. The
+    /// default does not read the table: it evaluates the routed workload
+    /// at `rate` from scratch.
     fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
-        let wl = Workload {
-            gen_rate: rate,
-            ..routed.wl.clone()
-        };
+        let wl = routed.wl.at_rate(rate)?;
         self.evaluate(routed.topo, &wl, &routed.opts)
     }
 
@@ -163,24 +162,26 @@ impl ModelBackend for MgOneBackend {
     }
 
     fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
-        let (topo, opts) = (routed.topo, &routed.opts);
+        routed.wl.check_rate(rate)?;
         let msg = routed.wl.msg_len as f64;
-        let loads = routed.at(rate);
-        let sol = service::solve(topo, &loads, msg, opts)?;
+        let loads = routed.rates_at(rate);
+        let order = routed.components(&loads);
+        let (sol, factor) = service::solve_in(&loads, &order, msg, &routed.opts)?;
         Ok(assemble(
             routed,
-            &loads,
+            &sol.waiting,
+            |e| factor[e],
             &sol.rho,
             sol.iterations,
-            service::header_wait(&loads, &sol, msg, opts),
             expected_last_completion,
         ))
     }
 
     fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
-        let (topo, opts) = (routed.topo, &routed.opts);
-        let msg = routed.wl.msg_len as f64;
-        routed.max_rate(tol, |loads| service::solve(topo, loads, msg, opts).is_ok())
+        let (msg, opts) = (routed.wl.msg_len as f64, &routed.opts);
+        routed.max_rate(tol, |loads, order| {
+            service::solve_in(loads, order, msg, opts).is_ok()
+        })
     }
 }
 
@@ -225,22 +226,23 @@ impl ModelBackend for NetworkCalculusBackend {
     /// shared port or co-travel a shared prefix, the regimes the
     /// `E[max]`-of-exponentials model excludes.
     fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
+        routed.wl.check_rate(rate)?;
         let msg = routed.wl.msg_len as f64;
         let loads = routed.at(rate);
-        let bounds = calculus::solve_bounds(routed.topo, &loads, msg)?;
+        let bounds = calculus::solve_bounds(&loads, &routed.components(&loads), msg)?;
         Ok(assemble(
             routed,
-            &loads,
+            &bounds.delay,
+            |_| 1.0,
             &bounds.rho,
             bounds.iterations,
-            |_, to| bounds.delay[to.idx()],
             |port_bounds| port_bounds.iter().sum(),
         ))
     }
 
     fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
         let msg = routed.wl.msg_len as f64;
-        routed.max_rate(tol, |loads| calculus::stable(routed.topo, loads, msg))
+        routed.max_rate(tol, |loads, order| calculus::stable(loads, order, msg))
     }
 }
 
@@ -334,6 +336,51 @@ mod tests {
         let dense = Min::materialized(2, 4).unwrap();
         assert!(MgOneBackend.applicable(&dense, &wl));
         assert!(NetworkCalculusBackend.applicable(&dense, &wl));
+    }
+
+    #[test]
+    fn rates_the_workload_refuses_are_typed_errors_on_every_backend() {
+        // Below zero both built-in backends used to answer with zero-load
+        // latencies, at NaN and above one with a saturation.
+        use crate::ModelError;
+        use noc_workloads::WorkloadError;
+
+        /// The required methods only: `evaluate_over` is the default.
+        struct Delegate(&'static dyn ModelBackend);
+        impl ModelBackend for Delegate {
+            fn code(&self) -> &'static str {
+                self.0.code()
+            }
+            fn applicable(&self, topo: &dyn Topology, wl: &Workload) -> bool {
+                self.0.applicable(topo, wl)
+            }
+            fn evaluate(
+                &self,
+                topo: &dyn Topology,
+                wl: &Workload,
+                opts: &ModelOptions,
+            ) -> Result<Prediction, ModelError> {
+                self.0.evaluate(topo, wl, opts)
+            }
+        }
+
+        let (topo, wl) = workload(0.05);
+        let routed = RoutedLoads::walk(&topo, &wl, &ModelOptions::default()).unwrap();
+        for spec in ALL_BACKENDS {
+            let delegate = Delegate(spec.backend());
+            let backends: [&dyn ModelBackend; 2] = [spec.backend(), &delegate];
+            for (backend, rate) in backends
+                .iter()
+                .flat_map(|b| [(b, -0.001), (b, f64::NAN), (b, 2.0)])
+            {
+                let err = backend.evaluate_over(&routed, rate).unwrap_err();
+                assert!(
+                    matches!(err, ModelError::Workload(WorkloadError::InvalidRate(r)) if r.to_bits() == rate.to_bits()),
+                    "{spec} at {rate}: {err:?}"
+                );
+            }
+            assert!(spec.backend().evaluate_over(&routed, 0.0).is_ok(), "{spec}");
+        }
     }
 
     #[test]

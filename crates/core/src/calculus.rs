@@ -46,7 +46,8 @@
 use crate::model::ModelError;
 use crate::options::ModelOptions;
 use crate::rates::{ChannelLoads, RoutedLoads};
-use crate::service::{solve_holding, Holding, Saturated};
+use crate::service::{solve_holding, utilisation, Saturated, WaitTerm};
+use noc_queueing::fixed_point::Components;
 use noc_queueing::network_calculus::channel_delay_bound;
 use noc_topology::Topology;
 use noc_workloads::Workload;
@@ -64,48 +65,45 @@ pub struct ChannelBounds {
     pub iterations: usize,
 }
 
-/// The holding recursion under the fluid (burst-free) wait
-/// `ρ_j·h_j/(1−ρ_j)`: a static burst delays messages but does not
-/// change long-run utilisation, so feeding the aggregate burst back
-/// into the holding recursion would compound it along every path and
-/// collapse the stability horizon to near zero. The burst enters the
-/// per-channel *delay* bound, after convergence. The fluid wait
-/// still dominates the Pollaczek–Khinchine mean (its `(1+cv²)/2`
-/// prefactor is ≤ 1 under the paper's variance heuristic), which keeps
-/// `bound ≥ M/G/1 mean`.
-fn fluid_holding(
-    topo: &dyn Topology,
-    loads: &ChannelLoads,
-    msg_len: f64,
-) -> Result<Holding, Saturated> {
-    solve_holding(topo, loads, msg_len, fluid_wait)
+/// The calculus wait term of the holding recursion: the fluid
+/// (burst-free) wait `ρ_j·h_j/(1−ρ_j)`, `∞` at the stability limit, in
+/// full on every edge (bounds take no mean-value correction). A static
+/// burst delays messages but does not change long-run utilisation, so
+/// feeding the aggregate burst back into the holding recursion would
+/// compound it along every path and collapse the stability horizon to
+/// near zero. The burst enters the per-channel *delay* bound, after
+/// convergence. The fluid wait still dominates the Pollaczek–Khinchine
+/// mean (its `(1+cv²)/2` prefactor is ≤ 1 under the paper's variance
+/// heuristic), which keeps `bound ≥ M/G/1 mean`.
+pub(crate) struct Fluid;
+
+impl WaitTerm for Fluid {
+    fn wait(&self, lj: f64, hj: f64) -> f64 {
+        channel_delay_bound(0.0, lj, hj).unwrap_or(f64::INFINITY)
+    }
+
+    fn factor(&self, _rate: f64, _p_next: f64, _lj: f64) -> f64 {
+        1.0
+    }
 }
 
-/// The calculus wait term of the holding recursion: `ρ_j·h_j/(1−ρ_j)`,
-/// `∞` at the stability limit.
-pub(crate) fn fluid_wait(hj: f64, _rate: f64, _li: f64, lj: f64) -> f64 {
-    channel_delay_bound(0.0, lj, hj).unwrap_or(f64::INFINITY)
-}
-
-/// A saturation probe's verdict on `loads`: the holding recursion
-/// converges and every channel keeps a finite delay bound. That is
-/// `solve_bounds(..).is_ok()` without the bursts — the bound is finite
-/// exactly when `ρ_j` is below the stability limit; a (finite) burst only
-/// shifts it.
-pub(crate) fn stable(topo: &dyn Topology, loads: &ChannelLoads, msg_len: f64) -> bool {
-    fluid_holding(topo, loads, msg_len).is_ok_and(|held| {
-        let mut per_channel = loads.lambda.iter().zip(&held.time);
-        per_channel.all(|(&l, &h)| channel_delay_bound(0.0, l, h).is_some())
-    })
+/// A saturation probe's verdict on `loads`, solved in `order`: the
+/// holding recursion converges and every channel keeps a finite delay
+/// bound. That is `solve_bounds(..).is_ok()` without the bursts — the
+/// bound is finite exactly when `ρ_j` is below the stability limit; a
+/// (finite) burst only shifts it.
+pub(crate) fn stable(loads: &ChannelLoads, order: &Components, msg_len: f64) -> bool {
+    solve_holding(loads, order, msg_len, &Fluid)
+        .is_ok_and(|held| held.wait.iter().all(|w| w.is_finite()))
 }
 
 pub(crate) fn solve_bounds(
-    topo: &dyn Topology,
     loads: &ChannelLoads,
+    order: &Components,
     msg_len: f64,
 ) -> Result<ChannelBounds, Saturated> {
     let lambda = &loads.lambda;
-    let held = fluid_holding(topo, loads, msg_len)?;
+    let held = solve_holding(loads, order, msg_len, &Fluid)?;
     let per_channel = loads.sigma.iter().zip(lambda).zip(&held.time);
     let delay: Vec<f64> = per_channel
         .map(|((&s, &l), &h)| channel_delay_bound(s, l, h).unwrap_or(f64::INFINITY))
@@ -113,10 +111,9 @@ pub(crate) fn solve_bounds(
     if delay.iter().any(|d| !d.is_finite()) {
         return Err(held.bottleneck);
     }
-    let rho = lambda.iter().zip(&held.time).map(|(l, h)| l * h).collect();
     Ok(ChannelBounds {
         delay,
-        rho,
+        rho: utilisation(lambda, &held.time),
         iterations: held.iterations,
     })
 }
@@ -136,8 +133,13 @@ impl NetworkCalculusBackend {
         wl: &Workload,
         opts: &ModelOptions,
     ) -> Result<ChannelBounds, ModelError> {
-        let loads = RoutedLoads::walk(topo, wl, opts)?.at(wl.gen_rate);
-        Ok(solve_bounds(topo, &loads, wl.msg_len as f64)?)
+        let routed = RoutedLoads::walk(topo, wl, opts)?;
+        let loads = routed.at(wl.gen_rate);
+        Ok(solve_bounds(
+            &loads,
+            &routed.components(&loads),
+            wl.msg_len as f64,
+        )?)
     }
 }
 

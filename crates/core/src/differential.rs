@@ -9,11 +9,11 @@
 //!   the per-source walk of its own it used to take.
 
 use crate::backend::{BackendSpec, NetworkCalculusBackend, ALL_BACKENDS};
-use crate::calculus::fluid_wait;
+use crate::calculus::Fluid;
 use crate::multicast::expected_last_completion;
 use crate::options::{ModelOptions, ServiceCorrection};
 use crate::rates::{ChannelLoads, RoutedLoads};
-use crate::service::{self, corrected_mg1_wait, solve_holding, ServiceSolution};
+use crate::service::{self, solve_holding, CorrectedMg1, ServiceSolution, WaitTerm};
 use noc_topology::{ChannelKind, NodeId, Path, RoutingSpec, Topology, TopologySpec, ALL_ROUTINGS};
 use noc_workloads::{DestinationSets, TrafficSpec, UnicastPattern, Workload};
 
@@ -25,7 +25,7 @@ fn dense_jacobi_holding(
     topo: &dyn Topology,
     loads: &ChannelLoads,
     msg_len: f64,
-    wait_term: impl Fn(f64, f64, f64, f64) -> f64,
+    term: &impl WaitTerm,
 ) -> Option<Vec<f64>> {
     const DAMPING: f64 = 0.7;
     let channels = topo.network().channels();
@@ -41,11 +41,12 @@ fn dense_jacobi_holding(
             *out = if channels[i].kind == ChannelKind::Ejection || succ.is_empty() || li <= 0.0 {
                 msg_len
             } else {
-                let term = |&(j, rate): &(noc_topology::ChannelId, f64)| {
-                    let xj = x[j.idx()];
-                    (rate / li) * (wait_term(xj, rate, li, loads.lambda[j.idx()]) + xj + 1.0)
+                let summand = |&(j, rate): &(noc_topology::ChannelId, f64)| {
+                    let (xj, lj) = (x[j.idx()], loads.lambda[j.idx()]);
+                    let p = rate / li;
+                    p * (term.factor(rate, p, lj) * term.wait(lj, xj) + xj + 1.0)
                 };
-                succ.iter().map(term).sum()
+                succ.iter().map(summand).sum()
             };
         }
         let mut residual: f64 = 0.0;
@@ -70,17 +71,21 @@ fn compare(case: &str, topo: &dyn Topology, wl: &Workload, backend: BackendSpec)
     let opts = ModelOptions::default();
     let msg = wl.msg_len as f64;
     let loads = RoutedLoads::walk(topo, wl, &opts).unwrap().at(wl.gen_rate);
+    let order = service::components(topo, &loads);
     let (new, old) = match backend {
         BackendSpec::MgOne => {
-            let wait = corrected_mg1_wait(msg, &opts);
+            let term = CorrectedMg1 {
+                msg_len: msg,
+                opts: &opts,
+            };
             (
-                solve_holding(topo, &loads, msg, &wait),
-                dense_jacobi_holding(topo, &loads, msg, &wait),
+                solve_holding(&loads, &order, msg, &term),
+                dense_jacobi_holding(topo, &loads, msg, &term),
             )
         }
         BackendSpec::NetworkCalculus => (
-            solve_holding(topo, &loads, msg, fluid_wait),
-            dense_jacobi_holding(topo, &loads, msg, fluid_wait),
+            solve_holding(&loads, &order, msg, &Fluid),
+            dense_jacobi_holding(topo, &loads, msg, &Fluid),
         ),
     };
     match (new, old) {

@@ -4,11 +4,10 @@
 use crate::backend::{MgOneBackend, ModelBackend};
 use crate::multicast::NodeMulticast;
 use crate::options::ModelOptions;
-use crate::rates::{ChannelLoads, RoutedLoads};
+use crate::rates::{ChannelLoads, RoutedLoads, NONE};
 use crate::service::{self, Saturated, ServiceSolution};
-use crate::unicast::path_wait;
 use noc_topology::{ChannelId, Topology};
-use noc_workloads::{PatternError, Workload};
+use noc_workloads::{PatternError, Workload, WorkloadError};
 
 /// Model evaluation errors.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,6 +34,9 @@ pub enum ModelError {
     /// The unicast destination pattern does not fit the topology (e.g.
     /// transpose on a node count that is not a square).
     Pattern(PatternError),
+    /// The workload cannot be offered at the rate asked for (a rate
+    /// outside `[0, 1)`, or an on/off source above its peak).
+    Workload(WorkloadError),
 }
 
 impl std::fmt::Display for ModelError {
@@ -53,6 +55,7 @@ impl std::fmt::Display for ModelError {
                  topology '{name}' is implicit"
             ),
             ModelError::Pattern(e) => write!(f, "traffic pattern: {e}"),
+            ModelError::Workload(e) => write!(f, "workload: {e}"),
         }
     }
 }
@@ -61,6 +64,7 @@ impl std::error::Error for ModelError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ModelError::Pattern(e) => Some(e),
+            ModelError::Workload(e) => Some(e),
             _ => None,
         }
     }
@@ -69,6 +73,12 @@ impl std::error::Error for ModelError {
 impl From<PatternError> for ModelError {
     fn from(e: PatternError) -> Self {
         ModelError::Pattern(e)
+    }
+}
+
+impl From<WorkloadError> for ModelError {
+    fn from(e: WorkloadError) -> Self {
+        ModelError::Workload(e)
     }
 }
 
@@ -100,13 +110,15 @@ pub struct Prediction {
 }
 
 /// Fold solved per-hop waits over the routed table into a [`Prediction`] —
-/// the one assembler under both backends. `loads` are the table's at the
-/// evaluated rate. What differs between the backends arrives as two
-/// closures: `hop_wait(from, to)`, the header's wait for channel `to`
-/// entered from `from = (channel, λ_{from→to})` (`None` at the injection
-/// channel) — the corrected `W` of Eq. 7 or the delay bound `D` — and
-/// `combine`, a node's multicast wait from its per-port sums — the
-/// expected last completion of Eq. 13 or their sum.
+/// the one assembler under both backends. What differs between the
+/// backends arrives as the per-channel `waits` — the M/G/1 `W` of Eq. 7
+/// or the delay bound `D` — an edge's `factor` on the wait of the channel
+/// it enters, by successor entry (the self-traffic correction, or 1 for
+/// bounds), and `combine`, a node's multicast wait from its per-port sums
+/// — the expected last completion of Eq. 13 or their sum. At the
+/// injection channel the header finds the full wait; an edge the
+/// successor table lacks carries no rate, which leaves nothing to
+/// discount.
 ///
 /// The unicast mean (Eq. 7 averaged with the pattern's weights, §2.1)
 /// regroups `Σ_{(s,d)} w(s,d)·(Σ_l w_l + msg + D)` by edge: a dot product
@@ -116,33 +128,46 @@ pub struct Prediction {
 /// one-port topologies).
 pub(crate) fn assemble(
     routed: &RoutedLoads<'_>,
-    loads: &ChannelLoads,
+    waits: &[f64],
+    factor: impl Fn(usize) -> f64,
     rho: &[f64],
     iterations: usize,
-    hop_wait: impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64,
     combine: impl Fn(&[f64]) -> f64,
 ) -> Prediction {
     let msg = routed.wl.msg_len as f64;
+    let hop_wait = |edge: u32, to: ChannelId| {
+        let f = if edge == NONE {
+            1.0
+        } else {
+            factor(edge as usize)
+        };
+        f * waits[to.idx()]
+    };
     let mut total = routed.unicast_hops;
     for (i, edges) in routed.unicast_edges.iter().enumerate() {
-        let from = ChannelId(i as u32);
         let injected = routed.unicast_injected[i];
         if injected > 0.0 {
-            total += injected * (hop_wait(None, from) + msg);
+            total += injected * (waits[i] + msg);
         }
-        for &(to, weight) in edges {
-            total += weight * hop_wait(Some((from, loads.transition(from, to))), to);
+        for u in edges {
+            total += u.weight * hop_wait(u.edge, u.to);
         }
     }
     let unicast_latency = total / routed.topo.num_nodes() as f64;
 
-    let mut per_node = Vec::with_capacity(routed.streams.len());
-    for (node, streams) in &routed.streams {
+    let mut per_node = Vec::with_capacity(routed.sources.len());
+    for (node, streams) in &routed.sources {
         let port_waits: Vec<f64> = streams
-            .iter()
-            .map(|st| path_wait(&st.path, loads, &hop_wait))
+            .clone()
+            .map(|st| {
+                let (&(first, _), rest) =
+                    routed.streams[st].split_first().expect("a path has hops");
+                rest.iter().fold(waits[first.idx()], |total, &(to, edge)| {
+                    total + hop_wait(edge, to)
+                })
+            })
             .collect();
-        let hops = streams.iter().map(|st| st.path.hop_count());
+        let hops = streams.clone().map(|st| routed.streams[st].len() - 1);
         let max_hops = hops.max().unwrap_or(0);
         let waiting = combine(&port_waits);
         per_node.push(NodeMulticast {

@@ -87,15 +87,16 @@ pub fn largest_subset_latency(
     let hop_wait = header_wait(loads, sol, msg_len, &routed.opts);
     let mut total = 0.0;
     let mut count = 0usize;
-    for (_, streams) in &routed.streams {
+    for (_, streams) in &routed.sources {
         // "Largest" sub-network: the stream covering the most targets,
         // ties broken by hop count.
         let candidate = streams
-            .iter()
-            .max_by_key(|st| (st.targets.len(), st.path.hop_count()))
+            .clone()
+            .max_by_key(|&st| (routed.stream_targets[st], routed.streams[st].len()))
             .expect("non-empty stream set");
-        let w = path_wait(&candidate.path, loads, &hop_wait);
-        total += w + msg_len + candidate.path.hop_count() as f64;
+        let hops = &routed.streams[candidate];
+        let w = path_wait(hops.iter().map(|&(c, _)| c), loads, &hop_wait);
+        total += w + msg_len + (hops.len() - 1) as f64;
         count += 1;
     }
     if count == 0 {

@@ -32,22 +32,128 @@
 //! edge and entering at every injection channel, which turn the
 //! network-average unicast latency into a dot product with the solved
 //! per-hop waits instead of a second walk.
+//!
+//! ## Layout
+//!
+//! Every per-edge table is one [`FlatLists`]: an offsets array and an
+//! entries array, channel by channel. The walk grows its edge lists as
+//! chains through one flat array and lays them out once it is done, so
+//! a walk allocates per table, not per route or per channel; [`at`] and
+//! the saturation probes rescale two flat arrays. Each edge a unicast
+//! route or a stream hop takes is recorded with its position in the
+//! successor table, so the assembler reads the edge's rate-dependent
+//! terms by index, never by search. What does not change with the rate
+//! is computed once per walk: the routes, those positions, and — on first
+//! use, shared by every probe and evaluation — the order in which the
+//! holding solve visits the channels (`service::components`), valid at
+//! every rate that leaves the same channels loaded.
+//!
+//! [`at`]: RoutedLoads::at
 
 use crate::model::ModelError;
 use crate::options::ModelOptions;
 use crate::saturation::bisect_max_rate;
+use crate::service;
+use noc_queueing::fixed_point::Components;
 use noc_queueing::network_calculus::{onoff_burstiness, trace_burstiness};
-use noc_topology::{ChannelId, ChannelKind, MulticastStream, Network, NodeId, Path, Topology};
+use noc_topology::{ChannelId, ChannelKind, MulticastStream, Network, NodeId, Topology};
 use noc_workloads::{TrafficSpec, UnicastPattern, Workload};
+use std::borrow::Cow;
+use std::ops::{Index, Range};
+use std::sync::OnceLock;
+
+/// Lists laid out flat, one row per owner: row `i` is
+/// `entries[offsets[i]..offsets[i + 1]]`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FlatLists<T> {
+    offsets: Vec<u32>,
+    entries: Vec<T>,
+}
+
+/// A successor table: for each channel, the `(next_channel, value)` pairs
+/// of the edges that leave it.
+pub type Successors = FlatLists<(ChannelId, f64)>;
+
+impl<T> FlatLists<T> {
+    fn new() -> Self {
+        FlatLists {
+            offsets: vec![0],
+            entries: Vec::new(),
+        }
+    }
+
+    /// Close a row: the entries pushed since the last one.
+    fn end_row(&mut self) {
+        self.offsets.push(self.entries.len() as u32);
+    }
+
+    /// `(row, entry)` pairs grouped by row, each row's entries in the
+    /// order given.
+    fn group(rows: usize, mut pairs: Vec<(u32, T)>) -> Self {
+        pairs.sort_by_key(|&(row, _)| row);
+        let mut offsets = vec![0u32; rows + 1];
+        for &(row, _) in &pairs {
+            offsets[row as usize + 1] += 1;
+        }
+        for i in 0..rows {
+            offsets[i + 1] += offsets[i];
+        }
+        let entries = pairs.into_iter().map(|(_, entry)| entry).collect();
+        FlatLists { offsets, entries }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Where row `i` lies in [`entries`](Self::entries).
+    pub(crate) fn range(&self, i: usize) -> Range<usize> {
+        self.offsets[i] as usize..self.offsets[i + 1] as usize
+    }
+
+    /// Every row's entries, row by row.
+    pub(crate) fn entries(&self) -> &[T] {
+        &self.entries
+    }
+
+    /// The rows in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[T]> {
+        (0..self.len()).map(|i| &self[i])
+    }
+}
+
+impl<T> Index<usize> for FlatLists<T> {
+    type Output = [T];
+
+    fn index(&self, i: usize) -> &[T] {
+        &self.entries[self.range(i)]
+    }
+}
+
+impl Successors {
+    /// Where the edge `i → j` lies in [`entries`](Self::entries), if the
+    /// table has it.
+    pub(crate) fn find(&self, i: ChannelId, j: ChannelId) -> Option<usize> {
+        let row = self.range(i.idx());
+        let k = self.entries[row.clone()].iter().position(|&(c, _)| c == j);
+        k.map(|k| row.start + k)
+    }
+}
 
 /// Channel loads of a routed workload at one generation rate.
 #[derive(Clone, Debug)]
 pub struct ChannelLoads {
     /// Aggregate arrival rate per channel (indexed by `ChannelId`).
     pub lambda: Vec<f64>,
-    /// Successor decomposition: for each channel, the list of
-    /// `(next_channel, rate)` pairs its traffic continues on.
-    pub successors: Vec<Vec<(ChannelId, f64)>>,
+    /// Successor decomposition: for each channel, the `(next_channel,
+    /// rate)` pairs its traffic continues on.
+    pub successors: Successors,
     /// Aggregate worst-case burst `σ_j` per channel, in flits: a burst of
     /// one source's messages can all take routes crossing `j`, each
     /// appearing there once as a unicast and once per stream crossing `j`
@@ -56,6 +162,30 @@ pub struct ChannelLoads {
     /// source sending both classes counts the larger. Read by the
     /// calculus bounds only, and not linear in the generation rate.
     pub sigma: Vec<f64>,
+}
+
+impl ChannelLoads {
+    /// Rate of traffic moving from channel `i` directly to channel `j`.
+    pub fn transition(&self, i: ChannelId, j: ChannelId) -> f64 {
+        let entry = self.successors.find(i, j);
+        entry.map_or(0.0, |e| self.successors.entries[e].1)
+    }
+}
+
+/// Not an entry: the end of a chain, or an edge no loaded traffic takes
+/// (the successor table has no entry for it).
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// An edge unicast routes take.
+pub(crate) struct UnicastEdge {
+    /// The channel it enters.
+    pub(crate) to: ChannelId,
+    /// `u_{i→j} = Σ_{(s,d) ∋ i→j} w(s,d)`, the pattern weight moving along
+    /// it.
+    pub(crate) weight: f64,
+    /// Its entry in the successor table, `NONE` when nothing unicast is
+    /// loaded and no stream takes it.
+    pub(crate) edge: u32,
 }
 
 /// The routes of a workload on a topology, walked once: the table a
@@ -72,25 +202,32 @@ pub struct RoutedLoads<'a> {
     pub(crate) opts: ModelOptions,
     /// `λ` and the successor rates at `REFERENCE_RATE`; no bursts.
     reference: ChannelLoads,
-    /// Unicast pattern weight per edge, `u_{i→j} = Σ_{(s,d) ∋ i→j} w(s,d)`:
-    /// for each channel the `(next_channel, u)` pairs its unicast routes
-    /// continue on.
-    pub(crate) unicast_edges: Vec<Vec<(ChannelId, f64)>>,
+    /// For each channel, the edges its unicast routes continue on.
+    pub(crate) unicast_edges: FlatLists<UnicastEdge>,
     /// Unicast pattern weight of the pairs that enter the network at each
     /// channel (positive on injection channels only).
     pub(crate) unicast_injected: Vec<f64>,
     /// `Σ_{(s,d)} w(s,d)·D(s,d)`, `D` the pair's hop count.
     pub(crate) unicast_hops: f64,
-    /// Every source's multicast streams, sources with an empty destination
-    /// set skipped; none at all on a one-port topology, whose serialised
-    /// stream table the schemes do not describe.
-    pub(crate) streams: Vec<(NodeId, Vec<MulticastStream>)>,
+    /// Every source with a multicast destination set and the rows of
+    /// `streams` that are its streams; none at all on a one-port topology,
+    /// whose serialised stream table the schemes do not describe.
+    pub(crate) sources: Vec<(NodeId, Range<usize>)>,
+    /// Per multicast stream, its hops in order: the channel, and the
+    /// successor entry of the edge it is entered by (`NONE` at the
+    /// injection channel, and where the table has no entry for the edge).
+    pub(crate) streams: FlatLists<(ChannelId, u32)>,
+    /// Per stream, how many targets it absorbs at.
+    pub(crate) stream_targets: Vec<u32>,
     /// Which channels each source's loaded unicast routes cross: one row
     /// of `⌈channels/64⌉` words per source.
     unicast_crossings: Vec<u64>,
     /// `(source, channel, count)`: the streams of `source` cross `channel`
     /// `count` times more than its unicast routes do.
     stream_crossings: Vec<(NodeId, ChannelId, u32)>,
+    /// The holding solve's component order over the reference loads,
+    /// computed on first use.
+    order: OnceLock<Components>,
 }
 
 /// The generation rate the routes are walked at. A power of two, so
@@ -156,14 +293,112 @@ fn source_bursts(wl: &Workload, rate: f64, n: usize) -> Vec<f64> {
     }
 }
 
+/// Lists that grow while routes are walked, one per owner: each a chain
+/// through one flat array of links, in the order its entries were first
+/// added, laid out by [`flatten`](Self::flatten) once the walk is done.
+struct Chains<V> {
+    /// `(first, last)` entry of each owner's chain; `NONE` when empty.
+    ends: Vec<(u32, u32)>,
+    links: Vec<Link<V>>,
+}
+
+struct Link<V> {
+    /// What the entry points at: a channel, or a slot of a
+    /// [`SourceTable`].
+    to: u32,
+    /// The next entry of its chain.
+    next: u32,
+    value: V,
+}
+
+impl<V: Default> Chains<V> {
+    fn new(owners: usize) -> Self {
+        Chains {
+            ends: vec![(NONE, NONE); owners],
+            links: Vec::new(),
+        }
+    }
+
+    fn find(&self, owner: usize, to: u32) -> Option<u32> {
+        let mut e = self.ends[owner].0;
+        while e != NONE {
+            let link = &self.links[e as usize];
+            if link.to == to {
+                return Some(e);
+            }
+            e = link.next;
+        }
+        None
+    }
+
+    /// Append an entry pointing at `to` to `owner`'s chain.
+    fn push(&mut self, owner: usize, to: u32) -> u32 {
+        let e = self.links.len() as u32;
+        self.links.push(Link {
+            to,
+            next: NONE,
+            value: V::default(),
+        });
+        let (first, last) = &mut self.ends[owner];
+        if *first == NONE {
+            *first = e;
+        } else {
+            self.links[*last as usize].next = e;
+        }
+        *last = e;
+        e
+    }
+
+    fn find_or_push(&mut self, owner: usize, to: u32) -> u32 {
+        self.find(owner, to).unwrap_or_else(|| self.push(owner, to))
+    }
+
+    /// The entries `keep` accepts as flat lists of `f(owner, entry, link)`,
+    /// owner by owner and each chain in order, and where each entry went
+    /// (`NONE` if dropped).
+    fn flatten<T>(
+        &self,
+        keep: impl Fn(u32) -> bool,
+        mut f: impl FnMut(usize, u32, &Link<V>) -> T,
+    ) -> (FlatLists<T>, Vec<u32>) {
+        let mut offsets = Vec::with_capacity(self.ends.len() + 1);
+        let mut entries = Vec::with_capacity(self.links.len());
+        let mut position = vec![NONE; self.links.len()];
+        offsets.push(0);
+        for (owner, &(first, _)) in self.ends.iter().enumerate() {
+            let mut e = first;
+            while e != NONE {
+                let link = &self.links[e as usize];
+                if keep(e) {
+                    position[e as usize] = entries.len() as u32;
+                    entries.push(f(owner, e, link));
+                }
+                e = link.next;
+            }
+            offsets.push(entries.len() as u32);
+        }
+        (FlatLists { offsets, entries }, position)
+    }
+}
+
+/// What an edge of the walk accumulates.
+#[derive(Clone, Copy, Default)]
+struct EdgeSums {
+    /// Unicast pattern weight moving along it.
+    weight: f64,
+    /// Rate at the reference rate.
+    rate: f64,
+}
+
 /// The unicast half of a [`RoutedLoads`] while it is walked.
 struct UnicastWalk {
     /// The unicast share of the reference rate.
     rate: f64,
-    /// `λ` and the successor rates of the unicast routes.
-    reference: ChannelLoads,
-    /// [`RoutedLoads::unicast_edges`].
-    edges: Vec<Vec<(ChannelId, f64)>>,
+    /// `λ` of the unicast routes.
+    lambda: Vec<f64>,
+    /// Per channel, the edges its unicast routes continue on: pattern
+    /// weight always, rate when anything is unicast.
+    edges: Chains<EdgeSums>,
     /// [`RoutedLoads::unicast_injected`].
     injected: Vec<f64>,
     /// [`RoutedLoads::unicast_hops`].
@@ -179,12 +414,8 @@ impl UnicastWalk {
         let (nc, words) = (net.num_channels(), net.num_channels().div_ceil(64));
         UnicastWalk {
             rate,
-            reference: ChannelLoads {
-                lambda: vec![0.0; nc],
-                successors: vec![Vec::new(); nc],
-                sigma: Vec::new(),
-            },
-            edges: vec![Vec::new(); nc],
+            lambda: vec![0.0; nc],
+            edges: Chains::new(nc),
             injected: vec![0.0; nc],
             hops: 0.0,
             words,
@@ -209,7 +440,8 @@ impl UnicastWalk {
                 self.injected[path.hops[0].channel.idx()] += w;
                 self.hops += w * path.hop_count() as f64;
                 for (a, c) in path.transitions() {
-                    self.edge(a, c, w);
+                    let e = self.edges.find_or_push(a.idx(), c.0);
+                    self.add(e, w);
                 }
                 for c in path.channels() {
                     self.cross(src, c, w);
@@ -228,31 +460,40 @@ impl UnicastWalk {
     fn walk_by_symmetry(&mut self, topo: &dyn Topology) {
         let (net, n) = (topo.network(), topo.num_nodes());
         let table = SourceTable::walk(topo);
-        let (mut images, mut dst, mut order) = (Vec::new(), Vec::new(), Vec::new());
+        let mut images = Vec::with_capacity(table.slots.len());
+        // Edges of one slot that its image under `by` does not have yet.
+        let mut fresh: Vec<(usize, ChannelId)> = Vec::new();
         for by in (0..n as u32).map(NodeId) {
             images.clear();
             images.extend(table.slots.iter().map(|slot| {
                 topo.translate(slot.channel, by)
                     .expect("a topology that translates one channel translates every one")
             }));
-            // Where the image of each of node 0's routes ends.
-            dst.clear();
-            dst.extend(table.ejections.iter().map(|&k| net.downstream(images[k])));
-            for (slot, &from) in table.slots.iter().zip(&images) {
+            for (k, (slot, &from)) in table.slots.iter().zip(&images).enumerate() {
                 self.injected[from.idx()] += slot.injected;
                 self.cross(by, from, slot.weight);
-                order.clear();
-                order.extend(slot.next.iter().map(|next| (images[next.slot], next)));
-                let known = &self.edges[from.idx()];
-                let new = order
-                    .iter()
-                    .filter(|(c, _)| known.iter().all(|(k, _)| k != c));
-                if new.count() > 1 {
-                    // The first route of `by` to take an edge adds it.
-                    order.sort_by_key(|(_, next)| next.routes.iter().map(|&r| dst[r]).min());
+                fresh.clear();
+                for e in table.next.range(k) {
+                    let (next, weight) = table.next.entries[e];
+                    let to = images[next as usize];
+                    match self.edges.find(from.idx(), to.0) {
+                        Some(known) => self.add(known, weight),
+                        None => fresh.push((e, to)),
+                    }
                 }
-                for &(to, next) in &order {
-                    self.edge(from, to, next.weight);
+                if fresh.len() > 1 {
+                    // The first route of `by` to take an edge adds it:
+                    // routes by the image of their destination.
+                    fresh.sort_by_key(|&(e, _)| {
+                        let ends = table.routes[e]
+                            .iter()
+                            .map(|&r| images[table.ejections[r as usize]]);
+                        ends.map(|c| net.downstream(c)).min()
+                    });
+                }
+                for &(e, to) in &fresh {
+                    let edge = self.edges.push(from.idx(), to.0);
+                    self.add(edge, table.next.entries[e].1);
                 }
             }
             self.hops += table.hops;
@@ -263,29 +504,18 @@ impl UnicastWalk {
     /// crossing, when anything is unicast.
     fn cross(&mut self, src: NodeId, c: ChannelId, w: f64) {
         if self.rate > 0.0 {
-            self.reference.lambda[c.idx()] += self.rate * w;
+            self.lambda[c.idx()] += self.rate * w;
             self.crossings[src.idx() * self.words + c.idx() / 64] |= 1 << (c.idx() % 64);
         }
     }
 
-    /// Pattern weight `w` moving from channel `a` straight on to `c`. While
-    /// only unicast routes have been walked the two edge lists of a channel
-    /// grow in step, so one search serves both.
-    fn edge(&mut self, a: ChannelId, c: ChannelId, w: f64) {
-        let edges = &mut self.edges[a.idx()];
-        let k = edges.iter().position(|(next, _)| *next == c);
-        let k = k.unwrap_or_else(|| {
-            edges.push((c, 0.0));
-            edges.len() - 1
-        });
-        edges[k].1 += w;
+    /// Pattern weight `w` moving along edge `e`: its weight, and its rate
+    /// when anything is unicast.
+    fn add(&mut self, e: u32, w: f64) {
+        let sums = &mut self.edges.links[e as usize].value;
+        sums.weight += w;
         if self.rate > 0.0 {
-            let succ = &mut self.reference.successors[a.idx()];
-            if k == succ.len() {
-                succ.push((c, 0.0));
-            }
-            debug_assert_eq!(succ[k].0, c);
-            succ[k].1 += self.rate * w;
+            sums.rate += self.rate * w;
         }
     }
 }
@@ -298,7 +528,13 @@ impl UnicastWalk {
 struct SourceTable {
     /// The channels crossed, in the order first crossed.
     slots: Vec<Slot>,
-    /// The slot each route ends on; route `r` goes to node `r + 1`.
+    /// Per slot, the edges the routes move straight on along, in the order
+    /// first met: `(slot entered, pattern weight)`.
+    next: FlatLists<(u32, f64)>,
+    /// Per entry of `next`, the routes that take it; route `r` goes to
+    /// node `r + 1`.
+    routes: FlatLists<u32>,
+    /// The slot each route ends on.
     ejections: Vec<usize>,
     /// `Σ_d w·D(0, d)`.
     hops: f64,
@@ -311,65 +547,54 @@ struct Slot {
     weight: f64,
     /// Pattern weight entering the network on it.
     injected: f64,
-    /// The edges the routes move straight on along, in the order first met.
-    next: Vec<Next>,
-}
-
-/// An edge of a [`SourceTable`], held by the slot it leaves.
-struct Next {
-    /// The slot it enters.
-    slot: usize,
-    /// Pattern weight moving along it.
-    weight: f64,
-    /// The routes that take it.
-    routes: Vec<usize>,
 }
 
 impl SourceTable {
     fn walk(topo: &dyn Topology) -> Self {
         let n = topo.num_nodes();
-        let mut slot_of = vec![usize::MAX; topo.network().num_channels()];
-        let mut table = SourceTable {
-            slots: Vec::new(),
-            ejections: Vec::with_capacity(n - 1),
-            hops: 0.0,
-        };
+        let mut slot_of = vec![NONE; topo.network().num_channels()];
+        let mut slots: Vec<Slot> = Vec::new();
+        let mut next: Chains<f64> = Chains::new(0);
+        // `(edge, route)` for every hop after the first.
+        let mut taken = Vec::new();
+        let mut ejections = Vec::with_capacity(n - 1);
+        let mut hops = 0.0;
         for (r, dst) in (1..n as u32).map(NodeId).enumerate() {
             let w = UnicastPattern::Uniform.weight(n, NodeId(0), dst);
             let path = topo.unicast_path(NodeId(0), dst);
-            table.hops += w * path.hop_count() as f64;
+            hops += w * path.hop_count() as f64;
             let mut prev = None;
             for c in path.channels() {
-                if slot_of[c.idx()] == usize::MAX {
-                    slot_of[c.idx()] = table.slots.len();
-                    table.slots.push(Slot {
+                if slot_of[c.idx()] == NONE {
+                    slot_of[c.idx()] = slots.len() as u32;
+                    slots.push(Slot {
                         channel: c,
                         weight: 0.0,
                         injected: 0.0,
-                        next: Vec::new(),
                     });
+                    next.ends.push((NONE, NONE));
                 }
-                let k = slot_of[c.idx()];
-                table.slots[k].weight += w;
+                let k = slot_of[c.idx()] as usize;
+                slots[k].weight += w;
                 let Some(p) = prev.replace(k) else {
-                    table.slots[k].injected += w;
+                    slots[k].injected += w;
                     continue;
                 };
-                let next = &mut table.slots[p].next;
-                let i = next.iter().position(|e| e.slot == k).unwrap_or_else(|| {
-                    next.push(Next {
-                        slot: k,
-                        weight: 0.0,
-                        routes: Vec::new(),
-                    });
-                    next.len() - 1
-                });
-                next[i].weight += w;
-                next[i].routes.push(r);
+                let e = next.find_or_push(p, k as u32);
+                next.links[e as usize].value += w;
+                taken.push((e, r as u32));
             }
-            table.ejections.extend(prev);
+            ejections.extend(prev);
         }
-        table
+        let (next_flat, position) = next.flatten(|_| true, |_, _, link| (link.to, link.value));
+        let taken = taken.into_iter().map(|(e, r)| (position[e as usize], r));
+        SourceTable {
+            routes: FlatLists::group(next_flat.entries.len(), taken.collect()),
+            next: next_flat,
+            slots,
+            ejections,
+            hops,
+        }
     }
 }
 
@@ -407,79 +632,158 @@ impl<'a> RoutedLoads<'a> {
             unicast.walk_pairs(topo, wl.unicast_pattern);
         }
         let UnicastWalk {
-            mut reference,
+            rate: unicast_rate,
+            mut lambda,
             edges: unicast_edges,
             injected: unicast_injected,
             hops: unicast_hops,
             words,
             crossings: unicast_crossings,
-            ..
         } = unicast;
+        // The successors begin as the unicast edges when those carry load
+        // (the first `unicast_count` entries of their chains); the streams
+        // add theirs after.
+        let unicast_count = unicast_edges.links.len() as u32;
+        let (mut successors, unicast_only) = if unicast_rate > 0.0 {
+            (unicast_edges, None)
+        } else {
+            (Chains::new(nc), Some(unicast_edges))
+        };
 
         // Multicast: fixed per-node streams, each at the operation rate.
         // The streams are kept whatever `α`, as the unicast weights are;
-        // check_domain left `α > 0` to concurrent topologies only.
+        // check_domain left `α > 0` to concurrent topologies only. Each
+        // source's are laid out flat as they are walked.
         let mc_rate = wl.multicast_fraction * REFERENCE_RATE;
-        let streams: Vec<_> = if topo.concurrent_multicast() {
-            multicast_streams(topo, wl).collect()
-        } else {
-            Vec::new()
-        };
+        let mut sources = Vec::new();
+        let mut streams = FlatLists::new();
+        let mut stream_targets = Vec::new();
         let mut stream_crossings = Vec::new();
-        if mc_rate > 0.0 {
-            let mut multiplicity = vec![0u32; nc];
-            for (src, streams) in &streams {
-                for stream in streams {
-                    reference.add_path(&stream.path, mc_rate);
-                    if opts.clone_ejection_load {
-                        // Clones at intermediate targets occupy that node's
-                        // ejection channel for the arrival direction.
-                        for hop in &stream.path.hops[1..stream.path.hops.len() - 1] {
-                            let ch = net.channel(hop.channel);
-                            if ch.kind == ChannelKind::Link
-                                && stream.targets.contains(&ch.to)
-                                && ch.to != stream.path.dst
-                            {
-                                let ej = net.ejection_channel(ch.to, ch.port);
-                                reference.lambda[ej.idx()] += mc_rate;
-                            }
+        let mut multiplicity = vec![0u32; if mc_rate > 0.0 { nc } else { 0 }];
+        let walked = topo
+            .concurrent_multicast()
+            .then(|| multicast_streams(topo, wl));
+        for (src, src_streams) in walked.into_iter().flatten() {
+            let first = streams.len();
+            for stream in &src_streams {
+                let path = &stream.path;
+                stream_targets.push(stream.targets.len() as u32);
+                streams.entries.push((path.hops[0].channel, NONE));
+                if mc_rate <= 0.0 {
+                    // Unloaded: the stream's hops read whatever the
+                    // unicast routes put on their edges.
+                    for (a, b) in path.transitions() {
+                        let e = successors.find(a.idx(), b.0);
+                        streams.entries.push((b, e.unwrap_or(NONE)));
+                    }
+                    streams.end_row();
+                    continue;
+                }
+                for c in path.channels() {
+                    lambda[c.idx()] += mc_rate;
+                }
+                for (a, b) in path.transitions() {
+                    let e = successors.find_or_push(a.idx(), b.0);
+                    successors.links[e as usize].value.rate += mc_rate;
+                    streams.entries.push((b, e));
+                }
+                streams.end_row();
+                if opts.clone_ejection_load {
+                    // Clones at intermediate targets occupy that node's
+                    // ejection channel for the arrival direction.
+                    for hop in &path.hops[1..path.hops.len() - 1] {
+                        let ch = net.channel(hop.channel);
+                        if ch.kind == ChannelKind::Link
+                            && stream.targets.contains(&ch.to)
+                            && ch.to != path.dst
+                        {
+                            lambda[net.ejection_channel(ch.to, ch.port).idx()] += mc_rate;
                         }
                     }
-                    for c in stream.path.channels() {
-                        multiplicity[c.idx()] += 1;
-                    }
                 }
-                // `σ` takes the larger of the stream multiplicity and the
-                // unicast crossing, which the rows already hold.
-                let row = &unicast_crossings[src.idx() * words..][..words];
-                for c in streams.iter().flat_map(|st| st.path.channels()) {
-                    let m = std::mem::take(&mut multiplicity[c.idx()]);
-                    let unicast = (row[c.idx() / 64] >> (c.idx() % 64)) as u32 & 1;
-                    if m > unicast {
-                        stream_crossings.push((*src, c, m - unicast));
-                    }
+                for c in path.channels() {
+                    multiplicity[c.idx()] += 1;
                 }
             }
+            sources.push((src, first..streams.len()));
+            if mc_rate <= 0.0 {
+                continue;
+            }
+            // `σ` takes the larger of the stream multiplicity and the
+            // unicast crossing, which the rows already hold.
+            let row = &unicast_crossings[src.idx() * words..][..words];
+            for c in src_streams.iter().flat_map(|st| st.path.channels()) {
+                let m = std::mem::take(&mut multiplicity[c.idx()]);
+                let unicast = (row[c.idx() / 64] >> (c.idx() % 64)) as u32 & 1;
+                if m > unicast {
+                    stream_crossings.push((src, c, m - unicast));
+                }
+            }
+        }
+
+        let (successors_flat, position) =
+            successors.flatten(|_| true, |_, _, link| (ChannelId(link.to), link.value.rate));
+        let unicast_edges = match &unicast_only {
+            // Each unicast edge is the successor entry it was built as.
+            None => successors.flatten(
+                |e| e < unicast_count,
+                |_, e, link| UnicastEdge {
+                    to: ChannelId(link.to),
+                    weight: link.value.weight,
+                    edge: position[e as usize],
+                },
+            ),
+            Some(unicast) => unicast.flatten(
+                |_| true,
+                |from, _, link| {
+                    let to = ChannelId(link.to);
+                    let edge = successors_flat.find(ChannelId(from as u32), to);
+                    UnicastEdge {
+                        to,
+                        weight: link.value.weight,
+                        edge: edge.map_or(NONE, |e| e as u32),
+                    }
+                },
+            ),
+        }
+        .0;
+        for (_, e) in streams.entries.iter_mut().filter(|(_, e)| *e != NONE) {
+            *e = position[*e as usize];
         }
         Ok(RoutedLoads {
             topo,
             wl,
             opts: *opts,
-            reference,
+            reference: ChannelLoads {
+                lambda,
+                successors: successors_flat,
+                sigma: Vec::new(),
+            },
             unicast_edges,
             unicast_injected,
             unicast_hops,
+            sources,
             streams,
+            stream_targets,
             unicast_crossings,
             stream_crossings,
+            order: OnceLock::new(),
         })
     }
 
-    /// The loads at generation rate `rate`.
+    /// The loads at generation rate `rate`, a valid one for the workload
+    /// ([`Workload::check_rate`]; the backends check before they ask).
     pub fn at(&self, rate: f64) -> ChannelLoads {
+        let mut loads = self.rates_at(rate);
+        loads.sigma = self.bursts_at(rate);
+        loads
+    }
+
+    /// [`at`](Self::at) without the bursts, which only the calculus
+    /// bounds read.
+    pub(crate) fn rates_at(&self, rate: f64) -> ChannelLoads {
         let mut loads = self.reference.clone();
         self.rescale(&mut loads, rate);
-        loads.sigma = self.bursts_at(rate);
         loads
     }
 
@@ -490,11 +794,26 @@ impl<'a> RoutedLoads<'a> {
         for (l, r) in loads.lambda.iter_mut().zip(&self.reference.lambda) {
             *l = r * k;
         }
-        let edges = loads.successors.iter_mut().zip(&self.reference.successors);
-        for (succ, reference) in edges {
-            for (s, r) in succ.iter_mut().zip(reference) {
-                s.1 = r.1 * k;
-            }
+        let edges = loads.successors.entries.iter_mut();
+        for (s, r) in edges.zip(&self.reference.successors.entries) {
+            s.1 = r.1 * k;
+        }
+    }
+
+    /// The holding solve's component order for `loads`, this table's at
+    /// some rate. It depends on the rate only through which channels are
+    /// loaded, so every rate that loads the reference walk's channels
+    /// shares one order, computed on first use; a rate that loads fewer
+    /// (zero, or one so small that some loads underflow to zero) gets
+    /// its own.
+    pub(crate) fn components(&self, loads: &ChannelLoads) -> Cow<'_, Components> {
+        let loaded = |l: &f64| *l > 0.0;
+        let reference = self.reference.lambda.iter().map(loaded);
+        if loads.lambda.iter().map(loaded).eq(reference) {
+            let order = || service::components(self.topo, &self.reference);
+            Cow::Borrowed(self.order.get_or_init(order))
+        } else {
+            Cow::Owned(service::components(self.topo, loads))
         }
     }
 
@@ -529,43 +848,24 @@ impl<'a> RoutedLoads<'a> {
 
     /// The built-in backends' saturation search: [`bisect_max_rate`] over
     /// the reference loads rescaled per probe; `stable` judges one set of
-    /// rates (a probe carries no bursts — a finite burst shifts a delay
-    /// bound, not the stability limit). Rates the workload cannot be
-    /// offered at (an on/off source above its peak) are unstable, as
-    /// [`Workload::at_rate`] failing always was.
-    pub(crate) fn max_rate(&self, tol: f64, stable: impl Fn(&ChannelLoads) -> bool) -> f64 {
+    /// rates in the holding solve's component order (a probe carries no
+    /// bursts — a finite burst shifts a delay bound, not the stability
+    /// limit). Rates the workload cannot be offered at (an on/off source
+    /// above its peak) are unstable, as [`Workload::at_rate`] failing
+    /// always was.
+    pub(crate) fn max_rate(
+        &self,
+        tol: f64,
+        stable: impl Fn(&ChannelLoads, &Components) -> bool,
+    ) -> f64 {
         let mut probe = self.reference.clone();
         bisect_max_rate(tol, |rate| {
             if self.wl.check_rate(rate).is_err() {
                 return false;
             }
             self.rescale(&mut probe, rate);
-            stable(&probe)
+            stable(&probe, &self.components(&probe))
         })
-    }
-}
-
-impl ChannelLoads {
-    fn add_path(&mut self, path: &Path, rate: f64) {
-        for c in path.channels() {
-            self.lambda[c.idx()] += rate;
-        }
-        for (a, b) in path.transitions() {
-            let succ = &mut self.successors[a.idx()];
-            match succ.iter_mut().find(|(c, _)| *c == b) {
-                Some((_, r)) => *r += rate,
-                None => succ.push((b, rate)),
-            }
-        }
-    }
-
-    /// Rate of traffic moving from channel `i` directly to channel `j`.
-    pub fn transition(&self, i: ChannelId, j: ChannelId) -> f64 {
-        self.successors[i.idx()]
-            .iter()
-            .find(|(c, _)| *c == j)
-            .map(|(_, r)| *r)
-            .unwrap_or(0.0)
     }
 }
 
@@ -833,16 +1133,18 @@ mod tests {
             .iter()
             .map(|x| x.to_bits())
             .collect();
-        let lists = routed
-            .reference
-            .successors
-            .iter()
-            .chain(&routed.unicast_edges);
-        for list in lists {
+        for list in routed.reference.successors.iter() {
             words.push(list.len() as u64);
             words.extend(
                 list.iter()
                     .flat_map(|&(c, x)| [u64::from(c.0), x.to_bits()]),
+            );
+        }
+        for list in routed.unicast_edges.iter() {
+            words.push(list.len() as u64);
+            words.extend(
+                list.iter()
+                    .flat_map(|u| [u64::from(u.to.0), u.weight.to_bits()]),
             );
         }
         words.extend(routed.unicast_injected.iter().map(|x| x.to_bits()));
@@ -851,6 +1153,11 @@ mod tests {
         for &(src, c, count) in &routed.stream_crossings {
             words.extend([src.0, c.0, count].map(u64::from));
         }
+        fnv(&words)
+    }
+
+    /// FNV-1a-64 over the little-endian bytes of `words`.
+    fn fnv(words: &[u64]) -> u64 {
         let bytes = words.iter().flat_map(|w| w.to_le_bytes());
         bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -874,6 +1181,106 @@ mod tests {
             let routed = RoutedLoads::walk(topo.as_ref(), &wl, &ModelOptions::default()).unwrap();
             assert_eq!(table_digest(&routed), digest, "{spec}/{pattern:?}");
         }
+    }
+
+    #[test]
+    fn uniform_walks_and_their_predictions_are_pinned_bit_for_bit() {
+        // Recorded before the successor table was laid out flat: the same
+        // numbers in the same order, and per backend the horizon's bits and
+        // the unicast and multicast latencies and sweeps at 0.3 and 0.9 of
+        // it. The first four walk by symmetry, the mesh every pair.
+        use crate::backend::ALL_BACKENDS;
+        use noc_topology::RoutingSpec::{DualPath, PathBased};
+        use noc_topology::TopologySpec;
+        let cases = [
+            (
+                "quarc-128",
+                PathBased,
+                0x8097cb25cacb656f_u64,
+                0x371a4d17ed1a28c3_u64,
+            ),
+            (
+                "torus-8x8",
+                PathBased,
+                0x5d00d0c3b9a7bbd2,
+                0xeaadf27c86edda19,
+            ),
+            (
+                "hypercube-6",
+                PathBased,
+                0xdd3efcea3e0af3b7,
+                0xbbb17deb5d6fd245,
+            ),
+            ("ring-32", PathBased, 0xc2f2a809276cece1, 0x32f05a00057cc895),
+            (
+                "mesh-8x8",
+                PathBased,
+                0xbf1b1c7308e189de,
+                0x6b142ee6a9a3f68e,
+            ),
+            ("mesh-8x8", DualPath, 0xbf1b1c7308e189de, 0x6b142ee6a9a3f68e),
+        ];
+        for (spec, routing, table, predictions) in cases {
+            let topo = TopologySpec::parse(spec).unwrap().build().unwrap();
+            let wl = workload(topo.as_ref(), 0.01, 0.05).with_routing(routing);
+            let routed = RoutedLoads::walk(topo.as_ref(), &wl, &ModelOptions::default()).unwrap();
+            let mut words = Vec::new();
+            for backend in ALL_BACKENDS {
+                let backend = backend.backend();
+                let horizon = backend.max_rate_over(&routed, 0.01);
+                words.push(horizon.to_bits());
+                for rate in [0.3 * horizon, 0.9 * horizon] {
+                    let p = backend.evaluate_over(&routed, rate).unwrap();
+                    let (u, m) = (p.unicast_latency, p.multicast_latency);
+                    words.extend([u.to_bits(), m.to_bits(), p.iterations as u64]);
+                }
+            }
+            let got = (table_digest(&routed), fnv(&words));
+            assert_eq!(got, (table, predictions), "{spec}/{routing:?}");
+        }
+    }
+
+    #[test]
+    fn a_rate_whose_loads_underflow_is_solved_in_its_own_order() {
+        // At a subnormal rate some loads round to zero and others do not:
+        // the walk's component order would sweep channels that carry
+        // nothing (`P = 0/0`), so such a rate is solved in its own.
+        use crate::backend::{MgOneBackend, ModelBackend, ALL_BACKENDS};
+        let topo = Quarc::new(16).unwrap();
+        let wl = workload(&topo, 0.01, 0.05);
+        let opts = ModelOptions::default();
+        let routed = RoutedLoads::walk(&topo, &wl, &opts).unwrap();
+        let rate = 1e-323;
+        let loads = routed.at(rate);
+        let loaded = |l: &[f64]| l.iter().filter(|&&l| l > 0.0).count();
+        let (kept, walked) = (loaded(&loads.lambda), loaded(&routed.reference.lambda));
+        assert!(
+            0 < kept && kept < walked,
+            "{kept} of {walked} channels loaded"
+        );
+        let order = crate::service::components(&topo, &loads);
+        let mg1 = crate::service::solve_in(&loads, &order, 32.0, &opts)
+            .unwrap()
+            .0;
+        let nc = crate::calculus::solve_bounds(&loads, &order, 32.0).unwrap();
+        for (backend, iterations) in ALL_BACKENDS
+            .into_iter()
+            .zip([mg1.iterations, nc.iterations])
+        {
+            let got = backend.backend().evaluate_over(&routed, rate).unwrap();
+            assert_eq!(got.iterations, iterations, "{backend}");
+        }
+        // The M/G/1 waits are subnormal: the zero-load latencies.
+        let idle = MgOneBackend.evaluate_over(&routed, 0.0).unwrap();
+        let got = MgOneBackend.evaluate_over(&routed, rate).unwrap();
+        assert_eq!(got.unicast_latency, idle.unicast_latency);
+        assert_eq!(got.multicast_latency, idle.multicast_latency);
+        // The rates the walk loads share its order again.
+        assert!(matches!(
+            routed.components(&routed.at(1e-322)),
+            Cow::Borrowed(_)
+        ));
+        assert!(matches!(routed.components(&loads), Cow::Owned(_)));
     }
 
     #[test]

@@ -18,13 +18,20 @@
 //!
 //! `x_i` reads only the successors of `i`, and [`ChannelLoads`] already
 //! holds that graph. `solve_holding` hands it to
-//! [`noc_queueing::fixed_point`]: strongly connected components of the
-//! loaded, non-terminal channels, sinks first; a channel that is not on a
-//! cycle is back-substituted once (a mesh or hypercube under
-//! dimension-ordered routing is one pass over the channels, exactly the
-//! feedforward setting of the network-calculus literature), and only the
-//! cyclic components — the rims of quarc, ring, spidergon and torus — are
-//! swept Gauss–Seidel until their own residual is below the tolerance.
+//! [`noc_queueing::fixed_point`] in the order `components` gives:
+//! strongly connected components of the loaded, non-terminal channels,
+//! sinks first. That order depends on the rate only through which
+//! channels are loaded, so the route walk computes it once and every
+//! probe and evaluation over the walk shares it
+//! (`RoutedLoads::components`). A channel that is not on a cycle is
+//! back-substituted once (a mesh or hypercube under dimension-ordered
+//! routing is one pass over the channels, exactly the feedforward setting
+//! of the network-calculus literature), and only the cyclic components —
+//! the rims of quarc, ring, spidergon and torus — are swept Gauss–Seidel
+//! until their own residual is below the tolerance. Per edge the solve
+//! reads `P_{i→j}` and the wait's edge factor, computed once per solve;
+//! per channel the wait `W_j`, recomputed only when `x_j` moves — the
+//! same numbers the per-edge formula gives, bit for bit.
 //!
 //! The sweep is undamped because the system is monotone. Both wait terms
 //! are non-decreasing in `x_j` (P–K and the fluid wait grow with `ρ_j =
@@ -84,6 +91,12 @@ impl std::error::Error for Saturated {}
 pub(crate) struct Holding {
     /// Per-channel time a message keeps the channel allocated.
     pub(crate) time: Vec<f64>,
+    /// Per channel, the wait term's [`wait`](WaitTerm::wait) at its
+    /// holding time.
+    pub(crate) wait: Vec<f64>,
+    /// Per successor entry, the wait term's [`factor`](WaitTerm::factor)
+    /// on that edge.
+    pub(crate) factor: Vec<f64>,
     /// Sweeps of the slowest component (1 when acyclic).
     pub(crate) iterations: usize,
     /// The most utilised channel at the fixed point (`ρ < 1`): what a
@@ -92,36 +105,92 @@ pub(crate) struct Holding {
     pub(crate) bottleneck: Saturated,
 }
 
+/// What the two backends' holding recursions differ in: the wait a header
+/// finds at channel `j`, and the share of it that applies on an edge
+/// `i → j`. The wait must be non-decreasing in `x_j` and may answer `∞`
+/// for an unstable queue (see the module docs for why that makes the
+/// undamped component-ordered solve sound).
+pub(crate) trait WaitTerm {
+    /// The wait at a channel with arrival rate `lj` whose messages hold
+    /// it `xj` cycles.
+    fn wait(&self, lj: f64, xj: f64) -> f64;
+
+    /// The factor on that wait for traffic entering it along an edge
+    /// carrying `rate`, `p_next` of what leaves the channel it comes from
+    /// ([`p_next`]).
+    fn factor(&self, rate: f64, p_next: f64, lj: f64) -> f64;
+}
+
+/// `P_{i→j}`, the share of channel `i`'s traffic (arrival rate `li`) that
+/// moves on along an edge carrying `rate`. An edge no traffic takes (a
+/// stream's, at zero multicast rate) may leave an unloaded channel: `P =
+/// 0` there, not `0/0`.
+pub(crate) fn p_next(rate: f64, li: f64) -> f64 {
+    if li > 0.0 {
+        rate / li
+    } else {
+        0.0
+    }
+}
+
+/// The paper's wait term of Eq. 6: the M/G/1 wait `W_j` (Eq. 3–5)
+/// discounted by the self-traffic correction.
+pub(crate) struct CorrectedMg1<'a> {
+    pub(crate) msg_len: f64,
+    pub(crate) opts: &'a ModelOptions,
+}
+
+impl WaitTerm for CorrectedMg1<'_> {
+    fn wait(&self, lj: f64, xj: f64) -> f64 {
+        if lj <= 0.0 {
+            return 0.0;
+        }
+        MG1::with_paper_sigma(lj, xj, self.msg_len).waiting(self.opts.formula)
+    }
+
+    fn factor(&self, rate: f64, p_next: f64, lj: f64) -> f64 {
+        let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
+        self.opts.correction.factor(frac, p_next)
+    }
+}
+
+/// The strongly connected components of the holding recursion's unknowns
+/// — the loaded, non-terminal channels with successors — in evaluation
+/// order (terminal and unloaded channels serve in the drain time).
+pub(crate) fn components(topo: &dyn Topology, loads: &ChannelLoads) -> Components {
+    let channels = topo.network().channels();
+    let successors = &loads.successors;
+    let unknown = |i: usize| {
+        loads.lambda[i] > 0.0
+            && channels[i].kind != ChannelKind::Ejection
+            && !successors[i].is_empty()
+    };
+    Components::new(channels.len(), unknown, |i| {
+        successors[i].iter().map(|&(j, _)| j.idx())
+    })
+}
+
 /// The holding-time recursion both analytical backends share:
 ///
 /// ```text
-/// x_i = Σ_j P_{i→j} · (wait_term + x_j + 1),   x_terminal = msg
+/// x_i = Σ_j P_{i→j} · (factor_{i→j}·wait_j(x_j) + x_j + 1),   x_terminal = msg
 /// ```
 ///
-/// `wait_term(x_j, rate_{i→j}, λ_i, λ_j)` is the only thing that differs:
-/// the self-traffic-corrected M/G/1 wait for the paper's model, the fluid
-/// `ρh/(1−ρ)` wait for the network-calculus bounds. It must be
-/// non-decreasing in `x_j` and may answer `∞` for an unstable queue (see
-/// the module docs for why that makes the undamped component-ordered
-/// solve sound). A diverging or still-climbing component, or a fixed
-/// point with some `ρ_j ≥ 1`, is the model's saturation horizon.
+/// solved over `order` ([`components`] of `loads`); the [`WaitTerm`] is
+/// the corrected M/G/1 wait for the paper's model, the fluid `ρh/(1−ρ)`
+/// wait for the network-calculus bounds. A diverging or still-climbing
+/// component, or a fixed point with some `ρ_j ≥ 1`, is the model's
+/// saturation horizon.
 pub(crate) fn solve_holding(
-    topo: &dyn Topology,
     loads: &ChannelLoads,
+    order: &Components,
     msg_len: f64,
-    wait_term: impl Fn(f64, f64, f64, f64) -> f64,
+    term: &impl WaitTerm,
 ) -> Result<Holding, Saturated> {
-    let net = topo.network();
-    let nc = net.num_channels();
-
+    let lambda = &loads.lambda;
     // Quick screen: a channel whose raw rate already exceeds 1/msg can
     // never be stable (its service time is at least the drain time).
-    if let Some((idx, &l)) = loads
-        .lambda
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.total_cmp(b.1))
-    {
+    if let Some((idx, &l)) = lambda.iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1)) {
         if l * msg_len >= 1.0 {
             return Err(Saturated {
                 bottleneck: ChannelId(idx as u32),
@@ -130,36 +199,48 @@ pub(crate) fn solve_holding(
         }
     }
 
-    // Terminal and unloaded channels serve in the drain time; the rest
-    // are the unknowns.
-    let channels = net.channels();
-    let unknown = |i: usize| {
-        loads.lambda[i] > 0.0
-            && channels[i].kind != ChannelKind::Ejection
-            && !loads.successors[i].is_empty()
-    };
-    let components = Components::new(nc, unknown, |i| {
-        loads.successors[i].iter().map(|&(j, _)| j.idx())
-    });
-    let mut time = vec![msg_len; nc];
+    // Per edge `P_{i→j}` and the wait's factor; per channel the wait at
+    // the current holding time, kept in step with it.
+    let successors = &loads.successors;
+    let edges = successors.entries().len();
+    let (mut p, mut factor) = (Vec::with_capacity(edges), Vec::with_capacity(edges));
+    for (i, row) in successors.iter().enumerate() {
+        let li = lambda[i];
+        for &(j, rate) in row {
+            let p_ij = p_next(rate, li);
+            p.push(p_ij);
+            factor.push(term.factor(rate, p_ij, lambda[j.idx()]));
+        }
+    }
+    let mut time = vec![msg_len; lambda.len()];
+    let mut wait: Vec<f64> = lambda.iter().map(|&l| term.wait(l, msg_len)).collect();
     // The right-hand side of Eq. 6 at channel `i`.
-    let solved = FixedPoint::default().solve(&components, &mut time, |i, x| {
-        let li = loads.lambda[i];
+    let solved = FixedPoint::default().solve(order, &mut time, |i, x| {
+        let row = successors.range(i);
+        let terms = successors.entries()[row.clone()]
+            .iter()
+            .zip(&p[row.clone()]);
         let mut acc = 0.0;
-        for &(j, rate) in &loads.successors[i] {
+        for ((&(j, _), &p), &f) in terms.zip(&factor[row]) {
             let j = j.idx();
-            acc += (rate / li) * (wait_term(x[j], rate, li, loads.lambda[j]) + x[j] + 1.0);
+            acc += p * (f * wait[j] + x[j] + 1.0);
+        }
+        // A non-finite value is divergence: the solve stops there.
+        if acc.is_finite() {
+            wait[i] = term.wait(lambda[i], acc);
         }
         acc
     });
     // On failure `time` is the last finite iterate, and the channel whose
     // utilisation reached the limit is its most utilised one.
-    let bottleneck = most_utilised(&loads.lambda, &time);
+    let bottleneck = most_utilised(lambda, &time);
     match solved {
         // A finite fixed point with an unstable queue is still saturation
         // (its wait would be infinite).
         Ok(iterations) if bottleneck.rho < 1.0 => Ok(Holding {
             time,
+            wait,
+            factor,
             iterations,
             bottleneck,
         }),
@@ -181,32 +262,13 @@ fn most_utilised(lambda: &[f64], service: &[f64]) -> Saturated {
     }
 }
 
-/// The M/G/1 wait `W` (Eq. 3–5) of a channel with arrival rate `lambda`
-/// and mean service time `x`.
-fn mg1_wait(lambda: f64, x: f64, msg_len: f64, opts: &ModelOptions) -> f64 {
-    if lambda <= 0.0 {
-        return 0.0;
-    }
-    MG1::with_paper_sigma(lambda, x, msg_len).waiting(opts.formula)
+/// `ρ_j = λ_j·x_j` per channel.
+pub(crate) fn utilisation(lambda: &[f64], time: &[f64]) -> Vec<f64> {
+    lambda.iter().zip(time).map(|(l, x)| l * x).collect()
 }
 
-/// The paper's wait term of Eq. 6: `W_j` discounted by the self-traffic
-/// correction.
-pub(crate) fn corrected_mg1_wait(
-    msg_len: f64,
-    opts: &ModelOptions,
-) -> impl Fn(f64, f64, f64, f64) -> f64 + '_ {
-    move |xj, rate, li, lj| {
-        let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
-        // An edge no traffic takes (a stream's, at zero multicast rate)
-        // may leave an unloaded channel: `P = 0` there, not `0/0`.
-        let p_next = if li > 0.0 { rate / li } else { 0.0 };
-        opts.correction.factor(frac, p_next) * mg1_wait(lj, xj, msg_len, opts)
-    }
-}
-
-/// Eq. 7's `w_l` at the solved point, in the shape the assembler and
-/// [`path_wait`](crate::unicast::path_wait) read: the header's wait for
+/// Eq. 7's `w_l` at the solved point, in the shape
+/// [`path_wait`](crate::unicast::path_wait) reads: the header's wait for
 /// channel `to`, entered from `from = (channel, λ_{from→to})`. At the
 /// injection channel (`None`) the message queues behind its own node's
 /// earlier messages — no predecessor, full wait; after it, Eq. 6's wait
@@ -218,16 +280,36 @@ pub fn header_wait<'a>(
     msg_len: f64,
     opts: &'a ModelOptions,
 ) -> impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64 + 'a {
-    let corrected = corrected_mg1_wait(msg_len, opts);
-    move |from, to| match from {
-        None => sol.waiting[to.idx()],
-        Some((prev, rate)) => corrected(
-            sol.service[to.idx()],
-            rate,
-            loads.lambda[prev.idx()],
-            loads.lambda[to.idx()],
-        ),
+    let term = CorrectedMg1 { msg_len, opts };
+    move |from, to| {
+        let factor = from.map_or(1.0, |(prev, rate)| {
+            let p = p_next(rate, loads.lambda[prev.idx()]);
+            term.factor(rate, p, loads.lambda[to.idx()])
+        });
+        factor * sol.waiting[to.idx()]
     }
+}
+
+/// The M/G/1 solution of the service recursion on `loads`, solved in
+/// `order`, with the wait factor of every successor entry (what the
+/// assembler reads per hop).
+pub(crate) fn solve_in(
+    loads: &ChannelLoads,
+    order: &Components,
+    msg_len: f64,
+    opts: &ModelOptions,
+) -> Result<(ServiceSolution, Vec<f64>), Saturated> {
+    let held = solve_holding(loads, order, msg_len, &CorrectedMg1 { msg_len, opts })?;
+    if held.wait.iter().any(|w| !w.is_finite()) {
+        return Err(held.bottleneck);
+    }
+    let solution = ServiceSolution {
+        rho: utilisation(&loads.lambda, &held.time),
+        service: held.time,
+        waiting: held.wait,
+        iterations: held.iterations,
+    };
+    Ok((solution, held.factor))
 }
 
 /// Solve the service recursion for a routed workload.
@@ -237,29 +319,8 @@ pub fn solve(
     msg_len: f64,
     opts: &ModelOptions,
 ) -> Result<ServiceSolution, Saturated> {
-    let held = solve_holding(topo, loads, msg_len, corrected_mg1_wait(msg_len, opts))?;
-    let service = held.time;
-    let waiting: Vec<f64> = loads
-        .lambda
-        .iter()
-        .zip(&service)
-        .map(|(&l, &x)| mg1_wait(l, x, msg_len, opts))
-        .collect();
-    if waiting.iter().any(|w| !w.is_finite()) {
-        return Err(held.bottleneck);
-    }
-    let rho = loads
-        .lambda
-        .iter()
-        .zip(&service)
-        .map(|(l, x)| l * x)
-        .collect();
-    Ok(ServiceSolution {
-        service,
-        waiting,
-        rho,
-        iterations: held.iterations,
-    })
+    let order = components(topo, loads);
+    Ok(solve_in(loads, &order, msg_len, opts)?.0)
 }
 
 #[cfg(test)]

@@ -16,22 +16,26 @@
 //! walk recorded ([`crate::rates`]).
 
 use crate::rates::ChannelLoads;
-use noc_topology::{ChannelId, Path};
+use noc_topology::ChannelId;
 
-/// Total header waiting time along a path (the `Σ_l w_l` of Eq. 7 and the
-/// `Ω_{j,c}` of Eq. 8). `hop_wait(from, to)` is the wait for channel
-/// `to`, `from` the channel held meanwhile with the rate `λ_{from→to}` —
-/// `None` at the injection channel ([`crate::service::header_wait`] for
-/// the paper's model).
+/// Total header waiting time along a path's `channels` (the `Σ_l w_l` of
+/// Eq. 7 and the `Ω_{j,c}` of Eq. 8). `hop_wait(from, to)` is the wait
+/// for channel `to`, `from` the channel held meanwhile with the rate
+/// `λ_{from→to}` — `None` at the injection channel
+/// ([`crate::service::header_wait`] for the paper's model).
 pub fn path_wait(
-    path: &Path,
+    channels: impl IntoIterator<Item = ChannelId>,
     loads: &ChannelLoads,
     hop_wait: impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64,
 ) -> f64 {
-    let injection = hop_wait(None, path.hops[0].channel);
-    path.transitions().fold(injection, |total, (prev, cur)| {
-        total + hop_wait(Some((prev, loads.transition(prev, cur))), cur)
-    })
+    let mut channels = channels.into_iter();
+    let mut prev = channels.next().expect("a path has hops");
+    let mut total = hop_wait(None, prev);
+    for cur in channels {
+        total += hop_wait(Some((prev, loads.transition(prev, cur))), cur);
+        prev = cur;
+    }
+    total
 }
 
 #[cfg(test)]
@@ -65,7 +69,11 @@ mod tests {
         opts: &ModelOptions,
     ) -> f64 {
         let path = topo.unicast_path(NodeId(src), NodeId(dst));
-        let wait = path_wait(&path, loads, service::header_wait(loads, sol, 32.0, opts));
+        let wait = path_wait(
+            path.channels(),
+            loads,
+            service::header_wait(loads, sol, 32.0, opts),
+        );
         wait + 32.0 + path.hop_count() as f64
     }
 

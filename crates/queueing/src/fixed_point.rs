@@ -127,6 +127,8 @@ impl Components {
         const UNSEEN: u32 = u32::MAX;
         // Discovered, finished and already handed to a component.
         const ASSIGNED: u32 = u32::MAX - 1;
+        // Asked once per node, not once per edge into it.
+        let active: Vec<bool> = (0..n).map(active).collect();
         let mut index = vec![UNSEEN; n];
         let mut low = vec![0u32; n];
         let mut finish = vec![0u32; n];
@@ -140,7 +142,7 @@ impl Components {
         let (mut discovered, mut finished) = (0u32, 0u32);
 
         for root in 0..n {
-            if !active(root) || index[root] != UNSEEN {
+            if !active[root] || index[root] != UNSEEN {
                 continue;
             }
             let mut open = Some(root);
@@ -155,7 +157,7 @@ impl Components {
                 let Some(frame) = dfs.last_mut() else { break };
                 let v = frame.0 as usize;
                 if let Some(w) = frame.1.next() {
-                    if !active(w) {
+                    if !active[w] {
                         continue;
                     }
                     reads_itself[v] |= w == v;

@@ -112,7 +112,8 @@ impl Topology for Hypercube {
     fn unicast_path(&self, src: NodeId, dst: NodeId) -> Path {
         assert_ne!(src, dst, "no route from a node to itself");
         let first_port = self.port_for(src, dst);
-        let mut hops = vec![Hop::new(self.net.injection_channel(src, first_port), 0)];
+        let mut hops = Vec::with_capacity((src.idx() ^ dst.idx()).count_ones() as usize + 2);
+        hops.push(Hop::new(self.net.injection_channel(src, first_port), 0));
         let mut at = src.idx();
         let mut arrival = first_port;
         while at != dst.idx() {

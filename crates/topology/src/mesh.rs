@@ -58,8 +58,10 @@ pub struct Mesh {
     height: usize,
     kind: MeshKind,
     net: Network,
-    /// `links[(node, port)] -> ChannelId` for existing output links.
-    out_link: Vec<Option<ChannelId>>,
+    /// `out_link[node * 4 + port]`: the output link there, if any, with the
+    /// node it leads to and whether it is its ring's dateline — all a
+    /// route step reads.
+    out_link: Vec<Option<(ChannelId, NodeId, bool)>>,
 }
 
 impl Mesh {
@@ -79,7 +81,7 @@ impl Mesh {
         }
         let n = width * height;
         let mut channels: Vec<Channel> = Vec::new();
-        let mut out_link: Vec<Option<ChannelId>> = vec![None; n * 4];
+        let mut out_link = vec![None; n * 4];
         let node = |x: usize, y: usize| NodeId((y * width + x) as u32);
         // Mesh links carry 2 VCs (0 XY unicast, 1 Hamiltonian multicast),
         // torus links 3 (0/1 for the XY dateline, 2 for multicast).
@@ -112,7 +114,7 @@ impl Mesh {
                     };
                     let (id, from) = (ChannelId(channels.len() as u32), node(x, y));
                     channels.push(Channel::link(id, from, to, p, vcs, wraps, label));
-                    out_link[from.idx() * 4 + p.idx()] = Some(id);
+                    out_link[from.idx() * 4 + p.idx()] = Some((id, to, wraps));
                 }
             }
         }
@@ -147,7 +149,9 @@ impl Mesh {
     /// `(x, y)` coordinates of a node.
     #[inline]
     pub fn coords(&self, n: NodeId) -> (usize, usize) {
-        (n.idx() % self.width, n.idx() / self.width)
+        // In 32 bits: a node id fits, and the division is the cheaper one.
+        let w = self.width as u32;
+        ((n.0 % w) as usize, (n.0 / w) as usize)
     }
 
     /// Node at `(x, y)`.
@@ -156,23 +160,25 @@ impl Mesh {
         NodeId((y * self.width + x) as u32)
     }
 
-    fn link(&self, from: NodeId, p: PortId) -> ChannelId {
+    /// The output link of `from` on port `p`, where it leads, and whether
+    /// it is the dateline.
+    fn link(&self, from: NodeId, p: PortId) -> (ChannelId, NodeId, bool) {
         self.out_link[from.idx() * 4 + p.idx()]
             .unwrap_or_else(|| panic!("no {p:?} link at {from:?}"))
     }
 
-    /// Per-dimension signed step list for XY routing: returns the ordered
-    /// `(port, steps)` legs. On the torus, each leg goes the short way
-    /// around (ties broken toward the positive direction).
-    fn xy_legs(&self, src: NodeId, dst: NodeId) -> Vec<(PortId, usize)> {
+    /// The ordered `(port, steps)` legs of XY routing, x first: each
+    /// dimension with a nonzero offset. On the torus, each leg goes the
+    /// short way around (ties broken toward the positive direction).
+    fn xy_legs(&self, src: NodeId, dst: NodeId) -> impl Iterator<Item = (PortId, usize)> {
         let (sx, sy) = self.coords(src);
         let (dx, dy) = self.coords(dst);
-        let mut legs = Vec::with_capacity(2);
-        let leg = |s: usize, d: usize, extent: usize, plus: PortId, minus: PortId| {
+        let kind = self.kind;
+        let leg = move |s: usize, d: usize, extent: usize, plus: PortId, minus: PortId| {
             if s == d {
                 return None;
             }
-            match self.kind {
+            match kind {
                 MeshKind::Mesh => {
                     if d > s {
                         Some((plus, d - s))
@@ -191,17 +197,9 @@ impl Mesh {
                 }
             }
         };
-        if let Some(l) = leg(sx, dx, self.width, port::XPLUS, port::XMINUS) {
-            legs.push(l);
-        }
-        if let Some(l) = leg(sy, dy, self.height, port::YPLUS, port::YMINUS) {
-            legs.push(l);
-        }
-        legs
-    }
-
-    fn step(&self, from: NodeId, p: PortId) -> NodeId {
-        self.net.downstream(self.link(from, p))
+        let x = leg(sx, dx, self.width, port::XPLUS, port::XMINUS);
+        let y = leg(sy, dy, self.height, port::YPLUS, port::YMINUS);
+        x.into_iter().chain(y)
     }
 
     /// Boustrophedon Hamiltonian label of a node (row-major, odd rows
@@ -231,27 +229,32 @@ impl Topology for Mesh {
 
     fn port_for(&self, src: NodeId, dst: NodeId) -> PortId {
         assert_ne!(src, dst);
-        self.xy_legs(src, dst)[0].0
+        self.xy_legs(src, dst)
+            .next()
+            .expect("distinct nodes differ")
+            .0
     }
 
     fn unicast_path(&self, src: NodeId, dst: NodeId) -> Path {
         assert_ne!(src, dst, "no route from a node to itself");
-        let legs = self.xy_legs(src, dst);
-        let first_port = legs[0].0;
-        let mut hops = vec![Hop::new(self.net.injection_channel(src, first_port), 0)];
-        let mut at = src;
-        let mut arrival = first_port;
+        let links: usize = self.xy_legs(src, dst).map(|(_, steps)| steps).sum();
+        let mut hops = Vec::with_capacity(links + 2);
+        let mut legs = self.xy_legs(src, dst).peekable();
+        let first_port = legs
+            .peek()
+            .expect("distinct nodes differ in a coordinate")
+            .0;
+        hops.push(Hop::new(self.net.injection_channel(src, first_port), 0));
+        let (mut at, mut arrival) = (src, first_port);
         for (p, steps) in legs {
             let mut crossed = false;
             for _ in 0..steps {
-                let link = self.link(at, p);
-                if self.net.channel(link).dateline {
-                    crossed = true;
-                }
+                let (link, to, dateline) = self.link(at, p);
+                crossed |= dateline;
                 hops.push(Hop::new(link, u8::from(crossed)));
-                at = self.step(at, p);
-                arrival = p;
+                at = to;
             }
+            arrival = p;
         }
         hops.push(Hop::new(self.net.ejection_channel(at, arrival), 0));
         Path {
@@ -301,15 +304,25 @@ impl Topology for Mesh {
             return None;
         }
         let (dx, dy) = self.coords(by);
+        // Both offsets are below the extent, so one wrap is enough.
+        let shift = |v: usize, d: usize, extent: usize| {
+            if v + d >= extent {
+                v + d - extent
+            } else {
+                v + d
+            }
+        };
         let image = |v: usize| {
             let (x, y) = self.coords(NodeId(v as u32));
-            self.node((x + dx) % self.width, (y + dy) % self.height)
+            self.node(shift(x, dx, self.width), shift(y, dy, self.height))
                 .idx()
         };
         let terminal = self.net.terminal_image(c, image);
+        // Every torus node has its four links, numbered node by node in
+        // port order: link `4·v + p` leaves node `v` through port `p`.
         Some(terminal.unwrap_or_else(|| {
-            let link = self.net.channel(c);
-            self.link(NodeId(image(link.from.idx()) as u32), link.port)
+            let (from, p) = (c.idx() / 4, c.idx() % 4);
+            ChannelId((image(from) * 4 + p) as u32)
         }))
     }
 }

@@ -327,10 +327,17 @@ impl Network {
         let (ports, per_kind) = (self.ports_per_node, self.num_nodes * self.ports_per_node);
         let links = self.num_channels() - 2 * per_kind;
         let slot = c.idx().checked_sub(links)?;
-        let (kind, node, port) = (slot / per_kind, slot % per_kind / ports, slot % ports);
-        Some(ChannelId(
-            (links + kind * per_kind + image(node) * ports + port) as u32,
-        ))
+        // Injection channels, then ejection channels: a terminal's kind
+        // starts at `links` or `links + per_kind`.
+        let first = if slot < per_kind {
+            links
+        } else {
+            links + per_kind
+        };
+        // In 32 bits, where a channel id lives and division is cheaper.
+        let (slot, ports32) = ((c.idx() - first) as u32, ports as u32);
+        let (node, port) = ((slot / ports32) as usize, (slot % ports32) as usize);
+        Some(ChannelId((first + image(node) * ports + port) as u32))
     }
 
     /// Build an implicit network whose channels are computed on demand by

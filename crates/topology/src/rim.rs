@@ -30,13 +30,24 @@ impl Rim {
     /// The node `i` steps clockwise of node 0 (`i` may exceed `n`).
     #[inline]
     pub(crate) fn node(self, i: usize) -> NodeId {
-        NodeId((i % self.n) as u32)
+        NodeId(self.wrap(i) as u32)
+    }
+
+    /// `i mod n`, without a division for `i < 2n` (every route step and
+    /// every distance between two nodes).
+    #[inline]
+    fn wrap(self, i: usize) -> usize {
+        match i.checked_sub(self.n) {
+            None => i,
+            Some(j) if j < self.n => j,
+            Some(_) => i % self.n,
+        }
     }
 
     /// Clockwise distance from `s` to `d`, in `[0, n)`.
     #[inline]
     pub(crate) fn cw_dist(self, s: NodeId, d: NodeId) -> usize {
-        (d.idx() + self.n - s.idx()) % self.n
+        self.wrap(d.idx() + self.n - s.idx())
     }
 
     /// The `2n` rim links, clockwise then counter-clockwise.
@@ -73,9 +84,10 @@ impl Rim {
     /// on the clockwise distance, so this is a routing automorphism.
     pub(crate) fn translate(self, net: &Network, c: ChannelId, by: NodeId) -> ChannelId {
         let n = self.n;
-        let rotate = |v: usize| (v + by.idx()) % n;
+        let rotate = |v: usize| self.wrap(v + by.idx());
         net.terminal_image(c, rotate).unwrap_or_else(|| {
-            let (block, from) = (c.idx() / n, c.idx() % n);
+            let n32 = n as u32;
+            let (block, from) = ((c.0 / n32) as usize, (c.0 % n32) as usize);
             ChannelId((block * n + rotate(from)) as u32)
         })
     }
@@ -85,14 +97,16 @@ impl Rim {
     /// onwards.
     pub(crate) fn push_hops(self, hops: &mut Vec<Hop>, dir: PortId, from: usize, count: usize) {
         let n = self.n;
-        let mut crossed = false;
-        for step in 0..count {
+        let (mut i, mut crossed) = (self.wrap(from), false);
+        for _ in 0..count {
             let (link, dateline) = if dir == CW {
-                let i = (from + step) % n;
-                (i, i == n - 1)
+                let step = (i, i == n - 1);
+                i = if i == n - 1 { 0 } else { i + 1 };
+                step
             } else {
-                let i = (from + n - step) % n;
-                (n + i, i == 0)
+                let step = (n + i, i == 0);
+                i = if i == 0 { n - 1 } else { i - 1 };
+                step
             };
             crossed |= dateline;
             hops.push(Hop::new(ChannelId(link as u32), u8::from(crossed)));
@@ -111,27 +125,30 @@ impl Rim {
         targets: &[NodeId],
         descending: &[PortId],
     ) -> Vec<MulticastStream> {
-        let mut by_port = vec![Vec::new(); topo.num_ports()];
-        for &t in targets.iter().filter(|&&t| t != src) {
-            by_port[topo.port_for(src, t).idx()].push(self.cw_dist(src, t));
-        }
-        let mut streams = Vec::new();
-        for (port, mut ds) in by_port.into_iter().enumerate() {
-            let port = PortId(port as u8);
-            ds.sort_unstable();
-            ds.dedup();
+        // `(port, clockwise distance)` of each target, port by port.
+        let mut visits: Vec<(PortId, usize)> = targets
+            .iter()
+            .filter(|&&t| t != src)
+            .map(|&t| (topo.port_for(src, t), self.cw_dist(src, t)))
+            .collect();
+        visits.sort_unstable();
+        visits.dedup();
+        let mut streams = Vec::with_capacity(topo.num_ports());
+        for visits in visits.chunk_by(|a, b| a.0 == b.0) {
+            let port = visits[0].0;
+            let mut targets: Vec<NodeId> = visits
+                .iter()
+                .map(|&(_, d)| self.node(src.idx() + d))
+                .collect();
             if descending.contains(&port) {
-                ds.reverse();
+                targets.reverse();
             }
-            let targets: Vec<NodeId> = ds.iter().map(|&d| self.node(src.idx() + d)).collect();
-            if let Some(&last) = targets.last() {
-                let path = topo.unicast_path(src, last);
-                streams.push(MulticastStream {
-                    port,
-                    path,
-                    targets,
-                });
-            }
+            let last = targets[targets.len() - 1];
+            streams.push(MulticastStream {
+                port,
+                path: topo.unicast_path(src, last),
+                targets,
+            });
         }
         streams
     }

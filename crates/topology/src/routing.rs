@@ -169,41 +169,39 @@ impl OrderWalk {
 
     /// Build one stream from `src` that walks the linear order up (or
     /// down) to the last of `visits`, absorbing at each visit.
-    /// `visits` must be sorted by label, ascending when `up`, strictly on
-    /// the `up` side of `src`'s label.
+    /// `visits` are `(label, node)` pairs sorted by label, ascending when
+    /// `up`, strictly on the `up` side of `src`'s label.
     fn stream(
         &self,
         topo: &dyn Topology,
         src: NodeId,
-        visits: &[NodeId],
+        visits: &[(usize, NodeId)],
         up: bool,
     ) -> MulticastStream {
-        debug_assert!(!visits.is_empty());
         let net = topo.network();
-        let last = topo.linear_label(*visits.last().unwrap());
-        let mut h = topo.linear_label(src);
-        let mut links: Vec<Hop> = Vec::new();
-        while h != last {
+        let step = |h: usize| {
             let step = if up {
                 self.step_up[h]
             } else {
                 self.step_down[h]
             };
-            links.push(step.unwrap_or_else(|| {
+            step.unwrap_or_else(|| {
                 panic!(
                     "order-based routing requires a link between \
                      order-adjacent nodes (none at label {h})"
                 )
-            }));
+            })
+        };
+        let (mut h, last) = (topo.linear_label(src), visits[visits.len() - 1].0);
+        let port = net.channel(step(h).channel).port;
+        let mut hops = Vec::with_capacity(h.abs_diff(last) + 2);
+        hops.push(Hop::new(net.injection_channel(src, port), 0));
+        while h != last {
+            hops.push(step(h));
             h = if up { h + 1 } else { h - 1 };
         }
-        let first_link = net.channel(links[0].channel);
-        let last_link = net.channel(links[links.len() - 1].channel);
-        let port = first_link.port;
+        let last_link = net.channel(hops[hops.len() - 1].channel);
         let dst = last_link.to;
-        let mut hops = Vec::with_capacity(links.len() + 2);
-        hops.push(Hop::new(net.injection_channel(src, port), 0));
-        hops.extend_from_slice(&links);
         hops.push(Hop::new(net.ejection_channel(dst, last_link.port), 0));
         MulticastStream {
             port,
@@ -213,21 +211,20 @@ impl OrderWalk {
                 port,
                 hops,
             },
-            targets: visits.to_vec(),
+            targets: visits.iter().map(|&(_, t)| t).collect(),
         }
     }
 }
 
+/// Targets on one side of the source: `(label, node)` in visit order.
+type Half = Vec<(usize, NodeId)>;
+
 /// Split the targets (minus `src`, minus duplicates) into the
 /// label-sorted halves above (ascending) and below (descending) `src`.
-fn order_halves(
-    topo: &dyn Topology,
-    src: NodeId,
-    targets: &[NodeId],
-) -> (Vec<NodeId>, Vec<NodeId>) {
+fn order_halves(topo: &dyn Topology, src: NodeId, targets: &[NodeId]) -> (Half, Half) {
     let h0 = topo.linear_label(src);
-    let mut high: Vec<(usize, NodeId)> = Vec::new();
-    let mut low: Vec<(usize, NodeId)> = Vec::new();
+    let mut high: Half = Vec::new();
+    let mut low: Half = Vec::new();
     for &t in targets {
         if t == src {
             continue;
@@ -245,10 +242,7 @@ fn order_halves(
         half.dedup();
     }
     low.reverse();
-    (
-        high.into_iter().map(|(_, t)| t).collect(),
-        low.into_iter().map(|(_, t)| t).collect(),
-    )
+    (high, low)
 }
 
 /// Lin–Ni dual-path: split the destinations into the halves above and
@@ -285,7 +279,7 @@ fn multipath_streams(topo: &dyn Topology, src: NodeId, targets: &[NodeId]) -> Ve
     // Greedy partitioning: start from the dual-path halves and keep
     // splitting the largest segment in half until the port budget is
     // spent or every segment is a single target.
-    let mut segments: Vec<(Vec<NodeId>, bool)> = [(high, true), (low, false)]
+    let mut segments: Vec<(Half, bool)> = [(high, true), (low, false)]
         .into_iter()
         .filter(|(half, _)| !half.is_empty())
         .collect();
