@@ -9,8 +9,7 @@ use noc_topology::TopologySpec;
 use noc_workloads::table::{fmt_latency, Table};
 use quarc_core::multicast::largest_subset_latency;
 use quarc_core::{
-    service, MgOneBackend, ModelBackend, ModelOptions, RoutedLoads, ServiceCorrection,
-    WaitingFormula,
+    MgOneBackend, ModelBackend, ModelOptions, RoutedLoads, ServiceCorrection, WaitingFormula,
 };
 
 /// Ablation A: the two formula ambiguities of the printed paper.
@@ -130,10 +129,7 @@ fn ports_on(
     let routed = RoutedLoads::walk(topo.as_ref(), &proto, &mo)?;
     for (p, load_frac) in result.points.iter().zip(load_fractions) {
         let pred = MgOneBackend.evaluate_over(&routed, p.rate);
-        let loads = routed.at(p.rate);
-        let heuristic = service::solve(topo.as_ref(), &loads, proto.msg_len as f64, &mo)
-            .map(|sol| largest_subset_latency(&routed, &loads, &sol))
-            .unwrap_or(f64::NAN);
+        let heuristic = largest_subset_latency(&routed, p.rate).unwrap_or(f64::NAN);
         let (emax, ports) = match &pred {
             Ok(pred) => (
                 pred.multicast_latency,

@@ -37,13 +37,13 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::calculus;
+use crate::calculus::{self, Fluid};
 use crate::model::{assemble, ModelError, Prediction};
 use crate::multicast::expected_last_completion;
 use crate::options::ModelOptions;
 use crate::rates::RoutedLoads;
 use crate::saturation::bisect_max_rate;
-use crate::service;
+use crate::service::{self, CorrectedMg1};
 use noc_topology::Topology;
 use noc_workloads::Workload;
 
@@ -162,11 +162,7 @@ impl ModelBackend for MgOneBackend {
     }
 
     fn evaluate_over(&self, routed: &RoutedLoads<'_>, rate: f64) -> Result<Prediction, ModelError> {
-        routed.wl.check_rate(rate)?;
-        let msg = routed.wl.msg_len as f64;
-        let loads = routed.rates_at(rate);
-        let order = routed.components(&loads);
-        let (sol, factor) = service::solve_in(&loads, &order, msg, &routed.opts)?;
+        let (sol, factor) = service::solve_at(routed, rate)?;
         Ok(assemble(
             routed,
             &sol.waiting,
@@ -178,10 +174,11 @@ impl ModelBackend for MgOneBackend {
     }
 
     fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
-        let (msg, opts) = (routed.wl.msg_len as f64, &routed.opts);
-        routed.max_rate(tol, |loads, order| {
-            service::solve_in(loads, order, msg, opts).is_ok()
-        })
+        let term = CorrectedMg1 {
+            msg_len: routed.wl.msg_len as f64,
+            opts: &routed.opts,
+        };
+        routed.max_rate(tol, &term)
     }
 }
 
@@ -241,8 +238,7 @@ impl ModelBackend for NetworkCalculusBackend {
     }
 
     fn max_rate_over(&self, routed: &RoutedLoads<'_>, tol: f64) -> f64 {
-        let msg = routed.wl.msg_len as f64;
-        routed.max_rate(tol, |loads, order| calculus::stable(loads, order, msg))
+        routed.max_rate(tol, &Fluid)
     }
 }
 

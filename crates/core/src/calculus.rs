@@ -46,7 +46,7 @@
 use crate::model::ModelError;
 use crate::options::ModelOptions;
 use crate::rates::{ChannelLoads, RoutedLoads};
-use crate::service::{solve_holding, utilisation, Saturated, WaitTerm};
+use crate::service::{most_utilised, solve_holding, utilisation, Holding, Saturated, WaitTerm};
 use noc_queueing::fixed_point::Components;
 use noc_queueing::network_calculus::channel_delay_bound;
 use noc_topology::Topology;
@@ -87,29 +87,20 @@ impl WaitTerm for Fluid {
     }
 }
 
-/// A saturation probe's verdict on `loads`, solved in `order`: the
-/// holding recursion converges and every channel keeps a finite delay
-/// bound. That is `solve_bounds(..).is_ok()` without the bursts — the
-/// bound is finite exactly when `ρ_j` is below the stability limit; a
-/// (finite) burst only shifts it.
-pub(crate) fn stable(loads: &ChannelLoads, order: &Components, msg_len: f64) -> bool {
-    solve_holding(loads, order, msg_len, &Fluid)
-        .is_ok_and(|held| held.wait.iter().all(|w| w.is_finite()))
-}
-
 pub(crate) fn solve_bounds(
     loads: &ChannelLoads,
     order: &Components,
     msg_len: f64,
 ) -> Result<ChannelBounds, Saturated> {
     let lambda = &loads.lambda;
-    let held = solve_holding(loads, order, msg_len, &Fluid)?;
+    let mut held = Holding::default();
+    solve_holding(loads, order, msg_len, &Fluid, &mut held)?;
     let per_channel = loads.sigma.iter().zip(lambda).zip(&held.time);
     let delay: Vec<f64> = per_channel
         .map(|((&s, &l), &h)| channel_delay_bound(s, l, h).unwrap_or(f64::INFINITY))
         .collect();
     if delay.iter().any(|d| !d.is_finite()) {
-        return Err(held.bottleneck);
+        return Err(most_utilised(lambda, &held.time));
     }
     Ok(ChannelBounds {
         delay,

@@ -13,7 +13,7 @@ use crate::calculus::Fluid;
 use crate::multicast::expected_last_completion;
 use crate::options::{ModelOptions, ServiceCorrection};
 use crate::rates::{ChannelLoads, RoutedLoads};
-use crate::service::{self, solve_holding, CorrectedMg1, ServiceSolution, WaitTerm};
+use crate::service::{self, solve_holding, CorrectedMg1, Holding, ServiceSolution, WaitTerm};
 use noc_topology::{ChannelKind, NodeId, Path, RoutingSpec, Topology, TopologySpec, ALL_ROUTINGS};
 use noc_workloads::{DestinationSets, TrafficSpec, UnicastPattern, Workload};
 
@@ -72,6 +72,7 @@ fn compare(case: &str, topo: &dyn Topology, wl: &Workload, backend: BackendSpec)
     let msg = wl.msg_len as f64;
     let loads = RoutedLoads::walk(topo, wl, &opts).unwrap().at(wl.gen_rate);
     let order = service::components(topo, &loads);
+    let mut held = Holding::default();
     let (new, old) = match backend {
         BackendSpec::MgOne => {
             let term = CorrectedMg1 {
@@ -79,18 +80,18 @@ fn compare(case: &str, topo: &dyn Topology, wl: &Workload, backend: BackendSpec)
                 opts: &opts,
             };
             (
-                solve_holding(&loads, &order, msg, &term),
+                solve_holding(&loads, &order, msg, &term, &mut held),
                 dense_jacobi_holding(topo, &loads, msg, &term),
             )
         }
         BackendSpec::NetworkCalculus => (
-            solve_holding(&loads, &order, msg, &Fluid),
+            solve_holding(&loads, &order, msg, &Fluid, &mut held),
             dense_jacobi_holding(topo, &loads, msg, &Fluid),
         ),
     };
     match (new, old) {
-        (Ok(new), Some(old)) => {
-            for (i, (a, b)) in new.time.iter().zip(&old).enumerate() {
+        (Ok(()), Some(old)) => {
+            for (i, (a, b)) in held.time.iter().zip(&old).enumerate() {
                 assert!(*a >= msg, "{case}: channel {i} holds {a} < msg");
                 assert!(
                     (a - b).abs() <= 1e-6 * b,
@@ -173,7 +174,10 @@ fn path_waiting_sum(
         if w == 0.0 {
             continue;
         }
-        let rate = loads.transition(prev, cur);
+        let edge = loads.successors[prev.idx()]
+            .iter()
+            .find(|&&(c, _)| c == cur);
+        let rate = edge.map_or(0.0, |&(_, r)| r);
         let frac = if lj > 0.0 { (rate / lj).min(1.0) } else { 0.0 };
         let li = loads.lambda[prev.idx()];
         let p = if li > 0.0 { rate / li } else { 0.0 };

@@ -4,8 +4,9 @@
 use crate::backend::{MgOneBackend, ModelBackend};
 use crate::multicast::NodeMulticast;
 use crate::options::ModelOptions;
-use crate::rates::{ChannelLoads, RoutedLoads, NONE};
+use crate::rates::{ChannelLoads, RoutedLoads};
 use crate::service::{self, Saturated, ServiceSolution};
+use crate::unicast::{hop_wait, path_wait};
 use noc_topology::{ChannelId, Topology};
 use noc_workloads::{PatternError, Workload, WorkloadError};
 
@@ -115,10 +116,8 @@ pub struct Prediction {
 /// or the delay bound `D` — an edge's `factor` on the wait of the channel
 /// it enters, by successor entry (the self-traffic correction, or 1 for
 /// bounds), and `combine`, a node's multicast wait from its per-port sums
-/// — the expected last completion of Eq. 13 or their sum. At the
-/// injection channel the header finds the full wait; an edge the
-/// successor table lacks carries no rate, which leaves nothing to
-/// discount.
+/// — the expected last completion of Eq. 13 or their sum. A hop's wait
+/// is [`hop_wait`]; a route's, [`path_wait`].
 ///
 /// The unicast mean (Eq. 7 averaged with the pattern's weights, §2.1)
 /// regroups `Σ_{(s,d)} w(s,d)·(Σ_l w_l + msg + D)` by edge: a dot product
@@ -135,14 +134,6 @@ pub(crate) fn assemble(
     combine: impl Fn(&[f64]) -> f64,
 ) -> Prediction {
     let msg = routed.wl.msg_len as f64;
-    let hop_wait = |edge: u32, to: ChannelId| {
-        let f = if edge == NONE {
-            1.0
-        } else {
-            factor(edge as usize)
-        };
-        f * waits[to.idx()]
-    };
     let mut total = routed.unicast_hops;
     for (i, edges) in routed.unicast_edges.iter().enumerate() {
         let injected = routed.unicast_injected[i];
@@ -150,7 +141,7 @@ pub(crate) fn assemble(
             total += injected * (waits[i] + msg);
         }
         for u in edges {
-            total += u.weight * hop_wait(u.edge, u.to);
+            total += u.weight * hop_wait(waits, &factor, u.edge, u.to);
         }
     }
     let unicast_latency = total / routed.topo.num_nodes() as f64;
@@ -159,13 +150,7 @@ pub(crate) fn assemble(
     for (node, streams) in &routed.sources {
         let port_waits: Vec<f64> = streams
             .clone()
-            .map(|st| {
-                let (&(first, _), rest) =
-                    routed.streams[st].split_first().expect("a path has hops");
-                rest.iter().fold(waits[first.idx()], |total, &(to, edge)| {
-                    total + hop_wait(edge, to)
-                })
-            })
+            .map(|st| path_wait(&routed.streams[st], waits, &factor))
             .collect();
         let hops = streams.clone().map(|st| routed.streams[st].len() - 1);
         let max_hops = hops.max().unwrap_or(0);

@@ -24,8 +24,9 @@
 //! sub-network wins" heuristic; it is provided as
 //! [`largest_subset_latency`] for the ablation bench.
 
-use crate::rates::{ChannelLoads, RoutedLoads};
-use crate::service::{header_wait, ServiceSolution};
+use crate::model::ModelError;
+use crate::rates::RoutedLoads;
+use crate::service::solve_at;
 use crate::unicast::path_wait;
 use noc_queueing::expmax::expected_max_exponentials;
 use noc_queueing::MaxOfExponentials;
@@ -76,15 +77,11 @@ pub fn expected_last_completion(port_waits: &[f64]) -> f64 {
 
 /// The "largest sub-network" heuristic the paper argues against (§2):
 /// take the latency of the port with the largest `Ω + D` instead of the
-/// expected maximum. Used by the ablation bench to show the differences.
-/// `loads` are `routed`'s at the rate `sol` was solved at.
-pub fn largest_subset_latency(
-    routed: &RoutedLoads<'_>,
-    loads: &ChannelLoads,
-    sol: &ServiceSolution,
-) -> f64 {
+/// expected maximum, at generation rate `rate` over `routed`. Used by the
+/// ablation bench to show the differences.
+pub fn largest_subset_latency(routed: &RoutedLoads<'_>, rate: f64) -> Result<f64, ModelError> {
+    let (sol, factor) = solve_at(routed, rate)?;
     let msg_len = routed.wl.msg_len as f64;
-    let hop_wait = header_wait(loads, sol, msg_len, &routed.opts);
     let mut total = 0.0;
     let mut count = 0usize;
     for (_, streams) in &routed.sources {
@@ -95,15 +92,15 @@ pub fn largest_subset_latency(
             .max_by_key(|&st| (routed.stream_targets[st], routed.streams[st].len()))
             .expect("non-empty stream set");
         let hops = &routed.streams[candidate];
-        let w = path_wait(hops.iter().map(|&(c, _)| c), loads, &hop_wait);
+        let w = path_wait(hops, &sol.waiting, |e| factor[e]);
         total += w + msg_len + (hops.len() - 1) as f64;
         count += 1;
     }
-    if count == 0 {
+    Ok(if count == 0 {
         f64::NAN
     } else {
         total / count as f64
-    }
+    })
 }
 
 #[cfg(test)]
@@ -111,7 +108,6 @@ mod tests {
     use super::*;
     use crate::model::AnalyticModel;
     use crate::options::ModelOptions;
-    use crate::service;
     use noc_topology::Quarc;
     use noc_workloads::{DestinationSets, Workload};
 
@@ -186,12 +182,9 @@ mod tests {
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 8, 9);
         let (topo, wl) = fixture(0.005, 0.1, sets);
-        let opts = ModelOptions::default();
-        let routed = RoutedLoads::walk(&topo, &wl, &opts).unwrap();
-        let loads = routed.at(wl.gen_rate);
-        let sol = service::solve(&topo, &loads, 32.0, &opts).unwrap();
+        let routed = RoutedLoads::walk(&topo, &wl, &ModelOptions::default()).unwrap();
         let (_, full) = evaluate(&topo, &wl);
-        let heuristic = largest_subset_latency(&routed, &loads, &sol);
+        let heuristic = largest_subset_latency(&routed, wl.gen_rate).unwrap();
         assert!(
             full > heuristic - 1e-9,
             "E[max] model ({full}) should exceed the largest-subset heuristic ({heuristic})"

@@ -53,7 +53,7 @@
 use crate::model::ModelError;
 use crate::options::ModelOptions;
 use crate::saturation::bisect_max_rate;
-use crate::service;
+use crate::service::{self, Holding, WaitTerm};
 use noc_queueing::fixed_point::Components;
 use noc_queueing::network_calculus::{onoff_burstiness, trace_burstiness};
 use noc_topology::{ChannelId, ChannelKind, MulticastStream, Network, NodeId, Topology};
@@ -85,21 +85,6 @@ impl<T> FlatLists<T> {
     /// Close a row: the entries pushed since the last one.
     fn end_row(&mut self) {
         self.offsets.push(self.entries.len() as u32);
-    }
-
-    /// `(row, entry)` pairs grouped by row, each row's entries in the
-    /// order given.
-    fn group(rows: usize, mut pairs: Vec<(u32, T)>) -> Self {
-        pairs.sort_by_key(|&(row, _)| row);
-        let mut offsets = vec![0u32; rows + 1];
-        for &(row, _) in &pairs {
-            offsets[row as usize + 1] += 1;
-        }
-        for i in 0..rows {
-            offsets[i + 1] += offsets[i];
-        }
-        let entries = pairs.into_iter().map(|(_, entry)| entry).collect();
-        FlatLists { offsets, entries }
     }
 
     /// Number of rows.
@@ -162,14 +147,6 @@ pub struct ChannelLoads {
     /// source sending both classes counts the larger. Read by the
     /// calculus bounds only, and not linear in the generation rate.
     pub sigma: Vec<f64>,
-}
-
-impl ChannelLoads {
-    /// Rate of traffic moving from channel `i` directly to channel `j`.
-    pub fn transition(&self, i: ChannelId, j: ChannelId) -> f64 {
-        let entry = self.successors.find(i, j);
-        entry.map_or(0.0, |e| self.successors.entries[e].1)
-    }
 }
 
 /// Not an entry: the end of a chain, or an edge no loaded traffic takes
@@ -303,7 +280,7 @@ struct Chains<V> {
 }
 
 struct Link<V> {
-    /// What the entry points at: a channel, or a slot of a
+    /// What the entry points at: a channel, or a slot or a route of a
     /// [`SourceTable`].
     to: u32,
     /// The next entry of its chain.
@@ -555,8 +532,8 @@ impl SourceTable {
         let mut slot_of = vec![NONE; topo.network().num_channels()];
         let mut slots: Vec<Slot> = Vec::new();
         let mut next: Chains<f64> = Chains::new(0);
-        // `(edge, route)` for every hop after the first.
-        let mut taken = Vec::new();
+        // Per link of `next`, the routes that take it.
+        let mut routes: Chains<()> = Chains::new(0);
         let mut ejections = Vec::with_capacity(n - 1);
         let mut hops = 0.0;
         for (r, dst) in (1..n as u32).map(NodeId).enumerate() {
@@ -582,15 +559,23 @@ impl SourceTable {
                 };
                 let e = next.find_or_push(p, k as u32);
                 next.links[e as usize].value += w;
-                taken.push((e, r as u32));
+                if e as usize == routes.ends.len() {
+                    routes.ends.push((NONE, NONE));
+                }
+                routes.push(e as usize, r as u32);
             }
             ejections.extend(prev);
         }
-        let (next_flat, position) = next.flatten(|_| true, |_, _, link| (link.to, link.value));
-        let taken = taken.into_iter().map(|(e, r)| (position[e as usize], r));
+        let (next, position) = next.flatten(|_| true, |_, _, link| (link.to, link.value));
+        // Laid out in the order of the entries of `next`.
+        let mut ends = vec![(NONE, NONE); routes.ends.len()];
+        for (e, &end) in routes.ends.iter().enumerate() {
+            ends[position[e] as usize] = end;
+        }
+        routes.ends = ends;
         SourceTable {
-            routes: FlatLists::group(next_flat.entries.len(), taken.collect()),
-            next: next_flat,
+            routes: routes.flatten(|_| true, |_, _, link| link.to).0,
+            next,
             slots,
             ejections,
             hops,
@@ -847,24 +832,25 @@ impl<'a> RoutedLoads<'a> {
     }
 
     /// The built-in backends' saturation search: [`bisect_max_rate`] over
-    /// the reference loads rescaled per probe; `stable` judges one set of
-    /// rates in the holding solve's component order (a probe carries no
-    /// bursts — a finite burst shifts a delay bound, not the stability
-    /// limit). Rates the workload cannot be offered at (an on/off source
-    /// above its peak) are unstable, as [`Workload::at_rate`] failing
-    /// always was.
-    pub(crate) fn max_rate(
-        &self,
-        tol: f64,
-        stable: impl Fn(&ChannelLoads, &Components) -> bool,
-    ) -> f64 {
+    /// the reference loads rescaled per probe. A probe is stable when the
+    /// holding recursion under `term` converges, in the walk's component
+    /// order and in buffers kept from probe to probe, to a point with
+    /// every wait finite. It carries no bursts: a finite burst shifts a
+    /// delay bound, not the stability limit. Rates the workload cannot be
+    /// offered at (an on/off source above its peak) are unstable, as
+    /// [`Workload::at_rate`] failing always was.
+    pub(crate) fn max_rate(&self, tol: f64, term: &impl WaitTerm) -> f64 {
+        let msg_len = self.wl.msg_len as f64;
         let mut probe = self.reference.clone();
+        let mut held = Holding::default();
         bisect_max_rate(tol, |rate| {
             if self.wl.check_rate(rate).is_err() {
                 return false;
             }
             self.rescale(&mut probe, rate);
-            stable(&probe, &self.components(&probe))
+            let order = self.components(&probe);
+            service::solve_holding(&probe, &order, msg_len, term, &mut held).is_ok()
+                && held.wait.iter().all(|w| w.is_finite())
         })
     }
 }
@@ -999,11 +985,7 @@ mod tests {
             if succ.is_empty() || loads.lambda[i] == 0.0 {
                 continue;
             }
-            let from = ChannelId(i as u32);
-            let p: f64 = succ
-                .iter()
-                .map(|(j, _)| loads.transition(from, *j) / loads.lambda[i])
-                .sum();
+            let p: f64 = succ.iter().map(|(_, rate)| rate / loads.lambda[i]).sum();
             assert!((p - 1.0).abs() < 1e-9, "channel {i} P sums to {p}");
         }
     }

@@ -28,7 +28,8 @@
 //! routing is one pass over the channels, exactly the feedforward setting
 //! of the network-calculus literature), and only the cyclic components —
 //! the rims of quarc, ring, spidergon and torus — are swept Gauss–Seidel
-//! until their own residual is below the tolerance. Per edge the solve
+//! until their own residual is below the tolerance (independent ones
+//! side by side, in lockstep). Per edge the solve
 //! reads `P_{i→j}` and the wait's edge factor, computed once per solve;
 //! per channel the wait `W_j`, recomputed only when `x_j` moves — the
 //! same numbers the per-edge formula gives, bit for bit.
@@ -44,8 +45,9 @@
 //! component still climbing when the sweep budget runs out has no
 //! certified fixed point, so that is saturation too, never a solution.
 
+use crate::model::ModelError;
 use crate::options::ModelOptions;
-use crate::rates::ChannelLoads;
+use crate::rates::{ChannelLoads, RoutedLoads};
 use noc_queueing::fixed_point::{Components, FixedPoint};
 use noc_queueing::mg1::MG1;
 use noc_topology::{ChannelId, ChannelKind, Topology};
@@ -87,7 +89,9 @@ impl std::fmt::Display for Saturated {
 
 impl std::error::Error for Saturated {}
 
-/// A converged holding-time recursion (see `solve_holding`).
+/// A holding-time recursion's solution (see `solve_holding`), in buffers
+/// a saturation search keeps from probe to probe.
+#[derive(Default)]
 pub(crate) struct Holding {
     /// Per-channel time a message keeps the channel allocated.
     pub(crate) time: Vec<f64>,
@@ -97,12 +101,10 @@ pub(crate) struct Holding {
     /// Per successor entry, the wait term's [`factor`](WaitTerm::factor)
     /// on that edge.
     pub(crate) factor: Vec<f64>,
+    /// Per successor entry, `P_{i→j}`.
+    p: Vec<f64>,
     /// Sweeps of the slowest component (1 when acyclic).
     pub(crate) iterations: usize,
-    /// The most utilised channel at the fixed point (`ρ < 1`): what a
-    /// backend reports when its own post-convergence check — a
-    /// non-finite wait or delay — still finds the point unstable.
-    pub(crate) bottleneck: Saturated,
 }
 
 /// What the two backends' holding recursions differ in: the wait a header
@@ -176,17 +178,18 @@ pub(crate) fn components(topo: &dyn Topology, loads: &ChannelLoads) -> Component
 /// x_i = Σ_j P_{i→j} · (factor_{i→j}·wait_j(x_j) + x_j + 1),   x_terminal = msg
 /// ```
 ///
-/// solved over `order` ([`components`] of `loads`); the [`WaitTerm`] is
-/// the corrected M/G/1 wait for the paper's model, the fluid `ρh/(1−ρ)`
-/// wait for the network-calculus bounds. A diverging or still-climbing
-/// component, or a fixed point with some `ρ_j ≥ 1`, is the model's
-/// saturation horizon.
+/// solved over `order` ([`components`] of `loads`) into `held`; the
+/// [`WaitTerm`] is the corrected M/G/1 wait for the paper's model, the
+/// fluid `ρh/(1−ρ)` wait for the network-calculus bounds. A diverging or
+/// still-climbing component, or a fixed point with some `ρ_j ≥ 1`, is
+/// the model's saturation horizon.
 pub(crate) fn solve_holding(
     loads: &ChannelLoads,
     order: &Components,
     msg_len: f64,
     term: &impl WaitTerm,
-) -> Result<Holding, Saturated> {
+    held: &mut Holding,
+) -> Result<(), Saturated> {
     let lambda = &loads.lambda;
     // Quick screen: a channel whose raw rate already exceeds 1/msg can
     // never be stable (its service time is at least the drain time).
@@ -202,8 +205,15 @@ pub(crate) fn solve_holding(
     // Per edge `P_{i→j}` and the wait's factor; per channel the wait at
     // the current holding time, kept in step with it.
     let successors = &loads.successors;
-    let edges = successors.entries().len();
-    let (mut p, mut factor) = (Vec::with_capacity(edges), Vec::with_capacity(edges));
+    let Holding {
+        time,
+        wait,
+        factor,
+        p,
+        iterations,
+    } = held;
+    p.clear();
+    factor.clear();
     for (i, row) in successors.iter().enumerate() {
         let li = lambda[i];
         for &(j, rate) in row {
@@ -212,10 +222,12 @@ pub(crate) fn solve_holding(
             factor.push(term.factor(rate, p_ij, lambda[j.idx()]));
         }
     }
-    let mut time = vec![msg_len; lambda.len()];
-    let mut wait: Vec<f64> = lambda.iter().map(|&l| term.wait(l, msg_len)).collect();
+    time.clear();
+    time.resize(lambda.len(), msg_len);
+    wait.clear();
+    wait.extend(lambda.iter().map(|&l| term.wait(l, msg_len)));
     // The right-hand side of Eq. 6 at channel `i`.
-    let solved = FixedPoint::default().solve(order, &mut time, |i, x| {
+    let solved = FixedPoint::default().solve(order, time, |i, x| {
         let row = successors.range(i);
         let terms = successors.entries()[row.clone()]
             .iter()
@@ -233,22 +245,22 @@ pub(crate) fn solve_holding(
     });
     // On failure `time` is the last finite iterate, and the channel whose
     // utilisation reached the limit is its most utilised one.
-    let bottleneck = most_utilised(lambda, &time);
+    let bottleneck = most_utilised(lambda, time);
     match solved {
         // A finite fixed point with an unstable queue is still saturation
         // (its wait would be infinite).
-        Ok(iterations) if bottleneck.rho < 1.0 => Ok(Holding {
-            time,
-            wait,
-            factor,
-            iterations,
-            bottleneck,
-        }),
+        Ok(sweeps) if bottleneck.rho < 1.0 => {
+            *iterations = sweeps;
+            Ok(())
+        }
         _ => Err(bottleneck),
     }
 }
 
-fn most_utilised(lambda: &[f64], service: &[f64]) -> Saturated {
+/// The most utilised channel at holding times `service`: what the solve
+/// reports on failure, and a backend when its own post-convergence check
+/// — a non-finite wait or delay — still finds the point unstable.
+pub(crate) fn most_utilised(lambda: &[f64], service: &[f64]) -> Saturated {
     let mut best = (0usize, 0.0f64);
     for i in 0..lambda.len() {
         let r = lambda[i] * service[i];
@@ -267,29 +279,6 @@ pub(crate) fn utilisation(lambda: &[f64], time: &[f64]) -> Vec<f64> {
     lambda.iter().zip(time).map(|(l, x)| l * x).collect()
 }
 
-/// Eq. 7's `w_l` at the solved point, in the shape
-/// [`path_wait`](crate::unicast::path_wait) reads: the header's wait for
-/// channel `to`, entered from `from = (channel, λ_{from→to})`. At the
-/// injection channel (`None`) the message queues behind its own node's
-/// earlier messages — no predecessor, full wait; after it, Eq. 6's wait
-/// term once more (the correction discounts the share of `to`'s traffic
-/// contributed by the message's own previous channel).
-pub fn header_wait<'a>(
-    loads: &'a ChannelLoads,
-    sol: &'a ServiceSolution,
-    msg_len: f64,
-    opts: &'a ModelOptions,
-) -> impl Fn(Option<(ChannelId, f64)>, ChannelId) -> f64 + 'a {
-    let term = CorrectedMg1 { msg_len, opts };
-    move |from, to| {
-        let factor = from.map_or(1.0, |(prev, rate)| {
-            let p = p_next(rate, loads.lambda[prev.idx()]);
-            term.factor(rate, p, loads.lambda[to.idx()])
-        });
-        factor * sol.waiting[to.idx()]
-    }
-}
-
 /// The M/G/1 solution of the service recursion on `loads`, solved in
 /// `order`, with the wait factor of every successor entry (what the
 /// assembler reads per hop).
@@ -299,9 +288,11 @@ pub(crate) fn solve_in(
     msg_len: f64,
     opts: &ModelOptions,
 ) -> Result<(ServiceSolution, Vec<f64>), Saturated> {
-    let held = solve_holding(loads, order, msg_len, &CorrectedMg1 { msg_len, opts })?;
+    let mut held = Holding::default();
+    let term = CorrectedMg1 { msg_len, opts };
+    solve_holding(loads, order, msg_len, &term, &mut held)?;
     if held.wait.iter().any(|w| !w.is_finite()) {
-        return Err(held.bottleneck);
+        return Err(most_utilised(&loads.lambda, &held.time));
     }
     let solution = ServiceSolution {
         rho: utilisation(&loads.lambda, &held.time),
@@ -310,6 +301,20 @@ pub(crate) fn solve_in(
         iterations: held.iterations,
     };
     Ok((solution, held.factor))
+}
+
+/// The M/G/1 solution over `routed` at generation rate `rate`, a rate the
+/// workload can be offered at, with the wait factor of every successor
+/// entry: what the assembler and the largest-subset heuristic read.
+pub(crate) fn solve_at(
+    routed: &RoutedLoads<'_>,
+    rate: f64,
+) -> Result<(ServiceSolution, Vec<f64>), ModelError> {
+    routed.wl.check_rate(rate)?;
+    let loads = routed.rates_at(rate);
+    let order = routed.components(&loads);
+    let msg_len = routed.wl.msg_len as f64;
+    Ok(solve_in(&loads, &order, msg_len, &routed.opts)?)
 }
 
 /// Solve the service recursion for a routed workload.
@@ -326,7 +331,6 @@ pub fn solve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rates::RoutedLoads;
     use noc_topology::Quarc;
     use noc_workloads::{DestinationSets, Workload};
 

@@ -18,6 +18,12 @@
 //!    Gauss–Seidel — in place, successors first, so a sweep carries
 //!    information all the way round the cycle except across its one back
 //!    edge — until the sweep's own largest update is below `tolerance`.
+//!    Cyclic components that come one after another and read none of
+//!    each other (the two rims of a quarc) are swept in lockstep, one
+//!    node of each in turn: each sweep is a chain of dependent updates,
+//!    and two chains side by side keep the processor busy where one
+//!    waits on its divisions. Each keeps its own order, sweep count and
+//!    test, so the numbers are those of sweeping them one by one.
 //!
 //! There is no under-relaxation. The systems solved here are monotone
 //! (`F` non-decreasing in every argument) and start from a sub-solution
@@ -114,6 +120,9 @@ struct Span {
     end: u32,
     /// More than one node, or a node that reads itself.
     cyclic: bool,
+    /// Swept together with the components before it: it and they are
+    /// cyclic, and it reads none of them.
+    joins: bool,
 }
 
 impl Components {
@@ -133,6 +142,10 @@ impl Components {
         let mut low = vec![0u32; n];
         let mut finish = vec![0u32; n];
         let mut reads_itself = vec![false; n];
+        // The component of each assigned node, and where the run of
+        // cyclic components swept together begins.
+        let mut component = vec![0u32; n];
+        let mut run_start = 0u32;
         let mut pending: Vec<u32> = Vec::new();
         let mut dfs: Vec<(u32, I)> = Vec::new();
         let mut out = Components {
@@ -189,9 +202,25 @@ impl Components {
                     let members = &mut out.order[start..];
                     members.sort_unstable_by_key(|&w| finish[w as usize]);
                     let cyclic = members.len() > 1 || reads_itself[v];
+                    let id = out.spans.len() as u32;
+                    for &w in members.iter() {
+                        component[w as usize] = id;
+                    }
+                    // Everything a member reads is in this component or
+                    // an earlier one.
+                    let joins = cyclic
+                        && out.spans.last().is_some_and(|s| s.cyclic)
+                        && members.iter().all(|&w| {
+                            successors(w as usize)
+                                .all(|u| !active[u] || !(run_start..id).contains(&component[u]))
+                        });
+                    if !joins {
+                        run_start = id;
+                    }
                     out.spans.push(Span {
                         end: out.order.len() as u32,
                         cyclic,
+                        joins,
                     });
                 }
             }
@@ -201,19 +230,36 @@ impl Components {
 
     /// The components in evaluation order: `(nodes, cyclic)`.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], bool)> {
+        self.spans().map(|(nodes, span)| (nodes, span.cyclic))
+    }
+
+    fn spans(&self) -> impl Iterator<Item = (&[u32], Span)> {
         let mut start = 0usize;
-        self.spans.iter().map(move |s| {
+        self.spans.iter().map(move |&s| {
             let nodes = &self.order[start..s.end as usize];
             start = s.end as usize;
-            (nodes, s.cyclic)
+            (nodes, s)
         })
     }
+}
+
+/// One component of a run swept together.
+struct Lane<'a> {
+    nodes: &'a [u32],
+    sweeps: usize,
+    residual: f64,
+    running: bool,
 }
 
 impl FixedPoint {
     /// Solve `x_i = f(i, x)` in place over the nodes of `components`,
     /// starting from the values already in `x`; entries of `x` outside
-    /// `components` are constants the solve only reads.
+    /// `components` are constants the solve only reads. `f(i, x)` reads
+    /// only the successors of `i` among the unknowns, which is what lets
+    /// independent components be swept side by side. On an error `x` holds
+    /// what sweeping one component after another leaves, though `f` may
+    /// also have been called for nodes of components after the failing
+    /// one.
     ///
     /// Returns the number of sweeps the slowest component took (1 when
     /// the graph is acyclic), or why there is no solution.
@@ -227,7 +273,19 @@ impl FixedPoint {
         F: FnMut(usize, &[f64]) -> f64,
     {
         let mut slowest = 0usize;
-        for (nodes, cyclic) in components.iter() {
+        let mut spans = components.spans().peekable();
+        let mut run = Vec::new();
+        while let Some((nodes, span)) = spans.next() {
+            let cyclic = span.cyclic;
+            if spans.peek().is_some_and(|(_, next)| next.joins) {
+                run.clear();
+                run.push(nodes);
+                while let Some((nodes, _)) = spans.next_if(|(_, next)| next.joins) {
+                    run.push(nodes);
+                }
+                slowest = slowest.max(self.sweep_together(&run, x, &mut f)?);
+                continue;
+            }
             let mut sweeps = 0usize;
             loop {
                 let mut residual: f64 = 0.0;
@@ -258,6 +316,96 @@ impl FixedPoint {
             slowest = slowest.max(sweeps);
         }
         Ok(slowest)
+    }
+
+    /// Sweep a run of cyclic components that read none of each other,
+    /// node by node in turn, so that their dependency chains overlap on
+    /// the processor. Each keeps its own order, sweep count and
+    /// convergence test, so the values, the count and any error are those
+    /// of sweeping them one after another: after a failure the components
+    /// behind the first that failed are put back as they were, never
+    /// reached.
+    fn sweep_together<F>(
+        &self,
+        run: &[&[u32]],
+        x: &mut [f64],
+        f: &mut F,
+    ) -> Result<usize, FixedPointError>
+    where
+        F: FnMut(usize, &[f64]) -> f64,
+    {
+        let saved: Vec<f64> = run
+            .iter()
+            .flat_map(|c| c.iter().map(|&i| x[i as usize]))
+            .collect();
+        let mut lanes: Vec<Lane> = run
+            .iter()
+            .map(|&nodes| Lane {
+                nodes,
+                sweeps: 0,
+                residual: 0.0,
+                running: true,
+            })
+            .collect();
+        let longest = run.iter().map(|c| c.len()).max().unwrap_or(0);
+        let mut failed: Option<(usize, FixedPointError)> = None;
+        let stop = |lanes: &mut [Lane], failed: &mut Option<_>, k: usize, err| {
+            if failed.as_ref().is_none_or(|&(first, _)| k < first) {
+                *failed = Some((k, err));
+            }
+            lanes[k..].iter_mut().for_each(|lane| lane.running = false);
+        };
+        while lanes.iter().any(|lane| lane.running) {
+            for lane in &mut lanes {
+                lane.residual = 0.0;
+            }
+            for step in 0..longest {
+                for k in 0..lanes.len() {
+                    let lane = &mut lanes[k];
+                    let Some(&i) = lane.nodes.get(step).filter(|_| lane.running) else {
+                        continue;
+                    };
+                    let i = i as usize;
+                    let updated = f(i, x);
+                    if !updated.is_finite() || updated.abs() > self.bound {
+                        let err = FixedPointError::Diverged {
+                            index: i,
+                            value: updated,
+                            iterations: lane.sweeps,
+                        };
+                        stop(&mut lanes, &mut failed, k, err);
+                        continue;
+                    }
+                    lane.residual = lane.residual.max((updated - x[i]).abs());
+                    x[i] = updated;
+                }
+            }
+            for k in 0..lanes.len() {
+                let lane = &mut lanes[k];
+                if !lane.running {
+                    continue;
+                }
+                lane.sweeps += 1;
+                if lane.residual < self.tolerance {
+                    lane.running = false;
+                } else if lane.sweeps >= self.max_iterations {
+                    let err = FixedPointError::NotConverged {
+                        residual: lane.residual,
+                        iterations: lane.sweeps,
+                    };
+                    stop(&mut lanes, &mut failed, k, err);
+                }
+            }
+        }
+        let Some((first, err)) = failed else {
+            return Ok(lanes.iter().map(|lane| lane.sweeps).max().unwrap_or(0));
+        };
+        let behind = run[..=first].iter().map(|c| c.len()).sum::<usize>();
+        let nodes = run[first + 1..].iter().flat_map(|c| c.iter());
+        for (&i, &v) in nodes.zip(&saved[behind..]) {
+            x[i as usize] = v;
+        }
+        Err(err)
     }
 }
 
@@ -341,6 +489,82 @@ mod tests {
         );
     }
 
+    /// The reference: each component swept to the end before the next
+    /// one starts.
+    fn one_by_one(
+        fp: &FixedPoint,
+        comps: &Components,
+        x: &mut [f64],
+        mut f: impl FnMut(usize, &[f64]) -> f64,
+    ) -> Result<usize, FixedPointError> {
+        let mut slowest = 0;
+        for (nodes, cyclic) in comps.iter() {
+            let mut sweeps = 0;
+            loop {
+                let mut residual: f64 = 0.0;
+                for &i in nodes {
+                    let i = i as usize;
+                    let updated = f(i, x);
+                    if !updated.is_finite() || updated.abs() > fp.bound {
+                        return Err(FixedPointError::Diverged {
+                            index: i,
+                            value: updated,
+                            iterations: sweeps,
+                        });
+                    }
+                    residual = residual.max((updated - x[i]).abs());
+                    x[i] = updated;
+                }
+                sweeps += 1;
+                if !cyclic || residual < fp.tolerance {
+                    break;
+                }
+                if sweeps >= fp.max_iterations {
+                    return Err(FixedPointError::NotConverged {
+                        residual,
+                        iterations: sweeps,
+                    });
+                }
+            }
+            slowest = slowest.max(sweeps);
+        }
+        Ok(slowest)
+    }
+
+    #[test]
+    fn independent_cycles_are_swept_together() {
+        // Two cycles reading only the sink 6, a third reading the first,
+        // and 7 reading all of them.
+        let adj = [
+            vec![1, 6],
+            vec![0],
+            vec![3],
+            vec![2, 6],
+            vec![5, 0],
+            vec![4],
+            vec![],
+            vec![0, 2, 4],
+        ];
+        let comps = components(&adj);
+        let joins: Vec<_> = comps.spans.iter().map(|s| (s.cyclic, s.joins)).collect();
+        assert_eq!(
+            joins,
+            [
+                (false, false),
+                (true, false),
+                (true, true),
+                (true, false),
+                (false, false)
+            ]
+        );
+        let step = |i: usize, x: &[f64]| 0.3 * adj[i].iter().map(|&j| x[j]).sum::<f64>() + 1.0;
+        let (mut together, mut apart) = ([0.0; 8], [0.0; 8]);
+        let fp = FixedPoint::default();
+        let sweeps = fp.solve(&comps, &mut together, step).unwrap();
+        assert_eq!(Ok(sweeps), one_by_one(&fp, &comps, &mut apart, step));
+        assert_eq!(together.map(f64::to_bits), apart.map(f64::to_bits));
+    }
+
     #[test]
     fn divergence_is_detected() {
         let fp = FixedPoint {
@@ -394,6 +618,59 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rings whose later ones may read earlier ones, some pairs
+        /// independent, at loads from light to diverging and under sweep
+        /// budgets that may run out: the solve gives the values, the
+        /// count and the error of sweeping one component after another,
+        /// bit for bit, failed or not.
+        #[test]
+        fn sweeping_together_is_sweeping_one_after_another(
+            sizes in proptest::collection::vec(1usize..6, 1..6),
+            links in proptest::collection::vec((0usize..30, 0usize..30), 0..6),
+            load in proptest::collection::vec(0.0f64..0.008, 30),
+            budget in 5usize..200,
+        ) {
+            let n: usize = sizes.iter().sum::<usize>() + 1;
+            let sink = n - 1;
+            let mut adj = vec![vec![sink]; n];
+            adj[sink].clear();
+            let mut start = 0;
+            for &size in &sizes {
+                for k in 0..size {
+                    adj[start + k].push(start + (k + 1) % size);
+                }
+                start += size;
+            }
+            for &(a, b) in &links {
+                let (a, b) = (a % sink, b % sink);
+                if a > b && !adj[a].contains(&b) {
+                    adj[a].push(b);
+                }
+            }
+            let step = |i: usize, x: &[f64]| -> f64 {
+                let p = 1.0 / adj[i].len() as f64;
+                adj[i]
+                    .iter()
+                    .map(|&j| {
+                        let rho = load[j] * x[j];
+                        let wait = if rho < 1.0 { rho * x[j] / (1.0 - rho) } else { f64::INFINITY };
+                        p * (wait + x[j] + 1.0)
+                    })
+                    .sum()
+            };
+            let comps = Components::new(n, |i| i != sink, |i| adj[i].iter().copied());
+            let fp = FixedPoint {
+                max_iterations: budget,
+                bound: 1e4,
+                ..Default::default()
+            };
+            let (mut together, mut apart) = (vec![32.0; n], vec![32.0; n]);
+            let outcome = fp.solve(&comps, &mut together, step);
+            prop_assert_eq!(outcome, one_by_one(&fp, &comps, &mut apart, step));
+            let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&together), bits(&apart));
+        }
 
         /// Random systems of the shape of Eq. 6 with the fluid wait term,
         /// `x_i = Σ_j P_ij · (ρ_j x_j / (1 − ρ_j) + x_j + 1)`, `ρ_j = λ_j x_j`,

@@ -318,11 +318,10 @@ impl Topology for Mesh {
                 .idx()
         };
         let terminal = self.net.terminal_image(c, image);
-        // Every torus node has its four links, numbered node by node in
-        // port order: link `4·v + p` leaves node `v` through port `p`.
         Some(terminal.unwrap_or_else(|| {
-            let (from, p) = (c.idx() / 4, c.idx() % 4);
-            ChannelId((image(from) * 4 + p) as u32)
+            let link = self.net.channel(c);
+            self.link(NodeId(image(link.from.idx()) as u32), link.port)
+                .0
         }))
     }
 }
