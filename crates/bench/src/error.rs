@@ -31,8 +31,11 @@ pub enum Error {
     /// was required (the in-sweep overlay maps saturation to `NaN`
     /// instead of erroring).
     Model(ModelError),
-    /// Scenario-level validation failed (inconsistent fields, bad
-    /// simulator configuration, out-of-range resolved rates).
+    /// The simulator configuration was invalid (a zero buffer depth, or
+    /// windows whose sum overflows).
+    Config(noc_sim::ConfigError),
+    /// Scenario-level validation failed (inconsistent fields,
+    /// out-of-range resolved rates).
     InvalidScenario(String),
     /// A replicate tripped the simulator's deadlock watchdog (flits in
     /// the network, nothing moving). The routings are deadlock-free by
@@ -63,6 +66,7 @@ impl fmt::Display for Error {
             Error::Routing(e) => write!(f, "multicast routing: {e}"),
             Error::Sweep(e) => write!(f, "sweep: {e}"),
             Error::Model(e) => write!(f, "model: {e}"),
+            Error::Config(e) => write!(f, "simulator configuration: {e}"),
             Error::InvalidScenario(msg) => write!(f, "invalid scenario: {msg}"),
             Error::Deadlock {
                 scenario,
@@ -87,6 +91,7 @@ impl std::error::Error for Error {
             Error::Routing(e) => Some(e),
             Error::Sweep(e) => Some(e),
             Error::Model(e) => Some(e),
+            Error::Config(e) => Some(e),
             Error::Serde(e) => Some(e),
             Error::Io(e) => Some(e),
             Error::InvalidScenario(_) | Error::Deadlock { .. } => None,
@@ -137,6 +142,12 @@ impl From<ModelError> for Error {
             ModelError::Workload(w) => Error::Workload(w),
             e => Error::Model(e),
         }
+    }
+}
+
+impl From<noc_sim::ConfigError> for Error {
+    fn from(e: noc_sim::ConfigError) -> Self {
+        Error::Config(e)
     }
 }
 

@@ -317,7 +317,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// 3: an empty latency population reads mean `NaN`, not 0.
 /// 4: stamped quantiles and the per-stream population removed; no key
 ///    of a cached entry has a default any more.
-const CACHE_SCHEMA: u32 = 4;
+/// 5: `EngineCounters::{coasts, coast_moves}` added.
+const CACHE_SCHEMA: u32 = 5;
 
 /// The scenario's share of a cache key: its canonical JSON with the
 /// display name cleared, so renaming an experiment never invalidates

@@ -442,7 +442,7 @@ impl Scenario {
                 self.workload.alpha
             )));
         }
-        self.sim.validate().map_err(Error::InvalidScenario)?;
+        self.sim.validate()?;
         // The routing scheme must be realizable on the topology (e.g.
         // multipath and dual-path need multi-port routers) — a typed
         // error here, not a panic inside the simulator's plan builder.

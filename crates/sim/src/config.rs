@@ -117,19 +117,74 @@ impl SimConfig {
     }
 
     /// Validate invariants (buffer depth and windows).
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.buffer_depth == 0 {
-            return Err("buffer_depth must be >= 1".into());
+            return Err(ConfigError::ZeroBufferDepth);
         }
         if self.measure_cycles == 0 {
-            return Err("measure_cycles must be >= 1".into());
+            return Err(ConfigError::ZeroMeasureCycles);
         }
         if self.batch_size == 0 {
-            return Err("batch_size must be >= 1".into());
+            return Err(ConfigError::ZeroBatchSize);
+        }
+        // `measure_end` and `deadline` are sums the engines take on
+        // every boundary check: they must not wrap.
+        let deadline = self
+            .warmup_cycles
+            .checked_add(self.measure_cycles)
+            .and_then(|end| end.checked_add(self.drain_cycles));
+        if deadline.is_none() {
+            return Err(ConfigError::WindowOverflow {
+                warmup_cycles: self.warmup_cycles,
+                measure_cycles: self.measure_cycles,
+                drain_cycles: self.drain_cycles,
+            });
         }
         Ok(())
     }
 }
+
+/// Why [`SimConfig::validate`] rejected a configuration.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ConfigError {
+    /// `buffer_depth` is 0: no flit could ever be buffered.
+    ZeroBufferDepth,
+    /// `measure_cycles` is 0: nothing would be measured.
+    ZeroMeasureCycles,
+    /// `batch_size` is 0: the batch means would divide by zero.
+    ZeroBatchSize,
+    /// `warmup + measure + drain` does not fit a `u64`: the run's end of
+    /// measurement or deadline would wrap around.
+    WindowOverflow {
+        /// The configured warmup.
+        warmup_cycles: u64,
+        /// The configured measurement window.
+        measure_cycles: u64,
+        /// The configured drain budget.
+        drain_cycles: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::ZeroBufferDepth => write!(f, "buffer_depth must be >= 1"),
+            ConfigError::ZeroMeasureCycles => write!(f, "measure_cycles must be >= 1"),
+            ConfigError::ZeroBatchSize => write!(f, "batch_size must be >= 1"),
+            ConfigError::WindowOverflow {
+                warmup_cycles,
+                measure_cycles,
+                drain_cycles,
+            } => write!(
+                f,
+                "warmup_cycles {warmup_cycles} + measure_cycles {measure_cycles} + \
+                 drain_cycles {drain_cycles} overflows a 64-bit cycle count"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -160,6 +215,30 @@ mod tests {
         let mut c = SimConfig::quick(1);
         c.batch_size = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn windows_whose_sum_overflows_are_rejected() {
+        let mut c = SimConfig::quick(1);
+        (c.warmup_cycles, c.measure_cycles) = (100, u64::MAX - 50);
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::WindowOverflow {
+                warmup_cycles: 100,
+                ..
+            })
+        ));
+        // The sum fits, the drain does not.
+        let mut c = SimConfig::quick(1);
+        c.drain_cycles = u64::MAX - c.measure_end() + 1;
+        assert!(matches!(
+            c.validate(),
+            Err(ConfigError::WindowOverflow { .. })
+        ));
+        // Up to the last cycle a `u64` counts is fine.
+        c.drain_cycles -= 1;
+        assert_eq!(c.validate(), Ok(()));
+        assert_eq!(c.deadline(), u64::MAX);
     }
 
     #[test]

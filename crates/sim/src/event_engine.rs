@@ -14,7 +14,8 @@
 //! ## Which cycles can be skipped?
 //!
 //! A cycle need not be simulated when its outcome is known without it.
-//! Three situations guarantee that:
+//! Three situations guarantee that, and a fourth lets a message sit out
+//! the cycles that are simulated:
 //!
 //! * **Idle** — no cv is owned (`active` is empty). Then no flit can
 //!   move, no waiter exists (a waiter on a free cv would have been
@@ -38,6 +39,22 @@
 //!   group is declined; its arrivals are then held, and stepped at their
 //!   own cycles like any other. Telemetry, closed loops and single-flit
 //!   buffers decline them all.
+//! * **Coasting** — a message whose header has crossed its last hop, and
+//!   each of whose hops is the one ready cv of its physical channel with
+//!   no other coast there, moves a flit across every hop on every cycle
+//!   until something beside it changes: each hop is picked alone, every
+//!   counter grows by one, and every supply and credit verdict — a
+//!   difference of neighbouring counters — reads as before. It leaves
+//!   selection and application (ready bits clear, coast bits set), keeps
+//!   its cvs and its channels' places on the active list, and is
+//!   *settled* in one step: on the last cycle of its window (a cycle
+//!   short of its tail crossing hop 0, and of the next warmup,
+//!   measurement or deadline boundary), at the end of any cycle in which
+//!   a grant or a refresh made another cv on one of its channels ready,
+//!   or when the run ends (`Fabric::start_coasts`, `Fabric::settle`). A
+//!   landed message is checked at the end of every cycle until it coasts
+//!   or its tail nears hop 0, settled ones again; only on runs where
+//!   flights are possible.
 //!
 //! Idle and stalled cycles are *inert*: the engine advances straight to
 //! the earliest of the next scheduled arrival or protocol timer (from the
@@ -70,6 +87,34 @@
 //!   released channels, which its next selection sweeps before anything
 //!   reads them.
 //!
+//! A coast's window holds no event whose order can show: no request (its
+//! header has landed), no release, absorption, delivery or free (its tail
+//! has not moved), and no grant on its cvs (it owns them). Settled on
+//! cycle `now` after coasting from `from`, it writes what the oracle's
+//! steps over `from + 1 ..= now` wrote:
+//!
+//! * every hop's `traversed` grows by `now − from`, all of them before any
+//!   ready bit is re-derived: the counters after as many uniform moves;
+//! * `flit_moves` and the per-channel traversal counts grow by as much
+//!   per hop, under the one `measuring` verdict the window shares —
+//!   integer sums, so their order among other messages' moves is free;
+//! * each of its channels' round-robin pointers sits just past its vc,
+//!   where each lone pick left it (nothing reads the pointer meanwhile:
+//!   no other cv there is ready);
+//! * its ready bits, re-derived from the counters, and its coast bits
+//!   cleared: the masks the oracle's apply phase left;
+//! * the watchdog's anchor: a stepped cycle with a coast is progress, and
+//!   a jump over cycles sets it to the cycle before the target, the last
+//!   the coast moved on.
+//!
+//! A coast touches only its own counters and bits, so a cycle with no
+//! explicit move, grant or settlement is still a stall fixpoint for the
+//! rest of the fabric; its jump stops at the earliest window end. The
+//! active list is the oracle's, since a coasting channel stays owned and
+//! listed, so the order other messages' statistics are recorded in is
+//! too. No span is tried while a message coasts: the span scan would
+//! replay the explicit moves of a message that has just started one.
+//!
 //! ## Streaming fast-forward
 //!
 //! Between structural events a wormhole message simply *streams*: every
@@ -86,20 +131,31 @@
 //!
 //! Together the mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
-//! releases under contention, one closed form per group without. That
+//! releases under contention, one closed form per group without, and one
+//! per streaming body beside contention. That
 //! is the lever the Fig. 6/7 sweeps need at low load
 //! (`sim.cycle.event_over_cycle.low` on the benchmark ledger: 0.0096, from
 //! 0.12 before flights), with the cycle engine retained as the oracle.
 //!
-//! *What the spans are worth* (benchmark workloads at `--seed 42`,
-//! alternating 10 s pairs on one 2-vCPU host, digests identical):
-//! without the scan `cache-io` runs 12.2 % slower (5/5 pairs; stepped
+//! *What coasting is worth* (benchmark workloads, alternating 10 s pairs
+//! on one 2-vCPU x86-64 host, digests and exact counts identical):
+//! `fig6-sweep` `wall_s` −26 % at `--seed 42` and −32 % at `--seed 7`
+//! (10/10 pairs each), `cache-io` −28 % (5/5); `sat-kernel`,
+//! `lowload-skip` and `scale-64k` within their spread. Coasts settle
+//! 57 % of `fig6-sweep`'s flit moves, 39 % of `cache-io`'s, 24 % of
+//! `sat-kernel`'s and 0.7 % of `lowload-skip`'s (flights carry it); none
+//! at `scale-64k`, whose 8-flit messages land with too little body left.
+//! Traced `fig6-sweep` passes read `sim.engine.ns_per_move.knee` 40.3
+//! → 27.2 ns and `share.engine_run` 0.879 → 0.834 (medians of three).
+//!
+//! *What the spans were worth*, before coasting (same host and pairing):
+//! without the scan `cache-io` ran 12.2 % slower (5/5 pairs; stepped
 //! cycles 0.31 M → 0.44 M of 2.16 M), with a scan that accepts only
 //! single-vc movers 5.6 % slower (5/5; 0.36 M stepped), so the
-//! held-channel walk carries about half the gain. `fig6-sweep` (+1.6 %,
-//! 4/5) and `lowload-skip` (+1.0 %, 3/5), whose messages mostly fly,
-//! stay within their own spread. The spans serve the sweeps' low-to-mid
-//! load points, where messages share channels too often to fly.
+//! held-channel walk carried about half the gain. Beside coasts no
+//! benchmark workload batches a span any more (`fig6-sweep` 4 294 per
+//! repetition before, `cache-io` 8 940, `lowload-skip` 956): spans now
+//! serve only runs that do not coast, such as those with telemetry on.
 
 use crate::fabric::{
     refresh_ready_around, CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW,
@@ -142,8 +198,9 @@ pub(crate) struct SkipAhead {
     /// workloads are zero-rate, so the two never mix). Same-cycle entries
     /// pop in node order, matching the oracle's polling scan.
     queue: EventQueue,
-    /// The last simulated cycle moved no flit and granted no owner: the
-    /// state is a fixpoint until the next arrival (see module docs).
+    /// The last simulated cycle moved no flit, granted no owner and
+    /// settled no coast: the state is a fixpoint until the next arrival
+    /// or the end of a coast (see module docs).
     stalled: bool,
     /// Consecutive failed streaming-scan attempts (saturating at
     /// [`SPAN_BACKOFF_CAP`]); sets the cooldown after each failure.
@@ -206,8 +263,13 @@ impl SkipAhead {
             Some(end) => end,
             None => {
                 let may_fly = fabric.flights_possible();
+                fabric.may_coast = may_fly;
                 loop {
                     let target = self.next_cycle_of_interest(fabric);
+                    if target > fabric.cycle + 1 && !fabric.coasts.is_empty() {
+                        // The coasts moved on every cycle jumped over.
+                        fabric.last_move_cycle = target - 1;
+                    }
                     if may_fly
                         && fabric.msgs.is_empty()
                         && fabric.held.is_empty()
@@ -229,9 +291,15 @@ impl SkipAhead {
                     // A grant or a tail crossing a hop is structural: the
                     // next cycle's move set differs. Not on closed-loop
                     // runs: protocol messages are short, and the span
-                    // caps don't model delivery-triggered injections.
+                    // caps don't model delivery-triggered injections. Not
+                    // beside a coast: the move set holds the explicit
+                    // moves of a message that has just started one.
                     let streaming = out.moved && out.granted == 0 && !out.tail;
-                    if streaming && !fabric.is_closed() && self.try_span(fabric) {
+                    if streaming
+                        && !fabric.is_closed()
+                        && fabric.coasts.is_empty()
+                        && self.try_span(fabric)
+                    {
                         if let Some(end) = fabric.run_end() {
                             break end;
                         }
@@ -266,7 +334,7 @@ impl SkipAhead {
     ) -> CycleOutcome {
         self.counters.simulated_cycles += 1;
         let out = fabric.step(target, window, window, self);
-        self.stalled = !out.moved && out.granted == 0;
+        self.stalled = !out.moved && out.granted == 0 && !out.settled;
         if self.stalled {
             self.counters.stall_fixpoints += 1;
         }
@@ -543,8 +611,10 @@ impl SkipAhead {
         t = t.min(fabric.cfg.deadline());
         if held {
             // Channels are held but nothing moves: the deadlock watchdog
-            // must fire on the same cycle the oracle fires on.
+            // must fire on the same cycle the oracle fires on. Coasts
+            // move, and the last cycle of each is stepped.
             t = t.min(Self::next_watchdog_cycle(fabric));
+            t = t.min(fabric.next_coast_end());
         }
         t.max(next)
     }

@@ -27,9 +27,10 @@
 //!    `traversed[h − 1 ..= h + 1]` alone, so it is re-derived when a
 //!    move changes one of those counters (application, and the event
 //!    engine's bulk span update — both through
-//!    [`refresh_ready_around`]), set when the cv gets its owner (grants)
-//!    and cleared when it loses it (releases). Nothing else writes a
-//!    counter or an owner, so nothing else can change a verdict.
+//!    [`refresh_ready_around`] — and a coast's settlement), set when the
+//!    cv gets its owner (grants) and cleared when it loses it (releases)
+//!    or starts to coast. Nothing else writes a counter or an owner, so
+//!    nothing else can change a verdict.
 //! 3. **Application** — chosen flits traverse, in selection order (the
 //!    order statistics accumulate in); headers entering a buffer request
 //!    the next channel; tails leaving a buffer release channels and
@@ -48,13 +49,16 @@
 //! the same cycle by construction. One thing besides `step` advances a
 //! fabric: [`Fabric::fly_group`], which applies a group of arrivals the
 //! event engine gathered on an empty fabric ([`Fabric::admit`]) in closed
-//! form — the sum of the cycles `step` would have simulated.
+//! form — the sum of the cycles `step` would have simulated. On the event
+//! engine's runs `step` itself lets a streaming message body *coast*
+//! beside the stepped traffic and settles its moves in closed form
+//! ([`Fabric::start_coasts`]).
 
 use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
 use crate::config::SimConfig;
 use crate::engine_api::{AuditError, EngineAudit};
-use crate::message::{ActiveMsg, CvState, MsgId, MulticastOp, OpId, NO_MSG};
+use crate::message::{ActiveMsg, Coast, CvState, MsgId, MulticastOp, OpId, NO_MSG};
 use crate::metrics::Metrics;
 use crate::plan::{PreStream, SimPlan};
 use crate::results::{EngineCounters, SimResults};
@@ -81,15 +85,54 @@ pub(crate) struct ChannelState {
     /// Cvs that have an owner.
     pub(crate) owned: u8,
     /// Owned cvs whose owner can move a flit ([`ActiveMsg::can_move`] on
-    /// the counters as they stand).
+    /// the counters as they stand). A coasting cv's bit is clear.
     ready: u8,
-    /// Round-robin pointer: the vc selection considers first.
-    rr: u8,
-    /// Is the channel on the fabric's `active` list?
-    active: bool,
+    /// Owned cvs whose owner coasts ([`Coast`]): it moves a flit every
+    /// cycle, unseen by selection. At most one per channel, and never
+    /// beside a ready one past the end of a cycle.
+    coast: u8,
+    /// The round-robin pointer (the vc selection considers first) in the
+    /// low three bits, and whether the channel is on the fabric's
+    /// `active` list in [`ChannelState::ACTIVE`].
+    rr_active: u8,
 }
 
 impl ChannelState {
+    /// The on-active-list bit of `rr_active`.
+    const ACTIVE: u8 = 0x80;
+
+    /// The round-robin pointer.
+    #[inline]
+    pub(crate) fn rr(self) -> u8 {
+        self.rr_active & 7
+    }
+
+    /// Point the round robin just past `vc`, of `nv`: where a pick of
+    /// `vc` leaves it.
+    #[inline]
+    fn pass(&mut self, vc: u8, nv: u8) {
+        let rr = if vc + 1 == nv { 0 } else { vc + 1 };
+        self.rr_active = self.rr_active & Self::ACTIVE | rr;
+    }
+
+    /// The `(owned, ready)` masks [`Fabric::reference_masks`] derives: a
+    /// coasting cv reads ready, as on the counters its window froze.
+    pub(crate) fn masks(self) -> (u8, u8) {
+        (self.owned, self.ready | self.coast)
+    }
+
+    /// Is the channel on the fabric's `active` list?
+    #[inline]
+    fn active(self) -> bool {
+        self.rr_active & Self::ACTIVE != 0
+    }
+
+    /// Flag the channel on or off the `active` list.
+    #[inline]
+    fn set_active(&mut self, active: bool) {
+        self.rr_active = self.rr_active & !Self::ACTIVE | u8::from(active) << 7;
+    }
+
     /// The first ready vc at or after the round-robin pointer, wrapping:
     /// in the mask laid out twice, bit `rr + j` is vc `(rr + j) mod 8`,
     /// and vcs the channel does not have are never ready, so they are
@@ -99,14 +142,18 @@ impl ChannelState {
         if self.ready == 0 {
             return None;
         }
+        let rr = self.rr();
         let twice = u32::from(self.ready) | u32::from(self.ready) << 8;
-        Some((self.rr + (twice >> self.rr).trailing_zeros() as u8) & 7)
+        Some((rr + (twice >> rr).trailing_zeros() as u8) & 7)
     }
 
-    /// Set the ready bit of `vc` to `ready`.
+    /// Set the ready bit of `vc` to `ready`. `true`: the bit is set on a
+    /// channel a message coasts on, whose coast must then be settled at
+    /// the end of the cycle.
     #[inline]
-    fn set_ready(&mut self, vc: u8, ready: bool) {
+    fn set_ready(&mut self, vc: u8, ready: bool) -> bool {
         self.ready = self.ready & !(1 << vc) | u8::from(ready) << vc;
+        ready & (self.coast != 0)
     }
 }
 
@@ -117,25 +164,27 @@ impl ChannelState {
 /// `h + 2`, which cannot precede the flit that just crossed `h`. All three
 /// verdicts are read before any is written, so the counters are loaded
 /// once, and the three writes are spelled out: behind a closure they were
-/// outlined, at a quarter of the application phase's time.
+/// outlined, at a quarter of the application phase's time. `true`: a bit
+/// was set beside a coasting cv ([`ChannelState::set_ready`]).
 #[inline]
 pub(crate) fn refresh_ready_around(
     channels: &mut [ChannelState],
     msg: &ActiveMsg,
     h: usize,
     buffer_depth: u32,
-) {
+) -> bool {
     let hops = &msg.path.hops[..];
     let here = msg.can_move(h, buffer_depth);
     let prev = (h > 0 && msg.traversed[h] < msg.len).then(|| msg.can_move(h - 1, buffer_depth));
     let next = (h + 1 < msg.head as usize).then(|| msg.can_move(h + 1, buffer_depth));
-    channels[hops[h].channel.idx()].set_ready(hops[h].vc.0, here);
+    let mut beside_coast = channels[hops[h].channel.idx()].set_ready(hops[h].vc.0, here);
     if let Some(ready) = prev {
-        channels[hops[h - 1].channel.idx()].set_ready(hops[h - 1].vc.0, ready);
+        beside_coast |= channels[hops[h - 1].channel.idx()].set_ready(hops[h - 1].vc.0, ready);
     }
     if let Some(ready) = next {
-        channels[hops[h + 1].channel.idx()].set_ready(hops[h + 1].vc.0, ready);
+        beside_coast |= channels[hops[h + 1].channel.idx()].set_ready(hops[h + 1].vc.0, ready);
     }
+    beside_coast
 }
 
 /// What one simulated cycle did — all a time-advance policy may know
@@ -150,6 +199,8 @@ pub struct CycleOutcome {
     /// absorbed or messages completed, so the next cycle's move set
     /// differs from this one's.
     pub tail: bool,
+    /// A coast was settled: its message is back in selection.
+    pub settled: bool,
 }
 
 /// Why a run stopped (both flags clear: it completed).
@@ -279,6 +330,20 @@ pub struct Fabric<'a> {
     /// The group being gathered.
     group: Group,
 
+    // --- coasts (the event engine's; see `Fabric::start_coasts`) ---
+    /// May a message coast? Set for the span of an event-engine run on
+    /// which flights are possible.
+    pub(crate) may_coast: bool,
+    /// The messages coasting, in no order.
+    pub(crate) coasts: Vec<Coast>,
+    /// Messages whose header has crossed their last hop, that do not
+    /// coast and may yet: checked at the end of every cycle.
+    landed: Vec<MsgId>,
+    /// A ready bit was set beside a coasting cv this cycle.
+    coast_disturbed: bool,
+    /// Coasts started, and the flit moves they settled.
+    coast_counts: (u64, u64),
+
     // --- closed-loop protocol drive (None on open-loop runs) ---
     closed: Option<ClosedLoopDriver>,
     /// Absorptions recorded by `apply_moves` for post-phase dispatch.
@@ -319,6 +384,11 @@ impl<'a> Fabric<'a> {
             regrant: Vec::new(),
             held: VecDeque::new(),
             group: Group::default(),
+            may_coast: false,
+            coasts: Vec::new(),
+            landed: Vec::new(),
+            coast_disturbed: false,
+            coast_counts: (0, 0),
             closed: None,
             arrived: Vec::new(),
             actions: Vec::new(),
@@ -489,7 +559,7 @@ impl<'a> Fabric<'a> {
         while i < self.active.len() {
             let pc = self.active[i] as usize;
             debug_assert_eq!(
-                (self.channels[pc].owned, self.channels[pc].ready),
+                self.channels[pc].masks(),
                 self.reference_masks(pc)
                     .expect("every cv owner is a live message"),
                 "channel {pc}: (owned, ready) masks drifted from the cv owners' counters"
@@ -497,16 +567,12 @@ impl<'a> Fabric<'a> {
             let ch = &mut self.channels[pc];
             if ch.owned == 0 {
                 // Lazy deactivation: no cv of this channel is owned.
-                ch.active = false;
+                ch.set_active(false);
                 self.active.swap_remove(i);
                 continue;
             }
             if let Some(vc) = ch.pick() {
-                ch.rr = if vc + 1 == self.plan.vcs[pc] {
-                    0
-                } else {
-                    vc + 1
-                };
+                ch.pass(vc, self.plan.vcs[pc]);
                 let owner = self.cvs[(self.plan.cv_base[pc] + vc as u32) as usize].owner;
                 self.moves
                     .push(owner.expect("ready mask names a cv without an owner"));
@@ -533,7 +599,7 @@ impl<'a> Fabric<'a> {
     /// hop.
     fn apply_moves(&mut self, measuring: bool) -> bool {
         let now = self.cycle;
-        let mut tail = false;
+        let (mut tail, mut beside_coast) = (false, false);
         let closed = self.closed.is_some();
         let buffer_depth = self.cfg.buffer_depth;
         // Taken so the loop body may borrow `self` whole; restored below
@@ -549,7 +615,7 @@ impl<'a> Fabric<'a> {
             let here = msg.path.hops[h];
             let prev_hop = (h > 0).then(|| msg.path.hops[h - 1]);
             let next_hop = (h + 1 < msg.path.len()).then(|| msg.path.hops[h + 1]);
-            refresh_ready_around(&mut self.channels, msg, h, buffer_depth);
+            beside_coast |= refresh_ready_around(&mut self.channels, msg, h, buffer_depth);
             self.metrics
                 .record_flit_move(now, here.channel.idx(), measuring);
 
@@ -559,8 +625,13 @@ impl<'a> Fabric<'a> {
                     // The message left the injection queue head.
                     self.inj_backlog -= 1;
                 }
-                if let Some(next) = next_hop {
-                    self.request(self.plan.cv_index(next), mid);
+                match next_hop {
+                    Some(next) => self.request(self.plan.cv_index(next), mid),
+                    // A body of two cycles behind hop 0 may coast.
+                    None if self.may_coast && msg.traversed[0] + 3 <= msg.len => {
+                        self.landed.push(mid)
+                    }
+                    None => {}
                 }
             }
             if !tail_passed {
@@ -640,6 +711,7 @@ impl<'a> Fabric<'a> {
             self.msgs.free(mid, "absorbed message");
         }
         self.moves = moves;
+        self.coast_disturbed |= beside_coast;
         tail
     }
 
@@ -668,9 +740,9 @@ impl<'a> Fabric<'a> {
             let channel = hop.channel.idx();
             let ch = &mut self.channels[channel];
             ch.owned |= 1 << hop.vc.0;
-            ch.set_ready(hop.vc.0, msg.can_move(h as usize, buffer_depth));
-            if !ch.active {
-                ch.active = true;
+            self.coast_disturbed |= ch.set_ready(hop.vc.0, msg.can_move(h as usize, buffer_depth));
+            if !ch.active() {
+                ch.set_active(true);
                 self.active.push(channel as u32);
             }
             self.metrics
@@ -704,15 +776,22 @@ impl<'a> Fabric<'a> {
         let tail = self.apply_moves(measuring);
         self.closed_deliver(due);
         let granted = self.grant();
-        if moved || granted > 0 {
+        let coasting = !self.coasts.is_empty();
+        if moved || granted > 0 || coasting {
             // A grant is progress too: the channel an arrival's own cycle
-            // just granted is held, but not by anything stuck.
+            // just granted is held, but not by anything stuck. So is a
+            // coast, which moved a flit on every hop.
             self.last_move_cycle = cycle;
+        }
+        let settled = coasting && self.settle_coasts();
+        if !self.landed.is_empty() {
+            self.start_coasts();
         }
         CycleOutcome {
             moved,
             granted,
             tail,
+            settled,
         }
     }
 
@@ -942,7 +1021,7 @@ impl<'a> Fabric<'a> {
         // "channels are held".
         for pc in self.active.drain(..) {
             debug_assert_eq!(self.channels[pc as usize].owned, 0);
-            self.channels[pc as usize].active = false;
+            self.channels[pc as usize].set_active(false);
         }
 
         // Every hop: `L` moves under its member's one `measuring` verdict,
@@ -957,7 +1036,7 @@ impl<'a> Fabric<'a> {
                 messages += 1;
                 for (h, hop) in path.hops.iter().enumerate() {
                     let pc = hop.channel.idx();
-                    self.channels[pc].rr = (hop.vc.0 + 1) % self.plan.vcs[pc];
+                    self.channels[pc].pass(hop.vc.0, self.plan.vcs[pc]);
                     self.metrics
                         .record_flit_moves_bulk(m.at + h as u64, pc, len, measuring);
                 }
@@ -994,6 +1073,142 @@ impl<'a> Fabric<'a> {
         self.last_move_cycle = g.end;
         self.held.clear();
         (g.members.len() as u64, covered)
+    }
+
+    // ------------------------------------------------------------------
+    // Coasts: a streaming message body, applied in closed form beside
+    // stepped traffic.
+    // ------------------------------------------------------------------
+
+    /// Start a coast for each landed message — its header has crossed its
+    /// last hop — whose every hop is the one ready cv of its channel, with
+    /// no other coast there: at the end of the cycle, so what selection
+    /// will read next is known. Its ready bits become coast bits; it stays
+    /// owner of its cvs and its channels stay listed. A message stays
+    /// landed until it coasts, or its tail is too close to hop 0 for a
+    /// window of two cycles — which comes before the tail crosses hop 0,
+    /// and so before the message is freed.
+    fn start_coasts(&mut self) {
+        let mut landed = std::mem::take(&mut self.landed);
+        landed.retain(|&m| {
+            let msg = self.msgs.get(m, "landed message");
+            if msg.traversed[0] + 3 > msg.len {
+                return false;
+            }
+            let Some(until) = self.coast_window(msg) else {
+                return true;
+            };
+            for hop in msg.path.hops.iter() {
+                let ch = &mut self.channels[hop.channel.idx()];
+                (ch.ready, ch.coast) = (0, 1 << hop.vc.0);
+            }
+            self.coasts.push(Coast {
+                msg: m,
+                from: self.cycle,
+                until,
+            });
+            self.coast_counts.0 += 1;
+            false
+        });
+        self.landed = landed;
+    }
+
+    /// The last cycle of `msg`'s coast from the end of this one, or `None`
+    /// when it may not coast now.
+    ///
+    /// Every hop of a message whose header has crossed its last hop is
+    /// granted. When each is ready and the only ready cv of its channel,
+    /// each is picked next cycle and moves: every counter grows by one,
+    /// so every supply and credit verdict — a function of differences of
+    /// neighbouring counters — reads as before, and the message streams
+    /// until its tail is due to cross hop 0 (`traversed[0] = L`), the
+    /// first step that releases, absorbs or delivers. The window stops a
+    /// cycle short of that, and short of a warmup, measurement or
+    /// deadline boundary, as a span does.
+    fn coast_window(&self, msg: &ActiveMsg) -> Option<u64> {
+        debug_assert_eq!(msg.head as usize, msg.path.len());
+        let c = self.cycle;
+        let mut k = u64::from(msg.len - 1 - msg.traversed[0]);
+        let (warmup, measure_end) = (self.cfg.warmup_cycles, self.cfg.measure_end());
+        if c < warmup {
+            k = k.min(warmup - c);
+        } else if c < measure_end {
+            k = k.min(measure_end - c);
+        }
+        k = k.min(self.cfg.deadline().saturating_sub(c));
+        let alone = |hop: &noc_topology::Hop| {
+            let ch = self.channels[hop.channel.idx()];
+            ch.ready == 1 << hop.vc.0 && ch.coast == 0
+        };
+        (k >= 2 && msg.path.hops.iter().all(alone)).then_some(c + k)
+    }
+
+    /// The earliest last cycle of a coast (`u64::MAX`: none coasts).
+    pub(crate) fn next_coast_end(&self) -> u64 {
+        self.coasts
+            .iter()
+            .map(|c| c.until)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// At the end of a cycle: settle every coast whose window ends on it,
+    /// and every one beside which a grant or a refresh set a ready bit —
+    /// next cycle its cv is no longer picked alone. `true` if any was.
+    fn settle_coasts(&mut self) -> bool {
+        let disturbed = std::mem::take(&mut self.coast_disturbed);
+        let before = self.coasts.len();
+        let mut i = 0;
+        while i < self.coasts.len() {
+            let coast = self.coasts[i];
+            if coast.until == self.cycle || disturbed && self.beside_ready(coast.msg) {
+                self.coasts.swap_remove(i);
+                self.settle(coast);
+            } else {
+                i += 1;
+            }
+        }
+        self.coasts.len() < before
+    }
+
+    /// Is a cv ready on a channel coasting message `m` holds? Its own
+    /// bits are clear, and no other was when its coast started.
+    fn beside_ready(&self, m: MsgId) -> bool {
+        let hops = &self.msgs.get(m, "coasting message").path.hops;
+        hops.iter()
+            .any(|hop| self.channels[hop.channel.idx()].ready != 0)
+    }
+
+    /// Write what the oracle's steps wrote for `coast` on the cycles
+    /// `from + 1 ..= cycle`: every hop moved a flit on each, under the one
+    /// `measuring` verdict the window shares (integer sums, so their order
+    /// is free), and each pick left the round-robin pointer just past the
+    /// hop's vc. Every counter grows first; only then are the ready bits
+    /// re-derived, or a hop would read ahead of the one upstream of it.
+    fn settle(&mut self, coast: Coast) {
+        let n = self.cycle - coast.from;
+        let measuring = self.in_window(coast.from + 1);
+        let msg = self.msgs.get_mut(coast.msg, "coasting message");
+        for (t, hop) in msg.traversed.iter_mut().zip(msg.path.hops.iter()) {
+            *t += n as u32;
+            self.metrics
+                .record_flit_moves_bulk(coast.from, hop.channel.idx(), n, measuring);
+        }
+        let buffer_depth = self.cfg.buffer_depth;
+        for (h, hop) in msg.path.hops.iter().enumerate() {
+            let pc = hop.channel.idx();
+            let ch = &mut self.channels[pc];
+            ch.coast = 0;
+            if n > 0 {
+                ch.pass(hop.vc.0, self.plan.vcs[pc]);
+            }
+            ch.set_ready(hop.vc.0, msg.can_move(h, buffer_depth));
+        }
+        self.coast_counts.1 += n * msg.path.len() as u64;
+        if self.may_coast {
+            // Its body may stream alone again.
+            self.landed.push(coast.msg);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1064,8 +1279,20 @@ impl<'a> Fabric<'a> {
         })
     }
 
-    /// Assemble the results of a run that ended with `end`.
+    /// Assemble the results of a run that ended with `end`, settling every
+    /// coast first: its moves up to the last cycle stepped.
     pub(crate) fn finish(&mut self, end: RunEnd, engine: EngineCounters) -> SimResults {
+        self.may_coast = false;
+        self.landed.clear();
+        for coast in std::mem::take(&mut self.coasts) {
+            self.settle(coast);
+        }
+        let (coasts, coast_moves) = self.coast_counts;
+        let engine = EngineCounters {
+            coasts,
+            coast_moves,
+            ..engine
+        };
         let cycles = self.cycle;
         // Normalise utilisation by the cycles actually spent measuring: a
         // run that breaks out early (saturation, backlog overflow) covers
@@ -1190,28 +1417,28 @@ impl<'a> Fabric<'a> {
 
         for (pc, ch) in self.channels.iter().enumerate() {
             let (owned, ready) = self.reference_masks(pc)?;
-            if (ch.owned, ch.ready) != (owned, ready) {
+            if ch.masks() != (owned, ready) {
                 return Err(AuditError::MasksDrifted {
                     channel: pc,
-                    cached: (ch.owned, ch.ready),
+                    cached: ch.masks(),
                     actual: (owned, ready),
                 });
             }
-            if ch.rr >= self.plan.vcs[pc] {
+            if ch.rr() >= self.plan.vcs[pc] {
                 return Err(AuditError::PointerPastVcs {
                     channel: pc,
-                    rr: ch.rr,
+                    rr: ch.rr(),
                     vcs: self.plan.vcs[pc],
                 });
             }
-            if owned != 0 && !ch.active {
+            if owned != 0 && !ch.active() {
                 return Err(AuditError::OwnedButInactive { channel: pc });
             }
         }
         // Every listed channel flagged and as many listed as flagged: the
         // list is the flagged set, each channel once.
-        let flagged = self.channels.iter().filter(|ch| ch.active).count();
-        let listed = |&pc: &u32| self.channels[pc as usize].active;
+        let flagged = self.channels.iter().filter(|ch| ch.active()).count();
+        let listed = |&pc: &u32| self.channels[pc as usize].active();
         if flagged != self.active.len() || !self.active.iter().all(listed) {
             return Err(AuditError::ActiveListMismatch {
                 listed: self.active.len(),
@@ -1329,8 +1556,8 @@ mod tests {
                     let ch = ChannelState {
                         owned: ready,
                         ready,
-                        rr,
-                        active: true,
+                        coast: 0,
+                        rr_active: ChannelState::ACTIVE | rr,
                     };
                     assert_eq!(
                         ch.pick(),
@@ -1416,7 +1643,7 @@ mod tests {
         );
         assert_eq!(b.engine.flights, 24, "every arrival flew");
 
-        let pointers = |f: &Fabric<'_>| f.channels.iter().map(|ch| ch.rr).collect::<Vec<_>>();
+        let pointers = |f: &Fabric<'_>| f.channels.iter().map(|ch| ch.rr()).collect::<Vec<_>>();
         assert_eq!(pointers(&stepped.fabric), pointers(&flown.fabric));
         assert!(stepped.fabric.active.is_empty() && flown.fabric.active.is_empty());
         flown.audit().expect("flown fabric audits clean");

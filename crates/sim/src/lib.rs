@@ -93,7 +93,7 @@ pub mod plan;
 pub mod results;
 pub mod schedule;
 
-pub use config::{EngineKind, SimConfig};
+pub use config::{ConfigError, EngineKind, SimConfig};
 pub use engine_api::{build_engine_with_plan, AuditError, Engine, EngineAudit};
 pub use message::{MsgId, OpId};
 pub use plan::{PlanError, SimPlan};

@@ -115,6 +115,23 @@ pub struct ActiveMsg {
     pub(crate) next_waiter: MsgId,
 }
 
+/// The window of a coasting message: one whose header has crossed its
+/// last hop and whose every hop streams, alone among the ready cvs of its
+/// channel. Selection and application skip it; every hop moves one flit
+/// per cycle, and [`Fabric`](crate::fabric::Fabric) adds the moves in one
+/// closed-form step when the window is settled.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Coast {
+    /// The coasting message.
+    pub(crate) msg: MsgId,
+    /// The cycle its counters stand at: it moves on `from + 1 ..`.
+    pub(crate) from: u64,
+    /// The window's last cycle: short of its tail crossing hop 0 and of
+    /// the next warmup, measurement or deadline boundary, so every move
+    /// in it shares one `measuring` verdict.
+    pub(crate) until: u64,
+}
+
 /// Multicast-specific message state.
 #[derive(Clone, Debug)]
 pub struct StreamState {

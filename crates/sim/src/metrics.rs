@@ -88,7 +88,7 @@ impl Metrics {
 
     /// `k` flits crossed `channel`, one per cycle on cycles
     /// `start + 1 ..= start + k`, all inside or all outside the
-    /// measurement window (the event engine's streaming fast-forward).
+    /// measurement window (the event engine's spans and coasts).
     #[inline]
     pub(crate) fn record_flit_moves_bulk(
         &mut self,

@@ -110,6 +110,12 @@ pub struct EngineCounters {
     /// Cycles those flights covered, arrival to last absorption
     /// inclusive (event engine only).
     pub flight_cycles: u64,
+    /// Message bodies that coasted: streamed beside stepped traffic and
+    /// were settled in closed form (event engine only).
+    pub coasts: u64,
+    /// Flit moves those coasts settled, out of `SimResults::flit_moves`
+    /// (event engine only).
+    pub coast_moves: u64,
 }
 
 /// Closed-loop protocol statistics of one run (present only when a

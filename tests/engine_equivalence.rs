@@ -6,6 +6,7 @@
 //! across early-termination paths (saturation, backlog overflow).
 
 use proptest::prelude::*;
+use quarc_noc::bench::harness::{default_panels, Pattern};
 use quarc_noc::prelude::*;
 use quarc_noc::sim::{EngineAudit, EngineKind, SimConfig, SimResults};
 
@@ -1032,4 +1033,212 @@ proptest! {
     ) {
         random_schedule_is_bit_identical(family, start, &arrivals)?;
     }
+}
+
+// ---------------------------------------------------------------------
+// Coasts: a message whose header has crossed its last hop, every hop the
+// one ready cv of its channel, moves a flit across each hop per cycle
+// until its window ends or a cv beside it becomes ready; the event engine
+// settles those moves in closed form (`Fabric::start_coasts`,
+// `Fabric::settle`). The oracle never coasts.
+// ---------------------------------------------------------------------
+
+/// Short windows: the traffic exercises coasting, not the run length.
+fn coast_cfg(depth: u32) -> SimConfig {
+    SimConfig {
+        warmup_cycles: 1_000,
+        measure_cycles: 3_000,
+        drain_cycles: 6_000,
+        buffer_depth: depth,
+        ..SimConfig::quick(127)
+    }
+}
+
+#[test]
+fn coasts_are_bit_identical_on_every_family_and_path_scheme() {
+    // A quarter of a flit per node and cycle puts these networks near
+    // their knee: most messages share a channel on the way, and many
+    // bodies still stream alone once their header has landed. Each
+    // family meets every depth from 2 to 4, one per message length;
+    // quarc, ring and torus carry dateline channels of two vcs.
+    for (f, spec) in FAMILIES.into_iter().enumerate() {
+        let topo = topology(spec);
+        let sets = DestinationSets::random(topo.as_ref(), 4, 127);
+        let mut coast_moves = 0;
+        for routing in [RoutingSpec::PathBased, RoutingSpec::DualPath] {
+            for (i, len) in [16u32, 32, 64].into_iter().enumerate() {
+                let depth = 2 + ((f + i) % 3) as u32;
+                let wl = Workload::new(len, 0.25 / f64::from(len), 0.1, sets.clone())
+                    .unwrap()
+                    .with_routing(routing);
+                if SimPlan::build(topo.as_ref(), &wl).is_err() {
+                    continue; // dual-path on a one-port router
+                }
+                let ctx = format!("{spec} {routing} {len} flits depth {depth}");
+                let [(c, c_audit), (e, e_audit)] =
+                    both_audited(topo.as_ref(), &wl, coast_cfg(depth));
+                assert_runs_identical(&c, &e, &ctx);
+                assert_eq!(c_audit, e_audit, "{ctx}: post-run audits");
+                assert_eq!(c.engine.coasts, 0, "{ctx}: the oracle never coasts");
+                assert!(e.engine.coast_moves < e.flit_moves, "{ctx}");
+                coast_moves += e.engine.coast_moves;
+            }
+        }
+        assert!(coast_moves > 0, "{spec}: nothing coasted");
+    }
+}
+
+/// [`scripted_on`] with `len`-flit messages: both engines bit-equal with
+/// equal post-run audits; the event engine's results.
+fn scripted_len(
+    topo: &dyn Topology,
+    len: u32,
+    cfg: SimConfig,
+    unicasts: &[(u64, u32, u32)],
+    ctx: &str,
+) -> SimResults {
+    let entry = |&(cycle, node, dst)| TraceEntry {
+        cycle,
+        node,
+        kind: TraceKind::Unicast { dst },
+    };
+    let wl = Workload::new(len, 0.0, 0.0, DestinationSets::random(topo, 4, 109))
+        .unwrap()
+        .with_traffic(TrafficSpec::trace(unicasts.iter().map(entry).collect()));
+    let [(c, c_audit), (e, e_audit)] = both_audited(topo, &wl, cfg);
+    assert_eq!(
+        c.total_generated,
+        unicasts.len() as u64,
+        "{ctx}: every arrival ran"
+    );
+    assert_runs_identical(&c, &e, ctx);
+    assert_eq!(c_audit, e_audit, "{ctx}: post-run audits");
+    assert_eq!(e.engine.flights, 0, "{ctx}: stepped, not flown");
+    e
+}
+
+/// Hops of the route `src → dst` on quarc-16, injection and ejection
+/// included.
+fn hops(src: u32, dst: u32) -> u64 {
+    Quarc::new(16)
+        .unwrap()
+        .unicast_path(NodeId(src), NodeId(dst))
+        .len() as u64
+}
+
+#[test]
+fn a_sibling_granted_mid_window_settles_the_coast() {
+    // 14 → 2 runs clockwise across the dateline link 15 → 0 and rides vc 1
+    // on 0 → 1 and 1 → 2; 0 → 2 rides vc 0 there. The two share a
+    // channel, so neither flies. The first's header lands on cycle 3006
+    // and its 64-flit body could coast to 3063; the second is granted
+    // 0 → 1 at the end of 3021, ready at once, and the coast is settled
+    // there. The two take turns on both links until the second reaches
+    // node 2's ejection channel, which the first holds: from the end of
+    // 3031 the first is alone again and coasts to the end of its window
+    // (3067); the second, once the first is gone, from 3076 to 3133.
+    let topo = Quarc::new(16).unwrap();
+    let schedule = [(3000, 14, 2), (3020, 0, 2)];
+    let e = scripted_len(&topo, 64, scripted_cfg(), &schedule, "sibling grant");
+    let lands = 3000 + hops(14, 2);
+    assert_eq!(lands, 3006);
+    let settled_early = hops(14, 2) * (3021 - lands);
+    let later = hops(14, 2) * (3067 - 3031) + hops(0, 2) * (3133 - 3076);
+    assert_eq!(
+        (e.engine.coasts, e.engine.coast_moves),
+        (3, settled_early + later)
+    );
+}
+
+#[test]
+fn a_sibling_that_becomes_ready_settles_the_coast() {
+    // 1 → 3 holds 1 → 2 (vc 0) and coasts its whole window, to 3063.
+    // 0 → 2 follows, takes 0 → 1 (vc 0) and fills the buffer behind
+    // 1 → 2: its cv on 0 → 1 is owned but blocked. 14 → 1 lands on 3015
+    // beside it, on vc 1, and coasts. 1 → 3's tail crosses 2 → 3 on
+    // 3066 and releases 1 → 2; 0 → 2 gets it and moves across it on
+    // 3067, which frees a slot behind its cv on 0 → 1: ready, and the
+    // coast of 14 → 1 is settled at the end of 3067, six cycles short of
+    // its window. 0 → 2 coasts too once it streams alone, 3089 to 3137.
+    let topo = Quarc::new(16).unwrap();
+    let schedule = [(3000, 1, 3), (3002, 0, 2), (3010, 14, 1)];
+    let e = scripted_len(&topo, 64, scripted_cfg(), &schedule, "sibling ready");
+    let whole = hops(1, 3) * (64 - 1 - hops(1, 3));
+    let lands = 3010 + hops(14, 1);
+    assert_eq!(lands, 3015);
+    let settled_early = hops(14, 1) * (3067 - lands);
+    assert_eq!(
+        (e.engine.coasts, e.engine.coast_moves),
+        (3, whole + settled_early + hops(0, 2) * (3137 - 3089))
+    );
+}
+
+#[test]
+fn a_coast_stops_at_the_measurement_boundaries() {
+    // Generated 30 cycles before warmup or `measure_end`, a lone 64-flit
+    // message straddles the boundary and is stepped. Its header lands 6
+    // cycles later and it coasts to the boundary, not past it: the moves
+    // on either side are measured differently, which the utilisation
+    // comparison would show. It is settled there and coasts on, to a
+    // cycle short of its tail crossing hop 0.
+    let cfg = scripted_cfg();
+    let (path, before) = (hops(14, 2), 30 - hops(14, 2));
+    for at in [cfg.warmup_cycles - 30, cfg.measure_end() - 30] {
+        let ctx = format!("generated at {at}");
+        let e = scripted_len(&Quarc::new(16).unwrap(), 64, cfg, &[(at, 14, 2)], &ctx);
+        let after = 64 - 1 - (path + before);
+        assert_eq!(
+            (e.engine.coasts, e.engine.coast_moves),
+            (2, path * (before + after)),
+            "{ctx}"
+        );
+    }
+}
+
+#[test]
+fn a_run_that_ends_mid_window_settles_the_coast() {
+    // The tagged 0 → 3 coasts to `measure_end`, and on from there to a
+    // cycle short of its tail crossing hop 0. The untagged 8 → 11,
+    // generated after the window, lands 5 cycles later and coasts; the
+    // run ends when 0 → 3's tail is absorbed, 48 cycles into that coast,
+    // and the run's end settles it.
+    let cfg = scripted_cfg();
+    let end = cfg.measure_end();
+    let (first, second) = (hops(0, 3), hops(8, 11));
+    let schedule = [(end - 10, 0, 3), (end + 5, 8, 11)];
+    let e = scripted_len(&Quarc::new(16).unwrap(), 64, cfg, &schedule, "run end");
+    let last = end - 10 + first - 1 + 64;
+    assert_eq!((e.cycles, e.total_absorbed), (last, 1));
+    let coasting = last - (end + 5 + second);
+    assert_eq!(coasting, 48);
+    assert_eq!(
+        (e.engine.coasts, e.engine.coast_moves),
+        (3, first * (64 - 1 - first) + second * coasting)
+    );
+}
+
+#[test]
+fn fig6_quick_points_pin_their_coasts() {
+    // `noc-bench fig6 --quick --points 8`'s first panel, at its lowest
+    // and highest rate. What the run does is pinned by the flit moves,
+    // cycles and arrivals, the same since before coasting; how many
+    // bodies coasted and how many moves that settled in closed form are
+    // pinned beside them, so a change to the coast rules shows here.
+    let panel = &default_panels(Pattern::Random, 42)[0];
+    assert_eq!(panel.label(), "quarc-n16-m16-a05-random");
+    let sc = panel.scenario(8, SimConfig::quick(42));
+    let res = Runner::new().threads(1).run(&sc).expect("the panel runs");
+    let counts = |p: usize| {
+        let r = &res.sims[p][0];
+        let e = r.engine;
+        (
+            r.flit_moves,
+            r.cycles,
+            e.events_popped,
+            e.coasts,
+            e.coast_moves,
+        )
+    };
+    assert_eq!(counts(0), (55_792, 18_006, 692, 256, 11_670));
+    assert_eq!(counts(7), (377_275, 18_026, 4_666, 5_004, 226_633));
 }

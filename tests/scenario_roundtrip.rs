@@ -308,3 +308,24 @@ fn invalid_scenarios_surface_typed_errors_not_panics() {
     // Structurally valid JSON that is not a scenario.
     assert!(Scenario::from_json("{\"name\": \"x\"}").is_err());
 }
+
+#[test]
+fn a_scenario_whose_windows_overflow_is_a_typed_error() {
+    // `warmup + measure` past `u64::MAX` once wrapped into a run that
+    // stopped after 49 cycles and reported nothing measured, unsaturated.
+    let mut sc = scenario_for(TopologySpec::Quarc { n: 16 });
+    sc.sim.warmup_cycles = 100;
+    let json = sc.to_json().replace(
+        "\"measure_cycles\": 2000",
+        &format!("\"measure_cycles\": {}", u64::MAX - 50),
+    );
+    let sc = Scenario::from_json(&json).expect("the JSON parses");
+    assert_eq!(sc.sim.measure_cycles, u64::MAX - 50, "the edit landed");
+    let overflow = quarc_noc::sim::ConfigError::WindowOverflow {
+        warmup_cycles: 100,
+        measure_cycles: u64::MAX - 50,
+        drain_cycles: 8_000,
+    };
+    assert!(matches!(sc.validate(), Err(Error::Config(e)) if e == overflow));
+    assert!(matches!(Runner::new().run(&sc), Err(Error::Config(e)) if e == overflow));
+}

@@ -413,48 +413,86 @@ proptest! {
     }
 }
 
-#[test]
-fn span_fast_forward_leaves_the_ready_masks_current() {
-    // The event engine's bulk span update moves counters without a
-    // select/apply pass, so it refreshes the movers' ready bits itself.
-    // Low load is where spans are found; at a fifth of the horizon only
-    // one arrival in ten finds the fabric empty and flies instead
-    // (391 / 186 / 93 spans here), so the rate stays where it was.
-    for (name, routing) in [
-        ("quarc-16", RoutingSpec::PathBased),
-        ("mesh-4x4", RoutingSpec::DualPath),
-        ("hypercube-4", RoutingSpec::UnicastTree),
-    ] {
-        let (topo, wl, plan) = planned(name, routing, 0.2, 32, 11).expect("realizable");
-        let cfg = SimConfig::quick(11);
-        let mut sim = build_engine_with_plan(topo.as_ref(), &wl, cfg, plan);
-        let res = sim.run();
-        assert!(!res.saturated, "{name}: low load");
-        assert!(res.engine.spans_batched > 0, "{name}: no span was batched");
-        sim.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
-    }
+/// The low-load runs of the two ready-mask tests below: 32-flit messages
+/// at a fifth of the horizon, one family per path scheme.
+const LOW_LOAD_RUNS: [(&str, RoutingSpec); 3] = [
+    ("quarc-16", RoutingSpec::PathBased),
+    ("mesh-4x4", RoutingSpec::DualPath),
+    ("hypercube-4", RoutingSpec::UnicastTree),
+];
 
-    // And audited with nothing in between. A long message streams
-    // 0 → 3 with a second header queued behind it; a third from node 1
-    // finds the link 1 → 2 taken and fills its injection buffer in a
-    // span of its own, at whose end its verdict flips to blocked. The
-    // messages are untagged, so the run ends with the window — on the
-    // very cycle a span (capped there) stopped at.
+/// The scripted run of the two ready-mask tests below, on `cfg`: two
+/// long messages 0 → 3, the second queued behind the first, and a third
+/// from node 1, injected `lead` cycles later. The one of 0 → 3 and
+/// 1 → 3 that takes the link 1 → 2 first streams; the other fills its
+/// buffers behind it, at whose end its verdict flips to blocked. The
+/// messages are untagged, so the run ends with the window, at 200.
+/// Audited with nothing in between; returns the run's engine counters.
+fn three_scripted_headers(cfg: SimConfig, lead: usize) -> quarc_noc::sim::EngineCounters {
     let topo = Quarc::new(16).unwrap();
     let wl = Workload::new(600, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
-    let mut cfg = SimConfig::quick(1);
+    let mut cfg = cfg;
     (cfg.warmup_cycles, cfg.measure_cycles) = (40, 160);
     let mut sim = Engine::new(&topo, &wl, cfg);
     let mut ids = vec![
         sim.inject_unicast_now(NodeId(0), NodeId(3)),
         sim.inject_unicast_now(NodeId(0), NodeId(3)),
     ];
-    (0..6).for_each(|_| sim.step_one());
+    (0..lead).for_each(|_| sim.step_one());
     ids.push(sim.inject_unicast_now(NodeId(1), NodeId(3)));
     let res = sim.run();
     assert_eq!(res.cycles, 200, "the run ends with the window");
-    assert!(res.engine.spans_batched > 1);
     assert!(ids.iter().all(|&id| sim.message_in_flight(id)));
-    let audit = sim.audit().expect("kernel state sound right after a span");
+    let audit = sim.audit().expect("kernel state sound right after the run");
     assert_eq!((audit.live_messages, audit.queued_messages), (3, 1));
+    res.engine
+}
+
+#[test]
+fn span_fast_forward_leaves_the_ready_masks_current() {
+    // The event engine's bulk span update moves counters without a
+    // select/apply pass, so it refreshes the movers' ready bits itself.
+    // Spans run where nothing coasts: with telemetry on (here the
+    // utilization series), which steps what would fly or coast. At a
+    // fifth of the horizon that finds 479 / 255 / 93 spans here.
+    let telemetry = TelemetrySpec::off().with_util_window(64);
+    for (name, routing) in LOW_LOAD_RUNS {
+        let (topo, wl, plan) = planned(name, routing, 0.2, 32, 11).expect("realizable");
+        let cfg = SimConfig::quick(11).with_telemetry(telemetry);
+        let mut sim = build_engine_with_plan(topo.as_ref(), &wl, cfg, plan);
+        let res = sim.run();
+        assert!(!res.saturated, "{name}: low load");
+        assert!(res.engine.spans_batched > 0, "{name}: no span was batched");
+        assert_eq!(res.engine.coasts, 0, "{name}: coasting is off");
+        sim.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+
+    // And audited with nothing in between. 0 → 3 streams; 1 → 3 fills
+    // its injection buffer in a span of its own, and the run ends on the
+    // very cycle a span (capped there) stopped at.
+    let counters = three_scripted_headers(SimConfig::quick(1).with_telemetry(telemetry), 6);
+    assert!(counters.spans_batched > 1);
+}
+
+#[test]
+fn coasting_leaves_the_ready_masks_current() {
+    // A coast clears its message's ready bits and settles its moves in
+    // one step, after which it re-derives them: the span test's inputs
+    // with telemetry off, where bodies coast instead.
+    for (name, routing) in LOW_LOAD_RUNS {
+        let (topo, wl, plan) = planned(name, routing, 0.2, 32, 11).expect("realizable");
+        let mut sim = build_engine_with_plan(topo.as_ref(), &wl, SimConfig::quick(11), plan);
+        let res = sim.run();
+        assert!(!res.saturated, "{name}: low load");
+        assert!(res.engine.coasts > 0, "{name}: nothing coasted");
+        sim.audit().unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+
+    // Injected on one cycle, 1 → 3 takes 1 → 2 first, and its header
+    // lands inside the run, on cycle 4: its body coasts to the warmup
+    // boundary, and on to the end of the window. A third coast starts
+    // there, on the run's last cycle, and the run's end settles it
+    // without a move.
+    let counters = three_scripted_headers(SimConfig::quick(1), 0);
+    assert_eq!((counters.coasts, counters.coast_moves), (3, 4 * (200 - 4)));
 }
