@@ -217,12 +217,11 @@ impl ScenarioResult {
             "rate",
             "sim_cycles",
             "events",
-            "spans",
-            "span_cycles",
             "stall_fixpoints",
-            "failed_scans",
             "flights",
             "flight_cycles",
+            "coasts",
+            "coast_moves",
         ]);
         for (p, sims) in self.points.iter().zip(&self.sims) {
             let sum = |f: &dyn Fn(&SimResults) -> u64| sims.iter().map(f).sum::<u64>();
@@ -230,12 +229,11 @@ impl ScenarioResult {
                 format!("{:.5}", p.rate),
                 sum(&|r| r.engine.simulated_cycles).to_string(),
                 sum(&|r| r.engine.events_popped).to_string(),
-                sum(&|r| r.engine.spans_batched).to_string(),
-                sum(&|r| r.engine.span_cycles).to_string(),
                 sum(&|r| r.engine.stall_fixpoints).to_string(),
-                sum(&|r| r.engine.span_scans_failed).to_string(),
                 sum(&|r| r.engine.flights).to_string(),
                 sum(&|r| r.engine.flight_cycles).to_string(),
+                sum(&|r| r.engine.coasts).to_string(),
+                sum(&|r| r.engine.coast_moves).to_string(),
             ]);
         }
         t
@@ -318,7 +316,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// 4: stamped quantiles and the per-stream population removed; no key
 ///    of a cached entry has a default any more.
 /// 5: `EngineCounters::{coasts, coast_moves}` added.
-const CACHE_SCHEMA: u32 = 5;
+/// 6: the streaming-span cycle count left `EngineCounters`.
+const CACHE_SCHEMA: u32 = 6;
 
 /// The scenario's share of a cache key: its canonical JSON with the
 /// display name cleared, so renaming an experiment never invalidates
@@ -714,7 +713,7 @@ mod tests {
             .lines()
             .next()
             .unwrap()
-            .ends_with("failed_scans,flights,flight_cycles"));
+            .ends_with("stall_fixpoints,flights,flight_cycles,coasts,coast_moves"));
         let summary = res.summary();
         assert!(summary.contains("0 cached / 2 simulated"), "{summary}");
     }

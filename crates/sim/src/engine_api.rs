@@ -13,8 +13,8 @@
 //! delivered counts, identical latency samples in identical order,
 //! identical cycle counts. `tests/engine_equivalence.rs` enforces the
 //! promise differentially — with the kernel shared, what it checks is
-//! everything the event policy adds (idle jumps, stall fixpoints, spans,
-//! queue order, watchdog alignment); `tests/trace_invariants.rs`
+//! everything the event policy adds (idle jumps, stall fixpoints, flights,
+//! coasts, queue order, watchdog alignment); `tests/trace_invariants.rs`
 //! checks the kernel itself against an oracle that shares no code with
 //! it, and [`Engine::audit`] exposes the structural invariants
 //! (ownership consistency, conservation counters) to the property tests.

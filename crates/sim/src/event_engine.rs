@@ -53,8 +53,9 @@
 //!   a grant or a refresh made another cv on one of its channels ready,
 //!   or when the run ends (`Fabric::start_coasts`, `Fabric::settle`). A
 //!   landed message is checked at the end of every cycle until it coasts
-//!   or its tail nears hop 0, settled ones again; only on runs where
-//!   flights are possible.
+//!   or its tail nears hop 0, settled ones again. Every event-engine run
+//!   coasts, telemetry and closed loops included; the oracle and the
+//!   scripted `step_one` never do.
 //!
 //! Idle and stalled cycles are *inert*: the engine advances straight to
 //! the earliest of the next scheduled arrival or protocol timer (from the
@@ -112,22 +113,15 @@
 //! rest of the fabric; its jump stops at the earliest window end. The
 //! active list is the oracle's, since a coasting channel stays owned and
 //! listed, so the order other messages' statistics are recorded in is
-//! too. No span is tried while a message coasts: the span scan would
-//! replay the explicit moves of a message that has just started one.
+//! too.
 //!
-//! ## Streaming fast-forward
-//!
-//! Between structural events a wormhole message simply *streams*: every
-//! channel of its granted window moves one flit per cycle, and the cycle
-//! outcome repeats verbatim. After a cycle that granted nothing and saw
-//! no tail cross a hop the engine checks whether the next cycles are
-//! guaranteed replays — every active channel either moved its single
-//! owned cv (with stable supply and credit) or is stably blocked, no
-//! tail/header/absorb threshold, arrival, run boundary or watchdog tick
-//! is due — and if so it applies `K` repetitions in one bulk update of
-//! the flit counters (`SkipAhead::apply_streaming_span`). Grant-to-grant,
-//! the per-cycle machinery only runs on cycles where arbitration can
-//! change.
+//! What a coast leaves out is also what telemetry and closed loops read
+//! per event, not per flit: its window holds no grant, release,
+//! absorption or delivery to trace or to hand a protocol machine, and the
+//! utilization series takes its moves as one range per hop. One tap reads
+//! a cycle's moves: a stepped cycle traces `Stall` when channels are held
+//! and nothing moves, and a coast moves, so the tap also asks that nothing
+//! coasts.
 //!
 //! Together the mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
@@ -147,51 +141,14 @@
 //! at `scale-64k`, whose 8-flit messages land with too little body left.
 //! Traced `fig6-sweep` passes read `sim.engine.ns_per_move.knee` 40.3
 //! → 27.2 ns and `share.engine_run` 0.879 → 0.834 (medians of three).
-//!
-//! *What the spans were worth*, before coasting (same host and pairing):
-//! without the scan `cache-io` ran 12.2 % slower (5/5 pairs; stepped
-//! cycles 0.31 M → 0.44 M of 2.16 M), with a scan that accepts only
-//! single-vc movers 5.6 % slower (5/5; 0.36 M stepped), so the
-//! held-channel walk carried about half the gain. Beside coasts no
-//! benchmark workload batches a span any more (`fig6-sweep` 4 294 per
-//! repetition before, `cache-io` 8 940, `lowload-skip` 956): spans now
-//! serve only runs that do not coast, such as those with telemetry on.
 
-use crate::fabric::{
-    refresh_ready_around, CycleOutcome, Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW,
-};
-use crate::message::{ActiveMsg, MsgId};
+use crate::fabric::{Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW};
 use crate::results::{EngineCounters, SimResults};
 use crate::schedule::EventQueue;
 use noc_topology::NodeId;
 
-/// Cap of the streaming-scan backoff exponent: after repeated
-/// unprofitable eligibility scans the engine re-attempts at most every
-/// `2^SPAN_BACKOFF_CAP` eligible cycles. At high load the scan almost
-/// always fails (held channels trip its conservative freeze checks),
-/// and running it after every simulated cycle was the hot-path overhead
-/// that made the event engine lose to the cycle engine there — the
-/// backoff is a deterministic heuristic that only changes *when* spans
-/// are attempted, never their outcome, so results are unaffected. At low
-/// load it used to misfire: a lone message's tail phase failed a scan
-/// per cycle and the cooldown ate the next message's streaming window.
-/// Cycles in which a tail crosses a hop are no longer eligible at all
-/// (`CycleOutcome::tail`), so the backoff only ever counts scans that
-/// contention failed (`lowload-skip`: 91 097 failed scans → 900).
-const SPAN_BACKOFF_CAP: u32 = 8;
-
-/// A span must advance at least this many cycles to count as profitable
-/// and reset the backoff. A full eligibility scan costs on the order of
-/// a few simulated cycles, so shorter spans — the typical find deep in
-/// saturation, where a handful of cycles stream between structural
-/// events — are applied (the cycles are already bought) but pace the
-/// scan like a failure: without this, each short find re-arms per-cycle
-/// scanning and the scan overhead eats the streamed cycles it saves.
-const SPAN_PROFIT_MIN: u64 = 8;
-
 /// The event engine's time-advance policy: a priority queue of firing
-/// times, the stall-fixpoint flag, flight groups and the
-/// streaming-span scan.
+/// times, the stall-fixpoint flag and flight groups.
 pub(crate) struct SkipAhead {
     /// Queue of `(next firing cycle, node)` — arrivals on
     /// open-loop runs, protocol timers on closed-loop ones (whose
@@ -202,24 +159,10 @@ pub(crate) struct SkipAhead {
     /// settled no coast: the state is a fixpoint until the next arrival
     /// or the end of a coast (see module docs).
     stalled: bool,
-    /// Consecutive failed streaming-scan attempts (saturating at
-    /// [`SPAN_BACKOFF_CAP`]); sets the cooldown after each failure.
-    span_fail_streak: u32,
-    /// Eligible cycles left before the next streaming-scan attempt.
-    span_cooldown: u32,
-    /// Engine-internal work counters (events popped, spans batched,
-    /// fixpoints, failed scans), surfaced through
+    /// Engine-internal work counters (events popped, fixpoints, flights),
+    /// surfaced through
     /// [`SimResults::engine`](crate::results::SimResults::engine).
     counters: EngineCounters,
-    /// Did this cv move a flit in the current cycle? Allocated by the
-    /// first streaming eligibility scan and populated *lazily* by each
-    /// from the cycle's move list (and cleared before the scan returns),
-    /// so ordinary cycles pay nothing for the O(1) move-set lookup the
-    /// fast-forward needs.
-    cv_moved: Vec<bool>,
-    /// Channels that moved this cycle (scratch of the fast-forward scan,
-    /// cleared before it returns).
-    channel_moved: Vec<bool>,
 }
 
 impl TimeAdvance for SkipAhead {
@@ -249,11 +192,7 @@ impl SkipAhead {
         SkipAhead {
             queue,
             stalled: false,
-            span_fail_streak: 0,
-            span_cooldown: 0,
             counters: EngineCounters::default(),
-            cv_moved: Vec::new(),
-            channel_moved: Vec::new(),
         }
     }
 
@@ -263,7 +202,7 @@ impl SkipAhead {
             Some(end) => end,
             None => {
                 let may_fly = fabric.flights_possible();
-                fabric.may_coast = may_fly;
+                fabric.may_coast = true;
                 loop {
                     let target = self.next_cycle_of_interest(fabric);
                     if target > fabric.cycle + 1 && !fabric.coasts.is_empty() {
@@ -282,27 +221,9 @@ impl SkipAhead {
                         continue;
                     }
                     let window = fabric.in_window(target);
-                    let out = self.simulate_cycle(fabric, target, window);
+                    self.simulate_cycle(fabric, target, window);
                     if let Some(end) = fabric.run_end() {
                         break end;
-                    }
-                    // Streaming fast-forward: while nothing structural
-                    // can happen, replay this cycle's move set in bulk.
-                    // A grant or a tail crossing a hop is structural: the
-                    // next cycle's move set differs. Not on closed-loop
-                    // runs: protocol messages are short, and the span
-                    // caps don't model delivery-triggered injections. Not
-                    // beside a coast: the move set holds the explicit
-                    // moves of a message that has just started one.
-                    let streaming = out.moved && out.granted == 0 && !out.tail;
-                    if streaming
-                        && !fabric.is_closed()
-                        && fabric.coasts.is_empty()
-                        && self.try_span(fabric)
-                    {
-                        if let Some(end) = fabric.run_end() {
-                            break end;
-                        }
                     }
                 }
             }
@@ -324,21 +245,14 @@ impl SkipAhead {
     /// Simulate exactly cycle `target` (every cycle strictly between the
     /// current one and `target` is inert by construction — see the module
     /// docs), tagged and measured iff `window`, and update the stall
-    /// detector. `fabric.moves` still holds the cycle's move set
-    /// afterwards, for the fast-forward eligibility scan.
-    fn simulate_cycle(
-        &mut self,
-        fabric: &mut Fabric<'_>,
-        target: u64,
-        window: bool,
-    ) -> CycleOutcome {
+    /// detector.
+    fn simulate_cycle(&mut self, fabric: &mut Fabric<'_>, target: u64, window: bool) {
         self.counters.simulated_cycles += 1;
         let out = fabric.step(target, window, window, self);
         self.stalled = !out.moved && out.granted == 0 && !out.settled;
         if self.stalled {
             self.counters.stall_fixpoints += 1;
         }
-        out
     }
 
     /// The fabric is empty, nothing is held, and the earliest queued
@@ -373,224 +287,6 @@ impl SkipAhead {
         self.counters.flights += arrivals;
         self.counters.flight_cycles += cycles;
         true
-    }
-
-    /// Attempt the streaming fast-forward after a cycle that moved flits,
-    /// granted nothing and saw no tail cross a hop; `true` when a span
-    /// was applied (time moved).
-    ///
-    /// The eligibility scan is the engine's high-load overhead: in a
-    /// congested network it fails almost every cycle (blocked channels
-    /// hit its conservative bails), so repeated failures back off
-    /// exponentially. The cooldown only gates *when* the scan re-runs —
-    /// skipped opportunities fall back to normal per-cycle simulation, so
-    /// results are bit-identical either way.
-    fn try_span(&mut self, fabric: &mut Fabric<'_>) -> bool {
-        if self.span_cooldown > 0 {
-            self.span_cooldown -= 1;
-            return false;
-        }
-        let k = self.streaming_span_len(fabric);
-        if k >= SPAN_PROFIT_MIN {
-            self.span_fail_streak = 0;
-        } else {
-            // A failed scan, or a find too short to pay for the scan:
-            // back off either way.
-            if k == 0 {
-                self.counters.span_scans_failed += 1;
-            }
-            self.span_fail_streak = (self.span_fail_streak + 1).min(SPAN_BACKOFF_CAP);
-            self.span_cooldown = 1 << self.span_fail_streak;
-        }
-        if k > 0 {
-            self.apply_streaming_span(fabric, k);
-        }
-        k > 0
-    }
-
-    /// Did hop `h` of message `m` (with body `msg`) move this cycle?
-    /// O(1): a hop's flits cross exactly its path cv, so the per-cv moved
-    /// bitmap plus the ownership check identifies the pair. Only valid in
-    /// the streaming eligibility scan, where no release or grant has
-    /// disturbed the cycle's ownership (both are disqualifying events).
-    #[inline]
-    fn in_move_set(&self, fabric: &Fabric<'_>, msg: &ActiveMsg, m: MsgId, h: usize) -> bool {
-        let cv = fabric.plan.cv_index(msg.path.hops[h]) as usize;
-        self.cv_moved[cv] && fabric.cvs[cv].owner == Some((m, h as u16))
-    }
-
-    /// How many cycles after the just-simulated one are guaranteed exact
-    /// replays of its move set, with no structural event (grant, header or
-    /// tail threshold, absorb, arrival, deactivation, run boundary or
-    /// watchdog tick)? Returns 0 when the next cycle must be simulated
-    /// normally.
-    ///
-    /// Must only be called when the simulated cycle moved flits, granted
-    /// nothing and saw no tail cross a hop. No tail means no release, no
-    /// absorption and no freed message in that cycle: every mover is live
-    /// and short of its tail threshold, and every listed channel still
-    /// has an owner (the cycle's selection swept the ones released
-    /// before it).
-    fn streaming_span_len(&mut self, fabric: &Fabric<'_>) -> u64 {
-        let c = fabric.cycle;
-        let (warmup, measure_end) = (fabric.cfg.warmup_cycles, fabric.cfg.measure_end());
-
-        // External caps: the span may not contain an arrival, cross the
-        // warmup or measurement boundary (the measuring flag must stay
-        // constant and the run may end at `measure_end`), or pass the
-        // drain deadline.
-        let mut k = self.next_event(fabric).saturating_sub(c + 1);
-        if c < warmup {
-            k = k.min(warmup - c);
-        } else if c < measure_end {
-            k = k.min(measure_end - c);
-        }
-        k = k.min(fabric.cfg.deadline().saturating_sub(c));
-        if k == 0 {
-            return 0;
-        }
-
-        // Mark the cycle's move set for `in_move_set` — lazily, here,
-        // so only scan cycles pay for the bookkeeping and only runs that
-        // scan allocate the bitmaps.
-        if self.cv_moved.is_empty() {
-            self.cv_moved = vec![false; fabric.plan.num_cvs];
-            self.channel_moved = vec![false; fabric.plan.num_channels];
-        }
-        for &(m, h16) in &fabric.moves {
-            let msg = fabric.msgs.get(m, "streaming mover");
-            self.cv_moved[fabric.plan.cv_index(msg.path.hops[h16 as usize]) as usize] = true;
-        }
-
-        // Movers: numeric caps, single-ownership, and channel marking.
-        // On the streaming fast path this loop is the whole scan.
-        let buffer_depth = fabric.cfg.buffer_depth;
-        let mut ok = true;
-        for &(m, h16) in &fabric.moves {
-            let msg = fabric.msgs.get(m, "streaming mover");
-            let h = h16 as usize;
-            let t = msg.traversed[h];
-            debug_assert!(t < msg.len, "a tail crossed hop {h} this cycle");
-            // Sibling vcs on the mover's channel do not disqualify the
-            // span by themselves: after the move the round-robin pointer
-            // sits just past the mover's vc, so the mover is examined
-            // *last* on the next pass and re-chosen iff every sibling is
-            // unelectable — which the held-channel loop below verifies
-            // stays true for the whole span.
-            let pc = msg.path.hops[h].channel.idx();
-            self.channel_moved[pc] = true;
-            // Stop before the tail threshold (`t == len` is a structural
-            // cycle: releases, absorbs, completions).
-            k = k.min((msg.len - 1 - t) as u64);
-            // Supply: upstream counter is frozen unless hop h−1 is also
-            // streaming in this span.
-            if h > 0 && !self.in_move_set(fabric, msg, m, h - 1) {
-                k = k.min((msg.traversed[h - 1] - t) as u64);
-            }
-            // Credit: downstream occupancy grows unless hop h+1 is also
-            // streaming.
-            if h + 1 < msg.path.len() && !self.in_move_set(fabric, msg, m, h + 1) {
-                k = k.min((buffer_depth - msg.occupancy(h)) as u64);
-            }
-            if k == 0 {
-                ok = false;
-                break;
-            }
-        }
-
-        // Held channels: every owned cv that is not this cycle's mover
-        // must stay unelectable for the whole span — on a blocked channel
-        // that is every owned cv, on a moving channel the sibling vcs the
-        // round-robin would otherwise rotate in. Only single-vc streaming
-        // channels skip the walk (the pure-streaming fast path).
-        if ok {
-            'channels: for &pc_u in &fabric.active {
-                let pc = pc_u as usize;
-                let owned = fabric.channels[pc].owned.count_ones();
-                if self.channel_moved[pc] && owned == 1 {
-                    continue;
-                }
-                debug_assert!(owned > 0, "channel {pc} was released this cycle");
-                let base = fabric.plan.cv_base[pc];
-                let nv = fabric.plan.vcs[pc];
-                for vc in 0..nv {
-                    let cv_idx = (base + vc as u32) as usize;
-                    if self.cv_moved[cv_idx] {
-                        // The channel's mover: streaming eligibility is
-                        // the mover loop's job, not a freeze condition.
-                        continue;
-                    }
-                    let Some((m, h)) = fabric.cvs[cv_idx].owner else {
-                        continue;
-                    };
-                    let msg = fabric.msgs.get(m, "cv owner");
-                    let h = h as usize;
-                    if !msg.has_supply(h) {
-                        // Starved: stays starved iff the upstream hop is
-                        // not streaming (h == 0 starvation means the whole
-                        // message already crossed this hop — permanent).
-                        if h > 0 && self.in_move_set(fabric, msg, m, h - 1) {
-                            ok = false;
-                            break 'channels;
-                        }
-                    } else if !msg.has_credit(h, buffer_depth) {
-                        // Credit-blocked: stays blocked iff the downstream
-                        // hop is not draining.
-                        if self.in_move_set(fabric, msg, m, h + 1) {
-                            ok = false;
-                            break 'channels;
-                        }
-                    } else {
-                        // Supply and credit fine yet not selected — only
-                        // possible through round-robin interplay this scan
-                        // does not model; be conservative.
-                        ok = false;
-                        break 'channels;
-                    }
-                }
-            }
-        }
-
-        // Clear the cv and channel marks.
-        for &(m, h16) in &fabric.moves {
-            let hop = fabric.msgs.get(m, "streaming mover").path.hops[h16 as usize];
-            self.cv_moved[fabric.plan.cv_index(hop) as usize] = false;
-            self.channel_moved[hop.channel.idx()] = false;
-        }
-        if ok {
-            k
-        } else {
-            0
-        }
-    }
-
-    /// Apply `k` exact replays of the current move set in one step: every
-    /// moving hop advances `k` flits, time and the watchdog anchor jump to
-    /// the span's end. No grants, releases, deliveries or backlog changes
-    /// occur inside a span by construction, but the counters the ready
-    /// masks summarise do move, so the movers and their neighbours are
-    /// refreshed as after a single move — in a pass of their own, since
-    /// mid-update a hop can read ahead of the hop upstream of it.
-    fn apply_streaming_span(&mut self, fabric: &mut Fabric<'_>, k: u64) {
-        let start = fabric.cycle;
-        let measuring = fabric.in_window(start + 1);
-        let buffer_depth = fabric.cfg.buffer_depth;
-        for &(m, h) in &fabric.moves {
-            let msg = fabric.msgs.get_mut(m, "streaming mover");
-            msg.traversed[h as usize] += k as u32;
-            let channel = msg.path.hops[h as usize].channel.idx();
-            fabric
-                .metrics
-                .record_flit_moves_bulk(start, channel, k, measuring);
-        }
-        for &(m, h) in &fabric.moves {
-            let msg = fabric.msgs.get(m, "streaming mover");
-            refresh_ready_around(&mut fabric.channels, msg, h as usize, buffer_depth);
-        }
-        fabric.cycle += k;
-        fabric.last_move_cycle = fabric.cycle;
-        self.counters.spans_batched += 1;
-        self.counters.span_cycles += k;
     }
 
     /// The next cycle on which anything can happen or the run could newly
@@ -676,8 +372,8 @@ mod tests {
     #[test]
     fn low_load_runs_skip_most_cycles() {
         // The engine's raison d'être: at low load, the vast majority of
-        // cycles are idle gaps, flights or streaming spans and must not
-        // be simulated one by one. This run steps 141 of 18 019 cycles
+        // cycles are idle gaps, flights or coasts and must not be
+        // simulated one by one. This run steps 141 of 18 019 cycles
         // (128×) and flies 131 of its 144 arrivals; one arrival per
         // flight stepped 879 (20.5×, 76 flown), no flights 3 463 (5.2×).
         let topo = Quarc::new(16).unwrap();

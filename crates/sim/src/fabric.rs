@@ -25,9 +25,8 @@
 //!    of a cv owned by message `m` at hop `h` is
 //!    [`ActiveMsg::can_move`], a function of `m`'s
 //!    `traversed[h − 1 ..= h + 1]` alone, so it is re-derived when a
-//!    move changes one of those counters (application, and the event
-//!    engine's bulk span update — both through
-//!    [`refresh_ready_around`] — and a coast's settlement), set when the
+//!    move changes one of those counters (application, through
+//!    [`refresh_ready_around`], and a coast's settlement), set when the
 //!    cv gets its owner (grants) and cleared when it loses it (releases)
 //!    or starts to coast. Nothing else writes a counter or an owner, so
 //!    nothing else can change a verdict.
@@ -49,8 +48,8 @@
 //! the same cycle by construction. One thing besides `step` advances a
 //! fabric: [`Fabric::fly_group`], which applies a group of arrivals the
 //! event engine gathered on an empty fabric ([`Fabric::admit`]) in closed
-//! form — the sum of the cycles `step` would have simulated. On the event
-//! engine's runs `step` itself lets a streaming message body *coast*
+//! form — the sum of the cycles `step` would have simulated. On every
+//! event-engine run `step` itself lets a streaming message body *coast*
 //! beside the stepped traffic and settles its moves in closed form
 //! ([`Fabric::start_coasts`]).
 
@@ -167,7 +166,7 @@ impl ChannelState {
 /// outlined, at a quarter of the application phase's time. `true`: a bit
 /// was set beside a coasting cv ([`ChannelState::set_ready`]).
 #[inline]
-pub(crate) fn refresh_ready_around(
+fn refresh_ready_around(
     channels: &mut [ChannelState],
     msg: &ActiveMsg,
     h: usize,
@@ -195,10 +194,6 @@ pub struct CycleOutcome {
     pub moved: bool,
     /// New cv owners installed by the grant phase.
     pub granted: usize,
-    /// At least one tail crossed a hop: cvs were released, targets
-    /// absorbed or messages completed, so the next cycle's move set
-    /// differs from this one's.
-    pub tail: bool,
     /// A coast was settled: its message is back in selection.
     pub settled: bool,
 }
@@ -289,10 +284,10 @@ pub struct Fabric<'a> {
 
     // --- dynamic state ---
     pub(crate) cycle: u64,
-    pub(crate) cvs: Vec<CvState>,
+    cvs: Vec<CvState>,
     /// Per physical channel: which cvs are owned, which can move, whose
     /// turn it is.
-    pub(crate) channels: Vec<ChannelState>,
+    channels: Vec<ChannelState>,
     /// Physical channels with at least one owned cv (lazily deactivated
     /// by selection; its permutation feeds the order statistics are
     /// recorded in).
@@ -316,10 +311,8 @@ pub struct Fabric<'a> {
     pub(crate) last_move_cycle: u64,
 
     // --- scratch (reused across cycles) ---
-    /// The last simulated cycle's move set, in selection order; kept
-    /// until the next selection for the event engine's span scan (which
-    /// runs right after that cycle).
-    pub(crate) moves: Vec<(MsgId, u16)>,
+    /// The cycle's move set, in selection order.
+    moves: Vec<(MsgId, u16)>,
     regrant: Vec<u32>,
 
     // --- flights (the event engine's; see `Fabric::admit`) ---
@@ -331,8 +324,8 @@ pub struct Fabric<'a> {
     group: Group,
 
     // --- coasts (the event engine's; see `Fabric::start_coasts`) ---
-    /// May a message coast? Set for the span of an event-engine run on
-    /// which flights are possible.
+    /// May a message coast? Set for the length of every event-engine
+    /// run; the oracle and scripted steps never coast.
     pub(crate) may_coast: bool,
     /// The messages coasting, in no order.
     pub(crate) coasts: Vec<Coast>,
@@ -595,11 +588,10 @@ impl<'a> Fabric<'a> {
     }
 
     /// Phase 3: apply the selected moves; handle requests, releases,
-    /// absorptions and completions. Returns whether any tail crossed a
-    /// hop.
-    fn apply_moves(&mut self, measuring: bool) -> bool {
+    /// absorptions and completions.
+    fn apply_moves(&mut self, measuring: bool) {
         let now = self.cycle;
-        let (mut tail, mut beside_coast) = (false, false);
+        let mut beside_coast = false;
         let closed = self.closed.is_some();
         let buffer_depth = self.cfg.buffer_depth;
         // Taken so the loop body may borrow `self` whole; restored below
@@ -637,7 +629,6 @@ impl<'a> Fabric<'a> {
             if !tail_passed {
                 continue;
             }
-            tail = true;
 
             // --- tail traversed hop h: it left buffer(h-1) ---
             if let Some(prev) = prev_hop {
@@ -712,7 +703,6 @@ impl<'a> Fabric<'a> {
         }
         self.moves = moves;
         self.coast_disturbed |= beside_coast;
-        tail
     }
 
     /// Phase 4: grant free channels to FIFO-first waiters; returns how
@@ -769,11 +759,12 @@ impl<'a> Fabric<'a> {
         self.generate(tagging, due);
         self.select_moves();
         let moved = !self.moves.is_empty();
-        if !moved && !self.active.is_empty() {
-            // Traffic holds channels but nothing can move this cycle.
+        if !moved && self.coasts.is_empty() && !self.active.is_empty() {
+            // Traffic holds channels but nothing can move this cycle (a
+            // coast moves a flit on every hop of its own).
             self.metrics.trace(TraceEventKind::Stall, cycle, 0);
         }
-        let tail = self.apply_moves(measuring);
+        self.apply_moves(measuring);
         self.closed_deliver(due);
         let granted = self.grant();
         let coasting = !self.coasts.is_empty();
@@ -790,7 +781,6 @@ impl<'a> Fabric<'a> {
         CycleOutcome {
             moved,
             granted,
-            tail,
             settled,
         }
     }
@@ -1124,7 +1114,8 @@ impl<'a> Fabric<'a> {
     /// until its tail is due to cross hop 0 (`traversed[0] = L`), the
     /// first step that releases, absorbs or delivers. The window stops a
     /// cycle short of that, and short of a warmup, measurement or
-    /// deadline boundary, as a span does.
+    /// deadline boundary, so that its moves share one `measuring` verdict
+    /// and every end-of-run check falls on a stepped cycle.
     fn coast_window(&self, msg: &ActiveMsg) -> Option<u64> {
         debug_assert_eq!(msg.head as usize, msg.path.len());
         let c = self.cycle;

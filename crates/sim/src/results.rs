@@ -93,16 +93,14 @@ pub struct EngineCounters {
     pub simulated_cycles: u64,
     /// Arrival events popped off the event queue (event engine only).
     pub events_popped: u64,
-    /// Streaming spans applied in bulk (event engine only).
+    /// Always 0: streaming bodies coast instead. Read by the benchmark's
+    /// `span_hit_frac`.
     pub spans_batched: u64,
-    /// Cycles fast-forwarded inside those spans (event engine only).
-    pub span_cycles: u64,
     /// Cycles proven to be stalled fixpoints and skipped from (event
     /// engine only).
     pub stall_fixpoints: u64,
-    /// Streaming-span eligibility scans that found no batchable span —
-    /// pure overhead, the hot-load pathology this counter exists to
-    /// watch (event engine only).
+    /// Always 0: streaming bodies coast instead. Read by the benchmark's
+    /// `span_hit_frac`.
     pub span_scans_failed: u64,
     /// Arrivals whose whole transit was applied in closed form, one
     /// unicast or one multicast operation each (event engine only).
@@ -206,8 +204,9 @@ pub struct SimResults {
     /// Captured event trace; `None` unless tracing was enabled. Like
     /// [`EngineCounters`], the trace describes engine *mechanics*: the
     /// two engines legitimately record different event interleavings
-    /// inside a cycle (and the event engine elides events in skipped
-    /// spans), so the equivalence suite excludes this field.
+    /// inside a cycle (and the event engine records a stall fixpoint's
+    /// `Stall` once, not on every cycle it jumps over), so the
+    /// equivalence suite excludes this field.
     pub trace: Option<TraceLog>,
     /// Closed-loop protocol statistics; `None` on open-loop runs.
     pub closed_loop: Option<ClosedLoopResults>,

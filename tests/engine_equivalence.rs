@@ -279,9 +279,8 @@ fn saturating_runs_break_identically() {
 #[test]
 fn mesh_saturated_load_breaks_identically() {
     // Saturated mesh: the calendar queue sees dense same-cycle arrival
-    // bursts and the span-scan backoff is maximally engaged; the early
-    // backlog break must still land on the same cycle with identical
-    // statistics.
+    // bursts and bodies coast beside blocked traffic; the early backlog
+    // break must still land on the same cycle with identical statistics.
     let topo = Mesh::new(4, 4, MeshKind::Mesh).unwrap();
     let sets = DestinationSets::random(&topo, 4, 41);
     let wl = Workload::new(64, 0.8, 0.5, sets).unwrap();
@@ -354,8 +353,11 @@ fn both_closed(
 
 fn assert_closed_identical(cycle: &SimResults, event: &SimResults, ctx: &str) {
     assert_runs_identical(cycle, event, ctx);
-    // A delivery can inject the next message: closed loops are stepped.
+    // A delivery can inject the next message: closed loops are stepped,
+    // but a landed body coasts between deliveries. Quarc coherence
+    // settles 18 644 of its 95 776 flit moves so, mesh 11 536 of 98 984.
     assert_eq!(event.engine.flights, 0, "{ctx}: closed loops never fly");
+    assert!(event.engine.coasts > 0, "{ctx}: nothing coasted");
     let c = cycle.closed_loop.as_ref().expect("cycle closed-loop stats");
     let e = event.closed_loop.as_ref().expect("event closed-loop stats");
     assert_eq!(c.requests_issued, e.requests_issued, "{ctx}: issued");
@@ -445,7 +447,8 @@ fn closed_loop_seeds_decorrelate_but_replay() {
 // ---------------------------------------------------------------------
 
 /// A flight records no trace event, so a run with telemetry installed
-/// declines them all: the event side here is idle jumps and spans only.
+/// declines them all: the event side here is idle jumps and coasts. A
+/// cycle on which only a coast moves traces no `Stall`, as on the oracle.
 #[test]
 fn telemetry_on_both_engines_stays_bit_identical() {
     use quarc_noc::sim::TelemetrySpec;
@@ -458,6 +461,7 @@ fn telemetry_on_both_engines_stays_bit_identical() {
         let ctx = format!("quarc telemetry-on rate {rate}");
         assert_runs_identical(&cycle, &event, &ctx);
         assert_eq!(event.engine.flights, 0, "{ctx}: telemetry declines flights");
+        assert!(event.engine.coasts > 0, "{ctx}: nothing coasted");
         let cu = cycle.util.as_ref().expect("cycle util captured");
         assert!(cu.num_windows() > 0, "{ctx}: windows recorded");
         // Same flit movement → same trace *population*, even though the
