@@ -317,7 +317,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 ///    of a cached entry has a default any more.
 /// 5: `EngineCounters::{coasts, coast_moves}` added.
 /// 6: the streaming-span cycle count left `EngineCounters`.
-const CACHE_SCHEMA: u32 = 6;
+/// 7: same-cycle moves apply in ascending channel order.
+const CACHE_SCHEMA: u32 = 7;
 
 /// The scenario's share of a cache key: its canonical JSON with the
 /// display name cleared, so renaming an experiment never invalidates

@@ -142,17 +142,21 @@ pub enum AuditError {
         /// Its vc count.
         vcs: u8,
     },
-    /// A channel owns cvs but is not on the active list.
+    /// A channel owns a cv that does not coast, but selection would not
+    /// visit it.
     OwnedButInactive {
         /// The physical channel.
         channel: usize,
     },
-    /// The active list is not the set of channels flagged active.
-    ActiveListMismatch {
-        /// Channels listed.
-        listed: usize,
-        /// Channels flagged.
-        flagged: usize,
+    /// The channel set selection walks is inconsistent: its count, its
+    /// member bits and the members its summary words lead to disagree.
+    ActiveSetMismatch {
+        /// The count kept.
+        counted: usize,
+        /// The member bits set.
+        members: usize,
+        /// The members a walk reaches through the summary.
+        summarised: usize,
     },
     /// A message's head cursor says it holds a hop it does not own.
     HeadNotHeld {
@@ -276,11 +280,16 @@ impl fmt::Display for AuditError {
                 "channel {channel}: round-robin pointer {rr} past its {vcs} vcs"
             ),
             AuditError::OwnedButInactive { channel } => {
-                write!(f, "channel {channel}: owns cvs but is not active")
+                write!(f, "channel {channel}: owns cvs but is not in the active set")
             }
-            AuditError::ActiveListMismatch { listed, flagged } => write!(
+            AuditError::ActiveSetMismatch {
+                counted,
+                members,
+                summarised,
+            } => write!(
                 f,
-                "the active list ({listed} channels) and the {flagged} active bits disagree"
+                "the active set counts {counted} channels, holds {members} and \
+                 leads a walk to {summarised}"
             ),
             AuditError::HeadNotHeld { msg, head } => write!(
                 f,

@@ -17,8 +17,8 @@
 //! Three situations guarantee that, and a fourth lets a message sit out
 //! the cycles that are simulated:
 //!
-//! * **Idle** — no cv is owned (`active` is empty). Then no flit can
-//!   move, no waiter exists (a waiter on a free cv would have been
+//! * **Idle** — no cv is owned (`Fabric::holds` is false). Then no flit
+//!   can move, no waiter exists (a waiter on a free cv would have been
 //!   granted when it enqueued), and only a new arrival changes anything.
 //! * **Stalled** — the last simulated cycle selected no moves and granted
 //!   no new owners. Selection judges supply/capacity purely on the flit
@@ -40,22 +40,26 @@
 //!   own cycles like any other. Telemetry, closed loops and single-flit
 //!   buffers decline them all.
 //! * **Coasting** — a message whose header has crossed its last hop, and
-//!   each of whose hops is the one ready cv of its physical channel with
-//!   no other coast there, moves a flit across every hop on every cycle
-//!   until something beside it changes: each hop is picked alone, every
-//!   counter grows by one, and every supply and credit verdict — a
-//!   difference of neighbouring counters — reads as before. It leaves
-//!   selection and application (ready bits clear, coast bits set), keeps
-//!   its cvs and its channels' places on the active list, and is
-//!   *settled* in one step: on the last cycle of its window (a cycle
-//!   short of its tail crossing hop 0, and of the next warmup,
-//!   measurement or deadline boundary), at the end of any cycle in which
-//!   a grant or a refresh made another cv on one of its channels ready,
-//!   or when the run ends (`Fabric::start_coasts`, `Fabric::settle`). A
-//!   landed message is checked at the end of every cycle until it coasts
-//!   or its tail nears hop 0, settled ones again. Every event-engine run
-//!   coasts, telemetry and closed loops included; the oracle and the
-//!   scripted `step_one` never do.
+//!   each of whose hops its tail has not crossed is the one ready cv of
+//!   its physical channel with no other coast there, moves a flit across
+//!   each such hop on every cycle until something beside it changes: each
+//!   is picked alone, every counter grows by one, and every supply and
+//!   credit verdict — a difference of neighbouring counters — reads as
+//!   before; a hop stops when its tail crosses it, and the hop behind is
+//!   released on that cycle. It leaves selection and application (ready
+//!   bits clear, coast bits set, its channels off the set selection
+//!   walks), keeps its cvs, and is *settled* in one step: on the last
+//!   cycle of its window (a cycle short of its first absorption or
+//!   delivery, of a release a header waits for, of any release when a
+//!   trace is recorded, and of the next warmup, measurement or deadline
+//!   boundary), at the end of any cycle in which a grant or a refresh
+//!   made another cv on one of its channels ready, when a header requests
+//!   one of its cvs, or when the run ends (`Fabric::start_coasts`,
+//!   `Fabric::settle`). A landed message is checked at the end of every
+//!   cycle until it coasts or its tail nears its last hop, settled ones
+//!   again. Every event-engine run coasts, telemetry and closed loops
+//!   included, from the messages that landed in scripted steps before it
+//!   on; the oracle and the scripted `step_one` never do.
 //!
 //! Idle and stalled cycles are *inert*: the engine advances straight to
 //! the earliest of the next scheduled arrival or protocol timer (from the
@@ -78,46 +82,57 @@
 //! * every channel's round-robin pointer sits just past the vc of its
 //!   last user's hop, where the last of its `L` picks left it;
 //! * the deliveries in end-cycle order: a latency per unicast and per
-//!   operation at its last absorption. Each population is its own
-//!   accumulator, and two samples of one population on one cycle are
-//!   equal (else the group is declined), so their order is free;
+//!   operation at its last absorption, same-cycle samples of one
+//!   population in the channel order their delivering moves apply in;
 //! * generated, absorbed, injected and delivered counts; the peak backlog
 //!   (a cycle's messages wait beside the previous cycle's);
 //! * `cycle` and the watchdog's last-move anchor stand at the group's
-//!   end, and the active list is empty: the oracle's still names the
+//!   end, and the channel set is empty: the oracle's still names the
 //!   released channels, which its next selection sweeps before anything
 //!   reads them.
 //!
 //! A coast's window holds no event whose order can show: no request (its
-//! header has landed), no release, absorption, delivery or free (its tail
-//! has not moved), and no grant on its cvs (it owns them). Settled on
-//! cycle `now` after coasting from `from`, it writes what the oracle's
-//! steps over `from + 1 ..= now` wrote:
+//! header has landed), no absorption, delivery or free (the window ends
+//! before the first), no grant on its cvs (it owns them, and a release a
+//! header waits for ends the window), and releases nobody is queued for.
+//! Settled through cycle `now` after coasting from `from`, it writes what
+//! the oracle's steps over `from + 1 ..= now` wrote:
 //!
-//! * every hop's `traversed` grows by `now − from`, all of them before any
-//!   ready bit is re-derived: the counters after as many uniform moves;
-//! * `flit_moves` and the per-channel traversal counts grow by as much
-//!   per hop, under the one `measuring` verdict the window shares —
-//!   integer sums, so their order among other messages' moves is free;
+//! * hop `h`'s `traversed` becomes `min(L, t + now − from)`, all of them
+//!   before any ready bit is re-derived: the counters after as many
+//!   moves of a stream whose successive hops stop as its tail crosses;
+//! * `flit_moves` and the per-channel traversal counts grow by each hop's
+//!   moves, under the one `measuring` verdict the window shares — integer
+//!   sums, so their order among other messages' moves is free;
 //! * each of its channels' round-robin pointers sits just past its vc,
 //!   where each lone pick left it (nothing reads the pointer meanwhile:
 //!   no other cv there is ready);
-//! * its ready bits, re-derived from the counters, and its coast bits
-//!   cleared: the masks the oracle's apply phase left;
+//! * each hop behind one its tail crossed is released — owner, masks and
+//!   coast bit cleared, the cv handed to the grant phase, which finds no
+//!   waiter — and every other hop's ready bit is re-derived and its
+//!   channel put back in the set;
 //! * the watchdog's anchor: a stepped cycle with a coast is progress, and
 //!   a jump over cycles sets it to the cycle before the target, the last
 //!   the coast moved on.
 //!
+//! A header's request for one of its cvs settles the coast first, since
+//! the release it waits for may lie inside the window: through the
+//! previous cycle when the request comes from generation, so the message
+//! steps the current one; through the current cycle when it comes after
+//! selection (application, a closed-loop reply), which under the order
+//! rule nothing later in the cycle can tell from stepped moves — the
+//! window holds no absorption or delivery.
+//!
 //! A coast touches only its own counters and bits, so a cycle with no
 //! explicit move, grant or settlement is still a stall fixpoint for the
 //! rest of the fabric; its jump stops at the earliest window end. The
-//! active list is the oracle's, since a coasting channel stays owned and
-//! listed, so the order other messages' statistics are recorded in is
-//! too.
+//! order other messages' statistics are recorded in is the channel order
+//! of their own moves, which a coast does not take part in.
 //!
 //! What a coast leaves out is also what telemetry and closed loops read
-//! per event, not per flit: its window holds no grant, release,
-//! absorption or delivery to trace or to hand a protocol machine, and the
+//! per event, not per flit: its window holds no grant, absorption or
+//! delivery to trace or to hand a protocol machine, no release while a
+//! trace is recorded (a trace keeps events in emission order), and the
 //! utilization series takes its moves as one range per hop. One tap reads
 //! a cycle's moves: a stepped cycle traces `Stall` when channels are held
 //! and nothing moves, and a coast moves, so the tap also asks that nothing
@@ -126,21 +141,24 @@
 //! Together the mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
 //! releases under contention, one closed form per group without, and one
-//! per streaming body beside contention. That
+//! per streaming or draining body beside contention. That
 //! is the lever the Fig. 6/7 sweeps need at low load
 //! (`sim.cycle.event_over_cycle.low` on the benchmark ledger: 0.0096, from
 //! 0.12 before flights), with the cycle engine retained as the oracle.
 //!
-//! *What coasting is worth* (benchmark workloads, alternating 10 s pairs
-//! on one 2-vCPU x86-64 host, digests and exact counts identical):
-//! `fig6-sweep` `wall_s` −26 % at `--seed 42` and −32 % at `--seed 7`
-//! (10/10 pairs each), `cache-io` −28 % (5/5); `sat-kernel`,
-//! `lowload-skip` and `scale-64k` within their spread. Coasts settle
-//! 57 % of `fig6-sweep`'s flit moves, 39 % of `cache-io`'s, 24 % of
-//! `sat-kernel`'s and 0.7 % of `lowload-skip`'s (flights carry it); none
-//! at `scale-64k`, whose 8-flit messages land with too little body left.
-//! Traced `fig6-sweep` passes read `sim.engine.ns_per_move.knee` 40.3
-//! → 27.2 ns and `share.engine_run` 0.879 → 0.834 (medians of three).
+//! *What coasting is worth* (benchmark workloads, `--seed 42`,
+//! alternating 4 s pairs on one 2-vCPU x86-64 host, equal-length
+//! checkouts). Bodies that stream coast: `fig6-sweep` `wall_s` −26 % and
+//! `cache-io` −28 %. Drains that coast too, with the channel-ordered set
+//! and coasting channels off it: `fig6-sweep` 0.338 → 0.261 s (10/10
+//! pairs; −19 % at `--seed 7`, 9/10), `cache-io` −18 % (6/6),
+//! `scale-64k` −22 % (7/10); `sat-kernel`, `lowload-skip` and
+//! `model-only` within their spread. Coasts then settle 69 % of
+//! `fig6-sweep`'s flit moves, 47 % of `cache-io`'s, 34 % of
+//! `sat-kernel`'s, 2 % of `lowload-skip`'s (flights carry it) and 42 % of
+//! `scale-64k`'s, whose 8-flit messages drain alone. Traced `fig6-sweep`
+//! passes read `sim.engine.ns_per_move.knee` 30.5 → 22.2 ns and
+//! `share.engine_run` 0.831 → 0.771 (medians of three).
 
 use crate::fabric::{Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW};
 use crate::results::{EngineCounters, SimResults};
@@ -202,7 +220,7 @@ impl SkipAhead {
             Some(end) => end,
             None => {
                 let may_fly = fabric.flights_possible();
-                fabric.may_coast = true;
+                fabric.begin_coasting();
                 loop {
                     let target = self.next_cycle_of_interest(fabric);
                     if target > fabric.cycle + 1 && !fabric.coasts.is_empty() {
@@ -295,7 +313,7 @@ impl SkipAhead {
     /// event.
     fn next_cycle_of_interest(&self, fabric: &Fabric<'_>) -> u64 {
         let next = fabric.cycle + 1;
-        let held = !fabric.active.is_empty();
+        let held = fabric.holds();
         if held && !self.stalled {
             return next;
         }

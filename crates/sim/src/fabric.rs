@@ -15,29 +15,34 @@
 //!    multicast operation (one stream per active injection port), or, on
 //!    closed-loop runs, its protocol timer times out. New messages join
 //!    the injection channel's waiter queue in creation-time order.
-//! 2. **Selection** — each active physical channel picks at most one of
-//!    its cvs (round-robin) whose owner can move a flit, judged against
-//!    the *previous* cycle's counters (one-cycle credit loop). Selection
-//!    asks no message: it reads the channel's `ready` mask, takes the
-//!    first set bit at or after the round-robin pointer, and touches a
-//!    cv only to copy the chosen owner into the move list. The mask is
-//!    kept current by the phases that change what it summarises. The bit
-//!    of a cv owned by message `m` at hop `h` is
-//!    [`ActiveMsg::can_move`], a function of `m`'s
-//!    `traversed[h − 1 ..= h + 1]` alone, so it is re-derived when a
+//! 2. **Selection** — walking the channels that hold a cv in ascending
+//!    channel order ([`ChannelSet`]), each picks at most one of its cvs
+//!    (round-robin) whose owner can move a flit, judged against the
+//!    *previous* cycle's counters (one-cycle credit loop). Selection asks
+//!    no message: it reads the channel's `ready` mask, takes the first set
+//!    bit at or after the round-robin pointer, and touches a cv only to
+//!    copy the chosen owner into the move list. The mask is kept current
+//!    by the phases that change what it summarises. The bit of a cv owned
+//!    by message `m` at hop `h` is [`ActiveMsg::can_move`], a function of
+//!    `m`'s `traversed[h − 1 ..= h + 1]` alone, so it is re-derived when a
 //!    move changes one of those counters (application, through
 //!    [`refresh_ready_around`], and a coast's settlement), set when the
 //!    cv gets its owner (grants) and cleared when it loses it (releases)
 //!    or starts to coast. Nothing else writes a counter or an owner, so
 //!    nothing else can change a verdict.
-//! 3. **Application** — chosen flits traverse, in selection order (the
-//!    order statistics accumulate in); headers entering a buffer request
-//!    the next channel; tails leaving a buffer release channels and
-//!    trigger absorptions (clone-to-sink at multicast targets, completion
-//!    at ejection). Closed-loop deliveries dispatch here, so the
-//!    machines' replies enqueue in the cycle the absorption landed.
+//! 3. **Application** — chosen flits traverse; headers entering a buffer
+//!    request the next channel; tails leaving a buffer release channels
+//!    and trigger absorptions (clone-to-sink at multicast targets,
+//!    completion at ejection). Closed-loop deliveries dispatch here, so
+//!    the machines' replies enqueue in the cycle the absorption landed.
 //! 4. **Grants** — released or newly requested free cvs are granted to
 //!    the FIFO head of their waiter queues.
+//!
+//! **The order rule: same-cycle moves apply in ascending channel order.**
+//! It decides which of two headers reaching one cv on one cycle queues
+//! first, and the order same-cycle samples of one latency population are
+//! recorded in. It is a function of the cycle's moves alone, not of how
+//! the fabric got there, so a closed form reproduces it by sorting.
 //!
 //! The kernel never decides *when* a cycle is simulated. That is the
 //! [`TimeAdvance`] policy of the engine around it: the oracle
@@ -49,15 +54,18 @@
 //! fabric: [`Fabric::fly_group`], which applies a group of arrivals the
 //! event engine gathered on an empty fabric ([`Fabric::admit`]) in closed
 //! form — the sum of the cycles `step` would have simulated. On every
-//! event-engine run `step` itself lets a streaming message body *coast*
-//! beside the stepped traffic and settles its moves in closed form
-//! ([`Fabric::start_coasts`]).
+//! event-engine run `step` itself lets a message whose header has landed
+//! *coast* beside the stepped traffic — streaming, then draining through
+//! the releases behind its tail, up to the cycle before its first
+//! absorption or delivery — and settles its moves in closed form
+//! ([`Fabric::start_coasts`], [`Fabric::settle`]). A coasting message's
+//! channels leave the set selection walks until it is settled.
 
 use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
 use crate::config::SimConfig;
 use crate::engine_api::{AuditError, EngineAudit};
-use crate::message::{ActiveMsg, Coast, CvState, MsgId, MulticastOp, OpId, NO_MSG};
+use crate::message::{ActiveMsg, Coast, CvState, MsgId, MulticastOp, OpId, NO_COAST, NO_MSG};
 use crate::metrics::Metrics;
 use crate::plan::{PreStream, SimPlan};
 use crate::results::{EngineCounters, SimResults};
@@ -86,32 +94,27 @@ pub(crate) struct ChannelState {
     /// Owned cvs whose owner can move a flit ([`ActiveMsg::can_move`] on
     /// the counters as they stand). A coasting cv's bit is clear.
     ready: u8,
-    /// Owned cvs whose owner coasts ([`Coast`]): it moves a flit every
-    /// cycle, unseen by selection. At most one per channel, and never
-    /// beside a ready one past the end of a cycle.
+    /// Owned cvs whose owner coasts ([`Coast`]) across this channel: it
+    /// moves a flit every cycle until its tail crosses, unseen by
+    /// selection. At most one per channel, and never beside a ready one
+    /// past the end of a cycle.
     coast: u8,
-    /// The round-robin pointer (the vc selection considers first) in the
-    /// low three bits, and whether the channel is on the fabric's
-    /// `active` list in [`ChannelState::ACTIVE`].
-    rr_active: u8,
+    /// The round-robin pointer: the vc selection considers first.
+    rr: u8,
 }
 
 impl ChannelState {
-    /// The on-active-list bit of `rr_active`.
-    const ACTIVE: u8 = 0x80;
-
     /// The round-robin pointer.
     #[inline]
     pub(crate) fn rr(self) -> u8 {
-        self.rr_active & 7
+        self.rr
     }
 
     /// Point the round robin just past `vc`, of `nv`: where a pick of
     /// `vc` leaves it.
     #[inline]
     fn pass(&mut self, vc: u8, nv: u8) {
-        let rr = if vc + 1 == nv { 0 } else { vc + 1 };
-        self.rr_active = self.rr_active & Self::ACTIVE | rr;
+        self.rr = if vc + 1 == nv { 0 } else { vc + 1 };
     }
 
     /// The `(owned, ready)` masks [`Fabric::reference_masks`] derives: a
@@ -120,16 +123,11 @@ impl ChannelState {
         (self.owned, self.ready | self.coast)
     }
 
-    /// Is the channel on the fabric's `active` list?
+    /// Does selection have to visit the channel: has it an owned cv that
+    /// does not coast?
     #[inline]
-    fn active(self) -> bool {
-        self.rr_active & Self::ACTIVE != 0
-    }
-
-    /// Flag the channel on or off the `active` list.
-    #[inline]
-    fn set_active(&mut self, active: bool) {
-        self.rr_active = self.rr_active & !Self::ACTIVE | u8::from(active) << 7;
+    fn selectable(self) -> bool {
+        self.owned & !self.coast != 0
     }
 
     /// The first ready vc at or after the round-robin pointer, wrapping:
@@ -141,7 +139,7 @@ impl ChannelState {
         if self.ready == 0 {
             return None;
         }
-        let rr = self.rr();
+        let rr = self.rr;
         let twice = u32::from(self.ready) | u32::from(self.ready) << 8;
         Some((rr + (twice >> rr).trailing_zeros() as u8) & 7)
     }
@@ -156,6 +154,75 @@ impl ChannelState {
     }
 }
 
+/// The channels selection visits: a bitset over physical channels, walked
+/// in ascending channel order, with a summary word per 64 words so a walk
+/// skips empty stretches of a large network a word at a time. A grant
+/// inserts its channel; selection removes a channel it finds with no
+/// owned cv that does not coast ([`ChannelState::selectable`]), and a
+/// coast's settlement inserts the channels it still holds.
+#[derive(Debug, Default)]
+pub(crate) struct ChannelSet {
+    words: Vec<u64>,
+    /// Bit `i` of `summary[j]`: `words[64 j + i]` is not zero.
+    summary: Vec<u64>,
+    /// Channels in the set.
+    len: usize,
+}
+
+impl ChannelSet {
+    fn new(channels: usize) -> Self {
+        let words = channels.div_ceil(64);
+        ChannelSet {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, pc: usize) {
+        let (w, bit) = (pc / 64, 1u64 << (pc % 64));
+        if self.words[w] & bit == 0 {
+            self.words[w] |= bit;
+            self.summary[w / 64] |= 1 << (w % 64);
+            self.len += 1;
+        }
+    }
+
+    fn contains(&self, pc: usize) -> bool {
+        self.words[pc / 64] & 1 << (pc % 64) != 0
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Empty the set, touching only the words that hold members.
+    fn clear(&mut self) {
+        for (j, summary) in self.summary.iter_mut().enumerate() {
+            let mut nonzero = std::mem::take(summary);
+            while nonzero != 0 {
+                self.words[j * 64 + nonzero.trailing_zeros() as usize] = 0;
+                nonzero &= nonzero - 1;
+            }
+        }
+        self.len = 0;
+    }
+
+    /// `(len, members, summarised)`: the count kept, the members the
+    /// words hold, and those the summary leads a walk to. All three equal
+    /// in a sound set.
+    fn counts(&self) -> (usize, usize, usize) {
+        let members = self.words.iter().map(|w| w.count_ones() as usize).sum();
+        let summarised = (0..self.words.len())
+            .filter(|&w| self.summary[w / 64] & 1 << (w % 64) != 0)
+            .map(|w| self.words[w].count_ones() as usize)
+            .sum();
+        (self.len, members, summarised)
+    }
+}
+
 /// `msg.traversed[h]` just grew: re-derive the ready bits it feeds — hop
 /// `h` itself, hop `h − 1` (credit) unless the tail has now crossed `h`
 /// and `h − 1` is being released, and hop `h + 1` (supply) once granted.
@@ -163,27 +230,44 @@ impl ChannelState {
 /// `h + 2`, which cannot precede the flit that just crossed `h`. All three
 /// verdicts are read before any is written, so the counters are loaded
 /// once, and the three writes are spelled out: behind a closure they were
-/// outlined, at a quarter of the application phase's time. `true`: a bit
-/// was set beside a coasting cv ([`ChannelState::set_ready`]).
+/// outlined, at a quarter of the application phase's time. A channel on
+/// which a bit was set beside a coasting cv ([`ChannelState::set_ready`])
+/// is pushed onto `disturbed`.
 #[inline]
 fn refresh_ready_around(
     channels: &mut [ChannelState],
+    disturbed: &mut Vec<u32>,
     msg: &ActiveMsg,
     h: usize,
     buffer_depth: u32,
-) -> bool {
+) {
     let hops = &msg.path.hops[..];
     let here = msg.can_move(h, buffer_depth);
     let prev = (h > 0 && msg.traversed[h] < msg.len).then(|| msg.can_move(h - 1, buffer_depth));
     let next = (h + 1 < msg.head as usize).then(|| msg.can_move(h + 1, buffer_depth));
-    let mut beside_coast = channels[hops[h].channel.idx()].set_ready(hops[h].vc.0, here);
+    let pc = hops[h].channel.idx();
+    if channels[pc].set_ready(hops[h].vc.0, here) {
+        disturbed.push(pc as u32);
+    }
     if let Some(ready) = prev {
-        beside_coast |= channels[hops[h - 1].channel.idx()].set_ready(hops[h - 1].vc.0, ready);
+        let pc = hops[h - 1].channel.idx();
+        if channels[pc].set_ready(hops[h - 1].vc.0, ready) {
+            disturbed.push(pc as u32);
+        }
     }
     if let Some(ready) = next {
-        beside_coast |= channels[hops[h + 1].channel.idx()].set_ready(hops[h + 1].vc.0, ready);
+        let pc = hops[h + 1].channel.idx();
+        if channels[pc].set_ready(hops[h + 1].vc.0, ready) {
+            disturbed.push(pc as u32);
+        }
     }
-    beside_coast
+}
+
+/// May `msg`, whose header has crossed its last hop, coast now or later?
+/// Not once its tail is within two cycles of its last hop: no window
+/// could last two cycles.
+fn may_yet_coast(msg: &ActiveMsg) -> bool {
+    msg.traversed[msg.path.len() - 1] + 3 <= msg.len
 }
 
 /// What one simulated cycle did — all a time-advance policy may know
@@ -235,8 +319,9 @@ struct Group {
     /// Per physical channel: the last move of the latest window admitted
     /// on it, by this group or an earlier one. Sized by the first group.
     last_move: Vec<u64>,
-    /// Tagged deliveries, `(cycle, population, generation, source)`.
-    deliveries: Vec<(u64, Sample, u64, NodeId)>,
+    /// Tagged deliveries, `(cycle, population, channel, generation,
+    /// source)`; the channel is the delivering move's.
+    deliveries: Vec<(u64, Sample, u32, u64, NodeId)>,
 }
 
 /// One arrival of a group.
@@ -288,10 +373,10 @@ pub struct Fabric<'a> {
     /// Per physical channel: which cvs are owned, which can move, whose
     /// turn it is.
     channels: Vec<ChannelState>,
-    /// Physical channels with at least one owned cv (lazily deactivated
-    /// by selection; its permutation feeds the order statistics are
-    /// recorded in).
-    pub(crate) active: Vec<u32>,
+    /// The channels selection visits, in ascending order: every one with
+    /// an owned cv that does not coast, and some whose last such cv went
+    /// since selection last looked.
+    active: ChannelSet,
     /// Live messages in a dense generation-tagged slab: ids stay `u32`,
     /// stale ids panic with the violated invariant by name.
     pub(crate) msgs: Arena<ActiveMsg>,
@@ -327,13 +412,20 @@ pub struct Fabric<'a> {
     /// May a message coast? Set for the length of every event-engine
     /// run; the oracle and scripted steps never coast.
     pub(crate) may_coast: bool,
-    /// The messages coasting, in no order.
+    /// The messages coasting, in no order; each knows its index
+    /// ([`ActiveMsg::coast`]).
     pub(crate) coasts: Vec<Coast>,
     /// Messages whose header has crossed their last hop, that do not
     /// coast and may yet: checked at the end of every cycle.
     landed: Vec<MsgId>,
-    /// A ready bit was set beside a coasting cv this cycle.
-    coast_disturbed: bool,
+    /// Channels on which a ready bit was set beside a coasting cv this
+    /// cycle: their coasts are settled at its end.
+    disturbed: Vec<u32>,
+    /// The last cycle whose moves a coast settled now writes: the previous
+    /// one until selection has run, the current one after.
+    settle_through: u64,
+    /// A coast was settled this cycle.
+    settled: bool,
     /// Coasts started, and the flit moves they settled.
     coast_counts: (u64, u64),
 
@@ -363,7 +455,7 @@ impl<'a> Fabric<'a> {
             cycle: 0,
             cvs: vec![CvState::FREE; plan.num_cvs],
             channels: vec![ChannelState::default(); channels],
-            active: Vec::with_capacity(channels),
+            active: ChannelSet::new(channels),
             msgs: Arena::with_capacity(plan.spawn_wave_hint()),
             ops: Arena::with_capacity(plan.num_nodes()),
             ops_allocated: 0,
@@ -380,7 +472,9 @@ impl<'a> Fabric<'a> {
             may_coast: false,
             coasts: Vec::new(),
             landed: Vec::new(),
-            coast_disturbed: false,
+            disturbed: Vec::new(),
+            settle_through: 0,
+            settled: false,
             coast_counts: (0, 0),
             closed: None,
             arrived: Vec::new(),
@@ -419,8 +513,21 @@ impl<'a> Fabric<'a> {
     // ------------------------------------------------------------------
 
     /// Append header `id` to the waiter list of `cv` (the cv of hop
-    /// `head` of its path) and have the grant phase look at it.
+    /// `head` of its path) and have the grant phase look at it. A coast of
+    /// the cv's owner is settled first ([`Fabric::settle_through`]): its
+    /// window may hold the release the waiter is granted on, and was not
+    /// cut short of it.
     fn request(&mut self, cv: u32, id: MsgId) {
+        if let Some((owner, _)) = self.cvs[cv as usize]
+            .owner
+            .filter(|_| !self.coasts.is_empty())
+        {
+            let coast = self.msgs.get(owner, "requested cv's owner").coast;
+            if coast != NO_COAST {
+                let coast = self.end_coast(coast as usize);
+                self.settle(coast, self.settle_through);
+            }
+        }
         let state = &mut self.cvs[cv as usize];
         if state.wait_tail == NO_MSG {
             state.wait_head = id;
@@ -543,35 +650,49 @@ impl<'a> Fabric<'a> {
     // Phases 2-4: selection, application, grants.
     // ------------------------------------------------------------------
 
-    /// Phase 2: pick at most one flit move per active physical channel,
-    /// judged on the previous cycle's counters — which is what the
-    /// channel's `ready` mask holds when this runs.
+    /// Phase 2: pick at most one flit move per selectable physical
+    /// channel, in ascending channel order, judged on the previous cycle's
+    /// counters — which is what the channel's `ready` mask holds when this
+    /// runs. A channel found with nothing to select leaves the set.
     fn select_moves(&mut self) {
         self.moves.clear();
-        let mut i = 0;
-        while i < self.active.len() {
-            let pc = self.active[i] as usize;
-            debug_assert_eq!(
-                self.channels[pc].masks(),
-                self.reference_masks(pc)
-                    .expect("every cv owner is a live message"),
-                "channel {pc}: (owned, ready) masks drifted from the cv owners' counters"
-            );
-            let ch = &mut self.channels[pc];
-            if ch.owned == 0 {
-                // Lazy deactivation: no cv of this channel is owned.
-                ch.set_active(false);
-                self.active.swap_remove(i);
-                continue;
+        for j in 0..self.active.summary.len() {
+            let mut nonzero = self.active.summary[j];
+            while nonzero != 0 {
+                let w = j * 64 + nonzero.trailing_zeros() as usize;
+                nonzero &= nonzero - 1;
+                let (mut bits, mut keep) = (self.active.words[w], self.active.words[w]);
+                while bits != 0 {
+                    let b = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    let pc = w * 64 + b as usize;
+                    debug_assert_eq!(
+                        self.channels[pc].masks(),
+                        self.reference_masks(pc)
+                            .expect("every cv owner is a live message"),
+                        "channel {pc}: (owned, ready) masks drifted from the cv owners' counters"
+                    );
+                    let ch = &mut self.channels[pc];
+                    if !ch.selectable() {
+                        keep &= !(1 << b);
+                        continue;
+                    }
+                    if let Some(vc) = ch.pick() {
+                        ch.pass(vc, self.plan.vcs[pc]);
+                        let owner = self.cvs[(self.plan.cv_base[pc] + vc as u32) as usize].owner;
+                        self.moves
+                            .push(owner.expect("ready mask names a cv without an owner"));
+                    }
+                }
+                let set = &mut self.active;
+                set.len -= (set.words[w] ^ keep).count_ones() as usize;
+                set.words[w] = keep;
+                if keep == 0 {
+                    set.summary[j] &= !(1 << (w % 64));
+                }
             }
-            if let Some(vc) = ch.pick() {
-                ch.pass(vc, self.plan.vcs[pc]);
-                let owner = self.cvs[(self.plan.cv_base[pc] + vc as u32) as usize].owner;
-                self.moves
-                    .push(owner.expect("ready mask names a cv without an owner"));
-            }
-            i += 1;
         }
+        self.settle_through = self.cycle;
     }
 
     /// Release the cv `mid` holds at `hop` (index `h16` of its path).
@@ -580,8 +701,8 @@ impl<'a> Fabric<'a> {
         debug_assert_eq!(self.cvs[cv as usize].owner, Some((mid, h16)));
         self.cvs[cv as usize].owner = None;
         let ch = &mut self.channels[hop.channel.idx()];
-        ch.owned &= !(1 << hop.vc.0);
-        ch.ready &= !(1 << hop.vc.0);
+        let keep = !(1 << hop.vc.0);
+        (ch.owned, ch.ready, ch.coast) = (ch.owned & keep, ch.ready & keep, ch.coast & keep);
         self.regrant.push(cv);
         self.metrics
             .trace(TraceEventKind::Release, self.cycle, hop.channel.0);
@@ -591,7 +712,6 @@ impl<'a> Fabric<'a> {
     /// absorptions and completions.
     fn apply_moves(&mut self, measuring: bool) {
         let now = self.cycle;
-        let mut beside_coast = false;
         let closed = self.closed.is_some();
         let buffer_depth = self.cfg.buffer_depth;
         // Taken so the loop body may borrow `self` whole; restored below
@@ -607,7 +727,13 @@ impl<'a> Fabric<'a> {
             let here = msg.path.hops[h];
             let prev_hop = (h > 0).then(|| msg.path.hops[h - 1]);
             let next_hop = (h + 1 < msg.path.len()).then(|| msg.path.hops[h + 1]);
-            beside_coast |= refresh_ready_around(&mut self.channels, msg, h, buffer_depth);
+            refresh_ready_around(
+                &mut self.channels,
+                &mut self.disturbed,
+                msg,
+                h,
+                buffer_depth,
+            );
             self.metrics
                 .record_flit_move(now, here.channel.idx(), measuring);
 
@@ -619,10 +745,7 @@ impl<'a> Fabric<'a> {
                 }
                 match next_hop {
                     Some(next) => self.request(self.plan.cv_index(next), mid),
-                    // A body of two cycles behind hop 0 may coast.
-                    None if self.may_coast && msg.traversed[0] + 3 <= msg.len => {
-                        self.landed.push(mid)
-                    }
+                    None if self.may_coast && may_yet_coast(msg) => self.landed.push(mid),
                     None => {}
                 }
             }
@@ -702,7 +825,6 @@ impl<'a> Fabric<'a> {
             self.msgs.free(mid, "absorbed message");
         }
         self.moves = moves;
-        self.coast_disturbed |= beside_coast;
     }
 
     /// Phase 4: grant free channels to FIFO-first waiters; returns how
@@ -730,11 +852,10 @@ impl<'a> Fabric<'a> {
             let channel = hop.channel.idx();
             let ch = &mut self.channels[channel];
             ch.owned |= 1 << hop.vc.0;
-            self.coast_disturbed |= ch.set_ready(hop.vc.0, msg.can_move(h as usize, buffer_depth));
-            if !ch.active() {
-                ch.set_active(true);
-                self.active.push(channel as u32);
+            if ch.set_ready(hop.vc.0, msg.can_move(h as usize, buffer_depth)) {
+                self.disturbed.push(channel as u32);
             }
+            self.active.insert(channel);
             self.metrics
                 .trace(TraceEventKind::Grant, self.cycle, channel as u32);
         }
@@ -756,12 +877,13 @@ impl<'a> Fabric<'a> {
     ) -> CycleOutcome {
         debug_assert!(cycle > self.cycle);
         self.cycle = cycle;
+        self.settle_through = cycle - 1;
         self.generate(tagging, due);
         self.select_moves();
         let moved = !self.moves.is_empty();
-        if !moved && self.coasts.is_empty() && !self.active.is_empty() {
+        if !moved && self.coasts.is_empty() && self.holds() {
             // Traffic holds channels but nothing can move this cycle (a
-            // coast moves a flit on every hop of its own).
+            // coast moves a flit on every cycle of its window).
             self.metrics.trace(TraceEventKind::Stall, cycle, 0);
         }
         self.apply_moves(measuring);
@@ -774,7 +896,10 @@ impl<'a> Fabric<'a> {
             // coast, which moved a flit on every hop.
             self.last_move_cycle = cycle;
         }
-        let settled = coasting && self.settle_coasts();
+        if !(self.coasts.is_empty() && self.disturbed.is_empty()) {
+            self.settle_coasts();
+        }
+        let settled = std::mem::take(&mut self.settled);
         if !self.landed.is_empty() {
             self.start_coasts();
         }
@@ -963,56 +1088,60 @@ impl<'a> Fabric<'a> {
     /// Fly the admitted group and jump to the cycle its last flit is
     /// absorbed on. Returns the arrivals flown and the cycles they covered
     /// (each from its arrival to its last absorption); `None` declines and
-    /// leaves the fabric as it was. The group is declined when
-    ///
-    /// * it would not end strictly before `before`, the next event outside
-    ///   it: on that event's cycle the newcomer would find channels held
-    ///   or stale entries on the active list, whose lazy removal permutes
-    ///   the order its own moves are selected (and its statistics
-    ///   recorded) in;
-    /// * two samples of one latency population (unicast or operation)
-    ///   land on one cycle with different values: the oracle
-    ///   records them in the order its active list holds their channels,
-    ///   which the closed form does not track. Equal values commute, and
-    ///   so do samples of different populations.
+    /// leaves the fabric as it was. The group is declined when it would
+    /// not end strictly before `before`, the next event outside it: on
+    /// that event's cycle the newcomer would find the group's channels
+    /// held. Same-cycle samples of one population need no declination:
+    /// they are recorded in channel order ([`Fabric::settle_deliveries`]).
     pub(crate) fn fly_group(&mut self, before: u64) -> Option<(u64, u64)> {
         let mut g = std::mem::take(&mut self.group);
-        let flown =
-            (g.end < before && self.settle_deliveries(&mut g)).then(|| self.apply_group(&g));
+        let flown = (g.end < before).then(|| {
+            self.settle_deliveries(&mut g);
+            self.apply_group(&g)
+        });
         self.group = g;
         flown
     }
 
-    /// List the group's deliveries in end-cycle order, the order the
-    /// oracle records them in; `false` on a tie that order leaves open.
-    fn settle_deliveries(&self, g: &mut Group) -> bool {
+    /// List the group's deliveries in the order the oracle records them:
+    /// by cycle, and within a cycle and a population by the channel of the
+    /// delivering move, which same-cycle moves apply in. A unicast is
+    /// delivered by its ejection hop's move; an operation by the last of
+    /// its absorptions, whose moves are the ejection hops of its longest
+    /// streams: the one on the highest channel applies last.
+    fn settle_deliveries(&self, g: &mut Group) {
         g.deliveries.clear();
         for m in g.members.iter().filter(|m| self.in_window(m.at)) {
-            let sample = match m.unicast {
-                Some(_) => Sample::Unicast,
-                None => Sample::Operation,
+            let (sample, channel) = match &m.unicast {
+                Some(path) => (Sample::Unicast, path.hops[path.len() - 1].channel.0),
+                None => {
+                    let longest = m.paths(&self.plan).map(|path| path.len()).max();
+                    let last = m
+                        .paths(&self.plan)
+                        .filter(|path| Some(path.len()) == longest)
+                        .map(|path| path.hops[path.len() - 1].channel.0)
+                        .max();
+                    (
+                        Sample::Operation,
+                        last.expect("a flown operation has streams"),
+                    )
+                }
             };
-            g.deliveries.push((m.end, sample, m.at, m.node));
+            g.deliveries.push((m.end, sample, channel, m.at, m.node));
         }
         g.deliveries
-            .sort_unstable_by_key(|&(cycle, sample, ..)| (cycle, sample));
-        !g.deliveries
-            .windows(2)
-            .any(|w| (w[0].0, w[0].1) == (w[1].0, w[1].1) && w[0].2 != w[1].2)
+            .sort_unstable_by_key(|&(cycle, sample, channel, ..)| (cycle, sample, channel));
     }
 
     /// Write what the oracle's steps over the group's cycles write, in
     /// the order it writes them wherever the order can show.
     fn apply_group(&mut self, g: &Group) -> (u64, u64) {
         // What the selection of the first cycle starts with: with no live
-        // message every listed channel is stale. The list then stays
-        // empty — the group's channels are all released by its end, and
-        // `watchdog_fires` and the event engine read a non-empty list as
-        // "channels are held".
-        for pc in self.active.drain(..) {
-            debug_assert_eq!(self.channels[pc as usize].owned, 0);
-            self.channels[pc as usize].set_active(false);
-        }
+        // message every channel in the set is one whose last cv went. The
+        // set then stays empty — the group's channels are all released by
+        // its end, and nothing is held ([`Fabric::holds`]).
+        debug_assert!(self.channels.iter().all(|ch| ch.owned == 0));
+        self.active.clear();
 
         // Every hop: `L` moves under its member's one `measuring` verdict,
         // the last of which leaves the round-robin pointer just past the
@@ -1052,7 +1181,7 @@ impl<'a> Fabric<'a> {
             self.peak_backlog = self.peak_backlog.max(spawned + waiting);
         }
 
-        for &(cycle, sample, gen, src) in &g.deliveries {
+        for &(cycle, sample, _, gen, src) in &g.deliveries {
             match sample {
                 Sample::Unicast => self.metrics.record_unicast_delivery(cycle, gen),
                 Sample::Operation => self.metrics.record_op_delivery(cycle, gen, src),
@@ -1066,32 +1195,47 @@ impl<'a> Fabric<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Coasts: a streaming message body, applied in closed form beside
-    // stepped traffic.
+    // Coasts: a streaming or draining message body, applied in closed form
+    // beside stepped traffic.
     // ------------------------------------------------------------------
 
+    /// Let this event-engine run coast, from the landed messages on: those
+    /// whose header crossed their last hop in scripted steps too.
+    pub(crate) fn begin_coasting(&mut self) {
+        self.may_coast = true;
+        for (m, msg) in self.msgs.iter() {
+            let landed =
+                msg.head as usize == msg.path.len() && msg.traversed[msg.path.len() - 1] > 0;
+            if landed && may_yet_coast(msg) {
+                self.landed.push(m);
+            }
+        }
+    }
+
     /// Start a coast for each landed message — its header has crossed its
-    /// last hop — whose every hop is the one ready cv of its channel, with
-    /// no other coast there: at the end of the cycle, so what selection
-    /// will read next is known. Its ready bits become coast bits; it stays
-    /// owner of its cvs and its channels stay listed. A message stays
-    /// landed until it coasts, or its tail is too close to hop 0 for a
-    /// window of two cycles — which comes before the tail crosses hop 0,
-    /// and so before the message is freed.
+    /// last hop — whose every hop the tail has not crossed is the one ready
+    /// cv of its channel, with no other coast there: at the end of the
+    /// cycle, so what selection will read next is known. Those hops' ready
+    /// bits become coast bits; it stays owner of its cvs, and the channels
+    /// it alone kept selectable leave the set at the next selection. A
+    /// message stays landed until it coasts, or its tail is too close to
+    /// its last hop for a window of two cycles — which comes before its
+    /// delivery, and so before the message is freed.
     fn start_coasts(&mut self) {
         let mut landed = std::mem::take(&mut self.landed);
         landed.retain(|&m| {
             let msg = self.msgs.get(m, "landed message");
-            if msg.traversed[0] + 3 > msg.len {
+            if !may_yet_coast(msg) {
                 return false;
             }
-            let Some(until) = self.coast_window(msg) else {
+            let Some((first, until)) = self.coast_window(msg) else {
                 return true;
             };
-            for hop in msg.path.hops.iter() {
+            for hop in &msg.path.hops[first..] {
                 let ch = &mut self.channels[hop.channel.idx()];
                 (ch.ready, ch.coast) = (0, 1 << hop.vc.0);
             }
+            self.msgs.get_mut(m, "landed message").coast = self.coasts.len() as u32;
             self.coasts.push(Coast {
                 msg: m,
                 from: self.cycle,
@@ -1103,23 +1247,42 @@ impl<'a> Fabric<'a> {
         self.landed = landed;
     }
 
-    /// The last cycle of `msg`'s coast from the end of this one, or `None`
+    /// `(first, until)`: the first hop of `msg` its tail has not crossed,
+    /// and the last cycle of its coast from the end of this one; `None`
     /// when it may not coast now.
     ///
     /// Every hop of a message whose header has crossed its last hop is
-    /// granted. When each is ready and the only ready cv of its channel,
-    /// each is picked next cycle and moves: every counter grows by one,
-    /// so every supply and credit verdict — a function of differences of
-    /// neighbouring counters — reads as before, and the message streams
-    /// until its tail is due to cross hop 0 (`traversed[0] = L`), the
-    /// first step that releases, absorbs or delivers. The window stops a
-    /// cycle short of that, and short of a warmup, measurement or
-    /// deadline boundary, so that its moves share one `measuring` verdict
-    /// and every end-of-run check falls on a stepped cycle.
-    fn coast_window(&self, msg: &ActiveMsg) -> Option<u64> {
-        debug_assert_eq!(msg.head as usize, msg.path.len());
-        let c = self.cycle;
-        let mut k = u64::from(msg.len - 1 - msg.traversed[0]);
+    /// granted. When each hop `first ..` is ready and the only ready cv of
+    /// its channel, each is picked next cycle and moves: every counter
+    /// grows by one, so every supply and credit verdict — a function of
+    /// differences of neighbouring counters — reads as before. Once the
+    /// tail has crossed a hop it stops, and its successor's supply holds
+    /// until it stops too, so after `n` cycles `t[h] = min(L, t[h] + n)`:
+    /// hop `h` stops on the cycle its tail crosses, and hop `h − 1` is
+    /// released on it. The window stops a cycle short of the first
+    /// absorption or delivery, of the first release of a cv a header waits
+    /// for (or of any release, when a trace is recorded), and of a warmup,
+    /// measurement or deadline boundary, so that its moves share one
+    /// `measuring` verdict and every end-of-run check falls on a stepped
+    /// cycle.
+    fn coast_window(&self, msg: &ActiveMsg) -> Option<(usize, u64)> {
+        let hops = &msg.path.hops[..];
+        debug_assert_eq!(msg.head as usize, hops.len());
+        let (c, len, t) = (self.cycle, msg.len, &msg.traversed);
+        let first = t.iter().position(|&moved| moved < len)?;
+        let alone = |hop: &noc_topology::Hop| {
+            let ch = self.channels[hop.channel.idx()];
+            ch.ready == 1 << hop.vc.0 && ch.coast == 0
+        };
+        if !hops[first..].iter().all(alone) {
+            return None;
+        }
+        // The hop whose tail crossing absorbs or delivers next.
+        let stop = match &msg.multicast {
+            Some(stream) => stream.absorbs[stream.next_absorb as usize].0 as usize,
+            None => hops.len() - 1,
+        };
+        let mut k = u64::from(len - 1 - t[stop]);
         let (warmup, measure_end) = (self.cfg.warmup_cycles, self.cfg.measure_end());
         if c < warmup {
             k = k.min(warmup - c);
@@ -1127,11 +1290,20 @@ impl<'a> Fabric<'a> {
             k = k.min(measure_end - c);
         }
         k = k.min(self.cfg.deadline().saturating_sub(c));
-        let alone = |hop: &noc_topology::Hop| {
-            let ch = self.channels[hop.channel.idx()];
-            ch.ready == 1 << hop.vc.0 && ch.coast == 0
-        };
-        (k >= 2 && msg.path.hops.iter().all(alone)).then_some(c + k)
+        // Hop `h − 1` is released when the tail crosses `h`, on cycle
+        // `c + L − t[h]`; the earliest hops release first.
+        let tracing = self.metrics.tracing();
+        for h in first.max(1)..hops.len() {
+            let short = u64::from(len - 1 - t[h]);
+            if short >= k {
+                break; // this release and every later one fall past the window
+            }
+            if tracing || self.cvs[self.plan.cv_index(hops[h - 1]) as usize].wait_head != NO_MSG {
+                k = short;
+                break;
+            }
+        }
+        (k >= 2).then_some((first, c + k))
     }
 
     /// The earliest last cycle of a coast (`u64::MAX`: none coasts).
@@ -1143,59 +1315,104 @@ impl<'a> Fabric<'a> {
             .unwrap_or(u64::MAX)
     }
 
-    /// At the end of a cycle: settle every coast whose window ends on it,
-    /// and every one beside which a grant or a refresh set a ready bit —
-    /// next cycle its cv is no longer picked alone. `true` if any was.
-    fn settle_coasts(&mut self) -> bool {
-        let disturbed = std::mem::take(&mut self.coast_disturbed);
-        let before = self.coasts.len();
+    /// Take coast `i` off the list, keeping every index its message holds.
+    fn end_coast(&mut self, i: usize) -> Coast {
+        let coast = self.coasts.swap_remove(i);
+        if let Some(moved) = self.coasts.get(i) {
+            self.msgs.get_mut(moved.msg, "coasting message").coast = i as u32;
+        }
+        self.msgs.get_mut(coast.msg, "coasting message").coast = NO_COAST;
+        coast
+    }
+
+    /// At the end of a cycle: settle every coast beside which a grant or
+    /// a refresh set a ready bit — next cycle its cv is no longer picked
+    /// alone — and every one whose window ends on it.
+    fn settle_coasts(&mut self) {
+        let disturbed = std::mem::take(&mut self.disturbed);
+        for &pc in &disturbed {
+            let ch = self.channels[pc as usize];
+            if ch.coast != 0 && ch.ready != 0 {
+                let cv = self.plan.cv_base[pc as usize] + ch.coast.trailing_zeros();
+                let (m, _) = self.cvs[cv as usize]
+                    .owner
+                    .expect("a coasting cv has its owner");
+                let i = self.msgs.get(m, "coasting message").coast as usize;
+                let coast = self.end_coast(i);
+                self.settle(coast, self.cycle);
+            }
+        }
+        self.disturbed = disturbed;
+        self.disturbed.clear();
         let mut i = 0;
         while i < self.coasts.len() {
-            let coast = self.coasts[i];
-            if coast.until == self.cycle || disturbed && self.beside_ready(coast.msg) {
-                self.coasts.swap_remove(i);
-                self.settle(coast);
+            if self.coasts[i].until == self.cycle {
+                let coast = self.end_coast(i);
+                self.settle(coast, self.cycle);
             } else {
                 i += 1;
             }
         }
-        self.coasts.len() < before
-    }
-
-    /// Is a cv ready on a channel coasting message `m` holds? Its own
-    /// bits are clear, and no other was when its coast started.
-    fn beside_ready(&self, m: MsgId) -> bool {
-        let hops = &self.msgs.get(m, "coasting message").path.hops;
-        hops.iter()
-            .any(|hop| self.channels[hop.channel.idx()].ready != 0)
     }
 
     /// Write what the oracle's steps wrote for `coast` on the cycles
-    /// `from + 1 ..= cycle`: every hop moved a flit on each, under the one
-    /// `measuring` verdict the window shares (integer sums, so their order
-    /// is free), and each pick left the round-robin pointer just past the
-    /// hop's vc. Every counter grows first; only then are the ready bits
-    /// re-derived, or a hop would read ahead of the one upstream of it.
-    fn settle(&mut self, coast: Coast) {
-        let n = self.cycle - coast.from;
+    /// `from + 1 ..= through`: each hop `first ..` the tail had not crossed
+    /// at `from` (the counters still stand there) moved a flit on each
+    /// until its tail crossed, under the one `measuring` verdict the window
+    /// shares (integer sums, so their order is free), and each pick left
+    /// the round-robin pointer just past the hop's vc; each hop behind a
+    /// crossed one was released. Every counter grows first; only then are
+    /// the ready bits re-derived, or a hop would read ahead of the one
+    /// upstream of it.
+    fn settle(&mut self, coast: Coast, through: u64) {
+        let n = through - coast.from;
         let measuring = self.in_window(coast.from + 1);
         let msg = self.msgs.get_mut(coast.msg, "coasting message");
-        for (t, hop) in msg.traversed.iter_mut().zip(msg.path.hops.iter()) {
-            *t += n as u32;
-            self.metrics
-                .record_flit_moves_bulk(coast.from, hop.channel.idx(), n, measuring);
-        }
-        let buffer_depth = self.cfg.buffer_depth;
-        for (h, hop) in msg.path.hops.iter().enumerate() {
-            let pc = hop.channel.idx();
-            let ch = &mut self.channels[pc];
-            ch.coast = 0;
-            if n > 0 {
-                ch.pass(hop.vc.0, self.plan.vcs[pc]);
+        let len = msg.len;
+        let first = msg
+            .traversed
+            .iter()
+            .position(|&t| t < len)
+            .expect("a coast ends before delivery");
+        let mut moves = 0;
+        for (t, hop) in msg.traversed[first..]
+            .iter_mut()
+            .zip(&msg.path.hops[first..])
+        {
+            let k = n.min(u64::from(len - *t));
+            if k > 0 {
+                *t += k as u32;
+                moves += k;
+                self.metrics
+                    .record_flit_moves_bulk(coast.from, hop.channel.idx(), k, measuring);
             }
-            ch.set_ready(hop.vc.0, msg.can_move(h, buffer_depth));
         }
-        self.coast_counts.1 += n * msg.path.len() as u64;
+        self.coast_counts.1 += moves;
+        let msg = self.msgs.get(coast.msg, "coasting message");
+        let (path, buffer_depth) = (Arc::clone(&msg.path), self.cfg.buffer_depth);
+        for h in first.saturating_sub(1)..path.len() {
+            let (hop, msg) = (path.hops[h], self.msgs.get(coast.msg, "coasting message"));
+            let (pc, ready) = (hop.channel.idx(), msg.can_move(h, buffer_depth));
+            let released = h + 1 < path.len() && msg.traversed[h + 1] == len;
+            if h >= first {
+                let ch = &mut self.channels[pc];
+                ch.coast &= !(1 << hop.vc.0);
+                if n > 0 {
+                    ch.pass(hop.vc.0, self.plan.vcs[pc]);
+                }
+                if !released {
+                    ch.set_ready(hop.vc.0, ready);
+                    self.active.insert(pc);
+                }
+            }
+            if released {
+                // The tail crossed `h + 1` inside the window, which holds
+                // no release while a trace is recorded.
+                debug_assert!(!self.metrics.tracing());
+                self.release(coast.msg, h as u16, hop);
+            }
+        }
+        self.settled = true;
         if self.may_coast {
             // Its body may stream alone again.
             self.landed.push(coast.msg);
@@ -1239,7 +1456,15 @@ impl<'a> Fabric<'a> {
     /// or been granted for the watchdog window.
     #[inline]
     fn watchdog_fires(&self) -> bool {
-        self.cycle.saturating_sub(self.last_move_cycle) > WATCHDOG_WINDOW && !self.active.is_empty()
+        self.cycle.saturating_sub(self.last_move_cycle) > WATCHDOG_WINDOW && self.holds()
+    }
+
+    /// Are channels held? True whenever a cv is owned: by a coast, or on
+    /// a channel in the set — which may also, until selection looks
+    /// again, name a channel whose last cv was released since.
+    #[inline]
+    pub(crate) fn holds(&self) -> bool {
+        !self.active.is_empty() || !self.coasts.is_empty()
     }
 
     /// Does the run end at the current cycle? Completion (tagged traffic
@@ -1275,8 +1500,9 @@ impl<'a> Fabric<'a> {
     pub(crate) fn finish(&mut self, end: RunEnd, engine: EngineCounters) -> SimResults {
         self.may_coast = false;
         self.landed.clear();
-        for coast in std::mem::take(&mut self.coasts) {
-            self.settle(coast);
+        while let Some(last) = self.coasts.len().checked_sub(1) {
+            let coast = self.end_coast(last);
+            self.settle(coast, self.cycle);
         }
         let (coasts, coast_moves) = self.coast_counts;
         let engine = EngineCounters {
@@ -1422,18 +1648,16 @@ impl<'a> Fabric<'a> {
                     vcs: self.plan.vcs[pc],
                 });
             }
-            if owned != 0 && !ch.active() {
+            if ch.selectable() && !self.active.contains(pc) {
                 return Err(AuditError::OwnedButInactive { channel: pc });
             }
         }
-        // Every listed channel flagged and as many listed as flagged: the
-        // list is the flagged set, each channel once.
-        let flagged = self.channels.iter().filter(|ch| ch.active()).count();
-        let listed = |&pc: &u32| self.channels[pc as usize].active();
-        if flagged != self.active.len() || !self.active.iter().all(listed) {
-            return Err(AuditError::ActiveListMismatch {
-                listed: self.active.len(),
-                flagged,
+        let (counted, members, summarised) = self.active.counts();
+        if counted != members || members != summarised {
+            return Err(AuditError::ActiveSetMismatch {
+                counted,
+                members,
+                summarised,
             });
         }
 
@@ -1548,7 +1772,7 @@ mod tests {
                         owned: ready,
                         ready,
                         coast: 0,
-                        rr_active: ChannelState::ACTIVE | rr,
+                        rr,
                     };
                     assert_eq!(
                         ch.pick(),
@@ -1636,7 +1860,7 @@ mod tests {
 
         let pointers = |f: &Fabric<'_>| f.channels.iter().map(|ch| ch.rr()).collect::<Vec<_>>();
         assert_eq!(pointers(&stepped.fabric), pointers(&flown.fabric));
-        assert!(stepped.fabric.active.is_empty() && flown.fabric.active.is_empty());
+        assert!(!stepped.fabric.holds() && !flown.fabric.holds());
         flown.audit().expect("flown fabric audits clean");
     }
 

@@ -20,6 +20,9 @@ pub type MsgId = u32;
 /// [`Arena::INDEX_BITS`](crate::arena::Arena::INDEX_BITS) are all ones.
 pub(crate) const NO_MSG: MsgId = u32::MAX;
 
+/// "Not coasting": the [`ActiveMsg::coast`] of a message that steps.
+pub(crate) const NO_COAST: u32 = u32::MAX;
+
 /// Per-(channel, vc) resource state: a cv is either free or owned by one
 /// message at one hop of its path, and headers that found it taken wait
 /// in arrival order (the paper's non-preemptive FIFO arbitration).
@@ -113,22 +116,26 @@ pub struct ActiveMsg {
     /// The header queued behind this one on the same cv, or [`NO_MSG`]
     /// (also when this message is not waiting at all).
     pub(crate) next_waiter: MsgId,
+    /// Its index in the fabric's coasts, or [`NO_COAST`].
+    pub(crate) coast: u32,
 }
 
 /// The window of a coasting message: one whose header has crossed its
-/// last hop and whose every hop streams, alone among the ready cvs of its
-/// channel. Selection and application skip it; every hop moves one flit
-/// per cycle, and [`Fabric`](crate::fabric::Fabric) adds the moves in one
-/// closed-form step when the window is settled.
+/// last hop and whose every hop the tail has not crossed yet streams,
+/// alone among the ready cvs of its channel. Selection and application
+/// skip it; hop `h` moves one flit per cycle until its tail crosses, and
+/// [`Fabric`](crate::fabric::Fabric) adds the moves, and the releases
+/// behind the tail, in one closed-form step when the window is settled.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Coast {
     /// The coasting message.
     pub(crate) msg: MsgId,
     /// The cycle its counters stand at: it moves on `from + 1 ..`.
     pub(crate) from: u64,
-    /// The window's last cycle: short of its tail crossing hop 0 and of
-    /// the next warmup, measurement or deadline boundary, so every move
-    /// in it shares one `measuring` verdict.
+    /// The window's last cycle: short of its first absorption or
+    /// delivery, of a release a header waits for, and of the next warmup,
+    /// measurement or deadline boundary, so every move in it shares one
+    /// `measuring` verdict.
     pub(crate) until: u64,
 }
 
@@ -156,6 +163,7 @@ impl ActiveMsg {
             tagged,
             head: 0,
             next_waiter: NO_MSG,
+            coast: NO_COAST,
         }
     }
 

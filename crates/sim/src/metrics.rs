@@ -124,6 +124,11 @@ impl Metrics {
         self.hists.multicast.record(now - gen);
     }
 
+    /// Is an event trace recorded?
+    pub(crate) fn tracing(&self) -> bool {
+        self.tracer.is_some()
+    }
+
     /// The trace tap: `kind` happened at cycle `at` on `loc` (a channel
     /// for `Grant`/`Release`, a node otherwise, `0` for `Stall`). One
     /// `None` branch when tracing is off.

@@ -155,9 +155,11 @@ fn one_port_spidergon_serialises_at_the_ejection_channel() {
     // Two one-link messages arrive at node 0 from opposite directions
     // (1 -> 0 counter-clockwise, 7 -> 0 clockwise). The one-port Spidergon
     // has a single ejection channel, so the loser of the FIFO arbitration
-    // waits a full drain: winner at L + 2, loser at 2L + 2. On the
-    // all-port Quarc the same scenario does not contend at all — the
-    // architectural difference the paper's Fig. 1 illustrates.
+    // waits a full drain: winner at L + 2, loser at 2L + 2. Both headers
+    // request it on one cycle, and same-cycle moves apply in channel
+    // order: 7 -> 0's link comes first, so it wins. On the all-port Quarc
+    // the same scenario does not contend at all — the architectural
+    // difference the paper's Fig. 1 illustrates.
     use noc_topology::Spidergon;
     let spid = Spidergon::new(8).unwrap();
     let sets = DestinationSets::random(&spid, 2, 1);
@@ -166,11 +168,19 @@ fn one_port_spidergon_serialises_at_the_ejection_channel() {
         let g = sim.now();
         let m1 = sim.inject_unicast_now(NodeId(1), NodeId(0));
         let m2 = sim.inject_unicast_now(NodeId(7), NodeId(0));
-        let t1 = sim.run_until_complete(m1);
-        let t2 = sim.run_until_complete(m2);
-        let (w, l) = (t1.min(t2), t1.max(t2));
-        assert_eq!(w - g, L + 2, "{eng}: winner is unobstructed");
-        assert_eq!(l - g, 2 * L + 2, "{eng}: loser waits one full drain");
+        // Each message's own delivery cycle: `run_until_complete` on one
+        // already delivered returns the current cycle.
+        let (mut t1, mut t2) = (None, None);
+        while t1.is_none() || t2.is_none() {
+            sim.step_one();
+            let now = sim.now();
+            t1 = t1.or((!sim.message_in_flight(m1)).then_some(now));
+            t2 = t2.or((!sim.message_in_flight(m2)).then_some(now));
+            assert!(now - g < 10 * L, "{eng}: both complete");
+        }
+        let (t1, t2) = (t1.unwrap(), t2.unwrap());
+        assert_eq!(t2 - g, L + 2, "{eng}: the winner, 7 -> 0, is unobstructed");
+        assert_eq!(t1 - g, 2 * L + 2, "{eng}: the loser waits one full drain");
     });
 
     // Same scenario on the Quarc: distinct ejection channels per input

@@ -1,12 +1,14 @@
-//! Migration regression: the Scenario/Runner pipeline reproduces the
-//! pre-redesign harness byte-for-byte.
+//! Migration regression: the Scenario/Runner pipeline reproduces a
+//! recorded harness output byte-for-byte.
 //!
-//! `tests/golden/migration-panel-{0,1}.csv` were generated by the old
-//! `run_panel`/`panel_table` harness (PR 2 vintage) on two Fig. 6/7
-//! panels — one random, one localized — with `--quick` simulator settings.
-//! The same panels expressed as [`Scenario`]s and executed by the
-//! [`Runner`] must emit identical CSV: same saturation-relative sweep
-//! resolution, same seeds, same simulation, same formatting.
+//! `tests/golden/migration-panel-{0,1}.csv` hold two Fig. 6/7 panels — one
+//! random, one localized — with `--quick` simulator settings, first
+//! generated by the old `run_panel`/`panel_table` harness and pinned again
+//! when same-cycle flit moves began to apply in ascending channel order
+//! (the simulated columns moved; the model columns did not). The same
+//! panels expressed as [`Scenario`]s and executed by the [`Runner`] must
+//! emit identical CSV: same saturation-relative sweep resolution, same
+//! seeds, same simulation, same formatting.
 
 use quarc_noc::bench::harness::{FigureConfig, Pattern};
 use quarc_noc::prelude::*;
@@ -22,7 +24,7 @@ fn check_panel(cfg: FigureConfig, golden_file: &str) {
     assert_eq!(
         result.to_csv(),
         golden,
-        "{}: Runner output diverged from the pre-redesign harness",
+        "{}: Runner output diverged from the recorded panel",
         cfg.label()
     );
 }

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{build_engine_with_plan, Engine, SimConfig};
+use quarc_noc::sim::{build_engine_with_plan, Engine, EngineKind, SimConfig};
 
 #[test]
 fn no_deadlock_at_heavy_load_on_ring_topologies() {
@@ -423,12 +423,13 @@ const LOW_LOAD_RUNS: [(&str, RoutingSpec); 3] = [
 
 /// The scripted run of the ready-mask test below, on `cfg`: two long
 /// messages 0 → 3, the second queued behind the first, and a third from
-/// node 1, injected on the same cycle. The one of 0 → 3 and 1 → 3 that
-/// takes the link 1 → 2 first streams; the other fills its buffers
-/// behind it, at whose end its verdict flips to blocked. The messages
-/// are untagged, so the run ends with the window, at 200. Audited with
-/// nothing in between; returns the run's engine counters.
-fn three_scripted_headers(cfg: SimConfig) -> quarc_noc::sim::EngineCounters {
+/// node 1, injected on the same cycle and stepped `steps` cycles by hand
+/// before the run. The one of 0 → 3 and 1 → 3 that takes the link 1 → 2
+/// first streams; the other fills its buffers behind it, at whose end its
+/// verdict flips to blocked. The messages are untagged, so the run ends
+/// with the window, at 200. Audited with nothing in between; returns the
+/// run's results.
+fn three_scripted_headers(cfg: SimConfig, steps: u32) -> SimResults {
     let topo = Quarc::new(16).unwrap();
     let wl = Workload::new(600, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
     let mut cfg = cfg;
@@ -439,12 +440,15 @@ fn three_scripted_headers(cfg: SimConfig) -> quarc_noc::sim::EngineCounters {
         sim.inject_unicast_now(NodeId(0), NodeId(3)),
         sim.inject_unicast_now(NodeId(1), NodeId(3)),
     ];
+    for _ in 0..steps {
+        sim.step_one();
+    }
     let res = sim.run();
     assert_eq!(res.cycles, 200, "the run ends with the window");
     assert!(ids.iter().all(|&id| sim.message_in_flight(id)));
     let audit = sim.audit().expect("kernel state sound right after the run");
     assert_eq!((audit.live_messages, audit.queued_messages), (3, 1));
-    res.engine
+    res
 }
 
 #[test]
@@ -473,7 +477,29 @@ fn coasting_leaves_the_ready_masks_current() {
     // there, on the run's last cycle, and the run's end settles it
     // without a move. Telemetry on or off, the same.
     for telemetry in [TelemetrySpec::off(), util] {
-        let counters = three_scripted_headers(SimConfig::quick(1).with_telemetry(telemetry));
+        let counters =
+            three_scripted_headers(SimConfig::quick(1).with_telemetry(telemetry), 0).engine;
         assert_eq!((counters.coasts, counters.coast_moves), (3, 4 * (200 - 4)));
     }
+
+    // Stepped by hand for six cycles, 1 → 3's header lands in a scripted
+    // step, before the run lets anything coast: the run starts from the
+    // messages that landed, and its body coasts all the same, with the
+    // oracle's results.
+    let cfg = SimConfig::quick(1);
+    let event = three_scripted_headers(cfg, 6);
+    let oracle = three_scripted_headers(cfg.with_engine(EngineKind::Cycle), 6);
+    assert!(
+        event.engine.coasts > 0,
+        "a body that landed in a scripted step coasts"
+    );
+    assert_eq!(oracle.engine.coasts, 0);
+    assert_eq!(
+        (event.flit_moves, event.cycles, &event.channel_utilization),
+        (
+            oracle.flit_moves,
+            oracle.cycles,
+            &oracle.channel_utilization
+        )
+    );
 }
