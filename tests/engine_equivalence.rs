@@ -820,6 +820,17 @@ fn a_same_cycle_tie_between_different_latencies_flies_in_channel_order() {
     assert_eq!(second, 3001);
     let (res, flights) = scripted(cfg, &[(3000, 0, 3), (second, 8, 10)], "tie");
     assert_eq!((flights, res.unicast_delivered), (2, 2));
+    // Two samples sum alike in either order. Batches of two around the
+    // tie do not: {earlier, first of the tie} and {second, later} differ
+    // from the swapped pair, so the batch-means CI pins the order.
+    let batched = SimConfig {
+        batch_size: 2,
+        ..cfg
+    };
+    let around = [(2500, 4, 6), (3000, 0, 3), (second, 8, 10), (4000, 5, 10)];
+    let (res, flights) = scripted(batched, &around, "tie between batches");
+    assert_eq!((flights, res.unicast_delivered), (4, 4));
+    assert!(res.unicast.ci95.is_finite(), "two batches give a CI");
     // Equal latencies on one cycle: the group flies too.
     let (_, flights) = scripted(cfg, &[(3000, 0, 3), (3000, 8, 11)], "equal");
     assert_eq!(flights, 2);
