@@ -4,10 +4,8 @@
 use super::{emit, emit_json};
 use noc_bench::cli::Options;
 use noc_bench::{
-    default_panels, full_panels, MulticastPattern, Pattern, Result, Runner, Scenario, SweepSpec,
-    WorkloadSpec,
+    default_panels, full_panels, MulticastPattern, Pattern, Result, Runner, SweepSpec, WorkloadSpec,
 };
-use noc_sim::SimConfig;
 use noc_topology::render::{broadcast_trace, channel_census, ring_ascii, to_dot};
 use noc_topology::{NodeId, TopologySpec};
 use noc_workloads::table::Table;
@@ -128,15 +126,13 @@ fn figure(figure: &str, pattern: Pattern, blurb: &str, opts: &Options) -> Result
 }
 
 /// Zero-load broadcast latency: one broadcast injected on an idle network.
-fn idle_broadcast_latency(topology: TopologySpec, msg_len: u32) -> Result<u64> {
-    let sc = Scenario::new(
+fn idle_broadcast_latency(opts: &Options, topology: TopologySpec, msg_len: u32) -> Result<u64> {
+    let sc = opts.scenario(
         format!("idle-broadcast-{topology}"),
         topology,
         WorkloadSpec::new(msg_len, 0.0, MulticastPattern::Broadcast),
         SweepSpec::Explicit { rates: vec![] },
-    )
-    .with_sim(SimConfig::quick(1))
-    .with_seed(1);
+    );
     Runner::new().isolated_multicast(&sc, NodeId(0))
 }
 
@@ -161,8 +157,8 @@ pub fn spidergon_baseline(opts: &Options) -> Result<()> {
         "spidergon_msgs",
     ]);
     for n in [8usize, 16, 32, 64] {
-        let ql = idle_broadcast_latency(TopologySpec::Quarc { n }, msg)?;
-        let sl = idle_broadcast_latency(TopologySpec::Spidergon { n }, msg)?;
+        let ql = idle_broadcast_latency(opts, TopologySpec::Quarc { n }, msg)?;
+        let sl = idle_broadcast_latency(opts, TopologySpec::Spidergon { n }, msg)?;
         table.push_row(vec![
             n.to_string(),
             ql.to_string(),

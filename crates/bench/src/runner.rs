@@ -29,7 +29,7 @@ use noc_sim::{build_engine_with_plan, LatencyStats, LogHistogram, SimPlan, SimRe
 use noc_topology::{NodeId, Topology};
 use noc_workloads::parallel::{effective_threads, parallel_map};
 use noc_workloads::table::{fmt_latency, Table};
-use noc_workloads::Workload;
+use noc_workloads::{TraceEntry, TraceKind, TrafficSpec, Workload};
 use quarc_core::{BackendSpec, ModelBackend, NetworkCalculusBackend, RoutedLoads};
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -556,16 +556,32 @@ impl Runner {
     /// Measure the latency of one isolated multicast operation from
     /// `source` on an otherwise idle network described by `sc` (the
     /// sweep is ignored; the scenario's multicast pattern defines the
-    /// operation).
+    /// operation): a run whose one arrival, at cycle 1, is the only
+    /// cycle of its measurement window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation is not delivered by the drain deadline.
     pub fn isolated_multicast(&self, sc: &Scenario, source: NodeId) -> Result<u64> {
         sc.validate()?;
         let (topo, proto) = sc.materialize()?;
-        let idle = proto.at_rate(0.0)?;
+        let arrival = TraceEntry {
+            cycle: 1,
+            node: source.0,
+            kind: TraceKind::Multicast,
+        };
+        let idle = proto
+            .at_rate(0.0)?
+            .with_traffic(TrafficSpec::trace(vec![arrival]));
         let plan = SimPlan::build(topo.as_ref(), &idle)?;
         let mut cfg = sc.sim;
-        cfg.seed = sc.seed;
-        let mut engine = build_engine_with_plan(topo.as_ref(), &idle, cfg, plan);
-        Ok(engine.measure_isolated_multicast(source))
+        (cfg.seed, cfg.warmup_cycles, cfg.measure_cycles) = (sc.seed, 0, 1);
+        let res = build_engine_with_plan(topo.as_ref(), &idle, cfg, plan).run();
+        assert_eq!(
+            res.multicast.count, 1,
+            "the isolated multicast was not delivered"
+        );
+        Ok(res.multicast.max as u64)
     }
 }
 

@@ -147,13 +147,6 @@ impl<T> Arena<T> {
         }
     }
 
-    /// Is `id` live (right slot, right tag)?
-    #[inline]
-    pub fn contains(&self, id: u32) -> bool {
-        let i = Arena::<T>::index(id);
-        matches!(self.metas.get(i), Some(&meta) if meta == Arena::<T>::tag(id))
-    }
-
     /// Iterate over the live `(id, value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &T)> {
         self.metas
@@ -209,8 +202,8 @@ mod tests {
         assert_eq!(*a.get(x, "test"), "x2");
         a.free(x, "test");
         assert_eq!(a.len(), 1);
-        assert!(!a.contains(x));
-        assert!(a.contains(y));
+        assert!(a.try_get(x).is_none());
+        assert!(a.try_get(y).is_some());
     }
 
     #[test]
@@ -227,7 +220,7 @@ mod tests {
             x & ((1 << Arena::<u32>::INDEX_BITS) - 1)
         );
         assert_ne!(z, x, "the reused slot carries a new generation");
-        assert!(!a.contains(x));
+        assert!(a.try_get(x).is_none());
         assert_eq!(*a.get(z, "test"), 3);
     }
 

@@ -47,9 +47,7 @@ impl EveryCycle {
         let end = match fabric.start(self) {
             Some(end) => end,
             None => loop {
-                let next = fabric.cycle + 1;
-                let window = fabric.in_window(next);
-                fabric.step(next, window, window, self);
+                fabric.step(fabric.cycle + 1, self);
                 if let Some(end) = fabric.run_end() {
                     break end;
                 }
@@ -61,19 +59,14 @@ impl EveryCycle {
         };
         fabric.finish(end, counters)
     }
-
-    /// Simulate exactly the next cycle, untagged and unmeasured.
-    pub(crate) fn step_one(&mut self, fabric: &mut Fabric<'_>) {
-        fabric.step(fabric.cycle + 1, false, false, self);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::fabric::behaviour;
     use crate::{build_engine_with_plan, Engine, EngineKind, SimConfig, SimPlan};
-    use noc_topology::{NodeId, Quarc};
-    use noc_workloads::{DestinationSets, Workload};
+    use noc_topology::Quarc;
+    use noc_workloads::{DestinationSets, TraceEntry, TraceKind, TrafficSpec, Workload};
     use std::sync::Arc;
 
     /// The quick config, naming the oracle.
@@ -82,13 +75,14 @@ mod tests {
     }
 
     #[test]
-    fn zero_load_unicast_latency_is_exact() {
-        behaviour::zero_load_latency_is_exact(EngineKind::Cycle);
+    fn zero_load_unicast_latency_is_exact_in_a_run() {
+        behaviour::zero_load_latency_is_exact_in_a_run(EngineKind::Cycle);
     }
 
     #[test]
-    fn zero_load_unicast_latency_is_exact_in_a_run() {
-        behaviour::zero_load_latency_is_exact_in_a_run(EngineKind::Cycle);
+    #[should_panic(expected = "Engine::run called a second time")]
+    fn a_second_run_is_refused() {
+        behaviour::a_second_run_is_refused(EngineKind::Cycle);
     }
 
     #[test]
@@ -109,12 +103,21 @@ mod tests {
     #[test]
     fn zero_load_broadcast_latency_matches_longest_stream() {
         let topo = Quarc::new(16).unwrap();
-        let wl = Workload::new(32, 0.0, 0.0, DestinationSets::broadcast(&topo)).unwrap();
-        let mut sim = Engine::new(&topo, &wl, oracle(1));
-        let lat = sim.measure_isolated_multicast(NodeId(0));
+        let arrival = TraceEntry {
+            cycle: 5_000,
+            node: 0,
+            kind: TraceKind::Multicast,
+        };
+        let wl = Workload::new(32, 0.0, 0.0, DestinationSets::broadcast(&topo))
+            .unwrap()
+            .with_traffic(TrafficSpec::trace(vec![arrival]));
+        let res = Engine::new(&topo, &wl, oracle(1)).run();
         // All four broadcast streams traverse k = 4 links; the slowest
         // completes at msg + (k + 1) cycles.
-        assert_eq!(lat, 32 + 4 + 1);
+        assert_eq!(
+            (res.multicast.count, res.multicast.max),
+            (1, 32.0 + 4.0 + 1.0)
+        );
     }
 
     #[test]

@@ -393,73 +393,26 @@ impl<'a> Engine<'a> {
         build_engine_with_plan(topo, wl, cfg, plan)
     }
 
-    /// Run to completion and produce results.
+    /// Run to completion and produce results. An engine runs once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine has already run: its fabric holds the end of
+    /// that run, and a second call would re-report it.
     pub fn run(&mut self) -> SimResults {
+        assert!(
+            !self.fabric.finished,
+            "Engine::run called a second time: an engine runs once, build a new one"
+        );
         match &mut self.policy {
             Policy::EveryCycle(p) => p.run(&mut self.fabric),
             Policy::SkipAhead(p) => p.run(&mut self.fabric),
         }
     }
 
-    /// Advance exactly one cycle without tagging or measuring (testing
-    /// hook for cycle-precise assertions).
-    pub fn step_one(&mut self) {
-        match &mut self.policy {
-            Policy::EveryCycle(p) => p.step_one(&mut self.fabric),
-            Policy::SkipAhead(p) => p.step_one(&mut self.fabric),
-        }
-    }
-
     /// Current simulated cycle.
     pub fn now(&self) -> u64 {
         self.fabric.cycle
-    }
-
-    /// Is the message still in the network (queued or in flight)?
-    pub fn message_in_flight(&self, id: MsgId) -> bool {
-        self.fabric.msgs.contains(id)
-    }
-
-    /// Scripted-injection hook: enqueue a unicast `src → dst` *now* and
-    /// make it eligible for injection next cycle, exactly as if the
-    /// Poisson source had generated it this cycle. Intended for
-    /// deterministic micro-benchmarks and timing tests; it composes with
-    /// background Poisson traffic.
-    pub fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        self.work_injected();
-        self.fabric.inject_unicast_now(src, dst)
-    }
-
-    /// Scripted-injection hook: start `src`'s configured multicast
-    /// operation *now*; returns the ids of its port-stream messages.
-    pub fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        self.work_injected();
-        self.fabric.inject_multicast_now(src)
-    }
-
-    /// Inject a single unicast on an idle network and return its latency.
-    /// Must be called on a simulator with a zero-rate workload.
-    pub fn measure_isolated_unicast(&mut self, src: NodeId, dst: NodeId) -> u64 {
-        self.assert_zero_rate();
-        let gen = self.now();
-        let id = self.inject_unicast_now(src, dst);
-        self.run_until_complete(id) - gen
-    }
-
-    /// Inject a single multicast operation on an idle network and return
-    /// the operation latency (generation until the last target absorbs).
-    pub fn measure_isolated_multicast(&mut self, src: NodeId) -> u64 {
-        self.assert_zero_rate();
-        let gen = self.now();
-        // The op's slot is freed the moment it completes, so the latency
-        // is read off the run instead: each stream's final target absorbs
-        // at its ejection hop, so the op's last absorb is exactly the
-        // completion cycle of the slowest stream.
-        let mut done = gen;
-        for id in self.inject_multicast_now(src) {
-            done = done.max(self.run_until_complete(id));
-        }
-        done - gen
     }
 
     /// Structural self-check: ownership consistency plus the conservation
@@ -480,34 +433,6 @@ impl<'a> Engine<'a> {
     /// traffic source).
     pub fn install_closed_loop(&mut self, spec: &ClosedLoopSpec, master_seed: u64) {
         self.fabric.install_closed_loop(spec, master_seed);
-    }
-
-    /// Step until `id` completes, returning the completion cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the message does not complete within 1M cycles (deadlock
-    /// or a forgotten zero-length path — both are bugs).
-    pub fn run_until_complete(&mut self, id: MsgId) -> u64 {
-        let guard = self.now() + 1_000_000;
-        while self.message_in_flight(id) {
-            self.step_one();
-            assert!(self.now() < guard, "message {id} did not complete");
-        }
-        self.now()
-    }
-
-    /// A scripted injection added work behind the policy's back; only
-    /// the event policy remembers anything it could invalidate.
-    fn work_injected(&mut self) {
-        if let Policy::SkipAhead(p) = &mut self.policy {
-            p.work_injected();
-        }
-    }
-
-    fn assert_zero_rate(&self) {
-        let rate = self.fabric.wl.gen_rate;
-        assert_eq!(rate, 0.0, "requires a zero-rate workload");
     }
 }
 

@@ -39,27 +39,17 @@
 //!   group is declined; its arrivals are then held, and stepped at their
 //!   own cycles like any other. Telemetry, closed loops and single-flit
 //!   buffers decline them all.
-//! * **Coasting** — a message whose header has crossed its last hop, and
-//!   each of whose hops its tail has not crossed is the one ready cv of
-//!   its physical channel with no other coast there, moves a flit across
-//!   each such hop on every cycle until something beside it changes: each
-//!   is picked alone, every counter grows by one, and every supply and
-//!   credit verdict — a difference of neighbouring counters — reads as
-//!   before; a hop stops when its tail crosses it, and the hop behind is
-//!   released on that cycle. It leaves selection and application (ready
-//!   bits clear, coast bits set, its channels off the set selection
-//!   walks), keeps its cvs, and is *settled* in one step: on the last
-//!   cycle of its window (a cycle short of its first absorption or
-//!   delivery, of a release a header waits for, of any release when a
-//!   trace is recorded, and of the next warmup, measurement or deadline
-//!   boundary), at the end of any cycle in which a grant or a refresh
-//!   made another cv on one of its channels ready, when a header requests
-//!   one of its cvs, or when the run ends (`Fabric::start_coasts`,
-//!   `Fabric::settle`). A landed message is checked at the end of every
-//!   cycle until it coasts or its tail nears its last hop, settled ones
-//!   again. Every event-engine run coasts, telemetry and closed loops
-//!   included, from the messages that landed in scripted steps before it
-//!   on; the oracle and the scripted `step_one` never do.
+//! * **Coasting** — a message whose header has landed moves a flit
+//!   across each hop its tail has not crossed on every cycle, alone on
+//!   each of its channels, until its window ends or something beside it
+//!   changes. It sits out selection and application and is settled in
+//!   closed form; `Fabric::start_coasts` states when a message coasts,
+//!   what ends its window and what settling it writes. It touches only
+//!   its own counters and bits, so a cycle with no explicit move, grant
+//!   or settlement is still a stall fixpoint for the rest of the fabric,
+//!   and a jump stops at the earliest window end, which is stepped. A
+//!   coast moves on every cycle a jump passes over, so the jump sets the
+//!   watchdog's last-move anchor to the cycle before its target.
 //!
 //! Idle and stalled cycles are *inert*: the engine advances straight to
 //! the earliest of the next scheduled arrival or protocol timer (from the
@@ -90,53 +80,6 @@
 //!   end, and the channel set is empty: the oracle's still names the
 //!   released channels, which its next selection sweeps before anything
 //!   reads them.
-//!
-//! A coast's window holds no event whose order can show: no request (its
-//! header has landed), no absorption, delivery or free (the window ends
-//! before the first), no grant on its cvs (it owns them, and a release a
-//! header waits for ends the window), and releases nobody is queued for.
-//! Settled through cycle `now` after coasting from `from`, it writes what
-//! the oracle's steps over `from + 1 ..= now` wrote:
-//!
-//! * hop `h`'s `traversed` becomes `min(L, t + now − from)`, all of them
-//!   before any ready bit is re-derived: the counters after as many
-//!   moves of a stream whose successive hops stop as its tail crosses;
-//! * `flit_moves` and the per-channel traversal counts grow by each hop's
-//!   moves, under the one `measuring` verdict the window shares — integer
-//!   sums, so their order among other messages' moves is free;
-//! * each of its channels' round-robin pointers sits just past its vc,
-//!   where each lone pick left it (nothing reads the pointer meanwhile:
-//!   no other cv there is ready);
-//! * each hop behind one its tail crossed is released — owner, masks and
-//!   coast bit cleared, the cv handed to the grant phase, which finds no
-//!   waiter — and every other hop's ready bit is re-derived and its
-//!   channel put back in the set;
-//! * the watchdog's anchor: a stepped cycle with a coast is progress, and
-//!   a jump over cycles sets it to the cycle before the target, the last
-//!   the coast moved on.
-//!
-//! A header's request for one of its cvs settles the coast first, since
-//! the release it waits for may lie inside the window: through the
-//! previous cycle when the request comes from generation, so the message
-//! steps the current one; through the current cycle when it comes after
-//! selection (application, a closed-loop reply), which under the order
-//! rule nothing later in the cycle can tell from stepped moves — the
-//! window holds no absorption or delivery.
-//!
-//! A coast touches only its own counters and bits, so a cycle with no
-//! explicit move, grant or settlement is still a stall fixpoint for the
-//! rest of the fabric; its jump stops at the earliest window end. The
-//! order other messages' statistics are recorded in is the channel order
-//! of their own moves, which a coast does not take part in.
-//!
-//! What a coast leaves out is also what telemetry and closed loops read
-//! per event, not per flit: its window holds no grant, absorption or
-//! delivery to trace or to hand a protocol machine, no release while a
-//! trace is recorded (a trace keeps events in emission order), and the
-//! utilization series takes its moves as one range per hop. One tap reads
-//! a cycle's moves: a stepped cycle traces `Stall` when channels are held
-//! and nothing moves, and a coast moves, so the tap also asks that nothing
-//! coasts.
 //!
 //! Together the mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
@@ -220,7 +163,6 @@ impl SkipAhead {
             Some(end) => end,
             None => {
                 let may_fly = fabric.flights_possible();
-                fabric.begin_coasting();
                 loop {
                     let target = self.next_cycle_of_interest(fabric);
                     if target > fabric.cycle + 1 && !fabric.coasts.is_empty() {
@@ -238,8 +180,7 @@ impl SkipAhead {
                         debug_assert!(fabric.run_end().is_none());
                         continue;
                     }
-                    let window = fabric.in_window(target);
-                    self.simulate_cycle(fabric, target, window);
+                    self.simulate_cycle(fabric, target);
                     if let Some(end) = fabric.run_end() {
                         break end;
                     }
@@ -249,24 +190,12 @@ impl SkipAhead {
         fabric.finish(end, self.counters)
     }
 
-    /// Simulate exactly the next cycle, untagged and unmeasured.
-    pub(crate) fn step_one(&mut self, fabric: &mut Fabric<'_>) {
-        self.simulate_cycle(fabric, fabric.cycle + 1, false);
-    }
-
-    /// A scripted injection added work behind the policy's back:
-    /// whatever stall was proven before no longer holds.
-    pub(crate) fn work_injected(&mut self) {
-        self.stalled = false;
-    }
-
     /// Simulate exactly cycle `target` (every cycle strictly between the
     /// current one and `target` is inert by construction — see the module
-    /// docs), tagged and measured iff `window`, and update the stall
-    /// detector.
-    fn simulate_cycle(&mut self, fabric: &mut Fabric<'_>, target: u64, window: bool) {
+    /// docs) and update the stall detector.
+    fn simulate_cycle(&mut self, fabric: &mut Fabric<'_>, target: u64) {
         self.counters.simulated_cycles += 1;
-        let out = fabric.step(target, window, window, self);
+        let out = fabric.step(target, self);
         self.stalled = !out.moved && out.granted == 0 && !out.settled;
         if self.stalled {
             self.counters.stall_fixpoints += 1;
@@ -363,13 +292,14 @@ mod tests {
     use noc_workloads::{DestinationSets, Workload};
 
     #[test]
-    fn zero_load_latency_is_exact() {
-        behaviour::zero_load_latency_is_exact(EngineKind::EventDriven);
+    fn zero_load_latency_is_exact_in_a_run() {
+        behaviour::zero_load_latency_is_exact_in_a_run(EngineKind::EventDriven);
     }
 
     #[test]
-    fn zero_load_latency_is_exact_in_a_run() {
-        behaviour::zero_load_latency_is_exact_in_a_run(EngineKind::EventDriven);
+    #[should_panic(expected = "Engine::run called a second time")]
+    fn a_second_run_is_refused() {
+        behaviour::a_second_run_is_refused(EngineKind::EventDriven);
     }
 
     #[test]

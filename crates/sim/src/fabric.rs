@@ -53,17 +53,14 @@
 //! the same cycle by construction. One thing besides `step` advances a
 //! fabric: [`Fabric::fly_group`], which applies a group of arrivals the
 //! event engine gathered on an empty fabric ([`Fabric::admit`]) in closed
-//! form — the sum of the cycles `step` would have simulated. On every
-//! event-engine run `step` itself lets a message whose header has landed
-//! *coast* beside the stepped traffic — streaming, then draining through
-//! the releases behind its tail, up to the cycle before its first
-//! absorption or delivery — and settles its moves in closed form
-//! ([`Fabric::start_coasts`], [`Fabric::settle`]). A coasting message's
-//! channels leave the set selection walks until it is settled.
+//! form — the sum of the cycles `step` would have simulated. On an
+//! event-engine fabric `step` itself lets a message whose header has
+//! landed *coast* beside the stepped traffic and settles its moves in
+//! closed form; [`Fabric::start_coasts`] gives the rules.
 
 use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
-use crate::config::SimConfig;
+use crate::config::{EngineKind, SimConfig};
 use crate::engine_api::{AuditError, EngineAudit};
 use crate::message::{ActiveMsg, Coast, CvState, MsgId, MulticastOp, OpId, NO_COAST, NO_MSG};
 use crate::metrics::Metrics;
@@ -394,6 +391,8 @@ pub struct Fabric<'a> {
     /// Last cycle on which a flit moved or a channel was granted
     /// (deadlock watchdog).
     pub(crate) last_move_cycle: u64,
+    /// The run has finished: [`Fabric::finish`] handed out its results.
+    pub(crate) finished: bool,
 
     // --- scratch (reused across cycles) ---
     /// The cycle's move set, in selection order.
@@ -409,9 +408,9 @@ pub struct Fabric<'a> {
     group: Group,
 
     // --- coasts (the event engine's; see `Fabric::start_coasts`) ---
-    /// May a message coast? Set for the length of every event-engine
-    /// run; the oracle and scripted steps never coast.
-    pub(crate) may_coast: bool,
+    /// May a message coast? On an event-engine fabric, from construction
+    /// on; the oracle never coasts.
+    may_coast: bool,
     /// The messages coasting, in no order; each knows its index
     /// ([`ActiveMsg::coast`]).
     pub(crate) coasts: Vec<Coast>,
@@ -465,11 +464,12 @@ impl<'a> Fabric<'a> {
             peak_backlog: 0,
             tagged_outstanding: 0,
             last_move_cycle: 0,
+            finished: false,
             moves: Vec::new(),
             regrant: Vec::new(),
             held: VecDeque::new(),
             group: Group::default(),
-            may_coast: false,
+            may_coast: cfg.engine == EngineKind::EventDriven,
             coasts: Vec::new(),
             landed: Vec::new(),
             disturbed: Vec::new(),
@@ -514,9 +514,14 @@ impl<'a> Fabric<'a> {
 
     /// Append header `id` to the waiter list of `cv` (the cv of hop
     /// `head` of its path) and have the grant phase look at it. A coast of
-    /// the cv's owner is settled first ([`Fabric::settle_through`]): its
-    /// window may hold the release the waiter is granted on, and was not
-    /// cut short of it.
+    /// the cv's owner is settled first: its window may hold the release the
+    /// waiter is granted on, and was not cut short of it. It is settled
+    /// through [`Fabric::settle_through`]: the previous cycle when the
+    /// request comes from generation, so the message steps the current
+    /// one; the current cycle when it comes after selection (application,
+    /// a closed-loop reply), which under the order rule nothing later in
+    /// the cycle can tell from stepped moves — the window holds no
+    /// absorption or delivery.
     fn request(&mut self, cv: u32, id: MsgId) {
         if let Some((owner, _)) = self.cvs[cv as usize]
             .owner
@@ -565,8 +570,8 @@ impl<'a> Fabric<'a> {
     }
 
     /// Generate `src`'s configured multicast operation this cycle: one
-    /// message per port stream, each reported to `each`.
-    fn start_multicast(&mut self, src: NodeId, tagged: bool, mut each: impl FnMut(MsgId)) -> OpId {
+    /// message per port stream.
+    fn start_multicast(&mut self, src: NodeId, tagged: bool) -> OpId {
         let (node, gen, len) = (src.idx(), self.cycle, self.wl.msg_len);
         assert!(
             !self.plan.streams(node).is_empty(),
@@ -592,7 +597,6 @@ impl<'a> Fabric<'a> {
                 .insert(ActiveMsg::stream(path, len, gen, tagged, op, absorbs));
             self.metrics.total_generated += 1;
             self.enqueue(id, src.0);
-            each(id);
         }
         op
     }
@@ -601,7 +605,7 @@ impl<'a> Fabric<'a> {
     fn spawn(&mut self, node: NodeId, arrival: Arrival, tagging: bool) {
         match arrival {
             Arrival::Multicast => {
-                self.start_multicast(node, tagging, |_| {});
+                self.start_multicast(node, tagging);
             }
             Arrival::Unicast(dst) => {
                 self.start_unicast(node, dst, tagging);
@@ -865,20 +869,15 @@ impl<'a> Fabric<'a> {
     }
 
     /// Simulate exactly cycle `cycle` (the driver vouches that every
-    /// cycle skipped since the last one was inert). `tagging` controls
-    /// whether newly generated messages join the measured population,
-    /// `measuring` whether flit moves count toward utilisation.
-    pub(crate) fn step(
-        &mut self,
-        cycle: u64,
-        tagging: bool,
-        measuring: bool,
-        due: &mut impl TimeAdvance,
-    ) -> CycleOutcome {
+    /// cycle skipped since the last one was inert). Inside the window
+    /// ([`Fabric::in_window`]) newly generated messages join the measured
+    /// population and flit moves count toward utilisation.
+    pub(crate) fn step(&mut self, cycle: u64, due: &mut impl TimeAdvance) -> CycleOutcome {
         debug_assert!(cycle > self.cycle);
         self.cycle = cycle;
         self.settle_through = cycle - 1;
-        self.generate(tagging, due);
+        let window = self.in_window(cycle);
+        self.generate(window, due);
         self.select_moves();
         let moved = !self.moves.is_empty();
         if !moved && self.coasts.is_empty() && self.holds() {
@@ -886,7 +885,7 @@ impl<'a> Fabric<'a> {
             // coast moves a flit on every cycle of its window).
             self.metrics.trace(TraceEventKind::Stall, cycle, 0);
         }
-        self.apply_moves(measuring);
+        self.apply_moves(window);
         self.closed_deliver(due);
         let granted = self.grant();
         let coasting = !self.coasts.is_empty();
@@ -956,7 +955,7 @@ impl<'a> Fabric<'a> {
                         .note_unicast(id, dst, payload);
                 }
                 Action::Multicast { src, payload } => {
-                    let op = self.start_multicast(src, true, |_| {});
+                    let op = self.start_multicast(src, true);
                     self.closed
                         .as_mut()
                         .expect("closed-loop driver present")
@@ -1199,19 +1198,6 @@ impl<'a> Fabric<'a> {
     // beside stepped traffic.
     // ------------------------------------------------------------------
 
-    /// Let this event-engine run coast, from the landed messages on: those
-    /// whose header crossed their last hop in scripted steps too.
-    pub(crate) fn begin_coasting(&mut self) {
-        self.may_coast = true;
-        for (m, msg) in self.msgs.iter() {
-            let landed =
-                msg.head as usize == msg.path.len() && msg.traversed[msg.path.len() - 1] > 0;
-            if landed && may_yet_coast(msg) {
-                self.landed.push(m);
-            }
-        }
-    }
-
     /// Start a coast for each landed message — its header has crossed its
     /// last hop — whose every hop the tail has not crossed is the one ready
     /// cv of its channel, with no other coast there: at the end of the
@@ -1221,6 +1207,33 @@ impl<'a> Fabric<'a> {
     /// message stays landed until it coasts, or its tail is too close to
     /// its last hop for a window of two cycles — which comes before its
     /// delivery, and so before the message is freed.
+    ///
+    /// An event-engine fabric coasts from construction to
+    /// [`Fabric::finish`], telemetry and closed loops included; the oracle
+    /// never does. A coast moves a flit across each hop on every cycle of
+    /// its window ([`Fabric::coast_window`]) and is settled
+    /// ([`Fabric::settle`]):
+    ///
+    /// * on the window's last cycle;
+    /// * at the end of a cycle in which a grant or a refresh made another
+    ///   cv on one of its channels ready, since its cv is no longer picked
+    ///   alone ([`Fabric::settle_coasts`]);
+    /// * when a header requests one of its cvs, since the release the
+    ///   header waits for may lie inside the window ([`Fabric::request`]);
+    /// * when the run ends.
+    ///
+    /// The window holds no event whose order can show: no request (its
+    /// header has landed), no absorption, delivery or free (the window ends
+    /// before the first), no grant on its cvs (it owns them, and a release
+    /// a header waits for ends the window), and only releases nobody is
+    /// queued for. Telemetry and closed loops read events, not flits, so
+    /// they lose nothing either: there is no grant, absorption or delivery
+    /// to trace or to hand a protocol machine, no release while a trace is
+    /// recorded (a trace keeps events in emission order), and the
+    /// utilization series takes the moves as one range per hop. One tap
+    /// reads a cycle's moves: a stepped cycle traces `Stall` when channels
+    /// are held and nothing moves, and a coast moves, so the tap also asks
+    /// that nothing coasts.
     fn start_coasts(&mut self) {
         let mut landed = std::mem::take(&mut self.landed);
         landed.retain(|&m| {
@@ -1498,12 +1511,12 @@ impl<'a> Fabric<'a> {
     /// Assemble the results of a run that ended with `end`, settling every
     /// coast first: its moves up to the last cycle stepped.
     pub(crate) fn finish(&mut self, end: RunEnd, engine: EngineCounters) -> SimResults {
-        self.may_coast = false;
-        self.landed.clear();
         while let Some(last) = self.coasts.len().checked_sub(1) {
             let coast = self.end_coast(last);
             self.settle(coast, self.cycle);
         }
+        self.landed.clear();
+        self.finished = true;
         let (coasts, coast_moves) = self.coast_counts;
         let engine = EngineCounters {
             coasts,
@@ -1537,23 +1550,8 @@ impl<'a> Fabric<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Scripted injection and diagnostics (the `Engine` test hooks).
+    // Diagnostics.
     // ------------------------------------------------------------------
-
-    /// See [`crate::Engine::inject_unicast_now`].
-    pub(crate) fn inject_unicast_now(&mut self, src: NodeId, dst: NodeId) -> MsgId {
-        let id = self.start_unicast(src, dst, false);
-        self.grant();
-        id
-    }
-
-    /// See [`crate::Engine::inject_multicast_now`].
-    pub(crate) fn inject_multicast_now(&mut self, src: NodeId) -> Vec<MsgId> {
-        let mut ids = Vec::new();
-        self.start_multicast(src, false, |id| ids.push(id));
-        self.grant();
-        ids
-    }
 
     /// The `(owned, ready)` masks of channel `pc` derived from scratch:
     /// every cv's owner asked whether it can move a flit. The reference
@@ -1784,47 +1782,88 @@ mod tests {
         }
     }
 
+    /// Quarc-16, whose only traffic is 16-flit unicasts `0 → 3` generated
+    /// at `cycles`.
+    fn unicasts_0_to_3(cycles: &[u64]) -> (Quarc, Workload) {
+        use noc_workloads::{TraceEntry, TraceKind, TrafficSpec};
+        let topo = Quarc::new(16).unwrap();
+        let arrivals = cycles.iter().map(|&cycle| TraceEntry {
+            cycle,
+            node: 0,
+            kind: TraceKind::Unicast { dst: 3 },
+        });
+        let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1))
+            .unwrap()
+            .with_traffic(TrafficSpec::trace(arrivals.collect()));
+        (topo, wl)
+    }
+
+    /// `wl` on `topo` run to the end of cycle `x`, with the utilization
+    /// series on so that nothing flies: each message's arena slot is the
+    /// one a stepped run gives it.
+    fn run_to<'a>(kind: EngineKind, topo: &Quarc, wl: &'a Workload, x: u64) -> Engine<'a> {
+        let cfg = SimConfig {
+            warmup_cycles: x - 1,
+            measure_cycles: 1,
+            drain_cycles: 0,
+            ..SimConfig::quick(1)
+        };
+        let telemetry = noc_telemetry::TelemetrySpec::off().with_util_window(64);
+        let mut sim = Engine::new(topo, wl, cfg.with_engine(kind).with_telemetry(telemetry));
+        sim.run();
+        assert_eq!(sim.now(), x, "the run ends with its window");
+        sim
+    }
+
     #[test]
     fn contending_headers_are_granted_in_arrival_order_across_slot_reuse() {
-        let topo = Quarc::new(16).unwrap();
-        let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
-        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(1));
-        let (src, dst) = (NodeId(0), NodeId(3));
+        // 16-flit messages 0 → 3 over five hops, each absorbed 20 cycles
+        // after its generation when alone, releasing the injection cv at
+        // 17. The first comes and goes, leaving a free arena slot. Four
+        // headers for the injection cv follow on consecutive cycles, the
+        // first in the recycled slot; it is absorbed at 60, and a fifth
+        // joins a queue that still holds the third and fourth, in the
+        // slot the first just vacated.
+        let cycles = [10, 40, 41, 42, 43, 61];
+        let (topo, wl) = unicasts_0_to_3(&cycles);
         let slot = |id: MsgId| id & ((1 << Arena::<ActiveMsg>::INDEX_BITS) - 1);
-
-        // A first message comes and goes, leaving a free arena slot.
-        let gone = sim.inject_unicast_now(src, dst);
-        sim.run_until_complete(gone);
-
-        // Four headers for one injection cv; the first recycles the slot.
-        let mut expected: Vec<MsgId> = (0..4).map(|_| sim.inject_unicast_now(src, dst)).collect();
-        assert_eq!(slot(expected[0]), slot(gone));
-        assert_ne!(expected[0], gone, "a recycled slot issues a fresh id");
-        let inj = sim.fabric.msgs.get(expected[0], "queued").path.hops[0];
-        let cv = sim.fabric.plan.cv_index(inj) as usize;
-
-        let mut granted = Vec::new();
-        let mut late = None;
-        while expected.iter().any(|&id| sim.message_in_flight(id)) {
-            if late.is_none() && !sim.message_in_flight(expected[0]) {
-                // A fifth joins a queue that still holds the third and
-                // fourth, in the slot the first just vacated.
-                assert_ne!(sim.fabric.cvs[cv].wait_head, NO_MSG);
-                let id = sim.inject_unicast_now(src, dst);
-                assert_eq!(slot(id), slot(expected[0]));
-                expected.push(id);
-                late = Some(id);
-            }
-            if let Some((m, 0)) = sim.fabric.cvs[cv].owner {
-                if granted.last() != Some(&m) {
-                    granted.push(m);
+        for kind in [EngineKind::Cycle, EngineKind::EventDriven] {
+            let (mut ids, mut granted) = (vec![None; cycles.len()], Vec::new());
+            for x in 10..=130 {
+                let sim = run_to(kind, &topo, &wl, x);
+                sim.audit().expect("waiter lists stay well formed");
+                let f = &sim.fabric;
+                for (m, msg) in f.msgs.iter() {
+                    let i = cycles.iter().position(|&c| c == msg.gen).unwrap();
+                    assert_eq!(*ids[i].get_or_insert(m), m, "{kind:?}: ids are fixed");
+                }
+                let inj = f.plan.unicast_path(NodeId(0), NodeId(3)).hops[0];
+                let cv = &f.cvs[f.plan.cv_index(inj) as usize];
+                if let Some((m, 0)) = cv.owner {
+                    if granted.last() != Some(&m) {
+                        granted.push(m);
+                    }
+                }
+                // The owner, then the waiters, in arrival order.
+                let owner = cv.owner.map(|(m, _)| f.msgs.get(m, "owner").gen);
+                let mut queue: Vec<u64> = owner.into_iter().collect();
+                let mut at = cv.wait_head;
+                while at != NO_MSG {
+                    let msg = f.msgs.get(at, "waiter");
+                    queue.push(msg.gen);
+                    at = msg.next_waiter;
+                }
+                assert!(queue.is_sorted(), "{kind:?} at {x}: {queue:?}");
+                if x == 61 {
+                    assert_eq!(queue, [41, 42, 43, 61], "{kind:?}: the fifth queues");
                 }
             }
-            sim.audit().expect("waiter lists stay well formed");
-            sim.step_one();
+            let ids: Vec<MsgId> = ids.into_iter().map(|id| id.expect("seen live")).collect();
+            assert_eq!(slot(ids[1]), slot(ids[0]));
+            assert_ne!(ids[1], ids[0], "a recycled slot issues a fresh id");
+            assert_eq!(slot(ids[5]), slot(ids[1]));
+            assert_eq!(granted, ids, "{kind:?}: grants follow arrival order");
         }
-        assert!(late.is_some());
-        assert_eq!(granted, expected, "grants follow arrival order");
     }
 
     #[test]
@@ -1866,15 +1905,21 @@ mod tests {
 
     #[test]
     fn audit_names_the_channel_cv_or_message_that_drifted() {
-        let topo = Quarc::new(16).unwrap();
-        let wl = Workload::new(16, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
-        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(1));
-        // One owner of the injection cv and two headers queued behind it.
-        let ids: Vec<MsgId> = (0..3)
-            .map(|_| sim.inject_unicast_now(NodeId(0), NodeId(3)))
+        // At the end of cycle 3: one owner of the injection cv and two
+        // headers queued behind it.
+        let (topo, wl) = unicasts_0_to_3(&[1, 2, 3]);
+        let mut sim = run_to(EngineKind::EventDriven, &topo, &wl, 3);
+        let mut ids: Vec<(u64, MsgId)> = sim
+            .fabric
+            .msgs
+            .iter()
+            .map(|(m, msg)| (msg.gen, m))
             .collect();
+        ids.sort_unstable();
+        let ids: Vec<MsgId> = ids.into_iter().map(|(_, m)| m).collect();
         let inj = sim.fabric.msgs.get(ids[0], "owner").path.hops[0];
         let (pc, cv) = (inj.channel.idx(), sim.fabric.plan.cv_index(inj) as usize);
+        assert_eq!(sim.fabric.cvs[cv].owner, Some((ids[0], 0)));
         sim.audit().expect("sound before tampering");
         let fails_with = |sim: &Engine<'_>, expected: AuditError, what: &str| {
             let err = sim.audit().expect_err(what);
@@ -1895,12 +1940,11 @@ mod tests {
         fails_with(&sim, drifted, &format!("channel {pc}: masks drifted"));
         sim.fabric.channels[pc].ready ^= 1;
 
-        sim.fabric.msgs.get_mut(ids[0], "owner").head += 1;
-        let unheld = AuditError::HeadNotHeld {
-            msg: ids[0],
-            head: 2,
-        };
-        fails_with(&sim, unheld, &format!("message {}: head cursor 2", ids[0]));
+        let head = sim.fabric.msgs.get(ids[0], "owner").head + 1;
+        sim.fabric.msgs.get_mut(ids[0], "owner").head = head;
+        let unheld = AuditError::HeadNotHeld { msg: ids[0], head };
+        let what = format!("message {}: head cursor {head}", ids[0]);
+        fails_with(&sim, unheld, &what);
         sim.fabric.msgs.get_mut(ids[0], "owner").head -= 1;
 
         sim.fabric.cvs[cv].wait_tail = ids[1];
@@ -1954,26 +1998,9 @@ pub(crate) mod behaviour {
         res
     }
 
-    pub(crate) fn zero_load_latency_is_exact(kind: EngineKind) {
-        let topo = Quarc::new(16).unwrap();
-        for (src, dst, msg_len) in [(0u32, 3u32, 16u32), (0, 8, 32), (5, 1, 64), (2, 12, 16)] {
-            let sets = DestinationSets::random(&topo, 4, 1);
-            let wl = Workload::new(msg_len, 0.0, 0.0, sets).unwrap();
-            let cfg = SimConfig::quick(1).with_engine(kind);
-            let mut sim = Engine::new(&topo, &wl, cfg);
-            let lat = sim.measure_isolated_unicast(NodeId(src), NodeId(dst));
-            let path = topo.unicast_path(NodeId(src), NodeId(dst));
-            let expected = msg_len as u64 + path.hop_count() as u64;
-            assert_eq!(
-                lat, expected,
-                "{kind:?}: zero-load latency {src}->{dst} len {msg_len}: got {lat}, want {expected}"
-            );
-        }
-    }
-
-    /// The same latency read off a `run`: one traced arrival — which the
-    /// event engine flies, so the closed form answers here, not the
-    /// per-cycle machinery. The last one arrives on the first watchdog
+    /// Zero-load latency `L + H + 1`, read off a `run` of one traced
+    /// arrival — which the event engine flies, so the closed form answers
+    /// here, not the per-cycle machinery. The last one arrives on the first watchdog
     /// tick more than the window after cycle 0: its own grant is progress,
     /// not a held channel with nothing moving.
     pub(crate) fn zero_load_latency_is_exact_in_a_run(kind: EngineKind) {
@@ -2002,6 +2029,15 @@ pub(crate) mod behaviour {
             let flown = u64::from(kind == EngineKind::EventDriven);
             assert_eq!(res.engine.flights, flown, "{kind:?}: {src}->{dst}");
         }
+    }
+
+    /// An engine runs once: a second `run` would re-report the first.
+    pub(crate) fn a_second_run_is_refused(kind: EngineKind) {
+        let topo = Quarc::new(16).unwrap();
+        let wl = Workload::new(16, 0.004, 0.05, DestinationSets::random(&topo, 4, 3)).unwrap();
+        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(7).with_engine(kind));
+        sim.run();
+        sim.run();
     }
 
     pub(crate) fn low_load_run_completes_and_audits_clean(kind: EngineKind) {

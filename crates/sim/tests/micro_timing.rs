@@ -6,16 +6,25 @@
 //! bandwidth sharing and multicast/unicast equivalences. Every expected
 //! number below is derived by hand from the timing conventions in the
 //! crate docs (one flit per channel per cycle, one-cycle credit loop,
-//! grants at end of cycle). Running each scenario on the cycle-stepped
-//! reference and the event-driven engine keeps the zero-load `L + H + 1`
-//! exactness (and every contention timing) a property of the *contract*,
-//! not of one implementation.
+//! grants at end of cycle). Each scenario is a trace of arrivals run to
+//! completion on the cycle-stepped reference and on the event-driven
+//! engine, both traced (bodies stepped or coasting) and untraced (where
+//! it can, flown in closed form). The traced runs' absorption and release
+//! cycles are checked against the hand-derived timings, and every run
+//! must report the same latency summaries, so the zero-load `L + H + 1`
+//! exactness (and every contention timing) is a property of the
+//! *contract*, not of one implementation or one mechanism.
 
-use noc_sim::{Engine, EngineKind, SimConfig};
+use noc_sim::{
+    record_trace, Engine, EngineKind, SimConfig, TelemetrySpec, TraceEventKind, TraceMode,
+};
 use noc_topology::{NodeId, Quarc, Topology};
-use noc_workloads::{DestinationSets, Workload};
+use noc_workloads::{DestinationSets, TraceEntry, TraceKind, TrafficSpec, Workload};
 
 const L: u64 = 8; // message length in flits for these scenarios
+
+/// The cycle the first message of a scenario is generated on.
+const G: u64 = 100;
 
 fn fixture(n: usize) -> (Quarc, Workload) {
     let topo = Quarc::new(n).unwrap();
@@ -24,102 +33,146 @@ fn fixture(n: usize) -> (Quarc, Workload) {
     (topo, wl)
 }
 
+/// Node 0's multicast group is `targets`; nobody else multicasts.
+fn from_node_0(targets: &[u32]) -> Workload {
+    let mut sets = vec![Vec::new(); 16];
+    sets[0] = targets.iter().map(|&t| NodeId(t)).collect();
+    Workload::new(L as u32, 0.0, 0.0, DestinationSets::explicit(sets)).unwrap()
+}
+
 /// Isolated latency over a path with `links` links is `L + links + 1`.
 fn isolated(links: u64) -> u64 {
     L + links + 1
 }
 
-/// Run `scenario` against a fresh engine of each kind, labelling failures
-/// with the engine under test.
-fn on_both_engines(
-    topo: &dyn Topology,
-    wl: &Workload,
-    mut scenario: impl FnMut(&mut Engine<'_>, &str),
-) {
-    let cfg = SimConfig::quick(1);
-    let mut cycle = Engine::new(topo, wl, cfg.with_engine(EngineKind::Cycle));
-    scenario(&mut cycle, "cycle engine");
-    let mut event = Engine::new(topo, wl, cfg.with_engine(EngineKind::EventDriven));
-    scenario(&mut event, "event engine");
+fn unicast(cycle: u64, src: u32, dst: u32) -> TraceEntry {
+    TraceEntry {
+        cycle,
+        node: src,
+        kind: TraceKind::Unicast { dst },
+    }
+}
+
+fn multicast(cycle: u64, src: u32) -> TraceEntry {
+    TraceEntry {
+        cycle,
+        node: src,
+        kind: TraceKind::Multicast,
+    }
+}
+
+/// What the traced runs recorded, each list sorted `(cycle, location)`.
+#[derive(Debug, PartialEq)]
+struct Seen {
+    /// Tails absorbed, at their node.
+    absorbs: Vec<(u64, u32)>,
+    /// Multicast operations completed, at their source.
+    ops_done: Vec<(u64, u32)>,
+    /// Channels released.
+    releases: Vec<(u64, u32)>,
+}
+
+/// Run `arrivals` over `wl` on the oracle and on the event engine, each
+/// traced and untraced, with every arrival tagged; require identical
+/// latency summaries from all four runs and identical records from the
+/// two traced ones, and return those.
+fn run_everywhere(topo: &dyn Topology, wl: &Workload, arrivals: Vec<TraceEntry>) -> Seen {
+    let wl = wl.clone().with_traffic(TrafficSpec::trace(arrivals));
+    let (mut seen, mut summary) = (None, None);
+    for kind in [EngineKind::Cycle, EngineKind::EventDriven] {
+        for trace in [TraceMode::Full, TraceMode::Off] {
+            let ctx = format!("{kind:?}, trace {trace:?}");
+            let cfg = SimConfig {
+                warmup_cycles: 0,
+                measure_cycles: 1_000,
+                ..SimConfig::quick(1)
+            };
+            let telemetry = TelemetrySpec::off().with_trace(trace);
+            let res = Engine::new(topo, &wl, cfg.with_engine(kind).with_telemetry(telemetry)).run();
+            assert!(
+                res.complete() && !res.saturated,
+                "{ctx}: every arrival delivered"
+            );
+            let stats = [&res.unicast, &res.multicast]
+                .map(|s| (s.count, [s.min, s.max, s.mean].map(f64::to_bits)));
+            let counts = (stats, res.flit_moves, res.cycles);
+            assert_eq!(*summary.get_or_insert(counts), counts, "{ctx}: summaries");
+            let Some(log) = &res.trace else { continue };
+            let of = |kind: TraceEventKind| {
+                let mut events: Vec<(u64, u32)> = log
+                    .events
+                    .iter()
+                    .filter(|ev| ev.kind == kind)
+                    .map(|ev| (ev.at, ev.loc))
+                    .collect();
+                events.sort_unstable();
+                events
+            };
+            let traced = Seen {
+                absorbs: of(TraceEventKind::Absorb),
+                ops_done: of(TraceEventKind::OpDone),
+                releases: of(TraceEventKind::Release),
+            };
+            match &seen {
+                Some(first) => assert_eq!(first, &traced, "{ctx}: traced records"),
+                None => seen = Some(traced),
+            }
+        }
+    }
+    seen.expect("a traced run")
 }
 
 #[test]
 fn back_to_back_same_port_serialise_on_the_injection_channel() {
-    // Two messages from node 0 to node 2 (clockwise, same port). The
-    // second acquires the injection channel when the first's tail leaves
-    // its buffer (traverses the first link) at g + L + 1, so it finishes
-    // exactly L + 1 cycles after the first.
+    // Two messages from node 0 to node 2 (clockwise, same port), the
+    // second a cycle later. It queues for the injection channel and
+    // acquires it when the first's tail leaves its buffer (traverses the
+    // first link) at g + L + 1 — the cycle it would have had queued beside
+    // the first — so it finishes exactly L + 1 cycles after the first.
     let (topo, wl) = fixture(16);
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let g = sim.now();
-        let m1 = sim.inject_unicast_now(NodeId(0), NodeId(2));
-        let m2 = sim.inject_unicast_now(NodeId(0), NodeId(2));
-        let t1 = sim.run_until_complete(m1);
-        let t2 = sim.run_until_complete(m2);
-        assert_eq!(t1 - g, isolated(2), "{eng}: first message is unobstructed");
-        assert_eq!(t2 - t1, L + 1, "{eng}: second waits for injection release");
-    });
+    let seen = run_everywhere(&topo, &wl, vec![unicast(G, 0, 2), unicast(G + 1, 0, 2)]);
+    let t1 = G + isolated(2);
+    assert_eq!(t1 - G, 11, "the first message is unobstructed");
+    assert_eq!(seen.absorbs, [(t1, 2), (t1 + L + 1, 2)]);
 }
 
 #[test]
 fn different_ports_of_one_node_do_not_serialise() {
-    // Node 0 sends clockwise (to 2) and counter-clockwise (to 14)
-    // simultaneously; the all-port router gives each its own injection
-    // channel, so both complete at the isolated latency.
+    // Node 0 sends clockwise (to 2) and, a cycle later, counter-clockwise
+    // (to 14); the all-port router gives each its own injection channel,
+    // so both complete at the isolated latency.
     let (topo, wl) = fixture(16);
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let g = sim.now();
-        let m1 = sim.inject_unicast_now(NodeId(0), NodeId(2));
-        let m2 = sim.inject_unicast_now(NodeId(0), NodeId(14));
-        let t1 = sim.run_until_complete(m1);
-        let t2 = sim.run_until_complete(m2);
-        assert_eq!(t1 - g, isolated(2), "{eng}");
-        assert_eq!(t2 - g, isolated(2), "{eng}");
-    });
+    let seen = run_everywhere(&topo, &wl, vec![unicast(G, 0, 2), unicast(G + 1, 0, 14)]);
+    assert_eq!(
+        seen.absorbs,
+        [(G + isolated(2), 2), (G + 1 + isolated(2), 14)]
+    );
 }
 
 #[test]
 fn fifo_arbitration_earlier_request_wins_and_blocks_exactly_l_cycles() {
     // m1: 0 -> 2 needs links cw0, cw1. m2: 1 -> 3 needs links cw1, cw2.
-    // Injected the same cycle, m2's header requests cw1 at g+1 (straight
+    // Generated the same cycle, m2's header requests cw1 at g+1 (straight
     // from injection) while m1's header requests it at g+2 (after
     // traversing cw0) — FIFO grants m2 first. m1 then waits until m2's
     // tail leaves cw1's buffer, which adds exactly L cycles:
     //   m2 completes at g + L + 3 (isolated),
     //   m1 completes at g + 2L + 3.
     let (topo, wl) = fixture(16);
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let g = sim.now();
-        let m1 = sim.inject_unicast_now(NodeId(0), NodeId(2));
-        let m2 = sim.inject_unicast_now(NodeId(1), NodeId(3));
-        let t2 = sim.run_until_complete(m2);
-        let t1 = sim.run_until_complete(m1);
-        assert_eq!(
-            t2 - g,
-            isolated(2),
-            "{eng}: m2 wins arbitration and is unobstructed"
-        );
-        assert_eq!(
-            t1 - g,
-            isolated(2) + L,
-            "{eng}: m1 blocks for exactly one message drain"
-        );
-    });
+    let seen = run_everywhere(&topo, &wl, vec![unicast(G, 0, 2), unicast(G, 1, 3)]);
+    assert_eq!(
+        seen.absorbs,
+        [(G + isolated(2), 3), (G + isolated(2) + L, 2)],
+        "m2 wins arbitration; m1 blocks for exactly one message drain"
+    );
 }
 
 #[test]
 fn non_overlapping_paths_do_not_interact() {
     // 0 -> 2 (cw links 0,1) and 4 -> 6 (cw links 4,5): disjoint resources.
     let (topo, wl) = fixture(16);
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let g = sim.now();
-        let m1 = sim.inject_unicast_now(NodeId(0), NodeId(2));
-        let m2 = sim.inject_unicast_now(NodeId(4), NodeId(6));
-        let t1 = sim.run_until_complete(m1);
-        let t2 = sim.run_until_complete(m2);
-        assert_eq!(t1 - g, isolated(2), "{eng}");
-        assert_eq!(t2 - g, isolated(2), "{eng}");
-    });
+    let seen = run_everywhere(&topo, &wl, vec![unicast(G, 0, 2), unicast(G, 4, 6)]);
+    assert_eq!(seen.absorbs, [(G + isolated(2), 2), (G + isolated(2), 6)]);
 }
 
 #[test]
@@ -136,18 +189,12 @@ fn vc_multiplexing_shares_physical_bandwidth_fairly() {
     // tails absorb at exactly g + 2L + 2 — unlike strict head-of-line
     // serialisation, which would delay one of them by a full drain.
     let (topo, wl) = fixture(8);
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let g = sim.now();
-        let m1 = sim.inject_unicast_now(NodeId(7), NodeId(1));
-        let m2 = sim.inject_unicast_now(NodeId(0), NodeId(2));
-        let t1 = sim.run_until_complete(m1);
-        let t2 = sim.run_until_complete(m2);
-        assert_eq!(t1 - g, 2 * L + 2, "{eng}: m1 shares the link flit-by-flit");
-        assert_eq!(t2 - g, 2 * L + 2, "{eng}: m2 shares the link flit-by-flit");
-        // Both beat strict serialisation (isolated + L = 2L + 3) while
-        // paying more than the isolated latency (L + 3).
-        assert!(t1 - g > isolated(2) && t1 - g < isolated(2) + L, "{eng}");
-    });
+    let seen = run_everywhere(&topo, &wl, vec![unicast(G, 7, 1), unicast(G, 0, 2)]);
+    let both = G + 2 * L + 2;
+    assert_eq!(seen.absorbs, [(both, 1), (both, 2)]);
+    // Both beat strict serialisation (isolated + L = 2L + 3) while paying
+    // more than the isolated latency (L + 3).
+    assert!(both - G > isolated(2) && both - G < isolated(2) + L);
 }
 
 #[test]
@@ -157,88 +204,49 @@ fn one_port_spidergon_serialises_at_the_ejection_channel() {
     // has a single ejection channel, so the loser of the FIFO arbitration
     // waits a full drain: winner at L + 2, loser at 2L + 2. Both headers
     // request it on one cycle, and same-cycle moves apply in channel
-    // order: 7 -> 0's link comes first, so it wins. On the all-port Quarc
-    // the same scenario does not contend at all — the architectural
-    // difference the paper's Fig. 1 illustrates.
+    // order: 7 -> 0's link comes first, so it wins. Each message's link
+    // is released as its tail crosses the ejection channel, which tells
+    // the winner from the loser. On the all-port Quarc the same scenario
+    // does not contend at all — the architectural difference the paper's
+    // Fig. 1 illustrates.
     use noc_topology::Spidergon;
     let spid = Spidergon::new(8).unwrap();
     let sets = DestinationSets::random(&spid, 2, 1);
     let wl = Workload::new(L as u32, 0.0, 0.0, sets).unwrap();
-    on_both_engines(&spid, &wl, |sim, eng| {
-        let g = sim.now();
-        let m1 = sim.inject_unicast_now(NodeId(1), NodeId(0));
-        let m2 = sim.inject_unicast_now(NodeId(7), NodeId(0));
-        // Each message's own delivery cycle: `run_until_complete` on one
-        // already delivered returns the current cycle.
-        let (mut t1, mut t2) = (None, None);
-        while t1.is_none() || t2.is_none() {
-            sim.step_one();
-            let now = sim.now();
-            t1 = t1.or((!sim.message_in_flight(m1)).then_some(now));
-            t2 = t2.or((!sim.message_in_flight(m2)).then_some(now));
-            assert!(now - g < 10 * L, "{eng}: both complete");
-        }
-        let (t1, t2) = (t1.unwrap(), t2.unwrap());
-        assert_eq!(t2 - g, L + 2, "{eng}: the winner, 7 -> 0, is unobstructed");
-        assert_eq!(t1 - g, 2 * L + 2, "{eng}: the loser waits one full drain");
-    });
+    let seen = run_everywhere(&spid, &wl, vec![unicast(G, 1, 0), unicast(G, 7, 0)]);
+    let (winner, loser) = (G + L + 2, G + 2 * L + 2);
+    assert_eq!(seen.absorbs, [(winner, 0), (loser, 0)]);
+    let link = |src| spid.unicast_path(NodeId(src), NodeId(0)).hops[1].channel.0;
+    assert!(seen.releases.contains(&(winner, link(7))), "7 -> 0 wins");
+    assert!(seen.releases.contains(&(loser, link(1))), "1 -> 0 waits");
 
     // Same scenario on the Quarc: distinct ejection channels per input
     // direction, no contention.
     let (quarc, qwl) = fixture(8);
-    on_both_engines(&quarc, &qwl, |sim, eng| {
-        let g = sim.now();
-        let q1 = sim.inject_unicast_now(NodeId(1), NodeId(0));
-        let q2 = sim.inject_unicast_now(NodeId(7), NodeId(0));
-        let t1 = sim.run_until_complete(q1);
-        let t2 = sim.run_until_complete(q2);
-        assert_eq!(t1 - g, L + 2, "{eng}");
-        assert_eq!(t2 - g, L + 2, "{eng}");
-    });
+    let seen = run_everywhere(&quarc, &qwl, vec![unicast(G, 1, 0), unicast(G, 7, 0)]);
+    assert_eq!(seen.absorbs, [(G + L + 2, 0), (G + L + 2, 0)]);
 }
 
 #[test]
 fn single_target_multicast_times_equal_unicast() {
     let (topo, wl) = fixture(16);
     for dst in [1u32, 4, 8, 5, 11, 12] {
-        let sets = DestinationSets::explicit({
-            let mut v = vec![Vec::new(); 16];
-            v[0] = vec![NodeId(dst)];
-            v
-        });
-        let wl_mc = Workload::new(L as u32, 0.0, 0.0, sets).unwrap();
-        let mut results = Vec::new();
-        on_both_engines(&topo, &wl_mc, |sim, eng| {
-            let mc = sim.measure_isolated_multicast(NodeId(0));
-            results.push((eng.to_string(), mc));
-        });
-        on_both_engines(&topo, &wl, |sim, eng| {
-            let uc = sim.measure_isolated_unicast(NodeId(0), NodeId(dst));
-            for (mc_eng, mc) in &results {
-                assert_eq!(
-                    *mc, uc,
-                    "single-target multicast to {dst} ({mc_eng}) equals unicast ({eng})"
-                );
-            }
-        });
+        let mc = run_everywhere(&topo, &from_node_0(&[dst]), vec![multicast(G, 0)]);
+        let uc = run_everywhere(&topo, &wl, vec![unicast(G, 0, dst)]);
+        assert_eq!(mc.absorbs, uc.absorbs, "single-target multicast to {dst}");
+        assert_eq!(mc.ops_done, [(uc.absorbs[0].0, 0)], "to {dst}");
     }
 }
 
 #[test]
 fn multicast_completion_is_the_slowest_stream() {
     // Targets at clockwise distance 1 and counter-clockwise distance 4:
-    // the op completes with the deeper stream: L + 4 + 1.
+    // each stream absorbs at its isolated latency, and the op completes
+    // with the deeper stream: L + 4 + 1.
     let (topo, _) = fixture(16);
-    let sets = DestinationSets::explicit({
-        let mut v = vec![Vec::new(); 16];
-        v[0] = vec![NodeId(1), NodeId(12)];
-        v
-    });
-    let wl = Workload::new(L as u32, 0.0, 0.0, sets).unwrap();
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let lat = sim.measure_isolated_multicast(NodeId(0));
-        assert_eq!(lat, L + 4 + 1, "{eng}");
-    });
+    let seen = run_everywhere(&topo, &from_node_0(&[1, 12]), vec![multicast(G, 0)]);
+    assert_eq!(seen.absorbs, [(G + isolated(1), 1), (G + isolated(4), 12)]);
+    assert_eq!(seen.ops_done, [(G + L + 4 + 1, 0)]);
 }
 
 #[test]
@@ -246,100 +254,63 @@ fn absorb_and_forward_does_not_stall_the_stream() {
     // A cross-left stream absorbing at every visited node (targets 8,7,6,5
     // from node 0) must complete in exactly the same time as a plain
     // unicast to the final node 5 — cloning at intermediate targets costs
-    // no cycles (simultaneous receive-and-forward, §3.3.2).
+    // no cycles (simultaneous receive-and-forward, §3.3.2): the cross link
+    // to 8, then one rim link to each next target.
     let (topo, wl) = fixture(16);
-    let sets = DestinationSets::explicit({
-        let mut v = vec![Vec::new(); 16];
-        v[0] = vec![NodeId(8), NodeId(7), NodeId(6), NodeId(5)];
-        v
-    });
-    let wl_mc = Workload::new(L as u32, 0.0, 0.0, sets).unwrap();
-    let mut mc_results = Vec::new();
-    on_both_engines(&topo, &wl_mc, |sim, eng| {
-        mc_results.push((eng.to_string(), sim.measure_isolated_multicast(NodeId(0))));
-    });
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let uc = sim.measure_isolated_unicast(NodeId(0), NodeId(5));
-        for (mc_eng, mc) in &mc_results {
-            assert_eq!(
-                *mc, uc,
-                "absorb-and-forward must be free ({mc_eng} vs {eng})"
-            );
-        }
-    });
+    let seen = run_everywhere(&topo, &from_node_0(&[8, 7, 6, 5]), vec![multicast(G, 0)]);
+    let uc = run_everywhere(&topo, &wl, vec![unicast(G, 0, 5)]);
+    let at = |links| G + isolated(links);
+    assert_eq!(
+        seen.absorbs,
+        [(at(1), 8), (at(2), 7), (at(3), 6), (at(4), 5)]
+    );
+    assert_eq!(seen.ops_done, [(uc.absorbs[0].0, 0)]);
+    assert_eq!(uc.absorbs, [(at(4), 5)]);
 }
 
 #[test]
 fn broadcast_behind_a_unicast_waits_one_drain_on_the_contended_port() {
-    // A unicast 0 -> 2 departs first; a broadcast from 0 follows
-    // immediately. Its clockwise stream shares the cw injection channel
-    // and must wait L + 1 cycles; the other three streams are free, but
-    // the op latency is governed by the blocked cw stream:
-    //   cw stream completes at (L + 1) + L + (4 + 1).
+    // A unicast 0 -> 2 departs first; a broadcast from 0 follows a cycle
+    // later. Its clockwise stream shares the cw injection channel and
+    // queues for it until the unicast's tail leaves its buffer at
+    // g + L + 1; the other three streams are free, but the op latency is
+    // governed by the blocked cw stream, which then takes its isolated
+    // L + 4 + 1 over the k = 4 links of its quadrant:
+    //   op completes at (L + 1) + L + (4 + 1) after the unicast's g.
     let (topo, _) = fixture(16);
     let sets = DestinationSets::broadcast(&topo);
     let wl = Workload::new(L as u32, 0.0, 0.0, sets).unwrap();
-    on_both_engines(&topo, &wl, |sim, eng| {
-        let g = sim.now();
-        let uni = sim.inject_unicast_now(NodeId(0), NodeId(2));
-        let streams = sim.inject_multicast_now(NodeId(0));
-        for id in streams {
-            sim.run_until_complete(id);
-        }
-        let op_done = sim.now();
-        sim.run_until_complete(uni);
-        // Free streams take L + 5; the cw stream is delayed by the
-        // unicast's injection occupancy (L + 1 cycles), finishing at
-        // 2L + 6.
-        assert_eq!(op_done - g, (L + 1) + L + 5, "{eng}");
-    });
-}
-
-#[test]
-fn zero_load_l_h_1_exactness_holds_for_both_engines() {
-    // The documented identity on every engine, over a spread of pairs and
-    // message lengths (the integration sweep covers all pairs on the
-    // reference; this pins the contract for both implementations).
-    let topo = Quarc::new(16).unwrap();
-    for msg_len in [2u32, L as u32, 32] {
-        let sets = DestinationSets::random(&topo, 2, 1);
-        let wl = Workload::new(msg_len, 0.0, 0.0, sets).unwrap();
-        on_both_engines(&topo, &wl, |sim, eng| {
-            for (s, d) in [(0u32, 1u32), (0, 8), (5, 1), (3, 15)] {
-                let lat = sim.measure_isolated_unicast(NodeId(s), NodeId(d));
-                let hops = topo.unicast_path(NodeId(s), NodeId(d)).hop_count() as u64;
-                assert_eq!(
-                    lat,
-                    msg_len as u64 + hops,
-                    "{eng}: L + H + 1 identity for {s}->{d} at len {msg_len}"
-                );
-            }
-        });
-    }
+    let seen = run_everywhere(&topo, &wl, vec![unicast(G, 0, 2), multicast(G + 1, 0)]);
+    assert_eq!(seen.ops_done, [(G + (L + 1) + L + 5, 0)]);
+    assert!(seen.absorbs.contains(&(G + isolated(2), 2)), "the unicast");
 }
 
 #[test]
 fn scripted_injections_compose_with_poisson_background_on_both_engines() {
-    // The scripted hooks must behave identically under background traffic
-    // too: same seed, same background, same completion cycles.
+    // A scripted arrival inside recorded Poisson background traffic: the
+    // engines must agree on the whole run, the scripted unicast included.
     let topo = Quarc::new(16).unwrap();
     let sets = DestinationSets::random(&topo, 4, 9);
     let wl = Workload::new(L as u32, 0.01, 0.1, sets).unwrap();
-    let cfg = SimConfig::quick(17);
-    let mut cycle = Engine::new(&topo, &wl, cfg.with_engine(EngineKind::Cycle));
-    let mut event = Engine::new(&topo, &wl, cfg.with_engine(EngineKind::EventDriven));
-    let completions: Vec<u64> = {
-        let run = |sim: &mut Engine<'_>| {
-            for _ in 0..100 {
-                sim.step_one();
-            }
-            let id = sim.inject_unicast_now(NodeId(0), NodeId(5));
-            sim.run_until_complete(id)
-        };
-        vec![run(&mut cycle), run(&mut event)]
+    let mut arrivals = record_trace(&wl, 16, 17, 4_000);
+    let free = (100..)
+        .find(|&c| !arrivals.iter().any(|e| (e.cycle, e.node) == (c, 0)))
+        .expect("node 0 is idle on some cycle");
+    arrivals.push(unicast(free, 0, 5));
+    arrivals.sort_by_key(|e| (e.cycle, e.node));
+    let wl = wl.with_traffic(TrafficSpec::trace(arrivals));
+    let cfg = SimConfig {
+        warmup_cycles: 50,
+        measure_cycles: 3_000,
+        ..SimConfig::quick(17)
     };
+    let [cycle, event] = [EngineKind::Cycle, EngineKind::EventDriven]
+        .map(|kind| Engine::new(&topo, &wl, cfg.with_engine(kind)).run());
+    assert!(cycle.unicast.count > 100, "the background carries traffic");
     assert_eq!(
-        completions[0], completions[1],
-        "scripted injection under background traffic must agree"
+        (cycle.flit_moves, cycle.cycles, cycle.unicast.mean),
+        (event.flit_moves, event.cycles, event.unicast.mean),
+        "a scripted arrival under background traffic must agree"
     );
+    assert_eq!(cycle.channel_utilization, event.channel_utilization);
 }

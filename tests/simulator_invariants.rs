@@ -262,20 +262,23 @@ proptest! {
     #[test]
     fn event_engine_mid_run_state_is_structurally_sound(
         seed in 0u64..10_000,
-        steps in 50u64..400,
+        x in 50u64..400,
         rate_milli in 2u32..=20,
     ) {
-        // Freeze the engine mid-flight (messages queued, streaming and
-        // draining) and audit the resource graph; then drain to the end
-        // and require the conservation counters to close.
+        // Cut the run short at the end of cycle `x`, mid-flight (messages
+        // queued, streaming and draining), and audit the resource graph;
+        // the cycle engine cut at the same cycle must agree.
         let topo = Quarc::new(16).unwrap();
         let sets = DestinationSets::random(&topo, 4, seed);
         let wl = Workload::new(16, rate_milli as f64 * 0.001, 0.2, sets).unwrap();
-        let mut sim = Engine::new(&topo, &wl, SimConfig::quick(seed));
-        for _ in 0..steps {
-            sim.step_one();
-        }
-        let mid = sim.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let cfg = cut_at(SimConfig::quick(seed), x);
+        let [mid, ref_mid] = [EngineKind::EventDriven, EngineKind::Cycle].map(|kind| {
+            let mut sim = Engine::new(&topo, &wl, cfg.with_engine(kind));
+            sim.run();
+            sim.audit()
+        });
+        let mid = mid.map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(mid.cycle, x);
         prop_assert_eq!(
             mid.total_generated,
             mid.total_absorbed + mid.live_messages,
@@ -286,14 +289,19 @@ proptest! {
             mid.ops_completed + mid.live_ops,
             "mid-run op accounting"
         );
-        // The cycle engine under the same seed must agree mid-run too.
-        let oracle = SimConfig::quick(seed).with_engine(EngineKind::Cycle);
-        let mut reference = Engine::new(&topo, &wl, oracle);
-        for _ in 0..steps {
-            reference.step_one();
-        }
-        let ref_mid = reference.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let ref_mid = ref_mid.map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(mid, ref_mid, "mid-run audits of the two engines");
+    }
+}
+
+/// `cfg` cut short: the run ends with cycle `x`, the one cycle of its
+/// window, with no drain.
+fn cut_at(cfg: SimConfig, x: u64) -> SimConfig {
+    SimConfig {
+        warmup_cycles: x - 1,
+        measure_cycles: 1,
+        drain_cycles: 0,
+        ..cfg
     }
 }
 
@@ -362,26 +370,29 @@ proptest! {
         routing in 0usize..ALL_ROUTINGS.len(),
         load_pct in 20u32..=200,
         buffer_depth in 1u32..=4,
-        every in 1u64..=9,
+        first in 1u64..=150,
         seed in 0u64..10_000,
     ) {
+        // Runs cut short at six cycles spread over the first 900, the
+        // first at `first`, audited on both engines.
         let planned = planned(FAMILIES[family], ALL_ROUTINGS[routing], load_pct as f64 / 100.0, 12, seed);
         prop_assume!(planned.is_some());
         let (topo, wl, plan) = planned.unwrap();
         let mut cfg = SimConfig::quick(seed);
         cfg.buffer_depth = buffer_depth;
-        let mut engines = both_engines(topo.as_ref(), &wl, cfg, &plan);
-        for cycle in 1..=900u64 {
-            engines.iter_mut().for_each(|e| e.step_one());
-            if cycle % every == 0 {
-                let [oracle, event] = &engines;
-                let a = oracle.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
-                let b = event.audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
-                prop_assert_eq!(a, b, "cycle {}", cycle);
-            }
+        let mut generated = 0;
+        for x in (0..6).map(|k| first + 150 * k) {
+            let [a, b] = both_engines(topo.as_ref(), &wl, cut_at(cfg, x), &plan).map(|mut sim| {
+                sim.run();
+                sim.audit()
+            });
+            let a = a.map_err(|e| TestCaseError::fail(e.to_string()))?;
+            let b = b.map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(a, b, "cycle {}", x);
+            prop_assert_eq!(a.cycle, x);
+            generated = a.total_generated;
         }
-        let busy = engines[0].audit().map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert!(busy.total_generated > 0, "the run must carry traffic");
+        prop_assert!(generated > 0, "the run must carry traffic");
     }
 
     #[test]
@@ -421,31 +432,29 @@ const LOW_LOAD_RUNS: [(&str, RoutingSpec); 3] = [
     ("hypercube-4", RoutingSpec::UnicastTree),
 ];
 
-/// The scripted run of the ready-mask test below, on `cfg`: two long
-/// messages 0 → 3, the second queued behind the first, and a third from
-/// node 1, injected on the same cycle and stepped `steps` cycles by hand
-/// before the run. The one of 0 → 3 and 1 → 3 that takes the link 1 → 2
-/// first streams; the other fills its buffers behind it, at whose end its
-/// verdict flips to blocked. The messages are untagged, so the run ends
-/// with the window, at 200. Audited with nothing in between; returns the
-/// run's results.
-fn three_scripted_headers(cfg: SimConfig, steps: u32) -> SimResults {
+/// The traced run of the ready-mask test below, on `cfg`: two long
+/// messages 0 → 3 generated on cycles 1 and 2, the second queued behind
+/// the first, and a third from node 1 on cycle 1. The one of 0 → 3 and
+/// 1 → 3 that takes the link 1 → 2 first streams; the other fills its
+/// buffers behind it, at whose end its verdict flips to blocked. The
+/// messages are untagged, so the run ends with the window, at 200.
+/// Audited with nothing in between; returns the run's results.
+fn three_traced_headers(cfg: SimConfig) -> SimResults {
     let topo = Quarc::new(16).unwrap();
-    let wl = Workload::new(600, 0.0, 0.0, DestinationSets::random(&topo, 4, 1)).unwrap();
+    let arrival = |cycle, node| TraceEntry {
+        cycle,
+        node,
+        kind: TraceKind::Unicast { dst: 3 },
+    };
+    let arrivals = vec![arrival(1, 0), arrival(1, 1), arrival(2, 0)];
+    let wl = Workload::new(600, 0.0, 0.0, DestinationSets::random(&topo, 4, 1))
+        .unwrap()
+        .with_traffic(TrafficSpec::trace(arrivals));
     let mut cfg = cfg;
     (cfg.warmup_cycles, cfg.measure_cycles) = (40, 160);
     let mut sim = Engine::new(&topo, &wl, cfg);
-    let ids = [
-        sim.inject_unicast_now(NodeId(0), NodeId(3)),
-        sim.inject_unicast_now(NodeId(0), NodeId(3)),
-        sim.inject_unicast_now(NodeId(1), NodeId(3)),
-    ];
-    for _ in 0..steps {
-        sim.step_one();
-    }
     let res = sim.run();
     assert_eq!(res.cycles, 200, "the run ends with the window");
-    assert!(ids.iter().all(|&id| sim.message_in_flight(id)));
     let audit = sim.audit().expect("kernel state sound right after the run");
     assert_eq!((audit.live_messages, audit.queued_messages), (3, 1));
     res
@@ -471,35 +480,26 @@ fn coasting_leaves_the_ready_masks_current() {
         }
     }
 
-    // Injected on one cycle, 1 → 3 takes 1 → 2 first, and its header
-    // lands inside the run, on cycle 4: its body coasts to the warmup
-    // boundary, and on to the end of the window. A third coast starts
-    // there, on the run's last cycle, and the run's end settles it
-    // without a move. Telemetry on or off, the same.
-    for telemetry in [TelemetrySpec::off(), util] {
-        let counters =
-            three_scripted_headers(SimConfig::quick(1).with_telemetry(telemetry), 0).engine;
-        assert_eq!((counters.coasts, counters.coast_moves), (3, 4 * (200 - 4)));
-    }
-
-    // Stepped by hand for six cycles, 1 → 3's header lands in a scripted
-    // step, before the run lets anything coast: the run starts from the
-    // messages that landed, and its body coasts all the same, with the
+    // Generated on cycle 1 beside 0 → 3, 1 → 3 takes 1 → 2 first, and its
+    // header crosses its four hops on cycles 2 to 5: its body coasts from
+    // there to the warmup boundary, and on to the end of the window. A
+    // third coast starts there, on the run's last cycle, and the run's end
+    // settles it without a move. Telemetry on or off, the same, and the
     // oracle's results.
-    let cfg = SimConfig::quick(1);
-    let event = three_scripted_headers(cfg, 6);
-    let oracle = three_scripted_headers(cfg.with_engine(EngineKind::Cycle), 6);
-    assert!(
-        event.engine.coasts > 0,
-        "a body that landed in a scripted step coasts"
-    );
-    assert_eq!(oracle.engine.coasts, 0);
-    assert_eq!(
-        (event.flit_moves, event.cycles, &event.channel_utilization),
-        (
-            oracle.flit_moves,
-            oracle.cycles,
-            &oracle.channel_utilization
-        )
-    );
+    for telemetry in [TelemetrySpec::off(), util] {
+        let cfg = SimConfig::quick(1).with_telemetry(telemetry);
+        let event = three_traced_headers(cfg);
+        let counters = event.engine;
+        assert_eq!((counters.coasts, counters.coast_moves), (3, 4 * (200 - 5)));
+        let oracle = three_traced_headers(cfg.with_engine(EngineKind::Cycle));
+        assert_eq!(oracle.engine.coasts, 0);
+        assert_eq!(
+            (event.flit_moves, event.cycles, &event.channel_utilization),
+            (
+                oracle.flit_moves,
+                oracle.cycles,
+                &oracle.channel_utilization
+            )
+        );
+    }
 }

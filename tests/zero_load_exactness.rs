@@ -7,33 +7,91 @@
 
 use quarc_noc::model::{AnalyticModel, ModelOptions};
 use quarc_noc::prelude::*;
-use quarc_noc::sim::{Engine, EngineKind, SimConfig};
+use quarc_noc::sim::{Engine, EngineKind, SimConfig, SimResults, TelemetrySpec, TraceMode};
 
-/// The cycle-stepped oracle: the timing conventions are pinned on it.
-fn oracle() -> SimConfig {
-    SimConfig::quick(1).with_engine(EngineKind::Cycle)
+/// Run `arrivals` over `wl` on `topo` on the oracle and on the event
+/// engine, the latter both traced (stepped, bodies coasting) and untraced
+/// (flown where it can), every arrival tagged and the window open past the
+/// last delivery; the three results in that order, each labelled.
+fn run_everywhere(
+    topo: &dyn Topology,
+    wl: &Workload,
+    arrivals: Vec<TraceEntry>,
+) -> Vec<(String, SimResults)> {
+    let last = arrivals.iter().map(|e| e.cycle).max().unwrap_or(0);
+    let wl = wl.clone().with_traffic(TrafficSpec::trace(arrivals));
+    let cfg = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: last + 1_000,
+        ..SimConfig::quick(1)
+    };
+    let traced = TelemetrySpec::off().with_trace(TraceMode::Full);
+    [
+        (EngineKind::Cycle, TelemetrySpec::off()),
+        (EngineKind::EventDriven, traced),
+        (EngineKind::EventDriven, TelemetrySpec::off()),
+    ]
+    .into_iter()
+    .map(|(kind, telemetry)| {
+        let res = Engine::new(topo, &wl, cfg.with_engine(kind).with_telemetry(telemetry)).run();
+        let ctx = format!("{} {kind:?} traced {}", topo.name(), telemetry.enabled());
+        assert!(res.complete() && !res.saturated, "{ctx}: delivered");
+        (ctx, res)
+    })
+    .collect()
 }
 
-fn zero_workload(_topo: &dyn Topology, msg: u32, sets: DestinationSets) -> Workload {
-    Workload::new(msg, 0.0, 0.0, sets).unwrap()
+/// The latency of one multicast operation from `node` on an idle network,
+/// the same on every engine.
+fn isolated_multicast(topo: &dyn Topology, wl: &Workload, node: u32) -> f64 {
+    let arrival = TraceEntry {
+        cycle: 1,
+        node,
+        kind: TraceKind::Multicast,
+    };
+    let runs = run_everywhere(topo, wl, vec![arrival]);
+    let lat = runs[0].1.multicast.max;
+    for (ctx, res) in &runs {
+        assert_eq!((res.multicast.count, res.multicast.max), (1, lat), "{ctx}");
+    }
+    lat
 }
 
+/// Every pair's unicast alone on the network takes `msg + hop_count`
+/// cycles. The pairs of each hop count arrive one by one in a trace, each
+/// after the last has been absorbed, and every run must record that one
+/// latency for all of them.
 fn check_unicast_pairs(topo: &dyn Topology, msg: u32, pairs: &[(u32, u32)]) {
     let sets = DestinationSets::random(topo, 2, 1);
-    let wl = zero_workload(topo, msg, sets);
-    // One simulator serves every pair: each isolated measurement fully
-    // drains the zero-rate network, so the next call starts from idle.
-    let mut sim = Engine::new(topo, &wl, oracle());
-    for &(s, d) in pairs {
-        let sim_lat = sim.measure_isolated_unicast(NodeId(s), NodeId(d));
-        let path = topo.unicast_path(NodeId(s), NodeId(d));
-        let model_lat = msg as u64 + path.hop_count() as u64;
-        assert_eq!(
-            sim_lat,
-            model_lat,
-            "{} {s}->{d} msg={msg}: sim {sim_lat} vs model {model_lat}",
-            topo.name()
-        );
+    let wl = Workload::new(msg, 0.0, 0.0, sets).unwrap();
+    let hops = |&(s, d): &(u32, u32)| topo.unicast_path(NodeId(s), NodeId(d)).hop_count() as u64;
+    let mut counts: Vec<u64> = pairs.iter().map(hops).collect();
+    counts.sort_unstable();
+    counts.dedup();
+    for &h in &counts {
+        let model_lat = msg as u64 + h;
+        let arrivals: Vec<TraceEntry> = pairs
+            .iter()
+            .filter(|&pair| hops(pair) == h)
+            .enumerate()
+            .map(|(i, &(s, d))| TraceEntry {
+                cycle: 1 + i as u64 * (model_lat + 1),
+                node: s,
+                kind: TraceKind::Unicast { dst: d },
+            })
+            .collect();
+        let n = arrivals.len() as u64;
+        let runs = run_everywhere(topo, &wl, arrivals);
+        for (ctx, res) in &runs {
+            let u = &res.unicast;
+            assert_eq!(
+                (u.count, u.min, u.max),
+                (n, model_lat as f64, model_lat as f64),
+                "{ctx}: {n} pairs of hop count {h}, msg={msg}: model {model_lat}"
+            );
+        }
+        let (ctx, untraced) = &runs[2];
+        assert_eq!(untraced.engine.flights, n, "{ctx}: every pair flew");
     }
 }
 
@@ -72,8 +130,7 @@ fn quarc_multicast_zero_load_exact_against_model() {
             let sets = DestinationSets::random(&topo, group, 5);
             let wl = Workload::new(32, 0.0, 0.0, sets).unwrap();
             // Simulator measurement on an idle network.
-            let mut sim = Engine::new(&topo, &wl, oracle());
-            let sim_lat = sim.measure_isolated_multicast(NodeId(0)) as f64;
+            let sim_lat = isolated_multicast(&topo, &wl, 0);
             // Model prediction for node 0 at zero load.
             let pred = AnalyticModel::new(&topo, &wl, ModelOptions::default())
                 .evaluate()
@@ -101,8 +158,7 @@ fn localized_multicast_zero_load_exact() {
         .evaluate()
         .unwrap();
     for node in [0u32, 5, 31] {
-        let mut sim = Engine::new(&topo, &wl, oracle());
-        let sim_lat = sim.measure_isolated_multicast(NodeId(node)) as f64;
+        let sim_lat = isolated_multicast(&topo, &wl, node);
         let nm = pred
             .per_node
             .iter()
@@ -186,8 +242,7 @@ fn broadcast_zero_load_latency_formula() {
         let topo = Quarc::new(n).unwrap();
         let sets = DestinationSets::broadcast(&topo);
         let wl = Workload::new(msg, 0.0, 0.0, sets).unwrap();
-        let mut sim = Engine::new(&topo, &wl, oracle());
-        let lat = sim.measure_isolated_multicast(NodeId(0));
-        assert_eq!(lat, msg as u64 + (n / 4) as u64 + 1, "N={n} msg={msg}");
+        let lat = isolated_multicast(&topo, &wl, 0);
+        assert_eq!(lat, (msg as usize + n / 4 + 1) as f64, "N={n} msg={msg}");
     }
 }
