@@ -22,23 +22,37 @@ use crate::results::{EngineCounters, SimResults};
 pub(crate) struct EveryCycle {
     /// Next node to poll within the current cycle's scan.
     cursor: usize,
+    /// No node fires before this cycle: the earliest firing time the last
+    /// scan saw, lowered by every [`TimeAdvance::schedule`] since. A cycle
+    /// below it is not scanned.
+    earliest: u64,
 }
 
 impl TimeAdvance for EveryCycle {
     fn next_due(&mut self, fabric: &Fabric<'_>) -> Option<u32> {
+        if self.cursor == 0 {
+            if fabric.cycle < self.earliest {
+                return None;
+            }
+            self.earliest = u64::MAX;
+        }
         while self.cursor < fabric.plan.n {
             let node = self.cursor;
             self.cursor += 1;
-            if fabric.fires_at(node) == fabric.cycle {
+            let at = fabric.fires_at(node);
+            if at == fabric.cycle {
                 return Some(node as u32);
             }
+            self.earliest = self.earliest.min(at);
         }
         self.cursor = 0;
         None
     }
 
-    /// Nothing to remember: firing times are polled, not scheduled.
-    fn schedule(&mut self, _at: u64, _node: u32) {}
+    /// Lower the bound: a node due before it must not be skipped.
+    fn schedule(&mut self, at: u64, _node: u32) {
+        self.earliest = self.earliest.min(at);
+    }
 }
 
 impl EveryCycle {
