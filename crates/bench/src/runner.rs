@@ -318,7 +318,8 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 /// 5: `EngineCounters::{coasts, coast_moves}` added.
 /// 6: the streaming-span cycle count left `EngineCounters`.
 /// 7: same-cycle moves apply in ascending channel order.
-const CACHE_SCHEMA: u32 = 7;
+/// 8: `EngineCounters::{claims, claim_moves}` added.
+const CACHE_SCHEMA: u32 = 8;
 
 /// The scenario's share of a cache key: its canonical JSON with the
 /// display name cleared, so renaming an experiment never invalidates

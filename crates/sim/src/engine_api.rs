@@ -90,6 +90,16 @@ pub enum AuditError {
         /// The cv that hop maps to.
         maps_to: u32,
     },
+    /// A cv is claimed for a hop that no claim of its message holds: the
+    /// message does not coast, or its claim covers other hops.
+    StrayClaim {
+        /// The cv.
+        cv: usize,
+        /// The claiming message.
+        msg: MsgId,
+        /// The hop it is claimed as.
+        hop: u16,
+    },
     /// A cv's owner holds it at a hop it has not been granted yet.
     OwnerPastHead {
         /// The cv.
@@ -247,6 +257,10 @@ impl fmt::Display for AuditError {
             } => write!(
                 f,
                 "cv {cv} owned by message {msg} at hop {hop}, but that hop maps to cv {maps_to}"
+            ),
+            AuditError::StrayClaim { cv, msg, hop } => write!(
+                f,
+                "cv {cv} claimed by message {msg} at hop {hop}, which no claim of it holds"
             ),
             AuditError::OwnerPastHead { cv, msg, hop, head } => write!(
                 f,

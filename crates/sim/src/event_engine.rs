@@ -39,17 +39,20 @@
 //!   group is declined; its arrivals are then held, and stepped at their
 //!   own cycles like any other. Telemetry, closed loops and single-flit
 //!   buffers decline them all.
-//! * **Coasting** — a message whose header has landed moves a flit
-//!   across each hop its tail has not crossed on every cycle, alone on
-//!   each of its channels, until its window ends or something beside it
-//!   changes. It sits out selection and application and is settled in
-//!   closed form; `Fabric::start_coasts` states when a message coasts,
-//!   what ends its window and what settling it writes. It touches only
-//!   its own counters and bits, so a cycle with no explicit move, grant
-//!   or settlement is still a stall fixpoint for the rest of the fabric,
-//!   and a jump stops at the earliest window end, which is stepped. A
-//!   coast moves on every cycle a jump passes over, so the jump sets the
-//!   watchdog's last-move anchor to the cycle before its target.
+//! * **Coasting** — a message moves a flit across each hop it holds on
+//!   every cycle, alone on each of its channels, until its window ends or
+//!   something beside it changes: a header that claimed the free cvs
+//!   ahead of it crosses them one hop a cycle, and once it has landed its
+//!   body streams or drains. It sits out selection and application and is
+//!   settled in closed form; `Fabric::start_coasts` states when a message
+//!   coasts, what ends its window, what settling it writes, and how a
+//!   request for a claimed cv on the cycle of its grant queues.
+//!   It touches only its own counters, bits and claimed cvs, so a cycle
+//!   with no explicit move, grant or settlement is still a stall fixpoint
+//!   for the rest of the fabric, and a jump stops at the earliest window
+//!   end, which is stepped. A coast moves on every cycle a jump passes
+//!   over, so the jump sets the watchdog's last-move anchor to the cycle
+//!   before its target.
 //!
 //! Idle and stalled cycles are *inert*: the engine advances straight to
 //! the earliest of the next scheduled arrival or protocol timer (from the
@@ -84,9 +87,10 @@
 //! Together the mechanisms collapse the cost from O(cycles) to
 //! O(structural events): injections, header hand-offs, grants and tail
 //! releases under contention, one closed form per group without, and one
-//! per streaming or draining body beside contention. That
-//! is the lever the Fig. 6/7 sweeps need at low load
-//! (`sim.cycle.event_over_cycle.low` on the benchmark ledger: 0.0096, from
+//! per header crossing a free route or streaming or draining body beside
+//! contention. That is the lever the Fig. 6/7 sweeps need at low load
+//! (`sim.cycle.event_over_cycle.low` on the benchmark ledger: 0.023 since
+//! the oracle skips its node scan on cycles no node fires, 0.0096 before,
 //! 0.12 before flights), with the cycle engine retained as the oracle.
 //!
 //! *What coasting is worth* (benchmark workloads, `--seed 42`,
@@ -102,6 +106,14 @@
 //! `scale-64k`'s, whose 8-flit messages drain alone. Traced `fig6-sweep`
 //! passes read `sim.engine.ns_per_move.knee` 30.5 → 22.2 ns and
 //! `share.engine_run` 0.831 → 0.771 (medians of three).
+//!
+//! *What claiming headers are worth* (same method): `scale-64k` 1.057 →
+//! 0.665 s (10/10 pairs; seed 7 0.964 → 0.724 s, 10/10), its stepped
+//! flit moves 4.84M → 0.86M of 8.42M per repetition, traced
+//! `sim.engine.ns_per_move.n64k` 132 → 80 ns; `fig6-sweep` −17 % (5/5),
+//! `cache-io` −17 % (7/8), `lowload-skip` −36 % (5/5), `sat-kernel` −5 %
+//! (7/10), `model-only` within its spread. Claims settle 47 % of
+//! `scale-64k`'s moves and bodies 42 %; 92 % on its min-16x3 gate case.
 
 use crate::fabric::{Fabric, TimeAdvance, WATCHDOG_STRIDE, WATCHDOG_WINDOW};
 use crate::results::{EngineCounters, SimResults};

@@ -54,9 +54,10 @@
 //! fabric: [`Fabric::fly_group`], which applies a group of arrivals the
 //! event engine gathered on an empty fabric ([`Fabric::admit`]) in closed
 //! form — the sum of the cycles `step` would have simulated. On an
-//! event-engine fabric `step` itself lets a message whose header has
-//! landed *coast* beside the stepped traffic and settles its moves in
-//! closed form; [`Fabric::start_coasts`] gives the rules.
+//! event-engine fabric `step` itself lets a message *coast* beside the
+//! stepped traffic and settles its moves in closed form: a header that
+//! claims the free route ahead of it, and a body once its header has
+//! landed; [`Fabric::start_coasts`] gives the rules.
 
 use crate::arena::Arena;
 use crate::closed_loop::{Action, ClosedDelivery, ClosedLoopDriver};
@@ -427,6 +428,19 @@ pub struct Fabric<'a> {
     settled: bool,
     /// Coasts started, and the flit moves they settled.
     coast_counts: (u64, u64),
+    /// May a header claim the route ahead? Where it may coast, at buffer
+    /// depth 2 or more and while no trace is recorded.
+    may_claim: bool,
+    /// Messages whose own state changed this cycle — granted a hop, or a
+    /// claim of theirs settled: offered a claim at its end.
+    offers: Vec<MsgId>,
+    /// Claims started, and the flit moves they settled.
+    claim_counts: (u64, u64),
+    /// Scratch: the claimants a body about to coast settles first.
+    claimants: Vec<MsgId>,
+    /// The index in `moves` of the move being applied; `usize::MAX`
+    /// outside application.
+    applying: usize,
 
     // --- closed-loop protocol drive (None on open-loop runs) ---
     closed: Option<ClosedLoopDriver>,
@@ -448,6 +462,7 @@ impl<'a> Fabric<'a> {
         cfg.validate().expect("invalid simulator configuration");
         plan.assert_matches(topo, wl);
         let channels = plan.num_channels;
+        let metrics = Metrics::new(&cfg, plan.n, channels, !plan.is_lazy());
         Fabric {
             wl,
             cfg,
@@ -476,10 +491,17 @@ impl<'a> Fabric<'a> {
             settle_through: 0,
             settled: false,
             coast_counts: (0, 0),
+            may_claim: cfg.engine == EngineKind::EventDriven
+                && cfg.buffer_depth >= 2
+                && !metrics.tracing(),
+            offers: Vec::new(),
+            claim_counts: (0, 0),
+            claimants: Vec::new(),
+            applying: usize::MAX,
             closed: None,
             arrived: Vec::new(),
             actions: Vec::new(),
-            metrics: Metrics::new(&cfg, plan.n, channels, !plan.is_lazy()),
+            metrics,
             plan,
         }
     }
@@ -514,23 +536,15 @@ impl<'a> Fabric<'a> {
 
     /// Append header `id` to the waiter list of `cv` (the cv of hop
     /// `head` of its path) and have the grant phase look at it. A coast of
-    /// the cv's owner is settled first: its window may hold the release the
-    /// waiter is granted on, and was not cut short of it. It is settled
-    /// through [`Fabric::settle_through`]: the previous cycle when the
-    /// request comes from generation, so the message steps the current
-    /// one; the current cycle when it comes after selection (application,
-    /// a closed-loop reply), which under the order rule nothing later in
-    /// the cycle can tell from stepped moves — the window holds no
-    /// absorption or delivery.
+    /// the cv's owner or claimant is settled first ([`Fabric::interrupt`]):
+    /// its window may hold the release the waiter is granted on, or the
+    /// grant of this very cv, and was not cut short of either.
     fn request(&mut self, cv: u32, id: MsgId) {
-        if let Some((owner, _)) = self.cvs[cv as usize]
-            .owner
-            .filter(|_| !self.coasts.is_empty())
-        {
+        let owner = self.cvs[cv as usize].owner;
+        if owner != NO_MSG && !self.coasts.is_empty() {
             let coast = self.msgs.get(owner, "requested cv's owner").coast;
             if coast != NO_COAST {
-                let coast = self.end_coast(coast as usize);
-                self.settle(coast, self.settle_through);
+                self.interrupt(coast as usize);
             }
         }
         let state = &mut self.cvs[cv as usize];
@@ -543,6 +557,66 @@ impl<'a> Fabric<'a> {
         }
         state.wait_tail = id;
         self.regrant.push(cv);
+    }
+
+    /// Settle coast `i` for a request met mid-cycle, through
+    /// [`Fabric::settle_through`]: the previous cycle when the request
+    /// comes from generation, so the message steps the current one; the
+    /// current cycle when it comes after selection (application, a
+    /// closed-loop reply), which under the order rule nothing later in the
+    /// cycle can tell from stepped moves — a window holds no absorption,
+    /// delivery or request a header waits on.
+    ///
+    /// Bar one: a claim's header requests the next hop of its route on
+    /// every cycle of its window, and the requests of one cycle queue in
+    /// channel order. When the claimant's request this cycle comes from a
+    /// higher channel than the move being applied, it is settled through
+    /// the previous cycle instead and its moves of this one join the
+    /// cycle's remaining moves in channel order ([`Fabric::resume`]): a
+    /// request from that move, or from any move on a channel between the
+    /// two, precedes the claimant's, as it does on the oracle.
+    fn interrupt(&mut self, i: usize) {
+        let (now, through) = (self.cycle, self.settle_through);
+        let coast = self.end_coast(i);
+        let applying = self.moves.get(self.applying).copied();
+        let behind = match applying {
+            Some((m, h)) if coast.is_claim() && through == now => {
+                let msg = self.msgs.get(coast.msg, "claimant");
+                // The hop the header crosses now: granted on `now − 1`.
+                let hop = msg.head as u64 - 1 + (now - 1 - coast.from);
+                let current = self.msgs.get(m, "moving flit's message").path.hops[h as usize];
+                hop < msg.path.len() as u64 - 1
+                    && msg.path.hops[hop as usize].channel > current.channel
+            }
+            _ => false,
+        };
+        if behind {
+            self.settle(coast, now - 1);
+            self.resume(coast.msg);
+        } else {
+            self.settle(coast, through);
+        }
+    }
+
+    /// Add the moves the settled claimant `m` makes this cycle — one
+    /// across each hop its tail has not crossed, every one of them the one
+    /// ready cv of its channel — to the moves still to be applied, in
+    /// channel order, as selection would have picked them.
+    fn resume(&mut self, m: MsgId) {
+        let msg = self.msgs.get(m, "resumed claimant");
+        let first = msg.traversed.iter().position(|&t| t < msg.len);
+        let first = first.expect("a claimant's tail is behind its header");
+        for h in first..msg.head as usize {
+            let hop = self.msgs.get(m, "resumed claimant").path.hops[h];
+            let pc = hop.channel.idx();
+            self.channels[pc].pass(hop.vc.0, self.plan.vcs[pc]);
+            let rest = &self.moves[self.applying + 1..];
+            let at = rest.partition_point(|&(o, k)| {
+                self.msgs.get(o, "selected move's message").path.hops[k as usize].channel
+                    < hop.channel
+            });
+            self.moves.insert(self.applying + 1 + at, (m, h as u16));
+        }
     }
 
     /// Enqueue a freshly generated message at the head channel of its
@@ -683,9 +757,9 @@ impl<'a> Fabric<'a> {
                     }
                     if let Some(vc) = ch.pick() {
                         ch.pass(vc, self.plan.vcs[pc]);
-                        let owner = self.cvs[(self.plan.cv_base[pc] + vc as u32) as usize].owner;
+                        let cv = &self.cvs[(self.plan.cv_base[pc] + vc as u32) as usize];
                         self.moves
-                            .push(owner.expect("ready mask names a cv without an owner"));
+                            .push(cv.holder().expect("ready mask names a cv without an owner"));
                     }
                 }
                 let set = &mut self.active;
@@ -702,8 +776,8 @@ impl<'a> Fabric<'a> {
     /// Release the cv `mid` holds at `hop` (index `h16` of its path).
     fn release(&mut self, mid: MsgId, h16: u16, hop: noc_topology::Hop) {
         let cv = self.plan.cv_index(hop);
-        debug_assert_eq!(self.cvs[cv as usize].owner, Some((mid, h16)));
-        self.cvs[cv as usize].owner = None;
+        debug_assert_eq!(self.cvs[cv as usize].holder(), Some((mid, h16)));
+        self.cvs[cv as usize].owner = NO_MSG;
         let ch = &mut self.channels[hop.channel.idx()];
         let keep = !(1 << hop.vc.0);
         (ch.owned, ch.ready, ch.coast) = (ch.owned & keep, ch.ready & keep, ch.coast & keep);
@@ -718,10 +792,11 @@ impl<'a> Fabric<'a> {
         let now = self.cycle;
         let closed = self.closed.is_some();
         let buffer_depth = self.cfg.buffer_depth;
-        // Taken so the loop body may borrow `self` whole; restored below
-        // (selection clears it).
-        let moves = std::mem::take(&mut self.moves);
-        for &(mid, h16) in &moves {
+        // By index: a claimant settled mid-cycle adds its moves behind the
+        // one applied ([`Fabric::resume`]).
+        let mut next = 0;
+        while let Some(&(mid, h16)) = self.moves.get(next) {
+            (self.applying, next) = (next, next + 1);
             let h = h16 as usize;
             // --- advance the flit ---
             let msg = self.msgs.get_mut(mid, "moving flit's message");
@@ -828,7 +903,7 @@ impl<'a> Fabric<'a> {
             }
             self.msgs.free(mid, "absorbed message");
         }
-        self.moves = moves;
+        self.applying = usize::MAX;
     }
 
     /// Phase 4: grant free channels to FIFO-first waiters; returns how
@@ -839,7 +914,7 @@ impl<'a> Fabric<'a> {
         let regrant = std::mem::take(&mut self.regrant);
         for &cv_u in &regrant {
             let cv = &mut self.cvs[cv_u as usize];
-            if cv.owner.is_some() || cv.wait_head == NO_MSG {
+            if !cv.is_free() || cv.wait_head == NO_MSG {
                 continue;
             }
             let m = cv.wait_head;
@@ -850,7 +925,7 @@ impl<'a> Fabric<'a> {
             }
             let h = msg.head;
             msg.head += 1;
-            cv.owner = Some((m, h));
+            (cv.owner, cv.hop) = (m, h);
             granted += 1;
             let hop = msg.path.hops[h as usize];
             let channel = hop.channel.idx();
@@ -862,6 +937,11 @@ impl<'a> Fabric<'a> {
             self.active.insert(channel);
             self.metrics
                 .trace(TraceEventKind::Grant, self.cycle, channel as u32);
+            // A claim needs the header past its injection channel and a
+            // hop left to claim ([`Fabric::claim_window`]).
+            if self.may_claim && h > 0 && (h as usize) + 1 < msg.path.len() {
+                self.offers.push(m);
+            }
         }
         self.regrant = regrant;
         self.regrant.clear();
@@ -898,10 +978,13 @@ impl<'a> Fabric<'a> {
         if !(self.coasts.is_empty() && self.disturbed.is_empty()) {
             self.settle_coasts();
         }
-        let settled = std::mem::take(&mut self.settled);
         if !self.landed.is_empty() {
             self.start_coasts();
         }
+        if !self.offers.is_empty() {
+            self.start_claims();
+        }
+        let settled = std::mem::take(&mut self.settled);
         CycleOutcome {
             moved,
             granted,
@@ -1194,8 +1277,9 @@ impl<'a> Fabric<'a> {
     }
 
     // ------------------------------------------------------------------
-    // Coasts: a streaming or draining message body, applied in closed form
-    // beside stepped traffic.
+    // Coasts: a header crossing the free route ahead, or a streaming or
+    // draining message body, applied in closed form beside stepped
+    // traffic.
     // ------------------------------------------------------------------
 
     /// Start a coast for each landed message — its header has crossed its
@@ -1206,44 +1290,76 @@ impl<'a> Fabric<'a> {
     /// it alone kept selectable leave the set at the next selection. A
     /// message stays landed until it coasts, or its tail is too close to
     /// its last hop for a window of two cycles — which comes before its
-    /// delivery, and so before the message is freed.
+    /// delivery, and so before the message is freed. A claim on a cv of one
+    /// of those channels whose grant is still to come is settled first
+    /// (the channel is then the body's alone); one already granted counts
+    /// as the ready cv a stepped header would be.
+    ///
+    /// A header coasts too, as a *claim* ([`Fabric::start_claims`]): from
+    /// the end of a cycle in which it was granted a hop, or its claim was
+    /// settled, it claims the free cvs ahead of it and crosses them one
+    /// hop a cycle — the zero-load term of the paper's latency — until it
+    /// lands, when its body may coast in turn.
     ///
     /// An event-engine fabric coasts from construction to
     /// [`Fabric::finish`], telemetry and closed loops included; the oracle
-    /// never does. A coast moves a flit across each hop on every cycle of
-    /// its window ([`Fabric::coast_window`]) and is settled
-    /// ([`Fabric::settle`]):
+    /// never does. A coast moves a flit across each hop it holds on every
+    /// cycle of its window ([`Fabric::coast_window`],
+    /// [`Fabric::claim_window`]) and is settled ([`Fabric::settle`]):
     ///
     /// * on the window's last cycle;
     /// * at the end of a cycle in which a grant or a refresh made another
     ///   cv on one of its channels ready, since its cv is no longer picked
-    ///   alone ([`Fabric::settle_coasts`]);
-    /// * when a header requests one of its cvs, since the release the
-    ///   header waits for may lie inside the window ([`Fabric::request`]);
+    ///   alone ([`Fabric::settle_coasts`]) — for a claim, on the channels
+    ///   of the hops it claimed too, where it would not be alone once
+    ///   granted;
+    /// * when a header requests one of its cvs or claims, since the
+    ///   release the header waits for, or the grant of the cv it asks for,
+    ///   may lie inside the window ([`Fabric::request`]); a claim is then
+    ///   settled so that the two requests queue as on the oracle
+    ///   ([`Fabric::interrupt`]);
+    /// * when a body would coast beside a cv it claimed and has not been
+    ///   granted yet (above);
     /// * when the run ends.
     ///
-    /// The window holds no event whose order can show: no request (its
-    /// header has landed), no absorption, delivery or free (the window ends
-    /// before the first), no grant on its cvs (it owns them, and a release
-    /// a header waits for ends the window), and only releases nobody is
-    /// queued for. Telemetry and closed loops read events, not flits, so
-    /// they lose nothing either: there is no grant, absorption or delivery
-    /// to trace or to hand a protocol machine, no release while a trace is
-    /// recorded (a trace keeps events in emission order), and the
-    /// utilization series takes the moves as one range per hop. One tap
-    /// reads a cycle's moves: a stepped cycle traces `Stall` when channels
-    /// are held and nothing moves, and a coast moves, so the tap also asks
-    /// that nothing coasts.
+    /// A claimed cv is free with no waiter, and such a cv changes only
+    /// through a request: so a request is the one trigger a claim adds.
+    /// The window holds no event whose order can show: no request but a
+    /// claim's own (a body's header has landed), no absorption, delivery
+    /// or free (the window ends before the first), no grant but a claim's
+    /// of the cvs it holds, and only releases nobody is queued for.
+    /// Telemetry and closed loops read events, not flits, so they lose
+    /// nothing either: there is no grant while a trace is recorded (no
+    /// claim starts), no absorption or delivery to trace or to hand a
+    /// protocol machine, no release while a trace is recorded (a trace
+    /// keeps events in emission order), and the utilization series takes
+    /// the moves as one range per hop. One tap reads a cycle's moves: a
+    /// stepped cycle traces `Stall` when channels are held and nothing
+    /// moves, and a coast moves, so the tap also asks that nothing coasts.
     fn start_coasts(&mut self) {
         let mut landed = std::mem::take(&mut self.landed);
-        landed.retain(|&m| {
+        let mut claimants = std::mem::take(&mut self.claimants);
+        let mut kept = 0;
+        for i in 0..landed.len() {
+            let m = landed[i];
             let msg = self.msgs.get(m, "landed message");
             if !may_yet_coast(msg) {
-                return false;
+                continue;
             }
-            let Some((first, until)) = self.coast_window(msg) else {
-                return true;
+            claimants.clear();
+            let Some((first, until)) = self.coast_window(msg, &mut claimants) else {
+                landed[kept] = m;
+                kept += 1;
+                continue;
             };
+            for &c in &claimants {
+                let coast = self.msgs.get(c, "claimant").coast;
+                if coast != NO_COAST {
+                    let coast = self.end_coast(coast as usize);
+                    self.settle(coast, self.cycle);
+                }
+            }
+            let msg = self.msgs.get(m, "landed message");
             for hop in &msg.path.hops[first..] {
                 let ch = &mut self.channels[hop.channel.idx()];
                 (ch.ready, ch.coast) = (0, 1 << hop.vc.0);
@@ -1251,18 +1367,21 @@ impl<'a> Fabric<'a> {
             self.msgs.get_mut(m, "landed message").coast = self.coasts.len() as u32;
             self.coasts.push(Coast {
                 msg: m,
+                claimed_to: 0,
                 from: self.cycle,
                 until,
             });
             self.coast_counts.0 += 1;
-            false
-        });
+        }
+        landed.truncate(kept);
+        self.claimants = claimants;
         self.landed = landed;
     }
 
     /// `(first, until)`: the first hop of `msg` its tail has not crossed,
     /// and the last cycle of its coast from the end of this one; `None`
-    /// when it may not coast now.
+    /// when it may not coast now. The claimants whose claims must be
+    /// settled before it coasts are added to `claimants`.
     ///
     /// Every hop of a message whose header has crossed its last hop is
     /// granted. When each hop `first ..` is ready and the only ready cv of
@@ -1275,34 +1394,30 @@ impl<'a> Fabric<'a> {
     /// released on it. The window stops a cycle short of the first
     /// absorption or delivery, of the first release of a cv a header waits
     /// for (or of any release, when a trace is recorded), and of a warmup,
-    /// measurement or deadline boundary, so that its moves share one
-    /// `measuring` verdict and every end-of-run check falls on a stepped
-    /// cycle.
-    fn coast_window(&self, msg: &ActiveMsg) -> Option<(usize, u64)> {
+    /// measurement or deadline boundary ([`Fabric::bounded`]), so that its
+    /// moves share one `measuring` verdict and every end-of-run check falls
+    /// on a stepped cycle.
+    fn coast_window(&self, msg: &ActiveMsg, claimants: &mut Vec<MsgId>) -> Option<(usize, u64)> {
         let hops = &msg.path.hops[..];
         debug_assert_eq!(msg.head as usize, hops.len());
         let (c, len, t) = (self.cycle, msg.len, &msg.traversed);
         let first = t.iter().position(|&moved| moved < len)?;
-        let alone = |hop: &noc_topology::Hop| {
-            let ch = self.channels[hop.channel.idx()];
-            ch.ready == 1 << hop.vc.0 && ch.coast == 0
-        };
-        if !hops[first..].iter().all(alone) {
-            return None;
+        for hop in &hops[first..] {
+            let pc = hop.channel.idx();
+            let ch = self.channels[pc];
+            if ch.ready != 1 << hop.vc.0 {
+                return None;
+            }
+            if ch.coast != 0 {
+                claimants.push(self.claimant_to_come(pc)?);
+            }
         }
         // The hop whose tail crossing absorbs or delivers next.
         let stop = match &msg.multicast {
             Some(stream) => stream.absorbs[stream.next_absorb as usize].0 as usize,
             None => hops.len() - 1,
         };
-        let mut k = u64::from(len - 1 - t[stop]);
-        let (warmup, measure_end) = (self.cfg.warmup_cycles, self.cfg.measure_end());
-        if c < warmup {
-            k = k.min(warmup - c);
-        } else if c < measure_end {
-            k = k.min(measure_end - c);
-        }
-        k = k.min(self.cfg.deadline().saturating_sub(c));
+        let mut k = self.bounded(u64::from(len - 1 - t[stop]));
         // Hop `h − 1` is released when the tail crosses `h`, on cycle
         // `c + L − t[h]`; the earliest hops release first.
         let tracing = self.metrics.tracing();
@@ -1317,6 +1432,127 @@ impl<'a> Fabric<'a> {
             }
         }
         (k >= 2).then_some((first, c + k))
+    }
+
+    /// A window of `k` cycles from the end of this one, cut a cycle short
+    /// of the next warmup, measurement or deadline boundary.
+    fn bounded(&self, mut k: u64) -> u64 {
+        let (c, warmup, measure_end) = (self.cycle, self.cfg.warmup_cycles, self.cfg.measure_end());
+        if c < warmup {
+            k = k.min(warmup - c);
+        } else if c < measure_end {
+            k = k.min(measure_end - c);
+        }
+        k.min(self.cfg.deadline().saturating_sub(c))
+    }
+
+    /// The claimant of the coasting cv of channel `pc`, when that cv is
+    /// claimed and its grant is still to come: on the oracle the channel
+    /// has no ready cv of the claimant's yet. `None` when the coast bit is
+    /// a body's, or a claim's already granted.
+    fn claimant_to_come(&self, pc: usize) -> Option<MsgId> {
+        let cv = self.plan.cv_base[pc] + self.channels[pc].coast.trailing_zeros();
+        let state = self.cvs[cv as usize];
+        if !state.claimed {
+            return None;
+        }
+        let msg = self.msgs.get(state.owner, "claimant");
+        let from = self.coasts[msg.coast as usize].from;
+        let grant = from + u64::from(state.hop - (msg.head - 1));
+        (grant > self.cycle).then_some(state.owner)
+    }
+
+    /// Start a claim for each message offered one this cycle
+    /// ([`Fabric::offers`]) whose header can cross the route ahead alone
+    /// ([`Fabric::claim_window`]). The hops it holds turn their ready bits
+    /// into coast bits, as a body's do; each cv it claims takes it as
+    /// claimant and its channel a coast bit, so that a cv another header
+    /// requests, or a cv that turns ready beside one it will move across,
+    /// settles it first.
+    fn start_claims(&mut self) {
+        let offers = std::mem::take(&mut self.offers);
+        for &m in &offers {
+            let msg = self.msgs.get(m, "offered message");
+            if msg.coast != NO_COAST {
+                continue; // offered twice
+            }
+            let Some((first, claimed_to, until)) = self.claim_window(msg) else {
+                continue;
+            };
+            let head = msg.head as usize;
+            for (k, hop) in msg.path.hops[..=claimed_to].iter().enumerate().skip(first) {
+                let ch = &mut self.channels[hop.channel.idx()];
+                if k < head {
+                    (ch.ready, ch.coast) = (0, 1 << hop.vc.0);
+                } else {
+                    ch.coast = 1 << hop.vc.0;
+                    let cv = &mut self.cvs[self.plan.cv_index(*hop) as usize];
+                    (cv.owner, cv.hop, cv.claimed) = (m, k as u16, true);
+                }
+            }
+            self.msgs.get_mut(m, "offered message").coast = self.coasts.len() as u32;
+            self.coasts.push(Coast {
+                msg: m,
+                claimed_to: claimed_to as u16,
+                from: self.cycle,
+                until,
+            });
+            self.claim_counts.0 += 1;
+        }
+        self.offers = offers;
+        self.offers.clear();
+    }
+
+    /// `(first, claimed_to, until)`: the first hop of `msg` its tail has
+    /// not crossed, the last hop it claims and the last cycle of its claim
+    /// from the end of this one; `None` when it may not claim now.
+    ///
+    /// Its header must stand in the buffer before hop `h = head − 1`,
+    /// granted and not crossed yet — past the injection queue, whose
+    /// length the backlog checks read every cycle — and each hop
+    /// `first ..= h` must be ready and the only ready cv of its channel,
+    /// with no coast there: each is picked next cycle and moves, and the
+    /// header crosses `h` and requests `h + 1`. It claims the longest run
+    /// of hops `h + 1 ..` whose cvs are free with no waiter, on channels
+    /// with no ready cv and no coast: each is granted on the cycle the
+    /// header requests it, `g_k = c + k − h`, and moves from `g_k + 1` on.
+    /// At buffer depth 2 or more the buffer a newly granted hop drains
+    /// holds the one flit in transit, and every other difference of
+    /// neighbouring counters stands as it was, so every granted hop moves
+    /// each cycle until the tail crosses it. The window ends a cycle short
+    /// of the tail's first crossing — there it stops a hop and releases
+    /// another, as the body's window does — of the header's request for
+    /// the first cv it did not claim, and of a boundary
+    /// ([`Fabric::bounded`]); on the cycle it lands at the latest, when
+    /// its body may coast in turn.
+    fn claim_window(&self, msg: &ActiveMsg) -> Option<(usize, usize, u64)> {
+        let (hops, t, head) = (&msg.path.hops[..], &msg.traversed, msg.head as usize);
+        if head < 2 || head == hops.len() || t[head - 1] != 0 {
+            return None;
+        }
+        let claimable = |hop: &noc_topology::Hop| {
+            let ch = self.channels[hop.channel.idx()];
+            let cv = &self.cvs[self.plan.cv_index(*hop) as usize];
+            cv.is_free() && cv.wait_head == NO_MSG && ch.ready == 0 && ch.coast == 0
+        };
+        let claimed = hops[head..].iter().take_while(|hop| claimable(hop)).count();
+        if claimed == 0 {
+            return None;
+        }
+        let first = t.iter().position(|&moved| moved < msg.len)?;
+        let alone = |hop: &noc_topology::Hop| {
+            let ch = self.channels[hop.channel.idx()];
+            ch.ready == 1 << hop.vc.0 && ch.coast == 0
+        };
+        if !hops[first..head].iter().all(alone) {
+            return None;
+        }
+        let (h, claimed_to) = (head - 1, head - 1 + claimed);
+        // The header lands on `g_last + 1`, or requests the first hop it
+        // did not claim on `g_claimed_to + 1`.
+        let ahead = (claimed_to - h + usize::from(claimed_to + 1 == hops.len())) as u64;
+        let k = self.bounded(ahead.min(u64::from(msg.len - t[first]) - 1));
+        (k >= 2).then_some((first, claimed_to, self.cycle + k))
     }
 
     /// The earliest last cycle of a coast (`u64::MAX`: none coasts).
@@ -1347,9 +1583,7 @@ impl<'a> Fabric<'a> {
             let ch = self.channels[pc as usize];
             if ch.coast != 0 && ch.ready != 0 {
                 let cv = self.plan.cv_base[pc as usize] + ch.coast.trailing_zeros();
-                let (m, _) = self.cvs[cv as usize]
-                    .owner
-                    .expect("a coasting cv has its owner");
+                let m = self.cvs[cv as usize].owner;
                 let i = self.msgs.get(m, "coasting message").coast as usize;
                 let coast = self.end_coast(i);
                 self.settle(coast, self.cycle);
@@ -1369,7 +1603,77 @@ impl<'a> Fabric<'a> {
     }
 
     /// Write what the oracle's steps wrote for `coast` on the cycles
-    /// `from + 1 ..= through`: each hop `first ..` the tail had not crossed
+    /// `from + 1 ..= through`, and put its message back in selection.
+    fn settle(&mut self, coast: Coast, through: u64) {
+        if coast.is_claim() {
+            self.settle_claim(coast, through);
+        } else {
+            self.settle_body(coast, through);
+        }
+        self.settled = true;
+    }
+
+    /// [`Fabric::settle`] a claim: each hop `first ..` granted by then
+    /// moved a flit on each cycle after its grant (`from` for the hops
+    /// granted before the claim), under the one `measuring` verdict the
+    /// window shares, and each pick left the round-robin pointer just past
+    /// the hop's vc. The claimed cvs granted by `through` become owned, the
+    /// rest free again. Every counter grows first; only then are the ready
+    /// bits re-derived. A claimant that has landed may coast on as a body;
+    /// one that has not is offered a claim again at the end of the cycle.
+    fn settle_claim(&mut self, coast: Coast, through: u64) {
+        let n = through - coast.from;
+        let measuring = self.in_window(coast.from + 1);
+        let msg = self.msgs.get_mut(coast.msg, "claimant");
+        let (len, h, claimed_to) = (msg.len, msg.head as usize - 1, coast.claimed_to as usize);
+        let first = msg.traversed.iter().position(|&t| t < len);
+        let first = first.expect("a claimant's tail is behind its header");
+        // Hops `..= granted` are granted by `through`.
+        let granted = (h as u64 + n).min(claimed_to as u64) as usize;
+        let grant = |k: usize| coast.from + k.saturating_sub(h) as u64;
+        let mut moves = 0;
+        for k in first..=granted {
+            let moved = through - grant(k);
+            if moved > 0 {
+                msg.traversed[k] += moved as u32;
+                moves += moved;
+                let pc = msg.path.hops[k].channel.idx();
+                self.metrics
+                    .record_flit_moves_bulk(grant(k), pc, moved, measuring);
+            }
+        }
+        msg.head = granted as u16 + 1;
+        self.claim_counts.1 += moves;
+        let (msg, buffer_depth) = (self.msgs.get(coast.msg, "claimant"), self.cfg.buffer_depth);
+        for k in first..=claimed_to {
+            let hop = msg.path.hops[k];
+            let (pc, bit) = (hop.channel.idx(), 1 << hop.vc.0);
+            let ch = &mut self.channels[pc];
+            ch.coast &= !bit;
+            if k > h {
+                let cv = &mut self.cvs[self.plan.cv_index(hop) as usize];
+                cv.claimed = false;
+                if k > granted {
+                    cv.owner = NO_MSG;
+                    continue;
+                }
+                ch.owned |= bit;
+            }
+            if through > grant(k) {
+                ch.pass(hop.vc.0, self.plan.vcs[pc]);
+            }
+            ch.set_ready(hop.vc.0, msg.can_move(k, buffer_depth));
+            self.active.insert(pc);
+        }
+        let landed = granted + 1 == msg.path.len() && msg.traversed[granted] > 0;
+        if !landed {
+            self.offers.push(coast.msg);
+        } else if may_yet_coast(msg) {
+            self.landed.push(coast.msg);
+        }
+    }
+
+    /// [`Fabric::settle`] a body: each hop `first ..` the tail had not crossed
     /// at `from` (the counters still stand there) moved a flit on each
     /// until its tail crossed, under the one `measuring` verdict the window
     /// shares (integer sums, so their order is free), and each pick left
@@ -1377,7 +1681,7 @@ impl<'a> Fabric<'a> {
     /// crossed one was released. Every counter grows first; only then are
     /// the ready bits re-derived, or a hop would read ahead of the one
     /// upstream of it.
-    fn settle(&mut self, coast: Coast, through: u64) {
+    fn settle_body(&mut self, coast: Coast, through: u64) {
         let n = through - coast.from;
         let measuring = self.in_window(coast.from + 1);
         let msg = self.msgs.get_mut(coast.msg, "coasting message");
@@ -1425,7 +1729,6 @@ impl<'a> Fabric<'a> {
                 self.release(coast.msg, h as u16, hop);
             }
         }
-        self.settled = true;
         if self.may_coast {
             // Its body may stream alone again.
             self.landed.push(coast.msg);
@@ -1516,11 +1819,14 @@ impl<'a> Fabric<'a> {
             self.settle(coast, self.cycle);
         }
         self.landed.clear();
+        self.offers.clear();
         self.finished = true;
-        let (coasts, coast_moves) = self.coast_counts;
+        let ((coasts, coast_moves), (claims, claim_moves)) = (self.coast_counts, self.claim_counts);
         let engine = EngineCounters {
             coasts,
             coast_moves,
+            claims,
+            claim_moves,
             ..engine
         };
         let cycles = self.cycle;
@@ -1555,19 +1861,26 @@ impl<'a> Fabric<'a> {
 
     /// The `(owned, ready)` masks of channel `pc` derived from scratch:
     /// every cv's owner asked whether it can move a flit. The reference
-    /// the incrementally maintained [`ChannelState`] is held to.
+    /// the incrementally maintained [`ChannelState`] is held to. A claimed
+    /// cv reads ready and not owned: its coast bit stands for the grant to
+    /// come.
     fn reference_masks(&self, pc: usize) -> Result<(u8, u8), AuditError> {
         let base = self.plan.cv_base[pc];
         let (mut owned, mut ready) = (0u8, 0u8);
         for vc in 0..self.plan.vcs[pc] {
             let cv = (base + vc as u32) as usize;
-            let Some((m, h)) = self.cvs[cv].owner else {
+            let (m, h) = (self.cvs[cv].owner, self.cvs[cv].hop);
+            if m == NO_MSG {
                 continue;
-            };
+            }
             let msg = self
                 .msgs
                 .try_get(m)
                 .ok_or(AuditError::DeadOwner { cv, msg: m })?;
+            if self.cvs[cv].claimed {
+                ready |= 1 << vc;
+                continue;
+            }
             owned |= 1 << vc;
             if msg.can_move(h as usize, self.cfg.buffer_depth) {
                 ready |= 1 << vc;
@@ -1576,19 +1889,50 @@ impl<'a> Fabric<'a> {
         Ok((owned, ready))
     }
 
+    /// A cv claimed by `msg` (`m`) as hop `hop` must be one its claim
+    /// holds: the claim covers hops `head ..=` its last, and the hop maps
+    /// to the cv.
+    fn audit_claim(
+        &self,
+        cv: usize,
+        m: MsgId,
+        msg: &ActiveMsg,
+        hop: u16,
+    ) -> Result<(), AuditError> {
+        let coast = self.coasts.get(msg.coast as usize);
+        if !coast.is_some_and(|c| c.is_claim() && (msg.head..=c.claimed_to).contains(&hop)) {
+            return Err(AuditError::StrayClaim { cv, msg: m, hop });
+        }
+        let maps_to = self.plan.cv_index(msg.path.hops[hop as usize]);
+        if maps_to as usize != cv {
+            return Err(AuditError::OwnerHopElsewhere {
+                cv,
+                msg: m,
+                hop,
+                maps_to,
+            });
+        }
+        Ok(())
+    }
+
     /// See [`crate::Engine::audit`].
     pub(crate) fn audit(&self) -> Result<EngineAudit, AuditError> {
         let mut owned_cvs = 0u64;
         let mut holders: HashSet<(MsgId, u16)> = HashSet::new();
         for (cv, state) in self.cvs.iter().enumerate() {
-            let Some((m, h)) = state.owner else {
+            let (m, h) = (state.owner, state.hop);
+            if m == NO_MSG {
                 continue;
-            };
-            owned_cvs += 1;
+            }
             let msg = self
                 .msgs
                 .try_get(m)
                 .ok_or(AuditError::DeadOwner { cv, msg: m })?;
+            if state.claimed {
+                self.audit_claim(cv, m, msg, h)?;
+                continue;
+            }
+            owned_cvs += 1;
             let hop = *msg
                 .path
                 .hops
@@ -1839,13 +2183,13 @@ mod tests {
                 }
                 let inj = f.plan.unicast_path(NodeId(0), NodeId(3)).hops[0];
                 let cv = &f.cvs[f.plan.cv_index(inj) as usize];
-                if let Some((m, 0)) = cv.owner {
+                if let Some((m, 0)) = cv.holder() {
                     if granted.last() != Some(&m) {
                         granted.push(m);
                     }
                 }
                 // The owner, then the waiters, in arrival order.
-                let owner = cv.owner.map(|(m, _)| f.msgs.get(m, "owner").gen);
+                let owner = cv.holder().map(|(m, _)| f.msgs.get(m, "owner").gen);
                 let mut queue: Vec<u64> = owner.into_iter().collect();
                 let mut at = cv.wait_head;
                 while at != NO_MSG {
@@ -1919,7 +2263,7 @@ mod tests {
         let ids: Vec<MsgId> = ids.into_iter().map(|(_, m)| m).collect();
         let inj = sim.fabric.msgs.get(ids[0], "owner").path.hops[0];
         let (pc, cv) = (inj.channel.idx(), sim.fabric.plan.cv_index(inj) as usize);
-        assert_eq!(sim.fabric.cvs[cv].owner, Some((ids[0], 0)));
+        assert_eq!(sim.fabric.cvs[cv].holder(), Some((ids[0], 0)));
         sim.audit().expect("sound before tampering");
         let fails_with = |sim: &Engine<'_>, expected: AuditError, what: &str| {
             let err = sim.audit().expect_err(what);

@@ -114,6 +114,13 @@ pub struct EngineCounters {
     /// Flit moves those coasts settled, out of `SimResults::flit_moves`
     /// (event engine only).
     pub coast_moves: u64,
+    /// Headers that coasted: claimed the free route ahead, crossed it
+    /// beside stepped traffic and were settled in closed form (event
+    /// engine only).
+    pub claims: u64,
+    /// Flit moves those claims settled, out of `SimResults::flit_moves`
+    /// and apart from `coast_moves` (event engine only).
+    pub claim_moves: u64,
 }
 
 /// Closed-loop protocol statistics of one run (present only when a
