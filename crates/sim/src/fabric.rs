@@ -1900,7 +1900,9 @@ impl<'a> Fabric<'a> {
         hop: u16,
     ) -> Result<(), AuditError> {
         let coast = self.coasts.get(msg.coast as usize);
-        if !coast.is_some_and(|c| c.is_claim() && (msg.head..=c.claimed_to).contains(&hop)) {
+        let holds =
+            |c: &Coast| c.msg == m && c.is_claim() && (msg.head..=c.claimed_to).contains(&hop);
+        if !coast.is_some_and(holds) {
             return Err(AuditError::StrayClaim { cv, msg: m, hop });
         }
         let maps_to = self.plan.cv_index(msg.path.hops[hop as usize]);
@@ -2308,6 +2310,20 @@ mod tests {
             &format!("cv {cv}: waiter {} is queued twice", ids[1]),
         );
         sim.fabric.msgs.get_mut(ids[2], "last waiter").next_waiter = NO_MSG;
+
+        // A claim on a cv its message holds, which coasts in no claim.
+        sim.fabric.cvs[cv].claimed = true;
+        let stray = AuditError::StrayClaim {
+            cv,
+            msg: ids[0],
+            hop: 0,
+        };
+        fails_with(
+            &sim,
+            stray,
+            &format!("cv {cv} claimed by message {}", ids[0]),
+        );
+        sim.fabric.cvs[cv].claimed = false;
 
         // An arrival held for a cycle the engine has passed.
         let now = sim.now();
